@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // InstrClass buckets instructions for latency, energy, and functional-unit
@@ -112,31 +113,70 @@ type CoreConfig struct {
 }
 
 // DefaultLatencies are the fixed per-class instruction latencies in cycles.
-var DefaultLatencies = map[InstrClass]int64{
+// The ClassMem entry is never consulted by the timing model: memory ops take
+// their latency from the hierarchy.
+var DefaultLatencies = [NumClasses]int64{
 	ClassIntALU: 1, ClassIntMul: 3, ClassIntDiv: 18,
 	ClassFPALU: 3, ClassFPMul: 4, ClassFPDiv: 18,
-	ClassBranch: 1, ClassCast: 1, ClassSpecial: 1,
+	ClassMem: 1, ClassBranch: 1, ClassCast: 1, ClassSpecial: 1,
 }
 
-// Latency resolves the fixed latency for a class under this config.
+// Latency resolves the fixed latency for a class under this config. It is a
+// build-time resolver (a string-keyed map lookup): the timing core calls it
+// once per class when a tile is built and indexes the resulting table.
 func (c *CoreConfig) Latency(cl InstrClass) int64 {
-	if c.Latencies != nil {
-		if v, ok := c.Latencies[cl.String()]; ok {
-			return v
-		}
-	}
-	if v, ok := DefaultLatencies[cl]; ok {
+	if v, ok := c.Latencies[cl.String()]; ok {
 		return v
 	}
-	return 1
+	return DefaultLatencies[cl]
 }
 
-// FULimit resolves the functional-unit cap for a class (0 = unlimited).
+// FULimit resolves the functional-unit cap for a class (0 = unlimited); a
+// build-time resolver like Latency.
 func (c *CoreConfig) FULimit(cl InstrClass) int {
-	if c.FunctionalUnits == nil {
-		return 0
-	}
 	return c.FunctionalUnits[cl.String()]
+}
+
+// UnknownClassError reports a latencies / functional_units key that names no
+// instruction class. Before Validate checked them, such a key (a typo like
+// "fp_mull") was silently ignored and the default applied.
+type UnknownClassError struct {
+	Core  string // core config name
+	Field string // "latencies" or "functional_units"
+	Name  string // the offending key
+}
+
+func (e *UnknownClassError) Error() string {
+	return fmt.Sprintf("core %q: %s: unknown instruction class %q (valid: %s)",
+		e.Core, e.Field, e.Name, strings.Join(classNames[:], ", "))
+}
+
+// unknownClass returns the alphabetically first key of a per-class map that
+// names no instruction class.
+func unknownClass[V any](m map[string]V) (name string, found bool) {
+next:
+	for k := range m {
+		for _, n := range classNames {
+			if n == k {
+				continue next
+			}
+		}
+		if !found || k < name {
+			name, found = k, true
+		}
+	}
+	return name, found
+}
+
+// validateClasses rejects per-class map keys that name no instruction class.
+func (c *CoreConfig) validateClasses() error {
+	if n, ok := unknownClass(c.Latencies); ok {
+		return &UnknownClassError{Core: c.Name, Field: "latencies", Name: n}
+	}
+	if n, ok := unknownClass(c.FunctionalUnits); ok {
+		return &UnknownClassError{Core: c.Name, Field: "functional_units", Name: n}
+	}
+	return nil
 }
 
 // CacheConfig configures one cache (§V-A).
@@ -345,6 +385,9 @@ func (sc *SystemConfig) Validate() error {
 		if cs.Core.IssueWidth <= 0 || cs.Core.WindowSize <= 0 || cs.Core.LSQSize <= 0 {
 			return fmt.Errorf("config %q: core %q needs positive issue width, window, and LSQ", sc.Name, cs.Core.Name)
 		}
+		if err := cs.Core.validateClasses(); err != nil {
+			return fmt.Errorf("config %q: %w", sc.Name, err)
+		}
 	}
 	if err := sc.validateTiles(); err != nil {
 		return err
@@ -391,6 +434,19 @@ func (sc *SystemConfig) validateTiles() error {
 		if td.Core != nil {
 			if td.Core.IssueWidth <= 0 || td.Core.WindowSize <= 0 || td.Core.LSQSize <= 0 {
 				return fmt.Errorf("config %q: tile %d (%s): explicit core needs positive issue width, window, and LSQ", sc.Name, i, td.label())
+			}
+			if err := td.Core.validateClasses(); err != nil {
+				return fmt.Errorf("config %q: tile %d: %w", sc.Name, i, err)
+			}
+		}
+		if len(td.Overrides) > 0 {
+			// Only the per-class maps are checked here; malformed or unknown
+			// override fields are the tile registry's strict decode to report.
+			over := CoreConfig{Name: td.label()}
+			if json.Unmarshal(td.Overrides, &over) == nil {
+				if err := over.validateClasses(); err != nil {
+					return fmt.Errorf("config %q: tile %d overrides: %w", sc.Name, i, err)
+				}
 			}
 		}
 		if td.MeshSlot != nil {

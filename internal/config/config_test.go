@@ -1,7 +1,10 @@
 package config
 
 import (
+	"encoding/json"
+	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -133,6 +136,48 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownClassNames: a per-class map key that names no
+// instruction class used to be ignored silently (the default applied). It is
+// a typed error now, in every form a core config can be declared in.
+func TestValidateRejectsUnknownClassNames(t *testing.T) {
+	legacy := XeonSystem(1)
+	legacy.Cores[0].Core.Latencies = map[string]int64{"fp_mul": 5, "fp_mull": 7}
+	explicit := OutOfOrderCore()
+	explicit.FunctionalUnits = map[string]int{"alu": 2}
+	tiles := func(td TileDef) *SystemConfig {
+		return &SystemConfig{Name: "t", Tiles: []TileDef{td}, Mem: TableIIMem()}
+	}
+	for name, tc := range map[string]struct {
+		sc           *SystemConfig
+		field, class string
+	}{
+		"legacy cores":   {legacy, "latencies", "fp_mull"},
+		"explicit core":  {tiles(TileDef{Core: &explicit}), "functional_units", "alu"},
+		"tile overrides": {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"latencies": {"branchy": 2}}`)}), "latencies", "branchy"},
+	} {
+		err := tc.sc.Validate()
+		var uce *UnknownClassError
+		if !errors.As(err, &uce) {
+			t.Errorf("%s: Validate = %v, want an UnknownClassError", name, err)
+			continue
+		}
+		if uce.Field != tc.field || uce.Name != tc.class {
+			t.Errorf("%s: error names %s %q, want %s %q", name, uce.Field, uce.Name, tc.field, tc.class)
+		}
+		for c := InstrClass(0); c < NumClasses; c++ {
+			if !strings.Contains(err.Error(), c.String()) {
+				t.Errorf("%s: error does not list valid class %q: %v", name, c, err)
+			}
+		}
+	}
+	ok := XeonSystem(1)
+	ok.Cores[0].Core.Latencies = map[string]int64{"fp_mul": 5}
+	ok.Cores[0].Core.FunctionalUnits = map[string]int{"mem": 2}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("valid class names rejected: %v", err)
+	}
+}
+
 func TestInstrClassNames(t *testing.T) {
 	seen := map[string]bool{}
 	for c := InstrClass(0); c < NumClasses; c++ {
@@ -143,7 +188,7 @@ func TestInstrClassNames(t *testing.T) {
 		seen[n] = true
 	}
 	for c := InstrClass(0); c < NumClasses; c++ {
-		if _, ok := EnergyPerClassPJ[c]; !ok {
+		if EnergyPerClassPJ[c] <= 0 {
 			t.Errorf("class %s missing energy entry", c)
 		}
 	}

@@ -204,7 +204,7 @@ func TopologyPreset(name string) (*SystemConfig, error) {
 
 // EnergyPerClassPJ is the per-instruction-class dynamic energy in picojoules
 // used for instruction energy costs (§III-B) and the power model.
-var EnergyPerClassPJ = map[InstrClass]float64{
+var EnergyPerClassPJ = [NumClasses]float64{
 	ClassIntALU: 8, ClassIntMul: 25, ClassIntDiv: 120,
 	ClassFPALU: 20, ClassFPMul: 35, ClassFPDiv: 160,
 	ClassMem: 30, ClassBranch: 6, ClassCast: 4, ClassSpecial: 10,

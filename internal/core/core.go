@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mosaicsim/internal/config"
-	"mosaicsim/internal/ddg"
 	"mosaicsim/internal/ir"
 	"mosaicsim/internal/mem"
 	"mosaicsim/internal/trace"
@@ -79,12 +78,15 @@ const (
 	stateCompleted
 )
 
-// dynNode is one dynamic instruction instance (one node of a DBB).
+// dynNode is one dynamic instruction instance (one node of a DBB). class,
+// kind and free are copied from sn at launch: the hot paths never chase it.
 type dynNode struct {
-	in    *ir.Instr
+	sn    *StaticNode
 	class config.InstrClass
-	seq   int64 // global program order
+	kind  OpKind
+	free  bool // fused idiom: retires without issue width, FU, or latency
 	state nodeState
+	seq   int64 // global program order
 
 	parentsLeft int
 	dependents  []*dynNode
@@ -115,11 +117,6 @@ type dynNode struct {
 	// node and reused across recycles (it captures only the stable node and
 	// core pointers).
 	doneCB func(int64)
-
-	// free marks instructions fused into neighbors on the reference ISA
-	// (e.g. gep folded into a load's addressing mode): they retire without
-	// consuming issue width, functional units, or latency.
-	free bool
 
 	// fusedLoad is the pending load whose data this send forwards (DeSC
 	// terminal load buffer); nil for ordinary sends. fusedSeq is the load's
@@ -157,7 +154,7 @@ type Core struct {
 	Cfg   config.CoreConfig
 	Stats Stats
 
-	graph  *ddg.Graph
+	prog   *Program
 	tt     *trace.TileTrace
 	memp   MemPort
 	fabric Fabric
@@ -179,7 +176,7 @@ type Core struct {
 	lastDBB  *dynDBB // most recently launched DBB
 	launchAt int64   // earliest cycle the next DBB may launch (after penalty)
 
-	ready readyHeap
+	ready eventHeap // issue-ready nodes by program order (seq)
 	// issuePtr is the in-order issue cursor into window (InOrder mode).
 	issuePtr int
 	// pendingDrain holds the partner tiles of parked recvs (DeSC store
@@ -196,8 +193,11 @@ type Core struct {
 	outstanding int   // issued-but-incomplete nodes of any kind
 
 	fuBusy [config.NumClasses]int
+	// Per-class tables resolved once from Cfg's string-keyed maps.
+	lat   [config.NumClasses]int64
+	fuLim [config.NumClasses]int
 
-	completions completionHeap
+	completions eventHeap // in-flight nodes by completion cycle
 	seqCounter  int64
 	finished    bool
 	finishCycle int64
@@ -207,27 +207,21 @@ type Core struct {
 	// different clock speeds").
 	clockNum, clockDen int64
 
-	// freeMask marks static instructions as fused idioms (see SetFreeInstrs).
-	freeMask []bool
-
 	// progress counts state-changing events (launches, issues, completions,
 	// drains, barrier arrivals). The Interleaver compares successive readings
 	// to detect frozen tiles and engage event-horizon cycle skipping.
 	progress uint64
 
 	// syncOps counts launched-but-incomplete nodes that touch shared
-	// synchronization state (barriers, accelerator invocations); blockSync
-	// marks the static blocks containing such ops. Together they implement
-	// MaySync, the parallel stepper's ordering test.
-	syncOps   int
-	blockSync []bool
+	// synchronization state (barriers, accelerator invocations); with the
+	// program's per-block Sync bits it implements MaySync, the parallel
+	// stepper's ordering test.
+	syncOps int
 
 	// Hot-path pools: dynamic nodes and DBBs are recycled at retire instead
-	// of allocated per launch, and launchOne's per-launch node buffer is a
-	// reused scratch slice.
+	// of allocated per launch.
 	freeNodes []*dynNode
 	freeDBBs  []*dynDBB
-	scratch   []*dynNode
 	deferred  []*dynNode
 
 	// gshare dynamic-predictor state (config.BranchDynamic).
@@ -240,66 +234,70 @@ const (
 	gshareMask = (1 << gshareBits) - 1
 )
 
-// New builds a core tile for one traced kernel execution.
-func New(id int, cfg config.CoreConfig, g *ddg.Graph, tt *trace.TileTrace, memp MemPort, fabric Fabric, accel AccelInvoker) *Core {
+// New builds a core tile replaying tt against the lowered program p (shared,
+// read-only, by every core running the same kernel).
+func New(id int, cfg config.CoreConfig, p *Program, tt *trace.TileTrace, memp MemPort, fabric Fabric, accel AccelInvoker) *Core {
 	c := &Core{
 		ID:       id,
 		Cfg:      cfg,
-		graph:    g,
+		prog:     p,
 		tt:       tt,
 		memp:     memp,
 		fabric:   fabric,
 		accel:    accel,
-		lastDyn:  make([]*dynNode, g.Fn.NumInstrs()),
-		liveDBB:  make([]int, len(g.Blocks)),
+		lastDyn:  make([]*dynNode, len(p.nodes)),
+		liveDBB:  make([]int, len(p.Blocks)),
 		clockNum: 1,
 		clockDen: 1,
+	}
+	for cl := config.InstrClass(0); cl < config.NumClasses; cl++ {
+		c.lat[cl], c.fuLim[cl] = cfg.Latency(cl), cfg.FULimit(cl)
 	}
 	// Preallocate the hot-path backing arrays from the trace length so the
 	// steady state never grows them. total is the tile's dynamic instruction
 	// count; small traces get exactly-sized arrays.
 	total := 0
 	for _, b := range tt.BBPath {
-		total += len(g.Blocks[b].Nodes)
-	}
-	c.blockSync = make([]bool, len(g.Blocks))
-	for b, bg := range g.Blocks {
-		for _, sn := range bg.Nodes {
-			if sn.Instr.Op == ir.OpCall &&
-				(sn.Instr.Callee == "barrier" || (len(sn.Instr.Callee) > 4 && sn.Instr.Callee[:4] == "acc_")) {
-				c.blockSync[b] = true
-				break
-			}
-		}
+		total += p.Blocks[b].N
 	}
 	wcap := min(total, 2*cfg.WindowSize+64)
 	c.window = make([]*dynNode, 0, wcap)
 	c.freeNodes = make([]*dynNode, 0, wcap)
-	c.ready = make(readyHeap, 0, min(total, cfg.WindowSize+8))
-	c.completions = make(completionHeap, 0, min(total, cfg.WindowSize+8))
+	c.ready = make(eventHeap, 0, min(total, cfg.WindowSize+8))
+	c.completions = make(eventHeap, 0, min(total, cfg.WindowSize+8))
 	c.mao = make([]*dynNode, 0, min(total, 2*cfg.LSQSize+64))
 	return c
 }
 
-// allocNode pops a recycled dynamic node (or allocates a fresh one),
-// resetting every field while keeping the dependents/onComplete backing
-// arrays and the node's completion callback.
+// Tables returns the per-class latency and functional-unit tables the core
+// resolved from its config at build time.
+func (c *Core) Tables() (lat [config.NumClasses]int64, fuLimit [config.NumClasses]int) {
+	return c.lat, c.fuLim
+}
+
+// allocNode pops a recycled dynamic node (or allocates a fresh one), resetting
+// in place every field launchOne does not overwrite unconditionally; the
+// dependents/onComplete arrays and the completion callback are kept. Operand
+// fields (addr, partner, accCall, ...) are only read for the op kind that sets
+// them, so stale values there are never observed.
 func (c *Core) allocNode() *dynNode {
-	if k := len(c.freeNodes); k > 0 {
-		n := c.freeNodes[k-1]
-		c.freeNodes = c.freeNodes[:k-1]
-		deps, cbs, done := n.dependents[:0], n.onComplete[:0], n.doneCB
-		*n = dynNode{dependents: deps, onComplete: cbs, doneCB: done}
-		return n
+	k := len(c.freeNodes)
+	if k == 0 {
+		return &dynNode{}
 	}
-	return &dynNode{}
+	n := c.freeNodes[k-1]
+	c.freeNodes = c.freeNodes[:k-1]
+	n.state, n.parentsLeft, n.dependents = stateWaiting, 0, n.dependents[:0]
+	n.maoPos, n.doneAdj, n.fusedLoad = 0, 0, nil
+	n.barrierArrived, n.parkable = false, false
+	return n
 }
 
 // recycleNode returns a retired node to the pool. Dangling references are
 // severed (lastDyn) or guarded by seq checks (fusedLoad) / nil MAO slots.
 func (c *Core) recycleNode(n *dynNode) {
-	if idx := n.in.Idx; idx < len(c.lastDyn) && c.lastDyn[idx] == n {
-		c.lastDyn[idx] = nil
+	if c.lastDyn[n.sn.Idx] == n {
+		c.lastDyn[n.sn.Idx] = nil
 	}
 	c.freeNodes = append(c.freeNodes, n)
 }
@@ -317,8 +315,10 @@ func (c *Core) allocDBB(bid, nodes int) *dynDBB {
 // SetFreeInstrs marks static instructions (by layout index) as fused idioms
 // that cost no issue slot, functional unit, or latency. The hardware
 // reference model uses this to mimic an ISA where IR idioms (gep+load,
-// phi copies, casts) map onto single machine instructions (§VI-A).
-func (c *Core) SetFreeInstrs(mask []bool) { c.freeMask = mask }
+// phi copies, casts) map onto single machine instructions (§VI-A). It must
+// be called before the first Step; the core switches to a private copy of
+// the shared program with the Free bits set.
+func (c *Core) SetFreeInstrs(mask []bool) { c.prog = c.prog.withFree(mask) }
 
 // SetClockScale configures conversion from core cycles to global Interleaver
 // cycles: one core cycle spans num/den global cycles.
@@ -343,73 +343,28 @@ func (c *Core) Done() bool { return c.finished }
 // FinishCycle returns the tile-local cycle at which the trace retired.
 func (c *Core) FinishCycle() int64 { return c.finishCycle }
 
-// readyHeap orders issue-ready nodes by program order.
-type readyHeap []*dynNode
-
-func (h readyHeap) Len() int { return len(h) }
-
-// push and pop are typed equivalents of container/heap's Push/Pop with the
-// identical sift sequence, minus the interface boxing that allocated on every
-// call in the simulator's hottest loop.
-func (h *readyHeap) push(n *dynNode) {
-	a := append(*h, n)
-	*h = a
-	j := len(a) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if a[j].seq >= a[i].seq {
-			break
-		}
-		a[i], a[j] = a[j], a[i]
-		j = i
-	}
-}
-
-func (h *readyHeap) pop() *dynNode {
-	a := *h
-	n := len(a) - 1
-	a[0], a[n] = a[n], a[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && a[j2].seq < a[j].seq {
-			j = j2
-		}
-		if a[j].seq >= a[i].seq {
-			break
-		}
-		a[i], a[j] = a[j], a[i]
-		i = j
-	}
-	v := a[n]
-	a[n] = nil
-	*h = a[:n]
-	return v
-}
-
-type completion struct {
-	at   int64
+// event is a heap entry: a node keyed by its completion cycle or, in the
+// ready heap, its seq. The key sits beside the pointer so sifts touch no node.
+type event struct {
+	key  int64
 	node *dynNode
 }
 
-type completionHeap []completion
+type eventHeap []event
 
-func (h completionHeap) Len() int { return len(h) }
+func (h eventHeap) Len() int { return len(h) }
 
 // push and pop mirror container/heap's algorithm exactly (same compares, same
-// swaps, so entries with equal due times pop in the same order) but are typed:
-// the old heap.Interface path boxed a completion struct per Push and per Pop,
-// which was the single largest allocation source in the simulator.
-func (h *completionHeap) push(v completion) {
+// swaps, so entries with equal keys pop in the same order) but are typed:
+// the heap.Interface path boxed an entry per Push and per Pop, which was the
+// single largest allocation source in the simulator.
+func (h *eventHeap) push(v event) {
 	a := append(*h, v)
 	*h = a
 	j := len(a) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if a[j].at >= a[i].at {
+		if a[j].key >= a[i].key {
 			break
 		}
 		a[i], a[j] = a[j], a[i]
@@ -417,7 +372,7 @@ func (h *completionHeap) push(v completion) {
 	}
 }
 
-func (h *completionHeap) pop() completion {
+func (h *eventHeap) pop() event {
 	a := *h
 	n := len(a) - 1
 	a[0], a[n] = a[n], a[0]
@@ -427,17 +382,17 @@ func (h *completionHeap) pop() completion {
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && a[j2].at < a[j].at {
+		if j2 := j + 1; j2 < n && a[j2].key < a[j].key {
 			j = j2
 		}
-		if a[j].at >= a[i].at {
+		if a[j].key >= a[i].key {
 			break
 		}
 		a[i], a[j] = a[j], a[i]
 		i = j
 	}
 	v := a[n]
-	a[n] = completion{}
+	a[n] = event{}
 	*h = a[:n]
 	return v
 }
@@ -471,7 +426,7 @@ func (c *Core) Step(now int64) bool {
 
 // processCompletions retires timing events due at or before now.
 func (c *Core) processCompletions(now int64) {
-	for c.completions.Len() > 0 && c.completions[0].at <= now {
+	for c.completions.Len() > 0 && c.completions[0].key <= now {
 		ev := c.completions.pop()
 		c.complete(ev.node, now)
 	}
@@ -487,7 +442,7 @@ func (c *Core) complete(n *dynNode, now int64) {
 	n.doneAt = now
 	c.outstanding--
 	c.progress++
-	if n.accCall != nil || (n.in.Op == ir.OpCall && n.in.Callee == "barrier") {
+	if n.kind == KindBarrier || n.kind == KindAcc {
 		c.syncOps--
 	}
 	for _, cb := range n.onComplete {
@@ -495,10 +450,10 @@ func (c *Core) complete(n *dynNode, now int64) {
 	}
 	n.onComplete = n.onComplete[:0]
 	if !n.free {
-		if lim := c.Cfg.FULimit(n.class); lim > 0 {
+		if c.fuLim[n.class] > 0 {
 			c.fuBusy[n.class]--
 		}
-		if n.class == config.ClassMem {
+		if n.kind == KindMem {
 			c.maoInUse--
 		}
 	}
@@ -531,7 +486,7 @@ func (c *Core) complete(n *dynNode, now int64) {
 		if d.parentsLeft == 0 && d.state == stateWaiting {
 			d.state = stateReady
 			if !c.Cfg.InOrder {
-				c.ready.push(d)
+				c.ready.push(event{d.seq, d})
 			}
 		}
 	}
@@ -544,7 +499,7 @@ func (c *Core) complete(n *dynNode, now int64) {
 func (c *Core) memDone(n *dynNode) func(int64) {
 	if n.doneCB == nil {
 		n.doneCB = func(at int64) {
-			c.completions.push(completion{at: at + n.doneAdj, node: n})
+			c.completions.push(event{at + n.doneAdj, n})
 		}
 	}
 	return n.doneCB
@@ -582,31 +537,6 @@ func (c *Core) windowBaseSeq() int64 {
 		return c.window[c.windowHead].seq
 	}
 	return c.seqCounter
-}
-
-// mispredictTarget implements the static predictor (§III-C): backward
-// branches (loops) predicted taken toward the lower-numbered block, forward
-// branches predicted fall-through (the lexically next block).
-func staticPrediction(term *ir.Instr, curBlock int) int {
-	if term.Op != ir.OpCondBr {
-		if len(term.Targets) == 1 {
-			return term.Targets[0].ID
-		}
-		return -1 // ret: no successor
-	}
-	t0, t1 := term.Targets[0].ID, term.Targets[1].ID
-	// Predict a backward target (loop) if one exists.
-	if t0 <= curBlock {
-		return t0
-	}
-	if t1 <= curBlock {
-		return t1
-	}
-	// Otherwise predict the nearer (fall-through-like) target.
-	if t0 < t1 {
-		return t0
-	}
-	return t1
 }
 
 // launchDBBs launches dynamic basic blocks from the control trace (rule 3,
@@ -648,96 +578,57 @@ func (c *Core) launchDBBs(now int64) {
 	}
 }
 
-// launchOne stamps out the dynamic nodes of one DBB and binds dependence
-// edges: intra-DBB edges to nodes of this instance, cross edges to the most
-// recent dynamic instance of the producer (§II-A).
+// launchOne stamps out the dynamic nodes of one DBB from the block's lowered
+// records and binds dependence edges: intra-DBB edges to nodes of this
+// instance, cross edges to the most recent dynamic instance of the producer
+// (§II-A). Only what the trace decides stays dynamic: the operand cursors,
+// the phi predecessor, and DeSC fusion (wait).
 func (c *Core) launchOne(bid int) {
-	bg := c.graph.Blocks[bid]
+	blk := &c.prog.Blocks[bid]
 	prevBlock := -1
 	if c.bbCursor > 0 {
 		prevBlock = int(c.tt.BBPath[c.bbCursor-1])
 	}
 	c.bbCursor++
 
-	d := c.allocDBB(bid, len(bg.Nodes))
+	d := c.allocDBB(bid, blk.N)
 	c.liveDBB[bid]++
-	// nodes is a per-core scratch buffer: every position is overwritten below
-	// before any read, so stale tail pointers are never observed.
-	if cap(c.scratch) < len(bg.Nodes) {
-		c.scratch = make([]*dynNode, len(bg.Nodes))
-	}
-	nodes := c.scratch[:len(bg.Nodes)]
-	for pos := range bg.Nodes {
-		sn := &bg.Nodes[pos]
+	base := len(c.window)
+	recs := c.prog.Nodes(bid)
+	for pos := range recs {
+		sn := &recs[pos]
 		n := c.allocNode()
-		n.in = sn.Instr
-		n.class = Classify(sn.Instr)
+		n.sn, n.class, n.kind, n.free = sn, sn.Class, sn.Kind, sn.Free
 		n.seq = c.seqCounter
 		n.dbb = d
-		if c.freeMask != nil && sn.Instr.Idx < len(c.freeMask) {
-			n.free = c.freeMask[sn.Instr.Idx]
-		}
 		c.seqCounter++
-		nodes[pos] = n
+		c.window = append(c.window, n)
 	}
-	d.term = nodes[bg.TermPos]
+	nodes := c.window[base:]
+	d.term = nodes[blk.TermPos]
 
 	// Bind dependencies before updating lastDyn so cross edges see the
 	// previous instances (loop-carried values).
-	for pos := range bg.Nodes {
-		sn := &bg.Nodes[pos]
-		n := nodes[pos]
-		bind := func(dep ddg.Dep) {
-			var parent *dynNode
-			if dep.Kind == ddg.DepIntra {
-				parent = nodes[dep.Instr-bg.Nodes[0].Instr.Idx]
-			} else {
-				parent = c.lastDyn[dep.Instr]
-			}
-			if parent == nil {
-				return
-			}
-			if c.Cfg.DecoupledSupply && dep.Kind == ddg.DepIntra {
-				// DeSC structures (§VII-A): a send forwarding a load's data
-				// (terminal load buffer) does not wait for the load, and a
-				// store/atomic whose value comes from a recv (store value
-				// buffer) drains without stalling the core.
-				if n.in.Op == ir.OpCall && n.in.Callee == "send" && parent.in.Op == ir.OpLoad {
-					n.fusedLoad = parent
-					n.fusedSeq = parent.seq
-					return
-				}
-				if (n.in.Op == ir.OpStore || n.in.Op == ir.OpAtomicAdd) &&
-					parent.in.Op == ir.OpCall && parent.in.Callee == "recv" {
-					parent.parkable = true
-					return
-				}
-			}
-			if parent.state != stateCompleted {
-				parent.dependents = append(parent.dependents, n)
-				n.parentsLeft++
-			}
+	for _, n := range nodes {
+		sn := n.sn
+		for _, pos := range sn.Intra {
+			c.wait(n, nodes[pos], true)
 		}
-		if sn.Instr.Op == ir.OpPhi {
-			for _, pc := range sn.PhiCases {
-				if pc.FromBlock == prevBlock && pc.Dep != nil {
-					bind(*pc.Dep)
-				}
-			}
-		} else {
-			for _, dep := range sn.Deps {
-				bind(dep)
-			}
+		for _, idx := range sn.Cross {
+			c.wait(n, c.lastDyn[idx], false)
+		}
+		if sn.Phi != nil && prevBlock >= 0 && sn.Phi[prevBlock] >= 0 {
+			c.wait(n, c.lastDyn[sn.Phi[prevBlock]], false)
 		}
 
-		switch {
-		case sn.Instr.IsMemory():
+		switch sn.Kind {
+		case KindMem:
 			if c.memCursor >= len(c.tt.Mem) {
-				panic(fmt.Sprintf("core: tile %d memory trace exhausted at instruction %d", c.ID, sn.Instr.Idx))
+				panic(fmt.Sprintf("core: tile %d memory trace exhausted at instruction %d", c.ID, sn.Idx))
 			}
 			ev := c.tt.Mem[c.memCursor]
-			if int(ev.Instr) != sn.Instr.Idx {
-				panic(fmt.Sprintf("core: tile %d memory trace out of sync: have instr %d, want %d", c.ID, ev.Instr, sn.Instr.Idx))
+			if ev.Instr != sn.Idx {
+				panic(fmt.Sprintf("core: tile %d memory trace out of sync: have instr %d, want %d", c.ID, ev.Instr, sn.Idx))
 			}
 			c.memCursor++
 			n.addr = ev.Addr
@@ -753,30 +644,29 @@ func (c *Core) launchOne(bid int) {
 			c.maoTotal++
 			n.maoPos = c.maoTotal
 			c.mao = append(c.mao, n)
-		case sn.Instr.Op == ir.OpCall && (sn.Instr.Callee == "send" || sn.Instr.Callee == "recv"):
+		case KindSend, KindRecv:
 			if c.commCursor >= len(c.tt.Comm) {
 				panic(fmt.Sprintf("core: tile %d comm trace exhausted", c.ID))
 			}
 			n.partner = int(c.tt.Comm[c.commCursor].Partner)
 			c.commCursor++
-		case sn.Instr.Op == ir.OpCall && len(sn.Instr.Callee) > 4 && sn.Instr.Callee[:4] == "acc_":
+		case KindAcc:
 			if c.accCursor >= len(c.tt.Acc) {
 				panic(fmt.Sprintf("core: tile %d accelerator trace exhausted", c.ID))
 			}
 			n.accCall = &c.tt.Acc[c.accCursor]
 			c.accCursor++
-		}
-		if n.accCall != nil || (sn.Instr.Op == ir.OpCall && sn.Instr.Callee == "barrier") {
+			c.syncOps++
+		case KindBarrier:
 			c.syncOps++
 		}
 	}
-	for pos, n := range nodes {
-		c.lastDyn[bg.Nodes[pos].Instr.Idx] = n
-		c.window = append(c.window, n)
+	for _, n := range nodes {
+		c.lastDyn[n.sn.Idx] = n
 		if n.parentsLeft == 0 {
 			n.state = stateReady
 			if !c.Cfg.InOrder {
-				c.ready.push(n)
+				c.ready.push(event{n.seq, n})
 			}
 		}
 	}
@@ -787,15 +677,12 @@ func (c *Core) launchOne(bid int) {
 		actual := int(c.tt.BBPath[c.bbCursor])
 		switch c.Cfg.Branch {
 		case config.BranchStatic:
-			if staticPrediction(d.term.in, bid) != actual {
-				d.mispredict = true
-				c.Stats.Mispredict++
-			}
+			d.mispredict = blk.Predicted != actual
 		case config.BranchDynamic:
-			if !c.gsharePredict(d.term.in, actual) {
-				d.mispredict = true
-				c.Stats.Mispredict++
-			}
+			d.mispredict = !c.gsharePredict(d.term.sn.Instr, actual)
+		}
+		if d.mispredict {
+			c.Stats.Mispredict++
 		}
 	}
 	// The displaced lastDBB stays live only while it gates the next launch;
@@ -805,6 +692,32 @@ func (c *Core) launchOne(bid int) {
 	}
 	c.lastDBB = d
 	c.progress++
+}
+
+// wait makes n depend on parent, the dynamic producer of one of its operands
+// (nil when that instance already retired), unless the producer completed.
+// With DeSC structures (§VII-A) two intra-DBB edges are fused away instead:
+// a send forwarding a load's data (terminal load buffer) does not wait for
+// the load, and a store/atomic whose value comes from a recv (store value
+// buffer) lets the recv drain without stalling the core.
+func (c *Core) wait(n, parent *dynNode, intra bool) {
+	if parent == nil {
+		return
+	}
+	if intra && c.Cfg.DecoupledSupply {
+		if n.kind == KindSend && parent.sn.Instr.Op == ir.OpLoad {
+			n.fusedLoad, n.fusedSeq = parent, parent.seq
+			return
+		}
+		if n.kind == KindMem && n.sn.Instr.Op != ir.OpLoad && parent.kind == KindRecv {
+			parent.parkable = true
+			return
+		}
+	}
+	if parent.state != stateCompleted {
+		parent.dependents = append(parent.dependents, n)
+		n.parentsLeft++
+	}
 }
 
 // gsharePredict predicts one conditional branch with a gshare predictor and
@@ -851,7 +764,7 @@ func (c *Core) issue(now int64) {
 	deferred := c.deferred[:0]
 	windowLimit := c.windowBaseSeq() + int64(c.Cfg.WindowSize)
 	for issued < c.Cfg.IssueWidth && c.ready.Len() > 0 {
-		n := c.ready[0]
+		n := c.ready[0].node
 		if n.free {
 			// Fused idiom: retires instantly without consuming issue
 			// bandwidth, waking dependents within this cycle.
@@ -874,7 +787,7 @@ func (c *Core) issue(now int64) {
 		}
 	}
 	for i, n := range deferred {
-		c.ready.push(n)
+		c.ready.push(event{n.seq, n})
 		deferred[i] = nil
 	}
 	c.deferred = deferred[:0]
@@ -891,7 +804,7 @@ func (c *Core) issueInOrder(now int64) {
 	// their issue slots. Stop at the first blocked one so same-channel
 	// recvs keep FIFO order.
 	for c.ready.Len() > 0 {
-		if !c.tryIssue(c.ready[0], now) {
+		if !c.tryIssue(c.ready[0].node, now) {
 			break
 		}
 		c.ready.pop()
@@ -926,9 +839,9 @@ func (c *Core) issueInOrder(now int64) {
 		}
 		// Store-buffer semantics: a store (or atomic) blocked only on MAO
 		// ordering parks and drains later instead of stalling the pipeline.
-		if n.class == config.ClassMem && n.memKind != mem.Read &&
+		if n.kind == KindMem && n.memKind != mem.Read &&
 			c.maoInUse+c.ready.Len() < c.Cfg.LSQSize && c.maoOrderBlocked(n) {
-			c.ready.push(n)
+			c.ready.push(event{n.seq, n})
 			c.issuePtr++
 			issued++
 			continue
@@ -941,7 +854,7 @@ func (c *Core) issueInOrder(now int64) {
 				c.pendingDrain = append(c.pendingDrain, n.partner)
 			}
 			c.Stats.Recvs++
-			c.issueFixed(n, now, c.Cfg.Latency(config.ClassSpecial))
+			c.issueFixed(n, now, c.lat[config.ClassSpecial])
 			c.issuePtr++
 			issued++
 			continue
@@ -957,14 +870,14 @@ func (c *Core) issueInOrder(now int64) {
 // tryIssue attempts to issue one node; false means a structural hazard (FU,
 // MAO, communication) and the node retries next cycle.
 func (c *Core) tryIssue(n *dynNode, now int64) bool {
-	if lim := c.Cfg.FULimit(n.class); lim > 0 && c.fuBusy[n.class] >= lim {
+	if lim := c.fuLim[n.class]; lim > 0 && c.fuBusy[n.class] >= lim {
 		c.Stats.FUStalls++
 		return false
 	}
-	switch {
-	case n.class == config.ClassMem:
+	switch n.kind {
+	case KindMem:
 		return c.tryIssueMem(n, now)
-	case n.in.Op == ir.OpCall && n.in.Callee == "send":
+	case KindSend:
 		// A recycled fused load (seq mismatch) necessarily completed before it
 		// was retired and repooled, so the plain-send path below is correct.
 		if n.fusedLoad != nil && n.fusedLoad.seq == n.fusedSeq && n.fusedLoad.state != stateCompleted {
@@ -977,7 +890,7 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 			}
 			n.fusedLoad.onComplete = append(n.fusedLoad.onComplete, func(t int64) { set(t) })
 			c.Stats.Sends++
-			c.issueFixed(n, now, c.Cfg.Latency(config.ClassSpecial))
+			c.issueFixed(n, now, c.lat[config.ClassSpecial])
 			return true
 		}
 		if !c.fabric.TrySend(c.ID, n.partner, now) {
@@ -985,9 +898,9 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 			return false
 		}
 		c.Stats.Sends++
-		c.issueFixed(n, now, c.Cfg.Latency(config.ClassSpecial))
+		c.issueFixed(n, now, c.lat[config.ClassSpecial])
 		return true
-	case n.in.Op == ir.OpCall && n.in.Callee == "barrier":
+	case KindBarrier:
 		if !n.barrierArrived {
 			n.barrierSeq = c.fabric.BarrierArrive(c.ID)
 			n.barrierArrived = true
@@ -999,17 +912,17 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 			c.Stats.CommStalls++
 			return false
 		}
-		c.issueFixed(n, now, c.Cfg.Latency(config.ClassSpecial))
+		c.issueFixed(n, now, c.lat[config.ClassSpecial])
 		return true
-	case n.in.Op == ir.OpCall && n.in.Callee == "recv":
+	case KindRecv:
 		if !c.fabric.TryRecv(c.ID, n.partner, now) {
 			c.Stats.CommStalls++
 			return false
 		}
 		c.Stats.Recvs++
-		c.issueFixed(n, now, c.Cfg.Latency(config.ClassSpecial))
+		c.issueFixed(n, now, c.lat[config.ClassSpecial])
 		return true
-	case n.accCall != nil:
+	case KindAcc:
 		if c.accel == nil {
 			panic(fmt.Sprintf("core: tile %d has no accelerator port for %s", c.ID, n.accCall.Name))
 		}
@@ -1020,7 +933,7 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 		}
 		return true
 	default:
-		c.issueFixed(n, now, c.Cfg.Latency(n.class))
+		c.issueFixed(n, now, c.lat[n.class])
 		return true
 	}
 }
@@ -1029,14 +942,14 @@ func (c *Core) markIssued(n *dynNode) {
 	n.state = stateIssued
 	c.outstanding++
 	c.progress++
-	if lim := c.Cfg.FULimit(n.class); lim > 0 {
+	if c.fuLim[n.class] > 0 {
 		c.fuBusy[n.class]++
 	}
 }
 
 func (c *Core) issueFixed(n *dynNode, now, latency int64) {
 	c.markIssued(n)
-	c.completions.push(completion{at: now + c.scaleLat(latency), node: n})
+	c.completions.push(event{now + c.scaleLat(latency), n})
 }
 
 // tryIssueMem enforces MAO ordering (§II-A "Data Dependencies") and LSQ
@@ -1148,7 +1061,7 @@ func (c *Core) MaySync() bool {
 		end = len(c.tt.BBPath)
 	}
 	for i := c.bbCursor; i < end; i++ {
-		if c.blockSync[c.tt.BBPath[i]] {
+		if c.prog.Blocks[c.tt.BBPath[i]].Sync {
 			return true
 		}
 	}
@@ -1165,8 +1078,8 @@ func (c *Core) NextEvent(now int64) int64 {
 		return mem.HorizonNone
 	}
 	h := mem.HorizonNone
-	if c.completions.Len() > 0 && c.completions[0].at < h {
-		h = c.completions[0].at
+	if c.completions.Len() > 0 && c.completions[0].key < h {
+		h = c.completions[0].key
 	}
 	if c.lastDBB != nil && c.lastDBB.mispredict && c.lastDBB.termDone && now < c.launchAt && c.launchAt < h {
 		h = c.launchAt
@@ -1180,7 +1093,7 @@ func (c *Core) NextEvent(now int64) int64 {
 // release pending. The schedule recorder uses it to certify that an
 // accelerator completion is the lone event a quiet window is waiting on.
 func (c *Core) SoleCompletionAt(now, at int64) bool {
-	if c.finished || c.outstanding != 1 || c.completions.Len() != 1 || c.completions[0].at != at {
+	if c.finished || c.outstanding != 1 || c.completions.Len() != 1 || c.completions[0].key != at {
 		return false
 	}
 	if len(c.pendingDrain) != 0 {

@@ -56,7 +56,7 @@ func traceKernel(t *testing.T, src string, setup func(m *interp.Memory) []uint64
 // runCore drives a single tile to completion and returns it.
 func runCore(t *testing.T, cfg config.CoreConfig, g *ddg.Graph, tt *trace.TileTrace, memLat int64) *Core {
 	t.Helper()
-	c := New(0, cfg, g, tt, &fakeMem{lat: memLat}, &fakeFabric{}, nil)
+	c := New(0, cfg, Lower(g), tt, &fakeMem{lat: memLat}, &fakeFabric{}, nil)
 	for now := int64(0); ; now++ {
 		if !c.Step(now) {
 			break
@@ -332,7 +332,7 @@ void kernel(long* A, long n) {
 	}
 	g := ddg.Build(f)
 	acc := &stubAccel{cycles: 5000}
-	c := New(0, config.OutOfOrderCore(), g, res.Trace.Tiles[0], &fakeMem{lat: 2}, &fakeFabric{}, acc)
+	c := New(0, config.OutOfOrderCore(), Lower(g), res.Trace.Tiles[0], &fakeMem{lat: 2}, &fakeFabric{}, acc)
 	for now := int64(0); c.Step(now); now++ {
 		if now > 1_000_000 {
 			t.Fatal("never finished")
@@ -364,7 +364,7 @@ func TestCorruptTracePanics(t *testing.T) {
 func TestClockScaling(t *testing.T) {
 	g, tt := traceKernel(t, sumSrc, setupArray(64))
 	fast := runCore(t, config.OutOfOrderCore(), g, tt, 4)
-	slow := New(0, config.OutOfOrderCore(), g, tt, &fakeMem{lat: 4}, &fakeFabric{}, nil)
+	slow := New(0, config.OutOfOrderCore(), Lower(g), tt, &fakeMem{lat: 4}, &fakeFabric{}, nil)
 	slow.SetClockScale(2, 1) // core at half the global clock
 	for now := int64(0); slow.Step(now); now++ {
 		if now > 50_000_000 {
@@ -468,7 +468,7 @@ func TestGsharePredictsUnconditional(t *testing.T) {
 // pressure by the dynamic instruction count.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	g, tt := traceKernel(t, indepSrc, setupTwoArrays(4096))
-	c := New(0, config.OutOfOrderCore(), g, tt, &fakeMem{lat: 8}, &fakeFabric{}, nil)
+	c := New(0, config.OutOfOrderCore(), Lower(g), tt, &fakeMem{lat: 8}, &fakeFabric{}, nil)
 	now := int64(0)
 	for i := 0; i < 2000; i++ {
 		if !c.Step(now) {
@@ -476,11 +476,74 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		}
 		now++
 	}
+	// The measured window must cover the whole life of a dynamic node —
+	// launch, issue, complete, retire, recycle — not just issue/complete.
+	launched, retired, pooled := c.bbCursor, c.Stats.Instrs, len(c.freeNodes)
 	avg := testing.AllocsPerRun(1000, func() {
 		c.Step(now)
 		now++
 	})
 	if avg != 0 {
 		t.Errorf("core.Step allocates %.2f objects/cycle in steady state, want 0", avg)
+	}
+	if c.Done() {
+		t.Fatal("core finished inside the measured window; grow the workload")
+	}
+	if dl, dr := c.bbCursor-launched, c.Stats.Instrs-retired; dl < 100 || dr < 1000 {
+		t.Errorf("measured window launched %d DBBs and completed %d instructions; it must exercise launch and retire", dl, dr)
+	}
+	if c.windowHead == 0 && len(c.freeNodes) == pooled {
+		t.Error("measured window never retired a node into the pool")
+	}
+}
+
+// TestSetFreeInstrsAfterNew: fused-idiom bits set after construction are
+// honoured — the core switches to a private copy of the shared program, so
+// the free instructions stop costing issue slots while another core built on
+// the same program is unaffected.
+func TestSetFreeInstrsAfterNew(t *testing.T) {
+	g, tt := traceKernel(t, indepSrc, setupTwoArrays(256))
+	p := Lower(g)
+	mask := make([]bool, g.Fn.NumInstrs())
+	free := 0
+	for _, in := range g.Fn.Instrs() {
+		if in.Op == ir.OpGEP || in.Op == ir.OpCast || in.Op == ir.OpPhi {
+			mask[in.Idx] = true
+			free++
+		}
+	}
+	if free == 0 {
+		t.Fatal("kernel has no gep/cast/phi to fuse")
+	}
+	run := func(c *Core) Stats {
+		for now := int64(0); c.Step(now); now++ {
+			if now > 10_000_000 {
+				t.Fatal("core never finished")
+			}
+		}
+		return c.Stats
+	}
+	cfg := config.OutOfOrderCore()
+	cfg.IssueWidth = 1 // issue-bound, so freed slots show up as cycles
+	fused := New(0, cfg, p, tt, &fakeMem{lat: 2}, &fakeFabric{}, nil)
+	fused.SetFreeInstrs(mask)
+	plain := New(1, cfg, p, tt, &fakeMem{lat: 2}, &fakeFabric{}, nil)
+	if &fused.prog.nodes[0] == &p.nodes[0] {
+		t.Fatal("the fused core still aliases the shared program's records")
+	}
+	for i := range p.nodes {
+		if p.nodes[i].Free {
+			t.Fatalf("SetFreeInstrs on one core set the shared program's Free bit of instruction %d", i)
+		}
+		if fused.prog.nodes[i].Free != mask[i] {
+			t.Fatalf("instruction %d: Free = %v, mask says %v", i, fused.prog.nodes[i].Free, mask[i])
+		}
+	}
+	fs, ps := run(fused), run(plain)
+	if fs.Instrs != ps.Instrs {
+		t.Errorf("fused core retired %d instructions, plain core %d", fs.Instrs, ps.Instrs)
+	}
+	if fs.Cycles >= ps.Cycles {
+		t.Errorf("fusing %d static idioms saved nothing: %d cycles vs %d", free, fs.Cycles, ps.Cycles)
 	}
 }

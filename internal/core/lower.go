@@ -1,0 +1,167 @@
+package core
+
+import (
+	"strings"
+
+	"mosaicsim/internal/config"
+	"mosaicsim/internal/ddg"
+	"mosaicsim/internal/ir"
+)
+
+// OpKind selects a static node's launch and issue path: which trace cursor
+// it consumes when its DBB launches and what issuing it does.
+type OpKind uint8
+
+// Op kinds. The zero value is every instruction not listed.
+const (
+	KindPlain   OpKind = iota // fixed class latency, nothing from the trace
+	KindMem                   // load/store/atomic: one memory-trace event
+	KindSend                  // one comm-trace event
+	KindRecv                  // one comm-trace event
+	KindBarrier               // fabric barrier
+	KindAcc                   // accelerator invocation: one acc-trace event
+)
+
+var callKinds = map[string]OpKind{"send": KindSend, "recv": KindRecv, "barrier": KindBarrier}
+
+func kindOf(in *ir.Instr) OpKind {
+	switch {
+	case in.IsMemory():
+		return KindMem
+	case in.Op != ir.OpCall:
+		return KindPlain
+	case len(in.Callee) > 4 && strings.HasPrefix(in.Callee, "acc_"):
+		return KindAcc
+	}
+	return callKinds[in.Callee]
+}
+
+// StaticNode is one instruction lowered for the timing core: what launchOne
+// used to re-derive per dynamic instance is resolved here once.
+type StaticNode struct {
+	Instr *ir.Instr
+	Idx   int32 // static layout index (Instr.Idx)
+	Class config.InstrClass
+	Kind  OpKind
+	Free  bool // fused idiom (Core.SetFreeInstrs)
+	// Producers, in operand order: Intra by position within the same DBB,
+	// Cross by static index (bound to the latest dynamic instance).
+	Intra, Cross []int32
+	// Phi (phi nodes only) maps a predecessor block ID to the static index
+	// of the producer on that edge, -1 for a constant, parameter or global.
+	Phi []int32
+}
+
+// Block is one basic block: nodes [First, First+N) of its Program.
+type Block struct {
+	First, N, TermPos int
+	// Predicted is the static predictor's successor block (§III-C), -1 when
+	// the terminator has none.
+	Predicted int
+	// Sync marks blocks holding a barrier or accelerator invocation (MaySync).
+	Sync bool
+}
+
+// Program is a kernel's DDG lowered into flat records, built once per graph
+// per system and shared read-only by every core replaying that kernel.
+type Program struct {
+	Blocks []Block      // by block ID
+	nodes  []StaticNode // by static index
+}
+
+// Nodes returns block b's records.
+func (p *Program) Nodes(b int) []StaticNode {
+	return p.nodes[p.Blocks[b].First : p.Blocks[b].First+p.Blocks[b].N]
+}
+
+// Lower resolves everything static about g into a Program.
+func Lower(g *ddg.Graph) *Program {
+	nb := len(g.Blocks)
+	edges := 0
+	for _, bg := range g.Blocks {
+		for i := range bg.Nodes {
+			edges += len(bg.Nodes[i].Deps)
+			if bg.Nodes[i].Instr.Op == ir.OpPhi {
+				edges += nb
+			}
+		}
+	}
+	// One backing array for every dependence list of the program.
+	arena := make([]int32, 0, edges)
+	p := &Program{Blocks: make([]Block, nb), nodes: make([]StaticNode, g.Fn.NumInstrs())}
+	for b, bg := range g.Blocks {
+		first := bg.Nodes[0].Instr.Idx
+		blk := &p.Blocks[b]
+		*blk = Block{First: first, N: len(bg.Nodes), TermPos: bg.TermPos,
+			Predicted: staticPrediction(bg.Nodes[bg.TermPos].Instr, b)}
+		for pos := range bg.Nodes {
+			dn := &bg.Nodes[pos]
+			sn := &p.nodes[first+pos]
+			*sn = StaticNode{Instr: dn.Instr, Idx: int32(dn.Instr.Idx), Class: Classify(dn.Instr), Kind: kindOf(dn.Instr)}
+			blk.Sync = blk.Sync || sn.Kind == KindBarrier || sn.Kind == KindAcc
+			if dn.Instr.Op == ir.OpPhi {
+				sn.Phi = arena[len(arena) : len(arena)+nb : len(arena)+nb]
+				arena = arena[:len(arena)+nb]
+				for i := range sn.Phi {
+					sn.Phi[i] = -1
+				}
+				for _, pc := range dn.PhiCases {
+					if pc.Dep != nil {
+						sn.Phi[pc.FromBlock] = int32(pc.Dep.Instr)
+					}
+				}
+				continue
+			}
+			start := len(arena)
+			for _, d := range dn.Deps {
+				if d.Kind == ddg.DepIntra {
+					arena = append(arena, int32(d.Instr-first))
+				}
+			}
+			sn.Intra = arena[start:len(arena):len(arena)]
+			start = len(arena)
+			for _, d := range dn.Deps {
+				if d.Kind == ddg.DepCross {
+					arena = append(arena, int32(d.Instr))
+				}
+			}
+			sn.Cross = arena[start:len(arena):len(arena)]
+		}
+	}
+	return p
+}
+
+// withFree returns a copy of p whose nodes carry mask (by static index) as
+// their Free bits; blocks and dependence lists stay shared.
+func (p *Program) withFree(mask []bool) *Program {
+	q := &Program{Blocks: p.Blocks, nodes: append([]StaticNode(nil), p.nodes...)}
+	for i := range q.nodes {
+		q.nodes[i].Free = i < len(mask) && mask[i]
+	}
+	return q
+}
+
+// staticPrediction implements the static predictor (§III-C): backward
+// branches (loops) predicted taken toward the lower-numbered block, forward
+// branches predicted fall-through (the lexically next block).
+func staticPrediction(term *ir.Instr, curBlock int) int {
+	if term.Op != ir.OpCondBr {
+		if len(term.Targets) == 1 {
+			return term.Targets[0].ID
+		}
+		return -1 // ret: no successor
+	}
+	t0, t1 := term.Targets[0].ID, term.Targets[1].ID
+	// Predict a backward target (loop) if one exists.
+	if t0 <= curBlock {
+		return t0
+	}
+	if t1 <= curBlock {
+		return t1
+	}
+	// Otherwise predict the nearer (fall-through-like) target.
+	if t0 < t1 {
+		return t0
+	}
+	return t1
+}

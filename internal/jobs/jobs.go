@@ -416,15 +416,6 @@ func NewManager(opts Options) *Manager {
 		func() int64 { return m.cache.Counters().Misses })
 	reg.CounterFunc("mosaicd_cache_evictions_total", "Artifact-cache LRU evictions.", nil,
 		func() int64 { return m.cache.Counters().Evictions })
-	// The mosaicd_artifact_cache_* series mirror mosaicd_cache_* under the
-	// namespaced names dashboards expect next to the replay series below;
-	// the legacy names stay registered for existing scrapes.
-	reg.CounterFunc("mosaicd_artifact_cache_hits_total", "Artifact-cache lookups served from cache (singleflight joins included).", nil,
-		func() int64 { return m.cache.Counters().Hits })
-	reg.CounterFunc("mosaicd_artifact_cache_misses_total", "Artifact-cache lookups that built.", nil,
-		func() int64 { return m.cache.Counters().Misses })
-	reg.CounterFunc("mosaicd_artifact_cache_evictions_total", "Artifact-cache LRU evictions.", nil,
-		func() int64 { return m.cache.Counters().Evictions })
 	reg.CounterFunc("mosaicd_replay_hits_total", "Runs answered analytically from a recorded timing schedule.", nil,
 		func() int64 { return m.cache.ReplayCounters().Hits })
 	reg.CounterFunc("mosaicd_replay_fallbacks_total", "Runs that found a schedule but fell back to full simulation (ineligible delta).", nil,

@@ -553,14 +553,17 @@ func TestReplayMetricsAndReportParity(t *testing.T) {
 		t.Errorf("mosaicd_replay_hit_ratio = %v, want > 0", v)
 	}
 	for _, want := range []string{
-		"mosaicd_artifact_cache_hits_total",
-		"mosaicd_artifact_cache_misses_total",
-		"mosaicd_artifact_cache_evictions_total",
+		"mosaicd_cache_hits_total",
+		"mosaicd_cache_misses_total",
+		"mosaicd_cache_evictions_total",
 		"mosaicd_replay_fallbacks_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, grepPrefix(text, "mosaicd_"))
 		}
+	}
+	if strings.Contains(text, "mosaicd_artifact_cache_") {
+		t.Errorf("the mosaicd_artifact_cache_* mirror series are back; mosaicd_cache_* is the one name")
 	}
 }
 

@@ -62,10 +62,13 @@ type pworker struct {
 	lo, hi int           // owned tile-position range [lo, hi)
 	start  chan phaseCmd // per-cycle dispatch
 	active bool          // any-tile-active result of the last step phase
-	// tickProg and frozen are the worker's slice of the per-cycle
-	// progress/freeze reduction, computed in the tick phase: the summed
-	// progress counters of its owned tiles and private cache stacks, and
-	// whether every owned live tile has confirmed a frozen step.
+	// tileProg is the running sum of the owned tiles' progress counters,
+	// kept from the reading that follows each step. tickProg and frozen are
+	// the worker's slice of the per-cycle progress/freeze reduction, computed
+	// in the tick phase: tileProg plus the owned private cache stacks'
+	// counters, and whether every owned live tile has confirmed a frozen
+	// step.
+	tileProg uint64
 	tickProg uint64
 	frozen   bool
 	// prog is the worker's watermark: base + pos + 1 after finishing the
@@ -89,7 +92,7 @@ type stepEngine struct {
 	// serial phase reads and writes them between joins).
 	accum, strides []int64
 	idleOK         []bool
-	stallDelta     []StallSample
+	prog           []uint64
 
 	workers []pworker
 	owner   []int // tile position -> worker index
@@ -111,7 +114,7 @@ type stepEngine struct {
 // fabrics bit-identical to sequential stepping, so the only fallback —
 // returning nil and leaving Run on the sequential loop — is an effective
 // worker count <= 1.
-func (s *System) startEngine(accum, strides []int64, idleOK []bool, stallDelta []StallSample, maxClock int64) *stepEngine {
+func (s *System) startEngine(accum, strides []int64, idleOK []bool, prog []uint64, maxClock int64) *stepEngine {
 	if ok, _ := s.ParallelEligibility(); !ok {
 		return nil
 	}
@@ -120,14 +123,14 @@ func (s *System) startEngine(accum, strides []int64, idleOK []bool, stallDelta [
 		nw = len(s.tiles)
 	}
 	e := &stepEngine{
-		s:          s,
-		maxClock:   maxClock,
-		accum:      accum,
-		strides:    strides,
-		idleOK:     idleOK,
-		stallDelta: stallDelta,
-		workers:    make([]pworker, nw),
-		owner:      make([]int, len(s.tiles)),
+		s:        s,
+		maxClock: maxClock,
+		accum:    accum,
+		strides:  strides,
+		idleOK:   idleOK,
+		prog:     prog,
+		workers:  make([]pworker, nw),
+		owner:    make([]int, len(s.tiles)),
 	}
 	nt := len(s.tiles)
 	per, rem := nt/nw, nt%nw
@@ -140,6 +143,7 @@ func (s *System) startEngine(accum, strides []int64, idleOK []bool, stallDelta [
 		e.workers[w] = pworker{lo: lo, hi: lo + sz, start: make(chan phaseCmd)}
 		for p := lo; p < lo+sz; p++ {
 			e.owner[p] = w
+			e.workers[w].tileProg += prog[p]
 		}
 		lo += sz
 	}
@@ -232,13 +236,13 @@ func (e *stepEngine) run(w *pworker) {
 					// invoke an accelerator: give it the sequential prefix.
 					e.waitAllBelow(base, pos)
 				}
-				pp := t.Progress()
-				before := t.SnapshotStalls()
 				if t.Step(cycle) {
 					active = true
 				}
-				if t.Progress() == pp {
-					e.stallDelta[pos] = t.SnapshotStalls().Sub(before)
+				if np := t.Progress(); np != e.prog[pos] {
+					w.tileProg += np - e.prog[pos]
+					e.prog[pos] = np
+				} else {
 					e.idleOK[pos] = true
 				}
 			} else if !t.Done() {
@@ -256,16 +260,14 @@ func (e *stepEngine) run(w *pworker) {
 // worker ticks exactly the cores whose tiles it stepped — core state, its
 // caches, and its completion callbacks stay on one goroutine per cycle.
 func (e *stepEngine) runTick(w *pworker, cycle int64) {
-	var prog uint64
+	prog := w.tileProg
 	frozen := true
 	for pos := w.lo; pos < w.hi; pos++ {
 		if pos > 0 {
 			e.s.Hier.TickCore(pos-1, cycle)
 			prog += uint64(e.s.Hier.ProgressCore(pos - 1))
 		}
-		t := e.s.tiles[pos]
-		prog += t.Progress()
-		if !t.Done() && !e.idleOK[pos] {
+		if !e.idleOK[pos] && !e.s.tiles[pos].Done() {
 			frozen = false
 		}
 	}

@@ -72,7 +72,7 @@ func (s *System) SetRecorder(r ScheduleRecorder) {
 // a gated mispredict launch, a future fabric arrival — makes the window's end
 // multi-causal and the certificate is simply not issued (replay then falls
 // back to full simulation for deltas that would move this completion).
-func (s *System) maybeCertify(now, target int64, stallDelta []StallSample, thrTick int64, uniformClocks bool) {
+func (s *System) maybeCertify(now, target int64, thrTick int64, uniformClocks bool) {
 	if !uniformClocks || thrTick != 0 || s.accel == nil || !s.accel.soleEventAt(target) {
 		return
 	}
@@ -101,8 +101,8 @@ func (s *System) maybeCertify(now, target int64, stallDelta []StallSample, thrTi
 		// Done tiles are skipped by the jump's stall replay; mirror that so
 		// the recorded per-cycle increments match what an extended (or
 		// shortened) window would actually accrue.
-		if p := s.tilePos[c.ID]; !s.tiles[p].Done() {
-			stalls[i] = stallDelta[p]
+		if t := s.tiles[s.tilePos[c.ID]]; !t.Done() {
+			stalls[i] = t.FrozenStalls()
 		}
 	}
 	s.recorder.RecordQuietJump(now, target, stalls)

@@ -14,7 +14,6 @@ import (
 	"mosaicsim/internal/config"
 	"mosaicsim/internal/core"
 	"mosaicsim/internal/ddg"
-	"mosaicsim/internal/ir"
 	"mosaicsim/internal/mem"
 	"mosaicsim/internal/trace"
 )
@@ -725,20 +724,29 @@ func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[stri
 		Hier:  mem.NewHierarchy(memCfg, len(tiles), maxClock),
 		accel: newAccelTile(accels, maxClock),
 	}
+	// Each distinct kernel graph is lowered once; its cores share the program.
+	lowered := map[*ddg.Graph]*core.Program{}
+	progs := make([]*core.Program, len(tiles))
+	for i, t := range tiles {
+		if lowered[t.Graph] == nil {
+			lowered[t.Graph] = core.Lower(t.Graph)
+		}
+		progs[i] = lowered[t.Graph]
+	}
 	cap := tiles[0].Cfg.MaxMessages
 	s.Fabric = NewFabric(cap, 1)
 	s.Fabric.sizeTiles(len(tiles))
 	// Pre-create every communicating (src,dst) queue from the traces: the
 	// parallel step phase must never insert into the queue map (a worker's
 	// lazy insert would race other tiles' lookups).
-	for pr := range commPairs(tiles) {
+	for pr := range commPairs(tiles, progs) {
 		s.Fabric.ensureQueue(pr[0], pr[1])
 	}
 	// Register barrier participants from the traces: a tile whose trace
 	// executes no barrier ops must not be waited on, and participating
 	// tiles with unequal barrier counts would deadlock — report that here
 	// instead of burning the cycle limit.
-	counts := barrierCounts(tiles)
+	counts := barrierCounts(tiles, progs)
 	parts := make([]bool, len(tiles))
 	ref := -1
 	for i, n := range counts {
@@ -761,7 +769,7 @@ func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[stri
 	s.tiles = append(s.tiles, s.accel)
 	s.tilePos = make([]int, len(tiles))
 	for i, t := range tiles {
-		c := core.New(i, t.Cfg, t.Graph, t.TT, memPort{h: s.Hier, core: i}, s.Fabric, accelPort{t: s.accel})
+		c := core.New(i, t.Cfg, progs[i], t.TT, memPort{h: s.Hier, core: i}, s.Fabric, accelPort{t: s.accel})
 		c.SetClockScale(int64(maxClock), int64(t.Cfg.ClockMHz))
 		s.Cores = append(s.Cores, c)
 		kind := t.Kind
@@ -775,23 +783,23 @@ func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[stri
 }
 
 // barrierCounts returns, per tile, how many barrier ops its trace executes:
-// the per-block barrier count of its kernel graph summed along its traced
-// block path. Graphs are scanned once even when tiles share them (SPMD).
-func barrierCounts(tiles []TileSpec) []int64 {
-	perGraph := map[*ddg.Graph][]int64{}
+// the per-block barrier count of its lowered program summed along its traced
+// block path. Programs are scanned once even when tiles share them (SPMD).
+func barrierCounts(tiles []TileSpec, progs []*core.Program) []int64 {
+	perProg := map[*core.Program][]int64{}
 	counts := make([]int64, len(tiles))
 	for i, t := range tiles {
-		per, ok := perGraph[t.Graph]
+		per, ok := perProg[progs[i]]
 		if !ok {
-			per = make([]int64, len(t.Graph.Blocks))
-			for b, bg := range t.Graph.Blocks {
-				for _, sn := range bg.Nodes {
-					if sn.Instr.Op == ir.OpCall && sn.Instr.Callee == "barrier" {
+			per = make([]int64, len(progs[i].Blocks))
+			for b := range per {
+				for _, sn := range progs[i].Nodes(b) {
+					if sn.Kind == core.KindBarrier {
 						per[b]++
 					}
 				}
 			}
-			perGraph[t.Graph] = per
+			perProg[progs[i]] = per
 		}
 		var total int64
 		for _, b := range t.TT.BBPath {
@@ -806,23 +814,23 @@ func barrierCounts(tiles []TileSpec) []int64 {
 // will use: each tile's block path is walked consuming its comm events in
 // the same per-block node order the core's launch path does, so a send by
 // tile i to partner p yields pair (i,p) and a recv pair (p,i).
-func commPairs(tiles []TileSpec) map[[2]int]bool {
-	// Per graph, per block: the block's comm ops in node order
+func commPairs(tiles []TileSpec, progs []*core.Program) map[[2]int]bool {
+	// Per program, per block: the block's comm ops in node order
 	// (true = send, false = recv).
-	perGraph := map[*ddg.Graph][][]bool{}
+	perProg := map[*core.Program][][]bool{}
 	pairs := map[[2]int]bool{}
 	for i, t := range tiles {
-		per, ok := perGraph[t.Graph]
+		per, ok := perProg[progs[i]]
 		if !ok {
-			per = make([][]bool, len(t.Graph.Blocks))
-			for b, bg := range t.Graph.Blocks {
-				for _, sn := range bg.Nodes {
-					if sn.Instr.Op == ir.OpCall && (sn.Instr.Callee == "send" || sn.Instr.Callee == "recv") {
-						per[b] = append(per[b], sn.Instr.Callee == "send")
+			per = make([][]bool, len(progs[i].Blocks))
+			for b := range per {
+				for _, sn := range progs[i].Nodes(b) {
+					if sn.Kind == core.KindSend || sn.Kind == core.KindRecv {
+						per[b] = append(per[b], sn.Kind == core.KindSend)
 					}
 				}
 			}
-			perGraph[t.Graph] = per
+			perProg[progs[i]] = per
 		}
 		cursor := 0
 		for _, b := range t.TT.BBPath {
@@ -924,27 +932,25 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		}
 	}
 	// Event-horizon bookkeeping: idleOK[i] records that tile i stepped
-	// without making progress since the last progress event anywhere, and
-	// stallDelta holds the stall-sample increments of that frozen step
-	// (constant while the state stays frozen).
+	// without making progress since the last progress event anywhere (its
+	// stall increments then repeat verbatim until something, somewhere,
+	// makes progress). prog[i] is tile i's progress counter as of its latest
+	// step and tileProg the running sum over all tiles: a counter only moves
+	// inside the tile's own Step, so one reading per step keeps both exact.
 	idleOK := make([]bool, nt)
-	stallDelta := make([]StallSample, nt)
+	prog := make([]uint64, nt)
+	var tileProg uint64
 	for i, t := range s.tiles {
 		strides[i] = int64(t.ClockMHz())
 		accum[i] = maxClock // step every tile on cycle 0
+		prog[i] = t.Progress()
+		tileProg += prog[i]
 	}
-	eng := s.startEngine(accum, strides, idleOK, stallDelta, maxClock)
+	eng := s.startEngine(accum, strides, idleOK, prog, maxClock)
 	if eng != nil {
 		defer eng.stop()
 	}
-	progress := func() uint64 {
-		p := uint64(s.Hier.Progress())
-		for _, t := range s.tiles {
-			p += t.Progress()
-		}
-		return p
-	}
-	last := progress()
+	last := tileProg + uint64(s.Hier.Progress())
 	for cycle := int64(0); cycle <= effLimit; cycle++ {
 		// Interleave-boundary cancellation poll: every ctxCheckInterval
 		// iterations (stepped or jumped), not every simulated cycle.
@@ -968,16 +974,14 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 				accum[i] += strides[i]
 				if accum[i] >= maxClock {
 					accum[i] -= maxClock
-					pp := t.Progress()
-					before := t.SnapshotStalls()
 					if t.Step(cycle) {
 						anyActive = true
 					}
-					if t.Progress() == pp {
-						// Frozen step: its stall increments repeat verbatim
-						// until something, somewhere, makes progress.
-						stallDelta[i] = t.SnapshotStalls().Sub(before)
-						idleOK[i] = true
+					if np := t.Progress(); np != prog[i] {
+						tileProg += np - prog[i]
+						prog[i] = np
+					} else {
+						idleOK[i] = true // frozen step
 					}
 				} else if !t.Done() {
 					anyActive = true
@@ -1008,7 +1012,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		if eng != nil {
 			cur = eng.tickProgress + uint64(s.Hier.ProgressShared())
 		} else {
-			cur = progress()
+			cur = tileProg + uint64(s.Hier.Progress())
 		}
 		if cur != last {
 			// Progress invalidates every frozen-step confirmation: a tile
@@ -1051,7 +1055,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			continue
 		}
 		if s.recorder != nil {
-			s.maybeCertify(cycle, target, stallDelta, thrTick, uniformClocks)
+			s.maybeCertify(cycle, target, thrTick, uniformClocks)
 		}
 		delta := target - 1 - cycle // whole iterations elided
 		for i, t := range s.tiles {
@@ -1062,7 +1066,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			k := adv/maxClock - base
 			accum[i] = adv - k*maxClock
 			if k > 0 && !t.Done() {
-				t.ReplayStalls(stallDelta[i], k)
+				t.ReplayStalls(k)
 			}
 		}
 		s.Hier.AddThrottleStalls(thrTick * delta)

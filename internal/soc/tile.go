@@ -19,16 +19,21 @@ import (
 //     effects — the same stall-counter increments, no state changes — every
 //     cycle until some component's Progress() moves.
 //   - Progress() is a monotone counter that changes iff the tile's
-//     architectural state changed. It is the skipper's freeze detector.
+//     architectural state changed, and only inside the tile's own Step (the
+//     loop compares each post-step reading with the previous one and keeps
+//     a running sum). It is the skipper's freeze detector.
 //   - NextEvent(now) is the earliest future cycle at which a frozen tile
 //     could act (mem.HorizonNone when it is waiting purely on others). It
 //     may be conservative (early) but never late: skipping jumps to the
 //     minimum horizon across tiles, so a late answer would elide a cycle in
 //     which the tile had work.
-//   - SnapshotStalls/ReplayStalls let the skipper replay a frozen step's
-//     stall accounting arithmetically: if delta is the stall sample
-//     difference across one frozen step, ReplayStalls(delta, k) must leave
-//     the tile exactly as k repeated frozen steps would have.
+//   - FrozenStalls/ReplayStalls let the skipper replay a frozen step's
+//     stall accounting arithmetically. The tile brackets its own Step: it
+//     samples its stall counters on entry, and FrozenStalls() is the
+//     increments its latest Step made — which the loop only asks for at a
+//     horizon jump, when that step is known to have been frozen.
+//     ReplayStalls(k) must leave the tile exactly as k more repetitions of
+//     that step would have (and FrozenStalls() unchanged).
 //   - Done() tiles are excluded from freeze confirmation, horizons, and
 //     replay.
 //   - MaySync() reports whether the tile's next Step might touch shared
@@ -47,8 +52,8 @@ type Tile interface {
 	Done() bool
 	Progress() uint64
 	NextEvent(now int64) int64
-	SnapshotStalls() StallSample
-	ReplayStalls(delta StallSample, k int64)
+	FrozenStalls() StallSample
+	ReplayStalls(k int64)
 	MaySync() bool
 	// Stats reports the tile's contribution to per-kind breakdowns.
 	Stats() TileStats
@@ -84,6 +89,7 @@ type CoreTile struct {
 	C      *core.Core
 	fabric *Fabric
 	kind   string
+	pre    StallSample // stall counters on entry to the latest Step
 }
 
 // Kind returns the core preset name ("ooo", "inorder", ...).
@@ -93,7 +99,10 @@ func (t *CoreTile) Kind() string { return t.kind }
 func (t *CoreTile) ClockMHz() int { return t.C.Cfg.ClockMHz }
 
 // Step implements Tile.
-func (t *CoreTile) Step(now int64) bool { return t.C.Step(now) }
+func (t *CoreTile) Step(now int64) bool {
+	t.pre = t.stalls()
+	return t.C.Step(now)
+}
 
 // Done implements Tile.
 func (t *CoreTile) Done() bool { return t.C.Done() }
@@ -104,15 +113,21 @@ func (t *CoreTile) Progress() uint64 { return t.C.Progress() }
 // NextEvent implements Tile.
 func (t *CoreTile) NextEvent(now int64) int64 { return t.C.NextEvent(now) }
 
-// SnapshotStalls implements Tile.
-func (t *CoreTile) SnapshotStalls() StallSample {
+// stalls samples every stall counter a step of this tile can advance.
+func (t *CoreTile) stalls() StallSample {
 	return StallSample{Core: t.C.StallCounters(), Fabric: t.fabric.fullStallOf(t.C.ID)}
 }
 
-// ReplayStalls implements Tile.
-func (t *CoreTile) ReplayStalls(delta StallSample, k int64) {
+// FrozenStalls implements Tile.
+func (t *CoreTile) FrozenStalls() StallSample { return t.stalls().Sub(t.pre) }
+
+// ReplayStalls implements Tile. The entry sample moves with the counters, so
+// a second jump before the tile's next Step replays the same increments.
+func (t *CoreTile) ReplayStalls(k int64) {
+	delta := t.FrozenStalls()
 	t.C.AddStallCycles(delta.Core, k)
 	t.fabric.addFullStall(t.C.ID, delta.Fabric*k)
+	t.pre = t.stalls().Sub(delta)
 }
 
 // MaySync implements Tile.
@@ -188,12 +203,12 @@ func (t *AccelTile) Progress() uint64 { return 0 }
 // core's horizon, so the manager itself never bounds a jump.
 func (t *AccelTile) NextEvent(now int64) int64 { return mem.HorizonNone }
 
-// SnapshotStalls implements Tile; the manager accrues no stalls.
-func (t *AccelTile) SnapshotStalls() StallSample { return StallSample{} }
+// FrozenStalls implements Tile; the manager accrues no stalls.
+func (t *AccelTile) FrozenStalls() StallSample { return StallSample{} }
 
 // ReplayStalls implements Tile; nothing to replay. (Done tiles are skipped
 // by the replay loop anyway.)
-func (t *AccelTile) ReplayStalls(delta StallSample, k int64) {}
+func (t *AccelTile) ReplayStalls(k int64) {}
 
 // MaySync implements Tile. The manager mutates shared invocation state every
 // step, but it sits at tile position 0: it is always the first tile its
