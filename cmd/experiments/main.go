@@ -43,7 +43,6 @@ func realMain() int {
 	scale := flag.String("scale", "small", "workload scale: tiny, small, or large")
 	run := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	jobs := flag.Int("jobs", 0, "max concurrent simulations (0 = all CPU cores)")
-	stepWorkers := flag.Int("step-workers", 0, "shard each simulation's tile stepping across N goroutines (bit-identical results; 0/1 = sequential)")
 	replay := flag.Bool("replay", true, "answer timing-only sweep legs from recorded schedules (bit-identical results)")
 	noreplay := flag.Bool("noreplay", false, "disable schedule-capture replay (overrides -replay)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole regeneration (0 = none)")
@@ -132,7 +131,6 @@ func realMain() int {
 		return 2
 	}
 	r := experiments.NewRunner(s)
-	r.StepWorkers = *stepWorkers
 	r.Replay = *replay && !*noreplay
 	r.Opt = opt
 	// Experiments and their internal legs share one worker budget; outputs

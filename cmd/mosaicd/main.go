@@ -10,8 +10,8 @@
 //
 //	mosaicd [-role standalone|coordinator|worker] [-addr :8374]
 //	        [-workers N] [-queue N] [-job-timeout D] [-drain D]
-//	        [-cache-entries N] [-max-jobs N] [-step-workers N]
-//	        [-replay=true|false] [-data-dir DIR] [-tenant-quota N]
+//	        [-cache-entries N] [-max-jobs N] [-replay=true|false]
+//	        [-data-dir DIR] [-tenant-quota N]
 //	        [-max-attempts N] [-lease-ttl D] [-heartbeat D]
 //	        [-coordinator URL] [-name NAME] [-slots N]
 //
@@ -72,7 +72,6 @@ func run() int {
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for running jobs")
 	cacheEntries := flag.Int("cache-entries", 256, "artifact-cache entry cap per layer (0 = unbounded)")
 	maxJobs := flag.Int("max-jobs", 4096, "retained job records; oldest terminal jobs are forgotten beyond it")
-	stepWorkers := flag.Int("step-workers", 0, "default per-simulation tile-stepping goroutines for specs that leave step_workers unset (bit-identical results; 0/1 = sequential)")
 	replay := flag.Bool("replay", true, "default for specs that leave replay unset: answer timing-only re-submissions from recorded schedules (bit-identical results)")
 	dataDir := flag.String("data-dir", "", "durable state directory: jobs resume and artifacts persist across restarts (empty = in-memory only)")
 	tenantQuota := flag.Int("tenant-quota", 0, "max live (queued+running) jobs per tenant (0 = unlimited)")
@@ -124,7 +123,6 @@ func run() int {
 		JobTimeout:  *jobTimeout,
 		MaxJobs:     *maxJobs,
 		Cache:       cache,
-		StepWorkers: *stepWorkers,
 		Replay:      *replay,
 		TenantQuota: *tenantQuota,
 		MaxAttempts: *maxAttempts,

@@ -75,7 +75,6 @@ func run() int {
 	noskip := flag.Bool("noskip", false, "disable event-horizon cycle skipping (naive cycle-by-cycle loop)")
 	replay := flag.Bool("replay", true, "answer timing-only re-simulations from recorded schedules (bit-identical results)")
 	noreplay := flag.Bool("noreplay", false, "disable schedule-capture replay (overrides -replay)")
-	stepWorkers := flag.Int("step-workers", 0, "shard each simulation's tile stepping across N goroutines (bit-identical results; 0/1 = sequential)")
 	optLevel := flag.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
 	passes := flag.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
 	unroll := flag.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
@@ -259,7 +258,7 @@ func run() int {
 	}
 	outs := make([]string, len(ws))
 	err = parallel.ForErrCtx(ctx, 0, len(ws), func(i int) error {
-		out, err := runOne(ctx, ws[i], configFor, wScale, *scale, *asJSON, *noskip, *replay && !*noreplay, *stepWorkers)
+		out, err := runOne(ctx, ws[i], configFor, wScale, *scale, *asJSON, *noskip, *replay && !*noreplay)
 		outs[i] = out
 		return err
 	})
@@ -275,7 +274,7 @@ func run() int {
 // runOne traces and simulates one workload as a sim.Session, returning its
 // full rendered output.
 func runOne(ctx context.Context, w *workloads.Workload, configFor func(*workloads.Workload) (*config.SystemConfig, error),
-	wScale workloads.Scale, scale string, asJSON, noskip, replay bool, stepWorkers int) (string, error) {
+	wScale workloads.Scale, scale string, asJSON, noskip, replay bool) (string, error) {
 	sc, err := configFor(w)
 	if err != nil {
 		return "", err
@@ -291,7 +290,6 @@ func runOne(ctx context.Context, w *workloads.Workload, configFor func(*workload
 		Accels:               workloads.DefaultAccelModels(refClock),
 		DisableCycleSkipping: noskip,
 		Replay:               replay,
-		StepWorkers:          stepWorkers,
 	})
 	if err != nil {
 		return "", err
@@ -359,16 +357,6 @@ func printResult(out io.Writer, r soc.Result, sys *soc.System, rp sim.ReplayOutc
 	tbl.Row("cycles stepped", stepped)
 	tbl.Row("cycles skipped", skipped)
 	tbl.Row("skip fraction", stats.SkipFraction(stepped, skipped))
-	if sys != nil {
-		if ok, reason := sys.ParallelEligibility(); ok {
-			tbl.Row("parallel stepping", fmt.Sprintf("%d workers", sys.StepWorkers))
-		} else {
-			tbl.Row("parallel stepping", "sequential ("+reason+")")
-		}
-		if sys.ParallelPhases > 0 {
-			tbl.Row("parallel phases", sys.ParallelPhases)
-		}
-	}
 	if rp.Attempted {
 		switch {
 		case rp.Replayed:

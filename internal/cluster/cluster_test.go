@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,10 +72,56 @@ func postJSON(t *testing.T, url string, req, resp any) int {
 // is a single total order: queued first, a running edge naming the worker,
 // forwarded stage events, and a terminal done edge.
 func TestFleetGoldenSeam(t *testing.T) {
+	t.Run("current", func(t *testing.T) {
+		fleetGoldenSeam(t, func(h http.Handler) http.Handler { return h })
+	})
+	// Rolling upgrade: a coordinator from before step_workers was retired
+	// still puts it in the lease; the worker must run the job all the same.
+	t.Run("lease-with-retired-knob", func(t *testing.T) {
+		var rewritten atomic.Int64
+		fleetGoldenSeam(t, func(h http.Handler) http.Handler { return retiredKnobLeases(t, h, &rewritten) })
+		if rewritten.Load() == 0 {
+			t.Error("no lease was rewritten: the leg ran vacuously")
+		}
+	})
+}
+
+// retiredKnobLeases rewrites every granted lease so its spec carries
+// "step_workers": 4, as a coordinator built before the knob's removal sends.
+func retiredKnobLeases(t *testing.T, next http.Handler, rewritten *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/cluster/v1/lease" {
+			next.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		next.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK {
+			var lease, spec map[string]json.RawMessage
+			if err := json.Unmarshal(body, &lease); err != nil {
+				t.Errorf("lease body: %v", err)
+			}
+			if err := json.Unmarshal(lease["spec"], &spec); err != nil {
+				t.Errorf("lease spec: %v", err)
+			}
+			spec["step_workers"] = json.RawMessage("4")
+			lease["spec"], _ = json.Marshal(spec)
+			body, _ = json.Marshal(lease)
+			rewritten.Add(1)
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(body)
+	})
+}
+
+// fleetGoldenSeam runs the seam check with the coordinator's HTTP surface
+// wrapped by wrap.
+func fleetGoldenSeam(t *testing.T, wrap func(http.Handler) http.Handler) {
 	coordMgr := jobs.NewManager(jobs.Options{Workers: -1})
 	defer shutdown(t, coordMgr)
 	coord := NewCoordinator(coordMgr, CoordinatorOptions{LeaseTTL: 2 * time.Second})
-	srv := httptest.NewServer(coord)
+	srv := httptest.NewServer(wrap(coord))
 	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

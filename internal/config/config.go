@@ -5,6 +5,7 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -258,12 +259,6 @@ type SystemConfig struct {
 	Tiles []TileDef  `json:"tiles,omitempty"`
 	Mem   MemConfig  `json:"mem"`
 	NoC   *NoCConfig `json:"noc,omitempty"`
-	// StepWorkers shards tile stepping across that many goroutines per
-	// simulation, joined at every cycle boundary; results are bit-identical
-	// to sequential stepping for every topology — directory-coherent
-	// hierarchies and zero-latency fabrics included (their cross-core
-	// effects are epoch-ordered; DESIGN.md §5e). 0 or 1 steps sequentially.
-	StepWorkers int `json:"step_workers,omitempty"`
 	// FabricLatency overrides the base inter-tile transfer latency in
 	// cycles (NoC hop costs add on top). nil keeps the default of 1; 0
 	// models an idealized same-cycle fabric.
@@ -340,14 +335,17 @@ func (td *TileDef) count() int {
 	return td.Count
 }
 
-// Load reads a SystemConfig from a JSON file.
+// Load reads a SystemConfig from a JSON file. Unknown fields are errors, so
+// a misspelled or retired knob is named instead of silently ignored.
 func Load(path string) (*SystemConfig, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var sc SystemConfig
-	if err := json.Unmarshal(data, &sc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("config %s: %w", path, err)
 	}
 	return &sc, nil
@@ -371,9 +369,6 @@ func (sc *SystemConfig) Validate() error {
 	}
 	if len(sc.Cores) > 0 && len(sc.Tiles) > 0 {
 		return fmt.Errorf("config %q: declare tiles through either cores or tiles, not both", sc.Name)
-	}
-	if sc.StepWorkers < 0 {
-		return fmt.Errorf("config %q: step_workers must be >= 0, got %d", sc.Name, sc.StepWorkers)
 	}
 	if sc.FabricLatency != nil && *sc.FabricLatency < 0 {
 		return fmt.Errorf("config %q: fabric_latency must be >= 0, got %d", sc.Name, *sc.FabricLatency)

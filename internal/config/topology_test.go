@@ -40,6 +40,26 @@ func TestTopologyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadNamesUnknownFields: a topology file that misspells a knob, or still
+// carries one that was retired, fails to load with the field named — it used
+// to load with the knob silently ignored.
+func TestLoadNamesUnknownFields(t *testing.T) {
+	for _, tc := range []struct{ body, field string }{
+		{`{"name":"x","tiles":[{"kind":"ooo"}],"step_workers":4}`, "step_workers"},
+		{`{"name":"x","tiles":[{"kind":"ooo"}],"fabric_latancy":0}`, "fabric_latancy"},
+		{`{"name":"x","tiles":[{"kind":"ooo","cout":2}]}`, "cout"},
+		{`{"name":"x","tiles":[{"kind":"ooo"}],"mem":{"l1":{"size_kbb":32}}}`, "size_kbb"},
+	} {
+		path := filepath.Join(t.TempDir(), "in.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s: want an error naming %q, got %v", tc.body, tc.field, err)
+		}
+	}
+}
+
 func TestTopologyPresetDidYouMean(t *testing.T) {
 	if _, err := TopologyPreset("dae-par"); err == nil ||
 		!strings.Contains(err.Error(), `did you mean "dae-pair"`) {

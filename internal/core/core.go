@@ -212,12 +212,6 @@ type Core struct {
 	// to detect frozen tiles and engage event-horizon cycle skipping.
 	progress uint64
 
-	// syncOps counts launched-but-incomplete nodes that touch shared
-	// synchronization state (barriers, accelerator invocations); with the
-	// program's per-block Sync bits it implements MaySync, the parallel
-	// stepper's ordering test.
-	syncOps int
-
 	// Hot-path pools: dynamic nodes and DBBs are recycled at retire instead
 	// of allocated per launch.
 	freeNodes []*dynNode
@@ -442,9 +436,6 @@ func (c *Core) complete(n *dynNode, now int64) {
 	n.doneAt = now
 	c.outstanding--
 	c.progress++
-	if n.kind == KindBarrier || n.kind == KindAcc {
-		c.syncOps--
-	}
 	for _, cb := range n.onComplete {
 		cb(now)
 	}
@@ -656,9 +647,6 @@ func (c *Core) launchOne(bid int) {
 			}
 			n.accCall = &c.tt.Acc[c.accCursor]
 			c.accCursor++
-			c.syncOps++
-		case KindBarrier:
-			c.syncOps++
 		}
 	}
 	for _, n := range nodes {
@@ -1038,35 +1026,6 @@ func overlaps(a, b *dynNode) bool {
 // Step mean the step observably did nothing except advance per-cycle stall
 // counters.
 func (c *Core) Progress() uint64 { return c.progress }
-
-// MaySync reports whether the core's next Step might touch shared
-// synchronization state: a launched-but-incomplete barrier or accelerator
-// node exists, or one of the next-launchable trace blocks (the same
-// IssueWidth-bounded window launchDBBs can open in one step) contains such
-// an op. Conservative by design — the parallel stepper's ordering only
-// needs the answer to never be falsely false.
-func (c *Core) MaySync() bool {
-	if c.finished {
-		return false
-	}
-	if c.syncOps > 0 {
-		return true
-	}
-	look := c.Cfg.IssueWidth
-	if look < 1 {
-		look = 1
-	}
-	end := c.bbCursor + look
-	if end > len(c.tt.BBPath) {
-		end = len(c.tt.BBPath)
-	}
-	for i := c.bbCursor; i < end; i++ {
-		if c.prog.Blocks[c.tt.BBPath[i]].Sync {
-			return true
-		}
-	}
-	return false
-}
 
 // NextEvent returns a lower bound on the next global cycle at which this
 // tile's state can change *on its own* (pending completions, the mispredict

@@ -58,8 +58,6 @@ type Block struct {
 	// Predicted is the static predictor's successor block (§III-C), -1 when
 	// the terminator has none.
 	Predicted int
-	// Sync marks blocks holding a barrier or accelerator invocation (MaySync).
-	Sync bool
 }
 
 // Program is a kernel's DDG lowered into flat records, built once per graph
@@ -98,7 +96,6 @@ func Lower(g *ddg.Graph) *Program {
 			dn := &bg.Nodes[pos]
 			sn := &p.nodes[first+pos]
 			*sn = StaticNode{Instr: dn.Instr, Idx: int32(dn.Instr.Idx), Class: Classify(dn.Instr), Kind: kindOf(dn.Instr)}
-			blk.Sync = blk.Sync || sn.Kind == KindBarrier || sn.Kind == KindAcc
 			if dn.Instr.Op == ir.OpPhi {
 				sn.Phi = arena[len(arena) : len(arena)+nb : len(arena)+nb]
 				arena = arena[:len(arena)+nb]

@@ -53,10 +53,6 @@ type Runner struct {
 	// process-global parallel.SetLimit budget, 1 forces serial execution,
 	// n > 1 requests a dedicated pool of n workers.
 	Jobs int
-	// StepWorkers shards tile stepping inside each simulation leg
-	// (bit-identical to sequential stepping, so regenerated tables and
-	// figures are unaffected). Legs that set their own value keep it.
-	StepWorkers int
 	// Opt recompiles every workload leg under this optimization config
 	// before simulation (workloads that already carry a non-default opt
 	// config keep their own). The artifact cache keys on the pass-config
@@ -89,9 +85,6 @@ func (r *Runner) session(w *workloads.Workload, opts sim.Options) (*sim.Session,
 	opts.Workload = w
 	opts.Scale = r.Scale
 	opts.Cache = r.cache
-	if opts.StepWorkers == 0 {
-		opts.StepWorkers = r.StepWorkers
-	}
 	opts.Replay = opts.Replay || r.Replay
 	return sim.NewSession(opts)
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mosaicsim/internal/metrics"
@@ -257,10 +256,6 @@ type Options struct {
 	// Runner executes one job and returns its JSON report. Nil selects the
 	// sim-backed runner; tests substitute a controllable stub.
 	Runner Runner
-	// StepWorkers is the default per-simulation tile-stepping parallelism
-	// applied to specs that leave step_workers unset (0 or 1 = sequential).
-	// Results are bit-identical either way.
-	StepWorkers int
 	// Replay is the default for specs that leave replay unset: answer
 	// timing-only re-submissions analytically from recorded schedules
 	// (bit-identical to full simulation).
@@ -312,13 +307,6 @@ type Manager struct {
 	mTileActive     map[string]*metrics.Counter
 	mTileStall      map[string]*metrics.Counter
 	mTileInstrs     map[string]*metrics.Counter
-
-	// parallelPhases / parallelStepped accumulate, over finished live
-	// (non-replayed) runs, how many Interleaver iterations the sharded
-	// stepper executed versus iterations simulated in total — the
-	// mosaicd_parallel_phase_ratio gauge.
-	parallelPhases  atomic.Int64
-	parallelStepped atomic.Int64
 }
 
 // runStages names the instrumented pipeline stages, in order: artifact
@@ -391,8 +379,6 @@ func NewManager(opts Options) *Manager {
 	m.mStoreErrors = reg.Counter("mosaicd_store_errors_total", "Persistence operations that failed (jobs continue in memory).", nil)
 	m.mTenantJobs = reg.CounterVec("mosaicd_tenant_jobs_total", "Jobs admitted, by tenant.", "tenant", nil)
 	m.mTenantRejected = reg.CounterVec("mosaicd_tenant_rejected_total", "Submissions shed by per-tenant quota.", "tenant", nil)
-	reg.Gauge("mosaicd_step_workers", "Default per-simulation tile-stepping parallelism (0 or 1 = sequential).", nil).
-		Set(int64(opts.StepWorkers))
 	m.mStage = map[string]*metrics.Histogram{}
 	for _, stage := range runStages {
 		m.mStage[stage] = reg.Histogram("mosaicd_stage_seconds", "Pipeline stage latency.", metrics.Labels{"stage": stage}, nil)
@@ -429,14 +415,6 @@ func NewManager(opts Options) *Manager {
 				return 0
 			}
 			return float64(rc.Hits) / float64(rc.Hits+rc.Fallbacks)
-		})
-	reg.GaugeFunc("mosaicd_parallel_phase_ratio", "Fraction of simulated Interleaver iterations executed by the sharded parallel stepper, over finished live runs.", nil,
-		func() float64 {
-			stepped := m.parallelStepped.Load()
-			if stepped == 0 {
-				return 0
-			}
-			return float64(m.parallelPhases.Load()) / float64(stepped)
 		})
 	if m.opts.Store != nil {
 		m.recover()
@@ -719,9 +697,6 @@ func (m *Manager) simRun(ctx context.Context, j *Job) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.StepWorkers == 0 {
-		opts.StepWorkers = m.opts.StepWorkers
-	}
 	if j.Spec.Replay == nil {
 		opts.Replay = m.opts.Replay
 	}
@@ -765,8 +740,6 @@ func (m *Manager) simRun(ctx context.Context, j *Job) (json.RawMessage, error) {
 	if sys := s.System(); sys != nil {
 		stepped, skipped = sys.SteppedCycles, sys.SkippedCycles
 		m.observeTiles(sys.TileBreakdown())
-		m.parallelPhases.Add(sys.ParallelPhases)
-		m.parallelStepped.Add(sys.SteppedCycles)
 	}
 	j.emit(Event{Type: "stage", Stage: "run", Seconds: d,
 		Cycle: res.Cycles, Stepped: stepped, Skipped: skipped})

@@ -3,6 +3,8 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +171,22 @@ func TestCrashRestartResume(t *testing.T) {
 // still serves recovered terminal jobs (status, report, full event stream)
 // — recovery is read-path complete before any worker does anything.
 func TestRecoveredDoneJobsServeWithoutStore(t *testing.T) {
+	t.Run("as-written", func(t *testing.T) {
+		recoveredDoneJobsServe(t, nil)
+	})
+	// A data dir the parent commit wrote: its persisted specs may carry the
+	// since-retired step_workers knob, and must still recover.
+	t.Run("spec-with-retired-knob", func(t *testing.T) {
+		recoveredDoneJobsServe(t, func(spec map[string]json.RawMessage) {
+			spec["step_workers"] = json.RawMessage("4")
+		})
+	})
+}
+
+// recoveredDoneJobsServe finishes one job, applies editSpec (if any) to its
+// persisted spec between the two manager lifetimes, and checks the restart
+// serves it in full.
+func recoveredDoneJobsServe(t *testing.T, editSpec func(spec map[string]json.RawMessage)) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -191,6 +209,10 @@ func TestRecoveredDoneJobsServeWithoutStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if editSpec != nil {
+		editPersistedSpec(t, filepath.Join(dir, "jobs", j.digest, "job.json"), editSpec)
+	}
+
 	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -210,5 +232,32 @@ func TestRecoveredDoneJobsServeWithoutStore(t *testing.T) {
 	evs, _, done := r.EventsSince(0)
 	if !done || len(evs) < 3 {
 		t.Errorf("recovered stream done=%v with %d events", done, len(evs))
+	}
+}
+
+// editPersistedSpec rewrites the spec inside one job.json in place.
+func editPersistedSpec(t *testing.T, recPath string, edit func(spec map[string]json.RawMessage)) {
+	t.Helper()
+	var rec store.JobRecord
+	var spec map[string]json.RawMessage
+	raw, err := os.ReadFile(recPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
+		t.Fatal(err)
+	}
+	edit(spec)
+	if rec.Spec, err = json.Marshal(spec); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(recPath, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

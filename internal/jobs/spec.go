@@ -59,10 +59,6 @@ type Spec struct {
 	// (bit-identical to full simulation). Unset inherits the daemon's
 	// default (Options.Replay).
 	Replay *bool `json:"replay,omitempty"`
-	// StepWorkers shards tile stepping across that many goroutines
-	// (bit-identical to sequential; 1 forces sequential). 0 inherits the
-	// daemon's default (Options.StepWorkers).
-	StepWorkers int `json:"step_workers,omitempty"`
 	// Timeout is an optional per-job wall-clock budget as a Go duration
 	// string ("30s"); the manager's per-job timeout still caps it.
 	Timeout string `json:"timeout,omitempty"`
@@ -166,9 +162,6 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	if s.Limit < 0 {
 		return s, fmt.Errorf("jobs: negative cycle limit %d", s.Limit)
-	}
-	if s.StepWorkers < 0 {
-		return s, fmt.Errorf("jobs: negative step-worker count %d", s.StepWorkers)
 	}
 	if s.Timeout != "" {
 		d, err := time.ParseDuration(s.Timeout)
@@ -282,7 +275,6 @@ func (s Spec) SessionOptions(cache *sim.Cache) (sim.Options, error) {
 			Limit:                s.Limit,
 			DisableCycleSkipping: s.NoSkip,
 			Replay:               s.Replay != nil && *s.Replay,
-			StepWorkers:          s.StepWorkers,
 			Cache:                cache,
 		}, nil
 	}
@@ -320,7 +312,6 @@ func (s Spec) SessionOptions(cache *sim.Cache) (sim.Options, error) {
 		Limit:                s.Limit,
 		DisableCycleSkipping: s.NoSkip,
 		Replay:               s.Replay != nil && *s.Replay,
-		StepWorkers:          s.StepWorkers,
 		Cache:                cache,
 	}, nil
 }

@@ -15,59 +15,7 @@ type Hierarchy struct {
 	Dir *Directory
 
 	shared Level // the first level below the private stacks
-
-	// Parallel-stepping staging (engaged only by soc's step engine; see
-	// DESIGN.md §5e). cohStaging defers directory lookups and cross-core
-	// invalidations from AccessAt to CommitStaged, which replays them in
-	// core order at the serial join — the exact order sequential tile
-	// stepping would have applied them in-place. tickStaging makes each
-	// core's stagePort buffer shared-level accesses during a sharded
-	// hierarchy tick; DrainTickStage replays them in core order.
-	cohStaging  bool
-	cohStaged   [][]cohAccess // per-core staged AccessAt calls
-	tickStaging bool
-	ports       []*stagePort
 }
-
-// cohAccess is one staged AccessAt call: the full argument list, replayed
-// verbatim by CommitStaged.
-type cohAccess struct {
-	addr uint64
-	size int
-	kind Kind
-	now  int64
-	done func(now int64)
-}
-
-// stagePort sits between a core's bottom private cache and the shared level.
-// Sequentially it is a transparent pass-through. During a sharded hierarchy
-// tick (tickStaging) it buffers the core's shared-level accesses — miss
-// fills and writebacks — on a per-core list so DrainTickStage can replay
-// them in core order, which is exactly the order the sequential per-level
-// tick loop issues them in (the shared level is only reached from the
-// bottom private level of each stack).
-type stagePort struct {
-	h      *Hierarchy
-	staged []stagedAccess
-}
-
-type stagedAccess struct {
-	req *Request
-	now int64
-}
-
-func (p *stagePort) Access(req *Request, now int64) {
-	if p.h.tickStaging {
-		p.staged = append(p.staged, stagedAccess{req, now})
-		return
-	}
-	p.h.shared.Access(req, now)
-}
-
-func (p *stagePort) Tick(now int64)            { p.h.shared.Tick(now) }
-func (p *stagePort) Busy() bool                { return p.h.shared.Busy() }
-func (p *stagePort) NextEvent(now int64) int64 { return p.h.shared.NextEvent(now) }
-func (p *stagePort) Events() int64             { return p.h.shared.Events() }
 
 // NewHierarchy builds the hierarchy for numCores cores at the given clock.
 func NewHierarchy(cfg config.MemConfig, numCores, clockMHz int) *Hierarchy {
@@ -83,13 +31,9 @@ func NewHierarchy(cfg config.MemConfig, numCores, clockMHz int) *Hierarchy {
 		h.Dir = NewDirectory(cfg.DirInvCycles)
 	}
 	for i := 0; i < numCores; i++ {
-		// Each core's bottom private level reaches the shared level through
-		// its own stagePort, so a sharded tick can stage cross-core traffic.
-		port := &stagePort{h: h}
-		h.ports = append(h.ports, port)
-		var per Level = port
+		per := shared
 		if cfg.L2 != nil {
-			l2 := NewCache(*cfg.L2, port)
+			l2 := NewCache(*cfg.L2, shared)
 			h.L2s = append(h.L2s, l2)
 			per = l2
 		}
@@ -107,22 +51,8 @@ func (h *Hierarchy) Access(core int, addr uint64, size int, kind Kind, done func
 
 // AccessAt is Access with an explicit issue cycle. With the directory
 // enabled, coherence actions happen first: remote copies are recalled and
-// the request is delayed by the invalidation round trip. Under coherence
-// staging (parallel tile stepping) the whole body — directory lookup,
-// invalidations, writebacks, and the L1 enqueue — is deferred to
-// CommitStaged: nothing in a core's step reads the state it would have
-// changed (results arrive later through done callbacks fired by Tick), so
-// replaying staged calls in core order at the serial join is bit-identical
-// to applying them in-place in sequential tile order.
+// the request is delayed by the invalidation round trip.
 func (h *Hierarchy) AccessAt(core int, addr uint64, size int, kind Kind, now int64, done func(now int64)) {
-	if h.cohStaging {
-		h.cohStaged[core] = append(h.cohStaged[core], cohAccess{addr, size, kind, now, done})
-		return
-	}
-	h.accessAt(core, addr, size, kind, now, done)
-}
-
-func (h *Hierarchy) accessAt(core int, addr uint64, size int, kind Kind, now int64, done func(now int64)) {
 	if h.Dir != nil {
 		line := addr / uint64(h.cfg.L1.LineBytes)
 		penalty, invalidate := h.Dir.Access(core, line, kind)
@@ -149,87 +79,18 @@ func (h *Hierarchy) accessAt(core int, addr uint64, size int, kind Kind, now int
 	h.L1s[core].Access(req, now)
 }
 
-// SetCoherenceStaging switches AccessAt between in-place application (the
-// sequential mode) and per-core staging for CommitStaged. The parallel step
-// engine enables it for directory-coherent hierarchies; it is a no-op
-// otherwise (AccessAt without a directory only touches the calling core's
-// own L1, which its own worker owns).
-func (h *Hierarchy) SetCoherenceStaging(on bool) {
-	if on && h.cohStaged == nil {
-		h.cohStaged = make([][]cohAccess, len(h.L1s))
-	}
-	h.cohStaging = on
-}
-
-// CommitStaged applies the coherence accesses staged during a parallel tile
-// phase in core order — the deterministic (tile-position, issue-seq) total
-// order sequential stepping interleaves them in, since tiles step in
-// position order and each core stages its own calls in issue order.
-func (h *Hierarchy) CommitStaged() {
-	for core := range h.cohStaged {
-		staged := h.cohStaged[core]
-		for i := range staged {
-			a := &staged[i]
-			h.accessAt(core, a.addr, a.size, a.kind, a.now, a.done)
-			*a = cohAccess{} // drop the done closure reference
-		}
-		h.cohStaged[core] = staged[:0]
-	}
-}
-
 // Tick advances every level one cycle, DRAM first so fills propagate upward
 // within the same cycle ordering each time.
 func (h *Hierarchy) Tick(now int64) {
-	h.TickShared(now)
+	h.DRAM.Tick(now)
+	if h.LLC != nil {
+		h.LLC.Tick(now)
+	}
 	for _, l2 := range h.L2s {
 		l2.Tick(now)
 	}
 	for _, l1 := range h.L1s {
 		l1.Tick(now)
-	}
-}
-
-// TickShared advances the shared levels (DRAM, then the LLC) one cycle. It
-// must run before the private ticks — shared completions fill into private
-// caches and core completion queues, all on the serial goroutine.
-func (h *Hierarchy) TickShared(now int64) {
-	h.DRAM.Tick(now)
-	if h.LLC != nil {
-		h.LLC.Tick(now)
-	}
-}
-
-// TickCore advances one core's private stack (L2 first, then L1), mirroring
-// the level order of the sequential Tick. Private stacks are independent:
-// core i's caches are only touched by core i's requests and by shared-level
-// completions (which TickShared already delivered), so distinct cores may
-// tick concurrently. Shared-level accesses they emit are buffered by the
-// core's stagePort while tick staging is engaged and drained in core order
-// by DrainTickStage — reproducing the sequential all-L2s-then-all-L1s
-// arrival order at the shared level, because with an L2 only L2 ticks reach
-// it (L1 misses stop at the L2) and without one only L1 ticks do.
-func (h *Hierarchy) TickCore(core int, now int64) {
-	if core < len(h.L2s) {
-		h.L2s[core].Tick(now)
-	}
-	h.L1s[core].Tick(now)
-}
-
-// BeginTickStage arms the per-core stagePorts for a sharded tick.
-func (h *Hierarchy) BeginTickStage() { h.tickStaging = true }
-
-// DrainTickStage disarms tick staging and forwards the buffered shared-level
-// accesses in core order. New same-cycle enqueues at the shared level have
-// ready cycles strictly beyond now, so draining after the private ticks is
-// equivalent to the sequential interleaving.
-func (h *Hierarchy) DrainTickStage() {
-	h.tickStaging = false
-	for _, p := range h.ports {
-		for i := range p.staged {
-			h.shared.Access(p.staged[i].req, p.staged[i].now)
-			p.staged[i] = stagedAccess{}
-		}
-		p.staged = p.staged[:0]
 	}
 }
 
@@ -278,30 +139,15 @@ func (h *Hierarchy) DRAMAccessLog() []int64 {
 // Progress sums the event counters of every level; two equal readings mean
 // no level changed observable state in between.
 func (h *Hierarchy) Progress() int64 {
-	p := h.ProgressShared()
-	for i := range h.L1s {
-		p += h.ProgressCore(i)
-	}
-	return p
-}
-
-// ProgressShared sums the shared levels' event counters (the serial slice of
-// the per-worker progress reduction).
-func (h *Hierarchy) ProgressShared() int64 {
 	p := h.DRAM.Events()
 	if h.LLC != nil {
 		p += h.LLC.Events()
 	}
-	return p
-}
-
-// ProgressCore sums one private stack's event counters, so workers can fold
-// their owned cores into per-worker progress partials (the sum is
-// order-independent modulo 2^64).
-func (h *Hierarchy) ProgressCore(core int) int64 {
-	p := h.L1s[core].Events()
-	if core < len(h.L2s) {
-		p += h.L2s[core].Events()
+	for _, l2 := range h.L2s {
+		p += l2.Events()
+	}
+	for _, l1 := range h.L1s {
+		p += l1.Events()
 	}
 	return p
 }

@@ -12,8 +12,7 @@ package replay
 // core configs compare meaningfully) with every classifiable knob
 // normalized away:
 //
-//   - names and StepWorkers (never affect timing; StepWorkers is proven
-//     bit-identical at any worker count);
+//   - names (never affect timing);
 //   - per-core MispredictPenalty, AtomicExtraLatency, and the mem-class
 //     latency (classified by binding counts — the other per-class latencies
 //     stay structural because the recorded Result carries no per-class

@@ -428,14 +428,25 @@ func TestAdmissionAndErrorMapping(t *testing.T) {
 		t.Errorf("bad spec body missing did-you-mean: %s", b)
 	}
 
-	// Unknown field: 400 (DisallowUnknownFields).
-	resp3, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"sgemm","tils":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field status = %s, want 400", resp3.Status)
+	// Unknown field — a typo, or a knob retired since the client was
+	// written — at either level: 400 naming it (DisallowUnknownFields).
+	for _, tc := range []struct{ body, field string }{
+		{`{"workload":"sgemm","tils":4}`, "tils"},
+		{`{"workload":"sgemm","step_workers":4}`, "step_workers"},
+		{`{"workload":"sgemm","topology":{"name":"x","tiles":[{"kind":"ooo"}],"step_workers":4}}`, "step_workers"},
+	} {
+		resp3, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp3.Body)
+		resp3.Body.Close()
+		if resp3.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %s, want 400", tc.body, resp3.Status)
+		}
+		if !strings.Contains(string(b), `unknown field \"`+tc.field+`\"`) {
+			t.Errorf("%s: body does not name the field %q: %s", tc.body, tc.field, b)
+		}
 	}
 }
 

@@ -101,10 +101,6 @@ type Options struct {
 	Limit int64
 	// DisableCycleSkipping forces the naive cycle-by-cycle Interleaver loop.
 	DisableCycleSkipping bool
-	// StepWorkers, when positive, overrides the config's step_workers: tile
-	// stepping is sharded across that many goroutines with results
-	// bit-identical to sequential stepping (1 forces sequential).
-	StepWorkers int
 	// Replay enables schedule-capture timing replay (internal/replay): a
 	// full run records its event schedule into the cache, and a later Run
 	// whose config differs from a recorded one only in provably replayable
@@ -372,9 +368,6 @@ func (s *Session) BuildSystem(ctx context.Context) (*soc.System, error) {
 		return nil, s.fail(StageBuild, err)
 	}
 	sys.DisableCycleSkipping = s.opts.DisableCycleSkipping
-	if s.opts.StepWorkers > 0 {
-		sys.StepWorkers = s.opts.StepWorkers
-	}
 	sys.OnProgress = s.opts.Progress
 	s.mu.Lock()
 	s.sys = sys

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"mosaicsim/internal/config"
 	"mosaicsim/internal/core"
@@ -51,16 +50,10 @@ type TileSpec struct {
 // With a NoC configured, transfers additionally pay per-hop latency for the
 // Manhattan distance between the tiles on a 2D mesh — the "message module"
 // the paper lists as the natural extension of the tile model (§V-A).
-//
-// Every queue is single-producer/single-consumer (the producer is the source
-// tile, the consumer the destination tile) and every statistic is sharded
-// per tile, so tiles stepping on different workers send and receive
-// concurrently while the totals merge deterministically; DESIGN.md §5e has
-// the full parallel-stepping contract.
 type Fabric struct {
 	Capacity int
 	Latency  int64
-	// Tiles is the system's tile count (barrier membership and shard width).
+	// Tiles is the system's tile count (barrier membership).
 	Tiles int
 	// MeshWidth > 0 arranges tiles on a 2D mesh of that width; HopCycles is
 	// the per-hop link latency.
@@ -77,25 +70,12 @@ type Fabric struct {
 	// tile in [0, Tiles) does (the legacy rule for hand-built fabrics).
 	participants []bool
 
-	// Per-tile statistic shards, indexed by the tile that earns the count
-	// (the sender, except recvs). Sequential stepping only ever bumped the
-	// old global counters from the stepping tile, so summing the shards is
-	// bit-identical at any worker count.
-	sends     []int64
-	recvs     []int64
+	sends int64
+	recvs int64
+	hops  int64
+	// fullStall is kept per sending tile: the skipper brackets each tile's
+	// step with its own slice of the counter to replay frozen send retries.
 	fullStall []int64
-	hops      []int64
-
-	// engine is non-nil while System.Run is stepping tiles in parallel; it
-	// selects the epoch capacity rule and forbids lazy queue creation.
-	engine *stepEngine
-	// dirty lists, per receiving tile, the queues that tile popped since the
-	// last epoch commit; commitEpoch publishes their pop counts to senders.
-	dirty [][]*msgQueue
-	// pushDirty lists, per sending tile, the same-cycle queues that tile
-	// pushed into since the last epoch commit; commitEpoch publishes their
-	// push counts to receivers.
-	pushDirty [][]*msgQueue
 }
 
 // transferCost returns the fabric latency from src to dst — including NoC
@@ -161,49 +141,25 @@ func abs(x int) int {
 }
 
 // msgQueue is the FIFO of in-flight arrival cycles for one (src,dst) pair: a
-// single-producer (src tile) / single-consumer (dst tile) ring sized to the
-// fabric capacity, so its buffer is never reallocated. Arrival cycles are
-// accessed atomically — a TrySendFuture reservation matures in place while
-// the receiver may be probing the front — and the cumulative push/pop counts
-// implement the epoch capacity rule for parallel stepping (sendHasRoom).
+// ring sized to the fabric capacity, so its buffer is never reallocated and a
+// TrySendFuture reservation can mature in place.
 type msgQueue struct {
 	buf  []int64 // arrival cycles; futureArrival = reserved, not yet matured
-	head int     // receiver-owned
-	tail int     // sender-owned
-
-	pushes int64        // sender-owned cumulative push count
-	pops   atomic.Int64 // cumulative pop count, published by the receiver
-	// popsCommitted is pops as of the last epoch commit (the end of the
-	// previous stepped cycle); senders on other workers read it instead of
-	// the live count so capacity decisions match sequential stepping.
-	popsCommitted atomic.Int64
-	// pushesCommitted is pushes as of the last epoch commit. Only receivers
-	// of same-cycle (zero-transfer-cost) pairs read it: with latency >= 1
-	// the arrival-cycle test already excludes this cycle's pushes, but a
-	// zero-cost message matures the cycle it is sent, so a receiver that
-	// steps before its sender must bound its view by the committed count.
-	pushesCommitted atomic.Int64
-	n               atomic.Int64 // current occupancy
-
-	dirtyMark     bool // receiver-owned: queue already on its dirty list
-	pushDirtyMark bool // sender-owned: queue already on its push-dirty list
-	// sameCycle marks a cross-tile pair whose transfer cost is zero
-	// (classified at engine start): its messages are receivable the cycle
-	// they are sent, so TryRecv applies the epoch visibility rules.
-	sameCycle bool
+	head int
+	tail int
+	n    int // current occupancy
 }
 
 // push appends an arrival cycle and returns the ring slot it occupies.
-// Capacity is the caller's problem (sendHasRoom); the ring can never
-// overflow because occupancy is bounded by Capacity == len(buf).
+// Capacity is the caller's problem; the ring can never overflow because
+// occupancy is bounded by Capacity == len(buf).
 func (q *msgQueue) push(at int64) (slot int) {
 	slot = q.tail
-	atomic.StoreInt64(&q.buf[slot], at)
+	q.buf[slot] = at
 	if q.tail++; q.tail == len(q.buf) {
 		q.tail = 0
 	}
-	q.pushes++
-	q.n.Add(1)
+	q.n++
 	return slot
 }
 
@@ -216,49 +172,25 @@ func NewFabric(capacity int, latency int64) *Fabric {
 	return &Fabric{Capacity: capacity, Latency: latency, queues: map[[2]int]*msgQueue{}}
 }
 
-// sizeTiles presizes the per-tile statistic shards and dirty lists so the
-// parallel step phase never grows a shared slice. Hand-built fabrics that
-// skip it (tests) grow shards on demand — they only ever step sequentially.
-func (f *Fabric) sizeTiles(n int) {
-	f.Tiles = n
-	f.sends = make([]int64, n)
-	f.recvs = make([]int64, n)
-	f.fullStall = make([]int64, n)
-	f.hops = make([]int64, n)
-	f.dirty = make([][]*msgQueue, n)
-	f.pushDirty = make([][]*msgQueue, n)
-}
+// Sends is the total number of accepted sends across all tiles.
+func (f *Fabric) Sends() int64 { return f.sends }
 
-// bump adds d to tile i's shard of counter s, growing the shard for
-// hand-built fabrics that never called sizeTiles.
-func (f *Fabric) bump(s *[]int64, i int, d int64) {
-	for len(*s) <= i {
-		*s = append(*s, 0)
-	}
-	(*s)[i] += d
-}
+// Recvs is the total number of consumed messages across all tiles.
+func (f *Fabric) Recvs() int64 { return f.recvs }
 
-func sumShards(s []int64) int64 {
+// HopsTotal counts NoC hops traversed by accepted sends.
+func (f *Fabric) HopsTotal() int64 { return f.hops }
+
+// FullStall counts send attempts rejected by a full buffer.
+func (f *Fabric) FullStall() int64 {
 	var t int64
-	for _, v := range s {
+	for _, v := range f.fullStall {
 		t += v
 	}
 	return t
 }
 
-// Sends is the total number of accepted sends across all tiles.
-func (f *Fabric) Sends() int64 { return sumShards(f.sends) }
-
-// Recvs is the total number of consumed messages across all tiles.
-func (f *Fabric) Recvs() int64 { return sumShards(f.recvs) }
-
-// FullStall counts send attempts rejected by a full buffer.
-func (f *Fabric) FullStall() int64 { return sumShards(f.fullStall) }
-
-// HopsTotal counts NoC hops traversed by accepted sends.
-func (f *Fabric) HopsTotal() int64 { return sumShards(f.hops) }
-
-// fullStallOf reads tile i's shard of the full-buffer stall counter — the
+// fullStallOf reads tile i's slice of the full-buffer stall counter — the
 // only slice of FullStall a step by tile i can advance, which makes it the
 // right bracketing sample for frozen-step replay.
 func (f *Fabric) fullStallOf(i int) int64 {
@@ -268,26 +200,17 @@ func (f *Fabric) fullStallOf(i int) int64 {
 	return 0
 }
 
-// addFullStall replays k frozen steps' worth of full-buffer stalls for tile
-// i (event-horizon cycle-skip replay).
-func (f *Fabric) addFullStall(i int, d int64) { f.bump(&f.fullStall, i, d) }
-
-// queue returns the FIFO for one (src,dst) pair, allocating on first use.
-// During a parallel step phase the map is read-only — every communicating
-// pair was pre-created from the traces at system construction — because a
-// lazy insert from a worker would race other tiles' lookups.
-func (f *Fabric) queue(src, dst int) *msgQueue {
-	if q := f.queues[[2]int{src, dst}]; q != nil {
-		return q
+// addFullStall charges tile i with d rejected sends: one per failed attempt,
+// k at once when the skipper replays k frozen steps.
+func (f *Fabric) addFullStall(i int, d int64) {
+	for len(f.fullStall) <= i {
+		f.fullStall = append(f.fullStall, 0)
 	}
-	if f.engine != nil {
-		panic(fmt.Sprintf("soc: fabric queue %d->%d missing during parallel stepping (send not derived from the comm trace)", src, dst))
-	}
-	return f.ensureQueue(src, dst)
+	f.fullStall[i] += d
 }
 
-// ensureQueue creates (or returns) the FIFO for one (src,dst) pair.
-func (f *Fabric) ensureQueue(src, dst int) *msgQueue {
+// queue returns the FIFO for one (src,dst) pair, allocating on first send.
+func (f *Fabric) queue(src, dst int) *msgQueue {
 	key := [2]int{src, dst}
 	q := f.queues[key]
 	if q == nil {
@@ -297,58 +220,17 @@ func (f *Fabric) ensureQueue(src, dst int) *msgQueue {
 	return q
 }
 
-// sendHasRoom applies the capacity check. Sequentially it is the plain
-// occupancy test. In a parallel step phase the sender must observe exactly
-// the pops sequential tile-order stepping would have seen at this moment:
-//
-//   - dst steps later this cycle (dst > src): none of this cycle's pops —
-//     the committed count from the last epoch boundary.
-//   - dst already stepped (dst < src): all of them — wait for the
-//     receiver's step to finish, then read the live count. The wait targets
-//     a strictly lower tile position, so it cannot deadlock.
-//   - self-sends (src == dst) always read the live count: the tile is its
-//     own receiver, and waiting on itself would deadlock.
-//
-// A queue under committed capacity is accepted immediately: pops only shrink
-// occupancy, so the committed and sequential views agree on acceptance.
-func (f *Fabric) sendHasRoom(q *msgQueue, src, dst int) bool {
-	cap64 := int64(f.Capacity)
-	if f.engine == nil || src == dst {
-		return q.pushes-q.pops.Load() < cap64
-	}
-	if q.pushes-q.popsCommitted.Load() < cap64 {
-		return true
-	}
-	if dst < src {
-		f.engine.waitCore(dst)
-		return q.pushes-q.pops.Load() < cap64
-	}
-	return false
-}
-
-// markPushDirty puts a same-cycle queue on src's push-dirty list so the next
-// epoch commit publishes its push count to the receiver. Latency >= 1 pairs
-// never need it: their receivers see this cycle's pushes only next cycle,
-// by the arrival test alone.
-func (f *Fabric) markPushDirty(q *msgQueue, src int) {
-	if f.engine != nil && q.sameCycle && !q.pushDirtyMark {
-		q.pushDirtyMark = true
-		f.pushDirty[src] = append(f.pushDirty[src], q)
-	}
-}
-
 // TrySend implements core.Fabric.
 func (f *Fabric) TrySend(src, dst int, now int64) bool {
 	q := f.queue(src, dst)
-	if !f.sendHasRoom(q, src, dst) {
-		f.bump(&f.fullStall, src, 1)
+	if q.n >= f.Capacity {
+		f.addFullStall(src, 1)
 		return false
 	}
 	lat, hops := f.transferCost(src, dst)
 	q.push(now + lat)
-	f.markPushDirty(q, src)
-	f.bump(&f.sends, src, 1)
-	f.bump(&f.hops, src, hops)
+	f.sends++
+	f.hops += hops
 	return true
 }
 
@@ -362,101 +244,29 @@ const futureArrival = int64(1<<62 - 1)
 // an immature message blocks the FIFO front, so the ring cannot recycle it.
 func (f *Fabric) TrySendFuture(src, dst int) (func(int64), bool) {
 	q := f.queue(src, dst)
-	if !f.sendHasRoom(q, src, dst) {
-		f.bump(&f.fullStall, src, 1)
+	if q.n >= f.Capacity {
+		f.addFullStall(src, 1)
 		return nil, false
 	}
 	slot := q.push(futureArrival)
-	f.markPushDirty(q, src)
 	lat, hops := f.transferCost(src, dst)
-	f.bump(&f.sends, src, 1)
-	f.bump(&f.hops, src, hops)
-	return func(at int64) { atomic.StoreInt64(&q.buf[slot], at+lat) }, true
+	f.sends++
+	f.hops += hops
+	return func(at int64) { q.buf[slot] = at + lat }, true
 }
 
-// TryRecv implements core.Fabric. During a parallel phase a same-cycle
-// (zero-transfer-cost) queue needs explicit epoch ordering — its messages
-// are receivable the cycle they are sent, so worker timing could otherwise
-// decide whether one is seen:
-//
-//   - sender steps first sequentially (src < dst): wait for its step, then
-//     the live queue is exactly the sequential view.
-//   - receiver steps first (dst < src): this cycle's pushes are invisible —
-//     bound the view by the committed push count — and so are maturations
-//     the sender's concurrent step fires (TrySendFuture setters). On a
-//     zero-cost pair every arrival value equals the cycle it was written
-//     (push stores now+0; a setter stores the firing core's now+0), so
-//     arrival >= now identifies exactly the writes sequential receiver-first
-//     order would not have seen yet.
-//
-// Latency >= 1 queues need neither rule: arrivals land strictly after the
-// cycle they are written, so the plain arrival test already matches
-// sequential order. Self-sends are never same-cycle — the tile is its own
-// sender, so program order is the sequential order.
+// TryRecv implements core.Fabric.
 func (f *Fabric) TryRecv(dst, src int, now int64) bool {
 	q := f.queues[[2]int{src, dst}]
-	if q == nil {
-		return false
-	}
-	if f.engine != nil && q.sameCycle {
-		if dst > src {
-			f.engine.waitCore(src)
-		} else if q.pushesCommitted.Load()-q.pops.Load() <= 0 {
-			return false
-		} else if atomic.LoadInt64(&q.buf[q.head]) >= now {
-			return false
-		}
-	}
-	if q.n.Load() == 0 || atomic.LoadInt64(&q.buf[q.head]) > now {
+	if q == nil || q.n == 0 || q.buf[q.head] > now {
 		return false
 	}
 	if q.head++; q.head == len(q.buf) {
 		q.head = 0
 	}
-	q.n.Add(-1)
-	q.pops.Add(1)
-	f.bump(&f.recvs, dst, 1)
-	if f.engine != nil && !q.dirtyMark {
-		q.dirtyMark = true
-		f.dirty[dst] = append(f.dirty[dst], q)
-	}
+	q.n--
+	f.recvs++
 	return true
-}
-
-// commitEpoch publishes this cycle's pops to senders and this cycle's pushes
-// (same-cycle queues only) to receivers. It runs in the serial phase at the
-// per-cycle join, freezing the occupancy and visibility views the next
-// cycle's capacity checks and same-cycle receives read.
-func (f *Fabric) commitEpoch() {
-	for i := range f.dirty {
-		for j, q := range f.dirty[i] {
-			q.popsCommitted.Store(q.pops.Load())
-			q.dirtyMark = false
-			f.dirty[i][j] = nil
-		}
-		f.dirty[i] = f.dirty[i][:0]
-	}
-	for i := range f.pushDirty {
-		for j, q := range f.pushDirty[i] {
-			q.pushesCommitted.Store(q.pushes)
-			q.pushDirtyMark = false
-			f.pushDirty[i][j] = nil
-		}
-		f.pushDirty[i] = f.pushDirty[i][:0]
-	}
-}
-
-// prepareParallel readies every queue for parallel stepping (engine start,
-// or reuse of a system that already ran sequentially): committed counters
-// align with the live ones and each pair is classified as same-cycle or not
-// from its transfer cost, which is constant per pair.
-func (f *Fabric) prepareParallel() {
-	for key, q := range f.queues {
-		q.popsCommitted.Store(q.pops.Load())
-		q.pushesCommitted.Store(q.pushes)
-		lat, _ := f.transferCost(key[0], key[1])
-		q.sameCycle = lat <= 0 && key[0] != key[1]
-	}
 }
 
 // BarrierArrive implements core.Fabric: registers one tile's arrival at its
@@ -509,7 +319,7 @@ func (f *Fabric) BarrierReleased(seq int64) bool {
 func (f *Fabric) Pending() int {
 	n := 0
 	for _, q := range f.queues {
-		n += int(q.n.Load())
+		n += q.n
 	}
 	return n
 }
@@ -521,10 +331,10 @@ func (f *Fabric) Pending() int {
 // core's horizon already covers.
 func (f *Fabric) frontArrivals(fn func(dst int, at int64)) {
 	for key, q := range f.queues {
-		if q.n.Load() == 0 {
+		if q.n == 0 {
 			continue
 		}
-		if at := atomic.LoadInt64(&q.buf[q.head]); at < futureArrival {
+		if at := q.buf[q.head]; at < futureArrival {
 			fn(key[1], at)
 		}
 	}
@@ -556,20 +366,6 @@ type System struct {
 	// DisableCycleSkipping forces the naive cycle-by-cycle loop (the
 	// equivalence-test reference and the -noskip flag).
 	DisableCycleSkipping bool
-	// StepWorkers shards tile stepping — and the private slice of the
-	// hierarchy tick — across up to this many goroutines within each
-	// Interleaver iteration (0 or 1 = sequential). Results are bit-identical
-	// to sequential stepping at any worker count for every topology,
-	// including directory-coherent hierarchies (invalidations are staged and
-	// committed in tile order at the serial join) and zero-latency fabrics
-	// (same-cycle delivery follows the epoch visibility rules); see
-	// DESIGN.md §5e.
-	StepWorkers int
-	// ParallelPhases counts Interleaver iterations the parallel stepper
-	// executed (0 when stepping sequentially). It is an observability hook
-	// for tests and benchmarks, deliberately outside Result so parallel and
-	// sequential runs stay byte-identical.
-	ParallelPhases int64
 	// recorder, when non-nil, observes accelerator invocations and certified
 	// quiet windows during Run so a replay engine can re-evaluate the
 	// recorded schedule under new timing parameters (see SetRecorder).
@@ -594,21 +390,6 @@ type ProgressUpdate struct {
 	// cancellation, cycle limit) emits, so the last streamed position is
 	// never stale by up to the poll interval plus the final horizon jump.
 	Final bool
-}
-
-// ParallelEligibility reports whether Run will shard stepping across
-// workers, with a human-readable reason either way. Since the epoch-ordered
-// coherence commit and same-cycle delivery rules (DESIGN.md §5e), every
-// topology is eligible — the only sequential fallbacks left are an explicit
-// worker budget <= 1 and a system too small to shard.
-func (s *System) ParallelEligibility() (bool, string) {
-	if s.StepWorkers <= 1 {
-		return false, "step-workers <= 1 requests sequential stepping"
-	}
-	if len(s.tiles) <= 1 {
-		return false, "fewer than two tiles to shard"
-	}
-	return true, "sharded stepping; coherence and same-cycle delivery are epoch-ordered"
 }
 
 // finalProgress emits the terminal progress update on a Run exit path.
@@ -735,13 +516,8 @@ func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[stri
 	}
 	cap := tiles[0].Cfg.MaxMessages
 	s.Fabric = NewFabric(cap, 1)
-	s.Fabric.sizeTiles(len(tiles))
-	// Pre-create every communicating (src,dst) queue from the traces: the
-	// parallel step phase must never insert into the queue map (a worker's
-	// lazy insert would race other tiles' lookups).
-	for pr := range commPairs(tiles, progs) {
-		s.Fabric.ensureQueue(pr[0], pr[1])
-	}
+	s.Fabric.Tiles = len(tiles)
+	s.Fabric.fullStall = make([]int64, len(tiles))
 	// Register barrier participants from the traces: a tile whose trace
 	// executes no barrier ops must not be waited on, and participating
 	// tiles with unequal barrier counts would deadlock — report that here
@@ -810,50 +586,6 @@ func barrierCounts(tiles []TileSpec, progs []*core.Program) []int64 {
 	return counts
 }
 
-// commPairs derives every (src,dst) message-queue pair a set of traced tiles
-// will use: each tile's block path is walked consuming its comm events in
-// the same per-block node order the core's launch path does, so a send by
-// tile i to partner p yields pair (i,p) and a recv pair (p,i).
-func commPairs(tiles []TileSpec, progs []*core.Program) map[[2]int]bool {
-	// Per program, per block: the block's comm ops in node order
-	// (true = send, false = recv).
-	perProg := map[*core.Program][][]bool{}
-	pairs := map[[2]int]bool{}
-	for i, t := range tiles {
-		per, ok := perProg[progs[i]]
-		if !ok {
-			per = make([][]bool, len(progs[i].Blocks))
-			for b := range per {
-				for _, sn := range progs[i].Nodes(b) {
-					if sn.Kind == core.KindSend || sn.Kind == core.KindRecv {
-						per[b] = append(per[b], sn.Kind == core.KindSend)
-					}
-				}
-			}
-			perProg[progs[i]] = per
-		}
-		cursor := 0
-		for _, b := range t.TT.BBPath {
-			for _, isSend := range per[b] {
-				if cursor >= len(t.TT.Comm) {
-					break
-				}
-				p := int(t.TT.Comm[cursor].Partner)
-				cursor++
-				if p < 0 || p >= len(tiles) {
-					continue
-				}
-				if isSend {
-					pairs[[2]int{i, p}] = true
-				} else {
-					pairs[[2]int{p, i}] = true
-				}
-			}
-		}
-	}
-	return pairs
-}
-
 // NewSPMD builds a homogeneous SPMD system: every core of cfg runs the same
 // kernel graph against its own tile trace. It is a thin wrapper over the
 // declarative topology builder (Build).
@@ -898,11 +630,6 @@ func (s *System) cancelErr(ctx context.Context, cause error, cycle, effLimit int
 // next-event horizon across all components (event-horizon cycle skipping),
 // advancing the per-tile clock accumulators arithmetically and replaying the
 // per-cycle stall counters so results are bit-identical to the naive loop.
-//
-// With StepWorkers > 1 the per-iteration tile loop is sharded across a
-// worker pool and joined at the per-cycle boundary where the hierarchy ticks
-// and the skipper evaluates freeze confirmation; the fabric's epoch rules
-// keep results bit-identical to sequential stepping (DESIGN.md §5e).
 func (s *System) Run(ctx context.Context, limit int64) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -946,10 +673,6 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		prog[i] = t.Progress()
 		tileProg += prog[i]
 	}
-	eng := s.startEngine(accum, strides, idleOK, prog, maxClock)
-	if eng != nil {
-		defer eng.stop()
-	}
 	last := tileProg + uint64(s.Hier.Progress())
 	for cycle := int64(0); cycle <= effLimit; cycle++ {
 		// Interleave-boundary cancellation poll: every ctxCheckInterval
@@ -965,39 +688,25 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			}
 		}
 		anyActive := false
-		if eng != nil {
-			anyActive = eng.step(cycle)
-			s.Fabric.commitEpoch()
-			s.Hier.CommitStaged()
-		} else {
-			for i, t := range s.tiles {
-				accum[i] += strides[i]
-				if accum[i] >= maxClock {
-					accum[i] -= maxClock
-					if t.Step(cycle) {
-						anyActive = true
-					}
-					if np := t.Progress(); np != prog[i] {
-						tileProg += np - prog[i]
-						prog[i] = np
-					} else {
-						idleOK[i] = true // frozen step
-					}
-				} else if !t.Done() {
+		for i, t := range s.tiles {
+			accum[i] += strides[i]
+			if accum[i] >= maxClock {
+				accum[i] -= maxClock
+				if t.Step(cycle) {
 					anyActive = true
 				}
+				if np := t.Progress(); np != prog[i] {
+					tileProg += np - prog[i]
+					prog[i] = np
+				} else {
+					idleOK[i] = true // frozen step
+				}
+			} else if !t.Done() {
+				anyActive = true
 			}
 		}
 		thr0 := s.Hier.ThrottleStalls()
-		if eng != nil {
-			// Serial slice first (shared completions fill into private
-			// caches and core completion queues), then the sharded private
-			// ticks with their per-worker progress/freeze reduction.
-			s.Hier.TickShared(cycle)
-			eng.tick(cycle)
-		} else {
-			s.Hier.Tick(cycle)
-		}
+		s.Hier.Tick(cycle)
 		thrTick := s.Hier.ThrottleStalls() - thr0
 		s.Cycles = cycle
 		s.SteppedCycles++
@@ -1008,13 +717,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		if s.DisableCycleSkipping {
 			continue
 		}
-		cur := last
-		if eng != nil {
-			cur = eng.tickProgress + uint64(s.Hier.ProgressShared())
-		} else {
-			cur = tileProg + uint64(s.Hier.Progress())
-		}
-		if cur != last {
+		if cur := tileProg + uint64(s.Hier.Progress()); cur != last {
 			// Progress invalidates every frozen-step confirmation: a tile
 			// that idled against the old state may act on the new one.
 			last = cur
@@ -1024,14 +727,10 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			continue
 		}
 		confirmed := true
-		if eng != nil {
-			confirmed = eng.tickConfirmed
-		} else {
-			for i, t := range s.tiles {
-				if !t.Done() && !idleOK[i] {
-					confirmed = false
-					break
-				}
+		for i, t := range s.tiles {
+			if !t.Done() && !idleOK[i] {
+				confirmed = false
+				break
 			}
 		}
 		if !confirmed {

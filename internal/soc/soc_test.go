@@ -1,7 +1,9 @@
 package soc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -579,44 +581,146 @@ func TestRunCycleLimitError(t *testing.T) {
 	}
 }
 
-// TestCycleSkippingAccounting checks the Interleaver's skip counters: the
-// reported cycle count must equal stepped + skipped - 1 (cycles are
-// zero-based), skipping must engage on an idle-heavy run, and disabling it
-// must both zero the skip counter and leave the simulated result unchanged.
+// pingPongSrc exercises both queue directions under backpressure: tile 0
+// sends up (src < dst) and tile 1 sends down (src > dst).
+const pingPongSrc = `
+void kernel(double* A, double* out, long n) {
+  long tid = tile_id();
+  if (tid == 0) {
+    double acc = 0.0;
+    for (long i = 0; i < n; i++) {
+      send(1, A[i]);
+      acc = acc + recv_double(1);
+    }
+    out[0] = acc;
+  } else {
+    for (long i = 0; i < n; i++) {
+      double v = recv_double(0);
+      send(0, v + v);
+    }
+  }
+}
+`
+
+// barrierStepSrc makes every tile rendezvous on every iteration.
+const barrierStepSrc = `
+void kernel(double* A, long n) {
+  long tid = tile_id();
+  for (long i = 0; i < n; i++) {
+    A[tid * 8] = A[tid * 8] + 1.0;
+    barrier();
+  }
+}
+`
+
+// TestCycleSkippingAccounting checks the Interleaver's skip counters over
+// hand-built systems whose frozen stretches end differently — a DRAM return,
+// a fabric arrival under backpressure (with and without transfer latency), a
+// barrier release, NoC hops, a directory recall: the reported cycle count
+// must equal stepped + skipped - 1 (cycles are zero-based), skipping must
+// engage, and disabling it must both zero the skip counter and leave the
+// Result byte-identical.
 func TestCycleSkippingAccounting(t *testing.T) {
-	build := func() *System {
-		g, tr := traceSPMD(t, spmdVecAdd, 1, vecSetup(512), nil)
-		sys, err := NewSPMD(&config.SystemConfig{
-			Name:  "skip-test",
-			Cores: []config.CoreSpec{{Core: config.OutOfOrderCore(), Count: 1}},
-			Mem:   config.TableIIMem(),
-		}, g, tr, nil)
-		if err != nil {
-			t.Fatal(err)
+	inorder := func(cores, maxMessages int) *config.SystemConfig {
+		cc := config.InOrderCore()
+		if maxMessages > 0 {
+			cc.MaxMessages = maxMessages
 		}
-		return sys
+		return &config.SystemConfig{
+			Name:  "skip-test",
+			Cores: []config.CoreSpec{{Core: cc, Count: cores}},
+			Mem:   config.TableIIMem(),
+		}
 	}
-	skip := build()
-	if err := skip.Run(context.Background(), 0); err != nil {
-		t.Fatal(err)
+	ooo := func(cores int) *config.SystemConfig {
+		return &config.SystemConfig{
+			Name:  "skip-test",
+			Cores: []config.CoreSpec{{Core: config.OutOfOrderCore(), Count: cores}},
+			Mem:   config.TableIIMem(),
+		}
 	}
-	if skip.SkippedCycles == 0 {
-		t.Error("cycle skipping never engaged on a DRAM-latency-bound run")
+	pingPongSetup := func(m *interp.Memory) []uint64 {
+		vals := make([]float64, 300)
+		for i := range vals {
+			vals[i] = float64(i)
+		}
+		return []uint64{m.AllocF64(vals), m.Alloc(8, 8), 300}
 	}
-	if got := skip.SteppedCycles + skip.SkippedCycles; got != skip.Cycles+1 {
-		t.Errorf("stepped (%d) + skipped (%d) = %d, want cycles+1 = %d",
-			skip.SteppedCycles, skip.SkippedCycles, got, skip.Cycles+1)
+	cases := []struct {
+		name  string
+		src   string
+		setup func(m *interp.Memory) []uint64
+		cfg   func() *config.SystemConfig
+	}{
+		{"dram-bound-1tile", spmdVecAdd, vecSetup(512), func() *config.SystemConfig { return ooo(1) }},
+		{"pingpong-backpressure", pingPongSrc, pingPongSetup, func() *config.SystemConfig { return inorder(2, 4) }},
+		{"zero-latency-pingpong", pingPongSrc, pingPongSetup, func() *config.SystemConfig {
+			// A zero-cost fabric delivers messages the cycle they are sent,
+			// in both queue directions.
+			sc := inorder(2, 4)
+			zero := int64(0)
+			sc.FabricLatency = &zero
+			return sc
+		}},
+		{"barriers-4tile", barrierStepSrc, func(m *interp.Memory) []uint64 {
+			return []uint64{m.AllocF64(make([]float64, 64)), 40}
+		}, func() *config.SystemConfig { return inorder(4, 0) }},
+		{"mesh-vecadd", spmdVecAdd, vecSetup(1024), func() *config.SystemConfig {
+			sc := inorder(4, 0)
+			sc.NoC = &config.NoCConfig{MeshWidth: 2, HopCycles: 4}
+			return sc
+		}},
+		{"coherent-directory", spmdVecAdd, vecSetup(512), func() *config.SystemConfig {
+			sc := inorder(4, 0)
+			sc.Mem.Directory = true
+			return sc
+		}},
+		{"coherent-ooo-pair", spmdVecAdd, vecSetup(256), func() *config.SystemConfig {
+			sc := ooo(2)
+			sc.Mem.Directory = true
+			return sc
+		}},
 	}
-	naive := build()
-	naive.DisableCycleSkipping = true
-	if err := naive.Run(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if naive.SkippedCycles != 0 {
-		t.Errorf("naive loop reported %d skipped cycles", naive.SkippedCycles)
-	}
-	if naive.Cycles != skip.Cycles {
-		t.Errorf("cycle counts diverge: naive %d, skipping %d", naive.Cycles, skip.Cycles)
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sc := tc.cfg()
+			run := func(noskip bool) (*System, []byte) {
+				g, tr := traceSPMD(t, tc.src, sc.TileCount(), tc.setup, nil)
+				sys, err := NewSPMD(sc, g, tr, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sys.Fabric.Latency; got != sc.EffectiveFabricLatency() {
+					t.Fatalf("fabric latency = %d, config says %d", got, sc.EffectiveFabricLatency())
+				}
+				sys.DisableCycleSkipping = noskip
+				if err := sys.Run(context.Background(), 0); err != nil {
+					t.Fatalf("run (noskip=%v): %v", noskip, err)
+				}
+				data, err := json.Marshal(sys.Result())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys, data
+			}
+			skip, got := run(false)
+			if skip.SkippedCycles == 0 {
+				t.Error("cycle skipping never engaged")
+			}
+			if sum := skip.SteppedCycles + skip.SkippedCycles; sum != skip.Cycles+1 {
+				t.Errorf("stepped (%d) + skipped (%d) = %d, want cycles+1 = %d",
+					skip.SteppedCycles, skip.SkippedCycles, sum, skip.Cycles+1)
+			}
+			naive, want := run(true)
+			if naive.SkippedCycles != 0 {
+				t.Errorf("naive loop reported %d skipped cycles", naive.SkippedCycles)
+			}
+			if !bytes.Equal(want, got) {
+				t.Errorf("results diverge with cycle skipping enabled:\nnaive: %s\nskip:  %s", want, got)
+			}
+		})
 	}
 }
 

@@ -36,11 +36,6 @@ import (
 //     that step would have (and FrozenStalls() unchanged).
 //   - Done() tiles are excluded from freeze confirmation, horizons, and
 //     replay.
-//   - MaySync() reports whether the tile's next Step might touch shared
-//     synchronization state (barrier arrivals/releases, accelerator
-//     invocations). The parallel stepper serializes such steps behind every
-//     lower tile position; the answer may be conservative (true when the
-//     step turns out not to sync) but never falsely false.
 type Tile interface {
 	// Kind labels the tile's model family ("ooo", "inorder", "accel", ...)
 	// for per-kind breakdowns.
@@ -54,14 +49,13 @@ type Tile interface {
 	NextEvent(now int64) int64
 	FrozenStalls() StallSample
 	ReplayStalls(k int64)
-	MaySync() bool
 	// Stats reports the tile's contribution to per-kind breakdowns.
 	Stats() TileStats
 }
 
 // StallSample captures every stall counter a frozen step can touch: the
-// tile-local counters plus the tile's shard of the fabric back-pressure
-// counter (a frozen send retry bumps the sender's FullStall shard, which
+// tile-local counters plus the tile's slice of the fabric back-pressure
+// counter (a frozen send retry bumps the sender's FullStall slice, which
 // lives outside the tile).
 type StallSample struct {
 	Core   core.StallSnapshot
@@ -84,7 +78,7 @@ type TileStats struct {
 
 // CoreTile adapts a core.Core to the Tile interface. The fabric reference is
 // for stall accounting only: a frozen core retrying a send increments its
-// FullStall shard, so the sample must include it for replay.
+// FullStall slice, so the sample must include it for replay.
 type CoreTile struct {
 	C      *core.Core
 	fabric *Fabric
@@ -129,9 +123,6 @@ func (t *CoreTile) ReplayStalls(k int64) {
 	t.fabric.addFullStall(t.C.ID, delta.Fabric*k)
 	t.pre = t.stalls().Sub(delta)
 }
-
-// MaySync implements Tile.
-func (t *CoreTile) MaySync() bool { return t.C.MaySync() }
 
 // Stats implements Tile.
 func (t *CoreTile) Stats() TileStats {
@@ -209,12 +200,6 @@ func (t *AccelTile) FrozenStalls() StallSample { return StallSample{} }
 // ReplayStalls implements Tile; nothing to replay. (Done tiles are skipped
 // by the replay loop anyway.)
 func (t *AccelTile) ReplayStalls(k int64) {}
-
-// MaySync implements Tile. The manager mutates shared invocation state every
-// step, but it sits at tile position 0: it is always the first tile its
-// worker steps, and invoking cores (MaySync true) wait for it, so no extra
-// ordering is needed.
-func (t *AccelTile) MaySync() bool { return false }
 
 // Stats implements Tile: invocations as "instructions", summed invocation
 // latency as active cycles.

@@ -209,7 +209,6 @@ func Build(sc *config.SystemConfig, b Binding, accels map[string]AccelModel) (*S
 	if err != nil {
 		return nil, err
 	}
-	sys.StepWorkers = sc.StepWorkers
 	sys.Fabric.Latency = sc.EffectiveFabricLatency()
 	if sc.NoC != nil {
 		w := sc.NoC.MeshWidth

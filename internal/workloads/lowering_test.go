@@ -112,12 +112,10 @@ func TestLoweredProgramMatchesDDG(t *testing.T) {
 					t.Fatalf("%s -O%s block %d: %d nodes from %d term %d, DDG has %d from %d term %d",
 						w.Name, level, b, len(nodes), blk.First, blk.TermPos, len(bg.Nodes), first, bg.TermPos)
 				}
-				sync := false
 				for pos, dn := range bg.Nodes {
 					sn := nodes[pos]
 					in := dn.Instr
 					kind := wantKind(in)
-					sync = sync || kind == core.KindBarrier || kind == core.KindAcc
 					if sn.Instr != in || int(sn.Idx) != in.Idx || sn.Class != core.Classify(in) || sn.Kind != kind || sn.Free {
 						t.Errorf("%s -O%s instr %d (%s %s): lowered as idx %d class %s kind %d free %v, want class %s kind %d",
 							w.Name, level, in.Idx, in.Op, in.Callee, sn.Idx, sn.Class, sn.Kind, sn.Free, core.Classify(in), kind)
@@ -152,9 +150,6 @@ func TestLoweredProgramMatchesDDG(t *testing.T) {
 					if !slices.Equal(sn.Phi, want) {
 						t.Errorf("%s -O%s phi %d: cases %v, DDG says %v", w.Name, level, in.Idx, sn.Phi, want)
 					}
-				}
-				if blk.Sync != sync {
-					t.Errorf("%s -O%s block %d: Sync = %v, want %v", w.Name, level, b, blk.Sync, sync)
 				}
 			}
 		}

@@ -101,7 +101,7 @@ func daeCase(key string, w *Workload, pairs int) goldenCase {
 // zeroLatCase is daeCase on an idealized same-cycle fabric: messages mature
 // the cycle they are sent. DAE pairs are the only built-in workloads that
 // communicate — and their fused sends reserve future slots — so this case
-// pins the parallel stepper's same-cycle visibility rules against the seed.
+// pins same-cycle delivery against the seed.
 func zeroLatCase(key string, w *Workload, pairs int) goldenCase {
 	base := daeCase(key, w, pairs)
 	return goldenCase{key: key, build: func(t *testing.T) *soc.System {
@@ -160,14 +160,13 @@ func tileGoldenCases(t *testing.T, wrap func(*Workload) *Workload) []goldenCase 
 }
 
 // runGolden builds and runs one case with the chosen skipping mode and
-// step-worker count and returns its compact Result JSON.
-func runGolden(t *testing.T, gc goldenCase, noskip bool, workers int) []byte {
+// returns its compact Result JSON.
+func runGolden(t *testing.T, gc goldenCase, noskip bool) []byte {
 	t.Helper()
 	sys := gc.build(t)
 	sys.DisableCycleSkipping = noskip
-	sys.StepWorkers = workers
 	if err := sys.Run(context.Background(), 0); err != nil {
-		t.Fatalf("run %s (noskip=%v, workers=%d): %v", gc.key, noskip, workers, err)
+		t.Fatalf("run %s (noskip=%v): %v", gc.key, noskip, err)
 	}
 	data, err := json.Marshal(sys.Result())
 	if err != nil {
@@ -182,7 +181,7 @@ func TestTileSeedGolden(t *testing.T) {
 	if *updateTileGolden {
 		out := map[string]json.RawMessage{}
 		for _, gc := range cases {
-			out[gc.key] = runGolden(t, gc, true, 1)
+			out[gc.key] = runGolden(t, gc, true)
 		}
 		keys := make([]string, 0, len(out))
 		for k := range out {
@@ -230,19 +229,16 @@ func TestTileSeedGolden(t *testing.T) {
 			if err := json.Compact(&buf, want); err != nil {
 				t.Fatal(err)
 			}
-			// Every (skipping mode, step-worker count) leg must reproduce
-			// the seed byte stream: the tile loop restructuring, the
-			// skipper, and the parallel stepper are all provably pure
+			// Both skipping modes must reproduce the seed byte stream: the
+			// tile loop restructuring and the skipper are pure
 			// restructurings, never model changes.
-			for _, workers := range []int{1, 2, 8} {
-				naive := runGolden(t, gc, true, workers)
-				skip := runGolden(t, gc, false, workers)
-				if !bytes.Equal(buf.Bytes(), naive) {
-					t.Errorf("naive loop (workers=%d) diverged from the seed simulator:\nseed: %s\ngot:  %s", workers, buf.Bytes(), naive)
-				}
-				if !bytes.Equal(buf.Bytes(), skip) {
-					t.Errorf("skipping loop (workers=%d) diverged from the seed simulator:\nseed: %s\ngot:  %s", workers, buf.Bytes(), skip)
-				}
+			naive := runGolden(t, gc, true)
+			skip := runGolden(t, gc, false)
+			if !bytes.Equal(buf.Bytes(), naive) {
+				t.Errorf("naive loop diverged from the seed simulator:\nseed: %s\ngot:  %s", buf.Bytes(), naive)
+			}
+			if !bytes.Equal(buf.Bytes(), skip) {
+				t.Errorf("skipping loop diverged from the seed simulator:\nseed: %s\ngot:  %s", buf.Bytes(), skip)
 			}
 		})
 	}
@@ -281,7 +277,7 @@ func TestTileSeedGoldenO0(t *testing.T) {
 			if err := json.Compact(&buf, want); err != nil {
 				t.Fatal(err)
 			}
-			got := runGolden(t, gc, true, 1)
+			got := runGolden(t, gc, true)
 			if !bytes.Equal(buf.Bytes(), got) {
 				t.Errorf("explicit O0 diverged from the seed simulator:\nseed: %s\ngot:  %s", buf.Bytes(), got)
 			}
