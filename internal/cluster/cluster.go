@@ -5,10 +5,30 @@
 // The protocol (all under /cluster/v1/, mounted beside the public API):
 //
 //	POST /cluster/v1/register           worker announces itself     → lease TTL + heartbeat interval
-//	POST /cluster/v1/lease              request one job             → 200 jobs.Lease, or 204 when idle
+//	POST /cluster/v1/lease              request one job (long poll) → 200 jobs.Lease, or 204 when idle
 //	POST /cluster/v1/heartbeat          liveness + renew leases     → cancels to propagate, leases lost
-//	POST /cluster/v1/jobs/{id}/events   forward one stage/progress event
+//	POST /cluster/v1/jobs/{id}/events   forward a batch of stage/progress events
 //	POST /cluster/v1/jobs/{id}/complete report (or error) for a leased job
+//
+// Lease dispatch is push-based. A lease request states how long the worker
+// will wait; the coordinator parks it until a job is enqueued or requeued,
+// the manager starts draining, the request's context ends, or the wait runs
+// out, and then answers 200 or 204. A request without a wait is a zero wait
+// on the same path — answered at once — so a job starts when it is queued,
+// not at a worker's next poll. The hold is capped at the heartbeat interval
+// announced at register: every lease request counts as a sighting of the
+// worker, so a parked worker is seen at least once per heartbeat interval
+// and is never pruned as silent (the worker timeout is three of them), and
+// the worker keeps the wait it asks for below its HTTP client timeout. A
+// lease granted to a request whose client is already gone (context done, or
+// the response write fails) is handed straight back to the front of the
+// queue — counted as a requeue, not as an expiry — instead of stranding the
+// job for a lease TTL.
+//
+// Rolling upgrades go coordinator first: its decoder rejects unknown
+// fields, so a worker that sends "wait" or "events" to a coordinator built
+// before them gets a 400, while a current coordinator still serves an older
+// worker (no wait: it polls; "event": a batch of one).
 //
 // Design invariants, shared with internal/jobs:
 //
@@ -60,6 +80,9 @@ type LeaseRequest struct {
 	// executed (its warm caches). The coordinator prefers a queued job
 	// matching one of them.
 	Affinity []uint64 `json:"affinity,omitempty"`
+	// Wait is how long the coordinator may park the request before answering
+	// 204 (capped at the heartbeat interval). Absent means answer at once.
+	Wait time.Duration `json:"wait,omitempty"`
 }
 
 // HeartbeatRequest reports liveness and the leases the worker still holds.
@@ -81,11 +104,14 @@ type HeartbeatResponse struct {
 	Lost []string `json:"lost,omitempty"`
 }
 
-// EventRequest forwards one stage or progress event from the worker's local
-// run.
+// EventRequest forwards stage and progress events from the worker's local
+// run, in the order they happened.
 type EventRequest struct {
-	Name  string     `json:"name"`
-	Event jobs.Event `json:"event"`
+	Name   string       `json:"name"`
+	Events []jobs.Event `json:"events,omitempty"`
+	// Event is the single-event form workers built before batching send; it
+	// is appended ahead of Events.
+	Event *jobs.Event `json:"event,omitempty"`
 }
 
 // CompleteRequest finishes a leased job: a report, or an error message.

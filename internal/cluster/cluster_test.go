@@ -130,7 +130,7 @@ func fleetGoldenSeam(t *testing.T, wrap func(http.Handler) http.Handler) {
 	workerMgr := jobs.NewManager(jobs.Options{Workers: 1})
 	defer shutdown(t, workerMgr)
 	w, err := NewWorker(WorkerOptions{
-		Name: "w1", Coordinator: srv.URL, Manager: workerMgr, Poll: 20 * time.Millisecond,
+		Name: "w1", Coordinator: srv.URL, Manager: workerMgr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestLeaseExpiryRequeuesToSecondWorker(t *testing.T) {
 		Runner: func(ctx context.Context, lj *jobs.Job) (json.RawMessage, error) { return report, nil }})
 	defer shutdown(t, workerMgr)
 	w2, err := NewWorker(WorkerOptions{
-		Name: "w2", Coordinator: srv.URL, Manager: workerMgr, Poll: 10 * time.Millisecond,
+		Name: "w2", Coordinator: srv.URL, Manager: workerMgr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -387,12 +387,12 @@ func TestHeartbeatCarriesCancelsAndLost(t *testing.T) {
 	// Forwarding an event for a lost lease is refused with 409, and workers
 	// may never emit lifecycle edges at all.
 	code := postJSON(t, srv.URL+"/cluster/v1/jobs/"+j.ID+"/events",
-		EventRequest{Name: "w1", Event: jobs.Event{Type: "progress", Cycle: 1}}, nil)
+		EventRequest{Name: "w1", Events: []jobs.Event{{Type: "progress", Cycle: 1}}}, nil)
 	if code != http.StatusConflict {
 		t.Errorf("event for lost lease status = %d, want 409", code)
 	}
 	code = postJSON(t, srv.URL+"/cluster/v1/jobs/"+j.ID+"/events",
-		EventRequest{Name: "w1", Event: jobs.Event{Type: "state", State: jobs.StateDone}}, nil)
+		EventRequest{Name: "w1", Events: []jobs.Event{{Type: "progress", Cycle: 1}, {Type: "state", State: jobs.StateDone}}}, nil)
 	if code != http.StatusBadRequest {
 		t.Errorf("lifecycle edge from worker status = %d, want 400", code)
 	}
@@ -442,7 +442,7 @@ func TestTwoWorkersSplitTheQueue(t *testing.T) {
 				return json.RawMessage(fmt.Sprintf(`{"by":%q,"workload":%q}`, name, j.Spec.Workload)), nil
 			}})
 		w, err := NewWorker(WorkerOptions{
-			Name: name, Coordinator: srv.URL, Manager: mgr, Slots: 2, Poll: 10 * time.Millisecond,
+			Name: name, Coordinator: srv.URL, Manager: mgr, Slots: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -477,6 +477,8 @@ func TestTwoWorkersSplitTheQueue(t *testing.T) {
 			t.Errorf("job %s completed by %q", j.ID, rep.By)
 		}
 	}
+	// Every lease grant observed its job's submitted → started wait.
+	expectMetric(t, coordMgr, "mosaicd_queue_wait_seconds_count 8")
 	cancel()
 	<-d1
 	<-d2

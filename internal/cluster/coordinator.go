@@ -208,13 +208,36 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	for _, h := range req.Affinity {
 		affinity[h] = true
 	}
-	lease, ok := c.mgr.LeaseJob(req.Name, affinity, c.opts.LeaseTTL)
+	// A zero (absent) wait yields a context that is already done, which
+	// makes LeaseJob a single look: polling is the degenerate long poll.
+	ctx, cancel := context.WithTimeout(r.Context(), min(req.Wait, c.opts.Heartbeat))
+	defer cancel()
+	lease, ok := c.mgr.LeaseJob(ctx, req.Name, affinity, c.opts.LeaseTTL)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
+	// The grant may have raced the client going away while parked. A lease
+	// nobody received goes straight back to the queue.
+	if r.Context().Err() != nil || writeLease(w, lease) != nil {
+		c.mgr.ReturnLease(lease.JobID, req.Name)
+		return
+	}
 	c.mLeases.Inc()
-	writeJSON(w, http.StatusOK, lease)
+}
+
+// writeLease sends a granted lease and flushes it, so a connection that is
+// known to be dead surfaces as an error while the grant can still be undone.
+func writeLease(w http.ResponseWriter, lease *jobs.Lease) error {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err := json.NewEncoder(w).Encode(lease); err != nil {
+		return err
+	}
+	if err := http.NewResponseController(w).Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return err
+	}
+	return nil
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -245,7 +268,10 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("bad event body: %w", err))
 		return
 	}
-	if err := c.mgr.AppendRemote(r.PathValue("id"), req.Name, req.Event); err != nil {
+	if req.Event != nil {
+		req.Events = append([]jobs.Event{*req.Event}, req.Events...)
+	}
+	if err := c.mgr.AppendRemote(r.PathValue("id"), req.Name, req.Events); err != nil {
 		writeErr(w, err)
 		return
 	}

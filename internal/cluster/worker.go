@@ -28,8 +28,10 @@ type WorkerOptions struct {
 	Manager *jobs.Manager
 	// Slots caps concurrently leased jobs. Zero means 1.
 	Slots int
-	// Poll is the idle wait between lease requests when the queue is dry
-	// or the coordinator is unreachable. Zero means 250ms.
+	// Poll is the back-off after an error: the coordinator unreachable, a
+	// failed register or completion, or a lease request it declined to park
+	// (it is draining). An idle worker does not poll — its lease request
+	// stays parked at the coordinator. Zero means 250ms.
 	Poll time.Duration
 	// Client is the HTTP client to use; nil means a 10s-timeout client.
 	Client *http.Client
@@ -42,6 +44,9 @@ type WorkerOptions struct {
 // requests, so repeat work lands on this worker's warm caches.
 type Worker struct {
 	opts WorkerOptions
+	// hold is the wait each lease request asks for. register sets it before
+	// the lease loop — its only reader, on the same goroutine — starts.
+	hold time.Duration
 
 	mu       sync.Mutex
 	ttl      time.Duration
@@ -79,14 +84,15 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 }
 
 // Run registers with the coordinator and works until ctx is cancelled,
-// then drains: no new leases are taken, in-flight jobs finish and complete
-// (heartbeats continue so their leases stay alive), and Run returns.
+// then drains: no new leases are taken (a parked lease request is abandoned
+// at once), in-flight jobs finish and complete (heartbeats continue so their
+// leases stay alive), and Run returns.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
 	// Heartbeats outlive ctx: they carry lease renewals for the drain.
-	hbCtx, stopHB := context.WithCancel(context.Background())
+	hbCtx, stopHB := context.WithCancel(context.WithoutCancel(ctx))
 	defer stopHB()
 	var hbDone sync.WaitGroup
 	hbDone.Add(1)
@@ -96,25 +102,36 @@ func (w *Worker) Run(ctx context.Context) error {
 	}()
 
 	var wg sync.WaitGroup
+	slots := make(chan struct{}, w.opts.Slots) // counting semaphore: one token per leased job
 	for ctx.Err() == nil {
-		if w.inflightCount() >= w.opts.Slots {
-			sleep(ctx, w.opts.Poll)
+		// Block on a free slot, not on a timer: execute's return releases one.
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
 			continue
 		}
-		lease, err := w.lease()
-		if err != nil || lease == nil {
-			sleep(ctx, w.opts.Poll)
+		asked := time.Now()
+		lease, err := w.lease(ctx)
+		if lease == nil {
+			<-slots
+			// A 204 after a full hold is the idle case: ask again at once.
+			// An error, or a 204 well before the hold was up (the coordinator
+			// is draining and parks nothing), backs off instead of spinning.
+			if err != nil || time.Since(asked) < w.hold/2 {
+				sleep(ctx, w.opts.Poll)
+			}
 			continue
 		}
-		// Reserve the slot before execute() runs: the next loop iteration
-		// must see this lease in flight or Slots would not bound anything.
+		// Reserve the heartbeat entry before execute() runs, so the lease is
+		// renewed from its first heartbeat on.
 		w.mu.Lock()
 		w.inflight[lease.JobID] = ""
 		w.mu.Unlock()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.execute(lease)
+			defer func() { <-slots }()
+			w.execute(ctx, lease)
 		}()
 	}
 	wg.Wait()
@@ -130,7 +147,7 @@ func (w *Worker) register(ctx context.Context) error {
 	req := RegisterRequest{Name: w.opts.Name, Slots: w.opts.Slots}
 	for {
 		var resp RegisterResponse
-		_, err := w.post("/cluster/v1/register", req, &resp)
+		_, err := w.post(ctx, "/cluster/v1/register", req, &resp)
 		if err == nil {
 			w.mu.Lock()
 			w.ttl = resp.LeaseTTL
@@ -138,7 +155,14 @@ func (w *Worker) register(ctx context.Context) error {
 			if w.hb <= 0 {
 				w.hb = 5 * time.Second
 			}
+			// The coordinator holds a lease request for at most a heartbeat
+			// interval; ask for no more than half the client timeout, so a
+			// parked request is answered before the client gives up on it.
+			w.hold = w.hb
 			w.mu.Unlock()
+			if t := w.opts.Client.Timeout; t > 0 {
+				w.hold = min(w.hold, t/2)
+			}
 			return nil
 		}
 		if !sleep(ctx, w.opts.Poll) {
@@ -167,7 +191,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		}
 		req := HeartbeatRequest{Name: w.opts.Name, Running: w.runningIDs()}
 		var resp HeartbeatResponse
-		if _, err := w.post("/cluster/v1/heartbeat", req, &resp); err != nil {
+		if _, err := w.post(ctx, "/cluster/v1/heartbeat", req, &resp); err != nil {
 			continue // transient: leases survive until the TTL, keep trying
 		}
 		for _, id := range append(resp.Cancels, resp.Lost...) {
@@ -176,8 +200,10 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// lease asks for one job; nil without error means the queue is dry.
-func (w *Worker) lease() (*jobs.Lease, error) {
+// lease asks for one job, parked at the coordinator for up to the hold; nil
+// without error means none was queued for that long. ctx abandons a parked
+// request at once.
+func (w *Worker) lease(ctx context.Context) (*jobs.Lease, error) {
 	w.mu.Lock()
 	hashes := make([]uint64, 0, len(w.affinity))
 	for h := range w.affinity {
@@ -185,7 +211,8 @@ func (w *Worker) lease() (*jobs.Lease, error) {
 	}
 	w.mu.Unlock()
 	var lease jobs.Lease
-	code, err := w.post("/cluster/v1/lease", LeaseRequest{Name: w.opts.Name, Affinity: hashes}, &lease)
+	req := LeaseRequest{Name: w.opts.Name, Affinity: hashes, Wait: w.hold}
+	code, err := w.post(ctx, "/cluster/v1/lease", req, &lease)
 	if err != nil {
 		return nil, err
 	}
@@ -196,8 +223,10 @@ func (w *Worker) lease() (*jobs.Lease, error) {
 }
 
 // execute runs one leased job on the local manager, forwarding its stage
-// and progress events, and completes the lease with the local outcome.
-func (w *Worker) execute(l *jobs.Lease) {
+// and progress events, and completes the lease with the local outcome. It
+// runs to completion after ctx is cancelled (the drain); ctx only cuts the
+// completion's retry back-off short.
+func (w *Worker) execute(ctx context.Context, l *jobs.Lease) {
 	defer func() {
 		w.mu.Lock()
 		delete(w.inflight, l.JobID)
@@ -205,7 +234,7 @@ func (w *Worker) execute(l *jobs.Lease) {
 	}()
 	j, err := w.opts.Manager.Submit(l.Spec)
 	if err != nil {
-		w.complete(l.JobID, nil, fmt.Sprintf("worker %s: submit: %v", w.opts.Name, err))
+		w.complete(ctx, l.JobID, nil, fmt.Sprintf("worker %s: submit: %v", w.opts.Name, err))
 		return
 	}
 	w.mu.Lock()
@@ -214,12 +243,8 @@ func (w *Worker) execute(l *jobs.Lease) {
 	next := 0
 	for {
 		evs, more, done := j.EventsSince(next)
-		for _, e := range evs {
-			if e.Type != "state" {
-				w.postEvent(l.JobID, e)
-			}
-		}
 		next += len(evs)
+		w.postEvents(ctx, l.JobID, evs)
 		if done {
 			break
 		}
@@ -233,35 +258,49 @@ func (w *Worker) execute(l *jobs.Lease) {
 	w.mu.Unlock()
 	switch st := j.Status(); st.State {
 	case jobs.StateDone:
-		w.complete(l.JobID, st.Report, "")
+		w.complete(ctx, l.JobID, st.Report, "")
 	case jobs.StateCancelled:
 		// Cancels originate at the coordinator, which already finished the
 		// job there; this completion is a no-op 409 that keeps the
 		// protocol honest if the local cancel had another cause.
-		w.complete(l.JobID, nil, "cancelled on worker "+w.opts.Name)
+		w.complete(ctx, l.JobID, nil, "cancelled on worker "+w.opts.Name)
 	default:
-		w.complete(l.JobID, nil, st.Error)
+		w.complete(ctx, l.JobID, nil, st.Error)
 	}
 }
 
-// complete reports a leased job's outcome, retrying transient failures. A
-// 409 means the lease was lost (expired, cancelled, or finished elsewhere)
-// — the run is abandoned without further noise.
-func (w *Worker) complete(id string, report json.RawMessage, errMsg string) {
+// complete reports a leased job's outcome, retrying transient failures while
+// the worker runs; once ctx is cancelled a failed completion is left to the
+// lease's expiry. A 409 means the lease was lost (expired, cancelled, or
+// finished elsewhere) — the run is abandoned without further noise.
+func (w *Worker) complete(ctx context.Context, id string, report json.RawMessage, errMsg string) {
 	req := CompleteRequest{Name: w.opts.Name, Report: report, Error: errMsg}
 	for attempt := 0; attempt < 5; attempt++ {
-		code, err := w.post("/cluster/v1/jobs/"+id+"/complete", req, nil)
+		code, err := w.post(context.WithoutCancel(ctx), "/cluster/v1/jobs/"+id+"/complete", req, nil)
 		if err == nil || code == http.StatusConflict || code == http.StatusNotFound {
 			return
 		}
-		time.Sleep(w.opts.Poll)
+		if !sleep(ctx, w.opts.Poll) {
+			return
+		}
 	}
 }
 
-// postEvent forwards one event, best-effort: a dropped progress tick costs
-// observability, never correctness, so failures are not retried.
-func (w *Worker) postEvent(id string, e jobs.Event) {
-	_, _ = w.post("/cluster/v1/jobs/"+id+"/events", EventRequest{Name: w.opts.Name, Event: e}, nil)
+// postEvents forwards one drain of the local event log (its lifecycle edges
+// left out: the coordinator emits its own) as a single request. Best-effort:
+// a dropped progress tick costs observability, never correctness, so
+// failures are not retried.
+func (w *Worker) postEvents(ctx context.Context, id string, evs []jobs.Event) {
+	fwd := make([]jobs.Event, 0, len(evs))
+	for _, e := range evs {
+		if e.Type != "state" {
+			fwd = append(fwd, e)
+		}
+	}
+	if len(fwd) == 0 {
+		return
+	}
+	_, _ = w.post(context.WithoutCancel(ctx), "/cluster/v1/jobs/"+id+"/events", EventRequest{Name: w.opts.Name, Events: fwd}, nil)
 }
 
 // abortLocal cancels the local run backing coordinator job id, if any. A
@@ -282,12 +321,6 @@ func (w *Worker) abortLocal(id string) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-func (w *Worker) inflightCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.inflight)
 }
 
 // runningIDs snapshots the coordinator job IDs currently executing here.
@@ -313,14 +346,19 @@ func (w *Worker) Affinity() []uint64 {
 	return out
 }
 
-// post sends one JSON request and decodes a 200 response into resp (when
-// non-nil). Non-2xx statuses return the decoded error message.
-func (w *Worker) post(path string, req, resp any) (int, error) {
+// post sends one JSON request under ctx and decodes a 200 response into resp
+// (when non-nil). Non-2xx statuses return the decoded error message.
+func (w *Worker) post(ctx context.Context, path string, req, resp any) (int, error) {
 	b, err := json.Marshal(req)
 	if err != nil {
 		return 0, err
 	}
-	hr, err := w.opts.Client.Post(w.opts.Coordinator+path, "application/json", bytes.NewReader(b))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.Coordinator+path, bytes.NewReader(b))
+	if err != nil {
+		return 0, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hr, err := w.opts.Client.Do(hreq)
 	if err != nil {
 		return 0, err
 	}

@@ -190,11 +190,17 @@ func (j *Job) Status() Status {
 	return st
 }
 
-// emit appends one event (stamping its sequence number and time), persists
-// it if a store is attached, and wakes every waiting observer. Persisting
-// under the job lock keeps the on-disk log in exact append order.
+// emit appends one event under the job lock.
 func (j *Job) emit(e Event) {
 	j.mu.Lock()
+	j.appendLocked(e)
+	j.mu.Unlock()
+}
+
+// appendLocked appends one event (stamping its sequence number and time),
+// persists it if a store is attached, and wakes every waiting observer.
+// Persisting under the job lock keeps the on-disk log in exact append order.
+func (j *Job) appendLocked(e Event) {
 	e.Seq = len(j.events)
 	e.Time = time.Now().UTC()
 	j.events = append(j.events, e)
@@ -205,7 +211,6 @@ func (j *Job) emit(e Event) {
 			j.persist(line)
 		}
 	}
-	j.mu.Unlock()
 }
 
 // EventsSince returns the events with sequence >= after, a channel closed
@@ -277,8 +282,9 @@ type Manager struct {
 	wg    sync.WaitGroup
 
 	mu         sync.Mutex
-	cond       *sync.Cond // signals queue growth and close to dequeue()
-	queues     [3][]*Job  // one FIFO per priority class, indexed by classRank
+	cond       *sync.Cond    // signals queue growth and close to dequeue()
+	wake       chan struct{} // closed and replaced at enqueue and drain; parked LeaseJob calls wait on it
+	queues     [3][]*Job     // one FIFO per priority class, indexed by classRank
 	qclosed    bool
 	jobs       map[string]*Job
 	order      []string // submission order, for retention eviction
@@ -304,10 +310,15 @@ type Manager struct {
 	mTenantJobs     *metrics.CounterVec
 	mTenantRejected *metrics.CounterVec
 	mStage          map[string]*metrics.Histogram
+	mQueueWait      *metrics.Histogram
 	mTileActive     map[string]*metrics.Counter
 	mTileStall      map[string]*metrics.Counter
 	mTileInstrs     map[string]*metrics.Counter
 }
+
+// queueWaitBuckets resolve the sub-millisecond waits of an idle daemon or
+// fleet (a job starts when it is queued) below the standard latency ladder.
+var queueWaitBuckets = append([]float64{.0001, .00025, .0005, .001, .0025}, metrics.DefBuckets...)
 
 // runStages names the instrumented pipeline stages, in order: artifact
 // covers Compile→DDG→Trace (the cached layers), run covers
@@ -351,6 +362,7 @@ func NewManager(opts Options) *Manager {
 		jobs:       map[string]*Job{},
 		tenantLive: map[string]int{},
 		cancels:    map[string][]string{},
+		wake:       make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if m.opts.Runner == nil {
@@ -383,6 +395,7 @@ func NewManager(opts Options) *Manager {
 	for _, stage := range runStages {
 		m.mStage[stage] = reg.Histogram("mosaicd_stage_seconds", "Pipeline stage latency.", metrics.Labels{"stage": stage}, nil)
 	}
+	m.mQueueWait = reg.Histogram("mosaicd_queue_wait_seconds", "Time from submission to the start of execution (local dequeue or lease grant).", nil, queueWaitBuckets)
 	// Per-tile-kind simulated-time breakdowns. The registry rejects lazy
 	// duplicate registration, so every kind the tile registry can produce is
 	// registered up front; kinds registered after startup (custom tile
@@ -658,7 +671,9 @@ func (m *Manager) runJob(j *Job) {
 	j.state = StateRunning
 	j.started = time.Now().UTC()
 	j.attempts++
+	wait := j.started.Sub(j.submitted)
 	j.mu.Unlock()
+	m.mQueueWait.Observe(wait.Seconds())
 	m.mStates[StateRunning].Inc()
 	m.mInflight.Add(1)
 	defer m.mInflight.Add(-1)
@@ -796,6 +811,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 	m.qclosed = true
 	m.cond.Broadcast()
+	m.wakeLocked()
 	m.mu.Unlock()
 	for _, j := range queued {
 		m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
@@ -816,7 +832,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 	// Remote leases share the deadline: wait for workers to complete their
 	// jobs, then cancel whatever is still out.
-	for m.leasedSlots() > 0 {
+	for m.mLeasesActive.Value() > 0 {
 		select {
 		case <-ctx.Done():
 			if err == nil {

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,17 +34,39 @@ type Lease struct {
 
 // LeaseJob grants worker a lease on one queued job, preferring a job whose
 // affinity hash the worker already holds (warm trace/schedule caches) and
-// otherwise stealing the front of the highest-priority class. It returns
-// (nil, false) when nothing is queued or the manager is draining.
-func (m *Manager) LeaseJob(worker string, affinity map[uint64]bool, ttl time.Duration) (*Lease, bool) {
+// otherwise stealing the front of the highest-priority class. When nothing
+// is queued it parks until a job is enqueued or requeued, the manager starts
+// draining, or ctx ends, and then returns (nil, false); a ctx that is
+// already done makes it a single look at the queue.
+func (m *Manager) LeaseJob(ctx context.Context, worker string, affinity map[uint64]bool, ttl time.Duration) (*Lease, bool) {
 	if worker == "" || ttl <= 0 {
 		return nil, false
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.draining {
-		return nil, false
+	for {
+		m.mu.Lock()
+		if m.draining {
+			m.mu.Unlock()
+			return nil, false
+		}
+		// The wake channel is read under the lock the look runs under and
+		// every enqueue closes it under: no enqueue can fall between them.
+		wake := m.wake
+		lease := m.grantLocked(worker, affinity, ttl)
+		m.mu.Unlock()
+		if lease != nil {
+			return lease, true
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return nil, false
+		}
 	}
+}
+
+// grantLocked is the one place a lease is granted: it claims the best queued
+// job for worker (nil when nothing is queued) and starts its execution.
+func (m *Manager) grantLocked(worker string, affinity map[uint64]bool, ttl time.Duration) *Lease {
 	var (
 		j      *Job
 		affine bool
@@ -51,7 +74,7 @@ func (m *Manager) LeaseJob(worker string, affinity map[uint64]bool, ttl time.Dur
 	for {
 		j, affine = m.popAffineLocked(affinity)
 		if j == nil {
-			return nil, false
+			return nil
 		}
 		j.mu.Lock()
 		if j.state == StateQueued {
@@ -72,7 +95,9 @@ func (m *Manager) LeaseJob(worker string, affinity map[uint64]bool, ttl time.Dur
 		Attempt:  j.attempts,
 		Expires:  j.leaseExpiry,
 	}
+	wait := j.started.Sub(j.submitted)
 	j.mu.Unlock()
+	m.mQueueWait.Observe(wait.Seconds())
 	m.mStates[StateRunning].Inc()
 	m.mLeasesActive.Add(1)
 	if affine {
@@ -81,7 +106,7 @@ func (m *Manager) LeaseJob(worker string, affinity map[uint64]bool, ttl time.Dur
 		m.mSteals.Inc()
 	}
 	j.emit(Event{Type: "state", State: StateRunning, Worker: worker, Attempt: lease.Attempt})
-	return lease, true
+	return lease
 }
 
 // popAffineLocked removes and returns the best queued job for a worker
@@ -103,19 +128,10 @@ func (m *Manager) popAffineLocked(affinity map[uint64]bool) (*Job, bool) {
 	return m.popLocked(), false
 }
 
-// leaseHeld reports whether worker currently holds id's lease.
-func (m *Manager) leaseHeld(id, worker string) (*Job, error) {
-	j, err := m.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	held := j.leased && j.leaseWorker == worker && j.state == StateRunning
-	j.mu.Unlock()
-	if !held {
-		return nil, fmt.Errorf("%w: job %s is not leased to %q", ErrLeaseLost, id, worker)
-	}
-	return j, nil
+// heldByLocked is the claim predicate of the lease protocol: worker holds
+// j's lease and the job is still running. The caller holds j.mu.
+func (j *Job) heldByLocked(worker string) bool {
+	return j.leased && j.leaseWorker == worker && j.state == StateRunning
 }
 
 // RenewLease extends worker's lease on id by ttl. ErrLeaseLost means the
@@ -128,39 +144,52 @@ func (m *Manager) RenewLease(id, worker string, ttl time.Duration) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.leased || j.leaseWorker != worker || j.state != StateRunning {
+	if !j.heldByLocked(worker) {
 		return fmt.Errorf("%w: job %s is not leased to %q", ErrLeaseLost, id, worker)
 	}
 	j.leaseExpiry = time.Now().Add(ttl)
 	return nil
 }
 
-// AppendRemote forwards one stage or progress event from the leased
-// worker's local run into the coordinator's event log (and stage metrics).
-// Lifecycle edges are rejected: the coordinator emits its own.
-func (m *Manager) AppendRemote(id, worker string, e Event) error {
-	if e.Type == "state" {
-		return errors.New("jobs: workers do not emit lifecycle edges")
+// AppendRemote forwards a batch of stage and progress events from the leased
+// worker's local run into the coordinator's event log (and stage metrics),
+// in order and under one hold of the job lock. Lifecycle edges are rejected:
+// the coordinator emits its own.
+func (m *Manager) AppendRemote(id, worker string, evs []Event) error {
+	for _, e := range evs {
+		if e.Type == "state" {
+			return errors.New("jobs: workers do not emit lifecycle edges")
+		}
 	}
-	j, err := m.leaseHeld(id, worker)
+	j, err := m.Get(id)
 	if err != nil {
 		return err
 	}
-	// Re-stamp: only the payload fields cross the wire; seq and time are
-	// assigned here so the log stays a single total order.
-	j.emit(Event{
-		Type:     e.Type,
-		Stage:    e.Stage,
-		CacheHit: e.CacheHit,
-		Seconds:  e.Seconds,
-		Cycle:    e.Cycle,
-		Stepped:  e.Stepped,
-		Skipped:  e.Skipped,
-		Final:    e.Final,
-	})
-	if e.Type == "stage" {
-		if h := m.mStage[e.Stage]; h != nil {
-			h.Observe(e.Seconds)
+	j.mu.Lock()
+	if !j.heldByLocked(worker) {
+		j.mu.Unlock()
+		return fmt.Errorf("%w: job %s is not leased to %q", ErrLeaseLost, id, worker)
+	}
+	for _, e := range evs {
+		// Re-stamp: only the payload fields cross the wire; seq and time are
+		// assigned here so the log stays a single total order.
+		j.appendLocked(Event{
+			Type:     e.Type,
+			Stage:    e.Stage,
+			CacheHit: e.CacheHit,
+			Seconds:  e.Seconds,
+			Cycle:    e.Cycle,
+			Stepped:  e.Stepped,
+			Skipped:  e.Skipped,
+			Final:    e.Final,
+		})
+	}
+	j.mu.Unlock()
+	for _, e := range evs {
+		if e.Type == "stage" {
+			if h := m.mStage[e.Stage]; h != nil {
+				h.Observe(e.Seconds)
+			}
 		}
 	}
 	return nil
@@ -175,9 +204,7 @@ func (m *Manager) CompleteLease(id, worker string, report json.RawMessage, errMs
 	if err != nil {
 		return err
 	}
-	claim := func(j *Job) bool {
-		return j.leased && j.leaseWorker == worker && j.state == StateRunning
-	}
+	claim := func(j *Job) bool { return j.heldByLocked(worker) }
 	var ok bool
 	if errMsg == "" {
 		ok = m.finish(j, claim, StateDone, nil, report, "")
@@ -219,26 +246,51 @@ func (m *Manager) ExpireLeases(now time.Time) int {
 			n++
 			continue
 		}
-		j.leased = false
-		j.state = StateQueued
-		j.mu.Unlock()
 		m.mLeaseExpired.Inc()
-		m.mRequeued.Inc()
-		m.mLeasesActive.Add(-1)
-		m.mStates[StateQueued].Inc()
-		j.emit(Event{Type: "state", State: StateQueued, Worker: worker, Attempt: attempts,
-			Error: "lease expired; requeued"})
-		m.mu.Lock()
-		if !m.draining {
-			m.enqueueLocked(j, true)
-			m.mu.Unlock()
-		} else {
-			m.mu.Unlock()
-			m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
-		}
+		m.requeueLeasedLocked(j, "lease expired; requeued")
 		n++
 	}
 	return n
+}
+
+// ReturnLease hands back a lease that never reached its worker (the request
+// was gone by the time the grant was made, or the response could not be
+// written): the job requeues at the front of its class at once instead of
+// waiting out the lease TTL. It reports whether worker still held the lease.
+func (m *Manager) ReturnLease(id, worker string) bool {
+	j, err := m.Get(id)
+	if err != nil {
+		return false
+	}
+	j.mu.Lock()
+	if !j.heldByLocked(worker) {
+		j.mu.Unlock()
+		return false
+	}
+	m.requeueLeasedLocked(j, "lease undelivered; requeued")
+	return true
+}
+
+// requeueLeasedLocked returns a leased, running job to the front of its
+// class queue (or cancels it when the manager is draining). The caller holds
+// j.mu and has checked its claim on the lease; the lock is released here.
+func (m *Manager) requeueLeasedLocked(j *Job, note string) {
+	worker, attempts := j.leaseWorker, j.attempts
+	j.leased = false
+	j.state = StateQueued
+	j.mu.Unlock()
+	m.mRequeued.Inc()
+	m.mLeasesActive.Add(-1)
+	m.mStates[StateQueued].Inc()
+	j.emit(Event{Type: "state", State: StateQueued, Worker: worker, Attempt: attempts, Error: note})
+	m.mu.Lock()
+	if !m.draining {
+		m.enqueueLocked(j, true)
+		m.mu.Unlock()
+	} else {
+		m.mu.Unlock()
+		m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
+	}
 }
 
 // TakeCancels drains and returns the IDs of leased jobs cancelled while

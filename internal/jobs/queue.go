@@ -39,7 +39,7 @@ func (m *Manager) queueDepthLocked() int {
 
 // enqueueLocked adds a queued job to its class queue (front-of-class when
 // requeueing after a lost lease, so recovery latency is not paid twice) and
-// wakes one waiting local worker.
+// wakes one waiting local worker and every parked lease request.
 func (m *Manager) enqueueLocked(j *Job, front bool) {
 	c := classRank(j.Spec.Priority)
 	if front {
@@ -49,6 +49,14 @@ func (m *Manager) enqueueLocked(j *Job, front bool) {
 	}
 	m.noteDepthLocked()
 	m.cond.Signal()
+	m.wakeLocked()
+}
+
+// wakeLocked releases every LeaseJob call parked on the current wake channel
+// to look at the queue (or the draining flag) again.
+func (m *Manager) wakeLocked() {
+	close(m.wake)
+	m.wake = make(chan struct{})
 }
 
 // popLocked removes and returns the front of the highest nonempty class
@@ -124,24 +132,11 @@ func (m *Manager) QueueStats() QueueStats {
 		Depth:    m.queueDepthLocked(),
 		Capacity: m.opts.QueueDepth,
 		Running:  int(m.mInflight.Value()),
-		Leased:   m.leasedLocked(),
+		Leased:   int(m.mLeasesActive.Value()),
 		Draining: m.draining,
 	}
 	st.Accepting = !m.draining && st.Depth < st.Capacity
 	return st
-}
-
-// leasedLocked counts jobs currently leased to remote workers.
-func (m *Manager) leasedLocked() int {
-	n := 0
-	for _, j := range m.jobs {
-		j.mu.Lock()
-		if j.leased {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
 }
 
 // RetryAfter derives the Retry-After hint (in whole seconds) a shed
@@ -159,7 +154,8 @@ func (m *Manager) RetryAfter() int {
 	if draining {
 		return 30
 	}
-	slots += m.leasedSlots()
+	// Each active lease is a remote worker slot proven to exist.
+	slots += int(m.mLeasesActive.Value())
 	if slots < 1 {
 		slots = 1
 	}
@@ -175,12 +171,4 @@ func (m *Manager) RetryAfter() int {
 		est = 60
 	}
 	return est
-}
-
-// leasedSlots estimates remote capacity: the number of active leases (each
-// lease is a remote worker slot proven to exist).
-func (m *Manager) leasedSlots() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.leasedLocked()
 }

@@ -5,12 +5,15 @@
 #   scripts/smoke_fleet.sh [base-port]
 #
 # Builds mosaicd, starts a coordinator (durable, -data-dir) plus a worker,
-# and walks the fleet serving path with curl: submit a batch through the
+# and walks the fleet serving path with curl: a quick job on the idle fleet
+# starts within 100 ms of its submission (the worker's lease request is
+# parked at the coordinator, not polling), then submit a batch through the
 # coordinator, wait until a job is running on the worker, SIGKILL the worker
 # mid-run, assert the lease expires and the job requeues to a second worker,
-# every job completes with a report, the fleet metrics show the leases, both
-# survivors drain cleanly on SIGTERM — and a restarted coordinator serves
-# the finished jobs back from disk. Any failure exits non-zero.
+# every job completes with a report, the fleet metrics show the leases, the
+# parked worker and the coordinator holding a parked request each drain
+# cleanly within 2 s of SIGTERM — and a restarted coordinator serves the
+# finished jobs back from disk. Any failure exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,8 +89,6 @@ echo "smoke-fleet: starting worker w1 on :${W1_PORT}..."
 W1_PID=$!
 wait_healthz "http://127.0.0.1:${W1_PORT}" "$W1_PID"
 
-# Submit a batch through the coordinator: one longer job first (the SIGKILL
-# victim), then quick ones behind it.
 submit() {
   local body="$1"
   local out
@@ -95,6 +96,45 @@ submit() {
     || fail "submit failed: $body"
   echo "$out" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1
 }
+
+# stamp_ns prints one RFC 3339 timestamp field of a status body in nanoseconds.
+stamp_ns() {
+  local field="$1" body="$2" ts
+  ts="$(sed -n "s/.*\"${field}\": *\"\([^\"]*\)\".*/\1/p" <<<"$body" | head -1)"
+  [[ -n "$ts" ]] || fail "status has no ${field}: $body"
+  date -d "$ts" +%s%N
+}
+
+# term_within_2s SIGTERMs a daemon and requires exit 0 and the clean-drain
+# line within two seconds.
+term_within_2s() {
+  local what="$1" pid="$2" log="$3" t0 code=0
+  t0="$(date +%s%N)"
+  kill -TERM "$pid"
+  wait "$pid" || code=$?
+  local ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+  [[ "$code" -eq 0 ]] || fail "$what exited $code on SIGTERM"
+  grep -q 'drained cleanly' "$log" || fail "$what log missing clean-drain line"
+  [[ "$ms" -lt 2000 ]] || fail "$what took ${ms} ms to drain, want under 2000"
+  echo "smoke-fleet: $what drained cleanly in ${ms} ms"
+}
+
+# Push-based dispatch: w1 is idle, its lease request parked at the
+# coordinator, so a job starts when it is queued.
+J0="$(submit '{"workload":"sgemm","scale":"tiny"}')"
+[[ -n "$J0" ]] || fail "first submission returned no ID"
+for i in $(seq 1 100); do
+  STATUS0="$(fetch_status "$J0")" || fail "status fetch failed for $J0"
+  if grep -q '"state": "done"' <<<"$STATUS0"; then break; fi
+  [[ "$i" -lt 100 ]] || fail "$J0 never finished on the idle fleet: $STATUS0"
+  sleep 0.1
+done
+WAIT_MS=$(( ($(stamp_ns started "$STATUS0") - $(stamp_ns submitted "$STATUS0")) / 1000000 ))
+[[ "$WAIT_MS" -lt 100 ]] || fail "$J0 waited ${WAIT_MS} ms for a lease on an idle fleet, want under 100"
+echo "smoke-fleet: $J0 started ${WAIT_MS} ms after submission"
+
+# Submit a batch through the coordinator: one longer job first (the SIGKILL
+# victim), then quick ones behind it.
 J1="$(submit '{"workload":"sgemm","scale":"small","tiles":2}')"
 J2="$(submit '{"workload":"sgemm","scale":"tiny","tiles":2}')"
 J3="$(submit '{"workload":"spmv","scale":"tiny","tiles":2}')"
@@ -144,23 +184,28 @@ for want in \
   'mosaicd_fleet_leases_granted_total' \
   'mosaicd_leases_expired_total 1' \
   'mosaicd_jobs_requeued_total 1' \
-  'mosaicd_jobs_total{state="done"} 4'; do
+  'mosaicd_queue_wait_seconds_count 6' \
+  'mosaicd_jobs_total{state="done"} 5'; do
   grep -qF "$want" <<<"$METRICS" || fail "metrics missing '$want'"
 done
 echo "smoke-fleet: lease expiry and requeue visible in metrics"
 
-# Graceful shutdown: the surviving worker and the coordinator both drain.
-kill -TERM "$W2_PID"
-EXIT_CODE=0; wait "$W2_PID" || EXIT_CODE=$?
-[[ "$EXIT_CODE" -eq 0 ]] || fail "worker w2 exited $EXIT_CODE on SIGTERM"
-grep -q 'drained cleanly' "$W2LOG" || fail "w2 log missing clean-drain line"
+# Graceful shutdown. w2 is idle, so its lease request is parked: SIGTERM must
+# abandon it at once, not wait the hold out.
+term_within_2s "idle worker w2" "$W2_PID" "$W2LOG"
 W2_PID=""
-kill -TERM "$COORD_PID"
-EXIT_CODE=0; wait "$COORD_PID" || EXIT_CODE=$?
-[[ "$EXIT_CODE" -eq 0 ]] || fail "coordinator exited $EXIT_CODE on SIGTERM"
-grep -q 'drained cleanly' "$CLOG" || fail "coordinator log missing clean-drain line"
+# The coordinator drains with a lease request parked in it (a raw one, asking
+# for 30 s): the drain answers it 204 and does not wait for it.
+PARKED_CODE="$(mktemp)"
+curl -s -o /dev/null -w '%{http_code}' -X POST "${BASE}/cluster/v1/lease" \
+  -d '{"name":"parked","wait":30000000000}' >"$PARKED_CODE" &
+CURL_PID=$!
+sleep 0.2
+term_within_2s "coordinator with a parked lease request" "$COORD_PID" "$CLOG"
 COORD_PID=""
-echo "smoke-fleet: clean drain"
+wait "$CURL_PID" || true
+[[ "$(cat "$PARKED_CODE")" == "204" ]] || fail "parked lease request answered '$(cat "$PARKED_CODE")' at drain, want 204"
+rm -f "$PARKED_CODE"
 
 # Durability: a restarted coordinator serves the finished jobs from disk.
 "$BIN" -role coordinator -addr "127.0.0.1:${PORT}" -data-dir "$DATA" >"$CLOG" 2>&1 &
