@@ -444,10 +444,10 @@ void kernel(float* A, float* B, float* C, long dim) {
 }
 `
 
-// BenchmarkSweepReplay measures the schedule-capture replay win on a
-// timing-only Pareto sweep (DESIGN.md §5f): 100 legs over a mem-class-latency
-// × DRAM-bandwidth grid share one recorded schedule, so every leg after the
-// first is answered analytically instead of re-simulated. The reported
+// BenchmarkSweepReplay measures the replay win on a timing-only Pareto sweep
+// (DESIGN.md §5f): 100 legs over a mem-class-latency × DRAM-bandwidth grid
+// share one recorded schedule, so every leg after the first is proven
+// identical to it and answered from it instead of re-simulated. The reported
 // "speedup" metric is the recording (full-simulation) leg's wall time divided
 // by the mean replayed leg's; the acceptance bar is >=10x. A leg that falls
 // back to full simulation fails the benchmark — the sweep is timing-only by
@@ -467,7 +467,7 @@ func BenchmarkSweepReplay(b *testing.B) {
 		}
 	}
 	// 10×10 grid; bandwidth sweeps upward from the Table II baseline so the
-	// simple-DRAM refit certificate always holds (budget only grows).
+	// simple-DRAM refit proof always holds (budget only grows).
 	legs := make([]*config.SystemConfig, 0, 100)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {

@@ -44,7 +44,6 @@ func realMain() int {
 	run := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	jobs := flag.Int("jobs", 0, "max concurrent simulations (0 = all CPU cores)")
 	replay := flag.Bool("replay", true, "answer timing-only sweep legs from recorded schedules (bit-identical results)")
-	noreplay := flag.Bool("noreplay", false, "disable schedule-capture replay (overrides -replay)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole regeneration (0 = none)")
 	optLevel := flag.String("O", "", "compiler optimization level applied to every workload leg: O0, O1, O2 (default O0)")
 	passes := flag.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
@@ -131,7 +130,7 @@ func realMain() int {
 		return 2
 	}
 	r := experiments.NewRunner(s)
-	r.Replay = *replay && !*noreplay
+	r.Replay = *replay
 	r.Opt = opt
 	// Experiments and their internal legs share one worker budget; outputs
 	// are buffered and printed in request order.

@@ -63,6 +63,31 @@ func main() {
 	os.Exit(run())
 }
 
+// roleOptions turns the options the flags describe into the ones role's
+// manager runs under; slots is a worker's lease concurrency. The store holds
+// jobs only where they are admitted (a worker mirrors jobs the coordinator
+// already persists), and admission control belongs there too: every job a
+// worker leases has passed the coordinator's quota and queue bound, so the
+// worker's local manager must take whatever its slots can hold and never
+// shed it a second time.
+func roleOptions(role string, opts jobs.Options, st *store.Store, slots int) (jobs.Options, error) {
+	switch role {
+	case "standalone":
+		opts.Store = st
+	case "coordinator":
+		opts.Store = st
+		opts.Workers = -1 // every job executes on a leased worker
+	case "worker":
+		opts.TenantQuota = 0
+		if opts.QueueDepth < slots {
+			opts.QueueDepth = slots
+		}
+	default:
+		return opts, fmt.Errorf("unknown -role %q (want standalone, coordinator, or worker)", role)
+	}
+	return opts, nil
+}
+
 func run() int {
 	role := flag.String("role", "standalone", "standalone (serve and execute), coordinator (serve, lease to a fleet), or worker (execute leases from -coordinator)")
 	addr := flag.String("addr", ":8374", "listen address (host:port; :0 picks a free port)")
@@ -131,19 +156,19 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	switch *role {
-	case "standalone":
-		opts.Store = st
-	case "coordinator":
-		opts.Store = st
-		opts.Workers = -1 // every job executes on a leased worker
-	case "worker":
-		if *coordURL == "" {
-			log.Print("-role worker requires -coordinator URL")
-			return 1
+	if *role == "worker" && *coordURL == "" {
+		log.Print("-role worker requires -coordinator URL")
+		return 1
+	}
+	nslots := *slots
+	if nslots <= 0 {
+		if nslots = *workers; nslots <= 0 {
+			nslots = runtime.NumCPU()
 		}
-	default:
-		log.Printf("unknown -role %q (want standalone, coordinator, or worker)", *role)
+	}
+	opts, err := roleOptions(*role, opts, st, nslots)
+	if err != nil {
+		log.Print(err)
 		return 1
 	}
 
@@ -167,12 +192,6 @@ func run() int {
 		if wname == "" {
 			host, _ := os.Hostname()
 			wname = fmt.Sprintf("%s:%d", host, os.Getpid())
-		}
-		nslots := *slots
-		if nslots <= 0 {
-			if nslots = *workers; nslots <= 0 {
-				nslots = runtime.NumCPU()
-			}
 		}
 		w, err := cluster.NewWorker(cluster.WorkerOptions{
 			Name:        wname,

@@ -28,6 +28,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,36 +52,48 @@ import (
 // CPU/heap profile writers in particular, which os.Exit inside the work loop
 // would otherwise skip.
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	workload := flag.String("workload", "", "built-in workload name, or a comma-separated list (see -list)")
-	list := flag.Bool("list", false, "list built-in workloads")
-	tiles := flag.Int("tiles", 1, "SPMD tile count")
-	coreKind := flag.String("core", "ooo", "core model: ooo, inorder, xeon")
-	scale := flag.String("scale", "small", "workload scale: tiny, small, large")
-	memKind := flag.String("mem", "tab2", "memory hierarchy: tab1 (Xeon-like) or tab2 (DAE study)")
-	dram := flag.String("dram", "", "override DRAM model: simple or banked")
-	coherence := flag.Bool("coherence", false, "enable the directory coherence extension")
-	mesh := flag.Int("mesh", 0, "arrange tiles on a 2D mesh of this width (0 = flat fabric)")
-	hop := flag.Int64("hop", 4, "NoC per-hop latency in cycles (with -mesh)")
-	branch := flag.String("branch", "", "override branch predictor: none, static, dynamic, perfect")
-	asJSON := flag.Bool("json", false, "emit the result as JSON instead of tables")
-	cfgPath := flag.String("config", "", "system configuration JSON (overrides -core/-mem/-tiles)")
-	topology := flag.String("topology", "", "declarative topology: a JSON file (see configs/) or a preset name (spmd-xeon, dae-pair, core-accel)")
-	saveCfg := flag.String("save-config", "", "write the effective system configuration to a JSON file and exit")
-	jobs := flag.Int("jobs", 0, "max concurrent workload simulations (0 = all CPU cores)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole sweep (0 = none)")
-	noskip := flag.Bool("noskip", false, "disable event-horizon cycle skipping (naive cycle-by-cycle loop)")
-	replay := flag.Bool("replay", true, "answer timing-only re-simulations from recorded schedules (bit-identical results)")
-	noreplay := flag.Bool("noreplay", false, "disable schedule-capture replay (overrides -replay)")
-	optLevel := flag.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
-	passes := flag.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
-	unroll := flag.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mosaicsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "", "built-in workload name, or a comma-separated list (see -list)")
+	list := fs.Bool("list", false, "list built-in workloads")
+	tiles := fs.Int("tiles", 1, "SPMD tile count")
+	coreKind := fs.String("core", "ooo", "core model: ooo, inorder, xeon")
+	scale := fs.String("scale", "small", "workload scale: tiny, small, large")
+	memKind := fs.String("mem", "tab2", "memory hierarchy: tab1 (Xeon-like) or tab2 (DAE study)")
+	dram := fs.String("dram", "", "override DRAM model: simple or banked")
+	coherence := fs.Bool("coherence", false, "enable the directory coherence extension")
+	mesh := fs.Int("mesh", 0, "arrange tiles on a 2D mesh of this width (0 = flat fabric)")
+	hop := fs.Int64("hop", 4, "NoC per-hop latency in cycles (with -mesh)")
+	branch := fs.String("branch", "", "override branch predictor: none, static, dynamic, perfect")
+	asJSON := fs.Bool("json", false, "emit the result as JSON instead of tables")
+	cfgPath := fs.String("config", "", "system configuration JSON (overrides -core/-mem/-tiles)")
+	topology := fs.String("topology", "", "declarative topology: a JSON file (see configs/) or a preset name (spmd-xeon, dae-pair, core-accel)")
+	saveCfg := fs.String("save-config", "", "write the effective system configuration to a JSON file and exit")
+	jobs := fs.Int("jobs", 0, "max concurrent workload simulations (0 = all CPU cores)")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole sweep (0 = none)")
+	noskip := fs.Bool("noskip", false, "disable event-horizon cycle skipping (naive cycle-by-cycle loop)")
+	replay := fs.Bool("replay", true, "answer timing-only re-simulations from recorded schedules (bit-identical results)")
+	optLevel := fs.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
+	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
+	unroll := fs.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // fs has already written the error and the usage to stderr
+	}
+	// fatal reports err and returns the failure exit code for run to return,
+	// so deferred cleanups (profiles) still execute.
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "mosaicsim:", err)
+		return 1
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -110,12 +123,12 @@ func run() int {
 
 	if *list {
 		for _, w := range workloads.All() {
-			fmt.Printf("%-14s %s\n", w.Name, w.Desc)
+			fmt.Fprintf(stdout, "%-14s %s\n", w.Name, w.Desc)
 		}
 		return 0
 	}
 	if *workload == "" {
-		fmt.Fprintln(os.Stderr, "need -workload (or -list); see -h")
+		fmt.Fprintln(stderr, "need -workload (or -list); see -h")
 		return 2
 	}
 	// Validate the whole list up front: an unknown name fails immediately
@@ -124,18 +137,18 @@ func run() int {
 	for _, name := range strings.Split(*workload, ",") {
 		w, err := workloads.Resolve(strings.TrimSpace(name))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mosaicsim:", err)
+			fmt.Fprintln(stderr, "mosaicsim:", err)
 			return 2
 		}
 		ws = append(ws, w)
 	}
 	if *optLevel != "" && *passes != "" {
-		fmt.Fprintln(os.Stderr, "mosaicsim: -O and -passes are mutually exclusive")
+		fmt.Fprintln(stderr, "mosaicsim: -O and -passes are mutually exclusive")
 		return 2
 	}
 	opt, err := ir.ParseOptConfig(*optLevel, *passes, *unroll)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mosaicsim:", err)
+		fmt.Fprintln(stderr, "mosaicsim:", err)
 		return 2
 	}
 	if !opt.IsDefault() {
@@ -158,9 +171,6 @@ func run() int {
 			}
 			if err != nil {
 				return nil, err
-			}
-			if *branch != "" {
-				return nil, fmt.Errorf("-branch cannot override a declarative topology; set it per tile in the file")
 			}
 		} else if *cfgPath != "" {
 			var err error
@@ -207,6 +217,11 @@ func run() int {
 			sc.NoC = &config.NoCConfig{MeshWidth: *mesh, HopCycles: *hop}
 		}
 		if *branch != "" {
+			// The override reaches only the cores form; on a tiles-form file
+			// it would be dropped silently.
+			if *topology != "" || len(sc.Tiles) > 0 {
+				return nil, fmt.Errorf("-branch cannot override a declarative topology; set it per tile in the file")
+			}
 			for i := range sc.Cores {
 				sc.Cores[i].Core.Branch = config.BranchPredictor(*branch)
 			}
@@ -225,7 +240,7 @@ func run() int {
 		if err := sc.Save(*saveCfg); err != nil {
 			return fatal(err)
 		}
-		fmt.Printf("wrote %s\n", *saveCfg)
+		fmt.Fprintf(stdout, "wrote %s\n", *saveCfg)
 		return 0
 	}
 
@@ -258,12 +273,12 @@ func run() int {
 	}
 	outs := make([]string, len(ws))
 	err = parallel.ForErrCtx(ctx, 0, len(ws), func(i int) error {
-		out, err := runOne(ctx, ws[i], configFor, wScale, *scale, *asJSON, *noskip, *replay && !*noreplay)
+		out, err := runOne(ctx, ws[i], configFor, wScale, *scale, *asJSON, *noskip, *replay)
 		outs[i] = out
 		return err
 	})
 	for _, out := range outs {
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 	}
 	if err != nil {
 		return fatal(err)
@@ -296,20 +311,22 @@ func runOne(ctx context.Context, w *workloads.Workload, configFor func(*workload
 	}
 	tiles := sc.TileCount()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "compiling and tracing %s (%d tiles, %s scale)...\n", w.Name, tiles, scale)
 	tr, err := s.Trace(ctx)
 	if err != nil {
 		return "", err
 	}
-	fmt.Fprintf(&sb, "trace: %d dynamic instructions, %d memory events\n",
-		tr.TotalDynInstrs(), tr.TotalMemEvents())
+	if !asJSON { // -json output is the result alone, so it parses
+		fmt.Fprintf(&sb, "compiling and tracing %s (%d tiles, %s scale)...\n", w.Name, tiles, scale)
+		fmt.Fprintf(&sb, "trace: %d dynamic instructions, %d memory events\n",
+			tr.TotalDynInstrs(), tr.TotalMemEvents())
+	}
 
 	res, err := s.Run(ctx)
 	if err != nil {
 		return "", err
 	}
-	// A replayed run is answered analytically from a recorded schedule:
-	// there is no live system behind it, so component-level tables are
+	// A replayed run is a copy of a recorded run's result: there is no
+	// live system behind it, so component-level tables are
 	// summarized from the result alone.
 	sys := s.System()
 	if asJSON {
@@ -396,11 +413,4 @@ func printResult(out io.Writer, r soc.Result, sys *soc.System, rp sim.ReplayOutc
 		}
 		fmt.Fprintln(out, kinds.String())
 	}
-}
-
-// fatal reports err and returns the failure exit code for run to return, so
-// deferred cleanups (profiles) still execute.
-func fatal(err error) int {
-	fmt.Fprintln(os.Stderr, "mosaicsim:", err)
-	return 1
 }

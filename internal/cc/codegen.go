@@ -44,18 +44,6 @@ func CompileWithOpt(src, moduleName string, opt ir.OptConfig) (*ir.Module, error
 	if err != nil {
 		return nil, err
 	}
-	return CompileASTWithOpt(file, moduleName, opt)
-}
-
-// CompileAST compiles an already-built AST at O0; other front ends (e.g. the
-// Python/Numba-style one) produce the same AST and share this code
-// generator, exactly as LLVM front ends share the middle end.
-func CompileAST(file *File, moduleName string) (*ir.Module, error) {
-	return CompileASTWithOpt(file, moduleName, ir.OptConfig{})
-}
-
-// CompileASTWithOpt compiles an AST and runs the optimization pipeline.
-func CompileASTWithOpt(file *File, moduleName string, opt ir.OptConfig) (*ir.Module, error) {
 	mod, err := compileASTO0(file, moduleName)
 	if err != nil {
 		return nil, err
@@ -431,14 +419,6 @@ func (c *compiler) genDecl(st *DeclStmt) error {
 		v, ty, err := c.genExpr(st.Init)
 		if err != nil {
 			return err
-		}
-		if declTy.Kind == ir.Void && !declTy.Ptr {
-			// Inferred declaration (Python-style front ends): take the
-			// initializer's type, widening small ints to long.
-			declTy = ty
-			if !declTy.Ptr && declTy.Kind == ir.I32 {
-				declTy = scalar(ir.I64)
-			}
 		}
 		cv, err := c.convert(st.Line, v, ty, declTy)
 		if err != nil {

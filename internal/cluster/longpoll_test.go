@@ -361,6 +361,65 @@ func TestSlotsBoundInFlight(t *testing.T) {
 	<-done
 }
 
+// TestSameTenantLeasesFillTheSlots: a worker's local manager set up the way
+// cmd/mosaicd sets a worker up — no tenant quota, a queue as deep as the
+// slots — takes both of a tenant's leases while the first is still running
+// (one local simulation at a time, so the second waits in the local queue),
+// and both finish on their first attempt. The tenant's quota is the
+// coordinator's to enforce: there a third submission sheds.
+func TestSameTenantLeasesFillTheSlots(t *testing.T) {
+	coordMgr := jobs.NewManager(jobs.Options{Workers: -1, QueueDepth: 32, TenantQuota: 2})
+	srv := httptest.NewServer(NewCoordinator(coordMgr, CoordinatorOptions{LeaseTTL: 30 * time.Second}))
+	t.Cleanup(func() {
+		shutdown(t, coordMgr)
+		srv.Close()
+	})
+	spec := jobs.Spec{Workload: "sgemm", Scale: "tiny", Tenant: "acme"}
+	var batch []*jobs.Job
+	for i := 0; i < 2; i++ {
+		j, err := coordMgr.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, j)
+	}
+	if _, err := coordMgr.Submit(spec); !errors.Is(err, jobs.ErrTenantQuota) {
+		t.Fatalf("third submission at the coordinator: err = %v, want the tenant quota", err)
+	}
+
+	release := make(chan struct{})
+	local := jobs.NewManager(jobs.Options{Workers: 1, QueueDepth: 2, Runner: func(ctx context.Context, j *jobs.Job) (json.RawMessage, error) {
+		<-release
+		return json.RawMessage(`{}`), nil
+	}})
+	t.Cleanup(func() { shutdown(t, local) })
+	w, err := NewWorker(WorkerOptions{Name: "w1", Coordinator: srv.URL, Manager: local, Slots: 2, Poll: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+
+	// Both leases are held by the local manager before either may finish.
+	waitFor(t, "both leases admitted locally", func() bool {
+		qs := local.QueueStats()
+		return qs.Depth+qs.Running == 2
+	})
+	close(release)
+	for _, j := range batch {
+		if st := waitTerminal(t, j, 10*time.Second); st != jobs.StateDone {
+			t.Fatalf("job %s finished %s: %s", j.ID, st, j.Status().Error)
+		}
+		if a := j.Status().Attempts; a != 1 {
+			t.Errorf("job %s took %d attempts, want 1", j.ID, a)
+		}
+	}
+	cancel()
+	<-done
+}
+
 // TestIdleWorkerDoesNotSpin counts lease requests over one idle second: at
 // most one per hold while the coordinator parks them, and at most one per
 // Poll once it is draining and answers 204 at once.

@@ -9,7 +9,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
+
+	"mosaicsim/internal/stats"
 )
 
 // InstrClass buckets instructions for latency, energy, and functional-unit
@@ -63,6 +66,8 @@ const (
 	// next DBB (no control speculation at all).
 	BranchNone BranchPredictor = "none"
 )
+
+var branchNames = []string{string(BranchNone), string(BranchStatic), string(BranchDynamic), string(BranchPerfect)}
 
 // CoreConfig holds the microarchitectural resource limits of one core tile
 // (§III-A).
@@ -169,15 +174,24 @@ next:
 	return name, found
 }
 
-// validateClasses rejects per-class map keys that name no instruction class.
-func (c *CoreConfig) validateClasses() error {
+// validateNames rejects per-class map keys that name no instruction class
+// and a branch predictor that names no model: the timing core would apply
+// the default for the one and simulate the other as "none", both silently.
+// An empty branch stays accepted (it too simulates as "none").
+func (c *CoreConfig) validateNames() error {
 	if n, ok := unknownClass(c.Latencies); ok {
 		return &UnknownClassError{Core: c.Name, Field: "latencies", Name: n}
 	}
 	if n, ok := unknownClass(c.FunctionalUnits); ok {
 		return &UnknownClassError{Core: c.Name, Field: "functional_units", Name: n}
 	}
-	return nil
+	if c.Branch == "" || slices.Contains(branchNames, string(c.Branch)) {
+		return nil
+	}
+	if s := stats.Closest(string(c.Branch), branchNames); s != "" {
+		return fmt.Errorf("core %q: unknown branch predictor %q (did you mean %q?)", c.Name, c.Branch, s)
+	}
+	return fmt.Errorf("core %q: unknown branch predictor %q (valid: %s)", c.Name, c.Branch, strings.Join(branchNames, ", "))
 }
 
 // CacheConfig configures one cache (§V-A).
@@ -380,7 +394,7 @@ func (sc *SystemConfig) Validate() error {
 		if cs.Core.IssueWidth <= 0 || cs.Core.WindowSize <= 0 || cs.Core.LSQSize <= 0 {
 			return fmt.Errorf("config %q: core %q needs positive issue width, window, and LSQ", sc.Name, cs.Core.Name)
 		}
-		if err := cs.Core.validateClasses(); err != nil {
+		if err := cs.Core.validateNames(); err != nil {
 			return fmt.Errorf("config %q: %w", sc.Name, err)
 		}
 	}
@@ -430,16 +444,16 @@ func (sc *SystemConfig) validateTiles() error {
 			if td.Core.IssueWidth <= 0 || td.Core.WindowSize <= 0 || td.Core.LSQSize <= 0 {
 				return fmt.Errorf("config %q: tile %d (%s): explicit core needs positive issue width, window, and LSQ", sc.Name, i, td.label())
 			}
-			if err := td.Core.validateClasses(); err != nil {
+			if err := td.Core.validateNames(); err != nil {
 				return fmt.Errorf("config %q: tile %d: %w", sc.Name, i, err)
 			}
 		}
 		if len(td.Overrides) > 0 {
-			// Only the per-class maps are checked here; malformed or unknown
-			// override fields are the tile registry's strict decode to report.
+			// Only names are checked here; malformed or unknown override
+			// fields are the tile registry's strict decode to report.
 			over := CoreConfig{Name: td.label()}
 			if json.Unmarshal(td.Overrides, &over) == nil {
-				if err := over.validateClasses(); err != nil {
+				if err := over.validateNames(); err != nil {
 					return fmt.Errorf("config %q: tile %d overrides: %w", sc.Name, i, err)
 				}
 			}

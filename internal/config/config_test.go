@@ -178,6 +178,50 @@ func TestValidateRejectsUnknownClassNames(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownBranchPredictor: a branch value that names no
+// predictor (a typo like "dynamc") used to simulate silently as "none". It is
+// an error with a suggestion now, in every form a core config can be declared
+// in; the empty value and the four real names stay accepted.
+func TestValidateRejectsUnknownBranchPredictor(t *testing.T) {
+	legacy := XeonSystem(1)
+	legacy.Cores[0].Core.Branch = "dynamc"
+	explicit := OutOfOrderCore()
+	explicit.Branch = "statik"
+	tiles := func(td TileDef) *SystemConfig {
+		return &SystemConfig{Name: "t", Tiles: []TileDef{td}, Mem: TableIIMem()}
+	}
+	for name, tc := range map[string]struct {
+		sc   *SystemConfig
+		want []string
+	}{
+		"legacy cores":   {legacy, []string{`unknown branch predictor "dynamc"`, `did you mean "dynamic"?`}},
+		"explicit core":  {tiles(TileDef{Core: &explicit}), []string{"tile 0", `"statik"`, `did you mean "static"?`}},
+		"tile overrides": {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"branch": "perfekt"}`)}), []string{"tile 0 overrides", `did you mean "perfect"?`}},
+		"nothing close":  {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"branch": "tournament"}`)}), []string{`"tournament"`, "valid: none, static, dynamic, perfect"}},
+	} {
+		err := tc.sc.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted the config", name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not contain %q", name, err, w)
+			}
+		}
+	}
+	for _, b := range []BranchPredictor{"", BranchNone, BranchStatic, BranchDynamic, BranchPerfect} {
+		ok := XeonSystem(1)
+		ok.Cores[0].Core.Branch = b
+		if err := ok.Validate(); err != nil {
+			t.Errorf("branch %q rejected: %v", b, err)
+		}
+		if err := tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"branch": "` + string(b) + `"}`)}).Validate(); err != nil {
+			t.Errorf("override branch %q rejected: %v", b, err)
+		}
+	}
+}
+
 func TestInstrClassNames(t *testing.T) {
 	seen := map[string]bool{}
 	for c := InstrClass(0); c < NumClasses; c++ {

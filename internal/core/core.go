@@ -1046,24 +1046,6 @@ func (c *Core) NextEvent(now int64) int64 {
 	return h
 }
 
-// SoleCompletionAt reports whether the core's only pending self-scheduled
-// work is exactly one in-flight operation completing at cycle at: nothing
-// else issued, no parked store-value drains, and no gated mispredict launch
-// release pending. The schedule recorder uses it to certify that an
-// accelerator completion is the lone event a quiet window is waiting on.
-func (c *Core) SoleCompletionAt(now, at int64) bool {
-	if c.finished || c.outstanding != 1 || c.completions.Len() != 1 || c.completions[0].key != at {
-		return false
-	}
-	if len(c.pendingDrain) != 0 {
-		return false
-	}
-	if c.lastDBB != nil && c.lastDBB.mispredict && c.lastDBB.termDone && now < c.launchAt {
-		return false
-	}
-	return true
-}
-
 // StallSnapshot captures the stall counters that advance every stalled cycle
 // even when the tile's architectural state is frozen. The Interleaver
 // brackets a tile's Step with snapshots and replays the constant per-step

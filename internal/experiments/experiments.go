@@ -58,10 +58,10 @@ type Runner struct {
 	// config keep their own). The artifact cache keys on the pass-config
 	// hash, so sweeping Opt never aliases cached traces across levels.
 	Opt ir.OptConfig
-	// Replay routes every leg through schedule-capture timing replay
-	// (internal/replay): the first leg of each (workload, structure) pair
-	// records its schedule into the runner's cache and later legs whose
-	// delta is timing-only are answered analytically, bit-exactly. Tables
+	// Replay routes every leg through timing replay (internal/replay): the
+	// first leg of each (workload, structure) pair records its schedule
+	// into the runner's cache and later legs the classifier proves
+	// identical to it are answered with its recorded Result. Tables
 	// and figures are unaffected by construction; ReplayCounters records how
 	// many legs replayed versus fell back (cmd/experiments reports the
 	// totals on stderr, keeping report output byte-stable at any -jobs).

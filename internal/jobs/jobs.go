@@ -262,7 +262,7 @@ type Options struct {
 	// sim-backed runner; tests substitute a controllable stub.
 	Runner Runner
 	// Replay is the default for specs that leave replay unset: answer
-	// timing-only re-submissions analytically from recorded schedules
+	// re-submissions proven identical to a recorded run from its schedule
 	// (bit-identical to full simulation).
 	Replay bool
 }

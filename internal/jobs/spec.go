@@ -54,8 +54,8 @@ type Spec struct {
 	Limit int64 `json:"limit,omitempty"`
 	// NoSkip disables event-horizon cycle skipping.
 	NoSkip bool `json:"noskip,omitempty"`
-	// Replay controls schedule-capture timing replay for this job: answer a
-	// timing-only re-submission analytically from a recorded schedule
+	// Replay controls timing replay for this job: answer a re-submission the
+	// classifier proves identical to a recorded run from that run's schedule
 	// (bit-identical to full simulation). Unset inherits the daemon's
 	// default (Options.Replay).
 	Replay *bool `json:"replay,omitempty"`

@@ -52,8 +52,7 @@ type canonForm struct {
 	Mem   config.MemConfig
 	NoC   *config.NoCConfig
 	// FabricLat stays structural (not normalized away): a base fabric
-	// latency delta reorders message arrivals, which no replay family can
-	// re-evaluate analytically.
+	// latency delta reorders message arrivals, which no replay proof covers.
 	FabricLat int64
 }
 

@@ -11,53 +11,24 @@ import (
 	"mosaicsim/internal/soc"
 )
 
-// Decision is the classifier's verdict on one config delta: either the delta
-// is replayable (Eligible, with the per-invocation evaluation payload) or it
-// must fall back to full simulation for the stated Reason.
+// Decision is the classifier's verdict on one config delta: either the
+// re-run is proven identical to the recorded one (Eligible — the hit is
+// Schedule.ResultCopy) or it must fall back to full simulation for the
+// stated Reason.
 type Decision struct {
 	Eligible bool
-	// Families names the delta families the eligible replay composes:
-	// "identical", "inert-knob", "dram-refit", "accel-shift".
+	// Families names the proofs an eligible decision rests on: "identical"
+	// (no delta), "inert-knob", "dram-refit".
 	Families []string
 	// Reason explains a fallback (empty when Eligible).
 	Reason string
-
-	newInvs    []newInv
-	shifts     []shiftPoint
-	deltaTotal int64
 }
 
-// newInv is the new accelerator model's answer for one recorded invocation.
-type newInv struct {
-	Cycles   int64
-	Bytes    int64
-	EnergyPJ float64
-	Delta    int64 // Cycles - recorded Cycles
-}
-
-// shiftPoint applies a rigid time shift Delta to everything at or after the
-// recorded cycle At (a certified invocation's recorded completion).
-type shiftPoint struct {
-	At    int64
-	Delta int64
-}
-
-// shiftAt returns the cumulative shift applying to recorded cycle t.
-func shiftAt(shifts []shiftPoint, t int64) int64 {
-	var a int64
-	for _, sp := range shifts {
-		if sp.At <= t {
-			a += sp.Delta
-		}
-	}
-	return a
-}
-
-// Classify decides whether the delta between a recorded schedule and a new
-// (config, accelerator models, cycle limit) triple is replayable. It is the
+// Classify decides whether a run of the new (config, accelerator models,
+// cycle limit) triple would be identical to the recorded one. It is the
 // explicit eligibility check the replay contract requires: every admitted
-// delta carries a soundness argument checkable from recorded evidence, and
-// everything else falls back with a reason.
+// delta carries a proof checkable from recorded evidence, and everything
+// else falls back with a reason.
 func Classify(s *Schedule, cfg *config.SystemConfig, accels map[string]soc.AccelModel, limit int64) Decision {
 	fb := func(format string, args ...any) Decision {
 		return Decision{Reason: fmt.Sprintf(format, args...)}
@@ -191,20 +162,10 @@ func Classify(s *Schedule, cfg *config.SystemConfig, accels map[string]soc.Accel
 		fams["inert-knob"] = true
 	}
 
-	// Accelerator models: re-invoke the new model per recorded invocation
-	// with the recorded inputs. A latency delta needs the quiet-window
-	// certificate plus the translation margin; result-only deltas (bytes,
-	// energy) need no certificate — totals are recomputed.
-	margin := int64(0)
-	if banked {
-		// Bounds how far past the window start a bank can stay busy: the
-		// worst single-request service time. Old and new agree here (a
-		// banked timing delta with traffic already fell back above).
-		margin = om.DRAM.TRP + om.DRAM.TRCD + om.DRAM.TCAS + om.DRAM.TBurst
-	}
-	newInvs := make([]newInv, len(s.Invocations))
-	var shifts []shiftPoint
-	var dTot int64
+	// Accelerator models: re-invoke the offered model per recorded
+	// invocation with the recorded inputs. The same answers leave the
+	// recorded run untouched; any other answer could move a completion, so
+	// it re-simulates.
 	for k, inv := range s.Invocations {
 		m := accels[inv.Name]
 		if m == nil {
@@ -214,38 +175,16 @@ func Classify(s *Schedule, cfg *config.SystemConfig, accels map[string]soc.Accel
 		if err != nil {
 			return fb("accel: %q invocation %d: %v", inv.Name, k, err)
 		}
-		ni := newInv{Cycles: resN.Cycles, Bytes: resN.Bytes, EnergyPJ: resN.EnergyPJ, Delta: resN.Cycles - inv.Cycles}
-		newInvs[k] = ni
-		if ni.Bytes != inv.Bytes || ni.EnergyPJ != inv.EnergyPJ || ni.Delta != 0 {
-			fams["accel-shift"] = true
+		if resN.Cycles != inv.Cycles || resN.Bytes != inv.Bytes || resN.EnergyPJ != inv.EnergyPJ {
+			return fb("accel: model %q answers invocation %d differently (cycles %d -> %d, bytes %d -> %d, energy %g -> %g pJ)",
+				inv.Name, k, inv.Cycles, resN.Cycles, inv.Bytes, resN.Bytes, inv.EnergyPJ, resN.EnergyPJ)
 		}
-		if ni.Delta == 0 {
-			continue
-		}
-		if !inv.Certified {
-			return fb("accel: latency delta on uncertified invocation %q #%d", inv.Name, k)
-		}
-		// Both the recorded and the shifted completion must land strictly
-		// past the quiet window's start plus the DRAM quiesce margin, so the
-		// post-completion tail is a rigid translation in both frames (the
-		// check uses recorded times and is therefore invariant under the
-		// cumulative shift of earlier segments).
-		if inv.Complete <= inv.QuietFrom+margin || inv.Issue+ni.Cycles <= inv.QuietFrom+margin {
-			return fb("accel: shifted completion of %q #%d leaves the certified quiet margin", inv.Name, k)
-		}
-		if len(inv.CoreStalls) != len(s.Result.CoreStats) {
-			return fb("schedule: stall samples missing for invocation %d", k)
-		}
-		shifts = append(shifts, shiftPoint{At: inv.Complete, Delta: ni.Delta})
-		dTot += ni.Delta
 	}
-	sort.Slice(shifts, func(i, j int) bool { return shifts[i].At < shifts[j].At })
 
-	// SimpleDRAM translation soundness: shifting requests across the
-	// absolute epoch grid (or changing the budget itself) is only inert if
-	// the recorded run never throttled and the re-bucketed arrival log stays
-	// within the (possibly new) per-epoch budget.
-	if !banked && dramTraffic != 0 && (refitBudget || len(shifts) > 0) {
+	// SimpleDRAM refit soundness: changing the per-epoch budget is only
+	// inert if the recorded run never throttled and the re-bucketed arrival
+	// log stays within the new budget.
+	if refitBudget {
 		if r.DRAM.Throttled != 0 {
 			return fb("dram: recorded run was bandwidth-throttled (%d stalls)", r.DRAM.Throttled)
 		}
@@ -253,22 +192,19 @@ func Classify(s *Schedule, cfg *config.SystemConfig, accels map[string]soc.Accel
 			return fb("dram: arrival log incomplete (%d logged, %d requests)", len(s.DRAMArrivals), dramTraffic)
 		}
 		en, mn := mem.SimpleDRAMBudget(nm.DRAM, s.ClockMHz, s.LineBytes)
-		if !refits(s.DRAMArrivals, shifts, om.DRAM.MinLatency, en, mn) {
-			return fb("dram: shifted schedule would exceed the bandwidth budget")
-		}
-		if len(shifts) > 0 {
-			fams["dram-refit"] = true
+		if !refits(s.DRAMArrivals, om.DRAM.MinLatency, en, mn) {
+			return fb("dram: recorded traffic would exceed the new bandwidth budget")
 		}
 	}
 
-	// The replayed run must still complete within the new cycle limit; a
-	// full simulation would otherwise error out instead of producing it.
+	// The recorded run must also fit the new cycle limit; a full simulation
+	// would otherwise error out instead of producing it.
 	newEff := limit
 	if newEff <= 0 {
 		newEff = soc.DefaultCycleLimit
 	}
-	if r.Cycles+dTot > newEff {
-		return fb("limit: replayed run needs %d cycles, limit is %d", r.Cycles+dTot, newEff)
+	if r.Cycles > newEff {
+		return fb("limit: recorded run needs %d cycles, limit is %d", r.Cycles, newEff)
 	}
 
 	if len(fams) == 0 {
@@ -279,30 +215,19 @@ func Classify(s *Schedule, cfg *config.SystemConfig, accels map[string]soc.Accel
 		names = append(names, f)
 	}
 	sort.Strings(names)
-	return Decision{
-		Eligible:   true,
-		Families:   names,
-		newInvs:    newInvs,
-		shifts:     shifts,
-		deltaTotal: dTot,
-	}
+	return Decision{Eligible: true, Families: names}
 }
 
-// refits re-buckets the recorded arrival log — shifted by the certified
-// segments — onto the epoch grid and checks every bucket stays within the
-// budget. Bucketing by completion (arrival + MinLatency) matches the model:
-// with no throttling, each request is served exactly at its ready tick, so
-// bucket(e) <= budget for all e implies — inductively over ready order —
-// that the shifted run never throttles either.
-func refits(arrivals []int64, shifts []shiftPoint, minLat, epoch, budget int64) bool {
+// refits re-buckets the recorded arrival log onto the new epoch grid and
+// checks every bucket stays within the budget. Bucketing by completion
+// (arrival + MinLatency) matches the model: with no throttling, each request
+// is served exactly at its ready tick, so bucket(e) <= budget for all e
+// implies — inductively over ready order — that the new run never throttles
+// either.
+func refits(arrivals []int64, minLat, epoch, budget int64) bool {
 	counts := map[int64]int64{}
-	si, acc := 0, int64(0)
 	for _, a := range arrivals {
-		for si < len(shifts) && shifts[si].At <= a {
-			acc += shifts[si].Delta
-			si++
-		}
-		e := (a + acc + minLat) / epoch
+		e := (a + minLat) / epoch
 		counts[e]++
 		if counts[e] > budget {
 			return false

@@ -1,37 +1,30 @@
-// Package replay implements schedule-capture timing replay: during one full
-// timing simulation a compact event schedule is recorded (accelerator
-// invocations with their certified quiet windows, per-core stall rates, the
-// DRAM arrival log, and the final Result); a later run whose configuration
-// differs only in *provably inert or rigidly shiftable* timing parameters is
-// then answered analytically from the schedule — bit-exactly equal to what a
-// full re-simulation would produce — instead of re-stepping cycle by cycle.
+// Package replay is memoisation with a proof. One full timing simulation
+// records a Schedule: the resolved configuration it ran under, its complete
+// Result, every accelerator invocation with the answer the model gave, and
+// the SimpleDRAM arrival log. For a later run Classify proves the re-run
+// would be identical — no delta, inert knobs, or a DRAM budget refit — and
+// the hit is a copy of the recorded Result; anything else is a declared
+// fallback to full simulation.
 //
-// The engine is deliberately conservative. Classify admits exactly three
-// delta families, each with a machine-checkable soundness argument:
+// The two proof families, each checkable from recorded evidence alone:
 //
-//   - inert knobs: a changed parameter that the recorded run provably never
+//   - inert-knob: a changed parameter that the recorded run provably never
 //     read (binding counts derived from the recorded Result are zero — e.g.
 //     MispredictPenalty with zero mispredicts, a cache latency with zero
 //     accesses, the never-consulted mem-class latency). By determinism and
-//     first-divergence induction the re-run is identical, so the recorded
-//     Result is returned verbatim.
+//     first-divergence induction the re-run is identical.
 //   - dram-refit: SimpleDRAM bandwidth/epoch changes with recorded traffic.
 //     The recorded run never throttled, and re-bucketing the recorded
 //     arrival log under the new epoch budget shows the new run would not
 //     throttle either — so every request still completes at arrival +
 //     MinLatency and timing is unchanged.
-//   - accel-shift: an accelerator model delta. Each recorded invocation is
-//     re-invoked against the new model with the recorded inputs; a latency
-//     delta is sound only when the invocation's completion was certified as
-//     the sole event ending a globally quiet window (soc.ScheduleRecorder),
-//     the shifted completion stays strictly inside that window's margin,
-//     and the DRAM model admits time translation (banked: banks quiesce
-//     within the margin; simple: the shifted arrival log re-fits the epoch
-//     budget). Everything after the completion is then a rigid time
-//     translation, and the Result adjustment is exact arithmetic.
 //
-// Everything else — anything that could reorder the schedule — falls back to
-// full simulation with a declared reason: never a silently wrong number.
+// Accelerator models are a precondition, not a family: each recorded
+// invocation is re-invoked against the offered model with the recorded
+// inputs, and a different answer (cycles, bytes or energy) is a fallback
+// naming the accelerator and the invocation. Nothing is ever adjusted: a
+// change that could move a single event re-simulates — never a silently
+// wrong number.
 package replay
 
 import (
@@ -43,33 +36,20 @@ import (
 	"mosaicsim/internal/soc"
 )
 
-// Invocation is one recorded accelerator call: the model inputs, the timing
-// the recorded run observed, and — when the cycle skipper certified the
-// window it terminated — the quiet-window evidence an accel-shift replay
-// needs.
+// Invocation is one recorded accelerator call: the inputs the model saw and
+// the answer it gave.
 type Invocation struct {
 	Name       string
 	Params     []int64
 	Concurrent int
-	Issue      int64 // cycle the call was issued
-	Complete   int64 // Issue + Cycles
 	Cycles     int64
 	Bytes      int64
 	EnergyPJ   float64
-
-	// Certified invocations completed as the sole event ending a globally
-	// quiet window starting at QuietFrom; CoreStalls holds each core's
-	// per-cycle stall increments across that window (Cores order, zero for
-	// retired cores), the rate at which stall counters scale when the window
-	// is stretched or shrunk by a latency delta.
-	Certified  bool
-	QuietFrom  int64
-	CoreStalls []soc.StallSample
 }
 
-// Schedule is everything one recorded run exposes for analytic re-evaluation:
-// the resolved structural configuration it ran under, its full Result, and
-// the recorded event evidence.
+// Schedule is everything one recorded run keeps for Classify's proofs: the
+// resolved configuration it ran under, its full Result with the cycle
+// skipper's stepped/skipped split, and the recorded evidence.
 type Schedule struct {
 	Tiles []soc.ResolvedTile // resolved per-tile configs, tile-ID order
 	Mem   config.MemConfig
@@ -93,54 +73,26 @@ type Schedule struct {
 	DRAMArrivals []int64 // SimpleDRAM arrival cycles, arrival order
 }
 
-// Recorder implements soc.ScheduleRecorder: it accumulates invocations and
-// quiet-window certificates during a run, and Build assembles the Schedule
-// once the run completes.
+// Recorder accumulates accelerator invocations during a run, and Build
+// assembles the Schedule once the run completes.
 type Recorder struct {
 	invs []Invocation
 }
 
-// NewRecorder returns an empty recorder; attach it with soc.SetRecorder
-// before Run.
+// NewRecorder returns an empty recorder; attach it before Run with
+// sys.RecordSchedule(rec.RecordInvoke).
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// RecordInvoke implements soc.ScheduleRecorder.
-func (r *Recorder) RecordInvoke(name string, params []int64, concurrent int, issue, complete int64, res soc.AccelResult) {
+// RecordInvoke is the soc.System.RecordSchedule hook.
+func (r *Recorder) RecordInvoke(name string, params []int64, concurrent int, res soc.AccelResult) {
 	r.invs = append(r.invs, Invocation{
 		Name:       name,
 		Params:     append([]int64(nil), params...),
 		Concurrent: concurrent,
-		Issue:      issue,
-		Complete:   complete,
 		Cycles:     res.Cycles,
 		Bytes:      res.Bytes,
 		EnergyPJ:   res.EnergyPJ,
 	})
-}
-
-// RecordQuietJump implements soc.ScheduleRecorder: it attaches the window
-// certificate to the unique in-flight invocation completing at target. If
-// the match is not unique (two recorded invocations sharing the completion
-// cycle, which the sole-event certificate upstream should already exclude),
-// none is certified — conservatism costs only a fallback.
-func (r *Recorder) RecordQuietJump(from, target int64, coreStalls []soc.StallSample) {
-	match := -1
-	for i := range r.invs {
-		inv := &r.invs[i]
-		if inv.Complete == target && inv.Issue <= from && !inv.Certified {
-			if match >= 0 {
-				return
-			}
-			match = i
-		}
-	}
-	if match < 0 {
-		return
-	}
-	inv := &r.invs[match]
-	inv.Certified = true
-	inv.QuietFrom = from
-	inv.CoreStalls = append([]soc.StallSample(nil), coreStalls...)
 }
 
 // Build assembles the Schedule for a completed run: the resolved structural
@@ -207,6 +159,10 @@ func copyNoC(n *config.NoCConfig) *config.NoCConfig {
 	c := *n
 	return &c
 }
+
+// ResultCopy is what a replay hit returns: the recorded Result, sharing no
+// slice with the schedule.
+func (s *Schedule) ResultCopy() soc.Result { return deepCopyResult(s.Result) }
 
 func deepCopyResult(r soc.Result) soc.Result {
 	r.CoreStats = append([]core.Stats(nil), r.CoreStats...)

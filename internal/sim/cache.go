@@ -283,7 +283,7 @@ func (c *Cache) Entries() int {
 }
 
 // ReplayCounters is a point-in-time snapshot of the cache's schedule-replay
-// activity: Hits counts runs answered analytically from a recorded schedule,
+// activity: Hits counts runs answered with a copy of a recorded schedule's Result,
 // Fallbacks counts runs that found a schedule but whose config delta the
 // classifier declared ineligible (full simulation ran instead), and Recorded
 // counts schedules captured and published. Cold runs with no schedule under

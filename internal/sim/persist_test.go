@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -91,6 +93,67 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	if rc.Hits != 1 {
 		t.Errorf("replay hits = %d, want 1", rc.Hits)
+	}
+}
+
+// TestImportScheduleFromOlderBuild: a schedule blob persisted by a build
+// that still recorded quiet-window certificates carries five invocation
+// fields this build no longer has (values below as the last such build wrote
+// them for this workload). The decoder ignores them, and the blob still
+// answers an identical leg.
+func TestImportScheduleFromOlderBuild(t *testing.T) {
+	cfg := replayBaseConfig()
+	models := accelModelsAt(4, 24)
+	c1 := NewCache()
+	want, out := runLeg(t, c1, cloneSys(t, cfg), models, true)
+	if !out.Recorded {
+		t.Fatalf("recording run did not publish a schedule (reason: %q)", out.Reason)
+	}
+
+	c2 := NewCache()
+	rewritten := 0
+	if err := c1.ExportArtifacts(func(name string, data []byte) error {
+		if strings.HasPrefix(name, "sched-") {
+			hdr, body, _ := bytes.Cut(data, []byte("\n"))
+			var sched map[string]json.RawMessage
+			var invs []map[string]json.RawMessage
+			if err := json.Unmarshal(body, &sched); err != nil {
+				return err
+			}
+			if err := json.Unmarshal(sched["Invocations"], &invs); err != nil {
+				return err
+			}
+			for _, inv := range invs {
+				inv["Issue"] = json.RawMessage(`2063`)
+				inv["Complete"] = json.RawMessage(`3455`)
+				inv["Certified"] = json.RawMessage(`true`)
+				inv["QuietFrom"] = json.RawMessage(`2315`)
+				inv["CoreStalls"] = json.RawMessage(`[{"Core":{"MAO":0,"FU":0,"Window":0,"Comm":0},"Fabric":0}]`)
+				rewritten++
+			}
+			var err error
+			if sched["Invocations"], err = json.Marshal(invs); err != nil {
+				return err
+			}
+			if body, err = json.Marshal(sched); err != nil {
+				return err
+			}
+			data = append(append(append([]byte(nil), hdr...), '\n'), body...)
+		}
+		return c2.ImportArtifact(name, data)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten == 0 {
+		t.Fatal("exported schedule holds no invocation to carry the old fields")
+	}
+
+	got, out := runLeg(t, c2, cloneSys(t, cfg), models, true)
+	if !out.Replayed || !reflect.DeepEqual(out.Families, []string{"identical"}) {
+		t.Fatalf("identical leg over the old blob: replayed=%v families=%v reason=%q", out.Replayed, out.Families, out.Reason)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replay from the old blob differs from the recorded run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

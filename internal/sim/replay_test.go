@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mosaicsim/internal/accel"
@@ -15,7 +16,8 @@ import (
 
 // replayMemSrc is the matrix's workload: a reduction over A (real cache and
 // DRAM traffic, so memory-latency knobs are provably bound) followed by an
-// accelerator offload (so accel deltas exercise the quiet-window shift).
+// accelerator offload (so accelerator-model deltas have an invocation to
+// re-invoke).
 const replayMemSrc = `
 void kernel(float* A, float* B, float* C, long dim) {
   long tid = tile_id();
@@ -55,7 +57,7 @@ func cloneSys(t *testing.T, sc *config.SystemConfig) *config.SystemConfig {
 }
 
 // accelModelsAt builds closed-form accelerator models at a design point —
-// the timing-only accelerator delta the replay matrix sweeps.
+// the accelerator-model delta the replay matrix sweeps.
 func accelModelsAt(lanes int, maxGBs float64) map[string]soc.AccelModel {
 	dp := accel.DesignPoint{PLMBytes: 256 << 10, Lanes: lanes}
 	out := map[string]soc.AccelModel{}
@@ -134,6 +136,7 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 		name     string
 		eligible bool
 		family   string // required in Families when non-empty
+		reason   string // required in the fallback Reason when non-empty
 		mutate   func(sc *config.SystemConfig)
 		models   map[string]soc.AccelModel // nil = baseline models
 	}{
@@ -173,12 +176,14 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "accel-slower", eligible: true, family: "accel-shift",
+			// A model that answers a recorded invocation differently is
+			// never adjusted for: the fallback names the model.
+			name: "accel-slower", eligible: false, reason: `model "acc_sgemm" answers invocation 0 differently`,
 			mutate: func(sc *config.SystemConfig) {},
 			models: accelModelsAt(1, 24),
 		},
 		{
-			name: "accel-faster", eligible: true, family: "accel-shift",
+			name: "accel-faster", eligible: false, reason: `model "acc_sgemm" answers invocation 0 differently`,
 			mutate: func(sc *config.SystemConfig) {},
 			models: accelModelsAt(16, 24),
 		},
@@ -265,6 +270,9 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 				if out.Reason == "" {
 					t.Error("fallback must carry a declared reason")
 				}
+				if !strings.Contains(out.Reason, tc.reason) {
+					t.Errorf("fallback reason %q does not name %q", out.Reason, tc.reason)
+				}
 			}
 		})
 	}
@@ -311,7 +319,8 @@ func TestReplayKnobFuzz(t *testing.T) {
 	}
 	cache := NewCache()
 	base := replayBaseConfig()
-	baseModels := accelModelsAt(4, 24)
+	const baseLanes = 4
+	baseModels := accelModelsAt(baseLanes, 24)
 	if _, out := runLeg(t, cache, cloneSys(t, base), baseModels, true); !out.Recorded {
 		t.Fatalf("recording run did not publish a schedule (reason: %q)", out.Reason)
 	}
@@ -320,6 +329,7 @@ func TestReplayKnobFuzz(t *testing.T) {
 		name  string
 		apply func(sc *config.SystemConfig, r *rand.Rand) map[string]soc.AccelModel
 	}
+	lanes := baseLanes // the iteration's accelerator design point
 	knobs := []knob{
 		{"mem-latency", func(sc *config.SystemConfig, r *rand.Rand) map[string]soc.AccelModel {
 			if sc.Cores[0].Core.Latencies == nil {
@@ -357,7 +367,8 @@ func TestReplayKnobFuzz(t *testing.T) {
 			return nil
 		}},
 		{"accel-lanes", func(sc *config.SystemConfig, r *rand.Rand) map[string]soc.AccelModel {
-			return accelModelsAt(1<<r.Intn(5), 24)
+			lanes = 1 << r.Intn(5)
+			return accelModelsAt(lanes, 24)
 		}},
 	}
 
@@ -365,6 +376,7 @@ func TestReplayKnobFuzz(t *testing.T) {
 	for it := 0; it < 12; it++ {
 		sc := cloneSys(t, base)
 		models := baseModels
+		lanes = baseLanes
 		n := 1 + r.Intn(3)
 		names := make([]string, 0, n)
 		for j := 0; j < n; j++ {
@@ -377,6 +389,9 @@ func TestReplayKnobFuzz(t *testing.T) {
 		replRes, out := runLeg(t, cache, sc, models, true)
 		if !out.Replayed && out.Reason == "" {
 			t.Fatalf("iter %d (%v): fallback without a declared reason", it, names)
+		}
+		if out.Replayed && lanes != baseLanes {
+			t.Fatalf("iter %d (%v): a %d-lane model replayed from the %d-lane schedule", it, names, lanes, baseLanes)
 		}
 		fullSC := cloneSys(t, sc)
 		fullRes, _ := runLeg(t, cache, fullSC, models, false)

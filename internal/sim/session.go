@@ -101,12 +101,12 @@ type Options struct {
 	Limit int64
 	// DisableCycleSkipping forces the naive cycle-by-cycle Interleaver loop.
 	DisableCycleSkipping bool
-	// Replay enables schedule-capture timing replay (internal/replay): a
-	// full run records its event schedule into the cache, and a later Run
-	// whose config differs from a recorded one only in provably replayable
-	// timing parameters is answered analytically — bit-exactly equal to full
-	// re-simulation — without building or stepping a system. Ineligible
-	// deltas fall back to full simulation with the reason in Replay().
+	// Replay enables timing replay (internal/replay): a full run records its
+	// schedule into the cache, and a later Run that the classifier proves
+	// would be identical to a recorded one (no delta, inert knobs, or a DRAM
+	// budget refit) returns a copy of the recorded Result without building
+	// or stepping a system. Anything else falls back to full simulation with
+	// the reason in Replay().
 	// Recording is skipped under DisableCycleSkipping (those runs exist to
 	// validate the stepping engine itself).
 	Replay bool
@@ -139,10 +139,10 @@ type Session struct {
 
 // ReplayOutcome reports what the replay engine did for the session's last
 // Run: whether replay was attempted, whether the run was answered from a
-// recorded schedule (and under which delta families), or why it fell back,
+// recorded schedule (and on which proof families), or why it fell back,
 // and whether this run recorded a new schedule for later legs. Stepped and
-// Skipped mirror the cycle-skipper accounting of the replayed run, since a
-// replayed session never builds a live soc.System to read them from.
+// Skipped are the recorded run's cycle-skipper accounting, since a replayed
+// session never builds a live soc.System to read them from.
 type ReplayOutcome struct {
 	Attempted bool
 	Replayed  bool
@@ -399,12 +399,12 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 			if sched := s.cache.Schedule(s.Key(), h); sched != nil {
 				dec := replaypkg.Classify(sched, s.opts.Config, s.opts.Accels, s.opts.Limit)
 				if dec.Eligible {
-					res, stepped, skipped := replaypkg.Evaluate(sched, dec)
+					res := sched.ResultCopy()
 					s.cache.noteReplay(true)
 					out.Replayed = true
 					out.Families = dec.Families
-					out.Stepped = stepped
-					out.Skipped = skipped
+					out.Stepped = sched.Stepped
+					out.Skipped = sched.Skipped
 					s.mu.Lock()
 					s.sys = nil // no live system backs a replayed result
 					s.res = res
@@ -427,7 +427,7 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 	var rec *replaypkg.Recorder
 	if replayOn {
 		rec = replaypkg.NewRecorder()
-		sys.SetRecorder(rec)
+		sys.RecordSchedule(rec.RecordInvoke)
 	}
 	if err := sys.Run(ctx, s.opts.Limit); err != nil {
 		return soc.Result{}, s.fail(StageRun, err)

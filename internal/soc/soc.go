@@ -366,10 +366,6 @@ type System struct {
 	// DisableCycleSkipping forces the naive cycle-by-cycle loop (the
 	// equivalence-test reference and the -noskip flag).
 	DisableCycleSkipping bool
-	// recorder, when non-nil, observes accelerator invocations and certified
-	// quiet windows during Run so a replay engine can re-evaluate the
-	// recorded schedule under new timing parameters (see SetRecorder).
-	recorder ScheduleRecorder
 	// OnProgress, when non-nil, is called from the simulating goroutine at
 	// interleave boundaries (every ctxCheckInterval loop iterations) with
 	// where the run stands, plus once — with Final set — on every Run exit
@@ -651,13 +647,6 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 	}
 	strides := make([]int64, nt)
 	accum := make([]int64, nt)
-	uniformClocks := true
-	for _, t := range s.tiles {
-		if t.ClockMHz() != s.tiles[0].ClockMHz() {
-			uniformClocks = false
-			break
-		}
-	}
 	// Event-horizon bookkeeping: idleOK[i] records that tile i stepped
 	// without making progress since the last progress event anywhere (its
 	// stall increments then repeat verbatim until something, somewhere,
@@ -752,9 +741,6 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		}
 		if target <= cycle+1 {
 			continue
-		}
-		if s.recorder != nil {
-			s.maybeCertify(cycle, target, thrTick, uniformClocks)
 		}
 		delta := target - 1 - cycle // whole iterations elided
 		for i, t := range s.tiles {

@@ -27,13 +27,13 @@ import (
 //     may be conservative (early) but never late: skipping jumps to the
 //     minimum horizon across tiles, so a late answer would elide a cycle in
 //     which the tile had work.
-//   - FrozenStalls/ReplayStalls let the skipper replay a frozen step's
-//     stall accounting arithmetically. The tile brackets its own Step: it
-//     samples its stall counters on entry, and FrozenStalls() is the
-//     increments its latest Step made — which the loop only asks for at a
-//     horizon jump, when that step is known to have been frozen.
-//     ReplayStalls(k) must leave the tile exactly as k more repetitions of
-//     that step would have (and FrozenStalls() unchanged).
+//   - ReplayStalls(k) lets the skipper replay a frozen step's stall
+//     accounting arithmetically. The tile brackets its own Step: it samples
+//     its stall counters on entry, so the increments its latest Step made
+//     are known — and the loop only asks for a replay at a horizon jump,
+//     when that step is known to have been frozen. ReplayStalls(k) must
+//     leave the tile exactly as k more repetitions of that step would have
+//     (a second jump before the next Step replays the same increments).
 //   - Done() tiles are excluded from freeze confirmation, horizons, and
 //     replay.
 type Tile interface {
@@ -47,24 +47,23 @@ type Tile interface {
 	Done() bool
 	Progress() uint64
 	NextEvent(now int64) int64
-	FrozenStalls() StallSample
 	ReplayStalls(k int64)
 	// Stats reports the tile's contribution to per-kind breakdowns.
 	Stats() TileStats
 }
 
-// StallSample captures every stall counter a frozen step can touch: the
+// stallSample captures every stall counter a frozen step can touch: the
 // tile-local counters plus the tile's slice of the fabric back-pressure
 // counter (a frozen send retry bumps the sender's FullStall slice, which
 // lives outside the tile).
-type StallSample struct {
+type stallSample struct {
 	Core   core.StallSnapshot
 	Fabric int64
 }
 
-// Sub returns the per-cycle delta between two samples.
-func (a StallSample) Sub(b StallSample) StallSample {
-	return StallSample{Core: a.Core.Sub(b.Core), Fabric: a.Fabric - b.Fabric}
+// sub returns the per-cycle delta between two samples.
+func (a stallSample) sub(b stallSample) stallSample {
+	return stallSample{Core: a.Core.Sub(b.Core), Fabric: a.Fabric - b.Fabric}
 }
 
 // TileStats is one tile's contribution to a per-kind breakdown: instructions
@@ -83,7 +82,7 @@ type CoreTile struct {
 	C      *core.Core
 	fabric *Fabric
 	kind   string
-	pre    StallSample // stall counters on entry to the latest Step
+	pre    stallSample // stall counters on entry to the latest Step
 }
 
 // Kind returns the core preset name ("ooo", "inorder", ...).
@@ -108,20 +107,17 @@ func (t *CoreTile) Progress() uint64 { return t.C.Progress() }
 func (t *CoreTile) NextEvent(now int64) int64 { return t.C.NextEvent(now) }
 
 // stalls samples every stall counter a step of this tile can advance.
-func (t *CoreTile) stalls() StallSample {
-	return StallSample{Core: t.C.StallCounters(), Fabric: t.fabric.fullStallOf(t.C.ID)}
+func (t *CoreTile) stalls() stallSample {
+	return stallSample{Core: t.C.StallCounters(), Fabric: t.fabric.fullStallOf(t.C.ID)}
 }
-
-// FrozenStalls implements Tile.
-func (t *CoreTile) FrozenStalls() StallSample { return t.stalls().Sub(t.pre) }
 
 // ReplayStalls implements Tile. The entry sample moves with the counters, so
 // a second jump before the tile's next Step replays the same increments.
 func (t *CoreTile) ReplayStalls(k int64) {
-	delta := t.FrozenStalls()
+	delta := t.stalls().sub(t.pre) // the latest (frozen) step's increments
 	t.C.AddStallCycles(delta.Core, k)
 	t.fabric.addFullStall(t.C.ID, delta.Fabric*k)
-	t.pre = t.stalls().Sub(delta)
+	t.pre = t.stalls().sub(delta)
 }
 
 // Stats implements Tile.
@@ -154,8 +150,8 @@ type AccelTile struct {
 	BusyCycles int64 // summed invocation latencies across all models
 
 	// onInvoke, when non-nil, observes every successful invocation with the
-	// exact model inputs and timing (set through System.SetRecorder).
-	onInvoke func(name string, params []int64, concurrent int, issue, complete int64, res AccelResult)
+	// exact model inputs and the model's answer (System.RecordSchedule).
+	onInvoke func(name string, params []int64, concurrent int, res AccelResult)
 }
 
 // newAccelTile builds the accelerator manager for a system whose fastest
@@ -194,9 +190,6 @@ func (t *AccelTile) Progress() uint64 { return 0 }
 // core's horizon, so the manager itself never bounds a jump.
 func (t *AccelTile) NextEvent(now int64) int64 { return mem.HorizonNone }
 
-// FrozenStalls implements Tile; the manager accrues no stalls.
-func (t *AccelTile) FrozenStalls() StallSample { return StallSample{} }
-
 // ReplayStalls implements Tile; nothing to replay. (Done tiles are skipped
 // by the replay loop anyway.)
 func (t *AccelTile) ReplayStalls(k int64) {}
@@ -232,16 +225,9 @@ func (t *AccelTile) invoke(name string, params []int64, now int64) (int64, error
 	// engages.
 	t.events.push(accelEvent{at: at, name: name})
 	if t.onInvoke != nil {
-		t.onInvoke(name, params, concurrent, now, at, res)
+		t.onInvoke(name, params, concurrent, res)
 	}
 	return at, nil
-}
-
-// soleEventAt reports whether the manager holds exactly one pending release
-// and it is due at cycle at — part of the quiet-window certificate: any
-// other pending release would mean a second invocation is still in flight.
-func (t *AccelTile) soleEventAt(at int64) bool {
-	return t.events.Len() == 1 && t.events[0].at == at
 }
 
 // KindBreakdown aggregates TileStats over every tile of one kind.
