@@ -1,10 +1,11 @@
 // Command mosaicd is the MosaicSim-Go simulation daemon: a long-running,
 // network-facing service that accepts simulation jobs over HTTP, runs them
-// on a bounded worker pool through the shared session engine, streams live
-// per-job events, and exposes Prometheus metrics. With -data-dir it is
-// durable (jobs and artifacts survive restarts), and with -role it scales
-// out: one coordinator owns the queue and a fleet of workers leases jobs
-// from it.
+// through the shared session engine, streams live per-job events, and
+// exposes Prometheus metrics. With -data-dir it is durable (jobs and
+// artifacts survive restarts). Every job starts as a lease: a standalone
+// daemon leases its own queue to an in-process executor; with -role one
+// coordinator owns the queue and a fleet of workers leases jobs from it
+// over HTTP.
 //
 // Usage:
 //
@@ -21,21 +22,22 @@
 //	curl -s localhost:8374/v1/jobs -d '{"workload":"sgemm","scale":"tiny","tiles":2}'
 //	curl -s localhost:8374/v1/jobs/j000001/events   # NDJSON live stream
 //	curl -s localhost:8374/v1/jobs/j000001          # status + final report
+//	curl -s -X DELETE localhost:8374/v1/jobs/j000001 # 202, the job already cancelled
 //	curl -s localhost:8374/metrics                  # Prometheus text
 //
-// Quickstart (fleet): one coordinator, two workers, same API:
+// Quickstart (fleet): same API on the coordinator; a worker serves only
+// /healthz and /metrics:
 //
 //	mosaicd -role coordinator -addr :8374 -data-dir /var/lib/mosaicd &
 //	mosaicd -role worker -addr :8375 -coordinator http://127.0.0.1:8374 -name w1 &
-//	mosaicd -role worker -addr :8376 -coordinator http://127.0.0.1:8374 -name w2 &
-//	curl -s localhost:8374/v1/jobs -d '{"workload":"sgemm","scale":"tiny"}'
 //
 // Admission is bounded: when -queue jobs are already waiting, submissions
 // are shed with 429 (Retry-After derived from the live backlog), and
 // per-tenant quotas (-tenant-quota, tenant from the spec or the
 // X-Mosaic-Tenant header) stop one client from monopolizing the fleet.
 // SIGINT/SIGTERM drains gracefully: admission closes, queued jobs are
-// cancelled, running and leased jobs get -drain to finish.
+// cancelled, and leased jobs get -drain to complete before they are
+// cancelled too.
 package main
 
 import (
@@ -43,6 +45,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -60,157 +63,168 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// roleOptions turns the options the flags describe into the ones role's
-// manager runs under; slots is a worker's lease concurrency. The store holds
-// jobs only where they are admitted (a worker mirrors jobs the coordinator
-// already persists), and admission control belongs there too: every job a
-// worker leases has passed the coordinator's quota and queue bound, so the
-// worker's local manager must take whatever its slots can hold and never
-// shed it a second time.
-func roleOptions(role string, opts jobs.Options, st *store.Store, slots int) (jobs.Options, error) {
-	switch role {
-	case "standalone":
-		opts.Store = st
-	case "coordinator":
-		opts.Store = st
-		opts.Workers = -1 // every job executes on a leased worker
+// config is what the command line resolves to.
+type config struct {
+	role, addr, dataDir, coordURL, name string
+	// slots is how many jobs this process executes at once: -slots if set,
+	// else -workers, else one per CPU. A coordinator executes none.
+	slots        int
+	cacheEntries int
+	drain        time.Duration
+	mgr          jobs.Options
+	exec         jobs.ExecOptions
+	coord        cluster.CoordinatorOptions
+}
+
+// parseFlags resolves args into a config. On failure it has already written
+// the reason to stderr and returns the exit code (0 for -h).
+func parseFlags(args []string, stderr io.Writer) (*config, int) {
+	var c config
+	fs := flag.NewFlagSet("mosaicd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.role, "role", "standalone", "standalone (serve and execute), coordinator (serve, lease to a fleet), or worker (execute leases from -coordinator)")
+	fs.StringVar(&c.addr, "addr", ":8374", "listen address (host:port; :0 picks a free port)")
+	workers := fs.Int("workers", 0, "concurrent simulations in this process (0 = all CPU cores)")
+	fs.IntVar(&c.mgr.QueueDepth, "queue", 64, "admission queue depth; submissions beyond it shed with 429")
+	fs.DurationVar(&c.exec.JobTimeout, "job-timeout", 10*time.Minute, "per-job wall-clock cap (0 = none)")
+	fs.DurationVar(&c.drain, "drain", 15*time.Second, "graceful-shutdown budget for running jobs")
+	fs.IntVar(&c.cacheEntries, "cache-entries", 256, "artifact-cache entry cap per layer (0 = unbounded)")
+	fs.IntVar(&c.mgr.MaxJobs, "max-jobs", 4096, "retained job records; oldest terminal jobs are forgotten beyond it")
+	fs.BoolVar(&c.exec.Replay, "replay", true, "default for specs that leave replay unset: answer timing-only re-submissions from recorded schedules (bit-identical results)")
+	fs.StringVar(&c.dataDir, "data-dir", "", "durable state directory: jobs resume and artifacts persist across restarts (empty = in-memory only)")
+	fs.IntVar(&c.mgr.TenantQuota, "tenant-quota", 0, "max live (queued+running) jobs per tenant (0 = unlimited)")
+	fs.IntVar(&c.mgr.MaxAttempts, "max-attempts", 0, "executions a job may consume across lost leases and restarts before failing (0 = default 3)")
+	fs.DurationVar(&c.coord.LeaseTTL, "lease-ttl", 15*time.Second, "coordinator: lease lifetime without renewal; a silent worker's jobs requeue after this")
+	fs.DurationVar(&c.coord.Heartbeat, "heartbeat", 0, "coordinator: worker heartbeat interval (0 = lease-ttl/3)")
+	fs.StringVar(&c.coordURL, "coordinator", "", "worker: coordinator base URL to lease jobs from")
+	fs.StringVar(&c.name, "name", "", "worker: fleet-unique name (default: hostname:pid)")
+	fs.IntVar(&c.slots, "slots", 0, "worker: concurrent leased jobs; overrides -workers (0 = -workers)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2 // fs has already written the error and the usage to stderr
+	}
+	switch c.role {
+	case "standalone", "coordinator":
 	case "worker":
-		opts.TenantQuota = 0
-		if opts.QueueDepth < slots {
-			opts.QueueDepth = slots
+		if c.coordURL == "" {
+			fmt.Fprintln(stderr, "mosaicd: -role worker requires -coordinator URL")
+			return nil, 2
 		}
 	default:
-		return opts, fmt.Errorf("unknown -role %q (want standalone, coordinator, or worker)", role)
+		fmt.Fprintf(stderr, "mosaicd: unknown -role %q (want standalone, coordinator, or worker)\n", c.role)
+		return nil, 2
 	}
-	return opts, nil
+	if c.slots <= 0 {
+		if c.slots = *workers; c.slots <= 0 {
+			c.slots = runtime.NumCPU()
+		}
+	}
+	return &c, 0
 }
 
-func run() int {
-	role := flag.String("role", "standalone", "standalone (serve and execute), coordinator (serve, lease to a fleet), or worker (execute leases from -coordinator)")
-	addr := flag.String("addr", ":8374", "listen address (host:port; :0 picks a free port)")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = all CPU cores)")
-	queue := flag.Int("queue", 64, "admission queue depth; submissions beyond it shed with 429")
-	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job wall-clock cap (0 = none)")
-	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for running jobs")
-	cacheEntries := flag.Int("cache-entries", 256, "artifact-cache entry cap per layer (0 = unbounded)")
-	maxJobs := flag.Int("max-jobs", 4096, "retained job records; oldest terminal jobs are forgotten beyond it")
-	replay := flag.Bool("replay", true, "default for specs that leave replay unset: answer timing-only re-submissions from recorded schedules (bit-identical results)")
-	dataDir := flag.String("data-dir", "", "durable state directory: jobs resume and artifacts persist across restarts (empty = in-memory only)")
-	tenantQuota := flag.Int("tenant-quota", 0, "max live (queued+running) jobs per tenant (0 = unlimited)")
-	maxAttempts := flag.Int("max-attempts", 0, "executions a job may consume across lost leases and restarts before failing (0 = default 3)")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "coordinator: lease lifetime without renewal; a silent worker's jobs requeue after this")
-	heartbeat := flag.Duration("heartbeat", 0, "coordinator: worker heartbeat interval (0 = lease-ttl/3)")
-	coordURL := flag.String("coordinator", "", "worker: coordinator base URL to lease jobs from")
-	name := flag.String("name", "", "worker: fleet-unique name (default: hostname:pid)")
-	slots := flag.Int("slots", 0, "worker: concurrent leased jobs (0 = the local worker count)")
-	flag.Parse()
-
-	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
-	log.SetPrefix("mosaicd: ")
+func run(args []string, stdout, stderr io.Writer) int {
+	c, code := parseFlags(args, stderr)
+	if c == nil {
+		return code
+	}
+	logger := log.New(stderr, "mosaicd: ", log.LstdFlags|log.Lmicroseconds)
 
 	cache := sim.NewCache()
-	cache.SetMaxEntries(*cacheEntries)
+	cache.SetMaxEntries(c.cacheEntries)
 
-	// The store is double duty: the jobs half (coordinator/standalone only
-	// — workers mirror jobs that the coordinator already persists) and the
-	// artifact half (every role: warm traces and schedules survive
-	// restarts and prime the cache before the first job).
+	// The store is double duty: the jobs half (where jobs are admitted:
+	// standalone and coordinator) and the artifact half (every role: warm
+	// traces and schedules survive restarts and prime the cache before the
+	// first job).
 	var st *store.Store
-	if *dataDir != "" {
+	if c.dataDir != "" {
 		var err error
-		if st, err = store.Open(*dataDir); err != nil {
-			log.Print(err)
+		if st, err = store.Open(c.dataDir); err != nil {
+			logger.Print(err)
 			return 1
 		}
 		defer st.Close()
 		imported := 0
 		if err := st.Artifacts(func(name string, data []byte) error {
 			if err := cache.ImportArtifact(name, data); err != nil {
-				log.Printf("artifact %s: %v (skipped)", name, err)
+				logger.Printf("artifact %s: %v (skipped)", name, err)
 				return nil
 			}
 			imported++
 			return nil
 		}); err != nil {
-			log.Print(err)
+			logger.Print(err)
 		}
 		if imported > 0 {
-			log.Printf("imported %d artifact blobs from %s", imported, *dataDir)
+			logger.Printf("imported %d artifact blobs from %s", imported, c.dataDir)
 		}
-	}
-
-	opts := jobs.Options{
-		Workers:     *workers,
-		QueueDepth:  *queue,
-		JobTimeout:  *jobTimeout,
-		MaxJobs:     *maxJobs,
-		Cache:       cache,
-		Replay:      *replay,
-		TenantQuota: *tenantQuota,
-		MaxAttempts: *maxAttempts,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *role == "worker" && *coordURL == "" {
-		log.Print("-role worker requires -coordinator URL")
-		return 1
+	// One lease path, three wirings: the manager admits and grants leases,
+	// the executor's loop runs them. Standalone joins the two with plain
+	// calls; a coordinator serves its manager's leases over HTTP; a worker
+	// has only the executor and takes its leases from there.
+	var (
+		mgr     *jobs.Manager
+		handler http.Handler
+		serve   = func() {} // this role's lease loop, run to its end
+	)
+	if c.role != "worker" {
+		c.mgr.Store = st
+		mgr = jobs.NewManager(c.mgr)
+		c.exec.Registry = mgr.Registry()
+		handler = server.New(mgr)
 	}
-	nslots := *slots
-	if nslots <= 0 {
-		if nslots = *workers; nslots <= 0 {
-			nslots = runtime.NumCPU()
-		}
-	}
-	opts, err := roleOptions(*role, opts, st, nslots)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-
-	mgr := jobs.NewManager(opts)
-	api := server.New(mgr, nil)
-	handler := http.Handler(api)
-	var workerDone chan error
-	if *role == "coordinator" {
-		coord := cluster.NewCoordinator(mgr, cluster.CoordinatorOptions{
-			LeaseTTL:  *leaseTTL,
-			Heartbeat: *heartbeat,
-		})
+	c.exec.Cache = cache
+	switch c.role {
+	case "standalone":
+		x := jobs.NewExecutor(c.exec)
+		// Ends when the manager drains, not with ctx: the drain decides.
+		serve = func() { x.Serve(context.Background(), mgr.Local(), c.slots) }
+	case "coordinator":
+		coord := cluster.NewCoordinator(mgr, c.coord)
 		go coord.Run(ctx)
 		mux := http.NewServeMux()
 		mux.Handle("/cluster/v1/", coord)
-		mux.Handle("/", api)
+		mux.Handle("/", handler)
 		handler = mux
-	}
-	if *role == "worker" {
-		wname := *name
-		if wname == "" {
+	case "worker":
+		if c.name == "" {
 			host, _ := os.Hostname()
-			wname = fmt.Sprintf("%s:%d", host, os.Getpid())
+			c.name = fmt.Sprintf("%s:%d", host, os.Getpid())
 		}
+		x := jobs.NewExecutor(c.exec)
 		w, err := cluster.NewWorker(cluster.WorkerOptions{
-			Name:        wname,
-			Coordinator: *coordURL,
-			Manager:     mgr,
-			Slots:       nslots,
+			Name:        c.name,
+			Coordinator: c.coordURL,
+			Executor:    x,
+			Slots:       c.slots,
 		})
 		if err != nil {
-			log.Print(err)
+			logger.Print(err)
 			return 1
 		}
-		workerDone = make(chan error, 1)
-		go func() { workerDone <- w.Run(ctx) }()
-		log.Printf("worker %s leasing from %s (slots=%d)", wname, *coordURL, nslots)
+		serve = func() { _ = w.Run(ctx) } // its error is ctx's
+		handler = server.NewWorker(x)
+		logger.Printf("worker %s leasing from %s (slots=%d)", c.name, c.coordURL, c.slots)
 	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		serve()
+	}()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
-		log.Print(err)
+		logger.Print(err)
 		return 1
 	}
 	// Event streams outlive http.Server.Shutdown's handler wait unless
@@ -226,31 +240,31 @@ func run() int {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	log.Printf("listening on %s (role=%s workers=%d queue=%d cache-entries=%d data-dir=%q)",
-		ln.Addr(), *role, *workers, *queue, *cacheEntries, *dataDir)
+	logger.Printf("listening on %s (role=%s slots=%d queue=%d cache-entries=%d data-dir=%q)",
+		ln.Addr(), c.role, c.slots, c.mgr.QueueDepth, c.cacheEntries, c.dataDir)
 
 	select {
 	case err := <-errc:
-		log.Print(err)
+		logger.Print(err)
 		return 1
 	case <-ctx.Done():
 	}
 	stop() // a second signal now kills the process the default way
-	log.Printf("signal received; draining (budget %s)", *drain)
+	logger.Printf("signal received; draining (budget %s)", c.drain)
 
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	shutCtx, cancel := context.WithTimeout(context.Background(), c.drain)
 	defer cancel()
-	if workerDone != nil {
-		// The lease loop stopped with ctx; wait for in-flight leased jobs
-		// to complete back to the coordinator (bounded by the drain budget).
-		select {
-		case <-workerDone:
-		case <-shutCtx.Done():
-			log.Print("drain deadline hit waiting for leased jobs")
+	if mgr != nil {
+		if err := mgr.Shutdown(shutCtx); err != nil {
+			logger.Print(err)
 		}
 	}
-	if err := mgr.Shutdown(shutCtx); err != nil {
-		log.Print(err)
+	// The lease loop returns once its source has nothing more to give and its
+	// runs are done: cancelled ones unwind promptly, a worker's get the budget.
+	select {
+	case <-served:
+	case <-shutCtx.Done():
+		logger.Print("drain deadline hit waiting for running jobs")
 	}
 	// Persist warm artifacts so the next process starts with today's traces
 	// and schedules instead of recomputing them.
@@ -266,20 +280,20 @@ func run() int {
 			}
 			return nil
 		}); err != nil {
-			log.Printf("artifact export: %v", err)
+			logger.Printf("artifact export: %v", err)
 		} else if exported > 0 {
-			log.Printf("exported %d new artifact blobs to %s", exported, *dataDir)
+			logger.Printf("exported %d new artifact blobs to %s", exported, c.dataDir)
 		}
 	}
 	stopStreams() // ends live event streams so Shutdown's handler wait returns
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Print(err)
+		logger.Print(err)
 		return 1
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Print(err)
+		logger.Print(err)
 		return 1
 	}
-	fmt.Println("mosaicd: drained cleanly")
+	fmt.Fprintln(stdout, "mosaicd: drained cleanly")
 	return 0
 }

@@ -1,48 +1,55 @@
-// Package cluster turns mosaicd into a fleet: a coordinator that owns the
-// job queue and the durable store, and workers that lease jobs over
-// HTTP/JSON, execute them on their own local engine stack, and report back.
+// Package cluster is the wire form of the lease protocol (internal/jobs):
+// a Coordinator that serves a manager's leases over HTTP/JSON, and a Worker
+// that feeds an executor's lease loop from one. A standalone daemon makes
+// the same calls on its manager directly; a fleet differs only by transport.
 //
 // The protocol (all under /cluster/v1/, mounted beside the public API):
 //
 //	POST /cluster/v1/register           worker announces itself     → lease TTL + heartbeat interval
 //	POST /cluster/v1/lease              request one job (long poll) → 200 jobs.Lease, or 204 when idle
-//	POST /cluster/v1/heartbeat          liveness + renew leases     → cancels to propagate, leases lost
+//	POST /cluster/v1/heartbeat          liveness + renew leases     → leases lost (cancelled, expired)
 //	POST /cluster/v1/jobs/{id}/events   forward a batch of stage/progress events
 //	POST /cluster/v1/jobs/{id}/complete report (or error) for a leased job
 //
 // Lease dispatch is push-based. A lease request states how long the worker
-// will wait; the coordinator parks it until a job is enqueued or requeued,
-// the manager starts draining, the request's context ends, or the wait runs
-// out, and then answers 200 or 204. A request without a wait is a zero wait
-// on the same path — answered at once — so a job starts when it is queued,
-// not at a worker's next poll. The hold is capped at the heartbeat interval
-// announced at register: every lease request counts as a sighting of the
-// worker, so a parked worker is seen at least once per heartbeat interval
-// and is never pruned as silent (the worker timeout is three of them), and
-// the worker keeps the wait it asks for below its HTTP client timeout. A
-// lease granted to a request whose client is already gone (context done, or
-// the response write fails) is handed straight back to the front of the
-// queue — counted as a requeue, not as an expiry — instead of stranding the
-// job for a lease TTL.
+// will wait (none is a zero wait); the coordinator parks it until a job is
+// enqueued or requeued, the manager starts draining, the request's context
+// ends, or the wait runs out, and then answers 200 or 204 — so a job starts
+// when it is queued, not at a worker's next poll. The hold is capped at the
+// heartbeat interval announced at register: every lease request counts as a
+// sighting of the worker, so a parked worker is never pruned as silent (the
+// worker timeout is three intervals). A lease granted to a request whose
+// client is already gone (context done, or the response write fails) is
+// handed straight back to the front of the queue — a requeue, not an expiry
+// — instead of stranding the job for a lease TTL.
 //
-// Rolling upgrades go coordinator first: its decoder rejects unknown
-// fields, so a worker that sends "wait" or "events" to a coordinator built
-// before them gets a 400, while a current coordinator still serves an older
-// worker (no wait: it polls; "event": a batch of one).
+// A 409 on an event batch or a completion means the lease is no longer the
+// worker's (the job was cancelled, or the lease expired and the job
+// requeued): the worker aborts that run at once. Heartbeats say the same for
+// every lease at once.
+//
+// Rolling upgrades go coordinator first: its decoder rejects unknown fields,
+// while it still accepts what an older worker sends (no "wait": it polls;
+// "event": a batch of one).
 //
 // Design invariants, shared with internal/jobs:
 //
 //   - The coordinator owns every lifecycle edge. Workers forward only stage
 //     and progress events, so each job's history is decided by one process
 //     and the persisted log is a single total order.
-//   - Leases carry the job's artifact-affinity hash. Workers accumulate the
-//     hashes they have executed and send them with lease requests; the
-//     coordinator prefers affinity matches (warm trace/schedule caches) and
-//     otherwise lets the worker steal the front of the queue.
+//   - A worker holds no job records: per lease, the cancel function of its
+//     run and the events not yet posted. A job is admitted once, at the
+//     coordinator; a worker runs whatever it is leased.
+//   - Leases carry the job's artifact-affinity hash. Workers send the hashes
+//     they have executed with lease requests; the coordinator prefers
+//     affinity matches (warm trace/schedule caches) and otherwise lets the
+//     worker steal the front of the queue.
 //   - Liveness is lease-based, not connection-based: a SIGKILL'd worker
-//     simply stops renewing, its leases expire, and the jobs requeue. No
-//     job is ever stranded by a dead worker.
-//   - Reports are opaque bytes end to end: the worker's local engine emits
+//     stops renewing, its leases expire, and the jobs requeue. A SIGKILL'd
+//     coordinator forgets its leases and its workers; the restart requeues
+//     the jobs its store shows running and learns the workers from their
+//     next request.
+//   - Reports are opaque bytes end to end: the worker's executor emits
 //     json.Marshal(soc.Result), the coordinator stores and serves it
 //     verbatim, so a fleet-executed job is byte-identical to the
 //     single-process sim.Session path.
@@ -95,17 +102,17 @@ type HeartbeatRequest struct {
 
 // HeartbeatResponse carries the coordinator's instructions back.
 type HeartbeatResponse struct {
-	// Cancels are leased jobs cancelled client-side; the worker must abort
-	// their local runs.
+	// Cancels is how older coordinators report a client-side cancel; this
+	// one reports it under Lost, and workers treat the two alike.
 	Cancels []string `json:"cancels,omitempty"`
 	// Lost are jobs from Running whose lease the worker no longer holds
-	// (expired and requeued, or finished elsewhere); the worker must abort
-	// them and report nothing further.
+	// (cancelled, expired and requeued, or finished elsewhere); the worker
+	// must abort them and report nothing further.
 	Lost []string `json:"lost,omitempty"`
 }
 
-// EventRequest forwards stage and progress events from the worker's local
-// run, in the order they happened.
+// EventRequest forwards stage and progress events from the worker's run,
+// in the order they happened.
 type EventRequest struct {
 	Name   string       `json:"name"`
 	Events []jobs.Event `json:"events,omitempty"`

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,7 +67,7 @@ func postJSON(t *testing.T, url string, req, resp any) int {
 }
 
 // TestFleetGoldenSeam is the fleet determinism contract: a job executed by
-// a remote worker — leased over HTTP, run on the worker's own engine stack,
+// a remote worker — leased over HTTP, run on the worker's own executor,
 // completed with its report — must be byte-identical to the same spec run
 // through sim.Session directly. It also checks the coordinator's event log
 // is a single total order: queued first, a running edge naming the worker,
@@ -118,7 +119,7 @@ func retiredKnobLeases(t *testing.T, next http.Handler, rewritten *atomic.Int64)
 // fleetGoldenSeam runs the seam check with the coordinator's HTTP surface
 // wrapped by wrap.
 func fleetGoldenSeam(t *testing.T, wrap func(http.Handler) http.Handler) {
-	coordMgr := jobs.NewManager(jobs.Options{Workers: -1})
+	coordMgr := jobs.NewManager(jobs.Options{})
 	defer shutdown(t, coordMgr)
 	coord := NewCoordinator(coordMgr, CoordinatorOptions{LeaseTTL: 2 * time.Second})
 	srv := httptest.NewServer(wrap(coord))
@@ -127,11 +128,8 @@ func fleetGoldenSeam(t *testing.T, wrap func(http.Handler) http.Handler) {
 	defer cancel()
 	go coord.Run(ctx)
 
-	workerMgr := jobs.NewManager(jobs.Options{Workers: 1})
-	defer shutdown(t, workerMgr)
-	w, err := NewWorker(WorkerOptions{
-		Name: "w1", Coordinator: srv.URL, Manager: workerMgr,
-	})
+	x := jobs.NewExecutor(jobs.ExecOptions{})
+	w, err := NewWorker(WorkerOptions{Name: "w1", Coordinator: srv.URL, Executor: x})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func fleetGoldenSeam(t *testing.T, wrap func(http.Handler) http.Handler) {
 	if st := waitTerminal(t, j, 30*time.Second); st != jobs.StateDone {
 		t.Fatalf("fleet job finished %s: %s", st, j.Status().Error)
 	}
-	got := j.Report()
+	got := j.Status().Report
 
 	// The reference: the same spec lowered straight onto a Session.
 	norm, err := spec.Normalize()
@@ -199,11 +197,36 @@ func fleetGoldenSeam(t *testing.T, wrap func(http.Handler) http.Handler) {
 			sawRunning, sawStage, sawDone, evs)
 	}
 
+	// Each series lives where its subject does: execution on the worker
+	// (which admitted nothing), admission and leases on the coordinator
+	// (which ran nothing); stage latency on both ends of the event forward.
+	var wm, cm bytes.Buffer
+	x.Registry().WriteText(&wm)
+	coordMgr.Registry().WriteText(&cm)
+	for _, tc := range []struct {
+		series         string
+		worker, coordr bool
+	}{
+		{`mosaicd_stage_seconds_count{stage="run"} 1`, true, true},
+		{"mosaicd_jobs_inflight 0", true, false},
+		{"mosaicd_cache_misses_total", true, false},
+		{`mosaicd_tile_instrs_total{kind="ooo"}`, true, false},
+		{"mosaicd_jobs_submitted_total 1", false, true},
+		{"mosaicd_queue_depth 0", false, true},
+		{"mosaicd_leases_active 0", false, true},
+		{"mosaicd_queue_wait_seconds_count 1", false, true},
+	} {
+		if got := strings.Contains(wm.String(), tc.series); got != tc.worker {
+			t.Errorf("worker metrics contain %q = %v, want %v", tc.series, got, tc.worker)
+		}
+		if got := strings.Contains(cm.String(), tc.series); got != tc.coordr {
+			t.Errorf("coordinator metrics contain %q = %v, want %v", tc.series, got, tc.coordr)
+		}
+	}
+
 	cancel()
 	<-workerDone
-	if coord.Workers() == 0 {
-		t.Error("worker never registered with the coordinator")
-	}
+	expectMetric(t, coordMgr, "mosaicd_fleet_workers 1") // the worker registered
 }
 
 // TestLeaseExpiryRequeuesToSecondWorker simulates a worker SIGKILL: w1
@@ -211,7 +234,7 @@ func fleetGoldenSeam(t *testing.T, wrap func(http.Handler) http.Handler) {
 // requeues it; a real Worker (w2, stub engine) picks it up as attempt 2 and
 // completes it. The dead worker's late completion must be refused.
 func TestLeaseExpiryRequeuesToSecondWorker(t *testing.T) {
-	coordMgr := jobs.NewManager(jobs.Options{Workers: -1})
+	coordMgr := jobs.NewManager(jobs.Options{})
 	defer shutdown(t, coordMgr)
 	coord := NewCoordinator(coordMgr, CoordinatorOptions{LeaseTTL: 60 * time.Millisecond})
 	srv := httptest.NewServer(coord)
@@ -244,11 +267,11 @@ func TestLeaseExpiryRequeuesToSecondWorker(t *testing.T) {
 	}
 
 	report := json.RawMessage(`{"ok":true,"attempt":2}`)
-	workerMgr := jobs.NewManager(jobs.Options{Workers: 1,
-		Runner: func(ctx context.Context, lj *jobs.Job) (json.RawMessage, error) { return report, nil }})
-	defer shutdown(t, workerMgr)
 	w2, err := NewWorker(WorkerOptions{
-		Name: "w2", Coordinator: srv.URL, Manager: workerMgr,
+		Name: "w2", Coordinator: srv.URL, Executor: jobs.NewExecutor(jobs.ExecOptions{
+			Runner: func(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
+				return report, nil
+			}}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +301,8 @@ func TestLeaseExpiryRequeuesToSecondWorker(t *testing.T) {
 	if code != http.StatusConflict {
 		t.Errorf("stale completion status = %d, want 409", code)
 	}
-	if string(j.Report()) != string(report) {
-		t.Errorf("stale completion overwrote the report: %s", j.Report())
+	if string(j.Status().Report) != string(report) {
+		t.Errorf("stale completion overwrote the report: %s", j.Status().Report)
 	}
 
 	cancel()
@@ -290,7 +313,7 @@ func TestLeaseExpiryRequeuesToSecondWorker(t *testing.T) {
 // deeper-queued job receives that job, not the front of the queue — and a
 // worker with no affinity steals the front as usual.
 func TestLeaseAffinityPreference(t *testing.T) {
-	coordMgr := jobs.NewManager(jobs.Options{Workers: -1})
+	coordMgr := jobs.NewManager(jobs.Options{})
 	defer shutdown(t, coordMgr)
 	coord := NewCoordinator(coordMgr, CoordinatorOptions{LeaseTTL: time.Second})
 	srv := httptest.NewServer(coord)
@@ -344,11 +367,12 @@ func TestLeaseAffinityPreference(t *testing.T) {
 		CompleteRequest{Name: "cold", Report: json.RawMessage(`{}`)}, nil)
 }
 
-// TestHeartbeatCarriesCancelsAndLost: a client cancel on a leased job rides
-// the next heartbeat back to its worker, and a heartbeat renewing a lease
-// the worker no longer holds reports it lost.
-func TestHeartbeatCarriesCancelsAndLost(t *testing.T) {
-	coordMgr := jobs.NewManager(jobs.Options{Workers: -1})
+// TestHeartbeatReportsLostLeases: a heartbeat renewing a lease the worker no
+// longer holds — here because a client cancelled the job — reports it lost,
+// which is all a worker needs to abort the run. (Cancels stays in the wire
+// type for coordinators built before cancels and losses were one answer.)
+func TestHeartbeatReportsLostLeases(t *testing.T) {
+	coordMgr := jobs.NewManager(jobs.Options{})
 	defer shutdown(t, coordMgr)
 	coord := NewCoordinator(coordMgr, CoordinatorOptions{LeaseTTL: time.Second})
 	srv := httptest.NewServer(coord)
@@ -374,9 +398,6 @@ func TestHeartbeatCarriesCancelsAndLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	postJSON(t, srv.URL+"/cluster/v1/heartbeat", HeartbeatRequest{Name: "w1", Running: []string{j.ID}}, &hb)
-	if len(hb.Cancels) != 1 || hb.Cancels[0] != j.ID {
-		t.Errorf("cancel did not ride the heartbeat: %+v", hb)
-	}
 	if len(hb.Lost) != 1 || hb.Lost[0] != j.ID {
 		t.Errorf("cancelled lease not reported lost: %+v", hb)
 	}
@@ -401,7 +422,7 @@ func TestHeartbeatCarriesCancelsAndLost(t *testing.T) {
 // TestWorkerRegisterTimingContract: register hands back the coordinator's
 // lease TTL and heartbeat interval, and an unnamed worker is refused.
 func TestWorkerRegisterTimingContract(t *testing.T) {
-	coordMgr := jobs.NewManager(jobs.Options{Workers: -1})
+	coordMgr := jobs.NewManager(jobs.Options{})
 	defer shutdown(t, coordMgr)
 	coord := NewCoordinator(coordMgr, CoordinatorOptions{LeaseTTL: 12 * time.Second})
 	srv := httptest.NewServer(coord)
@@ -415,9 +436,7 @@ func TestWorkerRegisterTimingContract(t *testing.T) {
 	if resp.LeaseTTL != 12*time.Second || resp.HeartbeatEvery != 4*time.Second {
 		t.Errorf("timing contract = %+v, want 12s TTL / 4s heartbeat", resp)
 	}
-	if coord.Workers() != 1 {
-		t.Errorf("registered workers = %d, want 1", coord.Workers())
-	}
+	expectMetric(t, coordMgr, "mosaicd_fleet_workers 1")
 	if code := postJSON(t, srv.URL+"/cluster/v1/register", RegisterRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("unnamed register status = %d, want 400", code)
 	}
@@ -427,7 +446,7 @@ func TestWorkerRegisterTimingContract(t *testing.T) {
 // workers and checks every job completes exactly once with its own report —
 // the work-stealing path under real concurrency (meaningful under -race).
 func TestTwoWorkersSplitTheQueue(t *testing.T) {
-	coordMgr := jobs.NewManager(jobs.Options{Workers: -1, QueueDepth: 32})
+	coordMgr := jobs.NewManager(jobs.Options{QueueDepth: 32})
 	defer shutdown(t, coordMgr)
 	coord := NewCoordinator(coordMgr, CoordinatorOptions{LeaseTTL: 2 * time.Second})
 	srv := httptest.NewServer(coord)
@@ -436,23 +455,20 @@ func TestTwoWorkersSplitTheQueue(t *testing.T) {
 	defer cancel()
 	go coord.Run(ctx)
 
-	mkWorker := func(name string) (*Worker, *jobs.Manager) {
-		mgr := jobs.NewManager(jobs.Options{Workers: 2,
-			Runner: func(ctx context.Context, j *jobs.Job) (json.RawMessage, error) {
-				return json.RawMessage(fmt.Sprintf(`{"by":%q,"workload":%q}`, name, j.Spec.Workload)), nil
+	mkWorker := func(name string) *Worker {
+		x := jobs.NewExecutor(jobs.ExecOptions{
+			Runner: func(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
+				return json.RawMessage(fmt.Sprintf(`{"by":%q,"workload":%q}`, name, l.Spec.Workload)), nil
 			}})
 		w, err := NewWorker(WorkerOptions{
-			Name: name, Coordinator: srv.URL, Manager: mgr, Slots: 2,
+			Name: name, Coordinator: srv.URL, Executor: x, Slots: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w, mgr
+		return w
 	}
-	w1, m1 := mkWorker("w1")
-	w2, m2 := mkWorker("w2")
-	defer shutdown(t, m1)
-	defer shutdown(t, m2)
+	w1, w2 := mkWorker("w1"), mkWorker("w2")
 	d1, d2 := make(chan struct{}), make(chan struct{})
 	go func() { defer close(d1); _ = w1.Run(ctx) }()
 	go func() { defer close(d2); _ = w2.Run(ctx) }()
@@ -470,8 +486,8 @@ func TestTwoWorkersSplitTheQueue(t *testing.T) {
 			t.Fatalf("job %s finished %s: %s", j.ID, st, j.Status().Error)
 		}
 		var rep struct{ By, Workload string }
-		if err := json.Unmarshal(j.Report(), &rep); err != nil {
-			t.Fatalf("job %s report %s: %v", j.ID, j.Report(), err)
+		if err := json.Unmarshal(j.Status().Report, &rep); err != nil {
+			t.Fatalf("job %s report %s: %v", j.ID, j.Status().Report, err)
 		}
 		if rep.By != "w1" && rep.By != "w2" {
 			t.Errorf("job %s completed by %q", j.ID, rep.By)

@@ -19,34 +19,25 @@ type CoordinatorOptions struct {
 	// 15s. Expiry scans run at a quarter of this.
 	LeaseTTL time.Duration
 	// Heartbeat is the interval workers are told to report at. Zero means
-	// LeaseTTL / 3, so a worker gets ~three renewal chances per TTL.
+	// LeaseTTL / 3, so a worker gets ~three renewal chances per TTL. A
+	// worker silent for three of them leaves the fleet gauge.
 	Heartbeat time.Duration
-	// WorkerTimeout is how long a silent worker stays in the fleet gauge
-	// before being dropped. Zero means 3 × Heartbeat.
-	WorkerTimeout time.Duration
 }
 
-// Coordinator exposes a jobs.Manager to a worker fleet over HTTP. It owns
-// no execution of its own — typically the manager runs with Workers < 0
-// (coordinator mode) so every job is executed by a lease.
+// Coordinator exposes a jobs.Manager's lease protocol to a worker fleet over
+// HTTP, and drives lease expiry.
 type Coordinator struct {
 	mgr  *jobs.Manager
 	opts CoordinatorOptions
 	mux  *http.ServeMux
 
 	mu      sync.Mutex
-	workers map[string]*workerInfo
+	workers map[string]time.Time // registered worker → last sighting
 
 	mWorkers    *metrics.Gauge
 	mLeases     *metrics.Counter
 	mHeartbeats *metrics.Counter
 	mLost       *metrics.Counter
-}
-
-// workerInfo is the coordinator's view of one registered worker.
-type workerInfo struct {
-	slots    int
-	lastSeen time.Time
 }
 
 // NewCoordinator wraps mgr with the /cluster/v1/ protocol surface. Call
@@ -59,15 +50,12 @@ func NewCoordinator(mgr *jobs.Manager, opts CoordinatorOptions) *Coordinator {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = opts.LeaseTTL / 3
 	}
-	if opts.WorkerTimeout <= 0 {
-		opts.WorkerTimeout = 3 * opts.Heartbeat
-	}
 	reg := mgr.Registry()
 	c := &Coordinator{
 		mgr:     mgr,
 		opts:    opts,
 		mux:     http.NewServeMux(),
-		workers: make(map[string]*workerInfo),
+		workers: make(map[string]time.Time),
 		mWorkers: reg.Gauge("mosaicd_fleet_workers",
 			"Workers currently registered and heartbeating.", nil),
 		mLeases: reg.Counter("mosaicd_fleet_leases_granted_total",
@@ -117,8 +105,8 @@ func (c *Coordinator) Run(ctx context.Context) {
 func (c *Coordinator) prune(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for name, wi := range c.workers {
-		if now.Sub(wi.lastSeen) > c.opts.WorkerTimeout {
+	for name, seen := range c.workers {
+		if now.Sub(seen) > 3*c.opts.Heartbeat {
 			delete(c.workers, name)
 			c.mLost.Inc()
 		}
@@ -126,27 +114,24 @@ func (c *Coordinator) prune(now time.Time) {
 	c.mWorkers.Set(int64(len(c.workers)))
 }
 
-// touch records a sighting of worker name, registering it if needed.
-func (c *Coordinator) touch(name string, slots int) {
+// sighted decodes a register, lease or heartbeat request into req (whose
+// Name field name points at) and records the sighting, registering the
+// worker if it is new to this coordinator. A malformed or unnamed request is
+// answered 400 here, and sighted reports false.
+func (c *Coordinator) sighted(w http.ResponseWriter, r *http.Request, what string, req any, name *string) bool {
+	if err := decode(r, req); err != nil {
+		writeErr(w, fmt.Errorf("bad %s body: %w", what, err))
+		return false
+	}
+	if *name == "" {
+		writeErr(w, fmt.Errorf("%s: worker name is required", what))
+		return false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	wi := c.workers[name]
-	if wi == nil {
-		wi = &workerInfo{slots: 1}
-		c.workers[name] = wi
-	}
-	if slots > 0 {
-		wi.slots = slots
-	}
-	wi.lastSeen = time.Now()
+	c.workers[*name] = time.Now()
 	c.mWorkers.Set(int64(len(c.workers)))
-}
-
-// Workers returns the number of currently registered workers.
-func (c *Coordinator) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.workers)
+	return true
 }
 
 // decode unmarshals a request body strictly, rejecting unknown fields.
@@ -178,15 +163,9 @@ func writeErr(w http.ResponseWriter, err error) {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, fmt.Errorf("bad register body: %w", err))
+	if !c.sighted(w, r, "register", &req, &req.Name) {
 		return
 	}
-	if req.Name == "" {
-		writeErr(w, errors.New("register: worker name is required"))
-		return
-	}
-	c.touch(req.Name, req.Slots)
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		LeaseTTL:       c.opts.LeaseTTL,
 		HeartbeatEvery: c.opts.Heartbeat,
@@ -195,25 +174,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, fmt.Errorf("bad lease body: %w", err))
+	if !c.sighted(w, r, "lease", &req, &req.Name) {
 		return
-	}
-	if req.Name == "" {
-		writeErr(w, errors.New("lease: worker name is required"))
-		return
-	}
-	c.touch(req.Name, 0)
-	affinity := make(map[uint64]bool, len(req.Affinity))
-	for _, h := range req.Affinity {
-		affinity[h] = true
 	}
 	// A zero (absent) wait yields a context that is already done, which
 	// makes LeaseJob a single look: polling is the degenerate long poll.
 	ctx, cancel := context.WithTimeout(r.Context(), min(req.Wait, c.opts.Heartbeat))
 	defer cancel()
-	lease, ok := c.mgr.LeaseJob(ctx, req.Name, affinity, c.opts.LeaseTTL)
-	if !ok {
+	lease := c.mgr.LeaseJob(ctx, req.Name, req.Affinity, c.opts.LeaseTTL)
+	if lease == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -242,15 +211,9 @@ func writeLease(w http.ResponseWriter, lease *jobs.Lease) error {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, fmt.Errorf("bad heartbeat body: %w", err))
+	if !c.sighted(w, r, "heartbeat", &req, &req.Name) {
 		return
 	}
-	if req.Name == "" {
-		writeErr(w, errors.New("heartbeat: worker name is required"))
-		return
-	}
-	c.touch(req.Name, 0)
 	c.mHeartbeats.Inc()
 	var resp HeartbeatResponse
 	for _, id := range req.Running {
@@ -258,7 +221,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			resp.Lost = append(resp.Lost, id)
 		}
 	}
-	resp.Cancels = c.mgr.TakeCancels(req.Name)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -284,7 +246,11 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("bad complete body: %w", err))
 		return
 	}
-	if err := c.mgr.CompleteLease(r.PathValue("id"), req.Name, req.Report, req.Error); err != nil {
+	var runErr error
+	if req.Error != "" {
+		runErr = errors.New(req.Error)
+	}
+	if err := c.mgr.CompleteLease(r.PathValue("id"), req.Name, req.Report, runErr); err != nil {
 		writeErr(w, err)
 		return
 	}

@@ -73,7 +73,7 @@ type fleet struct {
 
 func newFleet(t *testing.T, opts CoordinatorOptions) *fleet {
 	t.Helper()
-	f := &fleet{mgr: jobs.NewManager(jobs.Options{Workers: -1, QueueDepth: 32})}
+	f := &fleet{mgr: jobs.NewManager(jobs.Options{QueueDepth: 32})}
 	f.coord = NewCoordinator(f.mgr, opts)
 	f.count = &leaseCounter{next: f.coord}
 	f.srv = httptest.NewServer(f.count)
@@ -88,9 +88,7 @@ func newFleet(t *testing.T, opts CoordinatorOptions) *fleet {
 // channel.
 func (f *fleet) stubWorker(t *testing.T, ctx context.Context, opts WorkerOptions, run jobs.Runner) <-chan error {
 	t.Helper()
-	mgr := jobs.NewManager(jobs.Options{Workers: 4, Runner: run})
-	t.Cleanup(func() { shutdown(t, mgr) })
-	opts.Coordinator, opts.Manager = f.srv.URL, mgr
+	opts.Coordinator, opts.Executor = f.srv.URL, jobs.NewExecutor(jobs.ExecOptions{Runner: run})
 	w, err := NewWorker(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +98,7 @@ func (f *fleet) stubWorker(t *testing.T, ctx context.Context, opts WorkerOptions
 	return done
 }
 
-func okRunner(ctx context.Context, j *jobs.Job) (json.RawMessage, error) {
+func okRunner(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
 	return json.RawMessage(`{"ok":true}`), nil
 }
 
@@ -330,7 +328,7 @@ func TestWorkerCancelMidPark(t *testing.T) {
 func TestSlotsBoundInFlight(t *testing.T) {
 	f := newFleet(t, CoordinatorOptions{LeaseTTL: 30 * time.Second})
 	var running, peak atomic.Int64
-	run := func(ctx context.Context, j *jobs.Job) (json.RawMessage, error) {
+	run := func(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
 		n := running.Add(1)
 		defer running.Add(-1)
 		for {
@@ -361,14 +359,13 @@ func TestSlotsBoundInFlight(t *testing.T) {
 	<-done
 }
 
-// TestSameTenantLeasesFillTheSlots: a worker's local manager set up the way
-// cmd/mosaicd sets a worker up — no tenant quota, a queue as deep as the
-// slots — takes both of a tenant's leases while the first is still running
-// (one local simulation at a time, so the second waits in the local queue),
-// and both finish on their first attempt. The tenant's quota is the
-// coordinator's to enforce: there a third submission sheds.
+// TestSameTenantLeasesFillTheSlots: a two-slot worker takes both of a
+// tenant's leases while the first is still running, and both finish on their
+// first attempt — a worker has no admission of its own to shed a job its
+// coordinator already admitted. The tenant's quota is the coordinator's to
+// enforce: there a third submission sheds.
 func TestSameTenantLeasesFillTheSlots(t *testing.T) {
-	coordMgr := jobs.NewManager(jobs.Options{Workers: -1, QueueDepth: 32, TenantQuota: 2})
+	coordMgr := jobs.NewManager(jobs.Options{QueueDepth: 32, TenantQuota: 2})
 	srv := httptest.NewServer(NewCoordinator(coordMgr, CoordinatorOptions{LeaseTTL: 30 * time.Second}))
 	t.Cleanup(func() {
 		shutdown(t, coordMgr)
@@ -388,12 +385,11 @@ func TestSameTenantLeasesFillTheSlots(t *testing.T) {
 	}
 
 	release := make(chan struct{})
-	local := jobs.NewManager(jobs.Options{Workers: 1, QueueDepth: 2, Runner: func(ctx context.Context, j *jobs.Job) (json.RawMessage, error) {
+	x := jobs.NewExecutor(jobs.ExecOptions{Runner: func(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
 		<-release
 		return json.RawMessage(`{}`), nil
 	}})
-	t.Cleanup(func() { shutdown(t, local) })
-	w, err := NewWorker(WorkerOptions{Name: "w1", Coordinator: srv.URL, Manager: local, Slots: 2, Poll: time.Hour})
+	w, err := NewWorker(WorkerOptions{Name: "w1", Coordinator: srv.URL, Executor: x, Slots: 2, Poll: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +398,8 @@ func TestSameTenantLeasesFillTheSlots(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
 
-	// Both leases are held by the local manager before either may finish.
-	waitFor(t, "both leases admitted locally", func() bool {
-		qs := local.QueueStats()
-		return qs.Depth+qs.Running == 2
-	})
+	// Both leases are held and running before either may finish.
+	waitFor(t, "both leases running on the worker", func() bool { return x.QueueStats().Running == 2 })
 	close(release)
 	for _, j := range batch {
 		if st := waitTerminal(t, j, 10*time.Second); st != jobs.StateDone {
@@ -485,4 +478,166 @@ func TestEventBatchAppendsInOrder(t *testing.T) {
 	expectMetric(t, f.mgr, `mosaicd_stage_seconds_count{stage="artifact"} 1`)
 	expectMetric(t, f.mgr, `mosaicd_stage_seconds_sum{stage="run"} 1.5`)
 	postJSON(t, f.srv.URL+"/cluster/v1/jobs/"+j.ID+"/complete", CompleteRequest{Name: "w", Report: json.RawMessage(`{}`)}, nil)
+}
+
+// TestLostLeaseFreesItsSlotAtOnce: with the lease TTL an hour the next
+// heartbeat is twenty minutes off, so the only prompt way a worker can learn
+// that a long job was cancelled is the 409 the coordinator answers its next
+// forwarded event with. That must abort the run, free the slot, and start
+// the next queued job on it — in well under half a second.
+func TestLostLeaseFreesItsSlotAtOnce(t *testing.T) {
+	f := newFleet(t, CoordinatorOptions{LeaseTTL: time.Hour})
+	started := make(chan string, 2)
+	run := func(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
+		started <- l.JobID
+		if l.Spec.Workload != "sgemm" {
+			return json.RawMessage(`{}`), nil
+		}
+		// A long simulation: a progress tick now and then, until aborted.
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for cycle := int64(1); ; cycle++ {
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-tick.C:
+				emit(jobs.Event{Type: "progress", Cycle: cycle})
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := f.stubWorker(t, ctx, WorkerOptions{Name: "w1", Slots: 1, Poll: time.Hour}, run)
+
+	long := f.submit(t)
+	<-started
+	next, err := f.mgr.Submit(jobs.Spec{Workload: "spmv", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	if _, err := f.mgr.Cancel(long.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-started:
+		if d := time.Since(t0); id != next.ID || d > 500*time.Millisecond {
+			t.Errorf("%s started %v after the cancel, want %s within 500ms", id, d, next.ID)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cancelled job kept its worker slot: the 409 on its events did not abort the run")
+	}
+	if st := waitTerminal(t, next, 5*time.Second); st != jobs.StateDone {
+		t.Errorf("next job finished %s: %s", st, next.Status().Error)
+	}
+	if st := long.Status(); st.State != jobs.StateCancelled {
+		t.Errorf("cancelled job is %s", st.State)
+	}
+	cancel()
+	<-done
+}
+
+// TestWorkerRegrantedItsOwnRunningJob: a job whose lease lapses while a
+// two-slot worker is still running it requeues, and the requeue wakes that
+// same worker's parked request — so the worker holds two leases on one job
+// ID at once (a coordinator restarted under a running lease does the same).
+// The runs must stay apart: both unwind, the job ends done exactly once, and
+// nothing the first run's completion tears down belongs to the second.
+func TestWorkerRegrantedItsOwnRunningJob(t *testing.T) {
+	f := newFleet(t, CoordinatorOptions{LeaseTTL: 30 * time.Second})
+	started := make(chan int, 2)
+	release := make(chan struct{})
+	run := func(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
+		started <- l.Attempt
+		<-release
+		emit(jobs.Event{Type: "progress", Cycle: 1})
+		emit(jobs.Event{Type: "stage", Stage: "run", Seconds: 0.25})
+		return json.RawMessage(`{"ok":true}`), nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := f.stubWorker(t, ctx, WorkerOptions{Name: "w1", Slots: 2, Poll: time.Hour}, run)
+
+	j := f.submit(t)
+	if a := <-started; a != 1 {
+		t.Fatalf("first run is attempt %d", a)
+	}
+	waitFor(t, "the second slot to park a lease request", func() bool { return f.count.parked.Load() == 1 })
+	f.mgr.ExpireLeases(time.Now().Add(time.Minute))
+	select {
+	case a := <-started:
+		if a != 2 {
+			t.Fatalf("second run is attempt %d", a)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the requeued job was not granted to the worker's free slot")
+	}
+	close(release)
+	if st := waitTerminal(t, j, 5*time.Second); st != jobs.StateDone {
+		t.Fatalf("job finished %s: %s", st, j.Status().Error)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) { // both runs unwound
+		t.Errorf("Run returned %v, want context.Canceled", err)
+	}
+	if st := j.Status(); st.Attempts != 2 || st.Worker != "w1" || string(st.Report) != `{"ok":true}` {
+		t.Errorf("status = %+v, want attempt 2 on w1 with the stub's report", st)
+	}
+	expectMetric(t, f.mgr, `mosaicd_jobs_total{state="done"} 1`)
+	expectMetric(t, f.mgr, "mosaicd_leases_active 0")
+	expectMetric(t, f.mgr, "mosaicd_leases_expired_total 1")
+}
+
+// TestProgressTicksNeverWaitForTheNetwork: with the coordinator holding every
+// events request, a run's progress ticks overflow the forwarder's buffer and
+// are dropped — the simulating goroutine is not stalled behind the network —
+// while its stage events wait their turn and all arrive.
+func TestProgressTicksNeverWaitForTheNetwork(t *testing.T) {
+	mgr := jobs.NewManager(jobs.Options{})
+	coord := NewCoordinator(mgr, CoordinatorOptions{LeaseTTL: 30 * time.Second})
+	hold := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			<-hold
+		}
+		coord.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	defer shutdown(t, mgr)
+	ticked := make(chan struct{})
+	x := jobs.NewExecutor(jobs.ExecOptions{Runner: func(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
+		for c := int64(1); c <= 1000; c++ {
+			emit(jobs.Event{Type: "progress", Cycle: c})
+		}
+		close(ticked)
+		<-hold
+		emit(jobs.Event{Type: "stage", Stage: "run", Seconds: 0.5})
+		emit(jobs.Event{Type: "progress", Cycle: 1001, Final: true})
+		return json.RawMessage(`{}`), nil
+	}})
+	w, err := NewWorker(WorkerOptions{Name: "w1", Coordinator: srv.URL, Executor: x, Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go w.Run(ctx)
+	j, err := mgr.Submit(jobs.Spec{Workload: "sgemm", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ticked:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the run is stalled behind a coordinator that is not answering its event posts")
+	}
+	close(hold)
+	if st := waitTerminal(t, j, 5*time.Second); st != jobs.StateDone {
+		t.Fatalf("job finished %s: %s", st, j.Status().Error)
+	}
+	evs, _, _ := j.EventsSince(0)
+	last := evs[len(evs)-2] // before the done edge
+	if n := len(evs); n > 200 || last.Cycle != 1001 || !last.Final || evs[n-3].Stage != "run" {
+		t.Errorf("log has %d events ending %+v, %+v: want most ticks dropped, the stage event and the final tick kept", n, evs[n-3], last)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -21,38 +22,51 @@ type WorkerOptions struct {
 	Name string
 	// Coordinator is the coordinator's base URL (no trailing slash).
 	Coordinator string
-	// Manager executes leased jobs locally — the same engine stack a
-	// standalone daemon runs, so a fleet report is byte-identical to a
-	// single-process one. Required; typically built with its own cache,
-	// registry, and Workers > 0.
-	Manager *jobs.Manager
-	// Slots caps concurrently leased jobs. Zero means 1.
+	// Executor runs the leased jobs: the type a standalone daemon runs, so
+	// a fleet report is byte-identical to a single-process one. Required.
+	Executor *jobs.Executor
+	// Slots caps concurrently leased jobs (at least 1).
 	Slots int
 	// Poll is the back-off after an error: the coordinator unreachable, a
 	// failed register or completion, or a lease request it declined to park
 	// (it is draining). An idle worker does not poll — its lease request
 	// stays parked at the coordinator. Zero means 250ms.
 	Poll time.Duration
-	// Client is the HTTP client to use; nil means a 10s-timeout client.
-	Client *http.Client
 }
 
-// Worker leases jobs from a coordinator and runs them on a local manager.
-// It forwards stage/progress events as they happen, renews its leases
-// through heartbeats, and completes each job with the local report. The
-// affinity hashes of executed jobs accumulate and ride future lease
-// requests, so repeat work lands on this worker's warm caches.
-type Worker struct {
-	opts WorkerOptions
-	// hold is the wait each lease request asks for. register sets it before
-	// the lease loop — its only reader, on the same goroutine — starts.
-	hold time.Duration
+// requestTimeout bounds every request to the coordinator.
+const requestTimeout = 10 * time.Second
 
-	mu       sync.Mutex
-	ttl      time.Duration
-	hb       time.Duration
-	inflight map[string]string // coordinator job ID → local job ID
-	affinity map[uint64]bool
+// Worker is the /cluster/v1 client: the jobs.LeaseSource that feeds an
+// executor's lease loop from a coordinator. It forwards stage/progress
+// events as they happen, renews its leases through heartbeats, and completes
+// each job with the run's report. It keeps no job records — only, per
+// lease, the run holding it. The affinity hashes of executed jobs ride
+// future lease requests, so repeat work lands on this worker's warm caches.
+type Worker struct {
+	opts   WorkerOptions
+	client *http.Client
+	// hold is the wait each lease request asks for and hb the heartbeat
+	// period; register sets both before the loops that read them start.
+	hold, hb time.Duration
+
+	mu sync.Mutex
+	// runs is keyed by the lease, not its job: a job whose lease lapsed (or
+	// whose coordinator restarted) can be granted here again, on another
+	// slot, while its first run is still unwinding.
+	runs     map[*jobs.Lease]*run
+	affinity []uint64 // hashes of the jobs executed here
+}
+
+// run is one lease being executed here.
+type run struct {
+	loop  context.Context    // the lease loop's: cuts retry back-offs short at drain
+	ctx   context.Context    // the run's: done exactly when the lease is gone
+	abort context.CancelFunc // ends ctx
+	// events carries the run's events to its forwarder; Complete closes it.
+	// The buffer lets the simulating goroutine run ahead of the network.
+	events  chan jobs.Event
+	flushed chan struct{} // closed when the forwarder has posted everything
 }
 
 // NewWorker validates opts and builds a worker. Run starts it.
@@ -63,106 +77,51 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.Coordinator == "" {
 		return nil, errors.New("cluster: coordinator URL is required")
 	}
-	if opts.Manager == nil {
-		return nil, errors.New("cluster: worker needs a local manager")
-	}
-	if opts.Slots <= 0 {
-		opts.Slots = 1
-	}
 	if opts.Poll <= 0 {
 		opts.Poll = 250 * time.Millisecond
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 10 * time.Second}
-	}
 	opts.Coordinator = strings.TrimRight(opts.Coordinator, "/")
 	return &Worker{
-		opts:     opts,
-		inflight: make(map[string]string),
-		affinity: make(map[uint64]bool),
+		opts:   opts,
+		client: &http.Client{Timeout: requestTimeout},
+		runs:   make(map[*jobs.Lease]*run),
 	}, nil
 }
 
-// Run registers with the coordinator and works until ctx is cancelled,
-// then drains: no new leases are taken (a parked lease request is abandoned
-// at once), in-flight jobs finish and complete (heartbeats continue so their
-// leases stay alive), and Run returns.
+// Run registers with the coordinator and feeds the executor's lease loop
+// until ctx is cancelled, then drains: no new leases are taken (a parked
+// lease request is abandoned at once), in-flight jobs finish and complete
+// (heartbeats continue so their leases stay alive), and Run returns.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
 	// Heartbeats outlive ctx: they carry lease renewals for the drain.
 	hbCtx, stopHB := context.WithCancel(context.WithoutCancel(ctx))
-	defer stopHB()
-	var hbDone sync.WaitGroup
-	hbDone.Add(1)
+	hbDone := make(chan struct{})
 	go func() {
-		defer hbDone.Done()
+		defer close(hbDone)
 		w.heartbeatLoop(hbCtx)
 	}()
-
-	var wg sync.WaitGroup
-	slots := make(chan struct{}, w.opts.Slots) // counting semaphore: one token per leased job
-	for ctx.Err() == nil {
-		// Block on a free slot, not on a timer: execute's return releases one.
-		select {
-		case slots <- struct{}{}:
-		case <-ctx.Done():
-			continue
-		}
-		asked := time.Now()
-		lease, err := w.lease(ctx)
-		if lease == nil {
-			<-slots
-			// A 204 after a full hold is the idle case: ask again at once.
-			// An error, or a 204 well before the hold was up (the coordinator
-			// is draining and parks nothing), backs off instead of spinning.
-			if err != nil || time.Since(asked) < w.hold/2 {
-				sleep(ctx, w.opts.Poll)
-			}
-			continue
-		}
-		// Reserve the heartbeat entry before execute() runs, so the lease is
-		// renewed from its first heartbeat on.
-		w.mu.Lock()
-		w.inflight[lease.JobID] = ""
-		w.mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-slots }()
-			w.execute(ctx, lease)
-		}()
-	}
-	wg.Wait()
+	w.opts.Executor.Serve(ctx, w, w.opts.Slots)
 	stopHB()
-	hbDone.Wait()
+	<-hbDone
 	return ctx.Err()
 }
 
 // register announces the worker, retrying until the coordinator answers or
-// ctx is cancelled, and adopts the returned lease TTL and heartbeat
-// interval.
+// ctx is cancelled, and adopts the returned heartbeat interval.
 func (w *Worker) register(ctx context.Context) error {
 	req := RegisterRequest{Name: w.opts.Name, Slots: w.opts.Slots}
 	for {
 		var resp RegisterResponse
 		_, err := w.post(ctx, "/cluster/v1/register", req, &resp)
 		if err == nil {
-			w.mu.Lock()
-			w.ttl = resp.LeaseTTL
 			w.hb = resp.HeartbeatEvery
-			if w.hb <= 0 {
-				w.hb = 5 * time.Second
-			}
 			// The coordinator holds a lease request for at most a heartbeat
-			// interval; ask for no more than half the client timeout, so a
+			// interval; ask for no more than half the request timeout, so a
 			// parked request is answered before the client gives up on it.
-			w.hold = w.hb
-			w.mu.Unlock()
-			if t := w.opts.Client.Timeout; t > 0 {
-				w.hold = min(w.hold, t/2)
-			}
+			w.hold = min(w.hb, requestTimeout/2)
 			return nil
 		}
 		if !sleep(ctx, w.opts.Poll) {
@@ -172,16 +131,10 @@ func (w *Worker) register(ctx context.Context) error {
 }
 
 // heartbeatLoop reports liveness at the coordinator's interval, renewing
-// every in-flight lease and aborting local runs the coordinator cancelled
-// or no longer credits to us.
+// every held lease and aborting the runs whose lease the coordinator
+// cancelled or no longer credits to us.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
-	w.mu.Lock()
-	period := w.hb
-	w.mu.Unlock()
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	t := time.NewTicker(period)
+	t := time.NewTicker(max(w.hb, 10*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -194,142 +147,127 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		if _, err := w.post(ctx, "/cluster/v1/heartbeat", req, &resp); err != nil {
 			continue // transient: leases survive until the TTL, keep trying
 		}
-		for _, id := range append(resp.Cancels, resp.Lost...) {
-			w.abortLocal(id)
+		lost := append(resp.Cancels, resp.Lost...)
+		w.mu.Lock()
+		for l, r := range w.runs {
+			if slices.Contains(lost, l.JobID) {
+				r.abort()
+			}
+		}
+		w.mu.Unlock()
+	}
+}
+
+// Lease implements jobs.LeaseSource: it asks — each request parked at the
+// coordinator for up to the hold, and abandoned at once when ctx ends —
+// until a job is granted. The run's context ends when the lease is lost,
+// never merely because ctx did (a drain finishes its runs).
+func (w *Worker) Lease(ctx context.Context) (*jobs.Lease, context.Context) {
+	for ctx.Err() == nil {
+		l := new(jobs.Lease)
+		asked := time.Now()
+		code, err := w.post(ctx, "/cluster/v1/lease", LeaseRequest{Name: w.opts.Name, Affinity: w.Affinity(), Wait: w.hold}, l)
+		if err != nil || code == http.StatusNoContent {
+			// A 204 after a full hold is the idle case: ask again at once.
+			// An error, or a 204 well before the hold was up (the coordinator
+			// is draining and parks nothing), backs off instead of spinning.
+			if err != nil || time.Since(asked) < w.hold/2 {
+				sleep(ctx, w.opts.Poll)
+			}
+			continue
+		}
+		// Registered before the run starts: the lease is renewed from its
+		// first heartbeat on, and can be aborted from its first event on.
+		r := &run{loop: ctx, events: make(chan jobs.Event, 64), flushed: make(chan struct{})}
+		r.ctx, r.abort = context.WithCancel(context.WithoutCancel(ctx))
+		w.mu.Lock()
+		w.runs[l] = r
+		w.mu.Unlock()
+		go w.forward(l.JobID, r)
+		return l, r.ctx
+	}
+	return nil, nil
+}
+
+// Event implements jobs.LeaseSource by handing e to the run's forwarder. A
+// progress tick that finds the buffer full — the coordinator is slow, or
+// unreachable — is dropped rather than stall the simulation behind the
+// network; stage events and the final tick wait for room.
+func (w *Worker) Event(l *jobs.Lease, e jobs.Event) {
+	w.mu.Lock()
+	r := w.runs[l]
+	w.mu.Unlock()
+	if e.Type != "progress" || e.Final {
+		r.events <- e
+		return
+	}
+	select {
+	case r.events <- e:
+	default:
+	}
+}
+
+// forward posts a run's events, each request carrying everything emitted
+// since the last. Failures are not retried, but a 409 is the coordinator
+// saying the lease is gone (job cancelled, or expired and requeued): the run
+// is aborted at once instead of simulating on until the next heartbeat.
+func (w *Worker) forward(id string, r *run) {
+	defer close(r.flushed)
+	for e := range r.events {
+		batch := []jobs.Event{e}
+		for n := len(r.events); n > 0; n-- { // buffered already: this is the only receiver
+			batch = append(batch, <-r.events)
+		}
+		code, _ := w.post(context.WithoutCancel(r.loop), "/cluster/v1/jobs/"+id+"/events", EventRequest{Name: w.opts.Name, Events: batch}, nil)
+		if code == http.StatusConflict {
+			r.abort()
 		}
 	}
 }
 
-// lease asks for one job, parked at the coordinator for up to the hold; nil
-// without error means none was queued for that long. ctx abandons a parked
-// request at once.
-func (w *Worker) lease(ctx context.Context) (*jobs.Lease, error) {
+// Complete implements jobs.LeaseSource: it flushes the run's events, reports
+// the outcome — retrying transient failures while the worker runs; at drain
+// a failed completion is left to the lease's expiry — and lets go of the
+// lease. A run that was aborted reports nothing: its lease is gone, and the
+// job may by now be leased again (even here) to a run the abort's error
+// would fail. A 409 says the same after the fact.
+func (w *Worker) Complete(l *jobs.Lease, report json.RawMessage, err error) {
+	// The caches are warm for this spec now, whatever the outcome: claim
+	// affinity before the coordinator learns the job finished.
 	w.mu.Lock()
-	hashes := make([]uint64, 0, len(w.affinity))
-	for h := range w.affinity {
-		hashes = append(hashes, h)
+	r := w.runs[l]
+	if !slices.Contains(w.affinity, l.Affinity) {
+		w.affinity = append(w.affinity, l.Affinity)
 	}
 	w.mu.Unlock()
-	var lease jobs.Lease
-	req := LeaseRequest{Name: w.opts.Name, Affinity: hashes, Wait: w.hold}
-	code, err := w.post(ctx, "/cluster/v1/lease", req, &lease)
+	close(r.events)
+	<-r.flushed
+	req := CompleteRequest{Name: w.opts.Name, Report: report}
 	if err != nil {
-		return nil, err
+		req.Report, req.Error = nil, err.Error()
 	}
-	if code == http.StatusNoContent {
-		return nil, nil
-	}
-	return &lease, nil
-}
-
-// execute runs one leased job on the local manager, forwarding its stage
-// and progress events, and completes the lease with the local outcome. It
-// runs to completion after ctx is cancelled (the drain); ctx only cuts the
-// completion's retry back-off short.
-func (w *Worker) execute(ctx context.Context, l *jobs.Lease) {
-	defer func() {
-		w.mu.Lock()
-		delete(w.inflight, l.JobID)
-		w.mu.Unlock()
-	}()
-	j, err := w.opts.Manager.Submit(l.Spec)
-	if err != nil {
-		w.complete(ctx, l.JobID, nil, fmt.Sprintf("worker %s: submit: %v", w.opts.Name, err))
-		return
-	}
-	w.mu.Lock()
-	w.inflight[l.JobID] = j.ID
-	w.mu.Unlock()
-	next := 0
-	for {
-		evs, more, done := j.EventsSince(next)
-		next += len(evs)
-		w.postEvents(ctx, l.JobID, evs)
-		if done {
+	for attempt := 0; attempt < 5 && r.ctx.Err() == nil; attempt++ {
+		code, err := w.post(context.WithoutCancel(r.loop), "/cluster/v1/jobs/"+l.JobID+"/complete", req, nil)
+		if err == nil || code == http.StatusConflict || code == http.StatusNotFound {
 			break
 		}
-		<-more
+		if !sleep(r.loop, w.opts.Poll) {
+			break
+		}
 	}
-	// The local caches are warm for this spec now, whatever the outcome:
-	// claim affinity before completing so the hash is visible as soon as
-	// the coordinator learns the job finished.
 	w.mu.Lock()
-	w.affinity[l.Affinity] = true
+	delete(w.runs, l)
 	w.mu.Unlock()
-	switch st := j.Status(); st.State {
-	case jobs.StateDone:
-		w.complete(ctx, l.JobID, st.Report, "")
-	case jobs.StateCancelled:
-		// Cancels originate at the coordinator, which already finished the
-		// job there; this completion is a no-op 409 that keeps the
-		// protocol honest if the local cancel had another cause.
-		w.complete(ctx, l.JobID, nil, "cancelled on worker "+w.opts.Name)
-	default:
-		w.complete(ctx, l.JobID, nil, st.Error)
-	}
-}
-
-// complete reports a leased job's outcome, retrying transient failures while
-// the worker runs; once ctx is cancelled a failed completion is left to the
-// lease's expiry. A 409 means the lease was lost (expired, cancelled, or
-// finished elsewhere) — the run is abandoned without further noise.
-func (w *Worker) complete(ctx context.Context, id string, report json.RawMessage, errMsg string) {
-	req := CompleteRequest{Name: w.opts.Name, Report: report, Error: errMsg}
-	for attempt := 0; attempt < 5; attempt++ {
-		code, err := w.post(context.WithoutCancel(ctx), "/cluster/v1/jobs/"+id+"/complete", req, nil)
-		if err == nil || code == http.StatusConflict || code == http.StatusNotFound {
-			return
-		}
-		if !sleep(ctx, w.opts.Poll) {
-			return
-		}
-	}
-}
-
-// postEvents forwards one drain of the local event log (its lifecycle edges
-// left out: the coordinator emits its own) as a single request. Best-effort:
-// a dropped progress tick costs observability, never correctness, so
-// failures are not retried.
-func (w *Worker) postEvents(ctx context.Context, id string, evs []jobs.Event) {
-	fwd := make([]jobs.Event, 0, len(evs))
-	for _, e := range evs {
-		if e.Type != "state" {
-			fwd = append(fwd, e)
-		}
-	}
-	if len(fwd) == 0 {
-		return
-	}
-	_, _ = w.post(context.WithoutCancel(ctx), "/cluster/v1/jobs/"+id+"/events", EventRequest{Name: w.opts.Name, Events: fwd}, nil)
-}
-
-// abortLocal cancels the local run backing coordinator job id, if any. A
-// reserved slot whose local submit has not landed yet ("" entry) is waited
-// out briefly — cancels are delivered once per heartbeat and must not be
-// dropped into that window.
-func (w *Worker) abortLocal(id string) {
-	for i := 0; i < 50; i++ {
-		w.mu.Lock()
-		local, ok := w.inflight[id]
-		w.mu.Unlock()
-		if !ok {
-			return // already finished
-		}
-		if local != "" {
-			_, _ = w.opts.Manager.Cancel(local)
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	r.abort()
 }
 
 // runningIDs snapshots the coordinator job IDs currently executing here.
 func (w *Worker) runningIDs() []string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ids := make([]string, 0, len(w.inflight))
-	for id := range w.inflight {
-		ids = append(ids, id)
+	ids := make([]string, 0, len(w.runs))
+	for l := range w.runs {
+		ids = append(ids, l.JobID)
 	}
 	return ids
 }
@@ -339,15 +277,11 @@ func (w *Worker) runningIDs() []string {
 func (w *Worker) Affinity() []uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]uint64, 0, len(w.affinity))
-	for h := range w.affinity {
-		out = append(out, h)
-	}
-	return out
+	return slices.Clone(w.affinity)
 }
 
 // post sends one JSON request under ctx and decodes a 200 response into resp
-// (when non-nil). Non-2xx statuses return the decoded error message.
+// (when non-nil). A 4xx or 5xx is an error carrying the status and the body.
 func (w *Worker) post(ctx context.Context, path string, req, resp any) (int, error) {
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -358,21 +292,14 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) (int, err
 		return 0, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hr, err := w.opts.Client.Do(hreq)
+	hr, err := w.client.Do(hreq)
 	if err != nil {
 		return 0, err
 	}
 	defer hr.Body.Close()
 	body, _ := io.ReadAll(hr.Body)
 	if hr.StatusCode >= 400 {
-		var ae struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(body))
-		if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-			msg = ae.Error
-		}
-		return hr.StatusCode, fmt.Errorf("cluster: %s: %s: %s", path, hr.Status, msg)
+		return hr.StatusCode, fmt.Errorf("cluster: %s: %s: %s", path, hr.Status, bytes.TrimSpace(body))
 	}
 	if resp != nil && hr.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(body, resp); err != nil {

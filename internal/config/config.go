@@ -341,6 +341,12 @@ func (sc *SystemConfig) TileCount() int {
 	return n
 }
 
+// MaxTiles bounds the tiles one system may declare. Validation and expansion
+// walk the instances one by one, so without a bound a count field in an
+// untrusted submission (a job spec's inline topology) is a denial of
+// service; the largest shipped system has 65.
+const MaxTiles = 4096
+
 // count is the effective tile count of one TileDef.
 func (td *TileDef) count() int {
 	if td.Count == 0 {
@@ -386,6 +392,16 @@ func (sc *SystemConfig) Validate() error {
 	}
 	if sc.FabricLatency != nil && *sc.FabricLatency < 0 {
 		return fmt.Errorf("config %q: fabric_latency must be >= 0, got %d", sc.Name, *sc.FabricLatency)
+	}
+	total := 0
+	for _, cs := range sc.Cores {
+		total += min(cs.Count, MaxTiles+1) // clamped: the sum cannot overflow
+	}
+	for i := range sc.Tiles {
+		total += min(sc.Tiles[i].count(), MaxTiles+1)
+	}
+	if total > MaxTiles {
+		return fmt.Errorf("config %q: more than %d tiles", sc.Name, MaxTiles)
 	}
 	for _, cs := range sc.Cores {
 		if cs.Count <= 0 {

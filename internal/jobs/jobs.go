@@ -1,20 +1,26 @@
-// Package jobs is MosaicSim-Go's bounded simulation job manager: the layer
-// that turns the cancellable session engine (internal/sim) into a
-// long-running service substrate. Each submitted Spec becomes a Job with an
-// ID, a per-job context, and a lifecycle state machine
+// Package jobs is MosaicSim-Go's simulation job service substrate, in two
+// halves joined by the lease protocol (lease.go).
+//
+// The Manager admits: each submitted Spec becomes a Job with an ID and a
+// lifecycle state machine
 //
 //	queued → running → done | failed | cancelled
 //
-// driven by a fixed worker pool and, in a fleet, by remote workers holding
-// leases (see lease.go). Admission control is explicit: the queue is bounded
-// and class-prioritised, per-tenant quotas cap any one client's live jobs,
-// and a submission past either bound is shed immediately (ErrQueueFull,
-// ErrTenantQuota) instead of growing memory without limit. All jobs share
-// one sim.Cache, so identical submissions singleflight their compile/trace
-// work, and every lifecycle edge, stage transition, and progress tick is
-// published as a per-job event stream (for live observers), as metrics
-// (internal/metrics) for scraping, and — when a store is attached — as an
-// append-only NDJSON log (internal/store) that survives restarts.
+// whose every edge the manager decides; it never runs a job. Admission
+// control is explicit: the queue is bounded and class-prioritised,
+// per-tenant quotas cap any one client's live jobs, and a submission past
+// either bound is shed immediately (ErrQueueFull, ErrTenantQuota) instead of
+// growing memory without limit. Every lifecycle edge, stage transition, and
+// progress tick is published as a per-job event stream (for live observers),
+// as metrics (internal/metrics) for scraping, and — when a store is attached
+// — as an append-only NDJSON log (internal/store) that survives restarts.
+//
+// The Executor (exec.go) runs: its lease loop asks a LeaseSource for work,
+// runs each lease on the session engine (internal/sim) through one shared
+// sim.Cache, and reports events and the outcome back. A lease is the only
+// way a job starts: a standalone daemon points the loop at its own manager
+// (Manager.Local); a fleet worker points it at a coordinator over HTTP
+// (internal/cluster) and has no manager at all.
 package jobs
 
 import (
@@ -22,13 +28,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"mosaicsim/internal/metrics"
-	"mosaicsim/internal/sim"
-	"mosaicsim/internal/soc"
 	"mosaicsim/internal/store"
 )
 
@@ -62,9 +65,9 @@ var (
 	ErrShuttingDown = errors.New("jobs: manager shutting down")
 	// ErrNotFound reports an unknown job ID.
 	ErrNotFound = errors.New("jobs: no such job")
-	// ErrLeaseLost tells a remote worker its lease is no longer valid (it
+	// ErrLeaseLost tells an executor its lease is no longer valid (it
 	// expired and the job was requeued, or the job was cancelled). The
-	// worker must stop reporting for that job.
+	// executor must stop reporting for that job.
 	ErrLeaseLost = errors.New("jobs: lease lost")
 )
 
@@ -90,8 +93,9 @@ type Event struct {
 	// run's last, never a stale throttled tick.
 	Final bool   `json:"final,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Worker and Attempt appear on lifecycle edges of leased jobs: which
-	// remote worker held the lease, and which execution attempt this is.
+	// Worker and Attempt appear on the lifecycle edges a lease causes: which
+	// executor held it (LocalWorker for the in-process one), and which
+	// execution attempt this is.
 	Worker  string `json:"worker,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
 }
@@ -106,10 +110,10 @@ type Status struct {
 	Finished  *time.Time      `json:"finished,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	Report    json.RawMessage `json:"report,omitempty"`
-	// Attempts counts execution starts (local or leased); >1 means the job
-	// was requeued after a lost lease or a daemon restart.
+	// Attempts counts leases granted; >1 means the job was requeued after a
+	// lost lease or a daemon restart.
 	Attempts int `json:"attempts,omitempty"`
-	// Worker names the remote worker holding (or last holding) the lease.
+	// Worker names the executor holding (or last holding) the lease.
 	Worker string `json:"worker,omitempty"`
 }
 
@@ -120,7 +124,7 @@ type Job struct {
 	ID   string
 	Spec Spec // normalized
 
-	ctx    context.Context // per-job; cancelled by Cancel, Shutdown, or the root
+	ctx    context.Context // live jobs only; ended by finish. An in-process run's abort signal
 	cancel context.CancelFunc
 
 	digest   string            // content address in the store ("" = not persisted)
@@ -137,8 +141,7 @@ type Job struct {
 	started     time.Time
 	finished    time.Time
 	attempts    int
-	leased      bool      // held by a remote worker right now
-	leaseWorker string    // current (or last) lease holder
+	leaseWorker string    // current (or last) lease holder; holds it exactly while running
 	leaseExpiry time.Time // lease deadline; past it the job is requeueable
 }
 
@@ -154,13 +157,6 @@ func (j *Job) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// Report returns the finished job's JSON report (nil before done).
-func (j *Job) Report() json.RawMessage {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.report
 }
 
 // Status snapshots the job.
@@ -228,21 +224,14 @@ func (j *Job) EventsSince(after int) (evs []Event, more <-chan struct{}, done bo
 
 // Options configures a Manager.
 type Options struct {
-	// Workers is the number of concurrent local simulations (default
-	// GOMAXPROCS). Negative means no local pool at all: jobs queue until a
-	// remote worker leases them (coordinator mode).
-	Workers int
 	// QueueDepth bounds the admission queue; submissions beyond it shed
 	// with ErrQueueFull (default 64).
 	QueueDepth int
-	// JobTimeout caps each job's run wall-clock time, and also caps any
-	// smaller per-spec timeout (0 = unbounded).
-	JobTimeout time.Duration
 	// MaxJobs bounds retained job records: beyond it, the oldest terminal
 	// jobs are forgotten (default 4096; their IDs then return ErrNotFound).
 	MaxJobs int
-	// TenantQuota caps each tenant's live (queued + running + leased)
-	// jobs; 0 disables per-tenant quotas.
+	// TenantQuota caps each tenant's live (queued + running) jobs; 0
+	// disables per-tenant quotas.
 	TenantQuota int
 	// MaxAttempts bounds execution attempts per job (default 3): a job
 	// whose lease expires at the bound fails instead of requeueing, so a
@@ -252,54 +241,32 @@ type Options struct {
 	// in-memory only). The manager recovers the store's jobs at startup;
 	// the caller retains ownership and closes it after Shutdown.
 	Store *store.Store
-	// Cache is the shared artifact cache (nil builds a private unbounded
-	// one). Daemons pass a bounded cache so identical submissions
-	// singleflight while memory stays capped.
-	Cache *sim.Cache
 	// Registry receives the manager's metrics (nil builds a private one).
 	Registry *metrics.Registry
-	// Runner executes one job and returns its JSON report. Nil selects the
-	// sim-backed runner; tests substitute a controllable stub.
-	Runner Runner
-	// Replay is the default for specs that leave replay unset: answer
-	// re-submissions proven identical to a recorded run from its schedule
-	// (bit-identical to full simulation).
-	Replay bool
 }
 
-// Runner executes one running job under ctx, emitting events through job,
-// and returns the job's final JSON report.
-type Runner func(ctx context.Context, job *Job) (json.RawMessage, error)
-
-// Manager owns the queue, the worker pool, the shared cache, and the job
-// table.
+// Manager owns admission, the class queues, the job table, the store
+// binding, and the lease protocol. It executes nothing: every job starts as
+// a lease granted to an Executor's loop, here or in a fleet worker.
 type Manager struct {
-	opts  Options
-	root  context.Context
-	stop  context.CancelFunc
-	cache *sim.Cache
-	reg   *metrics.Registry
-	wg    sync.WaitGroup
+	opts Options
 
 	mu         sync.Mutex
-	cond       *sync.Cond    // signals queue growth and close to dequeue()
 	wake       chan struct{} // closed and replaced at enqueue and drain; parked LeaseJob calls wait on it
+	drained    chan struct{} // closed once draining with no lease outstanding
 	queues     [3][]*Job     // one FIFO per priority class, indexed by classRank
-	qclosed    bool
 	jobs       map[string]*Job
 	order      []string // submission order, for retention eviction
 	nextID     int
 	draining   bool
-	tenantLive map[string]int      // live (non-terminal) jobs per tenant
-	cancels    map[string][]string // pending cancel notices per worker
+	tenantLive map[string]int // live (non-terminal) jobs per tenant
 
 	mSubmitted      *metrics.Counter
 	mRejected       *metrics.Counter
 	mStates         map[State]*metrics.Counter
 	mQueueDepth     *metrics.Gauge
 	mClassDepth     map[string]*metrics.Gauge
-	mInflight       *metrics.Gauge
-	mLeasesActive   *metrics.Gauge
+	mLeasesActive   *metrics.Gauge // written under mu, so Shutdown's look at it is exact
 	mLeaseExpired   *metrics.Counter
 	mRequeued       *metrics.Counter
 	mSteals         *metrics.Counter
@@ -309,11 +276,8 @@ type Manager struct {
 	mStoreErrors    *metrics.Counter
 	mTenantJobs     *metrics.CounterVec
 	mTenantRejected *metrics.CounterVec
-	mStage          map[string]*metrics.Histogram
+	mStage          stageSeconds
 	mQueueWait      *metrics.Histogram
-	mTileActive     map[string]*metrics.Counter
-	mTileStall      map[string]*metrics.Counter
-	mTileInstrs     map[string]*metrics.Counter
 }
 
 // queueWaitBuckets resolve the sub-millisecond waits of an idle daemon or
@@ -325,18 +289,33 @@ var queueWaitBuckets = append([]float64{.0001, .00025, .0005, .001, .0025}, metr
 // BuildSystem→Run, report covers result marshalling.
 var runStages = []string{"artifact", "run", "report"}
 
-// NewManager builds a manager, registers its metrics, recovers any persisted
-// jobs from the store, and starts its workers. Callers must Shutdown it to
-// release them.
+// stageSeconds is the mosaicd_stage_seconds family, one histogram per
+// pipeline stage. A process has it once, observed where its runs' stage
+// events land: a manager's AppendRemote, else (a fleet worker has no manager)
+// the executor's own emit.
+type stageSeconds map[string]*metrics.Histogram
+
+// newStageSeconds registers the family on reg.
+func newStageSeconds(reg *metrics.Registry) stageSeconds {
+	s := stageSeconds{}
+	for _, stage := range runStages {
+		s[stage] = reg.Histogram("mosaicd_stage_seconds", "Pipeline stage latency.", metrics.Labels{"stage": stage}, nil)
+	}
+	return s
+}
+
+// observe records the stage events among evs.
+func (s stageSeconds) observe(evs ...Event) {
+	for _, e := range evs {
+		if h := s[e.Stage]; h != nil && e.Type == "stage" {
+			h.Observe(e.Seconds)
+		}
+	}
+}
+
+// NewManager builds a manager, registers its metrics, and recovers any
+// persisted jobs from the store. Callers must Shutdown it.
 func NewManager(opts Options) *Manager {
-	localWorkers := opts.Workers
-	if localWorkers == 0 {
-		localWorkers = runtime.GOMAXPROCS(0)
-	}
-	if localWorkers < 0 {
-		localWorkers = 0 // coordinator mode: remote leases only
-	}
-	opts.Workers = localWorkers
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
@@ -346,29 +325,17 @@ func NewManager(opts Options) *Manager {
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 3
 	}
-	if opts.Cache == nil {
-		opts.Cache = sim.NewCache()
-	}
 	if opts.Registry == nil {
 		opts.Registry = metrics.NewRegistry()
 	}
-	root, stop := context.WithCancel(context.Background())
 	m := &Manager{
 		opts:       opts,
-		root:       root,
-		stop:       stop,
-		cache:      opts.Cache,
-		reg:        opts.Registry,
 		jobs:       map[string]*Job{},
 		tenantLive: map[string]int{},
-		cancels:    map[string][]string{},
 		wake:       make(chan struct{}),
+		drained:    make(chan struct{}),
 	}
-	m.cond = sync.NewCond(&m.mu)
-	if m.opts.Runner == nil {
-		m.opts.Runner = m.simRun
-	}
-	reg := m.reg
+	reg := opts.Registry
 	m.mSubmitted = reg.Counter("mosaicd_jobs_submitted_total", "Jobs admitted to the queue.", nil)
 	m.mRejected = reg.Counter("mosaicd_jobs_rejected_total", "Submissions shed by admission control (queue full, tenant quota, or draining).", nil)
 	m.mStates = map[State]*metrics.Counter{}
@@ -380,8 +347,7 @@ func NewManager(opts Options) *Manager {
 	for _, p := range priorityClasses {
 		m.mClassDepth[p] = reg.Gauge("mosaicd_queue_depth", "Jobs waiting in the admission queue.", metrics.Labels{"class": p})
 	}
-	m.mInflight = reg.Gauge("mosaicd_jobs_inflight", "Simulations currently running locally.", nil)
-	m.mLeasesActive = reg.Gauge("mosaicd_leases_active", "Jobs currently leased to remote workers.", nil)
+	m.mLeasesActive = reg.Gauge("mosaicd_leases_active", "Jobs currently leased to an executor.", nil)
 	m.mLeaseExpired = reg.Counter("mosaicd_leases_expired_total", "Leases that expired without completion (worker lost).", nil)
 	m.mRequeued = reg.Counter("mosaicd_jobs_requeued_total", "Jobs returned to the queue after a lost lease.", nil)
 	m.mSteals = reg.Counter("mosaicd_lease_steals_total", "Leases granted to a worker with no affinity match (work stealing).", nil)
@@ -391,66 +357,16 @@ func NewManager(opts Options) *Manager {
 	m.mStoreErrors = reg.Counter("mosaicd_store_errors_total", "Persistence operations that failed (jobs continue in memory).", nil)
 	m.mTenantJobs = reg.CounterVec("mosaicd_tenant_jobs_total", "Jobs admitted, by tenant.", "tenant", nil)
 	m.mTenantRejected = reg.CounterVec("mosaicd_tenant_rejected_total", "Submissions shed by per-tenant quota.", "tenant", nil)
-	m.mStage = map[string]*metrics.Histogram{}
-	for _, stage := range runStages {
-		m.mStage[stage] = reg.Histogram("mosaicd_stage_seconds", "Pipeline stage latency.", metrics.Labels{"stage": stage}, nil)
-	}
-	m.mQueueWait = reg.Histogram("mosaicd_queue_wait_seconds", "Time from submission to the start of execution (local dequeue or lease grant).", nil, queueWaitBuckets)
-	// Per-tile-kind simulated-time breakdowns. The registry rejects lazy
-	// duplicate registration, so every kind the tile registry can produce is
-	// registered up front; kinds registered after startup (custom tile
-	// factories) fold into "other".
-	m.mTileActive = map[string]*metrics.Counter{}
-	m.mTileStall = map[string]*metrics.Counter{}
-	m.mTileInstrs = map[string]*metrics.Counter{}
-	for _, kind := range append(soc.TileKinds(), "accel", "other") {
-		l := metrics.Labels{"kind": kind}
-		m.mTileActive[kind] = reg.Counter("mosaicd_tile_active_cycles_total", "Simulated active cycles by tile kind, summed over finished jobs.", l)
-		m.mTileStall[kind] = reg.Counter("mosaicd_tile_stall_cycles_total", "Simulated stall cycles by tile kind, summed over finished jobs.", l)
-		m.mTileInstrs[kind] = reg.Counter("mosaicd_tile_instrs_total", "Committed instructions by tile kind, summed over finished jobs.", l)
-	}
-	reg.CounterFunc("mosaicd_cache_hits_total", "Artifact-cache lookups served from cache (singleflight joins included).", nil,
-		func() int64 { return m.cache.Counters().Hits })
-	reg.CounterFunc("mosaicd_cache_misses_total", "Artifact-cache lookups that built.", nil,
-		func() int64 { return m.cache.Counters().Misses })
-	reg.CounterFunc("mosaicd_cache_evictions_total", "Artifact-cache LRU evictions.", nil,
-		func() int64 { return m.cache.Counters().Evictions })
-	reg.CounterFunc("mosaicd_replay_hits_total", "Runs answered analytically from a recorded timing schedule.", nil,
-		func() int64 { return m.cache.ReplayCounters().Hits })
-	reg.CounterFunc("mosaicd_replay_fallbacks_total", "Runs that found a schedule but fell back to full simulation (ineligible delta).", nil,
-		func() int64 { return m.cache.ReplayCounters().Fallbacks })
-	reg.CounterFunc("mosaicd_schedules_recorded_total", "Timing schedules captured and published to the cache.", nil,
-		func() int64 { return m.cache.ReplayCounters().Recorded })
-	reg.GaugeFunc("mosaicd_replay_hit_ratio", "Fraction of replay-attempted runs answered from a schedule (hits / (hits + fallbacks)).", nil,
-		func() float64 {
-			rc := m.cache.ReplayCounters()
-			if rc.Hits+rc.Fallbacks == 0 {
-				return 0
-			}
-			return float64(rc.Hits) / float64(rc.Hits+rc.Fallbacks)
-		})
+	m.mStage = newStageSeconds(reg)
+	m.mQueueWait = reg.Histogram("mosaicd_queue_wait_seconds", "Time from submission to the start of execution (the lease grant).", nil, queueWaitBuckets)
 	if m.opts.Store != nil {
 		m.recover()
-	}
-	for i := 0; i < localWorkers; i++ {
-		m.wg.Add(1)
-		go m.worker()
 	}
 	return m
 }
 
 // Registry returns the manager's metrics registry (for /metrics handlers).
-func (m *Manager) Registry() *metrics.Registry { return m.reg }
-
-// Cache returns the shared artifact cache.
-func (m *Manager) Cache() *sim.Cache { return m.cache }
-
-// Draining reports whether shutdown has begun.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
-}
+func (m *Manager) Registry() *metrics.Registry { return m.opts.Registry }
 
 // tenantLabel renders a tenant name for metrics ("" shows as "default").
 func tenantLabel(t string) string {
@@ -497,7 +413,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		notify:    make(chan struct{}),
 		submitted: time.Now().UTC(),
 	}
-	j.ctx, j.cancel = context.WithCancel(m.root)
+	j.ctx, j.cancel = context.WithCancel(context.Background())
 	m.bindStore(j)
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
@@ -506,8 +422,9 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.mSubmitted.Inc()
 	m.mTenantJobs.With(tenantLabel(spec.Tenant)).Inc()
 	m.mStates[StateQueued].Inc()
-	// Emit the queued edge before the job becomes poppable, so event logs
-	// always open with it (seq 0) even if a worker grabs the job instantly.
+	// Emit the queued edge before the job becomes grantable, so event logs
+	// always open with it (seq 0) even if a parked lease request takes the
+	// job instantly.
 	j.emit(Event{Type: "state", State: StateQueued})
 	m.enqueueLocked(j, false)
 	m.mu.Unlock()
@@ -560,13 +477,12 @@ func (m *Manager) List() []*Job {
 	return out
 }
 
-// Cancel requests cancellation of a job and returns immediately — before
-// the job's context error surfaces in its status. A queued job transitions
-// to cancelled on the spot (it will never run); a locally running job's
-// context is cancelled and the worker records the terminal state
-// asynchronously; a leased job is marked cancelled at the coordinator and
-// the holding worker learns through its next heartbeat (and ErrLeaseLost on
-// any later report). Cancelling a terminal job is a no-op.
+// Cancel decides the cancellation here and now: when it returns the job is
+// cancelled (a queued job will never run; a running job's lease is void, so
+// what its executor reports later bounces with ErrLeaseLost). The run
+// unwinds afterwards — an in-process run's context is already done, a fleet
+// worker learns from the 409 on its next event or heartbeat — and frees its
+// executor slot when it has. Cancelling a terminal job is a no-op.
 func (m *Manager) Cancel(id string) (*Job, error) {
 	m.mu.Lock()
 	j := m.jobs[id]
@@ -574,41 +490,34 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	j.mu.Lock()
-	state, leased, worker := j.state, j.leased, j.leaseWorker
-	j.mu.Unlock()
-	removed := false
-	if state == StateQueued {
-		removed = m.removeQueuedLocked(j)
-	}
-	if leased {
-		m.cancels[worker] = append(m.cancels[worker], j.ID)
+	queued := j.State() == StateQueued
+	if queued {
+		m.removeQueuedLocked(j)
 	}
 	m.mu.Unlock()
-	if removed {
+	if queued {
 		m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
-	} else if leased {
+	} else {
 		m.finish(j, nil, StateCancelled, context.Canceled, nil, "cancelled by client")
 	}
-	j.cancel()
 	return j, nil
 }
 
 // finish moves j to a terminal state: it claims the transition under the
 // job lock (checking the optional claim predicate there, so lease
-// completion and expiry cannot race each other), updates tenant accounting
-// and metrics, persists the report (done jobs, before the terminal edge so
-// a crash between the two replays as still-running, never as
-// done-without-report), emits the terminal event, and releases the store
-// appender. It reports whether this call performed the transition.
+// completion and expiry cannot race each other), updates tenant and lease
+// accounting and metrics, persists the report (done jobs, before the
+// terminal edge so a crash between the two replays as still-running, never
+// as done-without-report), emits the terminal event, releases the store
+// appender, and ends the job's context — the abort signal of an in-process
+// run. It reports whether this call performed the transition.
 func (m *Manager) finish(j *Job, claim func(*Job) bool, final State, err error, report json.RawMessage, note string) bool {
 	j.mu.Lock()
 	if j.state.Terminal() || (claim != nil && !claim(j)) {
 		j.mu.Unlock()
 		return false
 	}
-	wasLeased := j.leased
-	j.leased = false
+	wasLeased := j.state == StateRunning
 	j.state = final
 	j.finished = time.Now().UTC()
 	j.err = err
@@ -617,9 +526,6 @@ func (m *Manager) finish(j *Job, claim func(*Job) bool, final State, err error, 
 	}
 	j.mu.Unlock()
 	m.mStates[final].Inc()
-	if wasLeased {
-		m.mLeasesActive.Add(-1)
-	}
 	m.mu.Lock()
 	if m.tenantLive[j.Spec.Tenant]--; m.tenantLive[j.Spec.Tenant] <= 0 {
 		delete(m.tenantLive, j.Spec.Tenant)
@@ -640,162 +546,38 @@ func (m *Manager) finish(j *Job, claim func(*Job) bool, final State, err error, 
 	if st := m.opts.Store; st != nil && j.digest != "" {
 		st.CloseJob(j.digest)
 	}
+	j.cancel()
+	if wasLeased {
+		// Last, so a drain waiting on this lease returns only once the job's
+		// log and report are on disk.
+		m.mu.Lock()
+		m.leaseEndedLocked()
+		m.mu.Unlock()
+	}
 	return true
 }
 
-// worker drains the queue until Shutdown closes it.
-func (m *Manager) worker() {
-	defer m.wg.Done()
-	for {
-		j := m.dequeue()
-		if j == nil {
-			return
-		}
-		m.runJob(j)
-	}
-}
-
-// runJob drives one dequeued job through running to a terminal state.
-func (m *Manager) runJob(j *Job) {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		// Cancelled while queued: never run it.
-		j.mu.Unlock()
-		return
-	}
-	if err := j.ctx.Err(); err != nil {
-		j.mu.Unlock()
-		m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
-		return
-	}
-	j.state = StateRunning
-	j.started = time.Now().UTC()
-	j.attempts++
-	wait := j.started.Sub(j.submitted)
-	j.mu.Unlock()
-	m.mQueueWait.Observe(wait.Seconds())
-	m.mStates[StateRunning].Inc()
-	m.mInflight.Add(1)
-	defer m.mInflight.Add(-1)
-	j.emit(Event{Type: "state", State: StateRunning})
-
-	ctx := j.ctx
-	budget := m.opts.JobTimeout
-	if d := j.Spec.timeout(); d > 0 && (budget == 0 || d < budget) {
-		budget = d
-	}
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
-	}
-	report, err := m.opts.Runner(ctx, j)
-
-	switch {
-	case err == nil:
-		m.finish(j, nil, StateDone, nil, report, "")
-	case errors.Is(err, context.Canceled):
-		m.finish(j, nil, StateCancelled, err, nil, "")
-	default:
-		m.finish(j, nil, StateFailed, err, nil, "")
-	}
-}
-
-// simRun is the production Runner: it lowers the spec onto a sim.Session
-// bound to the shared cache, runs the pipeline stage by stage, and emits
-// stage events (with cache attribution), throttled progress events, and
-// stage-latency metrics along the way. Its report is exactly
-// json.Marshal(soc.Result) — byte-identical to what the CLI/Session path
-// produces for the same submission.
-func (m *Manager) simRun(ctx context.Context, j *Job) (json.RawMessage, error) {
-	opts, err := j.Spec.SessionOptions(m.cache)
-	if err != nil {
-		return nil, err
-	}
-	if j.Spec.Replay == nil {
-		opts.Replay = m.opts.Replay
-	}
-	// Progress events: at most ~10/s regardless of simulation speed, except
-	// the terminal update, which always goes out (it carries the run's final
-	// cycle position). The hook runs on the simulating goroutine, so
-	// lastTick needs no lock.
-	var lastTick time.Time
-	opts.Progress = func(u soc.ProgressUpdate) {
-		now := time.Now()
-		if !u.Final && now.Sub(lastTick) < 100*time.Millisecond {
-			return
-		}
-		lastTick = now
-		j.emit(Event{Type: "progress", Cycle: u.Cycle, Stepped: u.Stepped, Skipped: u.Skipped, Final: u.Final})
-	}
-	s, err := sim.NewSession(opts)
-	if err != nil {
-		return nil, err
-	}
-	hit := m.cache.HasArtifact(s.Key())
-	t0 := time.Now()
-	if _, err := s.Artifact(ctx); err != nil {
-		return nil, err
-	}
-	d := time.Since(t0).Seconds()
-	m.mStage["artifact"].Observe(d)
-	j.emit(Event{Type: "stage", Stage: "artifact", CacheHit: &hit, Seconds: d})
-
-	t0 = time.Now()
-	res, err := s.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	d = time.Since(t0).Seconds()
-	m.mStage["run"].Observe(d)
-	// A replayed run has no live system behind it: stepped/skipped come
-	// from the replay outcome and there is no per-tile breakdown to
-	// observe (the result is bit-identical to a full run regardless).
-	stepped, skipped := s.Replay().Stepped, s.Replay().Skipped
-	if sys := s.System(); sys != nil {
-		stepped, skipped = sys.SteppedCycles, sys.SkippedCycles
-		m.observeTiles(sys.TileBreakdown())
-	}
-	j.emit(Event{Type: "stage", Stage: "run", Seconds: d,
-		Cycle: res.Cycles, Stepped: stepped, Skipped: skipped})
-
-	t0 = time.Now()
-	report, err := json.Marshal(res)
-	if err != nil {
-		return nil, err
-	}
-	d = time.Since(t0).Seconds()
-	m.mStage["report"].Observe(d)
-	j.emit(Event{Type: "stage", Stage: "report", Seconds: d})
-	return report, nil
-}
-
-// observeTiles folds one finished run's per-kind breakdown into the tile
-// metrics. Kinds outside the startup registration set land in "other".
-func (m *Manager) observeTiles(bs []soc.KindBreakdown) {
-	for _, b := range bs {
-		k := b.Kind
-		if _, ok := m.mTileActive[k]; !ok {
-			k = "other"
-		}
-		m.mTileActive[k].Add(b.ActiveCycles)
-		m.mTileStall[k].Add(b.StallCycles)
-		m.mTileInstrs[k].Add(b.Instrs)
+// leaseEndedLocked accounts for one lease finished or handed back, and
+// releases a drain that was waiting for the last one.
+func (m *Manager) leaseEndedLocked() {
+	m.mLeasesActive.Add(-1)
+	if m.draining && m.mLeasesActive.Value() == 0 {
+		close(m.drained)
 	}
 }
 
 // Shutdown drains the manager: admission closes immediately
-// (ErrShuttingDown), still-queued jobs are cancelled without running, and
-// running jobs — local and leased — get until ctx's deadline to finish
-// before their contexts are cancelled (leased jobs are marked cancelled at
-// the coordinator; their workers learn via ErrLeaseLost). It returns nil on
-// a clean drain, or ctx's error if the deadline forced cancellation.
-// Shutdown is idempotent only in effect — call it once.
+// (ErrShuttingDown), still-queued jobs are cancelled without running, parked
+// lease requests are answered "nothing", and outstanding leases get until
+// ctx's deadline to complete before their jobs are cancelled. It returns nil
+// on a clean drain, or ctx's error if the deadline forced cancellation; it
+// does not wait for cancelled runs to unwind (whoever drives the executor
+// does). A second call only waits for the first.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
-		m.wg.Wait()
+		<-m.drained
 		return nil
 	}
 	m.draining = true
@@ -809,52 +591,23 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		}
 		queued = append(queued, j)
 	}
-	m.qclosed = true
-	m.cond.Broadcast()
 	m.wakeLocked()
+	if m.mLeasesActive.Value() == 0 {
+		close(m.drained)
+	}
 	m.mu.Unlock()
 	for _, j := range queued {
 		m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
-		j.cancel()
 	}
-	done := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(done)
-	}()
 	var err error
 	select {
-	case <-done:
+	case <-m.drained:
 	case <-ctx.Done():
 		err = fmt.Errorf("jobs: drain deadline hit, cancelling in-flight jobs: %w", ctx.Err())
-		m.stop() // cancels every per-job context through the root
-		<-done
-	}
-	// Remote leases share the deadline: wait for workers to complete their
-	// jobs, then cancel whatever is still out.
-	for m.mLeasesActive.Value() > 0 {
-		select {
-		case <-ctx.Done():
-			if err == nil {
-				err = fmt.Errorf("jobs: drain deadline hit, cancelling leased jobs: %w", ctx.Err())
-			}
-			m.mu.Lock()
-			leased := make([]*Job, 0)
-			for _, j := range m.jobs {
-				j.mu.Lock()
-				if j.leased {
-					leased = append(leased, j)
-				}
-				j.mu.Unlock()
-			}
-			m.mu.Unlock()
-			for _, j := range leased {
-				m.finish(j, nil, StateCancelled, context.Canceled, nil, "cancelled at shutdown")
-				j.cancel()
-			}
-		case <-time.After(20 * time.Millisecond):
+		for _, j := range m.List() {
+			m.finish(j, func(j *Job) bool { return j.state == StateRunning }, StateCancelled, context.Canceled, nil, "cancelled at shutdown")
 		}
+		<-m.drained
 	}
-	m.stop()
 	return err
 }

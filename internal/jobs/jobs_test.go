@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mosaicsim/internal/config"
 	"mosaicsim/internal/sim"
 )
 
@@ -42,13 +43,33 @@ func shutdown(t *testing.T, m *Manager) {
 	}
 }
 
+// standalone wires a manager the way cmd/mosaicd wires the standalone role:
+// an in-process executor with the given slots running the manager's leases.
+// The test's end drains the manager and waits for the lease loop — and so
+// for every run — to return.
+func standalone(t *testing.T, opts Options, x ExecOptions, slots int) *Manager {
+	t.Helper()
+	m := NewManager(opts)
+	x.Registry = m.Registry()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		NewExecutor(x).Serve(context.Background(), m.Local(), slots)
+	}()
+	t.Cleanup(func() {
+		shutdown(t, m) // a second Shutdown only waits for the first
+		<-served
+	})
+	return m
+}
+
 // blockingRunner returns a stub Runner that signals started, then blocks
 // until released or its context dies (returning the context error, as the
 // sim-backed runner does).
 func blockingRunner(started chan<- string, release <-chan struct{}) Runner {
-	return func(ctx context.Context, j *Job) (json.RawMessage, error) {
+	return func(ctx context.Context, l *Lease, emit func(Event)) (json.RawMessage, error) {
 		if started != nil {
-			started <- j.ID
+			started <- l.JobID
 		}
 		select {
 		case <-release:
@@ -72,6 +93,9 @@ func TestSpecValidationDidYouMean(t *testing.T) {
 		{Spec{Workload: "sgemm", Slicing: "spdm"}, `did you mean "spmd"`},
 		{Spec{Workload: "sgemm", Slicing: "dae", Tiles: 3}, "even tile count"},
 		{Spec{Workload: "sgemm", Tiles: -1}, "negative tile count"},
+		// An untrusted count is bounded before anything walks it.
+		{Spec{Workload: "sgemm", Tiles: 2_000_000_000}, "exceeds the 4096"},
+		{Spec{Workload: "sgemm", Topology: &config.SystemConfig{Name: "x", Tiles: []config.TileDef{{Kind: "ooo", Count: 2_000_000_000}}}}, "more than 4096 tiles"},
 		{Spec{Workload: "sgemm", Timeout: "bogus"}, "bad timeout"},
 	}
 	for _, c := range cases {
@@ -91,7 +115,7 @@ func TestSpecValidationDidYouMean(t *testing.T) {
 func TestQueueFullShedsWithTypedError(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	m := NewManager(Options{Workers: 1, QueueDepth: 1, Runner: blockingRunner(started, release)})
+	m := standalone(t, Options{QueueDepth: 1}, ExecOptions{Runner: blockingRunner(started, release)}, 1)
 	defer func() { close(release); shutdown(t, m) }()
 
 	a, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
@@ -120,11 +144,11 @@ func TestCancelWhileQueuedNeverRuns(t *testing.T) {
 	started := make(chan string, 4)
 	release := make(chan struct{})
 	var ran atomic.Int32
-	runner := func(ctx context.Context, j *Job) (json.RawMessage, error) {
+	runner := func(ctx context.Context, l *Lease, emit func(Event)) (json.RawMessage, error) {
 		ran.Add(1)
-		return blockingRunner(started, release)(ctx, j)
+		return blockingRunner(started, release)(ctx, l, emit)
 	}
-	m := NewManager(Options{Workers: 1, QueueDepth: 4, Runner: runner})
+	m := standalone(t, Options{QueueDepth: 4}, ExecOptions{Runner: runner}, 1)
 	defer func() { shutdown(t, m) }()
 
 	a, _ := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
@@ -152,7 +176,7 @@ func TestCancelWhileQueuedNeverRuns(t *testing.T) {
 
 func TestCancelWhileRunningUnwindsFast(t *testing.T) {
 	started := make(chan string, 1)
-	m := NewManager(Options{Workers: 1, QueueDepth: 1, Runner: blockingRunner(started, nil)})
+	m := standalone(t, Options{QueueDepth: 1}, ExecOptions{Runner: blockingRunner(started, nil)}, 1)
 	defer func() { shutdown(t, m) }()
 
 	j, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
@@ -175,39 +199,65 @@ func TestCancelWhileRunningUnwindsFast(t *testing.T) {
 	}
 }
 
+// TestCancelReturnsBeforeStatusSettles pins the one cancel rule: Cancel
+// decides at the manager, so when it returns the job is cancelled and the
+// run's context is already done — but the run itself unwinds afterwards, and
+// only its return frees the executor slot for the next job. (The name is
+// from when a standalone cancel settled asynchronously; what races ahead of
+// the unwind now is the settled status, not the response.)
 func TestCancelReturnsBeforeStatusSettles(t *testing.T) {
-	started := make(chan string, 1)
-	runner := func(ctx context.Context, j *Job) (json.RawMessage, error) {
-		started <- j.ID
+	started := make(chan string, 2)
+	runCtx := make(chan context.Context, 2)
+	unwound := make(chan struct{})
+	runner := func(ctx context.Context, l *Lease, emit func(Event)) (json.RawMessage, error) {
+		runCtx <- ctx
+		started <- l.JobID
 		<-ctx.Done()
-		// Deliberately lag so the DELETE response races ahead of the
-		// terminal transition, as a real mid-simulation unwind would.
-		time.Sleep(30 * time.Millisecond)
+		<-unwound // a real mid-simulation unwind takes a while
 		return nil, ctx.Err()
 	}
-	m := NewManager(Options{Workers: 1, QueueDepth: 1, Runner: runner})
-	defer func() { shutdown(t, m) }()
+	m := standalone(t, Options{QueueDepth: 1}, ExecOptions{Runner: runner}, 1)
 
 	j, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
+	ctx := <-runCtx
+	next, err := m.Submit(Spec{Workload: "spmv", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Cancel(j.ID); err != nil {
 		t.Fatal(err)
 	}
-	// Cancel has returned; the context error must not have surfaced yet.
-	if st := j.State(); st != StateRunning {
-		t.Fatalf("state right after Cancel = %s, want still running", st)
+	if st := j.Status(); st.State != StateCancelled || st.Error != context.Canceled.Error() {
+		t.Fatalf("status right after Cancel = %s %q, want cancelled with the context error", st.State, st.Error)
 	}
-	if st := waitTerminal(t, j, time.Second); st != StateCancelled {
-		t.Fatalf("final state = %s, want cancelled", st)
+	if ctx.Err() == nil {
+		t.Fatal("the run's context is still live after Cancel returned")
+	}
+	select {
+	case id := <-started:
+		t.Fatalf("%s started while the cancelled run still held the only slot", id)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(unwound)
+	select {
+	case id := <-started:
+		if id != next.ID {
+			t.Fatalf("%s took the freed slot, want %s", id, next.ID)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the slot was never reused after the cancelled run returned")
+	}
+	if _, err := m.Cancel(next.ID); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestPerJobTimeoutFails(t *testing.T) {
-	m := NewManager(Options{Workers: 1, QueueDepth: 1, JobTimeout: 20 * time.Millisecond,
-		Runner: blockingRunner(nil, nil)})
+	m := standalone(t, Options{QueueDepth: 1}, ExecOptions{Runner: blockingRunner(nil, nil), JobTimeout: 20 * time.Millisecond}, 1)
 	defer func() { shutdown(t, m) }()
 	j, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
 	if err != nil {
@@ -223,8 +273,7 @@ func TestPerJobTimeoutFails(t *testing.T) {
 
 func TestSpecTimeoutCappedByManager(t *testing.T) {
 	// The spec asks for a minute; the manager caps at 20ms.
-	m := NewManager(Options{Workers: 1, QueueDepth: 1, JobTimeout: 20 * time.Millisecond,
-		Runner: blockingRunner(nil, nil)})
+	m := standalone(t, Options{QueueDepth: 1}, ExecOptions{Runner: blockingRunner(nil, nil), JobTimeout: 20 * time.Millisecond}, 1)
 	defer func() { shutdown(t, m) }()
 	j, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny", Timeout: "1m"})
 	if err != nil {
@@ -238,7 +287,7 @@ func TestSpecTimeoutCappedByManager(t *testing.T) {
 func TestShutdownDrainsRunningCancelsQueued(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	m := NewManager(Options{Workers: 1, QueueDepth: 4, Runner: blockingRunner(started, release)})
+	m := standalone(t, Options{QueueDepth: 4}, ExecOptions{Runner: blockingRunner(started, release)}, 1)
 
 	running, _ := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
 	<-started
@@ -253,7 +302,7 @@ func TestShutdownDrainsRunningCancelsQueued(t *testing.T) {
 	// Draining: new submissions are rejected with the typed error.
 	deadline := time.After(2 * time.Second)
 	for {
-		if m.Draining() {
+		if m.QueueStats().Draining {
 			break
 		}
 		select {
@@ -280,7 +329,7 @@ func TestShutdownDrainsRunningCancelsQueued(t *testing.T) {
 
 func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
 	started := make(chan string, 1)
-	m := NewManager(Options{Workers: 1, QueueDepth: 1, Runner: blockingRunner(started, nil)})
+	m := standalone(t, Options{QueueDepth: 1}, ExecOptions{Runner: blockingRunner(started, nil)}, 1)
 	j, _ := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -296,7 +345,7 @@ func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
 func TestRecordRetentionBound(t *testing.T) {
 	release := make(chan struct{})
 	close(release)
-	m := NewManager(Options{Workers: 1, QueueDepth: 8, MaxJobs: 3, Runner: blockingRunner(nil, release)})
+	m := standalone(t, Options{QueueDepth: 8, MaxJobs: 3}, ExecOptions{Runner: blockingRunner(nil, release)}, 1)
 	defer func() { shutdown(t, m) }()
 	var last *Job
 	for i := 0; i < 6; i++ {
@@ -325,7 +374,7 @@ func TestRecordRetentionBound(t *testing.T) {
 func TestConcurrentMixedSubmissions(t *testing.T) {
 	cache := sim.NewCache()
 	cache.SetMaxEntries(64)
-	m := NewManager(Options{Workers: 4, QueueDepth: 64, Cache: cache})
+	m := standalone(t, Options{QueueDepth: 64}, ExecOptions{Cache: cache}, 4)
 	defer func() { shutdown(t, m) }()
 
 	names := []string{"sgemm", "spmv", "bfs"}
@@ -342,7 +391,7 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 		if st := waitTerminal(t, j, 120*time.Second); st != StateDone {
 			t.Fatalf("job %d (%s) state = %s, err = %v", i, j.Spec.Workload, st, j.Err())
 		}
-		if len(j.Report()) == 0 {
+		if len(j.Status().Report) == 0 {
 			t.Fatalf("job %d has no report", i)
 		}
 	}
@@ -357,11 +406,11 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 	for _, j := range js {
 		key := fmt.Sprintf("%s/%d", j.Spec.Workload, j.Spec.Tiles)
 		if prev, ok := byShape[key]; ok {
-			if string(prev) != string(j.Report()) {
+			if string(prev) != string(j.Status().Report) {
 				t.Fatalf("reports for identical submissions %s differ", key)
 			}
 		} else {
-			byShape[key] = j.Report()
+			byShape[key] = j.Status().Report
 		}
 	}
 }
@@ -370,7 +419,7 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 // produces: lifecycle edges, the three stages with cache attribution, and
 // that a repeat submission reports the artifact stage as a cache hit.
 func TestSimRunnerEmitsStageEvents(t *testing.T) {
-	m := NewManager(Options{Workers: 1, QueueDepth: 4})
+	m := standalone(t, Options{QueueDepth: 4}, ExecOptions{}, 1)
 	defer func() { shutdown(t, m) }()
 
 	spec := Spec{Workload: "sgemm", Scale: "tiny", Tiles: 2}
@@ -411,7 +460,7 @@ func TestSimRunnerEmitsStageEvents(t *testing.T) {
 	var report struct {
 		Cycles int64 `json:"cycles"`
 	}
-	if err := json.Unmarshal(first.Report(), &report); err != nil {
+	if err := json.Unmarshal(first.Status().Report, &report); err != nil {
 		t.Fatal(err)
 	}
 	if lastProgress.Cycle != report.Cycles {

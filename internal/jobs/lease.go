@@ -5,18 +5,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
-// This file is the coordinator half of the fleet lease protocol. A remote
-// worker (internal/cluster) leases a queued job, renews the lease through
-// heartbeats while executing, forwards stage/progress events, and completes
-// with the report. The coordinator owns every lifecycle edge — workers only
-// ever contribute stage and progress events — so one process decides each
-// job's history and the persisted log stays a single total order. A lease
-// that outlives its TTL is presumed lost (worker SIGKILL, partition): the
-// job requeues at the front of its class, bounded by MaxAttempts so a
-// poison job cannot cycle through the fleet forever.
+// This file is the manager's half of the lease protocol, the one way a job
+// starts. An executor leases a queued job, forwards stage/progress events
+// while running it, and completes with the report; a remote one
+// (internal/cluster) also renews the lease through heartbeats. The manager
+// owns every lifecycle edge — executors only ever contribute stage and
+// progress events — so one process decides each job's history and the
+// persisted log stays a single total order. A lease that outlives its TTL
+// is presumed lost (worker SIGKILL, partition): the job requeues at the
+// front of its class, bounded by MaxAttempts so a poison job cannot cycle
+// through the fleet forever.
 
 // Lease is one granted execution claim on a job.
 type Lease struct {
@@ -36,37 +38,40 @@ type Lease struct {
 // affinity hash the worker already holds (warm trace/schedule caches) and
 // otherwise stealing the front of the highest-priority class. When nothing
 // is queued it parks until a job is enqueued or requeued, the manager starts
-// draining, or ctx ends, and then returns (nil, false); a ctx that is
-// already done makes it a single look at the queue.
-func (m *Manager) LeaseJob(ctx context.Context, worker string, affinity map[uint64]bool, ttl time.Duration) (*Lease, bool) {
-	if worker == "" || ttl <= 0 {
-		return nil, false
-	}
+// draining, or ctx ends, and then returns nil; a ctx that is already done
+// makes it a single look at the queue.
+func (m *Manager) LeaseJob(ctx context.Context, worker string, affinity []uint64, ttl time.Duration) *Lease {
+	lease, _ := m.lease(ctx, worker, affinity, ttl)
+	return lease
+}
+
+// lease is LeaseJob for callers in this package, which also get the job.
+func (m *Manager) lease(ctx context.Context, worker string, affinity []uint64, ttl time.Duration) (*Lease, *Job) {
 	for {
 		m.mu.Lock()
 		if m.draining {
 			m.mu.Unlock()
-			return nil, false
+			return nil, nil
 		}
 		// The wake channel is read under the lock the look runs under and
 		// every enqueue closes it under: no enqueue can fall between them.
 		wake := m.wake
-		lease := m.grantLocked(worker, affinity, ttl)
+		lease, j := m.grantLocked(worker, affinity, ttl)
 		m.mu.Unlock()
 		if lease != nil {
-			return lease, true
+			return lease, j
 		}
 		select {
 		case <-wake:
 		case <-ctx.Done():
-			return nil, false
+			return nil, nil
 		}
 	}
 }
 
-// grantLocked is the one place a lease is granted: it claims the best queued
-// job for worker (nil when nothing is queued) and starts its execution.
-func (m *Manager) grantLocked(worker string, affinity map[uint64]bool, ttl time.Duration) *Lease {
+// grantLocked is the one place a job starts running: it claims the best
+// queued job for worker (nil when nothing is queued) and grants the lease.
+func (m *Manager) grantLocked(worker string, affinity []uint64, ttl time.Duration) (*Lease, *Job) {
 	var (
 		j      *Job
 		affine bool
@@ -74,7 +79,7 @@ func (m *Manager) grantLocked(worker string, affinity map[uint64]bool, ttl time.
 	for {
 		j, affine = m.popAffineLocked(affinity)
 		if j == nil {
-			return nil
+			return nil, nil
 		}
 		j.mu.Lock()
 		if j.state == StateQueued {
@@ -85,7 +90,6 @@ func (m *Manager) grantLocked(worker string, affinity map[uint64]bool, ttl time.
 	j.state = StateRunning
 	j.started = time.Now().UTC()
 	j.attempts++
-	j.leased = true
 	j.leaseWorker = worker
 	j.leaseExpiry = time.Now().Add(ttl)
 	lease := &Lease{
@@ -106,18 +110,18 @@ func (m *Manager) grantLocked(worker string, affinity map[uint64]bool, ttl time.
 		m.mSteals.Inc()
 	}
 	j.emit(Event{Type: "state", State: StateRunning, Worker: worker, Attempt: lease.Attempt})
-	return lease
+	return lease, j
 }
 
 // popAffineLocked removes and returns the best queued job for a worker
 // holding the given affinity hashes: the first match scanning classes in
 // priority order, else the plain front of the queue (a steal). The second
 // result reports whether the pick was an affinity match.
-func (m *Manager) popAffineLocked(affinity map[uint64]bool) (*Job, bool) {
+func (m *Manager) popAffineLocked(affinity []uint64) (*Job, bool) {
 	if len(affinity) > 0 {
 		for c := range m.queues {
 			for i, j := range m.queues[c] {
-				if affinity[j.affinity] {
+				if slices.Contains(affinity, j.affinity) {
 					m.queues[c] = append(m.queues[c][:i], m.queues[c][i+1:]...)
 					m.noteDepthLocked()
 					return j, true
@@ -131,7 +135,7 @@ func (m *Manager) popAffineLocked(affinity map[uint64]bool) (*Job, bool) {
 // heldByLocked is the claim predicate of the lease protocol: worker holds
 // j's lease and the job is still running. The caller holds j.mu.
 func (j *Job) heldByLocked(worker string) bool {
-	return j.leased && j.leaseWorker == worker && j.state == StateRunning
+	return j.state == StateRunning && j.leaseWorker == worker
 }
 
 // RenewLease extends worker's lease on id by ttl. ErrLeaseLost means the
@@ -151,10 +155,10 @@ func (m *Manager) RenewLease(id, worker string, ttl time.Duration) error {
 	return nil
 }
 
-// AppendRemote forwards a batch of stage and progress events from the leased
-// worker's local run into the coordinator's event log (and stage metrics),
-// in order and under one hold of the job lock. Lifecycle edges are rejected:
-// the coordinator emits its own.
+// AppendRemote appends a batch of stage and progress events from the lease
+// holder's run to the job's event log (and stage metrics), in order and
+// under one hold of the job lock. Lifecycle edges are rejected: the manager
+// emits its own.
 func (m *Manager) AppendRemote(id, worker string, evs []Event) error {
 	for _, e := range evs {
 		if e.Type == "state" {
@@ -171,86 +175,58 @@ func (m *Manager) AppendRemote(id, worker string, evs []Event) error {
 		return fmt.Errorf("%w: job %s is not leased to %q", ErrLeaseLost, id, worker)
 	}
 	for _, e := range evs {
-		// Re-stamp: only the payload fields cross the wire; seq and time are
-		// assigned here so the log stays a single total order.
-		j.appendLocked(Event{
-			Type:     e.Type,
-			Stage:    e.Stage,
-			CacheHit: e.CacheHit,
-			Seconds:  e.Seconds,
-			Cycle:    e.Cycle,
-			Stepped:  e.Stepped,
-			Skipped:  e.Skipped,
-			Final:    e.Final,
-		})
+		// Only the payload crosses over: seq and time are stamped here so the
+		// log stays a single total order, and lifecycle fields are not a
+		// worker's to set.
+		e.State, e.Error, e.Worker, e.Attempt = "", "", "", 0
+		j.appendLocked(e)
 	}
 	j.mu.Unlock()
-	for _, e := range evs {
-		if e.Type == "stage" {
-			if h := m.mStage[e.Stage]; h != nil {
-				h.Observe(e.Seconds)
-			}
-		}
-	}
+	m.mStage.observe(evs...)
 	return nil
 }
 
-// CompleteLease finishes a leased job: done with the worker's report, or
-// failed with its error message. The claim check runs under the job lock,
-// so a completion racing lease expiry resolves to exactly one outcome; the
-// loser gets ErrLeaseLost.
-func (m *Manager) CompleteLease(id, worker string, report json.RawMessage, errMsg string) error {
+// CompleteLease finishes a leased job: done with the executor's report, or
+// failed with runErr. The claim check runs under the job lock, so a
+// completion racing lease expiry resolves to exactly one outcome; the loser
+// gets ErrLeaseLost.
+func (m *Manager) CompleteLease(id, worker string, report json.RawMessage, runErr error) error {
 	j, err := m.Get(id)
 	if err != nil {
 		return err
 	}
-	claim := func(j *Job) bool { return j.heldByLocked(worker) }
-	var ok bool
-	if errMsg == "" {
-		ok = m.finish(j, claim, StateDone, nil, report, "")
-	} else {
-		ok = m.finish(j, claim, StateFailed, errors.New(errMsg), nil, "")
+	final := StateDone
+	if runErr != nil {
+		final, report = StateFailed, nil
 	}
-	if !ok {
+	claim := func(j *Job) bool { return j.heldByLocked(worker) }
+	if !m.finish(j, claim, final, runErr, report, "") {
 		return fmt.Errorf("%w: job %s is not leased to %q", ErrLeaseLost, id, worker)
 	}
 	return nil
 }
 
-// ExpireLeases requeues (or, past MaxAttempts, fails) every leased job
-// whose lease lapsed before now, and returns how many it reclaimed. A
-// requeued job goes to the front of its class so the latency already paid
-// is not paid twice. The coordinator calls this periodically.
-func (m *Manager) ExpireLeases(now time.Time) int {
-	m.mu.Lock()
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	maxAttempts := m.opts.MaxAttempts
-	m.mu.Unlock()
-	n := 0
-	for _, j := range jobs {
+// ExpireLeases requeues (or, past MaxAttempts, fails) every running job
+// whose lease lapsed before now. A requeued job goes to the front of its
+// class so the latency already paid is not paid twice. The coordinator calls
+// this periodically.
+func (m *Manager) ExpireLeases(now time.Time) {
+	for _, j := range m.List() {
 		j.mu.Lock()
-		if !j.leased || j.state != StateRunning || !now.After(j.leaseExpiry) {
+		if j.state != StateRunning || !now.After(j.leaseExpiry) {
 			j.mu.Unlock()
-			continue
-		}
-		worker, attempts := j.leaseWorker, j.attempts
-		if attempts >= maxAttempts {
-			j.mu.Unlock()
-			m.mLeaseExpired.Inc()
-			claim := func(j *Job) bool { return j.leased && j.leaseWorker == worker }
-			m.finish(j, claim, StateFailed,
-				fmt.Errorf("jobs: lease expired on worker %q after %d attempts", worker, attempts), nil, "")
-			n++
 			continue
 		}
 		m.mLeaseExpired.Inc()
-		m.requeueLeasedLocked(j, "lease expired; requeued")
-		n++
+		if j.attempts < m.opts.MaxAttempts {
+			m.requeueLeasedLocked(j, "lease expired; requeued")
+			continue
+		}
+		worker, attempts := j.leaseWorker, j.attempts
+		j.mu.Unlock()
+		m.finish(j, func(j *Job) bool { return j.heldByLocked(worker) }, StateFailed,
+			fmt.Errorf("jobs: lease expired on worker %q after %d attempts", worker, attempts), nil, "")
 	}
-	return n
 }
 
 // ReturnLease hands back a lease that never reached its worker (the request
@@ -276,30 +252,51 @@ func (m *Manager) ReturnLease(id, worker string) bool {
 // j.mu and has checked its claim on the lease; the lock is released here.
 func (m *Manager) requeueLeasedLocked(j *Job, note string) {
 	worker, attempts := j.leaseWorker, j.attempts
-	j.leased = false
 	j.state = StateQueued
 	j.mu.Unlock()
 	m.mRequeued.Inc()
-	m.mLeasesActive.Add(-1)
 	m.mStates[StateQueued].Inc()
 	j.emit(Event{Type: "state", State: StateQueued, Worker: worker, Attempt: attempts, Error: note})
 	m.mu.Lock()
 	if !m.draining {
+		m.leaseEndedLocked()
 		m.enqueueLocked(j, true)
 		m.mu.Unlock()
-	} else {
-		m.mu.Unlock()
-		m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
+		return
 	}
+	m.mu.Unlock()
+	m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
+	m.mu.Lock()
+	m.leaseEndedLocked()
+	m.mu.Unlock()
 }
 
-// TakeCancels drains and returns the IDs of leased jobs cancelled while
-// worker held them. Heartbeat responses carry them so workers abort
-// promptly instead of discovering ErrLeaseLost at completion.
-func (m *Manager) TakeCancels(worker string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := m.cancels[worker]
-	delete(m.cancels, worker)
-	return ids
+// LocalWorker names the in-process executor on its jobs' lifecycle edges.
+const LocalWorker = "local"
+
+// localTTL outlives any run: in-process leases are never renewed or expired.
+const localTTL = 100 * 365 * 24 * time.Hour
+
+// Local returns the manager as the in-process LeaseSource of a standalone
+// daemon: plain calls instead of HTTP, no heartbeat, and the job's own
+// context — which finish ends — as the run's abort signal.
+func (m *Manager) Local() LeaseSource { return localSource{m} }
+
+type localSource struct{ m *Manager }
+
+func (s localSource) Lease(ctx context.Context) (*Lease, context.Context) {
+	l, j := s.m.lease(ctx, LocalWorker, nil, localTTL)
+	if l == nil {
+		return nil, nil
+	}
+	return l, j.ctx
+}
+
+// Event and Complete drop ErrLeaseLost: the run's context is already done.
+func (s localSource) Event(l *Lease, e Event) {
+	_ = s.m.AppendRemote(l.JobID, LocalWorker, []Event{e})
+}
+
+func (s localSource) Complete(l *Lease, report json.RawMessage, err error) {
+	_ = s.m.CompleteLease(l.JobID, LocalWorker, report, err)
 }

@@ -24,12 +24,14 @@ func expectMetric(t *testing.T, m *Manager, line string) {
 	t.Errorf("metrics lack %q", line)
 }
 
-// TestQueueWaitHistogramLocal: the standalone dequeue path observes every
-// started job's submitted → started wait in mosaicd_queue_wait_seconds.
+// TestQueueWaitHistogramLocal: a standalone daemon's in-process leases
+// observe every started job's submitted → started wait in
+// mosaicd_queue_wait_seconds, as a fleet's do.
 func TestQueueWaitHistogramLocal(t *testing.T) {
-	m := NewManager(Options{Workers: 1,
-		Runner: func(ctx context.Context, j *Job) (json.RawMessage, error) { return json.RawMessage(`{}`), nil }})
-	defer shutdown(t, m)
+	m := standalone(t, Options{}, ExecOptions{
+		Runner: func(ctx context.Context, l *Lease, emit func(Event)) (json.RawMessage, error) {
+			return json.RawMessage(`{}`), nil
+		}}, 1)
 	for i := 0; i < 3; i++ {
 		j, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
 		if err != nil {
@@ -49,13 +51,13 @@ func TestQueueWaitHistogramLocal(t *testing.T) {
 // parked request ends: a done context is a single look, an enqueue grants,
 // a requeue grants, and the start of a drain answers "nothing" at once.
 func TestLeaseJobParksUntilWoken(t *testing.T) {
-	m := NewManager(Options{Workers: -1})
+	m := NewManager(Options{})
 	defer shutdown(t, m) // a second Shutdown only waits; the one below is the test's
 	bg := context.Background()
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if l, ok := m.LeaseJob(expired, "w", nil, time.Second); ok {
+	if l := m.LeaseJob(expired, "w", nil, time.Second); l != nil {
 		t.Fatalf("empty queue granted %+v", l)
 	}
 
@@ -66,8 +68,8 @@ func TestLeaseJobParksUntilWoken(t *testing.T) {
 	park := func(worker string) <-chan grant {
 		c := make(chan grant, 1)
 		go func() {
-			l, ok := m.LeaseJob(bg, worker, nil, time.Minute)
-			c <- grant{l, ok}
+			l := m.LeaseJob(bg, worker, nil, time.Minute)
+			c <- grant{l, l != nil}
 		}()
 		return c
 	}
@@ -112,7 +114,7 @@ func TestLeaseJobParksUntilWoken(t *testing.T) {
 	expectMetric(t, m, "mosaicd_leases_expired_total 0")
 	expectMetric(t, m, "mosaicd_leases_active 1")
 	expectMetric(t, m, "mosaicd_queue_wait_seconds_count 2")
-	if err := m.CompleteLease(j.ID, "w2", json.RawMessage(`{}`), ""); err != nil {
+	if err := m.CompleteLease(j.ID, "w2", json.RawMessage(`{}`), nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.QueueStats(); st.Leased != 0 {
@@ -124,7 +126,7 @@ func TestLeaseJobParksUntilWoken(t *testing.T) {
 	if g := await(parked); g.ok {
 		t.Errorf("drain granted %+v", g.l)
 	}
-	if l, ok := m.LeaseJob(bg, "w3", nil, time.Minute); ok {
+	if l := m.LeaseJob(bg, "w3", nil, time.Minute); l != nil {
 		t.Errorf("draining manager granted %+v", l)
 	}
 }
@@ -134,7 +136,7 @@ func TestLeaseJobParksUntilWoken(t *testing.T) {
 // (the job would sit queued with every worker parked), and no job may be
 // granted twice.
 func TestParkedLeasesGrantEachJobOnce(t *testing.T) {
-	m := NewManager(Options{Workers: -1, QueueDepth: 64})
+	m := NewManager(Options{QueueDepth: 64})
 	defer shutdown(t, m)
 	const n = 40
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -146,12 +148,12 @@ func TestParkedLeasesGrantEachJobOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				l, ok := m.LeaseJob(ctx, "w", nil, time.Minute)
-				if !ok {
+				l := m.LeaseJob(ctx, "w", nil, time.Minute)
+				if l == nil {
 					return
 				}
 				granted <- l.JobID
-				if err := m.CompleteLease(l.JobID, "w", json.RawMessage(`{}`), ""); err != nil {
+				if err := m.CompleteLease(l.JobID, "w", json.RawMessage(`{}`), nil); err != nil {
 					t.Errorf("complete %s: %v", l.JobID, err)
 				}
 			}

@@ -62,7 +62,7 @@ func (m *Manager) bindAppender(j *Job) {
 }
 
 // recover rebuilds the job table from the store at startup (before the
-// worker pool exists, so it runs single-threaded). Terminal jobs are
+// manager is handed to anyone, so it runs single-threaded). Terminal jobs are
 // reloaded as records whose event streams replay exactly as served before
 // the restart; live jobs (queued, or running when the process died) are
 // re-queued — a job mid-run at the kill gets a fresh queued edge appended
@@ -91,7 +91,6 @@ func (m *Manager) recover() {
 			notify:    make(chan struct{}),
 			submitted: snap.Rec.Submitted,
 		}
-		j.ctx, j.cancel = context.WithCancel(m.root)
 		last := StateQueued
 		lastErr := ""
 		for _, line := range snap.Events {
@@ -135,6 +134,7 @@ func (m *Manager) recover() {
 		}
 		// Live at the kill: resume. The appender continues the existing log
 		// (sequence numbers pick up where the intact prefix ended).
+		j.ctx, j.cancel = context.WithCancel(context.Background())
 		m.bindAppender(j)
 		m.tenantLive[spec.Tenant]++
 		if last == StateRunning {

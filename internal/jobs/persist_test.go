@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,8 +43,7 @@ func TestCrashRestartResume(t *testing.T) {
 	}
 	started := make(chan string, 4)
 	release := make(chan struct{}, 4)
-	m := NewManager(Options{Workers: 1, QueueDepth: 8,
-		Runner: blockingRunner(started, release), Store: st})
+	m := standalone(t, Options{QueueDepth: 8, Store: st}, ExecOptions{Runner: blockingRunner(started, release)}, 1)
 
 	j1, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
 	if err != nil {
@@ -65,7 +65,7 @@ func TestCrashRestartResume(t *testing.T) {
 	}
 	evs1, _, _ := j1.EventsSince(0)
 	wantLog1 := marshalEvents(t, evs1)
-	wantReport1 := string(j1.Report())
+	wantReport1 := string(j1.Status().Report)
 	// The worker drains by priority: high-class j3 runs next (its running
 	// edge persists before the runner starts); normal-class j2 stays queued.
 	if id := <-started; id != j3.ID {
@@ -90,11 +90,11 @@ func TestCrashRestartResume(t *testing.T) {
 	}
 	defer st2.Close()
 	resumedReport := json.RawMessage(`{"resumed":true}`)
-	m2 := NewManager(Options{Workers: 1, QueueDepth: 8, Store: st2,
-		Runner: func(ctx context.Context, j *Job) (json.RawMessage, error) {
+	m2 := standalone(t, Options{QueueDepth: 8, Store: st2}, ExecOptions{
+		Runner: func(ctx context.Context, l *Lease, emit func(Event)) (json.RawMessage, error) {
 			return resumedReport, nil
-		}})
-	defer shutdown(t, m2)
+		}}, 1)
+	defer shutdown(t, m2) // before the store closes
 
 	// j1: recovered terminal, report and event stream byte-identical.
 	r1, err := m2.Get(j1.ID)
@@ -104,7 +104,7 @@ func TestCrashRestartResume(t *testing.T) {
 	if r1.State() != StateDone {
 		t.Fatalf("recovered j1 state = %s, want done", r1.State())
 	}
-	if got := string(r1.Report()); got != wantReport1 {
+	if got := string(r1.Status().Report); got != wantReport1 {
 		t.Errorf("recovered report differs:\n got %s\nwant %s", got, wantReport1)
 	}
 	revs1, _, done := r1.EventsSince(0)
@@ -124,7 +124,7 @@ func TestCrashRestartResume(t *testing.T) {
 		if s := waitTerminal(t, rj, 5*time.Second); s != StateDone {
 			t.Fatalf("resumed job %s finished %s: %s", id, s, rj.Status().Error)
 		}
-		if got := string(rj.Report()); got != string(resumedReport) {
+		if got := string(rj.Status().Report); got != string(resumedReport) {
 			t.Errorf("resumed job %s report = %s", id, got)
 		}
 	}
@@ -194,7 +194,7 @@ func recoveredDoneJobsServe(t *testing.T, editSpec func(spec map[string]json.Raw
 	}
 	started := make(chan string, 1)
 	release := make(chan struct{}, 1)
-	m := NewManager(Options{Workers: 1, Runner: blockingRunner(started, release), Store: st})
+	m := standalone(t, Options{Store: st}, ExecOptions{Runner: blockingRunner(started, release)}, 1)
 	j, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
 	if err != nil {
 		t.Fatal(err)
@@ -218,9 +218,8 @@ func recoveredDoneJobsServe(t *testing.T, editSpec func(spec map[string]json.Raw
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	m2 := NewManager(Options{Workers: 1, Store: st2,
-		Runner: blockingRunner(nil, make(chan struct{}))})
-	defer shutdown(t, m2)
+	m2 := standalone(t, Options{Store: st2}, ExecOptions{Runner: blockingRunner(nil, make(chan struct{}))}, 1)
+	defer shutdown(t, m2) // before the store closes
 	r, err := m2.Get(j.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -259,5 +258,123 @@ func editPersistedSpec(t *testing.T, recPath string, edit func(spec map[string]j
 	}
 	if err := os.WriteFile(recPath, raw, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parentStore is a data directory's jobs half exactly as the standalone
+// daemon built from d57d123 — the last commit whose manager ran jobs on its
+// own worker pool — left it at a SIGKILL: two done jobs, one cancelled
+// mid-run, one running and one queued. Its running edges carry no worker or
+// attempt, and its cancelled job carries the run's own error.
+const parentStore = "testdata/store_d57d123"
+
+// TestParentBuildStoreRecovers: this build opens that directory, serves the
+// terminal jobs' reports and event logs byte for byte as the files hold
+// them, and resumes the two live jobs through leases — the interrupted one's
+// log keeps its old prefix untouched and continues with the requeue edge.
+func TestParentBuildStoreRecovers(t *testing.T) {
+	// A copy: resuming the live jobs appends to their logs.
+	dir := t.TempDir()
+	err := filepath.WalkDir(parentStore, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(parentStore, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What the files held before this build touched them, by job ID.
+	type onDisk struct{ events, report string }
+	disk := map[string]onDisk{}
+	recs, err := filepath.Glob(filepath.Join(dir, "jobs", "*", "job.json"))
+	if err != nil || len(recs) != 5 {
+		t.Fatalf("testdata holds %d job records (%v), want 5", len(recs), err)
+	}
+	for _, rec := range recs {
+		var r store.JobRecord
+		raw, err := os.ReadFile(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := os.ReadFile(filepath.Join(filepath.Dir(rec), "events.ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _ := os.ReadFile(filepath.Join(filepath.Dir(rec), "report.json")) // done jobs only
+		disk[r.ID] = onDisk{string(evs), string(rep)}
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	resumed := json.RawMessage(`{"resumed":true}`)
+	m := standalone(t, Options{Store: st}, ExecOptions{
+		Runner: func(ctx context.Context, l *Lease, emit func(Event)) (json.RawMessage, error) {
+			return resumed, nil
+		}}, 1)
+	defer shutdown(t, m) // before the store closes
+
+	for id, want := range map[string]State{"j000001": StateDone, "j000002": StateDone, "j000003": StateCancelled} {
+		j, err := m.Get(id)
+		if err != nil {
+			t.Fatalf("%s lost: %v", id, err)
+		}
+		evs, _, done := j.EventsSince(0)
+		if j.State() != want || !done {
+			t.Errorf("%s recovered %s (stream done %v), want %s", id, j.State(), done, want)
+		}
+		if got := marshalEvents(t, evs); got != disk[id].events {
+			t.Errorf("%s event log not byte-identical:\n got %s\nwant %s", id, got, disk[id].events)
+		}
+		if got := string(j.Status().Report); got != disk[id].report {
+			t.Errorf("%s report not byte-identical:\n got %s\nwant %s", id, got, disk[id].report)
+		}
+	}
+	if e := func() string { j, _ := m.Get("j000003"); return j.Status().Error }(); !strings.Contains(e, "context canceled") {
+		t.Errorf("cancelled job's error = %q, want the parent's run error", e)
+	}
+
+	for id, attempts := range map[string]int{"j000004": 2, "j000005": 1} {
+		j, err := m.Get(id)
+		if err != nil {
+			t.Fatalf("%s lost: %v", id, err)
+		}
+		if s := waitTerminal(t, j, 5*time.Second); s != StateDone || string(j.Status().Report) != string(resumed) {
+			t.Fatalf("%s resumed to %s %s: %s", id, s, j.Status().Report, j.Status().Error)
+		}
+		if a := j.Status().Attempts; a != attempts {
+			t.Errorf("%s attempts = %d, want %d", id, a, attempts)
+		}
+		evs, _, _ := j.EventsSince(0)
+		log := marshalEvents(t, evs)
+		if !strings.HasPrefix(log, disk[id].events) {
+			t.Errorf("%s log lost its pre-restart prefix:\n got %s\nwant prefix %s", id, log, disk[id].events)
+		}
+		tail := strings.TrimPrefix(log, disk[id].events)
+		if id == "j000004" && !strings.Contains(tail, `"state":"queued","error":"requeued after restart"`) {
+			t.Errorf("interrupted job's log does not explain the rerun: %s", tail)
+		}
+		if !strings.Contains(tail, fmt.Sprintf(`"state":"running","worker":"local","attempt":%d`, attempts)) {
+			t.Errorf("%s was not resumed through a lease: %s", id, tail)
+		}
+	}
+	// IDs continue past the recovered ones.
+	j6, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
+	if err != nil || j6.ID != "j000006" {
+		t.Fatalf("post-recovery submission = %v, %v; want j000006", j6, err)
 	}
 }

@@ -2,8 +2,8 @@ package jobs
 
 import "math"
 
-// The admission priority classes, highest first. A queued high job always
-// dequeues before a normal one, and normal before low; within a class the
+// The admission priority classes, highest first. A queued high job is always
+// leased before a normal one, and normal before low; within a class the
 // queue is FIFO. Classes are fixed (not a numeric priority) so starvation
 // analysis and per-class metrics stay tractable.
 const (
@@ -39,7 +39,7 @@ func (m *Manager) queueDepthLocked() int {
 
 // enqueueLocked adds a queued job to its class queue (front-of-class when
 // requeueing after a lost lease, so recovery latency is not paid twice) and
-// wakes one waiting local worker and every parked lease request.
+// wakes every parked lease request.
 func (m *Manager) enqueueLocked(j *Job, front bool) {
 	c := classRank(j.Spec.Priority)
 	if front {
@@ -48,7 +48,6 @@ func (m *Manager) enqueueLocked(j *Job, front bool) {
 		m.queues[c] = append(m.queues[c], j)
 	}
 	m.noteDepthLocked()
-	m.cond.Signal()
 	m.wakeLocked()
 }
 
@@ -74,17 +73,16 @@ func (m *Manager) popLocked() *Job {
 }
 
 // removeQueuedLocked drops a specific job from its class queue (cancelled
-// while queued). It reports whether the job was found.
-func (m *Manager) removeQueuedLocked(j *Job) bool {
+// while queued), if it is there.
+func (m *Manager) removeQueuedLocked(j *Job) {
 	c := classRank(j.Spec.Priority)
 	for i, q := range m.queues[c] {
 		if q == j {
 			m.queues[c] = append(m.queues[c][:i], m.queues[c][i+1:]...)
 			m.noteDepthLocked()
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // noteDepthLocked refreshes the queue-depth gauges.
@@ -92,23 +90,6 @@ func (m *Manager) noteDepthLocked() {
 	m.mQueueDepth.Set(int64(m.queueDepthLocked()))
 	for i, p := range priorityClasses {
 		m.mClassDepth[p].Set(int64(len(m.queues[i])))
-	}
-}
-
-// dequeue blocks until a job is available for the local pool or the queue is
-// closed (returns nil). Jobs cancelled while queued are skipped here and by
-// runJob's own state check.
-func (m *Manager) dequeue() *Job {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if j := m.popLocked(); j != nil {
-			return j
-		}
-		if m.qclosed {
-			return nil
-		}
-		m.cond.Wait()
 	}
 }
 
@@ -131,7 +112,7 @@ func (m *Manager) QueueStats() QueueStats {
 	st := QueueStats{
 		Depth:    m.queueDepthLocked(),
 		Capacity: m.opts.QueueDepth,
-		Running:  int(m.mInflight.Value()),
+		Running:  int(m.mLeasesActive.Value()), // a job runs exactly while it is leased
 		Leased:   int(m.mLeasesActive.Value()),
 		Draining: m.draining,
 	}
@@ -141,23 +122,20 @@ func (m *Manager) QueueStats() QueueStats {
 
 // RetryAfter derives the Retry-After hint (in whole seconds) a shed
 // submission should carry: the estimated time for the current backlog to
-// drain through the available execution slots, using the observed mean run
-// time. It replaces the old hardcoded 1s — under a deep queue of slow jobs a
-// 1s retry storm only amplifies the overload. Clamped to [1, 60]; a
-// draining manager answers 30 (clients should find another replica).
+// drain through the execution slots known to exist, using the observed mean
+// run time — under a deep queue of slow jobs a fixed 1s retry storm only
+// amplifies the overload. Clamped to [1, 60]; a draining manager answers 30
+// (clients should find another replica).
 func (m *Manager) RetryAfter() int {
 	m.mu.Lock()
 	depth := m.queueDepthLocked()
 	draining := m.draining
-	slots := m.opts.Workers
+	// Each active lease is an executor slot proven to exist, and a queue
+	// deep enough to shed means every slot is holding one.
+	slots := max(1, int(m.mLeasesActive.Value()))
 	m.mu.Unlock()
 	if draining {
 		return 30
-	}
-	// Each active lease is a remote worker slot proven to exist.
-	slots += int(m.mLeasesActive.Value())
-	if slots < 1 {
-		slots = 1
 	}
 	mean := 1.0 // no completed run yet: assume a second
 	if h := m.mStage["run"]; h != nil && h.Count() > 0 {

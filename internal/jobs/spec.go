@@ -125,6 +125,9 @@ func (s Spec) Normalize() (Spec, error) {
 		if s.Tiles < 0 {
 			return s, fmt.Errorf("jobs: negative tile count %d", s.Tiles)
 		}
+		if s.Tiles > config.MaxTiles {
+			return s, fmt.Errorf("jobs: tile count %d exceeds the %d a system may declare", s.Tiles, config.MaxTiles)
+		}
 		if s.Core == "" {
 			s.Core = "ooo"
 		}

@@ -5,14 +5,15 @@
 //	GET    /v1/jobs             list retained jobs       → 200 [Status] (reports elided)
 //	GET    /v1/jobs/{id}        status + final report    → 200 Status
 //	GET    /v1/jobs/{id}/events NDJSON live event stream → 200 stream of jobs.Event
-//	DELETE /v1/jobs/{id}        cancel                   → 202 Status (returns before the ctx error lands)
+//	DELETE /v1/jobs/{id}        cancel                   → 202 Status, already cancelled (the run unwinds afterwards)
 //	GET    /healthz             readiness probe          → 200 while accepting, 503 when shedding; body carries queue depth + drain state
 //	GET    /metrics             Prometheus text exposition
 //
 // Submissions may carry an X-Mosaic-Tenant header naming the client tenant
 // for quota accounting (a tenant in the Spec body wins). In a fleet, the
 // coordinator mounts internal/cluster's /cluster/v1/* endpoints beside this
-// surface.
+// surface, and a worker — which has no jobs of its own to serve — exposes
+// only /healthz and /metrics (NewWorker).
 //
 // Handlers hold no state of their own: every response is a snapshot from
 // the manager, and event streams are driven by the job's own notification
@@ -30,27 +31,30 @@ import (
 	"mosaicsim/internal/metrics"
 )
 
-// Server routes the API onto a job manager and a metrics registry.
+// Server routes the API onto a job manager and its metrics registry.
 type Server struct {
 	mgr *jobs.Manager
-	reg *metrics.Registry
 	mux *http.ServeMux
 }
 
-// New builds the server. reg may be nil to use the manager's own registry.
-func New(mgr *jobs.Manager, reg *metrics.Registry) *Server {
-	if reg == nil {
-		reg = mgr.Registry()
-	}
-	s := &Server{mgr: mgr, reg: reg, mux: http.NewServeMux()}
+// New builds the server.
+func New(mgr *jobs.Manager) *Server {
+	s := &Server{mgr: mgr, mux: http.NewServeMux()}
+	probes(s.mux, mgr.QueueStats, mgr.Registry())
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
+}
+
+// NewWorker builds the surface of a fleet worker: the two probes, served
+// from its executor. Its jobs are the coordinator's to serve.
+func NewWorker(x *jobs.Executor) http.Handler {
+	mux := http.NewServeMux()
+	probes(mux, x.QueueStats, x.Registry())
+	return mux
 }
 
 // ServeHTTP implements http.Handler.
@@ -74,9 +78,8 @@ type apiError struct {
 
 // writeErr maps manager errors onto status codes: shed submissions (queue
 // full or tenant quota) are 429 with a Retry-After derived from the live
-// backlog and observed run times (jobs.Manager.RetryAfter — a hardcoded 1s
-// here just synchronized retry storms under overload), drain is 503 with
-// the same hint, unknown IDs 404, anything else from validation is 400.
+// backlog and observed run times (jobs.Manager.RetryAfter), drain is 503
+// with the same hint, unknown IDs 404, anything else from validation is 400.
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	switch {
@@ -140,8 +143,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	// 202: cancellation is asynchronous by design — a running job's
-	// context error surfaces in its status after this response returns.
+	// 202, not 200: the job is already cancelled in this body, but a run
+	// that was in flight is still unwinding on its executor.
 	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
@@ -190,23 +193,25 @@ type healthz struct {
 	jobs.QueueStats
 }
 
-// handleHealthz doubles as a readiness probe: 200 while the manager accepts
-// submissions, 503 once it would shed them (draining or queue at capacity),
-// with the queue snapshot in the body either way.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.mgr.QueueStats()
-	status := "ok"
-	if st.Draining {
-		status = "draining"
-	}
-	code := http.StatusOK
-	if !st.Accepting {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, healthz{Status: status, QueueStats: st})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WriteText(w)
+// probes mounts what every role serves. /healthz doubles as a readiness
+// probe: 200 while the process accepts work, 503 once it would shed it
+// (draining or queue at capacity), with the queue snapshot in the body
+// either way. /metrics is the Prometheus text exposition of reg.
+func probes(mux *http.ServeMux, stats func() jobs.QueueStats, reg *metrics.Registry) {
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		st := stats()
+		status := "ok"
+		if st.Draining {
+			status = "draining"
+		}
+		code := http.StatusOK
+		if !st.Accepting {
+			code = http.StatusServiceUnavailable
+		}
+		writeJSON(w, code, healthz{Status: status, QueueStats: st})
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WriteText(w)
+	})
 }

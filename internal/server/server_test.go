@@ -19,17 +19,25 @@ import (
 	"mosaicsim/internal/sim"
 )
 
-// newTestServer stands up a manager and an httptest server over it, both
-// torn down with the test.
-func newTestServer(t *testing.T, opts jobs.Options) (*httptest.Server, *jobs.Manager) {
+// newTestServer stands up a standalone daemon's stack — a manager, an
+// in-process executor with the given slots on its leases — and an httptest
+// server over it, all torn down with the test.
+func newTestServer(t *testing.T, opts jobs.Options, x jobs.ExecOptions, slots int) (*httptest.Server, *jobs.Manager) {
 	t.Helper()
 	m := jobs.NewManager(opts)
-	ts := httptest.NewServer(New(m, nil))
+	x.Registry = m.Registry()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		jobs.NewExecutor(x).Serve(context.Background(), m.Local(), slots)
+	}()
+	ts := httptest.NewServer(New(m))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = m.Shutdown(ctx)
+		<-served
 	})
 	return ts, m
 }
@@ -89,7 +97,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string, timeout time.Duratio
 // run of the same spec produces (modulo the transport's whitespace
 // indentation, which json.Compact strips from both sides).
 func TestGoldenReportMatchesSessionPath(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Options{Workers: 2, QueueDepth: 8})
+	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 8}, jobs.ExecOptions{}, 2)
 	spec := jobs.Spec{Workload: "sgemm", Scale: "tiny", Tiles: 2}
 
 	st, resp := postJob(t, ts, spec)
@@ -144,7 +152,7 @@ func TestGoldenReportMatchesSessionPath(t *testing.T) {
 // sim.Session run over the same topology. It also checks the per-tile-kind
 // metrics distinguish core time from accelerator-tile time after the run.
 func TestGoldenHeterogeneousTopology(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Options{Workers: 2, QueueDepth: 8})
+	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 8}, jobs.ExecOptions{}, 2)
 
 	byPreset := jobs.Spec{Workload: "sgemm", Scale: "tiny", Preset: "core-accel"}
 	inline, err := config.TopologyPreset("core-accel")
@@ -220,7 +228,7 @@ func TestGoldenHeterogeneousTopology(t *testing.T) {
 func TestConcurrentSubmissions(t *testing.T) {
 	cache := sim.NewCache()
 	cache.SetMaxEntries(64)
-	ts, _ := newTestServer(t, jobs.Options{Workers: 4, QueueDepth: 64, Cache: cache})
+	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 64}, jobs.ExecOptions{Cache: cache}, 4)
 
 	names := []string{"sgemm", "spmv", "bfs"}
 	const n = 32
@@ -275,7 +283,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 // shape: lifecycle edges in order, the three stages with cache attribution,
 // monotonic sequence numbers, and stream termination at the terminal state.
 func TestEventStreamNDJSON(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Options{Workers: 1, QueueDepth: 4})
+	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 4}, jobs.ExecOptions{}, 1)
 	st, _ := postJob(t, ts, jobs.Spec{Workload: "spmv", Scale: "tiny"})
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
@@ -338,20 +346,27 @@ func TestEventStreamNDJSON(t *testing.T) {
 	}
 }
 
-// TestCancelReturnsBeforeStatusSettles pins the DELETE semantics: the
-// response arrives while the job is still running; the context error
-// surfaces in a later GET.
+// TestCancelReturnsBeforeStatusSettles pins the DELETE semantics, the one
+// cancel rule seen from the API: the 202 body already says cancelled, with
+// the context error, and the run's context is done by the time the response
+// arrives — but the run unwinds afterwards, and the executor slot it holds
+// goes to the next job only when it has returned.
 func TestCancelReturnsBeforeStatusSettles(t *testing.T) {
-	started := make(chan struct{}, 1)
-	runner := func(ctx context.Context, j *jobs.Job) (json.RawMessage, error) {
-		started <- struct{}{}
+	started := make(chan string, 2)
+	runCtx := make(chan context.Context, 2)
+	unwound := make(chan struct{})
+	runner := func(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
+		runCtx <- ctx
+		started <- l.JobID
 		<-ctx.Done()
-		time.Sleep(30 * time.Millisecond) // simulate mid-run unwinding
+		<-unwound // simulate mid-run unwinding
 		return nil, ctx.Err()
 	}
-	ts, _ := newTestServer(t, jobs.Options{Workers: 1, QueueDepth: 1, Runner: runner})
+	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 1}, jobs.ExecOptions{Runner: runner}, 1)
 	st, _ := postJob(t, ts, jobs.Spec{Workload: "sgemm", Scale: "tiny"})
 	<-started
+	ctx := <-runCtx
+	next, _ := postJob(t, ts, jobs.Spec{Workload: "spmv", Scale: "tiny"})
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -366,26 +381,42 @@ func TestCancelReturnsBeforeStatusSettles(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&at); err != nil {
 		t.Fatal(err)
 	}
-	if at.State != jobs.StateRunning {
-		t.Fatalf("DELETE response state = %s, want still running (cancel is asynchronous)", at.State)
+	if at.State != jobs.StateCancelled {
+		t.Fatalf("DELETE response state = %s, want cancelled (cancel is decided at the manager)", at.State)
 	}
-	final := waitDone(t, ts, st.ID, 5*time.Second)
-	if final.State != jobs.StateCancelled {
+	if !strings.Contains(at.Error, "context canceled") {
+		t.Errorf("DELETE response error = %q, want the context error", at.Error)
+	}
+	if ctx.Err() == nil {
+		t.Error("the run's context is still live after the DELETE response")
+	}
+	select {
+	case id := <-started:
+		t.Fatalf("%s started while the cancelled run still held the only slot", id)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(unwound)
+	select {
+	case id := <-started:
+		if id != next.ID {
+			t.Fatalf("%s took the freed slot, want %s", id, next.ID)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the slot was never reused after the cancelled run returned")
+	}
+	if final := getStatus(t, ts, st.ID); final.State != jobs.StateCancelled {
 		t.Fatalf("final state = %s, want cancelled", final.State)
-	}
-	if !strings.Contains(final.Error, "context canceled") {
-		t.Errorf("final error = %q, want the context error surfaced", final.Error)
 	}
 }
 
 func TestAdmissionAndErrorMapping(t *testing.T) {
 	started := make(chan struct{}, 1)
-	runner := func(ctx context.Context, j *jobs.Job) (json.RawMessage, error) {
+	runner := func(ctx context.Context, l *jobs.Lease, emit func(jobs.Event)) (json.RawMessage, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	ts, _ := newTestServer(t, jobs.Options{Workers: 1, QueueDepth: 1, Runner: runner})
+	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 1}, jobs.ExecOptions{Runner: runner}, 1)
 
 	// Fill the worker and the queue.
 	if _, resp := postJob(t, ts, jobs.Spec{Workload: "sgemm", Scale: "tiny"}); resp.StatusCode != 201 {
@@ -451,7 +482,7 @@ func TestAdmissionAndErrorMapping(t *testing.T) {
 }
 
 func TestListElidesReports(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Options{Workers: 1, QueueDepth: 4})
+	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 4}, jobs.ExecOptions{}, 1)
 	st, _ := postJob(t, ts, jobs.Spec{Workload: "sgemm", Scale: "tiny"})
 	waitDone(t, ts, st.ID, 60*time.Second)
 
@@ -476,7 +507,7 @@ func TestListElidesReports(t *testing.T) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	ts, m := newTestServer(t, jobs.Options{Workers: 1, QueueDepth: 4})
+	ts, m := newTestServer(t, jobs.Options{QueueDepth: 4}, jobs.ExecOptions{}, 1)
 	st, _ := postJob(t, ts, jobs.Spec{Workload: "sgemm", Scale: "tiny"})
 	waitDone(t, ts, st.ID, 60*time.Second)
 
@@ -534,7 +565,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 // artifact-cache series must show up in /metrics.
 func TestReplayMetricsAndReportParity(t *testing.T) {
 	cache := sim.NewCache()
-	ts, _ := newTestServer(t, jobs.Options{Workers: 1, QueueDepth: 8, Cache: cache, Replay: true})
+	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 8}, jobs.ExecOptions{Cache: cache, Replay: true}, 1)
 
 	spec := jobs.Spec{Workload: "sgemm-accel", Scale: "tiny"}
 	st1, _ := postJob(t, ts, spec)
@@ -575,6 +606,44 @@ func TestReplayMetricsAndReportParity(t *testing.T) {
 	}
 	if strings.Contains(text, "mosaicd_artifact_cache_") {
 		t.Errorf("the mosaicd_artifact_cache_* mirror series are back; mosaicd_cache_* is the one name")
+	}
+}
+
+// TestWorkerSurface: a fleet worker serves the two probes from its executor
+// — /healthz with the same keys every role answers — and no job API: its
+// jobs are the coordinator's to serve.
+func TestWorkerSurface(t *testing.T) {
+	ts := httptest.NewServer(NewWorker(jobs.NewExecutor(jobs.ExecOptions{})))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hz map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&hz)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || hz["status"] != "ok" {
+		t.Fatalf("healthz = %s %v (%v)", resp.Status, hz, err)
+	}
+	for _, key := range []string{"queueDepth", "queueCapacity", "running", "leased", "draining", "accepting"} {
+		if _, ok := hz[key]; !ok {
+			t.Errorf("healthz lacks %q: %v", key, hz)
+		}
+	}
+	text := scrapeMetrics(t, ts)
+	if !strings.Contains(text, "mosaicd_jobs_inflight 0") || strings.Contains(text, "mosaicd_queue_depth") {
+		t.Errorf("worker metrics should describe execution only:\n%s", grepPrefix(text, "mosaicd_"))
+	}
+	for _, path := range []string{"/v1/jobs", "/v1/jobs/j000001", "/v1/jobs/j000001/events"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s on a worker = %s, want 404", path, resp.Status)
+		}
 	}
 }
 

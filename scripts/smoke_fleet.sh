@@ -10,10 +10,16 @@
 # parked at the coordinator, not polling), then submit a batch through the
 # coordinator, wait until a job is running on the worker, SIGKILL the worker
 # mid-run, assert the lease expires and the job requeues to a second worker,
-# every job completes with a report, the fleet metrics show the leases, the
-# parked worker and the coordinator holding a parked request each drain
-# cleanly within 2 s of SIGTERM — and a restarted coordinator serves the
-# finished jobs back from disk. Any failure exits non-zero.
+# every job completes with a report, the fleet metrics show the leases. Then
+# the coordinator is SIGKILLed twice and restarted on the same -data-dir —
+# once with the worker's long poll parked in it, once with the worker holding
+# a running lease — and the worker, never restarted, must find it again, and
+# every job must end done exactly once with the report it had before the
+# kill. The parked worker and the coordinator holding a parked request each
+# drain cleanly within 2 s of SIGTERM, a restarted coordinator serves the
+# finished jobs back from disk, and a data directory written by the last
+# build whose daemon ran jobs on its own worker pool is served byte for byte.
+# Any failure exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,11 +83,15 @@ fetch_status() {
 echo "smoke-fleet: building mosaicd..."
 go build -o "$BIN" ./cmd/mosaicd
 
+start_coordinator() {
+  "$BIN" -role coordinator -addr "127.0.0.1:${PORT}" -data-dir "$DATA" \
+    -lease-ttl 2s -queue 16 >>"$CLOG" 2>&1 &
+  COORD_PID=$!
+  wait_healthz "$BASE" "$COORD_PID"
+}
+
 echo "smoke-fleet: starting coordinator on :${PORT} (data-dir $DATA)..."
-"$BIN" -role coordinator -addr "127.0.0.1:${PORT}" -data-dir "$DATA" \
-  -lease-ttl 2s -queue 16 >"$CLOG" 2>&1 &
-COORD_PID=$!
-wait_healthz "$BASE" "$COORD_PID"
+start_coordinator
 
 echo "smoke-fleet: starting worker w1 on :${W1_PORT}..."
 "$BIN" -role worker -addr "127.0.0.1:${W1_PORT}" -coordinator "$BASE" \
@@ -154,8 +164,10 @@ W1_PID=""
 echo "smoke-fleet: SIGKILLed w1 while $J1 was running"
 
 echo "smoke-fleet: starting worker w2 on :${W2_PORT}..."
+# Two slots: with one free while the other runs a job, the coordinator-kill
+# leg below can re-grant w2 the very job it is still running.
 "$BIN" -role worker -addr "127.0.0.1:${W2_PORT}" -coordinator "$BASE" \
-  -name w2 -workers 1 -slots 1 >"$W2LOG" 2>&1 &
+  -name w2 -slots 2 >"$W2LOG" 2>&1 &
 W2_PID=$!
 wait_healthz "http://127.0.0.1:${W2_PORT}" "$W2_PID"
 
@@ -190,6 +202,78 @@ for want in \
 done
 echo "smoke-fleet: lease expiry and requeue visible in metrics"
 
+# wait_done polls one job to done and prints its final status.
+wait_done() {
+  local id="$1" status=""
+  for i in $(seq 1 600); do
+    status="$(fetch_status "$id")" || fail "status fetch failed for $id"
+    if grep -q '"state": "done"' <<<"$status"; then echo "$status"; return 0; fi
+    grep -q '"state": "\(failed\|cancelled\)"' <<<"$status" && fail "$id ended badly: $status"
+    sleep 0.1
+  done
+  fail "$id never finished: $status"
+}
+
+# report_of prints the report block of a (pretty-printed) status body.
+report_of() { sed -n '/^  "report": {/,/^  }/p' <<<"$1"; }
+
+# kill_and_restart_coordinator SIGKILLs the coordinator and brings a new one
+# up on the same port and data directory. w2 is left alone: it must find the
+# new coordinator by itself (its next lease request registers it).
+kill_and_restart_coordinator() {
+  kill -9 "$COORD_PID"
+  wait "$COORD_PID" 2>/dev/null || true
+  start_coordinator
+  for i in $(seq 1 100); do
+    if grep -q '^mosaicd_fleet_workers 1$' <<<"$(curl -fsS "${BASE}/metrics")"; then return 0; fi
+    sleep 0.1
+  done
+  fail "w2 never re-registered with the restarted coordinator"
+}
+
+# Coordinator crash, twice. The goldens are reports from before any kill; a
+# job with the same spec must get the same bytes after. The long job runs for
+# about a second even with w2's caches warm (replay off, so it simulates in
+# full every time) — long enough to be caught running.
+LONG='{"workload":"histo","scale":"large","tiles":2,"replay":false}'
+GOLD_LONG="$(report_of "$(wait_done "$(submit "$LONG")")")"
+GOLD_QUICK="$(report_of "$(fetch_status "$J2")")"
+[[ -n "$GOLD_LONG" && -n "$GOLD_QUICK" ]] || fail "no pre-kill report to compare against"
+
+# (1) w2 is idle, so its long poll is parked in the coordinator when it dies.
+kill_and_restart_coordinator
+echo "smoke-fleet: SIGKILLed the coordinator under w2's parked long poll; w2 re-registered"
+K1="$(submit '{"workload":"sgemm","scale":"tiny","tiles":2}')"
+STATUSK1="$(wait_done "$K1")"
+grep -q '"attempts": 1' <<<"$STATUSK1" || fail "$K1 did not run exactly once: $STATUSK1"
+[[ "$(report_of "$STATUSK1")" == "$GOLD_QUICK" ]] || fail "$K1 report differs from the pre-kill golden"
+
+# (2) w2 holds a running lease when the coordinator dies. The restarted
+# coordinator requeues the job it finds running in the store; w2's heartbeat
+# or next event learns its old lease is void, and the job runs again.
+K2="$(submit "$LONG")"
+for i in $(seq 1 200); do
+  if curl -fsS "${BASE}/v1/jobs/${K2}" | grep -q '"state": "running"'; then break; fi
+  [[ "$i" -lt 200 ]] || fail "$K2 never started running on w2"
+  sleep 0.02
+done
+kill_and_restart_coordinator
+echo "smoke-fleet: SIGKILLed the coordinator while w2 was running $K2; w2 re-registered"
+STATUSK2="$(wait_done "$K2")"
+grep -q '"attempts": 2' <<<"$STATUSK2" || fail "$K2 should have run once on each side of the crash: $STATUSK2"
+[[ "$(report_of "$STATUSK2")" == "$GOLD_LONG" ]] || fail "$K2 report differs from the pre-kill golden"
+DONES="$(curl -fsS "${BASE}/v1/jobs/${K2}/events" | grep -c '"state":"done"')"
+[[ "$DONES" -eq 1 ]] || fail "$K2 has $DONES done edges, want exactly 1"
+
+# Nothing lost, nothing duplicated: eight submissions, eight distinct IDs,
+# all done, none on a third attempt.
+LIST="$(curl -fsS "${BASE}/v1/jobs")" || fail "list failed"
+IDS="$(sed -n 's/^    "id": "\([^"]*\)",$/\1/p' <<<"$LIST")"
+[[ "$(wc -l <<<"$IDS")" -eq 8 && "$(sort -u <<<"$IDS" | wc -l)" -eq 8 ]] || fail "want 8 distinct job IDs, got: $IDS"
+[[ "$(grep -c '"state": "done"' <<<"$LIST")" -eq 8 ]] || fail "not every job is done: $LIST"
+grep -q '"attempts": [3-9]' <<<"$LIST" && fail "a job needed a third attempt: $LIST"
+echo "smoke-fleet: both coordinator kills lost and duplicated nothing"
+
 # Graceful shutdown. w2 is idle, so its lease request is parked: SIGTERM must
 # abandon it at once, not wait the hold out.
 term_within_2s "idle worker w2" "$W2_PID" "$W2LOG"
@@ -223,4 +307,22 @@ kill -TERM "$COORD_PID"
 wait "$COORD_PID" || fail "restarted coordinator did not drain"
 COORD_PID=""
 echo "smoke-fleet: restart served all jobs from disk"
+
+# A data directory from before this build's dispatch path existed: written by
+# the standalone daemon of commit d57d123, SIGKILLed with jobs in every state.
+# The terminal jobs' event streams must come back as the bytes on disk.
+OLD="internal/jobs/testdata/store_d57d123"
+rm -rf "$DATA" && cp -r "$OLD" "$DATA"
+"$BIN" -addr "127.0.0.1:${PORT}" -data-dir "$DATA" -workers 1 >"$CLOG" 2>&1 &
+COORD_PID=$!
+wait_healthz "$BASE" "$COORD_PID"
+for id in j000001 j000002 j000003; do
+  LOGFILE="$(dirname "$(grep -l "\"id\":\"${id}\"" "$OLD"/jobs/*/job.json)")/events.ndjson"
+  curl -fsS "${BASE}/v1/jobs/${id}/events" | cmp -s - "$LOGFILE" \
+    || fail "event stream of $id differs from the log the old build wrote ($LOGFILE)"
+done
+kill -9 "$COORD_PID" # its two resumed jobs are long; nothing more to learn from them
+wait "$COORD_PID" 2>/dev/null || true
+COORD_PID=""
+echo "smoke-fleet: served the old build's store byte for byte"
 echo "smoke-fleet: PASS"
