@@ -11,8 +11,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -25,49 +27,67 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "", "built-in workload name")
-	tiles := flag.Int("tiles", 1, "SPMD tile count")
-	scale := flag.String("scale", "small", "workload scale: tiny, small, large")
-	out := flag.String("o", "", "write the binary trace to this file")
-	read := flag.String("read", "", "read and summarize a previously written trace")
-	hot := flag.Int("hot", 0, "profile the run and print the N hottest static instructions")
-	optLevel := flag.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
-	passes := flag.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
-	unroll := flag.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: 0 on success, 1 when the work fails (an
+// unreadable or malformed trace file, a failed result check), 2 for a command
+// line it cannot act on.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mosaic-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "", "built-in workload name")
+	tiles := fs.Int("tiles", 1, "SPMD tile count")
+	scale := fs.String("scale", "small", "workload scale: tiny, small, large")
+	out := fs.String("o", "", "write the binary trace to this file")
+	read := fs.String("read", "", "read and summarize a previously written trace")
+	hot := fs.Int("hot", 0, "profile the run and print the N hottest static instructions")
+	optLevel := fs.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
+	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
+	unroll := fs.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // fs has already written the error and the usage to stderr
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "mosaic-trace:", err)
+		return code
+	}
 
 	if *read != "" {
 		fh, err := os.Open(*read)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		defer fh.Close()
 		tr, err := trace.Read(fh)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
-		summarize(tr)
-		return
+		summarize(stdout, tr)
+		return 0
 	}
 	if *workload == "" {
-		fmt.Fprintln(os.Stderr, "need -workload or -read; see -h")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need -workload or -read; see -h")
+		return 2
 	}
 	w, err := workloads.Resolve(*workload)
 	if err != nil {
-		fatal(err)
+		return fail(2, err)
 	}
 	if *optLevel != "" && *passes != "" {
-		fatal(fmt.Errorf("-O and -passes are mutually exclusive"))
+		return fail(2, errors.New("-O and -passes are mutually exclusive"))
 	}
 	opt, err := ir.ParseOptConfig(*optLevel, *passes, *unroll)
 	if err != nil {
-		fatal(err)
+		return fail(2, err)
 	}
 	if !opt.IsDefault() {
 		w = w.WithOpt(opt)
 	}
-	fmt.Printf("opt: %s\n", w.Opt)
+	fmt.Fprintf(stdout, "opt: %s\n", w.Opt)
 	var ws workloads.Scale
 	switch *scale {
 	case "tiny":
@@ -78,50 +98,53 @@ func main() {
 		ws = workloads.Small
 	}
 	if *hot > 0 {
-		profileRun(w, *tiles, ws, *hot)
-		return
+		if err := profileRun(stdout, w, *tiles, ws, *hot); err != nil {
+			return fail(1, err)
+		}
+		return 0
 	}
 	// The trace comes from the session engine's Trace stage — the same
 	// compile/trace path (and artifact cache) the simulator drivers use.
 	s, err := sim.NewSession(sim.Options{Workload: w, Scale: ws, Tiles: *tiles})
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	tr, err := s.Trace(context.Background())
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
-	summarize(tr)
+	summarize(stdout, tr)
 	if *out != "" {
 		fh, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		n, err := tr.WriteTo(fh)
+		if err == nil {
+			err = fh.Close()
+		}
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
-		if err := fh.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", *out, n)
+		fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", *out, n)
 	}
+	return 0
 }
 
 // profileRun executes the workload with instruction profiling and prints the
 // hottest static instructions aggregated over tiles.
-func profileRun(w *workloads.Workload, tiles int, ws workloads.Scale, topN int) {
+func profileRun(stdout io.Writer, w *workloads.Workload, tiles int, ws workloads.Scale, topN int) error {
 	f, err := w.Kernel()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	mem := interp.NewMemory(workloads.MemBytes)
 	inst := w.Setup(mem, ws)
 	res, err := interp.Run(f, mem, inst.Args, interp.Options{NumTiles: tiles, Acc: inst.Acc, Profile: true})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	summarize(res.Trace)
+	summarize(stdout, res.Trace)
 	agg := make([]int64, f.NumInstrs())
 	for _, counts := range res.Counts {
 		for i, c := range counts {
@@ -143,24 +166,17 @@ func profileRun(w *workloads.Workload, tiles int, ws workloads.Scale, topN int) 
 		}
 		tbl.Row(i, in.Parent.Ident, op, agg[i])
 	}
-	fmt.Println(tbl.String())
+	fmt.Fprintln(stdout, tbl.String())
+	return nil
 }
 
-func summarize(tr *trace.Trace) {
+func summarize(stdout io.Writer, tr *trace.Trace) {
 	tbl := stats.NewTable("trace: "+tr.Kernel, "tile", "dyn. instrs", "BB path", "mem events", "acc calls", "comm events")
 	for _, tt := range tr.Tiles {
 		tbl.Row(tt.Tile, tt.DynInstrs, len(tt.BBPath), len(tt.Mem), len(tt.Acc), len(tt.Comm))
 	}
-	fmt.Println(tbl.String())
-	size, err := tr.EncodedSize()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("total: %d dynamic instructions, %d memory events, %d bytes encoded (%.2f B/instr)\n",
+	fmt.Fprintln(stdout, tbl.String())
+	size, _ := tr.EncodedSize() // encoding into io.Discard cannot fail
+	fmt.Fprintf(stdout, "total: %d dynamic instructions, %d memory events, %d bytes encoded (%.2f B/instr)\n",
 		tr.TotalDynInstrs(), tr.TotalMemEvents(), size, float64(size)/float64(tr.TotalDynInstrs()))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mosaic-trace:", err)
-	os.Exit(1)
 }

@@ -1,0 +1,237 @@
+package interp
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"mosaicsim/internal/ir"
+)
+
+// TestErrorPaths names every way a run can fail, after lowering: each is
+// still reported when — and only when — the offending instruction executes,
+// with the message the tree-walking interpreter gave.
+func TestErrorPaths(t *testing.T) {
+	deadPhi := ir.MustParse("func @kernel() {\nentry:\n  br %b\nb:\n  %x = phi i64 [1, %entry]\n  ret\n}\n")
+	deadPhi.Func("kernel").Blocks[1].Instrs[0].Incoming[0] = deadPhi.Func("kernel").Blocks[1] // no value for entry->b
+	badCast := ir.MustParse("func @kernel(%a: i64) {\nentry:\n  %c = cast trunc i32, %a\n  ret\n}\n")
+	badCast.Func("kernel").Blocks[0].Instrs[0].Cast = ir.CastNone
+	badOp := ir.MustParse("func @kernel(%a: i64) {\nentry:\n  %c = add %a, 1\n  ret\n}\n")
+	badOp.Func("kernel").Blocks[0].Instrs[0].Op = ir.OpInvalid
+	parse := func(body string) *ir.Module {
+		return ir.MustParse("func @kernel(%p: ptr, %a: i64, %b: i64) {\nentry:\n" + body + "  ret\n}\n")
+	}
+	for _, tc := range []struct {
+		name  string
+		mod   *ir.Module
+		args  []uint64
+		opts  Options
+		want  string
+		panic bool // Memory.check faults by panicking, as it does for harness accesses
+	}{
+		{name: "division by zero", mod: parse("  %q = sdiv %a, %b\n"), args: []uint64{0, 4, 0}, want: "interp: division by zero in %q"},
+		{name: "remainder by zero", mod: parse("  %q = srem %a, %b\n"), args: []uint64{0, 4, 0}, want: "interp: remainder by zero in %q"},
+		{name: "i32 divisor with only high bits set", mod: ir.MustParse("func @kernel(%a: i32, %b: i32) {\nentry:\n  %q = sdiv %a, %b\n  ret\n}\n"), args: []uint64{7, 1 << 32}, want: "division by zero"},
+		{name: "null-page load", mod: parse("  %v = load i64, %p\n"), args: []uint64{8, 0, 0}, want: "out of bounds: addr=0x8 size=8", panic: true},
+		{name: "store past the image", mod: parse("  store %b, %p\n"), args: []uint64{8190, 0, 0}, want: "out of bounds: addr=0x1ffe size=8", panic: true},
+		{name: "atomic past the image", mod: parse("  %o = atomicadd %p, 1\n"), args: []uint64{1 << 40, 0, 0}, want: "out of bounds", panic: true},
+		{name: "send to an invalid tile", mod: parse("  call void send(%a, %b)\n"), args: []uint64{0, 5, 0}, opts: Options{NumTiles: 2}, want: "interp: send to invalid tile 5"},
+		{name: "send to a negative tile", mod: parse("  call void send(-1, %b)\n"), args: []uint64{0, 0, 0}, want: "interp: send to invalid tile -1"},
+		{name: "unknown intrinsic", mod: parse("  call void frobnicate(%a)\n"), args: []uint64{0, 0, 0}, want: `interp: unknown intrinsic "frobnicate"`},
+		{name: "unregistered accelerator", mod: parse("  call void acc_missing(%a)\n"), args: []uint64{0, 0, 0}, want: `no functional implementation registered for accelerator "acc_missing"`},
+		{name: "recv deadlock", mod: parse("  %v = call i64 recv(1)\n"), args: []uint64{0, 0, 0}, opts: Options{NumTiles: 2}, want: "deadlock"},
+		{name: "recv from no tile", mod: parse("  %v = call i64 recv(-3)\n"), args: []uint64{0, 0, 0}, want: "deadlock"},
+		{name: "MaxSteps", mod: ir.MustParse("func @kernel() {\nentry:\n  br %entry\n}\n"), opts: Options{MaxSteps: 10000}, want: "interp: kernel @kernel exceeded 10000 dynamic instructions"},
+		{name: "wrong argument count", mod: parse(""), args: []uint64{1}, want: "interp: kernel @kernel takes 3 args, got 1"},
+		{name: "phi without an incoming edge", mod: deadPhi, want: "interp: phi %x has no incoming edge from entry"},
+		{name: "bad cast kind", mod: badCast, args: []uint64{1}, want: "interp: bad cast kind in %c"},
+		{name: "unhandled opcode", mod: badOp, args: []uint64{1}, want: "interp: unhandled opcode invalid"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); tc.panic && (r == nil || !strings.Contains(fmt.Sprint(r), tc.want)) {
+					t.Errorf("panic %v, want one that says %q", r, tc.want)
+				} else if !tc.panic && r != nil {
+					panic(r)
+				}
+			}()
+			_, err := Run(tc.mod.Func("kernel"), NewMemory(8192), tc.args, tc.opts)
+			if tc.panic {
+				t.Fatalf("Run returned (%v), want a memory fault", err)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run error %v, want one that says %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDeadCodeNeverFails: what cannot execute is lowered to an instruction
+// that reports itself only when reached, so it is harmless on a path the run
+// never takes — as it was when calls were resolved at execution time.
+func TestDeadCodeNeverFails(t *testing.T) {
+	m := ir.MustParse(`
+func @kernel(%out: ptr) {
+entry:
+  %never = icmp eq 0, 1
+  condbr %never, %dead, %live
+dead:
+  call void frobnicate()
+  call void acc_missing()
+  %z = sdiv 1, 0
+  br %live
+live:
+  store i64 7, %out
+  ret
+}
+`)
+	mem := NewMemory(1 << 16)
+	out := mem.Alloc(8, 8)
+	if _, err := Run(m.Func("kernel"), mem, []uint64{out}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.ReadI64(out); got != 7 {
+		t.Errorf("out = %d, want 7", got)
+	}
+}
+
+// TestParallelPhiCopy: phis of one block read their inputs before any of them
+// is written, including when an edge's copies form a cycle.
+func TestParallelPhiCopy(t *testing.T) {
+	m := ir.MustParse(`
+func @kernel(%out: ptr, %n: i64) {
+entry:
+  br %loop
+loop:
+  %a = phi i64 [1, %entry], [%b, %loop]
+  %b = phi i64 [2, %entry], [%a, %loop]
+  %i = phi i64 [0, %entry], [%i.next, %loop]
+  %i.next = add %i, 1
+  %done = icmp eq %i.next, %n
+  condbr %done, %exit, %loop
+exit:
+  store %a, %out
+  %p = gep %out, 1, 8
+  store %b, %p
+  ret
+}
+`)
+	mem := NewMemory(1 << 16)
+	out := mem.Alloc(16, 8)
+	res, err := Run(m.Func("kernel"), mem, []uint64{out, 4}, Options{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three swaps after the entry edge: a=2, b=1.
+	if a, b := mem.ReadI64(out), mem.ReadI64(out+8); a != 2 || b != 1 {
+		t.Errorf("a, b = %d, %d after three swaps; want 2, 1", a, b)
+	}
+	// 1 br + 4 x (3 phis + add, icmp, condbr) + 2 stores, gep, ret.
+	if got := res.Trace.Tiles[0].DynInstrs; got != 1+4*6+4 {
+		t.Errorf("DynInstrs = %d, want 29", got)
+	}
+	for _, in := range m.Func("kernel").BlockByName("loop").Instrs {
+		if res.Counts[0][in.Idx] != 4 {
+			t.Errorf("%%%s counted %d times, want 4", in.Ident, res.Counts[0][in.Idx])
+		}
+	}
+}
+
+// chunksFor mirrors trace.Chunks' growth: 256 elements, doubling to 64 Ki.
+func chunksFor(n int) int {
+	chunks := 0
+	for size := 256; n > 0; size = min(2*size, 64<<10) {
+		n -= size
+		chunks++
+	}
+	return chunks
+}
+
+// TestTraceAllocation guards the recorder: tracing ten times as many loop
+// iterations may cost only the extra chunks (and what lists them), not an
+// allocation per block entry, and a run allocates at most 2.5x its trace.
+func TestTraceAllocation(t *testing.T) {
+	f := ir.MustParse(vecAddSrc).Func("kernel")
+	const short, long = 10_000, 100_000
+	mem := NewMemory(1 << 22)
+	defer mem.Release()
+	pa, pb := mem.AllocF64(make([]float64, long)), mem.AllocF64(make([]float64, long))
+	pc := mem.Alloc(long*8, 64)
+	run := func(n int) *Result {
+		res, err := Run(f, mem, []uint64{pa, pb, pc, uint64(n)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	allocs := func(n int) float64 { return testing.AllocsPerRun(5, func() { run(n) }) }
+	// Per stream: its chunks, the appends that list them, the final slice.
+	budget := float64(chunksFor(long+2) + chunksFor(3*long) + 24)
+	if a, b := allocs(short), allocs(long); b-a > budget {
+		t.Errorf("10x the iterations cost %.0f more allocations (%.0f -> %.0f), budget %.0f", b-a, a, b, budget)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC() // empty the chunk pools: measure a cold run
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tt := run(long).Trace.Tiles[0]
+	runtime.ReadMemStats(&after)
+	final := uint64(len(tt.Mem)*16 + len(tt.BBPath)*4)
+	if got := after.TotalAlloc - before.TotalAlloc; got*2 > final*5 {
+		t.Errorf("a run allocated %d bytes for a %d-byte trace (> 2.5x)", got, final)
+	}
+}
+
+// TestConcurrentRunsAgree traces four kernels from eight goroutines at once;
+// what runs share (pooled images, recycled chunks) must leave every trace
+// byte-equal to the one a serial run records.
+func TestConcurrentRunsAgree(t *testing.T) {
+	kernels := []struct {
+		src  string
+		opts Options
+	}{
+		{vecAddSrc, Options{}},
+		{atomicSrc, Options{NumTiles: 4, Timeslice: 3}},
+		{pipelineSrc, Options{NumTiles: 2, Timeslice: 7}},
+		{barrierSrc, Options{NumTiles: 6, Timeslice: 2}},
+	}
+	encode := func(k int) []byte {
+		mem := NewMemory(8 << 20)
+		defer mem.Release()
+		const n = 70_000 // past the first full-size chunk, so recycling is exercised
+		a, b := mem.AllocF64(make([]float64, n)), mem.Alloc(n*8, 64)
+		args := [][]uint64{{a, a, b, n}, {a, n}, {a, n}, {a, b}}[k]
+		res, err := Run(ir.MustParse(kernels[k].src).Func("kernel"), mem, args, kernels[k].opts)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		var buf bytes.Buffer
+		if _, err := res.Trace.WriteTo(&buf); err != nil {
+			t.Error(err)
+		}
+		return buf.Bytes()
+	}
+	want := make([][]byte, len(kernels))
+	for k := range kernels {
+		want[k] = encode(k)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				k := (g + round) % len(kernels)
+				if got := encode(k); !bytes.Equal(got, want[k]) {
+					t.Errorf("kernel %d traced concurrently differs from its serial trace", k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -86,7 +86,10 @@ func RunTiles(fns []*ir.Function, mem *Memory, args []uint64, opts Options) (*Re
 	tr := &trace.Trace{Kernel: fns[0].Ident}
 	res := &Result{Trace: tr}
 	for _, t := range r.tiles {
-		tr.Tiles = append(tr.Tiles, t.tt)
+		tr.Tiles = append(tr.Tiles, &trace.TileTrace{
+			Tile: int32(t.id), DynInstrs: t.dyn,
+			BBPath: t.path.Slice(), Mem: t.mem.Slice(), Comm: t.comm.Slice(), Acc: t.acc,
+		})
 		if opts.Profile {
 			res.Counts = append(res.Counts, t.prof)
 		}
@@ -109,26 +112,31 @@ type runner struct {
 	mem     *Memory
 	opts    Options
 	tiles   []*tileCtx
-	queues  map[[2]int][]uint64 // (src,dst) -> FIFO of message words
-	globals map[*ir.Global]uint64
+	queues  []ring // message words in flight, [src*NumTiles+dst]; nil unless a kernel communicates
 	steps   int64
 	maxStep int64
 }
 
+// tileCtx is one tile's execution state: its lowered kernel, registers
+// (values, then the program's constants, then a sink for unused results) and
+// the trace streams it records.
 type tileCtx struct {
-	id      int
-	fn      *ir.Function
-	r       *runner
-	regs    []uint64
-	cur     *ir.Block
-	ip      int
-	done    bool
-	blocked bool
+	id   int
+	p    *program
+	r    *runner
+	regs []uint64
+	tmp  []uint64 // parallel-copy scratch, sized to the widest phi group
+	pc   int
+	done bool
 	// atBarrier marks that the tile has registered its arrival at the
 	// current barrier and is waiting for the others.
 	atBarrier bool
 	barriers  int64 // barriers passed or arrived at
-	tt        *trace.TileTrace
+	path      trace.Chunks[int32]
+	mem       trace.Chunks[trace.MemEvent]
+	comm      trace.Chunks[trace.CommEvent]
+	acc       []trace.AccCall
+	dyn       int64   // dynamic instruction count
 	prof      []int64 // per-static-instruction execution counts (optional)
 }
 
@@ -136,47 +144,38 @@ func newRunner(fns []*ir.Function, mem *Memory, args []uint64, opts Options) (*r
 	if opts.Timeslice <= 0 {
 		opts.Timeslice = 4096
 	}
-	r := &runner{
-		mem:     mem,
-		opts:    opts,
-		queues:  map[[2]int][]uint64{},
-		maxStep: opts.MaxSteps,
-	}
+	r := &runner{mem: mem, opts: opts, maxStep: opts.MaxSteps}
 	if r.maxStep == 0 {
 		r.maxStep = 1 << 40
 	}
+	globals := map[*ir.Global]uint64{}
 	placed := map[*ir.Module]bool{}
+	progs := map[*ir.Function]*program{}
 	for i, f := range fns {
 		if len(args) != len(f.Params) {
 			return nil, fmt.Errorf("interp: kernel @%s takes %d args, got %d", f.Ident, len(f.Params), len(args))
 		}
-		f.AssignIDs()
 		if f.Parent != nil && !placed[f.Parent] {
 			placed[f.Parent] = true
-			g := PlaceGlobals(f.Parent, mem)
-			if r.globals == nil {
-				r.globals = g
-			} else {
-				for k, v := range g {
-					r.globals[k] = v
-				}
+			for g, addr := range PlaceGlobals(f.Parent, mem) {
+				globals[g] = addr
 			}
 		}
-		t := &tileCtx{
-			id:   i,
-			fn:   f,
-			r:    r,
-			regs: make([]uint64, f.NumValues()),
-			cur:  f.Entry(),
-			tt:   &trace.TileTrace{Tile: int32(i)},
+		p := progs[f]
+		if p == nil {
+			p = lower(f, globals)
+			progs[f] = p
+			if p.comm && r.queues == nil {
+				r.queues = make([]ring, len(fns)*len(fns))
+			}
 		}
+		t := &tileCtx{id: i, p: p, r: r, regs: make([]uint64, f.NumValues()+len(p.consts)+1), tmp: make([]uint64, p.maxPhis)}
+		copy(t.regs, args)
+		copy(t.regs[f.NumValues():], p.consts)
 		if opts.Profile {
 			t.prof = make([]int64, f.NumInstrs())
 		}
-		for pi, p := range f.Params {
-			t.regs[p.ID] = args[pi]
-		}
-		t.enterBlock(f.Entry(), nil)
+		t.pc = t.enter(&p.edges[0])
 		r.tiles = append(r.tiles, t)
 	}
 	return r, nil
@@ -209,155 +208,81 @@ func (r *runner) run() error {
 			return errDeadlock
 		}
 		if r.steps > r.maxStep {
-			return fmt.Errorf("interp: kernel @%s exceeded %d dynamic instructions", r.tiles[0].fn.Ident, r.maxStep)
+			return fmt.Errorf("interp: kernel @%s exceeded %d dynamic instructions", r.tiles[0].p.fn.Ident, r.maxStep)
 		}
 	}
 }
 
-// enterBlock performs the parallel phi copy for entry into b along the edge
-// from prev, records the control-flow trace event, and positions the
-// instruction pointer past the phis.
-func (t *tileCtx) enterBlock(b *ir.Block, prev *ir.Block) {
-	t.tt.BBPath = append(t.tt.BBPath, int32(b.ID))
-	nphi := 0
-	for _, in := range b.Instrs {
-		if in.Op != ir.OpPhi {
-			break
+// ring is a growable power-of-two FIFO of message words.
+type ring struct {
+	buf     []uint64
+	head, n int
+}
+
+func (q *ring) push(v uint64) {
+	if q.n == len(q.buf) {
+		buf := make([]uint64, max(16, 2*q.n))
+		for i := 0; i < q.n; i++ {
+			buf[i] = q.buf[(q.head+i)&(q.n-1)]
 		}
-		nphi++
+		q.buf, q.head = buf, 0
 	}
-	if nphi > 0 {
-		// Read all incoming values first (parallel copy semantics).
-		vals := make([]uint64, nphi)
-		for i := 0; i < nphi; i++ {
-			phi := b.Instrs[i]
-			found := false
-			for j, from := range phi.Incoming {
-				if from == prev {
-					vals[i] = t.val(phi.Args[j])
-					found = true
-					break
-				}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
+}
+
+func (q *ring) pop() uint64 {
+	v := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
+}
+
+// enter takes control-flow edge e: it records the target block in the
+// control-flow trace, performs the target's phis as one parallel copy, and
+// returns the pc of its first non-phi instruction. Phis count as dynamic
+// instructions (and in the profile) but not against the caller's timeslice.
+func (t *tileCtx) enter(e *edge) int {
+	t.path.Append(e.block)
+	if n := len(e.copies); n > 0 {
+		regs := t.regs
+		if e.parallel {
+			// Some copy reads a slot an earlier one writes: read all first.
+			for i, c := range e.copies {
+				t.tmp[i] = regs[c.src]
 			}
-			if !found {
-				panic(fmt.Sprintf("interp: phi %%%s has no incoming edge from %s", phi.Ident, prev.Ident))
+			for i, c := range e.copies {
+				regs[c.dst] = t.tmp[i]
+			}
+		} else {
+			for _, c := range e.copies {
+				regs[c.dst] = regs[c.src]
 			}
 		}
-		for i := 0; i < nphi; i++ {
-			t.regs[b.Instrs[i].ID] = vals[i]
-		}
-		// Phis executed: count them as dynamic instructions.
-		t.tt.DynInstrs += int64(nphi)
-		t.r.steps += int64(nphi)
+		t.dyn += int64(n)
+		t.r.steps += int64(n)
 		if t.prof != nil {
-			for i := 0; i < nphi; i++ {
-				t.prof[b.Instrs[i].Idx]++
+			for i := range e.copies {
+				t.prof[int(e.phi0)+i]++
 			}
 		}
 	}
-	t.cur = b
-	t.ip = nphi
+	return int(e.pc)
 }
 
-// val evaluates an operand to its raw 64-bit pattern.
-func (t *tileCtx) val(v ir.Value) uint64 {
-	switch x := v.(type) {
-	case *ir.Const:
-		return x.Bits
-	case *ir.Param:
-		return t.regs[x.ID]
-	case *ir.Instr:
-		return t.regs[x.ID]
-	case *ir.Global:
-		return t.r.globals[x]
-	default:
-		panic(fmt.Sprintf("interp: unknown operand kind %T", v))
-	}
-}
-
-// step executes up to limit instructions, returning how many ran. It stops
-// early when the tile finishes or blocks on an empty recv queue.
-func (t *tileCtx) step(limit int) (int, error) {
-	executed := 0
-	for executed < limit && !t.done {
-		in := t.cur.Instrs[t.ip]
-		if t.prof != nil {
-			t.prof[in.Idx]++
-		}
-		if in.Op == ir.OpCall && in.Callee == "barrier" {
-			// SPMD barrier: register arrival, proceed once every tile has
-			// arrived at (or passed) the same barrier.
-			if !t.atBarrier {
-				t.atBarrier = true
-				t.barriers++
-			}
-			for _, other := range t.r.tiles {
-				if other.barriers < t.barriers {
-					t.blocked = true
-					return executed, nil
-				}
-			}
-			t.atBarrier = false
-			t.blocked = false
-			t.ip++
-			executed++
-			t.tt.DynInstrs++
-			t.r.steps++
-			continue
-		}
-		if in.Op == ir.OpCall && in.Callee == "recv" {
-			src := int(int64(t.val(in.Args[0])))
-			key := [2]int{src, t.id}
-			q := t.r.queues[key]
-			if len(q) == 0 {
-				t.blocked = true
-				return executed, nil
-			}
-			t.regs[in.ID] = q[0]
-			t.r.queues[key] = q[1:]
-			t.tt.Comm = append(t.tt.Comm, trace.CommEvent{Instr: int32(in.Idx), Partner: int32(src)})
-			t.blocked = false
-			t.ip++
-			executed++
-			t.tt.DynInstrs++
-			t.r.steps++
-			continue
-		}
-		if err := t.exec(in); err != nil {
-			return executed, err
-		}
-		executed++
-		t.tt.DynInstrs++
-		t.r.steps++
-	}
-	return executed, nil
-}
+// Width tables indexed by ir.Type: integer results wrap to their type's
+// width, and narrow integers sign-extend when read (i1 reads as 0 or 1).
+var (
+	widthMask = [8]uint64{ir.I1: 1, ir.I8: 0xff, ir.I32: 0xffffffff, ir.Void: ^uint64(0), ir.I64: ^uint64(0), ir.F32: ^uint64(0), ir.F64: ^uint64(0), ir.Ptr: ^uint64(0)}
+	signShift = [8]uint8{ir.I8: 56, ir.I32: 32}
+	accessLen = [8]uint8{ir.I1: 1, ir.I8: 1, ir.I32: 4, ir.F32: 4, ir.I64: 8, ir.F64: 8, ir.Ptr: 8}
+)
 
 func signExt(bits uint64, ty ir.Type) int64 {
-	switch ty {
-	case ir.I1:
-		return int64(bits & 1)
-	case ir.I8:
-		return int64(int8(bits))
-	case ir.I32:
-		return int64(int32(bits))
-	default:
-		return int64(bits)
-	}
+	return int64((bits&widthMask[ty&7])<<signShift[ty&7]) >> signShift[ty&7]
 }
 
-func truncTo(v uint64, ty ir.Type) uint64 {
-	switch ty {
-	case ir.I1:
-		return v & 1
-	case ir.I8:
-		return v & 0xff
-	case ir.I32:
-		return v & 0xffffffff
-	default:
-		return v
-	}
-}
+func truncTo(v uint64, ty ir.Type) uint64 { return v & widthMask[ty&7] }
 
 func toFloat(bits uint64, ty ir.Type) float64 {
 	if ty == ir.F32 {
@@ -373,159 +298,177 @@ func fromFloat(v float64, ty ir.Type) uint64 {
 	return math.Float64bits(v)
 }
 
-// exec runs one non-recv instruction and advances control flow.
-func (t *tileCtx) exec(in *ir.Instr) error {
-	mem := t.r.mem
-	switch in.Op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpSRem,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr:
-		a := t.val(in.Args[0])
-		b := t.val(in.Args[1])
-		ty := in.Ty
-		var res uint64
-		switch in.Op {
+// step executes up to limit instructions of the lowered kernel, returning
+// how many ran. It stops early when the tile finishes or blocks on a barrier
+// or an empty recv queue.
+func (t *tileCtx) step(limit int) (int, error) {
+	p, regs, mem, prof := t.p, t.regs, t.r.mem, t.prof
+	pc, executed, nt := t.pc, 0, t.r.opts.NumTiles
+	var err error
+loop:
+	for executed < limit {
+		in := &p.code[pc]
+		if prof != nil {
+			prof[in.idx]++
+		}
+		switch in.op {
 		case ir.OpAdd:
-			res = a + b
+			regs[in.dst] = truncTo(regs[in.a]+regs[in.b], in.ty)
 		case ir.OpSub:
-			res = a - b
+			regs[in.dst] = truncTo(regs[in.a]-regs[in.b], in.ty)
 		case ir.OpMul:
-			res = a * b
+			regs[in.dst] = truncTo(regs[in.a]*regs[in.b], in.ty)
 		case ir.OpSDiv:
-			sb := signExt(b, ty)
-			if sb == 0 {
-				return fmt.Errorf("interp: division by zero in %%%s", in.Ident)
+			b := signExt(regs[in.b], in.ty)
+			if b == 0 {
+				err = t.byZero("division", in)
+				break loop
 			}
-			res = uint64(signExt(a, ty) / sb)
+			regs[in.dst] = truncTo(uint64(signExt(regs[in.a], in.ty)/b), in.ty)
 		case ir.OpSRem:
-			sb := signExt(b, ty)
-			if sb == 0 {
-				return fmt.Errorf("interp: remainder by zero in %%%s", in.Ident)
+			b := signExt(regs[in.b], in.ty)
+			if b == 0 {
+				err = t.byZero("remainder", in)
+				break loop
 			}
-			res = uint64(signExt(a, ty) % sb)
+			regs[in.dst] = truncTo(uint64(signExt(regs[in.a], in.ty)%b), in.ty)
 		case ir.OpAnd:
-			res = a & b
+			regs[in.dst] = truncTo(regs[in.a]&regs[in.b], in.ty)
 		case ir.OpOr:
-			res = a | b
+			regs[in.dst] = truncTo(regs[in.a]|regs[in.b], in.ty)
 		case ir.OpXor:
-			res = a ^ b
+			regs[in.dst] = truncTo(regs[in.a]^regs[in.b], in.ty)
 		case ir.OpShl:
-			res = a << (b & 63)
+			regs[in.dst] = truncTo(regs[in.a]<<(regs[in.b]&63), in.ty)
 		case ir.OpLShr:
-			res = truncTo(a, ty) >> (b & 63)
+			regs[in.dst] = truncTo(regs[in.a], in.ty) >> (regs[in.b] & 63)
 		case ir.OpAShr:
-			res = uint64(signExt(a, ty) >> (b & 63))
-		}
-		t.regs[in.ID] = truncTo(res, ty)
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		ty := in.Ty
-		a := toFloat(t.val(in.Args[0]), in.Args[0].Type())
-		b := toFloat(t.val(in.Args[1]), in.Args[1].Type())
-		var res float64
-		switch in.Op {
+			regs[in.dst] = truncTo(uint64(signExt(regs[in.a], in.ty)>>(regs[in.b]&63)), in.ty)
 		case ir.OpFAdd:
-			res = a + b
+			regs[in.dst] = fromFloat(toFloat(regs[in.a], in.aty)+toFloat(regs[in.b], in.bty), in.ty)
 		case ir.OpFSub:
-			res = a - b
+			regs[in.dst] = fromFloat(toFloat(regs[in.a], in.aty)-toFloat(regs[in.b], in.bty), in.ty)
 		case ir.OpFMul:
-			res = a * b
+			regs[in.dst] = fromFloat(toFloat(regs[in.a], in.aty)*toFloat(regs[in.b], in.bty), in.ty)
 		case ir.OpFDiv:
-			res = a / b
+			regs[in.dst] = fromFloat(toFloat(regs[in.a], in.aty)/toFloat(regs[in.b], in.bty), in.ty)
+		case ir.OpICmp:
+			regs[in.dst] = boolBits(cmpInt(ir.CmpPred(in.c), signExt(regs[in.a], in.aty), signExt(regs[in.b], in.bty)))
+		case ir.OpFCmp:
+			regs[in.dst] = boolBits(cmpFloat(ir.CmpPred(in.c), toFloat(regs[in.a], in.aty), toFloat(regs[in.b], in.bty)))
+		case ir.OpSelect:
+			if regs[in.a]&1 != 0 {
+				regs[in.dst] = regs[in.b]
+			} else {
+				regs[in.dst] = regs[in.c]
+			}
+		case opTrunc:
+			regs[in.dst] = truncTo(regs[in.a], in.ty)
+		case opZExt:
+			regs[in.dst] = truncTo(regs[in.a], in.aty)
+		case opSExt:
+			regs[in.dst] = truncTo(uint64(signExt(regs[in.a], in.aty)), in.ty)
+		case opSIToFP:
+			regs[in.dst] = fromFloat(float64(signExt(regs[in.a], in.aty)), in.ty)
+		case opFPToSI:
+			regs[in.dst] = truncTo(uint64(int64(toFloat(regs[in.a], in.aty))), in.ty)
+		case opFPExt, opFPTrunc:
+			regs[in.dst] = fromFloat(toFloat(regs[in.a], in.aty), in.ty)
+		case opBitcast:
+			regs[in.dst] = regs[in.a]
+		case ir.OpGEP: // c holds the element stride
+			regs[in.dst] = uint64(int64(regs[in.a]) + signExt(regs[in.b], in.bty)*int64(regs[in.c]))
+		case ir.OpLoad:
+			addr := regs[in.a]
+			t.mem.Append(trace.MemEvent{Addr: addr, Instr: in.idx, Size: accessLen[in.ty&7], Kind: trace.KindLoad})
+			regs[in.dst] = mem.LoadScalar(addr, in.ty)
+		case ir.OpStore:
+			addr := regs[in.b]
+			t.mem.Append(trace.MemEvent{Addr: addr, Instr: in.idx, Size: accessLen[in.ty&7], Kind: trace.KindStore})
+			mem.StoreScalar(addr, in.ty, regs[in.a])
+		case ir.OpAtomicAdd:
+			addr := regs[in.a]
+			t.mem.Append(trace.MemEvent{Addr: addr, Instr: in.idx, Size: accessLen[in.ty&7], Kind: trace.KindAtomic})
+			old := mem.LoadScalar(addr, in.ty)
+			if in.ty.IsFloat() {
+				mem.StoreScalar(addr, in.ty, fromFloat(toFloat(old, in.ty)+toFloat(regs[in.b], in.ty), in.ty))
+			} else {
+				mem.StoreScalar(addr, in.ty, truncTo(old+regs[in.b], in.ty))
+			}
+			regs[in.dst] = old
+		case ir.OpBr:
+			pc = t.enter(&p.edges[in.b])
+			executed++
+			continue
+		case ir.OpCondBr: // b, c: the taken and not-taken edges
+			e := in.c
+			if regs[in.a]&1 != 0 {
+				e = in.b
+			}
+			pc = t.enter(&p.edges[e])
+			executed++
+			continue
+		case ir.OpRet:
+			t.done = true
+			executed++
+			break loop
+		case opBarrier:
+			// SPMD barrier: register arrival, proceed once every tile has
+			// arrived at (or passed) the same barrier.
+			if !t.atBarrier {
+				t.atBarrier = true
+				t.barriers++
+			}
+			for _, other := range t.r.tiles {
+				if other.barriers < t.barriers {
+					break loop
+				}
+			}
+			t.atBarrier = false
+		case opRecv:
+			// An empty queue blocks, and so does a source that is no tile:
+			// for good, which run reports as a deadlock.
+			src := int(int64(regs[in.a]))
+			if src < 0 || src >= nt || t.r.queues[src*nt+t.id].n == 0 {
+				break loop
+			}
+			regs[in.dst] = t.r.queues[src*nt+t.id].pop()
+			t.comm.Append(trace.CommEvent{Instr: in.idx, Partner: int32(src)})
+		case opSend:
+			dst := int(int64(regs[in.a]))
+			if dst < 0 || dst >= nt {
+				err = fmt.Errorf("interp: send to invalid tile %d", dst)
+				break loop
+			}
+			t.r.queues[t.id*nt+dst].push(regs[in.b])
+			t.comm.Append(trace.CommEvent{Instr: in.idx, Partner: int32(dst)})
+		case opTileID:
+			regs[in.dst] = uint64(t.id)
+		case opNumTiles:
+			regs[in.dst] = uint64(nt)
+		case opSqrt, opExp, opLog, opSin, opCos, opFabs, opFloor:
+			regs[in.dst] = fromFloat(unaryMath[in.op-opSqrt](toFloat(regs[in.a], in.aty)), in.ty)
+		case opPow, opFMin, opFMax:
+			regs[in.dst] = fromFloat(binaryMath[in.op-opPow](toFloat(regs[in.a], in.aty), toFloat(regs[in.b], in.bty)), in.ty)
+		case opAcc:
+			if err = t.accCall(in); err != nil {
+				break loop
+			}
+		default: // opErr: what this instruction was lowered from cannot execute
+			err = p.errs[in.a]
+			break loop
 		}
-		t.regs[in.ID] = fromFloat(res, ty)
-	case ir.OpICmp:
-		a := signExt(t.val(in.Args[0]), in.Args[0].Type())
-		b := signExt(t.val(in.Args[1]), in.Args[1].Type())
-		t.regs[in.ID] = boolBits(cmpInt(in.Pred, a, b))
-	case ir.OpFCmp:
-		a := toFloat(t.val(in.Args[0]), in.Args[0].Type())
-		b := toFloat(t.val(in.Args[1]), in.Args[1].Type())
-		t.regs[in.ID] = boolBits(cmpFloat(in.Pred, a, b))
-	case ir.OpSelect:
-		if t.val(in.Args[0])&1 != 0 {
-			t.regs[in.ID] = t.val(in.Args[1])
-		} else {
-			t.regs[in.ID] = t.val(in.Args[2])
-		}
-	case ir.OpCast:
-		src := t.val(in.Args[0])
-		srcTy := in.Args[0].Type()
-		var res uint64
-		switch in.Cast {
-		case ir.CastTrunc:
-			res = truncTo(src, in.Ty)
-		case ir.CastZExt:
-			res = truncTo(src, srcTy)
-		case ir.CastSExt:
-			res = truncTo(uint64(signExt(src, srcTy)), in.Ty)
-		case ir.CastSIToFP:
-			res = fromFloat(float64(signExt(src, srcTy)), in.Ty)
-		case ir.CastFPToSI:
-			res = truncTo(uint64(int64(toFloat(src, srcTy))), in.Ty)
-		case ir.CastFPExt, ir.CastFPTrunc:
-			res = fromFloat(toFloat(src, srcTy), in.Ty)
-		case ir.CastBitcast:
-			res = src
-		default:
-			return fmt.Errorf("interp: bad cast kind in %%%s", in.Ident)
-		}
-		t.regs[in.ID] = res
-	case ir.OpGEP:
-		base := t.val(in.Args[0])
-		idx := signExt(t.val(in.Args[1]), in.Args[1].Type())
-		t.regs[in.ID] = uint64(int64(base) + idx*in.Scale)
-	case ir.OpLoad:
-		addr := t.val(in.Args[0])
-		t.record(in, addr, in.Ty, trace.KindLoad)
-		t.regs[in.ID] = mem.LoadScalar(addr, in.Ty)
-	case ir.OpStore:
-		addr := t.val(in.Args[1])
-		ty := in.Args[0].Type()
-		t.record(in, addr, ty, trace.KindStore)
-		mem.StoreScalar(addr, ty, t.val(in.Args[0]))
-	case ir.OpAtomicAdd:
-		addr := t.val(in.Args[0])
-		ty := in.Ty
-		t.record(in, addr, ty, trace.KindAtomic)
-		old := mem.LoadScalar(addr, ty)
-		var updated uint64
-		if ty.IsFloat() {
-			updated = fromFloat(toFloat(old, ty)+toFloat(t.val(in.Args[1]), ty), ty)
-		} else {
-			updated = truncTo(old+t.val(in.Args[1]), ty)
-		}
-		mem.StoreScalar(addr, ty, updated)
-		t.regs[in.ID] = old
-	case ir.OpBr:
-		t.enterBlock(in.Targets[0], t.cur)
-		return nil
-	case ir.OpCondBr:
-		if t.val(in.Args[0])&1 != 0 {
-			t.enterBlock(in.Targets[0], t.cur)
-		} else {
-			t.enterBlock(in.Targets[1], t.cur)
-		}
-		return nil
-	case ir.OpRet:
-		t.done = true
-		return nil
-	case ir.OpCall:
-		if err := t.call(in); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("interp: unhandled opcode %s", in.Op)
+		pc++
+		executed++
 	}
-	t.ip++
-	return nil
+	t.pc = pc
+	t.dyn += int64(executed)
+	t.r.steps += int64(executed)
+	return executed, err
 }
 
-func (t *tileCtx) record(in *ir.Instr, addr uint64, ty ir.Type, kind uint8) {
-	t.tt.Mem = append(t.tt.Mem, trace.MemEvent{
-		Instr: int32(in.Idx),
-		Addr:  addr,
-		Size:  uint8(ty.Size()),
-		Kind:  kind,
-	})
+func (t *tileCtx) byZero(what string, in *inst) error {
+	return fmt.Errorf("interp: %s by zero in %%%s", what, t.p.fn.InstrByIdx(int(in.idx)).Ident)
 }
 
 func boolBits(b bool) uint64 {

@@ -32,6 +32,68 @@ exit:
 }
 `
 
+const atomicSrc = `
+func @kernel(%ctr: ptr, %iters: i64) {
+entry:
+  br %head
+head:
+  %i = phi i64 [0, %entry], [%i.next, %head]
+  %old = atomicadd %ctr, 1
+  %i.next = add %i, 1
+  %c = icmp lt %i.next, %iters
+  condbr %c, %head, %exit
+exit:
+  ret
+}
+`
+
+const pipelineSrc = `
+func @kernel(%out: ptr, %n: i64) {
+entry:
+  %tid = call i64 tile_id()
+  %isProd = icmp eq %tid, 0
+  condbr %isProd, %prod.head, %cons.head
+prod.head:
+  %i = phi i64 [0, %entry], [%i.next, %prod.head]
+  %sq = mul %i, %i
+  call void send(1, %sq)
+  %i.next = add %i, 1
+  %pc = icmp lt %i.next, %n
+  condbr %pc, %prod.head, %exit
+cons.head:
+  %j = phi i64 [0, %entry], [%j.next, %cons.head]
+  %acc = phi i64 [0, %entry], [%acc.next, %cons.head]
+  %v = call i64 recv(0)
+  %acc.next = add %acc, %v
+  %j.next = add %j, 1
+  %cc = icmp lt %j.next, %n
+  condbr %cc, %cons.head, %cons.done
+cons.done:
+  store %acc.next, %out
+  br %exit
+exit:
+  ret
+}
+`
+
+const barrierSrc = `
+func @kernel(%flag: ptr, %out: ptr) {
+entry:
+  %tid = call i64 tile_id()
+  %isz = icmp eq %tid, 0
+  condbr %isz, %setter, %join
+setter:
+  store i64 99, %flag
+  br %join
+join:
+  call void barrier()
+  %v = load i64, %flag
+  %p = gep %out, %tid, 8
+  store %v, %p
+  ret
+}
+`
+
 func runVecAdd(t *testing.T, n int) (*Memory, *Result, uint64) {
 	t.Helper()
 	m := ir.MustParse(vecAddSrc)
@@ -198,21 +260,7 @@ exit:
 }
 
 func TestAtomicAdd(t *testing.T) {
-	src := `
-func @kernel(%ctr: ptr, %iters: i64) {
-entry:
-  br %head
-head:
-  %i = phi i64 [0, %entry], [%i.next, %head]
-  %old = atomicadd %ctr, 1
-  %i.next = add %i, 1
-  %c = icmp lt %i.next, %iters
-  condbr %c, %head, %exit
-exit:
-  ret
-}
-`
-	m := ir.MustParse(src)
+	m := ir.MustParse(atomicSrc)
 	mem := NewMemory(1 << 20)
 	ctr := mem.Alloc(8, 8)
 	const tiles, iters = 4, 100
@@ -239,35 +287,7 @@ exit:
 func TestSendRecvPipeline(t *testing.T) {
 	// Tile 0 produces squares, tile 1 consumes and accumulates: the shape of
 	// a decoupled access/execute pair (§VII-A).
-	src := `
-func @kernel(%out: ptr, %n: i64) {
-entry:
-  %tid = call i64 tile_id()
-  %isProd = icmp eq %tid, 0
-  condbr %isProd, %prod.head, %cons.head
-prod.head:
-  %i = phi i64 [0, %entry], [%i.next, %prod.head]
-  %sq = mul %i, %i
-  call void send(1, %sq)
-  %i.next = add %i, 1
-  %pc = icmp lt %i.next, %n
-  condbr %pc, %prod.head, %exit
-cons.head:
-  %j = phi i64 [0, %entry], [%j.next, %cons.head]
-  %acc = phi i64 [0, %entry], [%acc.next, %cons.head]
-  %v = call i64 recv(0)
-  %acc.next = add %acc, %v
-  %j.next = add %j, 1
-  %cc = icmp lt %j.next, %n
-  condbr %cc, %cons.head, %cons.done
-cons.done:
-  store %acc.next, %out
-  br %exit
-exit:
-  ret
-}
-`
-	m := ir.MustParse(src)
+	m := ir.MustParse(pipelineSrc)
 	mem := NewMemory(1 << 20)
 	out := mem.Alloc(8, 8)
 	const n = 1000
@@ -476,24 +496,7 @@ func TestMemoryAllocAlignment(t *testing.T) {
 func TestBarrierSynchronizesTiles(t *testing.T) {
 	// Tile 0 writes a flag before the barrier; every tile must observe it
 	// after the barrier regardless of scheduling.
-	src := `
-func @kernel(%flag: ptr, %out: ptr) {
-entry:
-  %tid = call i64 tile_id()
-  %isz = icmp eq %tid, 0
-  condbr %isz, %setter, %join
-setter:
-  store i64 99, %flag
-  br %join
-join:
-  call void barrier()
-  %v = load i64, %flag
-  %p = gep %out, %tid, 8
-  store %v, %p
-  ret
-}
-`
-	m := ir.MustParse(src)
+	m := ir.MustParse(barrierSrc)
 	mem := NewMemory(1 << 20)
 	flag := mem.Alloc(8, 8)
 	out := mem.Alloc(8*8, 8)

@@ -13,73 +13,38 @@ import (
 // invocation (the paper's accelerator API, §II-B).
 func IsAccCall(name string) bool { return strings.HasPrefix(name, "acc_") }
 
-// call executes an intrinsic (recv is handled by the scheduler in step).
-func (t *tileCtx) call(in *ir.Instr) error {
-	switch in.Callee {
-	case "tile_id":
-		t.regs[in.ID] = uint64(t.id)
-	case "num_tiles":
-		t.regs[in.ID] = uint64(t.r.opts.NumTiles)
-	case "send":
-		dst := int(int64(t.val(in.Args[0])))
-		if dst < 0 || dst >= t.r.opts.NumTiles {
-			return fmt.Errorf("interp: send to invalid tile %d", dst)
-		}
-		key := [2]int{t.id, dst}
-		t.r.queues[key] = append(t.r.queues[key], t.val(in.Args[1]))
-		t.tt.Comm = append(t.tt.Comm, trace.CommEvent{Instr: int32(in.Idx), Partner: int32(dst)})
-	case "sqrt":
-		t.unaryMath(in, math.Sqrt)
-	case "exp":
-		t.unaryMath(in, math.Exp)
-	case "log":
-		t.unaryMath(in, math.Log)
-	case "sin":
-		t.unaryMath(in, math.Sin)
-	case "cos":
-		t.unaryMath(in, math.Cos)
-	case "fabs":
-		t.unaryMath(in, math.Abs)
-	case "floor":
-		t.unaryMath(in, math.Floor)
-	case "pow":
-		a := toFloat(t.val(in.Args[0]), in.Args[0].Type())
-		b := toFloat(t.val(in.Args[1]), in.Args[1].Type())
-		t.regs[in.ID] = fromFloat(math.Pow(a, b), in.Ty)
-	case "fmin":
-		a := toFloat(t.val(in.Args[0]), in.Args[0].Type())
-		b := toFloat(t.val(in.Args[1]), in.Args[1].Type())
-		t.regs[in.ID] = fromFloat(math.Min(a, b), in.Ty)
-	case "fmax":
-		a := toFloat(t.val(in.Args[0]), in.Args[0].Type())
-		b := toFloat(t.val(in.Args[1]), in.Args[1].Type())
-		t.regs[in.ID] = fromFloat(math.Max(a, b), in.Ty)
-	default:
-		if IsAccCall(in.Callee) {
-			return t.accCall(in)
-		}
-		return fmt.Errorf("interp: unknown intrinsic %q", in.Callee)
-	}
-	return nil
+// intrinsics resolves a callee name, once per static call, to the opcode
+// step dispatches on and the number of operands it reads.
+var intrinsics = map[string]struct {
+	op    ir.Opcode
+	nargs int
+}{
+	"barrier": {opBarrier, 0}, "recv": {opRecv, 1}, "send": {opSend, 2},
+	"tile_id": {opTileID, 0}, "num_tiles": {opNumTiles, 0},
+	"sqrt": {opSqrt, 1}, "exp": {opExp, 1}, "log": {opLog, 1}, "sin": {opSin, 1},
+	"cos": {opCos, 1}, "fabs": {opFabs, 1}, "floor": {opFloor, 1},
+	"pow": {opPow, 2}, "fmin": {opFMin, 2}, "fmax": {opFMax, 2},
 }
 
-func (t *tileCtx) unaryMath(in *ir.Instr, f func(float64) float64) {
-	v := toFloat(t.val(in.Args[0]), in.Args[0].Type())
-	t.regs[in.ID] = fromFloat(f(v), in.Ty)
-}
+// Math intrinsics by opcode, from opSqrt and from opPow.
+var (
+	unaryMath  = [...]func(float64) float64{math.Sqrt, math.Exp, math.Log, math.Sin, math.Cos, math.Abs, math.Floor}
+	binaryMath = [...]func(a, b float64) float64{math.Pow, math.Min, math.Max}
+)
 
 // accCall records an accelerator invocation in the trace (the DTG "records
 // the relevant parameters, e.g. matrix dimensions") and runs the functional
 // implementation so memory reflects the accelerated computation.
-func (t *tileCtx) accCall(in *ir.Instr) error {
-	params := make([]int64, len(in.Args))
-	for i, a := range in.Args {
-		params[i] = int64(t.val(a))
+func (t *tileCtx) accCall(in *inst) error {
+	name := t.p.fn.InstrByIdx(int(in.idx)).Callee
+	params := make([]int64, in.b)
+	for i, s := range t.p.args[in.a : in.a+in.b] {
+		params[i] = int64(t.regs[s])
 	}
-	t.tt.Acc = append(t.tt.Acc, trace.AccCall{Name: in.Callee, Params: params})
-	impl, ok := t.r.opts.Acc[in.Callee]
+	t.acc = append(t.acc, trace.AccCall{Name: name, Params: params})
+	impl, ok := t.r.opts.Acc[name]
 	if !ok {
-		return fmt.Errorf("interp: no functional implementation registered for accelerator %q", in.Callee)
+		return fmt.Errorf("interp: no functional implementation registered for accelerator %q", name)
 	}
 	impl(t.r.mem, params)
 	return nil

@@ -83,10 +83,27 @@ func (m *Memory) Alloc(size, align int64) uint64 {
 // AllocGlobal reserves storage for a module global, cacheline aligned.
 func (m *Memory) AllocGlobal(g *ir.Global) uint64 { return m.Alloc(g.ByteSize(), 64) }
 
+// check faults an access that touches the null page or runs past the image.
+// Every load, store and atomic of a traced kernel goes through it.
 func (m *Memory) check(addr uint64, size int64) {
 	if addr < 4096 || addr+uint64(size) > uint64(len(m.data)) {
-		panic(fmt.Sprintf("interp: memory access out of bounds: addr=%#x size=%d", addr, size))
+		m.fault(addr, size)
 	}
+}
+
+// fault is out of line so that check inlines into its callers.
+func (m *Memory) fault(addr uint64, size int64) {
+	panic(fmt.Sprintf("interp: memory access out of bounds: addr=%#x size=%d", addr, size))
+}
+
+// window checks the size bytes at addr once and returns them; store marks
+// them written, as StoreScalar would byte by byte.
+func (m *Memory) window(addr uint64, size int64, store bool) []byte {
+	m.check(addr, size)
+	if end := addr + uint64(size); store && end > m.hi {
+		m.hi = end
+	}
+	return m.data[addr : addr+uint64(size)]
 }
 
 // LoadScalar reads a value of type ty at addr, returning its raw 64-bit
@@ -168,8 +185,9 @@ func (m *Memory) WriteI8(addr uint64, v int8) { m.StoreScalar(addr, ir.I8, uint6
 // AllocF64 allocates and fills a float64 array, returning its base address.
 func (m *Memory) AllocF64(vals []float64) uint64 {
 	base := m.Alloc(int64(len(vals))*8, 64)
+	w := m.window(base, int64(len(vals))*8, true)
 	for i, v := range vals {
-		m.WriteF64(base+uint64(i)*8, v)
+		binary.LittleEndian.PutUint64(w[8*i:], math.Float64bits(v))
 	}
 	return base
 }
@@ -177,8 +195,9 @@ func (m *Memory) AllocF64(vals []float64) uint64 {
 // AllocF32 allocates and fills a float32 array, returning its base address.
 func (m *Memory) AllocF32(vals []float32) uint64 {
 	base := m.Alloc(int64(len(vals))*4, 64)
+	w := m.window(base, int64(len(vals))*4, true)
 	for i, v := range vals {
-		m.WriteF32(base+uint64(i)*4, v)
+		binary.LittleEndian.PutUint32(w[4*i:], math.Float32bits(v))
 	}
 	return base
 }
@@ -186,8 +205,9 @@ func (m *Memory) AllocF32(vals []float32) uint64 {
 // AllocI64 allocates and fills an int64 array, returning its base address.
 func (m *Memory) AllocI64(vals []int64) uint64 {
 	base := m.Alloc(int64(len(vals))*8, 64)
+	w := m.window(base, int64(len(vals))*8, true)
 	for i, v := range vals {
-		m.WriteI64(base+uint64(i)*8, v)
+		binary.LittleEndian.PutUint64(w[8*i:], uint64(v))
 	}
 	return base
 }
@@ -195,44 +215,49 @@ func (m *Memory) AllocI64(vals []int64) uint64 {
 // AllocI32 allocates and fills an int32 array, returning its base address.
 func (m *Memory) AllocI32(vals []int32) uint64 {
 	base := m.Alloc(int64(len(vals))*4, 64)
+	w := m.window(base, int64(len(vals))*4, true)
 	for i, v := range vals {
-		m.WriteI32(base+uint64(i)*4, v)
+		binary.LittleEndian.PutUint32(w[4*i:], uint32(v))
 	}
 	return base
 }
 
 // F64Slice copies n float64 values starting at addr.
 func (m *Memory) F64Slice(addr uint64, n int) []float64 {
+	w := m.window(addr, int64(n)*8, false)
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = m.ReadF64(addr + uint64(i)*8)
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[8*i:]))
 	}
 	return out
 }
 
 // F32Slice copies n float32 values starting at addr.
 func (m *Memory) F32Slice(addr uint64, n int) []float32 {
+	w := m.window(addr, int64(n)*4, false)
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = m.ReadF32(addr + uint64(i)*4)
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(w[4*i:]))
 	}
 	return out
 }
 
 // I64Slice copies n int64 values starting at addr.
 func (m *Memory) I64Slice(addr uint64, n int) []int64 {
+	w := m.window(addr, int64(n)*8, false)
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = m.ReadI64(addr + uint64(i)*8)
+		out[i] = int64(binary.LittleEndian.Uint64(w[8*i:]))
 	}
 	return out
 }
 
 // I32Slice copies n int32 values starting at addr.
 func (m *Memory) I32Slice(addr uint64, n int) []int32 {
+	w := m.window(addr, int64(n)*4, false)
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = m.ReadI32(addr + uint64(i)*4)
+		out[i] = int32(binary.LittleEndian.Uint32(w[4*i:]))
 	}
 	return out
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mosaicsim/internal/trace"
 )
 
 // TestExportImportRoundTrip is the artifact-index determinism contract: a
@@ -217,17 +219,36 @@ func TestImportedTraceAdopted(t *testing.T) {
 	}
 }
 
-// TestImportArtifactRejectsCorruptBlobs: corrupt payloads error instead of
-// silently installing garbage.
+// TestImportArtifactRejectsCorruptBlobs: corrupt payloads are "sim: import"
+// errors instead of silently installed garbage — or, for a trace whose counts
+// lie, a makeslice panic that takes the daemon down at recovery.
 func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
-	c := NewCache()
-	if err := c.ImportArtifact("x", []byte("not json\n")); err == nil {
-		t.Error("bad header accepted")
+	const traceHdr = `{"kind":"trace","key":{}}` + "\n"
+	var good bytes.Buffer
+	tr := &trace.Trace{Kernel: "k", Tiles: []*trace.TileTrace{{BBPath: []int32{0, 1, 1, 2}, DynInstrs: 9}}}
+	if _, err := tr.WriteTo(&good); err != nil {
+		t.Fatal(err)
 	}
-	if err := c.ImportArtifact("x", []byte(`{"kind":"bogus","key":{}}`+"\n")); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if err := c.ImportArtifact("x", []byte(`{"kind":"trace","key":{}}`+"\ngarbage")); err == nil {
-		t.Error("corrupt trace payload accepted")
+	for _, tc := range []struct {
+		name, blob, want string
+	}{
+		{"bad header", "not json\n", "bad header"},
+		{"unknown kind", `{"kind":"bogus","key":{}}` + "\n", "unknown artifact kind"},
+		{"garbage trace payload", traceHdr + "garbage", "trace: decoding magic"},
+		{"truncated trace", traceHdr + good.String()[:good.Len()/2], "trace: decoding"},
+		// A header, one tile, and a BB path that claims 2^62 entries.
+		{"trace whose BB path count lies", traceHdr + "MSTR\x01\x00\x01\x00\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40", "trace: decoding block id: unexpected EOF"},
+		{"garbage schedule payload", `{"kind":"sched","key":{}}` + "\n{", "unexpected EOF"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCache()
+			err := c.ImportArtifact("x", []byte(tc.blob))
+			if err == nil || !strings.HasPrefix(err.Error(), "sim: import x: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ImportArtifact = %v, want a sim: import error that says %q", err, tc.want)
+			}
+			if c.ImportedCount() != 0 {
+				t.Error("a corrupt blob was staged")
+			}
+		})
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"mosaicsim/internal/cc"
 	"mosaicsim/internal/interp"
 	"mosaicsim/internal/ir"
+	"mosaicsim/internal/trace"
 )
 
 // N is the element count of each kernel array argument. Indices are masked
@@ -320,13 +321,20 @@ func (g *gen) condExpr() string {
 // bit patterns of the A, B, and F arrays afterwards. Two opt configs are
 // behaviorally equivalent for src exactly when their snapshots match.
 func Snapshot(src string, opt ir.OptConfig) ([]uint64, error) {
+	image, _, err := Run(src, opt)
+	return image, err
+}
+
+// Run is Snapshot that also returns the dynamic trace of the run, so the
+// interpreter's own output can be pinned on generated kernels.
+func Run(src string, opt ir.OptConfig) ([]uint64, *trace.Trace, error) {
 	mod, err := cc.CompileWithOpt(src, "testgen", opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f := mod.Func("kernel")
 	if f == nil {
-		return nil, errors.New("testgen: generated module has no kernel function")
+		return nil, nil, errors.New("testgen: generated module has no kernel function")
 	}
 	mem := interp.NewMemory(1 << 20)
 	defer mem.Release()
@@ -346,8 +354,9 @@ func Snapshot(src string, opt ir.OptConfig) ([]uint64, error) {
 	pb := mem.AllocI64(b)
 	pf := mem.AllocF64(fl)
 	args := []uint64{interp.ArgPtr(pa), interp.ArgPtr(pb), interp.ArgPtr(pf), interp.ArgI64(N)}
-	if _, err := interp.Run(f, mem, args, interp.Options{MaxSteps: 1 << 26}); err != nil {
-		return nil, fmt.Errorf("testgen: interp at %s: %w", opt, err)
+	res, err := interp.Run(f, mem, args, interp.Options{MaxSteps: 1 << 26})
+	if err != nil {
+		return nil, nil, fmt.Errorf("testgen: interp at %s: %w", opt, err)
 	}
 
 	out := make([]uint64, 0, 3*N)
@@ -360,5 +369,5 @@ func Snapshot(src string, opt ir.OptConfig) ([]uint64, error) {
 	for i := 0; i < N; i++ {
 		out = append(out, mem.LoadScalar(pf+uint64(8*i), ir.F64))
 	}
-	return out, nil
+	return out, res.Trace, nil
 }

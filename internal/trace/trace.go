@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strings"
 )
 
 // Memory-access kinds.
@@ -23,10 +25,11 @@ const (
 	KindAtomic
 )
 
-// MemEvent is one dynamic memory access.
+// MemEvent is one dynamic memory access. Field order keeps it at 16 bytes
+// (14 of payload); a trace holds one per executed load, store and atomic.
 type MemEvent struct {
-	Instr int32  // static instruction index within the kernel
 	Addr  uint64 // simulated byte address
+	Instr int32  // static instruction index within the kernel
 	Size  uint8  // access size in bytes
 	Kind  uint8  // KindLoad, KindStore, or KindAtomic
 }
@@ -193,121 +196,138 @@ func (t *Trace) EncodedSize() (int64, error) {
 	return t.WriteTo(io.Discard)
 }
 
-// Read deserializes a trace written by WriteTo.
+// DecodeError reports malformed or truncated input to Read.
+type DecodeError struct {
+	Field string // what was being decoded
+	Err   error
+}
+
+func (e *DecodeError) Error() string { return "trace: decoding " + e.Field + ": " + e.Err.Error() }
+func (e *DecodeError) Unwrap() error { return e.Err }
+
+// decoder reads the primitives of the format. The first failure sticks: the
+// readers return zero values from then on, and every loop over a declared
+// count also stops on it, so a count is only ever a loop bound — memory is
+// allocated for elements actually decoded, never for elements promised.
+type decoder struct {
+	br  *bufio.Reader
+	err error
+}
+
+func (d *decoder) fail(field string, err error) {
+	if d.err == nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		d.err = &DecodeError{Field: field, Err: err}
+	}
+}
+
+func (d *decoder) uvarint(field string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(d.br)
+	if err != nil {
+		d.fail(field, err)
+	}
+	return v
+}
+
+func (d *decoder) varint(field string) int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := binary.ReadVarint(d.br)
+	if err != nil {
+		d.fail(field, err)
+	}
+	return v
+}
+
+// bounded reads a uvarint that must fit below limit (an int32 index, an
+// int64 count, a string length).
+func (d *decoder) bounded(field string, limit uint64) uint64 {
+	v := d.uvarint(field)
+	if v > limit {
+		d.fail(field, fmt.Errorf("%d overflows its field (max %d)", v, limit))
+		return 0
+	}
+	return v
+}
+
+func (d *decoder) index(field string) int32 { return int32(d.bounded(field, math.MaxInt32)) }
+
+// str reads a length-prefixed string by copying, so a lying length costs no
+// more memory than the input that is really there.
+func (d *decoder) str(field string) string {
+	n := d.bounded(field+" length", math.MaxInt32)
+	var sb strings.Builder
+	if _, err := io.CopyN(&sb, d.br, int64(n)); err != nil {
+		d.fail(field, err)
+	}
+	return sb.String()
+}
+
+// Read deserializes a trace written by WriteTo. Malformed input is a
+// *DecodeError, never a panic, and peak allocation is linear in the bytes
+// consumed: the streams of all tiles are decoded through one set of Chunks.
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
+	d := &decoder{br: bufio.NewReader(r)}
 	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	if _, err := io.ReadFull(d.br, hdr); err != nil {
+		d.fail("magic", err)
+	} else if string(hdr) != magic {
+		d.fail("magic", errors.New("bad magic"))
 	}
-	if string(hdr) != magic {
-		return nil, errors.New("trace: bad magic")
+	if ver := d.uvarint("version"); d.err == nil && ver != version {
+		d.fail("version", fmt.Errorf("unsupported version %d", ver))
 	}
-	ver, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if ver != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", ver)
-	}
-	getStr := func() (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", err
+	t := &Trace{Kernel: d.str("kernel name")}
+	var (
+		path   Chunks[int32]
+		mem    Chunks[MemEvent]
+		acc    Chunks[AccCall]
+		comm   Chunks[CommEvent]
+		params Chunks[int64]
+	)
+	for i, ntiles := uint64(0), d.uvarint("tile count"); i < ntiles && d.err == nil; i++ {
+		tt := &TileTrace{Tile: d.index("tile id")}
+		tt.DynInstrs = int64(d.bounded("dynamic instruction count", math.MaxInt64))
+		for j, n := uint64(0), d.uvarint("BB path length"); j < n && d.err == nil; j++ {
+			path.Append(d.index("block id"))
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	t := &Trace{}
-	if t.Kernel, err = getStr(); err != nil {
-		return nil, err
-	}
-	ntiles, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < ntiles; i++ {
-		tt := &TileTrace{}
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		tt.Tile = int32(v)
-		if v, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		tt.DynInstrs = int64(v)
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		tt.BBPath = make([]int32, n)
-		for j := range tt.BBPath {
-			if v, err = binary.ReadUvarint(br); err != nil {
-				return nil, err
-			}
-			tt.BBPath[j] = int32(v)
-		}
-		if n, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		tt.Mem = make([]MemEvent, n)
+		tt.BBPath = path.Slice()
 		var prev uint64
-		for j := range tt.Mem {
-			if v, err = binary.ReadUvarint(br); err != nil {
-				return nil, err
-			}
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			addr := uint64(int64(prev) + d)
-			prev = addr
+		for j, n := uint64(0), d.uvarint("memory event count"); j < n && d.err == nil; j++ {
+			ev := MemEvent{Instr: d.index("memory event instruction")}
+			prev = uint64(int64(prev) + d.varint("address delta"))
+			ev.Addr = prev
 			var sk [2]byte
-			if _, err := io.ReadFull(br, sk[:]); err != nil {
-				return nil, err
+			if _, err := io.ReadFull(d.br, sk[:]); err != nil {
+				d.fail("access size and kind", err)
 			}
-			tt.Mem[j] = MemEvent{Instr: int32(v), Addr: addr, Size: sk[0], Kind: sk[1]}
+			ev.Size, ev.Kind = sk[0], sk[1]
+			mem.Append(ev)
 		}
-		if n, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
+		tt.Mem = mem.Slice()
+		for j, n := uint64(0), d.uvarint("accelerator call count"); j < n && d.err == nil; j++ {
+			ac := AccCall{Name: d.str("accelerator name")}
+			for k, np := uint64(0), d.uvarint("accelerator parameter count"); k < np && d.err == nil; k++ {
+				params.Append(d.varint("accelerator parameter"))
+			}
+			ac.Params = params.Slice()
+			acc.Append(ac)
 		}
-		tt.Acc = make([]AccCall, n)
-		for j := range tt.Acc {
-			name, err := getStr()
-			if err != nil {
-				return nil, err
-			}
-			np, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			params := make([]int64, np)
-			for k := range params {
-				if params[k], err = binary.ReadVarint(br); err != nil {
-					return nil, err
-				}
-			}
-			tt.Acc[j] = AccCall{Name: name, Params: params}
+		tt.Acc = acc.Slice()
+		for j, n := uint64(0), d.uvarint("comm event count"); j < n && d.err == nil; j++ {
+			comm.Append(CommEvent{Instr: d.index("comm event instruction"), Partner: d.index("comm partner")})
 		}
-		if n, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		tt.Comm = make([]CommEvent, n)
-		for j := range tt.Comm {
-			if v, err = binary.ReadUvarint(br); err != nil {
-				return nil, err
-			}
-			p, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			tt.Comm[j] = CommEvent{Instr: int32(v), Partner: int32(p)}
-		}
+		tt.Comm = comm.Slice()
 		t.Tiles = append(t.Tiles, tt)
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return t, nil
 }

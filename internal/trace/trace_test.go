@@ -2,10 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleTrace() *Trace {
@@ -151,9 +158,7 @@ func TestDeltaEncodingProperty(t *testing.T) {
 func TestBBPathProperty(t *testing.T) {
 	f := func(path []int32) bool {
 		for i := range path {
-			if path[i] < 0 {
-				path[i] = -path[i]
-			}
+			path[i] &= math.MaxInt32 // block IDs are non-negative
 		}
 		tr := &Trace{Kernel: "p", Tiles: []*TileTrace{{BBPath: path}}}
 		var buf bytes.Buffer
@@ -172,5 +177,135 @@ func TestBBPathProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMemEventIs16Bytes pins the event layout: a trace holds one MemEvent per
+// executed memory access, cached and replayed traces included, so a field
+// reordered back to 24 bytes costs a third more memory everywhere.
+func TestMemEventIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(MemEvent{}); got != 16 {
+		t.Errorf("sizeof(MemEvent) = %d, want 16", got)
+	}
+}
+
+// TestReadsTraceOfOlderBuild pins the file format: testdata holds histo at
+// tiny scale on two tiles as written by `mosaic-trace -o` of commit 6188979
+// (24-byte events, the unchecked decoder). This build must read it and write
+// the same bytes back, version 1.
+func TestReadsTraceOfOlderBuild(t *testing.T) {
+	want, err := os.ReadFile("testdata/histo_tiny_2t_6188979.mstr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Read(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Tiles) != 2 || tr.TotalDynInstrs() != 44030 || tr.TotalMemEvents() != 6000 {
+		t.Errorf("decoded %d tiles, %d instrs, %d mem events; want 2, 44030, 6000",
+			len(tr.Tiles), tr.TotalDynInstrs(), tr.TotalMemEvents())
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("re-encoded trace differs from the file (%d vs %d bytes)", buf.Len(), len(want))
+	}
+	if want[len(magic)] != version || version != 1 {
+		t.Errorf("format version = %d, file says %d, want 1", version, want[len(magic)])
+	}
+}
+
+// crasher is a well-formed header, one tile, and a BB path that claims 2^62
+// entries: the input that killed the count-trusting decoder in makeslice.
+var crasher = binary.AppendUvarint([]byte("MSTR\x01\x00\x01\x00\x00"), 1<<62)
+
+// TestHostileInputs: every lie a trace file can tell is a *DecodeError that
+// says "trace:", never a panic, and costs memory in proportion to the input.
+func TestHostileInputs(t *testing.T) {
+	uv := func(prefix string, vs ...uint64) []byte {
+		b := []byte(prefix)
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	const hdr = "MSTR\x01\x00" // magic, version 1, empty kernel name
+	var good bytes.Buffer
+	if _, err := sampleTrace().WriteTo(&good); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want string // substring of the error
+	}{
+		{"BB path count 2^62", crasher, "block id"},
+		{"tile count 2^63", uv(hdr, 1<<63), "tile id"},
+		{"memory event count 2^40", uv(hdr, 1, 0, 0, 0, 1<<40), "memory event instruction"},
+		{"accelerator call count 2^40", uv(hdr, 1, 0, 0, 0, 0, 1<<40), "accelerator name"},
+		{"accelerator parameter count 2^40", uv(hdr, 1, 0, 0, 0, 0, 1, 0, 1<<40), "accelerator parameter"},
+		{"comm event count 2^40", uv(hdr, 1, 0, 0, 0, 0, 0, 1<<40), "comm event instruction"},
+		{"kernel name length 2^30", uv("MSTR\x01", 1<<30), "kernel name"},
+		{"kernel name length 2^40", uv("MSTR\x01", 1<<40), "overflows its field"},
+		{"tile id 2^31", uv(hdr, 1, 1<<31), "tile id: 2147483648 overflows its field"},
+		{"block id 2^32", uv(hdr, 1, 0, 0, 1, 1<<32), "block id: 4294967296 overflows"},
+		{"instruction index 2^31", uv(hdr, 1, 0, 0, 0, 1, 1<<31), "memory event instruction"},
+		{"comm partner 2^31", uv(hdr, 1, 0, 0, 0, 0, 0, 1, 0, 1<<31), "comm partner"},
+		{"dynamic instruction count 2^63", uv(hdr, 1, 0, 1<<63), "dynamic instruction count"},
+		{"overlong varint", []byte(hdr + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), "tile count"},
+		{"future version", []byte("MSTR\x02"), "unsupported version 2"},
+		{"bad magic", []byte("NOPE...."), "bad magic"},
+		{"empty", nil, "magic"},
+		{"truncated", good.Bytes()[:good.Len()/2], "unexpected EOF"},
+		{"one byte short", good.Bytes()[:good.Len()-1], "unexpected EOF"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tr, err := Read(bytes.NewReader(tc.in))
+			runtime.ReadMemStats(&after)
+			var de *DecodeError
+			if tr != nil || !errors.As(err, &de) || !strings.HasPrefix(err.Error(), "trace: ") {
+				t.Fatalf("Read = %v, %v; want a *DecodeError that says trace:", tr, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+			// bufio's 4 KB, one minimum chunk per stream, the error: not the claim.
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+				t.Errorf("decoding %d hostile bytes allocated %d bytes", len(tc.in), got)
+			}
+		})
+	}
+}
+
+// TestDecodeAllocationIsLinear bounds the price of not trusting counts: Read
+// allocates a small multiple of what it decodes, because chunks are reused
+// from tile to tile and each stream is copied once into its exact-size slice.
+func TestDecodeAllocationIsLinear(t *testing.T) {
+	tt := &TileTrace{}
+	for i := 0; i < 300_000; i++ {
+		tt.BBPath = append(tt.BBPath, int32(i%7))
+		tt.Mem = append(tt.Mem, MemEvent{Addr: uint64(4096 + 8*i), Instr: int32(i % 50), Size: 8})
+	}
+	tr := &Trace{Kernel: "k", Tiles: []*TileTrace{tt, tt, tt}}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Read(&buf)
+	runtime.ReadMemStats(&after)
+	if err != nil || !reflect.DeepEqual(got, tr) {
+		t.Fatalf("round trip failed: %v", err)
+	}
+	decoded := uint64(3 * 300_000 * (4 + 16))
+	// 1.5x measured; the race detector makes sync.Pool drop chunks at random.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*decoded {
+		t.Errorf("decoding %d bytes of events allocated %d (> 3x)", decoded, alloc)
 	}
 }

@@ -1,0 +1,268 @@
+package workloads
+
+// Trace-digest lock for the trace generator.
+//
+// testdata/trace_digests.json holds, for every built-in kernel at O0 and O2
+// (one and four tiles at Tiny, one tile at Small), for DAE pairs, for a
+// barrier kernel under a 7-instruction timeslice, and for 200 generated
+// kernels, the SHA-256 of the encoded trace plus its event counts (and, for
+// generated kernels, of the memory image the run leaves behind). The file
+// was recorded from the tree-walking interpreter of commit 6188979; the
+// interpreter that replaced it must reproduce every entry, so the file — not
+// a reference copy of the old interpreter — is the oracle.
+//
+// Regenerate (only when a change to the traced semantics is intentional):
+//
+//	go test ./internal/workloads -run TestTraceDigests -update-trace-digests
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+
+	"mosaicsim/internal/dae"
+	"mosaicsim/internal/interp"
+	"mosaicsim/internal/ir"
+	"mosaicsim/internal/testgen"
+	"mosaicsim/internal/trace"
+)
+
+var updateTraceDigests = flag.Bool("update-trace-digests", false,
+	"rewrite testdata/trace_digests.json from the current interpreter")
+
+const traceDigestPath = "testdata/trace_digests.json"
+
+// traceDigest is what one run must reproduce exactly.
+type traceDigest struct {
+	SHA256    string `json:"sha256"` // of Trace.WriteTo bytes
+	DynInstrs int64  `json:"dyn_instrs"`
+	Mem       int    `json:"mem"`
+	BBPath    int    `json:"bbpath"`
+	Comm      int    `json:"comm"`
+	Acc       int    `json:"acc"`
+	// Image is the SHA-256 of the final A/B/F arrays (generated kernels).
+	Image string `json:"image,omitempty"`
+	// Profile is the SHA-256 of Result.Counts (runs made with Profile).
+	Profile string `json:"profile,omitempty"`
+}
+
+func digestOf(tr *trace.Trace) traceDigest {
+	h := sha256.New()
+	if _, err := tr.WriteTo(h); err != nil {
+		panic(err)
+	}
+	d := traceDigest{SHA256: hex.EncodeToString(h.Sum(nil)), DynInstrs: tr.TotalDynInstrs()}
+	for _, tt := range tr.Tiles {
+		d.Mem += len(tt.Mem)
+		d.BBPath += len(tt.BBPath)
+		d.Comm += len(tt.Comm)
+		d.Acc += len(tt.Acc)
+	}
+	return d
+}
+
+func hashWords[T uint64 | int64](rows ...[]T) string {
+	h := sha256.New()
+	for _, row := range rows {
+		binary.Write(h, binary.LittleEndian, int64(len(row)))
+		binary.Write(h, binary.LittleEndian, row)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+type digestCase struct {
+	key string
+	run func() (traceDigest, error)
+}
+
+// rawRun traces w by hand with explicit interpreter options (TraceWith takes
+// none), running the result check like TraceWith does.
+func rawRun(w *Workload, fns func(*ir.Function) ([]*ir.Function, error), opts interp.Options) (traceDigest, error) {
+	f, err := w.Kernel()
+	if err != nil {
+		return traceDigest{}, err
+	}
+	tiles, err := fns(f)
+	if err != nil {
+		return traceDigest{}, err
+	}
+	mem := interp.NewMemory(w.memBytes())
+	defer mem.Release()
+	inst := w.Setup(mem, Tiny)
+	opts.Acc = inst.Acc
+	res, err := interp.RunTiles(tiles, mem, inst.Args, opts)
+	if err != nil {
+		return traceDigest{}, err
+	}
+	if err := inst.Check(mem, len(tiles)); err != nil {
+		return traceDigest{}, err
+	}
+	d := digestOf(res.Trace)
+	if opts.Profile {
+		d.Profile = hashWords(res.Counts...)
+	}
+	return d, nil
+}
+
+func spmd(n int) func(*ir.Function) ([]*ir.Function, error) {
+	return func(f *ir.Function) ([]*ir.Function, error) {
+		fns := make([]*ir.Function, n)
+		for i := range fns {
+			fns[i] = f
+		}
+		return fns, nil
+	}
+}
+
+func daePairs(n int) func(*ir.Function) ([]*ir.Function, error) {
+	return func(f *ir.Function) ([]*ir.Function, error) {
+		sl, err := dae.Slice(f)
+		if err != nil {
+			return nil, err
+		}
+		var fns []*ir.Function
+		for i := 0; i < n; i++ {
+			fns = append(fns, sl.Access, sl.Execute)
+		}
+		return fns, nil
+	}
+}
+
+func traceDigestCases() []digestCase {
+	var cases []digestCase
+	add := func(key string, run func() (traceDigest, error)) {
+		cases = append(cases, digestCase{key, run})
+	}
+	for _, level := range []string{"O0", "O2"} {
+		opt := ir.OptConfig{Level: level}
+		for _, name := range Names() {
+			for _, shape := range []struct {
+				tag   string
+				tiles int
+				scale Scale
+			}{{"tiny/1t", 1, Tiny}, {"tiny/4t", 4, Tiny}, {"small/1t", 1, Small}} {
+				add(fmt.Sprintf("%s@%s/%s", name, level, shape.tag), func() (traceDigest, error) {
+					w := ByName(name).WithOpt(opt)
+					f, err := w.Kernel()
+					if err != nil {
+						return traceDigest{}, err
+					}
+					tr, err := w.TraceWith(f, shape.tiles, shape.scale)
+					if err != nil {
+						return traceDigest{}, err
+					}
+					return digestOf(tr), nil
+				})
+			}
+		}
+		for _, name := range []string{"projection", "ewsd"} {
+			for _, pairs := range []int{2, 4} {
+				add(fmt.Sprintf("%s@%s/dae/%dpair", name, level, pairs), func() (traceDigest, error) {
+					w := ByName(name).WithOpt(opt)
+					f, err := w.Kernel()
+					if err != nil {
+						return traceDigest{}, err
+					}
+					sl, err := dae.Slice(f)
+					if err != nil {
+						return traceDigest{}, err
+					}
+					tr, err := w.TracePairs(sl.Access, sl.Execute, pairs, Tiny)
+					if err != nil {
+						return traceDigest{}, err
+					}
+					return digestOf(tr), nil
+				})
+			}
+		}
+	}
+	// Scheduling-sensitive runs: a barrier kernel and an atomics kernel under
+	// a 7-instruction timeslice, and a DAE pair whose recvs block — each with
+	// the hot-spot profile, which counts blocked retries too.
+	add("bfs@O0/tiny/4t/timeslice7/profile", func() (traceDigest, error) {
+		return rawRun(BFS(), spmd(4), interp.Options{Timeslice: 7, Profile: true})
+	})
+	add("histo@O0/tiny/4t/timeslice7/profile", func() (traceDigest, error) {
+		return rawRun(HISTO(), spmd(4), interp.Options{Timeslice: 7, Profile: true})
+	})
+	add("combined-equal@O2/tiny/3t/timeslice7/profile", func() (traceDigest, error) {
+		w := Combined("combined-equal", 0.5).WithOpt(ir.OptConfig{Level: "O2"})
+		return rawRun(w, spmd(3), interp.Options{Timeslice: 7, Profile: true})
+	})
+	add("projection@O0/dae/2pair/timeslice7/profile", func() (traceDigest, error) {
+		return rawRun(Projection(), daePairs(2), interp.Options{Timeslice: 7, Profile: true})
+	})
+	add("sgemm-accel@O0/tiny/2t/profile", func() (traceDigest, error) {
+		return rawRun(SGEMMAccel(), spmd(2), interp.Options{Profile: true})
+	})
+	for seed := int64(1); seed <= 200; seed++ {
+		add(fmt.Sprintf("testgen/seed%03d@O0", seed), func() (traceDigest, error) {
+			image, tr, err := testgen.Run(testgen.Source(seed), ir.OptConfig{Level: "O0"})
+			if err != nil {
+				return traceDigest{}, err
+			}
+			d := digestOf(tr)
+			d.Image = hashWords(image)
+			return d, nil
+		})
+	}
+	return cases
+}
+
+func TestTraceDigests(t *testing.T) {
+	cases := traceDigestCases()
+	if *updateTraceDigests {
+		out := map[string]traceDigest{}
+		for _, c := range cases {
+			d, err := c.run()
+			if err != nil {
+				t.Fatalf("%s: %v", c.key, err)
+			}
+			out[c.key] = d
+		}
+		data, err := json.MarshalIndent(out, "", " ") // map keys marshal sorted
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(traceDigestPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d cases)", traceDigestPath, len(out))
+		return
+	}
+	want := readTraceDigests(t)
+	if len(want) != len(cases) {
+		t.Fatalf("digest file has %d cases, matrix has %d (regenerate with -update-trace-digests)", len(want), len(cases))
+	}
+	for _, c := range cases {
+		t.Run(c.key, func(t *testing.T) {
+			t.Parallel()
+			got, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, ok := want[c.key]; !ok || !reflect.DeepEqual(got, w) {
+				t.Errorf("trace diverged from the recorded interpreter:\nwant %+v\ngot  %+v", w, got)
+			}
+		})
+	}
+}
+
+func readTraceDigests(t *testing.T) map[string]traceDigest {
+	t.Helper()
+	raw, err := os.ReadFile(traceDigestPath)
+	if err != nil {
+		t.Fatalf("missing trace digests (regenerate with -update-trace-digests): %v", err)
+	}
+	var want map[string]traceDigest
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
