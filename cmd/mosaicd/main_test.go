@@ -106,26 +106,90 @@ func TestBootsOverDamagedArtifact(t *testing.T) {
 	}
 	st.Close()
 
-	var stdout, stderr syncBuffer
-	exit := make(chan int, 1)
-	go func() {
-		exit <- run([]string{"-addr", "127.0.0.1:0", "-data-dir", dir, "-workers", "1"}, &stdout, &stderr)
-	}()
-	// run has installed its SIGTERM handler by the time it logs the address.
-	var base string
-	listening := regexp.MustCompile(`listening on (\S+)`)
-	for deadline := time.Now().Add(10 * time.Second); base == ""; time.Sleep(10 * time.Millisecond) {
-		if m := listening.FindStringSubmatch(stderr.String()); m != nil {
-			base = "http://" + m[1]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("daemon never listened:\n%s", stderr.String())
-		}
-	}
-	if log := stderr.String(); !strings.Contains(log, "artifact trace-damaged: sim: import trace-damaged: trace: decoding block id: unexpected EOF (skipped)") {
+	d := boot(t, dir)
+	if log := d.stderr.String(); !strings.Contains(log, "artifact trace-damaged: sim: import trace-damaged: trace: decoding block id: unexpected EOF (skipped)") {
 		t.Errorf("the damaged blob was not logged as skipped:\n%s", log)
 	}
+	d.serveOne(t)
+	d.drain(t)
+}
 
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"sgemm","scale":"tiny","tiles":2}`))
+// TestBootsOverPoisonedQueuedJob: a -data-dir holding a queued job whose
+// topology sizes a 2^62-entry window (an older build admitted it, died in
+// core.New's makeslice on the lease goroutine, and re-ran it at every boot:
+// three restarts, three exits) boots, fails that job, serves another and
+// drains.
+func TestBootsOverPoisonedQueuedJob(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := []byte(`{"workload":"sgemm","scale":"tiny","topology":{"name":"x","tiles":[{"kind":"ooo","overrides":{"window_size":4611686018427387904}}],` +
+		`"mem":{"l1":{"name":"L1","size_kb":32,"line_bytes":64,"assoc":8},"dram":{"model":"simple","min_latency":100,"bandwidth_gbs":24}}}}`)
+	rec := store.JobRecord{ID: "j000001", Digest: store.Digest("j000001", spec), Submitted: time.Now(), Spec: spec}
+	if err := st.CreateJob(rec); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	d := boot(t, dir)
+	// The stream of the recovered job ends when it is terminal.
+	if body := d.await(t, "j000001"); !bytes.Contains(body, []byte(`"state": "failed"`)) || !bytes.Contains(body, []byte("window_size must be at most 65536")) {
+		t.Errorf("the poisoned job did not fail naming its knob: %s", body)
+	}
+	d.serveOne(t)
+	d.drain(t)
+}
+
+// daemon is one run() under test, listening on base.
+type daemon struct {
+	base           string
+	stdout, stderr syncBuffer
+	exit           chan int
+}
+
+// boot starts a standalone daemon on dir and waits until it listens.
+func boot(t *testing.T, dir string) *daemon {
+	t.Helper()
+	d := &daemon{exit: make(chan int, 1)}
+	go func() {
+		d.exit <- run([]string{"-addr", "127.0.0.1:0", "-data-dir", dir, "-workers", "1"}, &d.stdout, &d.stderr)
+	}()
+	// run has installed its SIGTERM handler by the time it logs the address.
+	listening := regexp.MustCompile(`listening on (\S+)`)
+	for deadline := time.Now().Add(10 * time.Second); d.base == ""; time.Sleep(10 * time.Millisecond) {
+		if m := listening.FindStringSubmatch(d.stderr.String()); m != nil {
+			d.base = "http://" + m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("daemon never listened:\n%s", d.stderr.String())
+		}
+	}
+	return d
+}
+
+// await follows job id's event stream to its end (the job is terminal) and
+// returns its status.
+func (d *daemon) await(t *testing.T, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(d.base + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp, err = http.Get(d.base + "/v1/jobs/" + id); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return body
+}
+
+// serveOne submits a job and requires it to finish with a report.
+func (d *daemon) serveOne(t *testing.T) {
+	t.Helper()
+	resp, err := http.Post(d.base+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"sgemm","scale":"tiny","tiles":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,30 +199,23 @@ func TestBootsOverDamagedArtifact(t *testing.T) {
 	if m == nil {
 		t.Fatalf("submit returned no job id: %s", body)
 	}
-	// The event stream ends when the job is terminal.
-	if resp, err = http.Get(base + "/v1/jobs/" + string(m[1]) + "/events"); err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp, err = http.Get(base + "/v1/jobs/" + string(m[1])); err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !bytes.Contains(body, []byte(`"state": "done"`)) || !bytes.Contains(body, []byte(`"Cycles"`)) {
+	if body = d.await(t, string(m[1])); !bytes.Contains(body, []byte(`"state": "done"`)) || !bytes.Contains(body, []byte(`"Cycles"`)) {
 		t.Errorf("job did not finish with a report: %s", body)
 	}
+}
 
+// drain SIGTERMs the daemon and requires a clean exit.
+func (d *daemon) drain(t *testing.T) {
+	t.Helper()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case code := <-exit:
-		if code != 0 || !strings.Contains(stdout.String(), "drained cleanly") {
-			t.Errorf("exit %d, stdout %q:\n%s", code, stdout.String(), stderr.String())
+	case code := <-d.exit:
+		if code != 0 || !strings.Contains(d.stdout.String(), "drained cleanly") {
+			t.Errorf("exit %d, stdout %q:\n%s", code, d.stdout.String(), d.stderr.String())
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatalf("daemon did not drain:\n%s", stderr.String())
+		t.Fatalf("daemon did not drain:\n%s", d.stderr.String())
 	}
 }

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"mosaicsim/internal/config"
 	"mosaicsim/internal/soc"
 )
 
@@ -60,6 +62,26 @@ func TestFlagCombinations(t *testing.T) {
 				t.Errorf("a failed run wrote to stdout:\n%s", stdout)
 			}
 		})
+	}
+}
+
+// TestHostileConfigSizesAreErrors: a -config whose window or cache size would
+// have killed the process in makeslice is exit 1 naming the knob.
+func TestHostileConfigSizesAreErrors(t *testing.T) {
+	for field, mut := range map[string]func(*config.SystemConfig){
+		"window_size": func(sc *config.SystemConfig) { sc.Cores[0].Core.WindowSize = 1 << 62 },
+		"size_kb":     func(sc *config.SystemConfig) { sc.Mem.L2.SizeKB = 1 << 42 },
+	} {
+		sc := config.XeonSystem(1)
+		mut(sc)
+		path := filepath.Join(t.TempDir(), "hostile.json")
+		if err := sc.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runCLI("-workload", "sgemm", "-scale", "tiny", "-config", path)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, field+" must be at most") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 naming the knob", field, code, stdout, stderr)
+		}
 	}
 }
 

@@ -174,11 +174,45 @@ next:
 	return name, found
 }
 
-// validateNames rejects per-class map keys that name no instruction class
-// and a branch predictor that names no model: the timing core would apply
-// the default for the one and simulate the other as "none", both silently.
-// An empty branch stays accepted (it too simulates as "none").
-func (c *CoreConfig) validateNames() error {
+// SizeError reports a knob whose value cannot size the structure it
+// configures: above its limit, or a cache line that is not a power of two.
+type SizeError struct {
+	Owner string // `core "ooo"`, `cache "L2"`, "dram"
+	Field string // the knob's JSON key
+	Value int
+	Want  string // "at most 65536", "a power of two"
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("%s: %s must be %s, got %d", e.Owner, e.Field, e.Want, e.Value)
+}
+
+// knob is one bounded size field: its JSON key, its value and its limit.
+type knob struct {
+	field        string
+	value, limit int
+}
+
+// checkLimits returns a SizeError for the first knob above its limit.
+func checkLimits(owner string, knobs ...knob) error {
+	for _, k := range knobs {
+		if k.value > k.limit {
+			return &SizeError{Owner: owner, Field: k.field, Value: k.value, Want: fmt.Sprintf("at most %d", k.limit)}
+		}
+	}
+	return nil
+}
+
+// validate rejects what the timing core would otherwise get wrong without a
+// word: a size knob above MaxEntries (the process dies sizing the window), a
+// per-class map key that names no instruction class (the default applies)
+// and a branch predictor that names no model (it simulates as "none", as the
+// empty value, which stays accepted, does).
+func (c *CoreConfig) validate() error {
+	if err := checkLimits(fmt.Sprintf("core %q", c.Name), knob{"issue_width", c.IssueWidth, MaxEntries}, knob{"window_size", c.WindowSize, MaxEntries},
+		knob{"lsq_size", c.LSQSize, MaxEntries}, knob{"max_messages", c.MaxMessages, MaxEntries}); err != nil {
+		return err
+	}
 	if n, ok := unknownClass(c.Latencies); ok {
 		return &UnknownClassError{Core: c.Name, Field: "latencies", Name: n}
 	}
@@ -347,6 +381,19 @@ func (sc *SystemConfig) TileCount() int {
 // service; the largest shipped system has 65.
 const MaxTiles = 4096
 
+// Limits on the knobs that size an allocation, for the same reason: beyond
+// them core.New, mem.NewCache or a fabric queue's first send dies in
+// makeslice (or takes the host's memory) and the whole process with it.
+// MaxEntries bounds a core's window, LSQ, issue width and message buffers and
+// a cache's ways, MSHRs and prefetch degree (largest shipped: 512);
+// MaxCacheKB a cache's size (largest shipped: 20 MB); MaxDRAMBanks the banked
+// model's channels and banks per channel.
+const (
+	MaxEntries   = 1 << 16
+	MaxCacheKB   = 1 << 20
+	MaxDRAMBanks = 1 << 10
+)
+
 // count is the effective tile count of one TileDef.
 func (td *TileDef) count() int {
 	if td.Count == 0 {
@@ -410,7 +457,7 @@ func (sc *SystemConfig) Validate() error {
 		if cs.Core.IssueWidth <= 0 || cs.Core.WindowSize <= 0 || cs.Core.LSQSize <= 0 {
 			return fmt.Errorf("config %q: core %q needs positive issue width, window, and LSQ", sc.Name, cs.Core.Name)
 		}
-		if err := cs.Core.validateNames(); err != nil {
+		if err := cs.Core.validate(); err != nil {
 			return fmt.Errorf("config %q: %w", sc.Name, err)
 		}
 	}
@@ -424,13 +471,26 @@ func (sc *SystemConfig) Validate() error {
 		if cc.SizeKB <= 0 || cc.LineBytes <= 0 || cc.Assoc <= 0 {
 			return fmt.Errorf("config %q: cache %q needs positive size, line, assoc", sc.Name, cc.Name)
 		}
+		owner := fmt.Sprintf("cache %q", cc.Name)
+		err := checkLimits(owner, knob{"size_kb", cc.SizeKB, MaxCacheKB}, knob{"assoc", cc.Assoc, MaxEntries},
+			knob{"mshrs", cc.MSHRs, MaxEntries}, knob{"prefetch_degree", cc.PrefetchDegree, MaxEntries})
+		if err == nil && cc.LineBytes&(cc.LineBytes-1) != 0 {
+			// The caches index by shift, the directory by division.
+			err = &SizeError{Owner: owner, Field: "line_bytes", Value: cc.LineBytes, Want: "a power of two"}
+		}
+		if err != nil {
+			return fmt.Errorf("config %q: %w", sc.Name, err)
+		}
 		lines := cc.SizeKB * 1024 / cc.LineBytes
-		if lines%cc.Assoc != 0 {
+		if lines == 0 || lines%cc.Assoc != 0 {
 			return fmt.Errorf("config %q: cache %q sets are not integral (%d lines / %d ways)", sc.Name, cc.Name, lines, cc.Assoc)
 		}
 	}
 	if sc.Mem.DRAM.Model == "" {
 		return fmt.Errorf("config %q: DRAM model unset", sc.Name)
+	}
+	if err := checkLimits("dram", knob{"channels", sc.Mem.DRAM.Channels, MaxDRAMBanks}, knob{"banks", sc.Mem.DRAM.Banks, MaxDRAMBanks}); err != nil {
+		return fmt.Errorf("config %q: %w", sc.Name, err)
 	}
 	return sc.validateNoC()
 }
@@ -460,7 +520,7 @@ func (sc *SystemConfig) validateTiles() error {
 			if td.Core.IssueWidth <= 0 || td.Core.WindowSize <= 0 || td.Core.LSQSize <= 0 {
 				return fmt.Errorf("config %q: tile %d (%s): explicit core needs positive issue width, window, and LSQ", sc.Name, i, td.label())
 			}
-			if err := td.Core.validateNames(); err != nil {
+			if err := td.Core.validate(); err != nil {
 				return fmt.Errorf("config %q: tile %d: %w", sc.Name, i, err)
 			}
 		}
@@ -469,7 +529,7 @@ func (sc *SystemConfig) validateTiles() error {
 			// fields are the tile registry's strict decode to report.
 			over := CoreConfig{Name: td.label()}
 			if json.Unmarshal(td.Overrides, &over) == nil {
-				if err := over.validateNames(); err != nil {
+				if err := over.validate(); err != nil {
 					return fmt.Errorf("config %q: tile %d overrides: %w", sc.Name, i, err)
 				}
 			}

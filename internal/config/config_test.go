@@ -222,6 +222,61 @@ func TestValidateRejectsUnknownBranchPredictor(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsSizeKnobs: every knob that sizes an allocation is bounded,
+// in every form a core config can be declared in. Before, window_size 2^62
+// passed Validate and killed the process in core.New's makeslice; size_kb 2^42
+// did the same in mem.NewCache, and a 48-byte line silently modelled 32.
+func TestValidateBoundsSizeKnobs(t *testing.T) {
+	legacy := func(mut func(*CoreConfig)) *SystemConfig {
+		sc := XeonSystem(1)
+		mut(&sc.Cores[0].Core)
+		return sc
+	}
+	tiles := func(td TileDef) *SystemConfig {
+		return &SystemConfig{Name: "t", Tiles: []TileDef{td}, Mem: TableIIMem()}
+	}
+	mem := func(mut func(*MemConfig)) *SystemConfig {
+		sc := XeonSystem(1)
+		mut(&sc.Mem)
+		return sc
+	}
+	explicit := OutOfOrderCore()
+	explicit.LSQSize = MaxEntries + 1
+	for name, tc := range map[string]struct {
+		sc          *SystemConfig
+		field, want string
+	}{
+		"legacy window":     {legacy(func(c *CoreConfig) { c.WindowSize = 1 << 62 }), "window_size", "at most 65536"},
+		"legacy issue":      {legacy(func(c *CoreConfig) { c.IssueWidth = 1 << 40 }), "issue_width", "at most 65536"},
+		"explicit core lsq": {tiles(TileDef{Core: &explicit}), "lsq_size", "at most 65536"},
+		"override messages": {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"max_messages": 1099511627776}`)}), "max_messages", "at most 65536"},
+		"override window":   {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"window_size": 4611686018427387904}`)}), "window_size", "at most 65536"},
+		"cache size":        {mem(func(m *MemConfig) { m.L2.SizeKB = 1 << 42 }), "size_kb", "at most 1048576"},
+		"cache assoc":       {mem(func(m *MemConfig) { m.LLC.Assoc = 1 << 20 }), "assoc", "at most 65536"},
+		"cache mshrs":       {mem(func(m *MemConfig) { m.L1.MSHRs = 1 << 31 }), "mshrs", "at most 65536"},
+		"cache prefetch":    {mem(func(m *MemConfig) { m.L1.PrefetchDegree = 1 << 40 }), "prefetch_degree", "at most 65536"},
+		"48-byte line":      {mem(func(m *MemConfig) { m.L1.LineBytes = 48 }), "line_bytes", "a power of two"},
+		"dram banks":        {mem(func(m *MemConfig) { m.DRAM.Banks = 1 << 31 }), "banks", "at most 1024"},
+	} {
+		err := tc.sc.Validate()
+		var se *SizeError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: Validate = %v, want a SizeError", name, err)
+			continue
+		}
+		if se.Field != tc.field || se.Want != tc.want || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q names %s / %s, want %s / %s", name, err, se.Field, se.Want, tc.field, tc.want)
+		}
+	}
+	if err := mem(func(m *MemConfig) { m.L1.SizeKB, m.L1.LineBytes = 1, 2048 }).Validate(); err == nil {
+		t.Error("a cache smaller than one line accepted (mem.NewCache panics on zero sets)")
+	}
+	atLimit := legacy(func(c *CoreConfig) { c.WindowSize, c.LSQSize, c.MaxMessages = MaxEntries, MaxEntries, MaxEntries })
+	if err := atLimit.Validate(); err != nil {
+		t.Errorf("knobs at their limits rejected: %v", err)
+	}
+}
+
 func TestInstrClassNames(t *testing.T) {
 	seen := map[string]bool{}
 	for c := InstrClass(0); c < NumClasses; c++ {

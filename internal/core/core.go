@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mosaicsim/internal/config"
 	"mosaicsim/internal/ir"
@@ -78,72 +79,53 @@ const (
 	stateCompleted
 )
 
-// dynNode is one dynamic instruction instance (one node of a DBB). class,
-// kind and free are copied from sn at launch: the hot paths never chase it.
+// dynNode is one dynamic instruction instance (one node of a DBB): a slot of
+// the core's ring, overwritten in place when its seq comes round again.
+// class, kind and free are copied from sn at launch: the hot paths never
+// chase it.
 type dynNode struct {
-	sn    *StaticNode
-	class config.InstrClass
-	kind  OpKind
-	free  bool // fused idiom: retires without issue width, FU, or latency
-	state nodeState
-	seq   int64 // global program order
-
-	parentsLeft int
-	dependents  []*dynNode
-
+	sn  *StaticNode
 	dbb *dynDBB
+	seq int64 // global program order; the node lives at nodes[seq&mask]
 
-	// memory operands from the trace
-	addr    uint64
-	memSize int
-	memKind mem.Kind
-
-	// communication partner from the trace
-	partner int
-
-	// barrierSeq is the fabric barrier index this node waits on; valid once
-	// barrierArrived is set.
-	barrierSeq     int64
-	barrierArrived bool
-
+	// addr is the traced memory address, or by kind the fabric barrier index
+	// this node waits on (valid once barrierArrived is set) or the index of
+	// the accelerator invocation in the trace.
+	addr uint64
 	// maoPos is 1 + the node's absolute position in the MAO stream (0 = not
-	// a memory op); complete uses it to clear the node's MAO slot so pooled
-	// nodes are never scanned through stale pointers.
+	// a memory op); complete uses it to clear the node's MAO slot so reused
+	// slots are never scanned through stale pointers.
 	maoPos int64
-	// doneAdj is added to the completion cycle delivered through doneCB
-	// (atomic read-modify-write extra latency).
-	doneAdj int64
-	// doneCB is the node's completion callback, allocated once per pooled
-	// node and reused across recycles (it captures only the stable node and
-	// core pointers).
+	// doneCB is the slot's completion callback for the memory hierarchy and
+	// accelerators, allocated once per ring slot (it captures only the stable
+	// slot and core pointers).
 	doneCB func(int64)
 
-	// fusedLoad is the pending load whose data this send forwards (DeSC
-	// terminal load buffer); nil for ordinary sends. fusedSeq is the load's
-	// seq at bind time: if the pointed-at node was recycled for a younger
-	// instruction the seqs no longer match and the load is treated as
-	// completed (which it was, or it could not have been recycled).
-	fusedLoad *dynNode
-	fusedSeq  int64
-	// parkable marks a recv whose value only feeds a store (DeSC store
-	// value buffer): it may leave the in-order pipe and drain when the
-	// message arrives.
-	parkable bool
-	// doneAt is the completion cycle, valid once state == stateCompleted.
-	doneAt int64
-	// onComplete callbacks run at completion (used by fused sends).
-	onComplete []func(int64)
+	parentsLeft int32
+	depHead     int32 // cross-DBB consumers: head of the list in Core.edges, -1 = none
+	partner     int32 // communication partner from the trace
+	memSize     int32
 
-	// accelerator invocation from the trace
-	accCall *trace.AccCall
+	class          config.InstrClass
+	kind           OpKind
+	memKind        mem.Kind
+	state          nodeState
+	free           bool // fused idiom: retires without issue width, FU, or latency
+	barrierArrived bool
 }
+
+// edge is one cross-DBB dependence waiting on a producer still in flight:
+// dep is the consumer's ring slot, next the producer's next edge (or, on the
+// free list, the next free entry).
+type edge struct{ dep, next int32 }
 
 // dynDBB is a dynamic basic block: one launched instance of a static block.
 type dynDBB struct {
 	blockID    int
-	remaining  int // uncompleted nodes (live-DBB accounting)
-	term       *dynNode
-	termDone   bool // terminator completed (read instead of term.state, which may be recycled)
+	remaining  int   // uncompleted nodes (live-DBB accounting)
+	baseSeq    int64 // seq of the block's first node
+	termSeq    int64
+	termDone   bool // terminator completed
 	mispredict bool // launch of the successor pays the penalty
 }
 
@@ -166,23 +148,41 @@ type Core struct {
 	accCursor  int
 	commCursor int
 
-	lastDyn []*dynNode // latest dynamic instance per static instruction
-
-	// sliding instruction window (ROB): unretired nodes in program order.
-	window     []*dynNode
-	windowHead int // index of the oldest unretired node in window
+	// The sliding instruction window (ROB) is [headSeq, seqCounter): seq s
+	// lives at nodes[s&mask], retiring is headSeq++. The ring is a power of
+	// two >= 64 slots holding the window limit plus the largest block.
+	nodes      []dynNode
+	mask       int64
+	headSeq    int64
+	seqCounter int64
+	// lastDyn is the seq of the latest dynamic instance per static
+	// instruction (-1 = none). A seq below headSeq has retired, hence
+	// completed: binding to it needs no edge.
+	lastDyn []int64
+	// edges pools the cross-DBB and phi dependences of in-flight producers
+	// (dynNode.depHead); edgeFree heads its free list.
+	edges    []edge
+	edgeFree int32
 
 	liveDBB  []int   // static block ID -> live DBB count
 	lastDBB  *dynDBB // most recently launched DBB
 	launchAt int64   // earliest cycle the next DBB may launch (after penalty)
 
-	ready eventHeap // issue-ready nodes by program order (seq)
-	// issuePtr is the in-order issue cursor into window (InOrder mode).
-	issuePtr int
+	// ready holds one bit per ring slot: out of order, the nodes ready to
+	// issue; in order, the store buffer (parked stores). Keys are unique
+	// seqs, so scanning up from headSeq yields them in the order a priority
+	// queue would.
+	ready      []uint64
+	readyCount int
+	// issueSeq is the in-order issue cursor (InOrder mode).
+	issueSeq int64
 	// pendingDrain holds the partner tiles of parked recvs (DeSC store
 	// value buffer): the pipeline has moved on, the messages are consumed
 	// from the fabric as they arrive.
 	pendingDrain []int
+	// fused holds, per DeSC send issued ahead of the load it forwards, the
+	// load's seq and the fabric slot's arrival setter (terminal load buffer).
+	fused []fusedSend
 
 	// MAO (LSQ): memory nodes in program order, pruned as they complete.
 	mao         []*dynNode
@@ -198,7 +198,6 @@ type Core struct {
 	fuLim [config.NumClasses]int
 
 	completions eventHeap // in-flight nodes by completion cycle
-	seqCounter  int64
 	finished    bool
 	finishCycle int64
 
@@ -212,15 +211,16 @@ type Core struct {
 	// to detect frozen tiles and engage event-horizon cycle skipping.
 	progress uint64
 
-	// Hot-path pools: dynamic nodes and DBBs are recycled at retire instead
-	// of allocated per launch.
-	freeNodes []*dynNode
-	freeDBBs  []*dynDBB
-	deferred  []*dynNode
+	freeDBBs []*dynDBB // DBBs are recycled once every node completed
 
 	// gshare dynamic-predictor state (config.BranchDynamic).
 	bpHistory  uint32
 	bpCounters []uint8
+}
+
+type fusedSend struct {
+	load int64
+	set  func(int64)
 }
 
 const (
@@ -229,8 +229,12 @@ const (
 )
 
 // New builds a core tile replaying tt against the lowered program p (shared,
-// read-only, by every core running the same kernel).
+// read-only, by every core running the same kernel; a DeSC core replays its
+// own fused copy).
 func New(id int, cfg config.CoreConfig, p *Program, tt *trace.TileTrace, memp MemPort, fabric Fabric, accel AccelInvoker) *Core {
+	if cfg.DecoupledSupply {
+		p = p.withDeSC()
+	}
 	c := &Core{
 		ID:       id,
 		Cfg:      cfg,
@@ -239,25 +243,33 @@ func New(id int, cfg config.CoreConfig, p *Program, tt *trace.TileTrace, memp Me
 		memp:     memp,
 		fabric:   fabric,
 		accel:    accel,
-		lastDyn:  make([]*dynNode, len(p.nodes)),
+		lastDyn:  make([]int64, len(p.nodes)),
+		edgeFree: -1,
 		liveDBB:  make([]int, len(p.Blocks)),
 		clockNum: 1,
 		clockDen: 1,
 	}
+	for i := range c.lastDyn {
+		c.lastDyn[i] = -1
+	}
 	for cl := config.InstrClass(0); cl < config.NumClasses; cl++ {
 		c.lat[cl], c.fuLim[cl] = cfg.Latency(cl), cfg.FULimit(cl)
 	}
-	// Preallocate the hot-path backing arrays from the trace length so the
+	// Size the ring and the hot-path backing arrays from the trace so the
 	// steady state never grows them. total is the tile's dynamic instruction
-	// count; small traces get exactly-sized arrays.
-	total := 0
+	// count; a launch needs unretired < WindowSize, so the window never
+	// holds more than WindowSize plus the largest block.
+	total, maxBlock := 0, 0
 	for _, b := range tt.BBPath {
 		total += p.Blocks[b].N
+		maxBlock = max(maxBlock, p.Blocks[b].N)
 	}
-	wcap := min(total, 2*cfg.WindowSize+64)
-	c.window = make([]*dynNode, 0, wcap)
-	c.freeNodes = make([]*dynNode, 0, wcap)
-	c.ready = make(eventHeap, 0, min(total, cfg.WindowSize+8))
+	size := 64
+	for size < min(total, max(cfg.WindowSize, 0)+maxBlock) {
+		size *= 2
+	}
+	c.nodes, c.mask = make([]dynNode, size), int64(size-1)
+	c.ready = make([]uint64, size/64)
 	c.completions = make(eventHeap, 0, min(total, cfg.WindowSize+8))
 	c.mao = make([]*dynNode, 0, min(total, 2*cfg.LSQSize+64))
 	return c
@@ -269,41 +281,16 @@ func (c *Core) Tables() (lat [config.NumClasses]int64, fuLimit [config.NumClasse
 	return c.lat, c.fuLim
 }
 
-// allocNode pops a recycled dynamic node (or allocates a fresh one), resetting
-// in place every field launchOne does not overwrite unconditionally; the
-// dependents/onComplete arrays and the completion callback are kept. Operand
-// fields (addr, partner, accCall, ...) are only read for the op kind that sets
-// them, so stale values there are never observed.
-func (c *Core) allocNode() *dynNode {
-	k := len(c.freeNodes)
-	if k == 0 {
-		return &dynNode{}
-	}
-	n := c.freeNodes[k-1]
-	c.freeNodes = c.freeNodes[:k-1]
-	n.state, n.parentsLeft, n.dependents = stateWaiting, 0, n.dependents[:0]
-	n.maoPos, n.doneAdj, n.fusedLoad = 0, 0, nil
-	n.barrierArrived, n.parkable = false, false
-	return n
-}
-
-// recycleNode returns a retired node to the pool. Dangling references are
-// severed (lastDyn) or guarded by seq checks (fusedLoad) / nil MAO slots.
-func (c *Core) recycleNode(n *dynNode) {
-	if c.lastDyn[n.sn.Idx] == n {
-		c.lastDyn[n.sn.Idx] = nil
-	}
-	c.freeNodes = append(c.freeNodes, n)
-}
-
-func (c *Core) allocDBB(bid, nodes int) *dynDBB {
+func (c *Core) allocDBB(bid, nodes int, base int64) *dynDBB {
+	var d *dynDBB
 	if k := len(c.freeDBBs); k > 0 {
-		d := c.freeDBBs[k-1]
+		d = c.freeDBBs[k-1]
 		c.freeDBBs = c.freeDBBs[:k-1]
-		*d = dynDBB{blockID: bid, remaining: nodes}
-		return d
+	} else {
+		d = &dynDBB{}
 	}
-	return &dynDBB{blockID: bid, remaining: nodes}
+	*d = dynDBB{blockID: bid, remaining: nodes, baseSeq: base, termSeq: base + int64(c.prog.Blocks[bid].TermPos)}
+	return d
 }
 
 // SetFreeInstrs marks static instructions (by layout index) as fused idioms
@@ -337,8 +324,8 @@ func (c *Core) Done() bool { return c.finished }
 // FinishCycle returns the tile-local cycle at which the trace retired.
 func (c *Core) FinishCycle() int64 { return c.finishCycle }
 
-// event is a heap entry: a node keyed by its completion cycle or, in the
-// ready heap, its seq. The key sits beside the pointer so sifts touch no node.
+// event is a completion-heap entry: a node keyed by its completion cycle.
+// The key sits beside the pointer so sifts touch no node.
 type event struct {
 	key  int64
 	node *dynNode
@@ -407,7 +394,7 @@ func (c *Core) Step(now int64) bool {
 	c.launchDBBs(now)
 	c.issue(now)
 	c.retire()
-	if c.bbCursor >= len(c.tt.BBPath) && c.windowHead >= len(c.window) && c.completions.Len() == 0 && c.outstanding == 0 && len(c.pendingDrain) == 0 {
+	if c.bbCursor >= len(c.tt.BBPath) && c.headSeq == c.seqCounter && c.completions.Len() == 0 && c.outstanding == 0 && len(c.pendingDrain) == 0 {
 		c.finished = true
 		c.finishCycle = now
 		c.Stats.Cycles = now
@@ -427,19 +414,18 @@ func (c *Core) processCompletions(now int64) {
 }
 
 // complete marks a node finished, frees its resources, and wakes dependents
-// (rule 2, §II-A).
+// (rule 2, §II-A): the block's own consumers from the static Wake list, later
+// blocks' from the edges bound at their launch.
 func (c *Core) complete(n *dynNode, now int64) {
 	if n.state == stateCompleted {
 		return
 	}
 	n.state = stateCompleted
-	n.doneAt = now
 	c.outstanding--
 	c.progress++
-	for _, cb := range n.onComplete {
-		cb(now)
+	if len(c.fused) > 0 {
+		c.matureFused(n.seq, now)
 	}
-	n.onComplete = n.onComplete[:0]
 	if !n.free {
 		if c.fuLim[n.class] > 0 {
 			c.fuBusy[n.class]--
@@ -449,7 +435,7 @@ func (c *Core) complete(n *dynNode, now int64) {
 		}
 	}
 	// Clear the node's MAO slot so ordering scans never chase a pointer into
-	// a recycled node (slots are pruned/compacted lazily by tryIssueMem).
+	// a reused ring slot (slots are pruned/compacted lazily by tryIssueMem).
 	if n.maoPos != 0 {
 		if i := n.maoPos - 1 - c.maoBase; i >= 0 && i < int64(len(c.mao)) && c.mao[i] == n {
 			c.mao[i] = nil
@@ -459,38 +445,95 @@ func (c *Core) complete(n *dynNode, now int64) {
 	c.Stats.EnergyPJ += config.EnergyPerClassPJ[n.class]
 	// A mispredicted terminator releases the next launch only after the
 	// misprediction penalty (§III-C).
-	if n == n.dbb.term {
-		n.dbb.termDone = true
-		if n.dbb.mispredict {
+	d := n.dbb
+	if n.seq == d.termSeq {
+		d.termDone = true
+		if d.mispredict {
 			c.launchAt = now + c.scaleLat(c.Cfg.MispredictPenalty)
 		}
 	}
-	n.dbb.remaining--
-	if n.dbb.remaining == 0 {
-		c.liveDBB[n.dbb.blockID]--
-		if n.dbb != c.lastDBB {
-			c.freeDBBs = append(c.freeDBBs, n.dbb)
+	d.remaining--
+	if d.remaining == 0 {
+		c.liveDBB[d.blockID]--
+		if d != c.lastDBB {
+			c.freeDBBs = append(c.freeDBBs, d)
 		}
 	}
-	for _, d := range n.dependents {
-		d.parentsLeft--
-		if d.parentsLeft == 0 && d.state == stateWaiting {
-			d.state = stateReady
-			if !c.Cfg.InOrder {
-				c.ready.push(event{d.seq, d})
-			}
+	for _, pos := range n.sn.Wake {
+		c.wake(&c.nodes[(d.baseSeq+int64(pos))&c.mask])
+	}
+	for e := n.depHead; e >= 0; {
+		ed := c.edges[e]
+		c.wake(&c.nodes[ed.dep])
+		c.edges[e].next, c.edgeFree = c.edgeFree, e
+		e = ed.next
+	}
+	n.depHead = -1
+}
+
+// wake resolves one operand of d.
+func (c *Core) wake(d *dynNode) {
+	d.parentsLeft--
+	if d.parentsLeft == 0 && d.state == stateWaiting {
+		d.state = stateReady
+		if !c.Cfg.InOrder {
+			c.setReady(d.seq)
 		}
 	}
 }
 
-// memDone is the callback given to the memory hierarchy. The closure is
-// allocated once per pooled node and reused across recycles: it captures only
-// the stable node and core pointers and reads the per-incarnation latency
-// adjustment (doneAdj) at fire time.
+func (c *Core) setReady(seq int64) {
+	c.ready[(seq&c.mask)>>6] |= 1 << (seq & 63)
+	c.readyCount++
+}
+
+func (c *Core) clearReady(seq int64) {
+	c.ready[(seq&c.mask)>>6] &^= 1 << (seq & 63)
+	c.readyCount--
+}
+
+// nextReady returns the smallest seq in [from, seqCounter) whose ready bit is
+// set, or -1. Bits past the youngest node belong to older seqs a full ring
+// behind, so a hit at or beyond seqCounter is no hit.
+func (c *Core) nextReady(from int64) int64 {
+	for s := from; s < c.seqCounter; s += 64 - s&63 {
+		if w := c.ready[(s&c.mask)>>6] >> (s & 63); w != 0 {
+			if s += int64(bits.TrailingZeros64(w)); s < c.seqCounter {
+				return s
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// matureFused hands a completed load's cycle to the DeSC sends issued ahead
+// of it, in issue order.
+func (c *Core) matureFused(load, now int64) {
+	k := 0
+	for _, f := range c.fused {
+		if f.load == load {
+			f.set(now)
+		} else {
+			c.fused[k] = f
+			k++
+		}
+	}
+	clear(c.fused[k:])
+	c.fused = c.fused[:k]
+}
+
+// memDone is the callback given to the memory hierarchy and accelerators. The
+// closure is allocated once per ring slot: it captures only the stable slot
+// and core pointers and reads what varies per incarnation at fire time (an
+// atomic's read-modify-write surcharge).
 func (c *Core) memDone(n *dynNode) func(int64) {
 	if n.doneCB == nil {
 		n.doneCB = func(at int64) {
-			c.completions.push(event{at + n.doneAdj, n})
+			if n.kind == KindMem && n.memKind == mem.Atomic {
+				at += c.Cfg.AtomicExtraLatency
+			}
+			c.completions.push(event{at, n})
 		}
 	}
 	return n.doneCB
@@ -499,35 +542,9 @@ func (c *Core) memDone(n *dynNode) func(int64) {
 // retire slides the instruction window (ROB) forward over completed nodes
 // (§III-A "ROB").
 func (c *Core) retire() {
-	for c.windowHead < len(c.window) && c.window[c.windowHead].state == stateCompleted {
-		c.recycleNode(c.window[c.windowHead])
-		c.window[c.windowHead] = nil
-		c.windowHead++
+	for c.headSeq < c.seqCounter && c.nodes[c.headSeq&c.mask].state == stateCompleted {
+		c.headSeq++
 	}
-	// Periodically compact the retired prefix in place (no fresh backing
-	// array: the window reuses its allocation for the whole run).
-	if c.windowHead > 4096 && c.windowHead*2 > len(c.window) {
-		k := copy(c.window, c.window[c.windowHead:])
-		for i := k; i < len(c.window); i++ {
-			c.window[i] = nil
-		}
-		c.window = c.window[:k]
-		c.issuePtr -= c.windowHead
-		if c.issuePtr < 0 {
-			c.issuePtr = 0
-		}
-		c.windowHead = 0
-	}
-}
-
-func (c *Core) unretired() int { return len(c.window) - c.windowHead }
-
-// windowBaseSeq returns the seq of the oldest unretired node.
-func (c *Core) windowBaseSeq() int64 {
-	if c.windowHead < len(c.window) {
-		return c.window[c.windowHead].seq
-	}
-	return c.seqCounter
 }
 
 // launchDBBs launches dynamic basic blocks from the control trace (rule 3,
@@ -560,7 +577,7 @@ func (c *Core) launchDBBs(now int64) {
 		if c.Cfg.MaxLiveDBB > 0 && c.liveDBB[bid] >= c.Cfg.MaxLiveDBB {
 			return
 		}
-		if c.unretired() >= c.Cfg.WindowSize && c.unretired() > 0 {
+		if u := c.seqCounter - c.headSeq; u >= int64(c.Cfg.WindowSize) && u > 0 {
 			c.Stats.WindowStalls++
 			return
 		}
@@ -570,10 +587,10 @@ func (c *Core) launchDBBs(now int64) {
 }
 
 // launchOne stamps out the dynamic nodes of one DBB from the block's lowered
-// records and binds dependence edges: intra-DBB edges to nodes of this
-// instance, cross edges to the most recent dynamic instance of the producer
-// (§II-A). Only what the trace decides stays dynamic: the operand cursors,
-// the phi predecessor, and DeSC fusion (wait).
+// records into the next ring slots and binds dependence edges: intra-DBB
+// edges are the static Wake lists, cross edges go to the most recent dynamic
+// instance of the producer (§II-A). Only what the trace decides stays
+// dynamic: the operand cursors and the phi predecessor.
 func (c *Core) launchOne(bid int) {
 	blk := &c.prog.Blocks[bid]
 	prevBlock := -1
@@ -582,34 +599,26 @@ func (c *Core) launchOne(bid int) {
 	}
 	c.bbCursor++
 
-	d := c.allocDBB(bid, blk.N)
+	base := c.seqCounter
+	if base+int64(blk.N)-c.headSeq > int64(len(c.nodes)) {
+		panic(fmt.Sprintf("core: tile %d window ring overflow: %d unretired + block of %d in %d slots", c.ID, base-c.headSeq, blk.N, len(c.nodes)))
+	}
+	d := c.allocDBB(bid, blk.N, base)
 	c.liveDBB[bid]++
-	base := len(c.window)
 	recs := c.prog.Nodes(bid)
+	// lastDyn is updated only after the whole block is bound, so cross edges
+	// see the previous instances (loop-carried values).
 	for pos := range recs {
 		sn := &recs[pos]
-		n := c.allocNode()
+		n := &c.nodes[(base+int64(pos))&c.mask]
 		n.sn, n.class, n.kind, n.free = sn, sn.Class, sn.Kind, sn.Free
-		n.seq = c.seqCounter
-		n.dbb = d
-		c.seqCounter++
-		c.window = append(c.window, n)
-	}
-	nodes := c.window[base:]
-	d.term = nodes[blk.TermPos]
-
-	// Bind dependencies before updating lastDyn so cross edges see the
-	// previous instances (loop-carried values).
-	for _, n := range nodes {
-		sn := n.sn
-		for _, pos := range sn.Intra {
-			c.wait(n, nodes[pos], true)
-		}
+		n.dbb, n.seq, n.state = d, base+int64(pos), stateWaiting
+		n.parentsLeft, n.depHead, n.maoPos, n.barrierArrived = int32(len(sn.Intra)), -1, 0, false
 		for _, idx := range sn.Cross {
-			c.wait(n, c.lastDyn[idx], false)
+			c.bind(n, idx)
 		}
 		if sn.Phi != nil && prevBlock >= 0 && sn.Phi[prevBlock] >= 0 {
-			c.wait(n, c.lastDyn[sn.Phi[prevBlock]], false)
+			c.bind(n, sn.Phi[prevBlock])
 		}
 
 		switch sn.Kind {
@@ -623,7 +632,7 @@ func (c *Core) launchOne(bid int) {
 			}
 			c.memCursor++
 			n.addr = ev.Addr
-			n.memSize = int(ev.Size)
+			n.memSize = int32(ev.Size)
 			switch ev.Kind {
 			case trace.KindLoad:
 				n.memKind = mem.Read
@@ -639,22 +648,24 @@ func (c *Core) launchOne(bid int) {
 			if c.commCursor >= len(c.tt.Comm) {
 				panic(fmt.Sprintf("core: tile %d comm trace exhausted", c.ID))
 			}
-			n.partner = int(c.tt.Comm[c.commCursor].Partner)
+			n.partner = c.tt.Comm[c.commCursor].Partner
 			c.commCursor++
 		case KindAcc:
 			if c.accCursor >= len(c.tt.Acc) {
 				panic(fmt.Sprintf("core: tile %d accelerator trace exhausted", c.ID))
 			}
-			n.accCall = &c.tt.Acc[c.accCursor]
+			n.addr = uint64(c.accCursor)
 			c.accCursor++
 		}
 	}
-	for _, n := range nodes {
-		c.lastDyn[n.sn.Idx] = n
+	c.seqCounter = base + int64(blk.N)
+	for pos := range recs {
+		n := &c.nodes[(base+int64(pos))&c.mask]
+		c.lastDyn[recs[pos].Idx] = n.seq
 		if n.parentsLeft == 0 {
 			n.state = stateReady
 			if !c.Cfg.InOrder {
-				c.ready.push(event{n.seq, n})
+				c.setReady(n.seq)
 			}
 		}
 	}
@@ -667,7 +678,7 @@ func (c *Core) launchOne(bid int) {
 		case config.BranchStatic:
 			d.mispredict = blk.Predicted != actual
 		case config.BranchDynamic:
-			d.mispredict = !c.gsharePredict(d.term.sn.Instr, actual)
+			d.mispredict = !c.gsharePredict(recs[blk.TermPos].Instr, actual)
 		}
 		if d.mispredict {
 			c.Stats.Mispredict++
@@ -682,30 +693,28 @@ func (c *Core) launchOne(bid int) {
 	c.progress++
 }
 
-// wait makes n depend on parent, the dynamic producer of one of its operands
-// (nil when that instance already retired), unless the producer completed.
-// With DeSC structures (§VII-A) two intra-DBB edges are fused away instead:
-// a send forwarding a load's data (terminal load buffer) does not wait for
-// the load, and a store/atomic whose value comes from a recv (store value
-// buffer) lets the recv drain without stalling the core.
-func (c *Core) wait(n, parent *dynNode, intra bool) {
-	if parent == nil {
+// bind makes n wait for the latest dynamic instance of static instruction
+// idx, the producer of one of its operands, unless that instance retired
+// (its seq is below the window) or completed.
+func (c *Core) bind(n *dynNode, idx int32) {
+	ps := c.lastDyn[idx]
+	if ps < c.headSeq {
 		return
 	}
-	if intra && c.Cfg.DecoupledSupply {
-		if n.kind == KindSend && parent.sn.Instr.Op == ir.OpLoad {
-			n.fusedLoad, n.fusedSeq = parent, parent.seq
-			return
-		}
-		if n.kind == KindMem && n.sn.Instr.Op != ir.OpLoad && parent.kind == KindRecv {
-			parent.parkable = true
-			return
-		}
+	p := &c.nodes[ps&c.mask]
+	if p.state == stateCompleted {
+		return
 	}
-	if parent.state != stateCompleted {
-		parent.dependents = append(parent.dependents, n)
-		n.parentsLeft++
+	e := c.edgeFree
+	if e < 0 {
+		e = int32(len(c.edges))
+		c.edges = append(c.edges, edge{})
+	} else {
+		c.edgeFree = c.edges[e].next
 	}
+	c.edges[e] = edge{dep: int32(n.seq & c.mask), next: p.depHead}
+	p.depHead = e
+	n.parentsLeft++
 }
 
 // gsharePredict predicts one conditional branch with a gshare predictor and
@@ -742,79 +751,72 @@ func (c *Core) gsharePredict(term *ir.Instr, actualNext int) bool {
 
 // issue dispatches up to IssueWidth ready nodes per cycle subject to the
 // window, functional units, the MAO, and communication buffers (rule 1,
-// §II-A; §III-A).
+// §II-A; §III-A). Ready nodes are visited oldest first; one that hits a
+// structural hazard keeps its bit and is passed over until the next cycle.
 func (c *Core) issue(now int64) {
 	if c.Cfg.InOrder {
 		c.issueInOrder(now)
 		return
 	}
 	issued := 0
-	deferred := c.deferred[:0]
-	windowLimit := c.windowBaseSeq() + int64(c.Cfg.WindowSize)
-	for issued < c.Cfg.IssueWidth && c.ready.Len() > 0 {
-		n := c.ready[0].node
+	windowLimit := c.headSeq + int64(c.Cfg.WindowSize)
+	for s := c.headSeq; issued < c.Cfg.IssueWidth && c.readyCount > 0; s++ {
+		if s = c.nextReady(s); s < 0 {
+			break
+		}
+		n := &c.nodes[s&c.mask]
 		if n.free {
 			// Fused idiom: retires instantly without consuming issue
-			// bandwidth, waking dependents within this cycle.
-			c.ready.pop()
+			// bandwidth, waking dependents (all younger) within this cycle.
+			c.clearReady(s)
 			n.state = stateIssued
 			c.outstanding++
 			c.complete(n, now)
 			continue
 		}
-		if n.seq >= windowLimit {
+		if s >= windowLimit {
 			// Oldest ready node is outside the window; all others are too.
 			c.Stats.WindowStalls++
 			break
 		}
-		c.ready.pop()
-		if ok := c.tryIssue(n, now); ok {
+		if c.tryIssue(n, now) {
+			c.clearReady(s)
 			issued++
-		} else {
-			deferred = append(deferred, n)
 		}
 	}
-	for i, n := range deferred {
-		c.ready.push(event{n.seq, n})
-		deferred[i] = nil
-	}
-	c.deferred = deferred[:0]
 }
 
 // issueInOrder models a scoreboarded in-order pipeline: instructions issue
 // strictly in program order; issue stalls when the next instruction's
 // operands are pending (stall-on-use), while independent younger work never
 // bypasses it. Completion remains out of order (hit-under-miss), and stores
-// blocked only on memory ordering park in a store buffer (the ready heap,
+// blocked only on memory ordering park in a store buffer (the ready bits,
 // unused for issue in this mode) so they drain without stalling the pipe.
 func (c *Core) issueInOrder(now int64) {
 	// Drain parked stores/recvs in program order; they already consumed
 	// their issue slots. Stop at the first blocked one so same-channel
 	// recvs keep FIFO order.
-	for c.ready.Len() > 0 {
-		if !c.tryIssue(c.ready[0].node, now) {
+	for c.readyCount > 0 {
+		s := c.nextReady(c.headSeq)
+		if !c.tryIssue(&c.nodes[s&c.mask], now) {
 			break
 		}
-		c.ready.pop()
+		c.clearReady(s)
 	}
 	issued := 0
 	for issued < c.Cfg.IssueWidth {
-		if c.issuePtr < c.windowHead {
-			c.issuePtr = c.windowHead
-		}
+		c.issueSeq = max(c.issueSeq, c.headSeq)
 		// Skip already-processed entries.
-		for c.issuePtr < len(c.window) {
-			n := c.window[c.issuePtr]
-			if n == nil || n.state == stateIssued || n.state == stateCompleted {
-				c.issuePtr++
-				continue
+		for c.issueSeq < c.seqCounter {
+			if st := c.nodes[c.issueSeq&c.mask].state; st != stateIssued && st != stateCompleted {
+				break
 			}
-			break
+			c.issueSeq++
 		}
-		if c.issuePtr >= len(c.window) {
+		if c.issueSeq >= c.seqCounter {
 			return
 		}
-		n := c.window[c.issuePtr]
+		n := &c.nodes[c.issueSeq&c.mask]
 		if n.parentsLeft > 0 {
 			return // stall-on-use
 		}
@@ -822,35 +824,35 @@ func (c *Core) issueInOrder(now int64) {
 			n.state = stateIssued
 			c.outstanding++
 			c.complete(n, now)
-			c.issuePtr++
+			c.issueSeq++
 			continue
 		}
 		// Store-buffer semantics: a store (or atomic) blocked only on MAO
 		// ordering parks and drains later instead of stalling the pipeline.
 		if n.kind == KindMem && n.memKind != mem.Read &&
-			c.maoInUse+c.ready.Len() < c.Cfg.LSQSize && c.maoOrderBlocked(n) {
-			c.ready.push(event{n.seq, n})
-			c.issuePtr++
+			c.maoInUse+c.readyCount < c.Cfg.LSQSize && c.maoOrderBlocked(n) {
+			c.setReady(n.seq)
+			c.issueSeq++
 			issued++
 			continue
 		}
 		// Store-value-buffer semantics (DeSC, §VII-A): a recv whose data
 		// only feeds a store leaves the pipeline immediately; the message
 		// is consumed from the fabric whenever it arrives.
-		if n.parkable && len(c.pendingDrain) < maxParked(c.Cfg.MaxMessages) {
-			if !c.fabric.TryRecv(c.ID, n.partner, now) {
-				c.pendingDrain = append(c.pendingDrain, n.partner)
+		if n.sn.Parkable && len(c.pendingDrain) < maxParked(c.Cfg.MaxMessages) {
+			if !c.fabric.TryRecv(c.ID, int(n.partner), now) {
+				c.pendingDrain = append(c.pendingDrain, int(n.partner))
 			}
 			c.Stats.Recvs++
 			c.issueFixed(n, now, c.lat[config.ClassSpecial])
-			c.issuePtr++
+			c.issueSeq++
 			issued++
 			continue
 		}
 		if !c.tryIssue(n, now) {
 			return // structural hazard
 		}
-		c.issuePtr++
+		c.issueSeq++
 		issued++
 	}
 }
@@ -866,22 +868,22 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 	case KindMem:
 		return c.tryIssueMem(n, now)
 	case KindSend:
-		// A recycled fused load (seq mismatch) necessarily completed before it
-		// was retired and repooled, so the plain-send path below is correct.
-		if n.fusedLoad != nil && n.fusedLoad.seq == n.fusedSeq && n.fusedLoad.state != stateCompleted {
+		// A fused load below the window retired, hence completed: the
+		// plain-send path below is correct for it.
+		if load := n.dbb.baseSeq + int64(n.sn.Fused) - 1; n.sn.Fused > 0 && load >= c.headSeq && c.nodes[load&c.mask].state != stateCompleted {
 			// Terminal load buffer: reserve the slot now; the message
 			// matures when the load's data returns.
-			set, ok := c.fabric.TrySendFuture(c.ID, n.partner)
+			set, ok := c.fabric.TrySendFuture(c.ID, int(n.partner))
 			if !ok {
 				c.Stats.CommStalls++
 				return false
 			}
-			n.fusedLoad.onComplete = append(n.fusedLoad.onComplete, func(t int64) { set(t) })
+			c.fused = append(c.fused, fusedSend{load, set})
 			c.Stats.Sends++
 			c.issueFixed(n, now, c.lat[config.ClassSpecial])
 			return true
 		}
-		if !c.fabric.TrySend(c.ID, n.partner, now) {
+		if !c.fabric.TrySend(c.ID, int(n.partner), now) {
 			c.Stats.CommStalls++
 			return false
 		}
@@ -890,20 +892,20 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 		return true
 	case KindBarrier:
 		if !n.barrierArrived {
-			n.barrierSeq = c.fabric.BarrierArrive(c.ID)
+			n.addr = uint64(c.fabric.BarrierArrive(c.ID))
 			n.barrierArrived = true
 			// Arrival is a state change other tiles observe even though this
 			// tile stalls, so it must defeat idle detection.
 			c.progress++
 		}
-		if !c.fabric.BarrierReleased(n.barrierSeq) {
+		if !c.fabric.BarrierReleased(int64(n.addr)) {
 			c.Stats.CommStalls++
 			return false
 		}
 		c.issueFixed(n, now, c.lat[config.ClassSpecial])
 		return true
 	case KindRecv:
-		if !c.fabric.TryRecv(c.ID, n.partner, now) {
+		if !c.fabric.TryRecv(c.ID, int(n.partner), now) {
 			c.Stats.CommStalls++
 			return false
 		}
@@ -911,12 +913,13 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 		c.issueFixed(n, now, c.lat[config.ClassSpecial])
 		return true
 	case KindAcc:
+		call := &c.tt.Acc[n.addr]
 		if c.accel == nil {
-			panic(fmt.Sprintf("core: tile %d has no accelerator port for %s", c.ID, n.accCall.Name))
+			panic(fmt.Sprintf("core: tile %d has no accelerator port for %s", c.ID, call.Name))
 		}
 		c.markIssued(n)
 		c.Stats.AccCalls++
-		if err := c.accel.Invoke(n.accCall.Name, n.accCall.Params, now, c.memDone(n)); err != nil {
+		if err := c.accel.Invoke(call.Name, call.Params, now, c.memDone(n)); err != nil {
 			panic(fmt.Sprintf("core: tile %d: %v", c.ID, err))
 		}
 		return true
@@ -967,19 +970,15 @@ func (c *Core) tryIssueMem(n *dynNode, now int64) bool {
 	}
 	c.markIssued(n)
 	c.maoInUse++
-	done := c.memDone(n)
 	switch n.memKind {
 	case mem.Read:
 		c.Stats.Loads++
 	case mem.Write:
 		c.Stats.Stores++
 	default:
-		c.Stats.Atomics++
-		// Read-modify-write surcharge, applied inside the reusable doneCB
-		// instead of wrapping it in a fresh closure per access.
-		n.doneAdj = c.Cfg.AtomicExtraLatency
+		c.Stats.Atomics++ // doneCB adds the read-modify-write surcharge
 	}
-	c.memp.Access(n.addr, n.memSize, n.memKind, now, done)
+	c.memp.Access(n.addr, int(n.memSize), n.memKind, now, c.memDone(n))
 	return true
 }
 

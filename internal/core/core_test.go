@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"mosaicsim/internal/cc"
 	"mosaicsim/internal/config"
@@ -463,9 +464,10 @@ func TestGsharePredictsUnconditional(t *testing.T) {
 }
 
 // TestStepSteadyStateAllocs pins the zero-alloc contract of the simulation
-// hot path: once the node/DBB pools and backing arrays are warm, stepping the
-// core must not allocate at all. A regression here silently multiplies GC
-// pressure by the dynamic instruction count.
+// hot path: once the ring's completion callbacks, the DBB and edge pools and
+// the backing arrays are warm, stepping the core must not allocate at all. A
+// regression here silently multiplies GC pressure by the dynamic instruction
+// count.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	g, tt := traceKernel(t, indepSrc, setupTwoArrays(4096))
 	c := New(0, config.OutOfOrderCore(), Lower(g), tt, &fakeMem{lat: 8}, &fakeFabric{}, nil)
@@ -477,8 +479,8 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		now++
 	}
 	// The measured window must cover the whole life of a dynamic node —
-	// launch, issue, complete, retire, recycle — not just issue/complete.
-	launched, retired, pooled := c.bbCursor, c.Stats.Instrs, len(c.freeNodes)
+	// launch, issue, complete, retire, slot reuse — not just issue/complete.
+	launched, retired, head := c.bbCursor, c.Stats.Instrs, c.headSeq
 	avg := testing.AllocsPerRun(1000, func() {
 		c.Step(now)
 		now++
@@ -492,8 +494,18 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	if dl, dr := c.bbCursor-launched, c.Stats.Instrs-retired; dl < 100 || dr < 1000 {
 		t.Errorf("measured window launched %d DBBs and completed %d instructions; it must exercise launch and retire", dl, dr)
 	}
-	if c.windowHead == 0 && len(c.freeNodes) == pooled {
-		t.Error("measured window never retired a node into the pool")
+	if turned := c.headSeq - head; turned <= int64(len(c.nodes)) {
+		t.Errorf("measured window retired %d instructions; it must reuse every one of the ring's %d slots", turned, len(c.nodes))
+	}
+}
+
+// TestDynNodeSize pins the ring slot's footprint: a core round-robins its
+// window through the host's caches every cycle, so a field added here is paid
+// on every launch, issue and completion of every tile. (The pooled node it
+// replaced was 200 bytes.)
+func TestDynNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(dynNode{}); size > 96 {
+		t.Errorf("dynNode is %d bytes, want <= 96", size)
 	}
 }
 

@@ -47,6 +47,16 @@ type StaticNode struct {
 	// Producers, in operand order: Intra by position within the same DBB,
 	// Cross by static index (bound to the latest dynamic instance).
 	Intra, Cross []int32
+	// Wake lists the positions of this node's consumers within the same DBB,
+	// one entry per Intra edge naming it: every instance's intra-block
+	// dependents, known before any of them exists.
+	Wake []int32
+	// Fused and Parkable are set only in a DeSC core's program copy
+	// (withDeSC): Fused is 1 + the position of the load whose data this send
+	// forwards (0 = an ordinary send); Parkable marks a recv whose value only
+	// feeds a store, which may leave the in-order pipe and drain later.
+	Fused    int32
+	Parkable bool
 	// Phi (phi nodes only) maps a predecessor block ID to the static index
 	// of the producer on that edge, -1 for a constant, parameter or global.
 	Phi []int32
@@ -125,7 +135,63 @@ func Lower(g *ddg.Graph) *Program {
 			sn.Cross = arena[start:len(arena):len(arena)]
 		}
 	}
+	p.linkWake()
 	return p
+}
+
+// linkWake derives every node's Wake list from the Intra lists.
+func (p *Program) linkWake() {
+	fanout, edges := make([]int, len(p.nodes)), 0
+	for b, blk := range p.Blocks {
+		for _, sn := range p.Nodes(b) {
+			for _, from := range sn.Intra {
+				fanout[blk.First+int(from)]++
+				edges++
+			}
+		}
+	}
+	// One backing array, cut into exact-capacity lists that append fills.
+	arena := make([]int32, edges)
+	for i := range p.nodes {
+		p.nodes[i].Wake, arena = arena[:0:fanout[i]], arena[fanout[i]:]
+	}
+	for b := range p.Blocks {
+		recs := p.Nodes(b)
+		for pos := range recs {
+			for _, from := range recs[pos].Intra {
+				recs[from].Wake = append(recs[from].Wake, int32(pos))
+			}
+		}
+	}
+}
+
+// withDeSC returns the copy of p a DecoupledSupply core replays (§VII-A):
+// two kinds of intra-DBB edge are fused away, which is static. A send
+// forwarding a load's data (terminal load buffer) does not wait for the load,
+// and a store/atomic whose value comes from a recv (store value buffer) lets
+// the recv drain without stalling the core.
+func (p *Program) withDeSC() *Program {
+	q := &Program{Blocks: p.Blocks, nodes: append([]StaticNode(nil), p.nodes...)}
+	for b := range q.Blocks {
+		recs := q.Nodes(b)
+		for pos := range recs {
+			sn := &recs[pos]
+			var kept []int32
+			for _, from := range sn.Intra {
+				switch prod := &recs[from]; {
+				case sn.Kind == KindSend && prod.Instr.Op == ir.OpLoad:
+					sn.Fused = from + 1
+				case sn.Kind == KindMem && sn.Instr.Op != ir.OpLoad && prod.Kind == KindRecv:
+					prod.Parkable = true
+				default:
+					kept = append(kept, from)
+				}
+			}
+			sn.Intra = kept
+		}
+	}
+	q.linkWake()
+	return q
 }
 
 // withFree returns a copy of p whose nodes carry mask (by static index) as

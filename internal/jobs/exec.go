@@ -3,6 +3,9 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -158,11 +161,25 @@ func (x *Executor) Serve(ctx context.Context, src LeaseSource, slots int) {
 	}
 }
 
-// run executes one lease under min(JobTimeout, the spec's timeout) and
-// completes it with whatever the runner returned.
+// run executes one lease and completes it with whatever the attempt returned.
 func (x *Executor) run(ctx context.Context, src LeaseSource, l *Lease) {
+	report, err := x.attempt(ctx, src, l)
+	src.Complete(l, report, err)
+}
+
+// attempt runs the runner under min(JobTimeout, the spec's timeout). A panic
+// inside the run — the timing core's trace-out-of-sync panics are reachable
+// from a damaged artifact blob that still decodes — is that job's failure,
+// not the process's: every other lease keeps being served.
+func (x *Executor) attempt(ctx context.Context, src LeaseSource, l *Lease) (report json.RawMessage, err error) {
 	x.mInflight.Add(1)
 	defer x.mInflight.Add(-1)
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("jobs: run of %s panicked: %v\n%s", l.JobID, r, debug.Stack())
+			report, err = nil, fmt.Errorf("internal error: %v", r)
+		}
+	}()
 	budget := x.opts.JobTimeout
 	if d := l.Spec.timeout(); d > 0 && (budget == 0 || d < budget) {
 		budget = d
@@ -172,11 +189,10 @@ func (x *Executor) run(ctx context.Context, src LeaseSource, l *Lease) {
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
-	report, err := x.opts.Runner(ctx, l, func(e Event) {
+	return x.opts.Runner(ctx, l, func(e Event) {
 		x.mStage.observe(e)
 		src.Event(l, e)
 	})
-	src.Complete(l, report, err)
 }
 
 // simRun is the production Runner: it lowers the spec onto a sim.Session

@@ -271,6 +271,36 @@ func TestPerJobTimeoutFails(t *testing.T) {
 	}
 }
 
+// TestPanickingRunFailsOneJob: a panic inside a run used to take the process
+// down from the lease goroutine. It is that job's failure now, and the slot
+// goes on to serve the next lease.
+func TestPanickingRunFailsOneJob(t *testing.T) {
+	runner := func(ctx context.Context, l *Lease, emit func(Event)) (json.RawMessage, error) {
+		if l.Spec.Workload == "spmv" {
+			panic("core: tile 0 memory trace out of sync")
+		}
+		return json.RawMessage(`{"ok":true}`), nil
+	}
+	m := standalone(t, Options{QueueDepth: 2}, ExecOptions{Runner: runner}, 1)
+	bad, err := m.Submit(Spec{Workload: "spmv", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, bad, 5*time.Second); st != StateFailed {
+		t.Fatalf("panicking job state = %s, want failed", st)
+	}
+	if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "internal error: core: tile 0 memory trace out of sync") {
+		t.Errorf("panicking job error = %v, want it to carry the panic as an internal error", err)
+	}
+	if st := waitTerminal(t, good, 5*time.Second); st != StateDone {
+		t.Fatalf("job leased after the panic: state = %s, want done", st)
+	}
+}
+
 func TestSpecTimeoutCappedByManager(t *testing.T) {
 	// The spec asks for a minute; the manager caps at 20ms.
 	m := standalone(t, Options{QueueDepth: 1}, ExecOptions{Runner: blockingRunner(nil, nil), JobTimeout: 20 * time.Millisecond}, 1)

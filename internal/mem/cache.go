@@ -47,10 +47,13 @@ type mshr struct {
 // configurable size/line/associativity/latency, MSHR coalescing, and an
 // optional stream prefetcher.
 type Cache struct {
-	Name  string
-	cfg   config.CacheConfig
-	next  Level
-	sets  [][]cacheLine
+	Name string
+	cfg  config.CacheConfig
+	next Level
+	// pages holds the lines, a page of pageSets consecutive sets at a time,
+	// allocated when one of its sets first holds a line: a nil page reads as
+	// all-invalid, so a run pays only for the sets it touches.
+	pages [][]cacheLine
 	nsets uint64
 	shift uint
 	Stats CacheStats
@@ -66,8 +69,12 @@ type Cache struct {
 
 	// freeMshrs recycles MSHR entries (waiter slices keep their capacity).
 	freeMshrs []*mshr
-	// events counts observable state changes (see Level.Events).
-	events int64
+	// events counts observable state changes (see Level.Events) and due
+	// mirrors the queue head's ready time (HorizonNone when empty). A cache
+	// built alone points both at its own fields; a Hierarchy re-points them
+	// at its shared counter and its dense due array.
+	events, due       *int64
+	ownEvents, ownDue int64
 
 	// stream prefetcher state (§V-A): a small table of detected streams;
 	// consecutive same-stride line accesses on any tracked stream trigger
@@ -87,23 +94,23 @@ func NewCache(cfg config.CacheConfig, next Level) *Cache {
 		panic(fmt.Sprintf("mem: cache %q geometry invalid (%d lines, %d ways)", cfg.Name, lines, cfg.Assoc))
 	}
 	c := &Cache{
-		Name:  cfg.Name,
-		cfg:   cfg,
-		next:  next,
-		nsets: uint64(nsets),
-		mshrs: map[uint64]*mshr{},
+		Name:   cfg.Name,
+		cfg:    cfg,
+		next:   next,
+		pages:  make([][]cacheLine, (nsets+pageSets-1)/pageSets),
+		nsets:  uint64(nsets),
+		mshrs:  map[uint64]*mshr{},
+		ownDue: HorizonNone,
 	}
-	// One slab for all sets: pre-sized, contiguous, no per-set allocations.
-	slab := make([]cacheLine, lines)
-	c.sets = make([][]cacheLine, nsets)
-	for s := 0; s < nsets; s++ {
-		c.sets[s] = slab[s*cfg.Assoc : (s+1)*cfg.Assoc : (s+1)*cfg.Assoc]
-	}
+	c.events, c.due = &c.ownEvents, &c.ownDue
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.shift++
 	}
 	return c
 }
+
+// pageSets is the number of consecutive sets allocated together.
+const pageSets = 64
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.shift }
 func (c *Cache) setOf(line uint64) uint64    { return line % c.nsets }
@@ -111,22 +118,19 @@ func (c *Cache) setOf(line uint64) uint64    { return line % c.nsets }
 // Access implements Level.
 func (c *Cache) Access(req *Request, now int64) {
 	c.inflight++
-	c.events++
+	*c.events++
 	c.enqueue(req, now+c.cfg.LatencyCycles)
 }
 
 // Events implements Level.
-func (c *Cache) Events() int64 { return c.events }
+func (c *Cache) Events() int64 { return *c.events }
 
 // NextEvent implements Level: the head of the pending heap bounds the next
 // self-scheduled state change. (An MSHR-full retry is re-queued at now+1, so
 // a stalled cache deliberately reports an adjacent horizon: the retry itself
 // mutates the queue every cycle and must be simulated, not skipped.)
 func (c *Cache) NextEvent(now int64) int64 {
-	if len(c.inq) == 0 {
-		return HorizonNone
-	}
-	if r := c.inq[0].ready; r > now {
+	if r := *c.due; r > now {
 		return r
 	}
 	return now + 1
@@ -136,6 +140,7 @@ func (c *Cache) NextEvent(now int64) int64 {
 func (c *Cache) enqueue(req *Request, ready int64) {
 	c.inseq++
 	c.inq.push(reqItem{ready: ready, seq: c.inseq, req: req})
+	*c.due = c.inq[0].ready
 }
 
 // Busy implements Level.
@@ -158,10 +163,14 @@ func (c *Cache) Tick(now int64) {
 		c.process(it.req, now)
 		processed++
 	}
+	*c.due = HorizonNone
+	if len(c.inq) > 0 {
+		*c.due = c.inq[0].ready
+	}
 }
 
 func (c *Cache) process(req *Request, now int64) {
-	c.events++
+	*c.events++
 	line := c.lineAddr(req.Addr)
 	if req.Kind == Writeback {
 		// Inclusive write-back from an upper level: update the copy if
@@ -263,9 +272,19 @@ func (c *Cache) allocMshr() *mshr {
 	return &mshr{}
 }
 
+// ways returns the lines of one set, nil while its page is unallocated.
+func (c *Cache) ways(set uint64) []cacheLine {
+	pg := c.pages[set/pageSets]
+	if pg == nil {
+		return nil
+	}
+	i := int(set%pageSets) * c.cfg.Assoc
+	return pg[i : i+c.cfg.Assoc]
+}
+
 // lookup returns the resident line or nil.
 func (c *Cache) lookup(line uint64) *cacheLine {
-	set := c.sets[c.setOf(line)]
+	set := c.ways(c.setOf(line))
 	tag := line / c.nsets
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -277,8 +296,15 @@ func (c *Cache) lookup(line uint64) *cacheLine {
 
 // fill installs a line returned by the next level and wakes its waiters.
 func (c *Cache) fill(line uint64, prefetched bool, now int64) {
-	c.events++
-	set := c.sets[c.setOf(line)]
+	*c.events++
+	idx := c.setOf(line)
+	set := c.ways(idx)
+	if set == nil {
+		// First line into this page: the last page may be short.
+		first := idx / pageSets * pageSets
+		c.pages[idx/pageSets] = make([]cacheLine, int(min(pageSets, c.nsets-first))*c.cfg.Assoc)
+		set = c.ways(idx)
+	}
 	tag := line / c.nsets
 	victim := -1
 	for i := range set {
@@ -300,7 +326,7 @@ func (c *Cache) fill(line uint64, prefetched bool, now int64) {
 		if set[victim].dirty {
 			c.Stats.Writebacks++
 			wb := getRequest()
-			wb.Addr = (set[victim].tag*c.nsets + c.setOf(line)) << c.shift
+			wb.Addr = (set[victim].tag*c.nsets + idx) << c.shift
 			wb.Size = c.cfg.LineBytes
 			wb.Kind = Writeback
 			c.next.Access(wb, now)

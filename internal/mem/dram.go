@@ -90,7 +90,10 @@ type SimpleDRAM struct {
 	seq      int64
 	curEpoch int64
 	used     int64
-	events   int64
+	// events counts observable state changes: the model's own counter, or
+	// its Hierarchy's shared one.
+	events    *int64
+	ownEvents int64
 
 	logOn     bool
 	accessLog []int64 // arrival cycles, recorded when logOn
@@ -117,13 +120,15 @@ func SimpleDRAMBudget(cfg config.DRAMConfig, clockMHz, lineBytes int) (epochCycl
 // converted to lines per epoch.
 func NewSimpleDRAM(cfg config.DRAMConfig, clockMHz int, lineBytes int) *SimpleDRAM {
 	epoch, maxLines := SimpleDRAMBudget(cfg, clockMHz, lineBytes)
-	return &SimpleDRAM{
+	d := &SimpleDRAM{
 		minLat:      cfg.MinLatency,
 		epochCycles: epoch,
 		maxPerEpoch: maxLines,
 		lineBytes:   int64(lineBytes),
 		curEpoch:    -1,
 	}
+	d.events = &d.ownEvents
+	return d
 }
 
 // MaxLinesPerEpoch exposes the computed bandwidth budget (for tests).
@@ -149,7 +154,7 @@ func (d *SimpleDRAM) Access(req *Request, now int64) {
 		d.accessLog = append(d.accessLog, now)
 	}
 	d.seq++
-	d.events++
+	*d.events++
 	d.pq.push(reqItem{ready: now + d.minLat, seq: d.seq, req: req})
 }
 
@@ -157,7 +162,7 @@ func (d *SimpleDRAM) Access(req *Request, now int64) {
 func (d *SimpleDRAM) Busy() bool { return d.pq.Len() > 0 }
 
 // Events implements Level.
-func (d *SimpleDRAM) Events() int64 { return d.events }
+func (d *SimpleDRAM) Events() int64 { return *d.events }
 
 // NextEvent implements Level. A throttled DRAM promises nothing before the
 // epoch boundary that resets the bandwidth budget — but it still reports the
@@ -201,7 +206,7 @@ func (d *SimpleDRAM) Tick(now int64) {
 		}
 		it := d.pq.pop()
 		d.used++
-		d.events++
+		*d.events++
 		if it.req.Done != nil {
 			it.req.Done(now)
 		}
@@ -217,11 +222,12 @@ type BankedDRAM struct {
 	Stats DRAMStats
 	cfg   config.DRAMConfig
 
-	queue  []bankedReq
-	banks  []bankState
-	done   reqHeap
-	seq    int64
-	events int64
+	queue     []bankedReq
+	banks     []bankState
+	done      reqHeap
+	seq       int64
+	events    *int64 // as SimpleDRAM.events
+	ownEvents int64
 }
 
 type bankedReq struct {
@@ -243,7 +249,9 @@ func NewBankedDRAM(cfg config.DRAMConfig) *BankedDRAM {
 	if nb <= 0 {
 		nb = 16
 	}
-	return &BankedDRAM{cfg: cfg, banks: make([]bankState, nb)}
+	d := &BankedDRAM{cfg: cfg, banks: make([]bankState, nb)}
+	d.events = &d.ownEvents
+	return d
 }
 
 // Access implements Level.
@@ -261,7 +269,7 @@ func (d *BankedDRAM) Access(req *Request, now int64) {
 	row := req.Addr / rowBytes
 	bank := int(row) % len(d.banks)
 	d.seq++
-	d.events++
+	*d.events++
 	d.queue = append(d.queue, bankedReq{req: req, bank: bank, row: row, seq: d.seq})
 }
 
@@ -269,7 +277,7 @@ func (d *BankedDRAM) Access(req *Request, now int64) {
 func (d *BankedDRAM) Busy() bool { return len(d.queue) > 0 || d.done.Len() > 0 }
 
 // Events implements Level.
-func (d *BankedDRAM) Events() int64 { return d.events }
+func (d *BankedDRAM) Events() int64 { return *d.events }
 
 // NextEvent implements Level: the earliest of the next completion and the
 // next bank becoming free for a queued request. A request whose bank is free
@@ -299,7 +307,7 @@ func (d *BankedDRAM) NextEvent(now int64) int64 {
 func (d *BankedDRAM) Tick(now int64) {
 	for d.done.Len() > 0 && d.done[0].ready <= now {
 		it := d.done.pop()
-		d.events++
+		*d.events++
 		if it.req.Done != nil {
 			it.req.Done(now)
 		}
@@ -332,7 +340,7 @@ func (d *BankedDRAM) Tick(now int64) {
 		b.hasRow = true
 		b.openRow = br.row
 		b.nextFree = now + lat
-		d.events++
+		*d.events++
 		d.done.push(reqItem{ready: now + lat, seq: br.seq, req: br.req})
 	}
 }

@@ -14,16 +14,30 @@ type Hierarchy struct {
 	// Dir is the optional coherence directory over the private stacks.
 	Dir *Directory
 
-	shared Level // the first level below the private stacks
+	shared Level       // the first level below the private stacks
+	simple *SimpleDRAM // DRAM when it is the simple model, else nil
+	// private lists the L2s then the L1s, Tick's order; due[i] is private[i]'s
+	// queue-head ready time (Cache.due), so Tick and NextEvent read one dense
+	// array instead of asking every cache. events is every level's counter.
+	private []*Cache
+	due     []int64
+	events  int64
 }
 
 // NewHierarchy builds the hierarchy for numCores cores at the given clock.
 func NewHierarchy(cfg config.MemConfig, numCores, clockMHz int) *Hierarchy {
 	h := &Hierarchy{cfg: cfg}
 	h.DRAM = NewDRAM(cfg.DRAM, clockMHz, cfg.L1.LineBytes)
+	switch d := h.DRAM.(type) {
+	case *SimpleDRAM:
+		d.events, h.simple = &h.events, d
+	case *BankedDRAM:
+		d.events = &h.events
+	}
 	var shared Level = h.DRAM
 	if cfg.LLC != nil {
 		h.LLC = NewCache(*cfg.LLC, h.DRAM)
+		h.LLC.events = &h.events
 		shared = h.LLC
 	}
 	h.shared = shared
@@ -38,6 +52,12 @@ func NewHierarchy(cfg config.MemConfig, numCores, clockMHz int) *Hierarchy {
 			per = l2
 		}
 		h.L1s = append(h.L1s, NewCache(cfg.L1, per))
+	}
+	h.private = append(append(h.private, h.L2s...), h.L1s...)
+	h.due = make([]int64, len(h.private))
+	for i, c := range h.private {
+		h.due[i] = HorizonNone
+		c.events, c.due = &h.events, &h.due[i]
 	}
 	return h
 }
@@ -80,17 +100,17 @@ func (h *Hierarchy) AccessAt(core int, addr uint64, size int, kind Kind, now int
 }
 
 // Tick advances every level one cycle, DRAM first so fills propagate upward
-// within the same cycle ordering each time.
+// within the same cycle ordering each time. A private cache whose queue head
+// is not yet due is not called: its Tick would do nothing.
 func (h *Hierarchy) Tick(now int64) {
 	h.DRAM.Tick(now)
 	if h.LLC != nil {
 		h.LLC.Tick(now)
 	}
-	for _, l2 := range h.L2s {
-		l2.Tick(now)
-	}
-	for _, l1 := range h.L1s {
-		l1.Tick(now)
+	for i := range h.due {
+		if h.due[i] <= now {
+			h.private[i].Tick(now)
+		}
 	}
 }
 
@@ -122,35 +142,23 @@ func (h *Hierarchy) LineBytes() int { return h.cfg.L1.LineBytes }
 // (a no-op for other models), so a schedule recorder can later re-verify the
 // bandwidth budget against shifted request timings.
 func (h *Hierarchy) EnableDRAMAccessLog() {
-	if d, ok := h.DRAM.(*SimpleDRAM); ok {
-		d.EnableAccessLog()
+	if h.simple != nil {
+		h.simple.EnableAccessLog()
 	}
 }
 
 // DRAMAccessLog returns the SimpleDRAM arrival log (nil for other models or
 // when logging was never enabled).
 func (h *Hierarchy) DRAMAccessLog() []int64 {
-	if d, ok := h.DRAM.(*SimpleDRAM); ok {
-		return d.AccessLog()
+	if h.simple != nil {
+		return h.simple.AccessLog()
 	}
 	return nil
 }
 
-// Progress sums the event counters of every level; two equal readings mean
-// no level changed observable state in between.
-func (h *Hierarchy) Progress() int64 {
-	p := h.DRAM.Events()
-	if h.LLC != nil {
-		p += h.LLC.Events()
-	}
-	for _, l2 := range h.L2s {
-		p += l2.Events()
-	}
-	for _, l1 := range h.L1s {
-		p += l1.Events()
-	}
-	return p
-}
+// Progress is the event counter every level counts through; two equal
+// readings mean no level changed observable state in between.
+func (h *Hierarchy) Progress() int64 { return h.events }
 
 // NextEvent returns the earliest self-scheduled event across all levels
 // (HorizonNone when the whole hierarchy is drained).
@@ -161,33 +169,29 @@ func (h *Hierarchy) NextEvent(now int64) int64 {
 			hz = e
 		}
 	}
-	for _, l2 := range h.L2s {
-		if e := l2.NextEvent(now); e < hz {
-			hz = e
-		}
+	// The private caches' horizon is their earliest due time, or the next
+	// cycle when one is already due (Cache.NextEvent).
+	due := HorizonNone
+	for _, d := range h.due {
+		due = min(due, d)
 	}
-	for _, l1 := range h.L1s {
-		if e := l1.NextEvent(now); e < hz {
-			hz = e
-		}
-	}
-	return hz
+	return min(hz, max(due, now+1))
 }
 
 // ThrottleStalls reads the DRAM bandwidth-throttle counter (SimpleDRAM
 // only), which advances every stalled cycle and is therefore replayed — not
 // skipped — over elided cycles.
 func (h *Hierarchy) ThrottleStalls() int64 {
-	if d, ok := h.DRAM.(*SimpleDRAM); ok {
-		return d.Stats.Throttled
+	if h.simple != nil {
+		return h.simple.Stats.Throttled
 	}
 	return 0
 }
 
 // AddThrottleStalls replays n elided cycles of throttle accounting.
 func (h *Hierarchy) AddThrottleStalls(n int64) {
-	if d, ok := h.DRAM.(*SimpleDRAM); ok {
-		d.AddThrottleStalls(n)
+	if h.simple != nil {
+		h.simple.AddThrottleStalls(n)
 	}
 }
 

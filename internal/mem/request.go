@@ -75,7 +75,8 @@ type Level interface {
 	// Events returns a monotone counter incremented on every observable
 	// state change (request accepted, processed, or completed). Per-cycle
 	// stall accounting (e.g. bandwidth throttling) is NOT an event: it is
-	// replayed arithmetically over skipped cycles.
+	// replayed arithmetically over skipped cycles. The levels of one
+	// Hierarchy share a counter, so each reports the hierarchy's total.
 	Events() int64
 }
 

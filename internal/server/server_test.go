@@ -479,6 +479,27 @@ func TestAdmissionAndErrorMapping(t *testing.T) {
 			t.Errorf("%s: body does not name the field %q: %s", tc.body, tc.field, b)
 		}
 	}
+
+	// A size knob that would kill the process sizing an allocation (the
+	// first two did, on the lease goroutine, after a 201): 400 naming it.
+	const mem = `"mem":{"l1":{"name":"L1","size_kb":32,"line_bytes":%d,"assoc":8},"l2":{"name":"L2","size_kb":%d,"line_bytes":64,"assoc":8},"dram":{"model":"simple"}}`
+	for _, tc := range []struct{ topology, field string }{
+		{`"tiles":[{"kind":"ooo","overrides":{"window_size":4611686018427387904}}],` + fmt.Sprintf(mem, 64, 2048), "window_size"},
+		{`"tiles":[{"kind":"ooo"}],` + fmt.Sprintf(mem, 64, 1<<42), "size_kb"},
+		{`"tiles":[{"kind":"ooo","overrides":{"max_messages":1099511627776}}],` + fmt.Sprintf(mem, 64, 2048), "max_messages"},
+		{`"tiles":[{"kind":"ooo"}],` + fmt.Sprintf(mem, 48, 2048), "line_bytes"},
+	} {
+		body := `{"workload":"sgemm","scale":"tiny","topology":{"name":"x",` + tc.topology + `}}`
+		resp4, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp4.Body)
+		resp4.Body.Close()
+		if resp4.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), tc.field+" must be") {
+			t.Errorf("hostile %s: status %s, body %s; want 400 naming the field", tc.field, resp4.Status, b)
+		}
+	}
 }
 
 func TestListElidesReports(t *testing.T) {

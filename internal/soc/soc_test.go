@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -150,6 +151,68 @@ void kernel(double* A, double* out, long n) {
 	}
 	if sys.Fabric.Pending() != 0 {
 		t.Errorf("%d messages stuck in fabric", sys.Fabric.Pending())
+	}
+}
+
+// TestWindowRingWraps drives cores whose window is smaller than their blocks
+// (so the ring holds one oversized block at a time and wraps every few
+// launches) out of order, in order, and as a DeSC supply/compute pair whose
+// fused sends and parked recvs reach across the wrap: every traced
+// instruction retires, and skipping changes nothing.
+func TestWindowRingWraps(t *testing.T) {
+	const pairSrc = `
+void kernel(double* A, double* B, double* out, long n) {
+  if (tile_id() == 0) {
+    for (long i = 0; i < n; i++) {
+      send(1, A[i]);
+      send(1, B[i]);
+    }
+  } else {
+    for (long i = 0; i < n; i++) {
+      out[i] = recv_double(0);
+      out[i] = out[i] + recv_double(0);
+    }
+  }
+}
+`
+	desc := config.InOrderCore()
+	desc.DecoupledSupply = true
+	for _, tc := range []struct {
+		name  string
+		src   string
+		tiles int
+		core  config.CoreConfig
+	}{
+		{"ooo", spmdVecAdd, 1, config.OutOfOrderCore()},
+		{"inorder", spmdVecAdd, 1, config.InOrderCore()},
+		{"desc-pair", pairSrc, 2, desc},
+	} {
+		for _, window := range []int{1, 3} {
+			g, tr := traceSPMD(t, tc.src, tc.tiles, vecSetup(300), nil)
+			tc.core.WindowSize = window
+			var results []Result
+			for _, noskip := range []bool{true, false} {
+				sys, err := NewSPMD(&config.SystemConfig{
+					Name:  tc.name,
+					Cores: []config.CoreSpec{{Core: tc.core, Count: tc.tiles}},
+					Mem:   config.TableIIMem(),
+				}, g, tr, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.DisableCycleSkipping = noskip
+				if err := sys.Run(context.Background(), 200_000_000); err != nil {
+					t.Fatalf("%s window %d: %v", tc.name, window, err)
+				}
+				results = append(results, sys.Result())
+			}
+			if got, want := results[0].Instrs, tr.TotalDynInstrs(); got != want || want < 1000 {
+				t.Errorf("%s window %d: retired %d instructions, trace has %d (want > 1000)", tc.name, window, got, want)
+			}
+			if !reflect.DeepEqual(results[0], results[1]) {
+				t.Errorf("%s window %d: results diverge with cycle skipping:\nnaive: %+v\nskip:  %+v", tc.name, window, results[0], results[1])
+			}
+		}
 	}
 }
 

@@ -91,8 +91,12 @@ func (t *CoreTile) Kind() string { return t.kind }
 // ClockMHz implements Tile.
 func (t *CoreTile) ClockMHz() int { return t.C.Cfg.ClockMHz }
 
-// Step implements Tile.
+// Step implements Tile. A finished tile is never asked to replay, so it
+// skips the stall sample too.
 func (t *CoreTile) Step(now int64) bool {
+	if t.C.Done() {
+		return false
+	}
 	t.pre = t.stalls()
 	return t.C.Step(now)
 }

@@ -321,20 +321,21 @@ func (g *gen) condExpr() string {
 // bit patterns of the A, B, and F arrays afterwards. Two opt configs are
 // behaviorally equivalent for src exactly when their snapshots match.
 func Snapshot(src string, opt ir.OptConfig) ([]uint64, error) {
-	image, _, err := Run(src, opt)
+	image, _, _, err := Run(src, opt)
 	return image, err
 }
 
-// Run is Snapshot that also returns the dynamic trace of the run, so the
-// interpreter's own output can be pinned on generated kernels.
-func Run(src string, opt ir.OptConfig) ([]uint64, *trace.Trace, error) {
+// Run is Snapshot that also returns the compiled kernel and the dynamic trace
+// of the run, so the interpreter's own output and the timing model's can be
+// pinned on generated kernels.
+func Run(src string, opt ir.OptConfig) ([]uint64, *ir.Function, *trace.Trace, error) {
 	mod, err := cc.CompileWithOpt(src, "testgen", opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	f := mod.Func("kernel")
 	if f == nil {
-		return nil, nil, errors.New("testgen: generated module has no kernel function")
+		return nil, nil, nil, errors.New("testgen: generated module has no kernel function")
 	}
 	mem := interp.NewMemory(1 << 20)
 	defer mem.Release()
@@ -356,7 +357,7 @@ func Run(src string, opt ir.OptConfig) ([]uint64, *trace.Trace, error) {
 	args := []uint64{interp.ArgPtr(pa), interp.ArgPtr(pb), interp.ArgPtr(pf), interp.ArgI64(N)}
 	res, err := interp.Run(f, mem, args, interp.Options{MaxSteps: 1 << 26})
 	if err != nil {
-		return nil, nil, fmt.Errorf("testgen: interp at %s: %w", opt, err)
+		return nil, nil, nil, fmt.Errorf("testgen: interp at %s: %w", opt, err)
 	}
 
 	out := make([]uint64, 0, 3*N)
@@ -369,5 +370,5 @@ func Run(src string, opt ir.OptConfig) ([]uint64, *trace.Trace, error) {
 	for i := 0; i < N; i++ {
 		out = append(out, mem.LoadScalar(pf+uint64(8*i), ir.F64))
 	}
-	return out, res.Trace, nil
+	return out, f, res.Trace, nil
 }

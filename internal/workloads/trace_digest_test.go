@@ -203,7 +203,7 @@ func traceDigestCases() []digestCase {
 	})
 	for seed := int64(1); seed <= 200; seed++ {
 		add(fmt.Sprintf("testgen/seed%03d@O0", seed), func() (traceDigest, error) {
-			image, tr, err := testgen.Run(testgen.Source(seed), ir.OptConfig{Level: "O0"})
+			image, _, tr, err := testgen.Run(testgen.Source(seed), ir.OptConfig{Level: "O0"})
 			if err != nil {
 				return traceDigest{}, err
 			}
