@@ -9,7 +9,7 @@
 //
 //	mosaicsim -list
 //	mosaicsim -workload sgemm -tiles 4 -core ooo
-//	mosaicsim -workload spmv -config sys.json -json
+//	mosaicsim -workload spmv -topology sys.json -json
 //	mosaicsim -workload sgemm -topology configs/core-accel.json
 //	mosaicsim -workload projection -topology dae-pair
 //	mosaicsim -workload bfs,spmv,sgemm -tiles 8 -jobs 4
@@ -68,10 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	coherence := fs.Bool("coherence", false, "enable the directory coherence extension")
 	mesh := fs.Int("mesh", 0, "arrange tiles on a 2D mesh of this width (0 = flat fabric)")
 	hop := fs.Int64("hop", 4, "NoC per-hop latency in cycles (with -mesh)")
-	branch := fs.String("branch", "", "override branch predictor: none, static, dynamic, perfect")
+	branch := fs.String("branch", "", "override every tile's branch predictor: none, static, dynamic, perfect")
 	asJSON := fs.Bool("json", false, "emit the result as JSON instead of tables")
-	cfgPath := fs.String("config", "", "system configuration JSON (overrides -core/-mem/-tiles)")
-	topology := fs.String("topology", "", "declarative topology: a JSON file (see configs/) or a preset name (spmd-xeon, dae-pair, core-accel)")
+	topology := fs.String("topology", "", "system configuration (overrides -core/-mem/-tiles): a JSON file (see configs/, -save-config) or a preset name (spmd-xeon, dae-pair, core-accel)")
 	saveCfg := fs.String("save-config", "", "write the effective system configuration to a JSON file and exit")
 	jobs := fs.Int("jobs", 0, "max concurrent workload simulations (0 = all CPU cores)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole sweep (0 = none)")
@@ -159,46 +158,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	configFor := func(w *workloads.Workload) (*config.SystemConfig, error) {
 		var sc *config.SystemConfig
-		if *topology != "" {
-			if *cfgPath != "" {
-				return nil, fmt.Errorf("-topology and -config are mutually exclusive")
-			}
-			var err error
-			if _, statErr := os.Stat(*topology); statErr == nil {
-				sc, err = config.Load(*topology)
-			} else {
-				sc, err = config.TopologyPreset(*topology)
-			}
-			if err != nil {
-				return nil, err
-			}
-		} else if *cfgPath != "" {
-			var err error
-			sc, err = config.Load(*cfgPath)
-			if err != nil {
-				return nil, err
-			}
+		var err error
+		if *topology == "" {
+			sc, err = config.Flat(w.Name, *coreKind, *memKind, *tiles)
+		} else if _, statErr := os.Stat(*topology); statErr == nil {
+			sc, err = config.Load(*topology)
 		} else {
-			var core config.CoreConfig
-			switch *coreKind {
-			case "ooo":
-				core = config.OutOfOrderCore()
-			case "inorder":
-				core = config.InOrderCore()
-			case "xeon":
-				core = config.XeonLikeCore()
-			default:
-				return nil, fmt.Errorf("unknown core %q", *coreKind)
-			}
-			mem := config.TableIIMem()
-			if *memKind == "tab1" {
-				mem = config.TableIMem()
-			}
-			sc = &config.SystemConfig{
-				Name:  fmt.Sprintf("%s-%dx%s", w.Name, *tiles, *coreKind),
-				Cores: []config.CoreSpec{{Core: core, Count: *tiles}},
-				Mem:   mem,
-			}
+			sc, err = config.TopologyPreset(*topology)
+		}
+		if err != nil {
+			return nil, err
 		}
 		switch *dram {
 		case "":
@@ -217,23 +186,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sc.NoC = &config.NoCConfig{MeshWidth: *mesh, HopCycles: *hop}
 		}
 		if *branch != "" {
-			// The override reaches only the cores form; on a tiles-form file
-			// it would be dropped silently.
-			if *topology != "" || len(sc.Tiles) > 0 {
-				return nil, fmt.Errorf("-branch cannot override a declarative topology; set it per tile in the file")
+			// One more override on every tile definition, over whatever the
+			// definition sets; resolution validates the name.
+			for i := range sc.Tiles {
+				td := &sc.Tiles[i]
+				over := map[string]json.RawMessage{}
+				if len(td.Overrides) > 0 && json.Unmarshal(td.Overrides, &over) != nil {
+					continue // malformed overrides: resolution reports them
+				}
+				over["branch"], _ = json.Marshal(*branch)
+				td.Overrides, _ = json.Marshal(over)
 			}
-			for i := range sc.Cores {
-				sc.Cores[i].Core.Branch = config.BranchPredictor(*branch)
-			}
-		}
-		if err := sc.Validate(); err != nil {
-			return nil, err
 		}
 		return sc, nil
 	}
 
 	if *saveCfg != "" {
 		sc, err := configFor(ws[0])
+		if err == nil {
+			_, err = soc.Resolve(sc, false)
+		}
 		if err != nil {
 			return fatal(err)
 		}
@@ -294,22 +266,22 @@ func runOne(ctx context.Context, w *workloads.Workload, configFor func(*workload
 	if err != nil {
 		return "", err
 	}
-	refClock, err := soc.ReferenceClockMHz(sc)
+	topo, err := soc.Resolve(sc, false)
 	if err != nil {
 		return "", err
 	}
 	s, err := sim.NewSession(sim.Options{
 		Workload:             w,
 		Scale:                wScale,
-		Config:               sc,
-		Accels:               workloads.DefaultAccelModels(refClock),
+		Topology:             topo,
+		Accels:               workloads.DefaultAccelModels(topo.RefClockMHz()),
 		DisableCycleSkipping: noskip,
 		Replay:               replay,
 	})
 	if err != nil {
 		return "", err
 	}
-	tiles := sc.TileCount()
+	tiles := len(topo.Tiles)
 	var sb strings.Builder
 	tr, err := s.Trace(ctx)
 	if err != nil {

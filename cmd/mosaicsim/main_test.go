@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,8 +13,24 @@ import (
 	"mosaicsim/internal/soc"
 )
 
-// tilesFormConfig is a shipped config in the declarative tiles form.
+// tilesFormConfig is a shipped config in the tiles spelling.
 const tilesFormConfig = "../../configs/spmd-xeon.json"
+
+// coresFormConfig writes the same machine the way -save-config spelled it
+// before configs were normalised to tiles, and returns the file's path.
+func coresFormConfig(t *testing.T) string {
+	t.Helper()
+	sc := &config.SystemConfig{
+		Name:  "spmd-xeon",
+		Cores: []config.CoreSpec{{Core: config.XeonLikeCore(), Count: 4}},
+		Mem:   config.TableIMem(),
+	}
+	path := filepath.Join(t.TempDir(), "cores.json")
+	if err := sc.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 func runCLI(args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
@@ -23,7 +41,6 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 // TestFlagCombinations drives run through flag combinations whose handling
 // lives in main.go: exit code, and what must appear on stdout or stderr.
 func TestFlagCombinations(t *testing.T) {
-	const noBranchOverride = "-branch cannot override a declarative topology"
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -36,13 +53,16 @@ func TestFlagCombinations(t *testing.T) {
 		{"tiny run", []string{"-workload", "sgemm", "-scale", "tiny"}, 0, "simulation result", ""},
 		{"replay off", []string{"-workload", "sgemm", "-scale", "tiny", "-replay=false"}, 0, "cycles stepped", ""},
 		{"unknown workload", []string{"-workload", "sgem"}, 2, "", `did you mean "sgemm"?`},
-		// -branch rewrites the cores form only: on a tiles-form file it used
-		// to be dropped silently; it is the error -topology always gave.
-		{"branch with a tiles-form config", []string{"-workload", "sgemm", "-scale", "tiny", "-config", tilesFormConfig, "-branch", "none"}, 1, "", noBranchOverride},
-		{"branch with a topology file", []string{"-workload", "sgemm", "-scale", "tiny", "-topology", tilesFormConfig, "-branch", "none"}, 1, "", noBranchOverride},
-		{"branch with a topology preset", []string{"-workload", "sgemm", "-scale", "tiny", "-topology", "spmd-xeon", "-branch", "none"}, 1, "", noBranchOverride},
+		// -branch is one more override on every tile, however the system is
+		// named (TestBranchOverrideReachesTheRun checks it changes the run).
+		{"branch with a tiles-form config", []string{"-workload", "sgemm", "-scale", "tiny", "-topology", tilesFormConfig, "-branch", "none"}, 0, "simulation result", ""},
+		{"branch with a topology file", []string{"-workload", "sgemm", "-scale", "tiny", "-topology", coresFormConfig(t), "-branch", "none"}, 0, "simulation result", ""},
+		{"branch with a topology preset", []string{"-workload", "sgemm", "-scale", "tiny", "-topology", "spmd-xeon", "-branch", "none"}, 0, "simulation result", ""},
 		{"misspelled branch", []string{"-workload", "sgemm", "-scale", "tiny", "-branch", "dynamc"}, 1, "", `unknown branch predictor "dynamc" (did you mean "dynamic"?)`},
-		{"topology with config", []string{"-workload", "sgemm", "-topology", "spmd-xeon", "-config", tilesFormConfig}, 1, "", "-topology and -config are mutually exclusive"},
+		{"misspelled branch on a topology", []string{"-workload", "sgemm", "-scale", "tiny", "-topology", "dae-pair", "-branch", "dynamc"}, 1, "", `unknown branch predictor "dynamc" (did you mean "dynamic"?)`},
+		// -config was a second spelling of -topology <file> and is gone.
+		{"topology with config", []string{"-workload", "sgemm", "-topology", "spmd-xeon", "-config", tilesFormConfig}, 2, "", "flag provided but not defined: -config"},
+		{"no tiles", []string{"-workload", "sgemm", "-tiles", "0"}, 1, "", "tile count must be positive"},
 		{"O with passes", []string{"-workload", "sgemm", "-O", "O2", "-passes", "dce"}, 2, "", "mutually exclusive"},
 		// -noreplay was a second spelling of -replay=false and is gone.
 		{"noreplay", []string{"-workload", "sgemm", "-noreplay"}, 2, "", "flag provided but not defined: -noreplay"},
@@ -65,22 +85,76 @@ func TestFlagCombinations(t *testing.T) {
 	}
 }
 
-// TestHostileConfigSizesAreErrors: a -config whose window or cache size would
-// have killed the process in makeslice is exit 1 naming the knob.
+// TestHostileConfigSizesAreErrors: a -topology file whose window or cache size
+// would have killed the process in makeslice, or whose window could never hold
+// an instruction, is exit 1 naming the knob.
 func TestHostileConfigSizesAreErrors(t *testing.T) {
-	for field, mut := range map[string]func(*config.SystemConfig){
-		"window_size": func(sc *config.SystemConfig) { sc.Cores[0].Core.WindowSize = 1 << 62 },
-		"size_kb":     func(sc *config.SystemConfig) { sc.Mem.L2.SizeKB = 1 << 42 },
+	over := func(js string) func(*config.SystemConfig) {
+		return func(sc *config.SystemConfig) {
+			sc.Tiles = []config.TileDef{{Kind: "ooo", Overrides: json.RawMessage(js)}}
+		}
+	}
+	for name, tc := range map[string]struct {
+		mut  func(*config.SystemConfig)
+		want string
+	}{
+		"huge window":       {func(sc *config.SystemConfig) { sc.Tiles[0].Core.WindowSize = 1 << 62 }, "window_size must be at most"},
+		"huge cache":        {func(sc *config.SystemConfig) { sc.Mem.L2.SizeKB = 1 << 42 }, "size_kb must be at most"},
+		"override window 0": {over(`{"window_size": 0}`), "window_size must be at least 1"},
+		"override issue -3": {over(`{"issue_width": -3}`), "issue_width must be at least 1"},
+		"override lsq -1":   {over(`{"lsq_size": -1}`), "lsq_size must be at least 1"},
 	} {
 		sc := config.XeonSystem(1)
-		mut(sc)
+		tc.mut(sc)
 		path := filepath.Join(t.TempDir(), "hostile.json")
 		if err := sc.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		code, stdout, stderr := runCLI("-workload", "sgemm", "-scale", "tiny", "-config", path)
-		if code != 1 || stdout != "" || !strings.Contains(stderr, field+" must be at most") {
-			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 naming the knob", field, code, stdout, stderr)
+		for _, extra := range [][]string{nil, {"-noskip"}} {
+			code, stdout, stderr := runCLI(append([]string{"-workload", "sgemm", "-scale", "tiny", "-topology", path}, extra...)...)
+			if code != 1 || stdout != "" || !strings.Contains(stderr, tc.want) {
+				t.Errorf("%s %v: exit %d, stdout %q, stderr %q; want exit 1 naming the knob", name, extra, code, stdout, stderr)
+			}
+		}
+	}
+}
+
+// TestSaveConfigWritesTilesSpelling: -save-config writes the tiles spelling
+// whatever it read, and a cores-spelling file resolves to the topology its
+// rewrite does.
+func TestSaveConfigWritesTilesSpelling(t *testing.T) {
+	in := coresFormConfig(t)
+	resolve := func(path string) *soc.Topology {
+		t.Helper()
+		sc, err := config.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := soc.Resolve(sc, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	for name, args := range map[string][]string{
+		"from a cores file": {"-topology", in},
+		"from flags":        {"-tiles", "4", "-core", "xeon", "-mem", "tab1", "-branch", "perfect"},
+	} {
+		out := filepath.Join(t.TempDir(), "out.json")
+		if code, _, stderr := runCLI(append([]string{"-workload", "sgemm", "-save-config", out}, args...)...); code != 0 {
+			t.Fatalf("%s: exit %d: %s", name, code, stderr)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(`"tiles"`)) || bytes.Contains(data, []byte(`"cores"`)) {
+			t.Errorf("%s: -save-config did not write the tiles spelling:\n%s", name, data)
+		}
+		got, want := resolve(out), resolve(in)
+		got.Name = want.Name
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the saved file resolves differently:\n got: %+v\nwant: %+v", name, got, want)
 		}
 	}
 }
@@ -112,13 +186,28 @@ func TestJSONOutputIsTheResult(t *testing.T) {
 	}
 }
 
-// TestBranchOverrideReachesTheRun: where -branch is accepted it changes the
-// simulated machine (the Xeon-like core ships with a static predictor).
+// TestBranchOverrideReachesTheRun: -branch changes the simulated machine (the
+// Xeon-like core ships with a perfect predictor) the same way however the
+// machine is named: by flags, by preset, by a file in either spelling.
 func TestBranchOverrideReachesTheRun(t *testing.T) {
-	base := []string{"-workload", "sgemm", "-scale", "tiny", "-tiles", "4", "-core", "xeon", "-mem", "tab1"}
-	asShipped := jsonResult(t, base...)
-	none := jsonResult(t, append(base, "-branch", "none")...)
-	if none.Cycles <= asShipped.Cycles {
-		t.Errorf("-branch none: %d cycles, the shipped predictor %d; no speculation should cost cycles", none.Cycles, asShipped.Cycles)
+	var shipped, none []soc.Result
+	for _, system := range [][]string{
+		{"-tiles", "4", "-core", "xeon", "-mem", "tab1"},
+		{"-topology", "spmd-xeon"},
+		{"-topology", tilesFormConfig},
+		{"-topology", coresFormConfig(t)},
+	} {
+		base := append([]string{"-workload", "sgemm", "-scale", "tiny"}, system...)
+		shipped = append(shipped, jsonResult(t, base...))
+		none = append(none, jsonResult(t, append(base, "-branch", "none")...))
+	}
+	if none[0].Cycles <= shipped[0].Cycles {
+		t.Errorf("-branch none: %d cycles, the shipped predictor %d; no speculation should cost cycles", none[0].Cycles, shipped[0].Cycles)
+	}
+	for i := range shipped {
+		if !reflect.DeepEqual(shipped[i], shipped[0]) || !reflect.DeepEqual(none[i], none[0]) {
+			t.Errorf("system %d: the same machine simulates differently (%d / %d cycles, want %d / %d)",
+				i, shipped[i].Cycles, none[i].Cycles, shipped[0].Cycles, none[0].Cycles)
+		}
 	}
 }

@@ -67,7 +67,7 @@ func main() {
 	// 3. Replay the trace on the Table II out-of-order core.
 	cfg := &mosaicsim.SystemConfig{
 		Name:  "quickstart",
-		Cores: []mosaicsim.CoreSpec{{Core: mosaicsim.OutOfOrderCore(), Count: 1}},
+		Tiles: []mosaicsim.TileDef{{Kind: "ooo"}},
 		Mem:   mosaicsim.TableIIMem(),
 	}
 	res, err := mosaicsim.Simulate(cfg, k, tr, nil)

@@ -175,42 +175,52 @@ next:
 }
 
 // SizeError reports a knob whose value cannot size the structure it
-// configures: above its limit, or a cache line that is not a power of two.
+// configures: outside its range, or a cache line that is not a power of two.
 type SizeError struct {
-	Owner string // `core "ooo"`, `cache "L2"`, "dram"
+	Owner string // `core "ooo"`, `cache "L2"`, "dram", "system"
 	Field string // the knob's JSON key
 	Value int
-	Want  string // "at most 65536", "a power of two"
+	Want  string // "at least 1", "at most 65536", "a power of two"
 }
 
 func (e *SizeError) Error() string {
 	return fmt.Sprintf("%s: %s must be %s, got %d", e.Owner, e.Field, e.Want, e.Value)
 }
 
-// knob is one bounded size field: its JSON key, its value and its limit.
+// knob is one bounded size field: its JSON key, its value and its range
+// (min 0: no lower bound).
 type knob struct {
-	field        string
-	value, limit int
+	field           string
+	value, min, max int
 }
 
-// checkLimits returns a SizeError for the first knob above its limit.
-func checkLimits(owner string, knobs ...knob) error {
+// checkKnobs returns a SizeError for the first knob outside its range.
+func checkKnobs(owner string, knobs ...knob) error {
 	for _, k := range knobs {
-		if k.value > k.limit {
-			return &SizeError{Owner: owner, Field: k.field, Value: k.value, Want: fmt.Sprintf("at most %d", k.limit)}
+		want := ""
+		switch {
+		case k.min > 0 && k.value < k.min:
+			want = fmt.Sprintf("at least %d", k.min)
+		case k.value > k.max:
+			want = fmt.Sprintf("at most %d", k.max)
+		default:
+			continue
 		}
+		return &SizeError{Owner: owner, Field: k.field, Value: k.value, Want: want}
 	}
 	return nil
 }
 
-// validate rejects what the timing core would otherwise get wrong without a
-// word: a size knob above MaxEntries (the process dies sizing the window), a
-// per-class map key that names no instruction class (the default applies)
-// and a branch predictor that names no model (it simulates as "none", as the
-// empty value, which stays accepted, does).
-func (c *CoreConfig) validate() error {
-	if err := checkLimits(fmt.Sprintf("core %q", c.Name), knob{"issue_width", c.IssueWidth, MaxEntries}, knob{"window_size", c.WindowSize, MaxEntries},
-		knob{"lsq_size", c.LSQSize, MaxEntries}, knob{"max_messages", c.MaxMessages, MaxEntries}); err != nil {
+// Validate rejects what the timing core would otherwise get wrong without a
+// word: an issue width, window or LSQ below one entry (the core never issues
+// and the run spins to its cycle limit), a size knob above MaxEntries (the
+// process dies sizing the window), a per-class map key that names no
+// instruction class (the default applies) and a branch predictor that names
+// no model (it simulates as "none", as the empty value, which stays accepted,
+// does). soc.Resolve calls it once per tile definition, on the resolved core.
+func (c *CoreConfig) Validate() error {
+	if err := checkKnobs(fmt.Sprintf("core %q", c.Name), knob{"issue_width", c.IssueWidth, 1, MaxEntries}, knob{"window_size", c.WindowSize, 1, MaxEntries},
+		knob{"lsq_size", c.LSQSize, 1, MaxEntries}, knob{"max_messages", c.MaxMessages, 0, MaxEntries}); err != nil {
 		return err
 	}
 	if n, ok := unknownClass(c.Latencies); ok {
@@ -297,10 +307,11 @@ type NoCConfig struct {
 	HopCycles int64 `json:"hop_cycles"`
 }
 
-// SystemConfig describes a whole simulated SoC. Tiles are declared either
-// through Cores (the legacy homogeneous form: full inline core configs) or
-// through Tiles (the declarative form: preset kinds with overrides, roles,
-// and NoC placement); exactly one of the two must be set.
+// SystemConfig describes a whole simulated SoC. Tiles are declared in one of
+// two input spellings, of which exactly one must be set: Tiles (preset kinds
+// with overrides, roles and NoC placement) or Cores (full inline core
+// configs, the older homogeneous spelling). TileDefs reads either as tile
+// definitions; soc.Resolve turns those into the one form the simulator holds.
 type SystemConfig struct {
 	Name  string     `json:"name"`
 	Cores []CoreSpec `json:"cores,omitempty"`
@@ -327,6 +338,29 @@ type CoreSpec struct {
 	Count int        `json:"count"`
 }
 
+// TileDefs returns the tile declarations in the tiles spelling, whichever
+// way the config spells them: a cores entry reads as a tile definition with
+// an explicit core. It is the only reader of Cores.
+func (sc *SystemConfig) TileDefs() ([]TileDef, error) {
+	switch {
+	case len(sc.Cores) == 0 && len(sc.Tiles) == 0:
+		return nil, fmt.Errorf("config %q: no cores or tiles", sc.Name)
+	case len(sc.Cores) == 0:
+		return sc.Tiles, nil
+	case len(sc.Tiles) > 0:
+		return nil, fmt.Errorf("config %q: declare tiles through either cores or tiles, not both", sc.Name)
+	}
+	tds := make([]TileDef, len(sc.Cores))
+	for i := range sc.Cores {
+		cs := &sc.Cores[i]
+		if cs.Count <= 0 {
+			return nil, fmt.Errorf("config %q: core %q count must be positive", sc.Name, cs.Core.Name)
+		}
+		tds[i] = TileDef{Core: &cs.Core, Count: cs.Count}
+	}
+	return tds, nil
+}
+
 // Tile roles. A role binds a tile to one of the kernel artifacts the
 // topology is simulated against: RoleSPMD tiles replay the whole kernel,
 // RoleAccess/RoleExecute tiles replay the DAE slices (§VII-A). Access and
@@ -337,6 +371,14 @@ const (
 	RoleAccess  = "access"
 	RoleExecute = "execute"
 )
+
+// DAERole is the role of tile i in a topology of access/execute pairs.
+func DAERole(i int) string {
+	if i%2 == 0 {
+		return RoleAccess
+	}
+	return RoleExecute
+}
 
 // TileDef declares Count tiles of one kind in a heterogeneous topology.
 type TileDef struct {
@@ -357,22 +399,8 @@ type TileDef struct {
 	// Overrides is a partial CoreConfig JSON object merged field-by-field
 	// onto the preset (e.g. {"issue_width": 2, "max_live_dbb": 4}).
 	Overrides json.RawMessage `json:"overrides,omitempty"`
-	// Core is a complete explicit core configuration, bypassing Kind and
-	// Overrides.
+	// Core is a complete explicit core configuration, bypassing Kind.
 	Core *CoreConfig `json:"core,omitempty"`
-}
-
-// TileCount is the number of tiles the config instantiates, over either
-// declaration form.
-func (sc *SystemConfig) TileCount() int {
-	n := 0
-	for _, cs := range sc.Cores {
-		n += cs.Count
-	}
-	for _, td := range sc.Tiles {
-		n += td.count()
-	}
-	return n
 }
 
 // MaxTiles bounds the tiles one system may declare. Validation and expansion
@@ -386,24 +414,29 @@ const MaxTiles = 4096
 // makeslice (or takes the host's memory) and the whole process with it.
 // MaxEntries bounds a core's window, LSQ, issue width and message buffers and
 // a cache's ways, MSHRs and prefetch degree (largest shipped: 512);
-// MaxCacheKB a cache's size (largest shipped: 20 MB); MaxDRAMBanks the banked
-// model's channels and banks per channel.
+// MaxCacheKB a cache's size (largest shipped: 20 MB); MaxSystemCacheKB the
+// private caches of every tile plus the LLC (largest shipped: 64 tiles of
+// 2,080 KB; every tile a system may declare at that size fits, 4,096 caches
+// of 1 GiB do not), the cheap first line of a run's memory budget;
+// MaxDRAMBanks the banked model's channels and banks per channel.
 const (
-	MaxEntries   = 1 << 16
-	MaxCacheKB   = 1 << 20
-	MaxDRAMBanks = 1 << 10
+	MaxEntries       = 1 << 16
+	MaxCacheKB       = 1 << 20
+	MaxSystemCacheKB = 1 << 24
+	MaxDRAMBanks     = 1 << 10
 )
 
-// count is the effective tile count of one TileDef.
-func (td *TileDef) count() int {
+// Instances is the number of tiles the definition instantiates.
+func (td *TileDef) Instances() int {
 	if td.Count == 0 {
 		return 1
 	}
 	return td.Count
 }
 
-// Load reads a SystemConfig from a JSON file. Unknown fields are errors, so
-// a misspelled or retired knob is named instead of silently ignored.
+// Load reads a SystemConfig from a JSON file, in the tiles spelling whichever
+// way the file spells it. Unknown fields are errors, so a misspelled or
+// retired knob is named instead of silently ignored.
 func Load(path string) (*SystemConfig, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -415,6 +448,10 @@ func Load(path string) (*SystemConfig, error) {
 	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("config %s: %w", path, err)
 	}
+	if sc.Tiles, err = sc.TileDefs(); err != nil {
+		return nil, err
+	}
+	sc.Cores = nil
 	return &sc, nil
 }
 
@@ -427,41 +464,19 @@ func (sc *SystemConfig) Save(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// Validate checks a configuration for structural errors. Tile-kind names
-// are resolved later, by the tile registry in internal/soc, which owns the
-// set of registered kinds.
+// Validate checks everything that needs no tile registry: the shape of the
+// tile declarations, the role pairing, the caches and the DRAM. Tile kinds,
+// the resolved cores and the NoC placement are soc.Resolve's to check, and
+// Resolve runs Validate first.
 func (sc *SystemConfig) Validate() error {
-	if len(sc.Cores) == 0 && len(sc.Tiles) == 0 {
-		return fmt.Errorf("config %q: no cores or tiles", sc.Name)
-	}
-	if len(sc.Cores) > 0 && len(sc.Tiles) > 0 {
-		return fmt.Errorf("config %q: declare tiles through either cores or tiles, not both", sc.Name)
+	tds, err := sc.TileDefs()
+	if err != nil {
+		return err
 	}
 	if sc.FabricLatency != nil && *sc.FabricLatency < 0 {
 		return fmt.Errorf("config %q: fabric_latency must be >= 0, got %d", sc.Name, *sc.FabricLatency)
 	}
-	total := 0
-	for _, cs := range sc.Cores {
-		total += min(cs.Count, MaxTiles+1) // clamped: the sum cannot overflow
-	}
-	for i := range sc.Tiles {
-		total += min(sc.Tiles[i].count(), MaxTiles+1)
-	}
-	if total > MaxTiles {
-		return fmt.Errorf("config %q: more than %d tiles", sc.Name, MaxTiles)
-	}
-	for _, cs := range sc.Cores {
-		if cs.Count <= 0 {
-			return fmt.Errorf("config %q: core %q count must be positive", sc.Name, cs.Core.Name)
-		}
-		if cs.Core.IssueWidth <= 0 || cs.Core.WindowSize <= 0 || cs.Core.LSQSize <= 0 {
-			return fmt.Errorf("config %q: core %q needs positive issue width, window, and LSQ", sc.Name, cs.Core.Name)
-		}
-		if err := cs.Core.validate(); err != nil {
-			return fmt.Errorf("config %q: %w", sc.Name, err)
-		}
-	}
-	if err := sc.validateTiles(); err != nil {
+	if err := sc.validateTiles(tds); err != nil {
 		return err
 	}
 	for _, cc := range []*CacheConfig{&sc.Mem.L1, sc.Mem.L2, sc.Mem.LLC} {
@@ -472,8 +487,8 @@ func (sc *SystemConfig) Validate() error {
 			return fmt.Errorf("config %q: cache %q needs positive size, line, assoc", sc.Name, cc.Name)
 		}
 		owner := fmt.Sprintf("cache %q", cc.Name)
-		err := checkLimits(owner, knob{"size_kb", cc.SizeKB, MaxCacheKB}, knob{"assoc", cc.Assoc, MaxEntries},
-			knob{"mshrs", cc.MSHRs, MaxEntries}, knob{"prefetch_degree", cc.PrefetchDegree, MaxEntries})
+		err := checkKnobs(owner, knob{"size_kb", cc.SizeKB, 0, MaxCacheKB}, knob{"assoc", cc.Assoc, 0, MaxEntries},
+			knob{"mshrs", cc.MSHRs, 0, MaxEntries}, knob{"prefetch_degree", cc.PrefetchDegree, 0, MaxEntries})
 		if err == nil && cc.LineBytes&(cc.LineBytes-1) != 0 {
 			// The caches index by shift, the directory by division.
 			err = &SizeError{Owner: owner, Field: "line_bytes", Value: cc.LineBytes, Want: "a power of two"}
@@ -489,26 +504,30 @@ func (sc *SystemConfig) Validate() error {
 	if sc.Mem.DRAM.Model == "" {
 		return fmt.Errorf("config %q: DRAM model unset", sc.Name)
 	}
-	if err := checkLimits("dram", knob{"channels", sc.Mem.DRAM.Channels, MaxDRAMBanks}, knob{"banks", sc.Mem.DRAM.Banks, MaxDRAMBanks}); err != nil {
+	if err := checkKnobs("dram", knob{"channels", sc.Mem.DRAM.Channels, 0, MaxDRAMBanks}, knob{"banks", sc.Mem.DRAM.Banks, 0, MaxDRAMBanks}); err != nil {
 		return fmt.Errorf("config %q: %w", sc.Name, err)
 	}
-	return sc.validateNoC()
+	return nil
 }
 
-// validateTiles checks the declarative tile list: counts, roles, clocks,
-// explicit core configs, the DAE pairing constraint, and mesh-slot shape.
-func (sc *SystemConfig) validateTiles() error {
-	var roles []string
-	pinned, unpinned := 0, 0
-	for i, td := range sc.Tiles {
-		if td.Count < 0 {
-			return fmt.Errorf("config %q: tile %d: negative count %d", sc.Name, i, td.Count)
+// validateTiles checks the tile declarations: the system's size, then each
+// entry's count and role, that it names a kind or carries a core, and that a
+// pinned mesh slot pins one tile; last the DAE pairing constraint.
+func (sc *SystemConfig) validateTiles(tds []TileDef) error {
+	total := 0
+	for i := range tds {
+		if tds[i].Count < 0 { // before the sum, which a negative count would hide a huge one from
+			return fmt.Errorf("config %q: tile %d: negative count %d", sc.Name, i, tds[i].Count)
 		}
+		total += min(tds[i].Instances(), MaxTiles+1) // clamped: the sum cannot overflow
+	}
+	if total > MaxTiles {
+		return fmt.Errorf("config %q: more than %d tiles", sc.Name, MaxTiles)
+	}
+	var roles []string
+	for i, td := range tds {
 		if td.Kind == "" && td.Core == nil {
 			return fmt.Errorf("config %q: tile %d: needs a kind or an explicit core config", sc.Name, i)
-		}
-		if td.ClockMHz < 0 {
-			return fmt.Errorf("config %q: tile %d (%s): negative clock %d MHz", sc.Name, i, td.label(), td.ClockMHz)
 		}
 		switch td.Role {
 		case "", RoleSPMD, RoleAccess, RoleExecute:
@@ -516,41 +535,12 @@ func (sc *SystemConfig) validateTiles() error {
 			return fmt.Errorf("config %q: tile %d (%s): unknown role %q (want %s, %s, or %s)",
 				sc.Name, i, td.label(), td.Role, RoleSPMD, RoleAccess, RoleExecute)
 		}
-		if td.Core != nil {
-			if td.Core.IssueWidth <= 0 || td.Core.WindowSize <= 0 || td.Core.LSQSize <= 0 {
-				return fmt.Errorf("config %q: tile %d (%s): explicit core needs positive issue width, window, and LSQ", sc.Name, i, td.label())
-			}
-			if err := td.Core.validate(); err != nil {
-				return fmt.Errorf("config %q: tile %d: %w", sc.Name, i, err)
-			}
+		if td.MeshSlot != nil && td.Instances() > 1 {
+			return fmt.Errorf("config %q: tile %d (%s): mesh_slot requires count 1, got %d", sc.Name, i, td.label(), td.Instances())
 		}
-		if len(td.Overrides) > 0 {
-			// Only names are checked here; malformed or unknown override
-			// fields are the tile registry's strict decode to report.
-			over := CoreConfig{Name: td.label()}
-			if json.Unmarshal(td.Overrides, &over) == nil {
-				if err := over.validate(); err != nil {
-					return fmt.Errorf("config %q: tile %d overrides: %w", sc.Name, i, err)
-				}
-			}
-		}
-		if td.MeshSlot != nil {
-			if td.count() > 1 {
-				return fmt.Errorf("config %q: tile %d (%s): mesh_slot requires count 1, got %d", sc.Name, i, td.label(), td.count())
-			}
-			pinned++
-		} else {
-			unpinned += td.count()
-		}
-		for k := 0; k < td.count(); k++ {
+		for k := 0; k < td.Instances(); k++ {
 			roles = append(roles, td.Role)
 		}
-	}
-	if pinned > 0 && unpinned > 0 {
-		return fmt.Errorf("config %q: either every tile pins a mesh_slot or none does (%d pinned, %d not)", sc.Name, pinned, unpinned)
-	}
-	if pinned > 0 && sc.NoC == nil {
-		return fmt.Errorf("config %q: mesh_slot set but no NoC configured", sc.Name)
 	}
 	return validateRoles(sc.Name, roles)
 }
@@ -560,62 +550,16 @@ func (sc *SystemConfig) validateTiles() error {
 // access/execute pairs, because the slicer's tile_id()/2 rewriting pairs
 // tile 2i with tile 2i+1.
 func validateRoles(name string, roles []string) error {
-	dae := false
-	for _, r := range roles {
-		if r == RoleAccess || r == RoleExecute {
-			dae = true
-			break
-		}
-	}
-	if !dae {
+	if !slices.Contains(roles, RoleAccess) && !slices.Contains(roles, RoleExecute) {
 		return nil
 	}
 	if len(roles)%2 != 0 {
 		return fmt.Errorf("config %q: access/execute tiles must form pairs, got %d tiles", name, len(roles))
 	}
 	for i, r := range roles {
-		want := RoleAccess
-		if i%2 == 1 {
-			want = RoleExecute
-		}
-		if r != want {
+		if want := DAERole(i); r != want {
 			return fmt.Errorf("config %q: tile %d must have role %q (access/execute tiles alternate, access first), got %q", name, i, want, r)
 		}
-	}
-	return nil
-}
-
-// validateNoC rejects mesh geometries that cannot place every tile: before
-// this check, an undersized MeshWidth silently computed off-grid coordinates
-// in Fabric.transferLatency and charged nonsense hop counts.
-func (sc *SystemConfig) validateNoC() error {
-	if sc.NoC == nil {
-		return nil
-	}
-	w := sc.NoC.MeshWidth
-	if w <= 0 {
-		return fmt.Errorf("config %q: NoC mesh width must be positive, got %d", sc.Name, w)
-	}
-	if sc.NoC.HopCycles < 0 {
-		return fmt.Errorf("config %q: NoC hop latency must be non-negative, got %d", sc.Name, sc.NoC.HopCycles)
-	}
-	n := sc.TileCount()
-	if w*w < n {
-		return fmt.Errorf("config %q: a %dx%d mesh has %d slots but the system has %d tiles", sc.Name, w, w, w*w, n)
-	}
-	slots := map[int]bool{}
-	for i, td := range sc.Tiles {
-		if td.MeshSlot == nil {
-			continue
-		}
-		s := *td.MeshSlot
-		if s < 0 || s >= w*w {
-			return fmt.Errorf("config %q: tile %d (%s): mesh_slot %d outside the %dx%d mesh", sc.Name, i, td.label(), s, w, w)
-		}
-		if slots[s] {
-			return fmt.Errorf("config %q: mesh_slot %d pinned twice", sc.Name, s)
-		}
-		slots[s] = true
 	}
 	return nil
 }

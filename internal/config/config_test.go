@@ -1,4 +1,4 @@
-package config
+package config_test
 
 import (
 	"encoding/json"
@@ -6,7 +6,19 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	. "mosaicsim/internal/config"
+	"mosaicsim/internal/soc"
 )
+
+// validate is what every driver does with a config before simulating it:
+// resolve it. Resolution runs SystemConfig.Validate and then checks what only
+// the resolved form shows (tile kinds, merged cores, NoC placement), so these
+// tests sit outside the package to reach it.
+func validate(sc *SystemConfig) error {
+	_, err := soc.Resolve(sc, false)
+	return err
+}
 
 func TestPresetsValidate(t *testing.T) {
 	systems := []*SystemConfig{
@@ -17,7 +29,7 @@ func TestPresetsValidate(t *testing.T) {
 		{Name: "accel", Cores: []CoreSpec{{Core: AcceleratorTileCore(8), Count: 1}}, Mem: TableIIMem()},
 	}
 	for _, sc := range systems {
-		if err := sc.Validate(); err != nil {
+		if err := validate(sc); err != nil {
 			t.Errorf("%s: %v", sc.Name, err)
 		}
 	}
@@ -62,8 +74,8 @@ func TestTableIParameters(t *testing.T) {
 	if sc.Mem.DRAM.BandwidthGBs != 68 {
 		t.Errorf("Table I DRAM bandwidth wrong: %+v", sc.Mem.DRAM)
 	}
-	if sc.Cores[0].Core.ClockMHz != 3200 {
-		t.Errorf("Table I frequency wrong: %d", sc.Cores[0].Core.ClockMHz)
+	if sc.Tiles[0].Core.ClockMHz != 3200 {
+		t.Errorf("Table I frequency wrong: %d", sc.Tiles[0].Core.ClockMHz)
 	}
 }
 
@@ -103,35 +115,34 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got.Name != sc.Name || len(got.Cores) != 1 || got.Cores[0].Count != 4 {
+	if got.Name != sc.Name || len(got.Tiles) != 1 || got.Tiles[0].Count != 4 {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
 	if got.Mem.LLC == nil || got.Mem.LLC.SizeKB != sc.Mem.LLC.SizeKB {
 		t.Errorf("LLC lost in round trip: %+v", got.Mem.LLC)
 	}
-	if err := got.Validate(); err != nil {
+	if err := validate(got); err != nil {
 		t.Errorf("loaded config invalid: %v", err)
 	}
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	bad := XeonSystem(1)
-	bad.Cores[0].Count = 0
-	if bad.Validate() == nil {
+	bad := &SystemConfig{Name: "bad", Cores: []CoreSpec{{Core: XeonLikeCore()}}, Mem: TableIMem()}
+	if validate(bad) == nil {
 		t.Error("zero-count core accepted")
 	}
 	bad2 := XeonSystem(1)
 	bad2.Mem.L1.Assoc = 7 // 512 lines not divisible by 7
-	if bad2.Validate() == nil {
+	if validate(bad2) == nil {
 		t.Error("non-integral sets accepted")
 	}
 	bad3 := &SystemConfig{Name: "empty"}
-	if bad3.Validate() == nil {
+	if validate(bad3) == nil {
 		t.Error("empty system accepted")
 	}
 	bad4 := XeonSystem(1)
-	bad4.Cores[0].Core.IssueWidth = 0
-	if bad4.Validate() == nil {
+	bad4.Tiles[0].Core.IssueWidth = 0
+	if validate(bad4) == nil {
 		t.Error("zero issue width accepted")
 	}
 }
@@ -140,7 +151,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 // instruction class used to be ignored silently (the default applied). It is
 // a typed error now, in every form a core config can be declared in.
 func TestValidateRejectsUnknownClassNames(t *testing.T) {
-	legacy := XeonSystem(1)
+	legacy := &SystemConfig{Name: "l", Cores: []CoreSpec{{Core: XeonLikeCore(), Count: 1}}, Mem: TableIMem()}
 	legacy.Cores[0].Core.Latencies = map[string]int64{"fp_mul": 5, "fp_mull": 7}
 	explicit := OutOfOrderCore()
 	explicit.FunctionalUnits = map[string]int{"alu": 2}
@@ -155,7 +166,7 @@ func TestValidateRejectsUnknownClassNames(t *testing.T) {
 		"explicit core":  {tiles(TileDef{Core: &explicit}), "functional_units", "alu"},
 		"tile overrides": {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"latencies": {"branchy": 2}}`)}), "latencies", "branchy"},
 	} {
-		err := tc.sc.Validate()
+		err := validate(tc.sc)
 		var uce *UnknownClassError
 		if !errors.As(err, &uce) {
 			t.Errorf("%s: Validate = %v, want an UnknownClassError", name, err)
@@ -171,9 +182,9 @@ func TestValidateRejectsUnknownClassNames(t *testing.T) {
 		}
 	}
 	ok := XeonSystem(1)
-	ok.Cores[0].Core.Latencies = map[string]int64{"fp_mul": 5}
-	ok.Cores[0].Core.FunctionalUnits = map[string]int{"mem": 2}
-	if err := ok.Validate(); err != nil {
+	ok.Tiles[0].Core.Latencies = map[string]int64{"fp_mul": 5}
+	ok.Tiles[0].Core.FunctionalUnits = map[string]int{"mem": 2}
+	if err := validate(ok); err != nil {
 		t.Errorf("valid class names rejected: %v", err)
 	}
 }
@@ -183,7 +194,7 @@ func TestValidateRejectsUnknownClassNames(t *testing.T) {
 // an error with a suggestion now, in every form a core config can be declared
 // in; the empty value and the four real names stay accepted.
 func TestValidateRejectsUnknownBranchPredictor(t *testing.T) {
-	legacy := XeonSystem(1)
+	legacy := &SystemConfig{Name: "l", Cores: []CoreSpec{{Core: XeonLikeCore(), Count: 1}}, Mem: TableIMem()}
 	legacy.Cores[0].Core.Branch = "dynamc"
 	explicit := OutOfOrderCore()
 	explicit.Branch = "statik"
@@ -196,10 +207,10 @@ func TestValidateRejectsUnknownBranchPredictor(t *testing.T) {
 	}{
 		"legacy cores":   {legacy, []string{`unknown branch predictor "dynamc"`, `did you mean "dynamic"?`}},
 		"explicit core":  {tiles(TileDef{Core: &explicit}), []string{"tile 0", `"statik"`, `did you mean "static"?`}},
-		"tile overrides": {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"branch": "perfekt"}`)}), []string{"tile 0 overrides", `did you mean "perfect"?`}},
+		"tile overrides": {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"branch": "perfekt"}`)}), []string{"tile 0", `did you mean "perfect"?`}},
 		"nothing close":  {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"branch": "tournament"}`)}), []string{`"tournament"`, "valid: none, static, dynamic, perfect"}},
 	} {
-		err := tc.sc.Validate()
+		err := validate(tc.sc)
 		if err == nil {
 			t.Errorf("%s: Validate accepted the config", name)
 			continue
@@ -212,11 +223,11 @@ func TestValidateRejectsUnknownBranchPredictor(t *testing.T) {
 	}
 	for _, b := range []BranchPredictor{"", BranchNone, BranchStatic, BranchDynamic, BranchPerfect} {
 		ok := XeonSystem(1)
-		ok.Cores[0].Core.Branch = b
-		if err := ok.Validate(); err != nil {
+		ok.Tiles[0].Core.Branch = b
+		if err := validate(ok); err != nil {
 			t.Errorf("branch %q rejected: %v", b, err)
 		}
-		if err := tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"branch": "` + string(b) + `"}`)}).Validate(); err != nil {
+		if err := validate(tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"branch": "` + string(b) + `"}`)})); err != nil {
 			t.Errorf("override branch %q rejected: %v", b, err)
 		}
 	}
@@ -228,7 +239,7 @@ func TestValidateRejectsUnknownBranchPredictor(t *testing.T) {
 // did the same in mem.NewCache, and a 48-byte line silently modelled 32.
 func TestValidateBoundsSizeKnobs(t *testing.T) {
 	legacy := func(mut func(*CoreConfig)) *SystemConfig {
-		sc := XeonSystem(1)
+		sc := &SystemConfig{Name: "l", Cores: []CoreSpec{{Core: XeonLikeCore(), Count: 1}}, Mem: TableIMem()}
 		mut(&sc.Cores[0].Core)
 		return sc
 	}
@@ -251,14 +262,26 @@ func TestValidateBoundsSizeKnobs(t *testing.T) {
 		"explicit core lsq": {tiles(TileDef{Core: &explicit}), "lsq_size", "at most 65536"},
 		"override messages": {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"max_messages": 1099511627776}`)}), "max_messages", "at most 65536"},
 		"override window":   {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"window_size": 4611686018427387904}`)}), "window_size", "at most 65536"},
-		"cache size":        {mem(func(m *MemConfig) { m.L2.SizeKB = 1 << 42 }), "size_kb", "at most 1048576"},
-		"cache assoc":       {mem(func(m *MemConfig) { m.LLC.Assoc = 1 << 20 }), "assoc", "at most 65536"},
-		"cache mshrs":       {mem(func(m *MemConfig) { m.L1.MSHRs = 1 << 31 }), "mshrs", "at most 65536"},
-		"cache prefetch":    {mem(func(m *MemConfig) { m.L1.PrefetchDegree = 1 << 40 }), "prefetch_degree", "at most 65536"},
-		"48-byte line":      {mem(func(m *MemConfig) { m.L1.LineBytes = 48 }), "line_bytes", "a power of two"},
-		"dram banks":        {mem(func(m *MemConfig) { m.DRAM.Banks = 1 << 31 }), "banks", "at most 1024"},
+		// A non-positive size used to pass when it arrived in overrides: the
+		// core never issued and the run span to its cycle limit.
+		"override window 0":  {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"window_size": 0}`)}), "window_size", "at least 1"},
+		"override window -4": {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"window_size": -4}`)}), "window_size", "at least 1"},
+		"override issue 0":   {tiles(TileDef{Kind: "inorder", Overrides: json.RawMessage(`{"issue_width": 0}`)}), "issue_width", "at least 1"},
+		"override issue -3":  {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"issue_width": -3}`)}), "issue_width", "at least 1"},
+		"override lsq -1":    {tiles(TileDef{Kind: "ooo", Overrides: json.RawMessage(`{"lsq_size": -1}`)}), "lsq_size", "at least 1"},
+		"legacy lsq 0":       {legacy(func(c *CoreConfig) { c.LSQSize = 0 }), "lsq_size", "at least 1"},
+		"cache size":         {mem(func(m *MemConfig) { m.L2.SizeKB = 1 << 42 }), "size_kb", "at most 1048576"},
+		"cache assoc":        {mem(func(m *MemConfig) { m.LLC.Assoc = 1 << 20 }), "assoc", "at most 65536"},
+		"cache mshrs":        {mem(func(m *MemConfig) { m.L1.MSHRs = 1 << 31 }), "mshrs", "at most 65536"},
+		"cache prefetch":     {mem(func(m *MemConfig) { m.L1.PrefetchDegree = 1 << 40 }), "prefetch_degree", "at most 65536"},
+		"48-byte line":       {mem(func(m *MemConfig) { m.L1.LineBytes = 48 }), "line_bytes", "a power of two"},
+		"dram banks":         {mem(func(m *MemConfig) { m.DRAM.Banks = 1 << 31 }), "banks", "at most 1024"},
+		// Each knob within its bound, the system as a whole beyond the host.
+		"4096 tiles x 1 GiB": {&SystemConfig{Name: "big", Tiles: []TileDef{{Kind: "ooo", Count: MaxTiles}},
+			Mem: MemConfig{L1: CacheConfig{Name: "L1", SizeKB: MaxCacheKB, LineBytes: 64, Assoc: 8}, DRAM: TableIIMem().DRAM}},
+			"size_kb", "at most 16777216 over all 4096 tiles' caches and the LLC"},
 	} {
-		err := tc.sc.Validate()
+		err := validate(tc.sc)
 		var se *SizeError
 		if !errors.As(err, &se) {
 			t.Errorf("%s: Validate = %v, want a SizeError", name, err)
@@ -268,12 +291,18 @@ func TestValidateBoundsSizeKnobs(t *testing.T) {
 			t.Errorf("%s: error %q names %s / %s, want %s / %s", name, err, se.Field, se.Want, tc.field, tc.want)
 		}
 	}
-	if err := mem(func(m *MemConfig) { m.L1.SizeKB, m.L1.LineBytes = 1, 2048 }).Validate(); err == nil {
+	if err := validate(mem(func(m *MemConfig) { m.L1.SizeKB, m.L1.LineBytes = 1, 2048 })); err == nil {
 		t.Error("a cache smaller than one line accepted (mem.NewCache panics on zero sets)")
 	}
 	atLimit := legacy(func(c *CoreConfig) { c.WindowSize, c.LSQSize, c.MaxMessages = MaxEntries, MaxEntries, MaxEntries })
-	if err := atLimit.Validate(); err != nil {
+	if err := validate(atLimit); err != nil {
 		t.Errorf("knobs at their limits rejected: %v", err)
+	}
+	mesh64 := &SystemConfig{Name: "mesh64", Tiles: []TileDef{{Kind: "ooo", Count: 64}}, Mem: TableIIMem(), NoC: &NoCConfig{MeshWidth: 8, HopCycles: 4}}
+	for _, sc := range []*SystemConfig{mesh64, XeonSystem(16), {Name: "full", Tiles: []TileDef{{Kind: "ooo", Count: MaxTiles}}, Mem: TableIIMem()}} {
+		if err := validate(sc); err != nil {
+			t.Errorf("%s: shipped cache sizes rejected: %v", sc.Name, err)
+		}
 	}
 }
 
@@ -300,9 +329,9 @@ func TestExtensionFieldsRoundTrip(t *testing.T) {
 	sc.Mem.Directory = true
 	sc.Mem.DirInvCycles = 44
 	sc.NoC = &NoCConfig{MeshWidth: 2, HopCycles: 7}
-	sc.Cores[0].Core.Branch = BranchDynamic
-	sc.Cores[0].Core.DecoupledSupply = true
-	sc.Cores[0].Core.AtomicExtraLatency = 55
+	sc.Tiles[0].Core.Branch = BranchDynamic
+	sc.Tiles[0].Core.DecoupledSupply = true
+	sc.Tiles[0].Core.AtomicExtraLatency = 55
 	if err := sc.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +345,7 @@ func TestExtensionFieldsRoundTrip(t *testing.T) {
 	if got.NoC == nil || got.NoC.MeshWidth != 2 || got.NoC.HopCycles != 7 {
 		t.Errorf("NoC fields lost: %+v", got.NoC)
 	}
-	c := got.Cores[0].Core
+	c := got.Tiles[0].Core
 	if c.Branch != BranchDynamic || !c.DecoupledSupply || c.AtomicExtraLatency != 55 {
 		t.Errorf("core extension fields lost: %+v", c)
 	}

@@ -127,13 +127,39 @@ func BankedDRAMDefaults(bandwidthGBs float64) DRAMConfig {
 	}
 }
 
+// Homogeneous returns a system of count identical tiles over mem, in the
+// tiles spelling; every driver that builds a system from parts starts here.
+func Homogeneous(name string, core CoreConfig, count int, mem MemConfig) *SystemConfig {
+	return &SystemConfig{Name: name, Tiles: []TileDef{{Core: &core, Count: count}}, Mem: mem}
+}
+
+// Flat lowers the flat (workload, core, mem, tiles) description that
+// mosaicsim's flags and a job spec's fields share into a system config.
+func Flat(workload, core, mem string, tiles int) (*SystemConfig, error) {
+	var c CoreConfig
+	switch core {
+	case "ooo":
+		c = OutOfOrderCore()
+	case "inorder":
+		c = InOrderCore()
+	case "xeon":
+		c = XeonLikeCore()
+	default:
+		return nil, fmt.Errorf("unknown core %q", core)
+	}
+	if tiles <= 0 {
+		return nil, fmt.Errorf("tile count must be positive, got %d", tiles)
+	}
+	m := TableIIMem()
+	if mem == "tab1" {
+		m = TableIMem()
+	}
+	return Homogeneous(fmt.Sprintf("%s-%dx%s", workload, tiles, core), c, tiles, m), nil
+}
+
 // XeonSystem returns the Table I system with n cores.
 func XeonSystem(n int) *SystemConfig {
-	return &SystemConfig{
-		Name:  "xeon-e5-2667v3",
-		Cores: []CoreSpec{{Core: XeonLikeCore(), Count: n}},
-		Mem:   TableIMem(),
-	}
+	return Homogeneous("xeon-e5-2667v3", XeonLikeCore(), n, TableIMem())
 }
 
 // DeSCOverrides is the partial core config that turns the in-order tile

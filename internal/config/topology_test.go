@@ -1,4 +1,4 @@
-package config
+package config_test
 
 import (
 	"encoding/json"
@@ -6,6 +6,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mosaicsim/internal/cc"
+	. "mosaicsim/internal/config"
+	"mosaicsim/internal/ddg"
+	"mosaicsim/internal/interp"
+	"mosaicsim/internal/soc"
 )
 
 // TestTopologyRoundTrip checks Save → Load is lossless for every named
@@ -18,7 +24,7 @@ func TestTopologyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.Validate(); err != nil {
+		if err := validate(sc); err != nil {
 			t.Fatalf("preset %s does not validate: %v", name, err)
 		}
 		path := filepath.Join(dir, name+".json")
@@ -29,7 +35,7 @@ func TestTopologyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := got.Validate(); err != nil {
+		if err := validate(got); err != nil {
 			t.Errorf("reloaded %s does not validate: %v", name, err)
 		}
 		want, _ := json.Marshal(sc)
@@ -83,10 +89,12 @@ func TestTileDefValidation(t *testing.T) {
 			Tiles: []TileDef{{Kind: "ooo"}}}, "not both"},
 		{"negative count", SystemConfig{Name: "x", Mem: mem,
 			Tiles: []TileDef{{Kind: "ooo", Count: -2}}}, "negative count"},
+		{"negative count beside a huge one", SystemConfig{Name: "x", Mem: mem,
+			Tiles: []TileDef{{Kind: "ooo", Count: 1 << 40}, {Kind: "ooo", Count: -1}}}, "negative count"},
 		{"kindless", SystemConfig{Name: "x", Mem: mem,
 			Tiles: []TileDef{{}}}, "needs a kind"},
 		{"negative clock", SystemConfig{Name: "x", Mem: mem,
-			Tiles: []TileDef{{Kind: "ooo", ClockMHz: -1}}}, "negative clock"},
+			Tiles: []TileDef{{Kind: "ooo", ClockMHz: -1}}}, "clock must be positive"},
 		{"bad role", SystemConfig{Name: "x", Mem: mem,
 			Tiles: []TileDef{{Kind: "ooo", Role: "acess"}}}, "unknown role"},
 		{"unpaired dae", SystemConfig{Name: "x", Mem: mem,
@@ -115,7 +123,7 @@ func TestTileDefValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.sc.Validate()
+			err := validate(&tc.sc)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Validate() = %v, want error containing %q", err, tc.want)
 			}
@@ -132,14 +140,16 @@ func TestLegacyMeshStillValidated(t *testing.T) {
 		Mem:   TableIIMem(),
 		NoC:   &NoCConfig{MeshWidth: 2, HopCycles: 4},
 	}
-	if err := sc.Validate(); err == nil {
+	if err := validate(&sc); err == nil {
 		t.Error("legacy Cores config with undersized mesh validated")
 	}
 }
 
-// FuzzTopologyLoad drives the topology loader with arbitrary JSON: Load must
-// never panic, and anything that loads and validates must survive a
-// Save → Load → marshal round trip unchanged.
+// FuzzTopologyLoad drives the topology loader with arbitrary JSON: Load and
+// Resolve must never panic, anything that loads and validates must survive a
+// Save → Load → marshal round trip unchanged, and anything that resolves must
+// build against a trace of as many tiles: resolution leaves no topology or
+// geometry error for the builder to find.
 func FuzzTopologyLoad(f *testing.F) {
 	for _, name := range TopologyPresets() {
 		sc, err := TopologyPreset(name)
@@ -156,6 +166,17 @@ func FuzzTopologyLoad(f *testing.F) {
 	f.Add([]byte(`{"name":"x","tiles":[{"kind":"ooo","mesh_slot":9}]}`))
 	f.Add([]byte(`{not json`))
 	f.Add([]byte(`{"name":"x","cores":[{"count":-1}]}`))
+	mem := `"mem":{"l1":{"size_kb":32,"line_bytes":64,"assoc":8},"dram":{"model":"simple"}}`
+	for _, over := range []string{`"window_size":0`, `"window_size":-4`, `"issue_width":0`, `"issue_width":-3`, `"lsq_size":-1`} {
+		f.Add([]byte(`{"name":"x","tiles":[{"kind":"ooo","overrides":{` + over + `}}],` + mem + `}`))
+	}
+	f.Add([]byte(`{"name":"x","tiles":[{"kind":"ooo","mesh_slot":3},{"kind":"inorder","mesh_slot":0}],"noc":{"mesh_width":2},` + mem + `}`))
+	mod, err := cc.Compile("void kernel() {}", "fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	kernel := mod.Func("kernel")
+	g := ddg.Build(kernel)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "in.json")
@@ -166,21 +187,36 @@ func FuzzTopologyLoad(f *testing.F) {
 		if err != nil {
 			return // malformed input is allowed to fail, not to panic
 		}
-		if err := sc.Validate(); err != nil {
+		if sc.Validate() == nil {
+			out := filepath.Join(dir, "out.json")
+			if err := sc.Save(out); err != nil {
+				t.Fatalf("valid config failed to save: %v", err)
+			}
+			back, err := Load(out)
+			if err != nil {
+				t.Fatalf("saved config failed to reload: %v", err)
+			}
+			want, _ := json.Marshal(sc)
+			have, _ := json.Marshal(back)
+			if string(want) != string(have) {
+				t.Errorf("round trip not stable:\nbefore: %s\n after: %s", want, have)
+			}
+		}
+		topo, err := soc.Resolve(sc, false)
+		if err != nil || len(topo.Tiles) > 16 {
 			return
 		}
-		out := filepath.Join(dir, "out.json")
-		if err := sc.Save(out); err != nil {
-			t.Fatalf("valid config failed to save: %v", err)
+		for _, rt := range topo.Tiles {
+			if rt.Cfg.WindowSize > 4096 || rt.Cfg.LSQSize > 4096 {
+				return // Build sizes every window; geometry is what is checked here
+			}
 		}
-		back, err := Load(out)
+		res, err := interp.Run(kernel, interp.NewMemory(1<<12), nil, interp.Options{NumTiles: len(topo.Tiles)})
 		if err != nil {
-			t.Fatalf("saved config failed to reload: %v", err)
+			t.Fatal(err)
 		}
-		want, _ := json.Marshal(sc)
-		have, _ := json.Marshal(back)
-		if string(want) != string(have) {
-			t.Errorf("round trip not stable:\nbefore: %s\n after: %s", want, have)
+		if _, err := soc.Build(topo, soc.Binding{Graph: g, Access: g, Execute: g, Trace: res.Trace}, nil); err != nil {
+			t.Errorf("resolved topology does not build: %v", err)
 		}
 	})
 }

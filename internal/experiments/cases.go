@@ -32,7 +32,7 @@ func Tab1() *Report {
 	sc := config.XeonSystem(16)
 	tbl := stats.NewTable("Table I — evaluation system (Intel Xeon E5-2667 v3 substitute)", "parameter", "value")
 	tbl.Row("Sockets, Cores", "2 sockets, 8 cores each (16 simulated tiles)")
-	tbl.Row("Node Technology and Frequency", fmt.Sprintf("22nm, %d MHz", sc.Cores[0].Core.ClockMHz))
+	tbl.Row("Node Technology and Frequency", fmt.Sprintf("22nm, %d MHz", sc.Tiles[0].Core.ClockMHz))
 	tbl.Row("L1-D", fmt.Sprintf("%dKB private / %d-way", sc.Mem.L1.SizeKB, sc.Mem.L1.Assoc))
 	tbl.Row("L2", fmt.Sprintf("%dMB private / %d-way", sc.Mem.L2.SizeKB/1024, sc.Mem.L2.Assoc))
 	tbl.Row("LLC", fmt.Sprintf("%dMB shared / %d-way", sc.Mem.LLC.SizeKB/1024, sc.Mem.LLC.Assoc))
@@ -40,7 +40,7 @@ func Tab1() *Report {
 	return &Report{ID: "tab1", Title: "Evaluation system", Table: tbl,
 		Values: map[string]float64{
 			"l1_kb": float64(sc.Mem.L1.SizeKB), "llc_kb": float64(sc.Mem.LLC.SizeKB),
-			"dram_gbs": sc.Mem.DRAM.BandwidthGBs, "clock_mhz": float64(sc.Cores[0].Core.ClockMHz),
+			"dram_gbs": sc.Mem.DRAM.BandwidthGBs, "clock_mhz": float64(sc.Tiles[0].Core.ClockMHz),
 		}}
 }
 

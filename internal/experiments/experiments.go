@@ -118,19 +118,9 @@ func (r *Runner) legs(ctx context.Context, fns []func(context.Context) (int64, e
 	return out, err
 }
 
-// system builds a homogeneous Table II style system config as a declarative
-// one-entry tile list.
-func system(name string, core config.CoreConfig, count int, mem config.MemConfig) *config.SystemConfig {
-	return &config.SystemConfig{
-		Name:  name,
-		Tiles: []config.TileDef{{Core: &core, Count: count}},
-		Mem:   mem,
-	}
-}
-
 // cyclesOn runs workload w on a homogeneous system and returns cycles.
 func (r *Runner) cyclesOn(ctx context.Context, w *workloads.Workload, core config.CoreConfig, count int, mem config.MemConfig, accels map[string]soc.AccelModel) (int64, error) {
-	s, err := r.session(w, sim.Options{Config: system(w.Name, core, count, mem), Accels: accels})
+	s, err := r.session(w, sim.Options{Config: config.Homogeneous(w.Name, core, count, mem), Accels: accels})
 	if err != nil {
 		return 0, err
 	}

@@ -108,12 +108,7 @@ func ReferenceCore() config.CoreConfig {
 func System(g *ddg.Graph, tr *trace.Trace, accels map[string]soc.AccelModel) (*soc.System, error) {
 	ref := ReferenceCore()
 	ref.AtomicExtraLatency = 25 + 20*int64(len(tr.Tiles)-1)
-	cfg := &config.SystemConfig{
-		Name:  "href",
-		Cores: []config.CoreSpec{{Core: ref, Count: len(tr.Tiles)}},
-		Mem:   config.TableIMem(),
-	}
-	sys, err := soc.NewSPMD(cfg, g, tr, accels)
+	sys, err := soc.NewSPMD(config.Homogeneous("href", ref, len(tr.Tiles), config.TableIMem()), g, tr, accels)
 	if err != nil {
 		return nil, err
 	}

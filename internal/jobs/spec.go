@@ -110,12 +110,9 @@ func (s Spec) Normalize() (Spec, error) {
 		if err != nil {
 			return s, fmt.Errorf("jobs: %w", err)
 		}
-		if err := sc.Validate(); err != nil {
-			return s, fmt.Errorf("jobs: %w", err)
-		}
-		// Resolve tile kinds now so an unknown kind is rejected at
+		// Resolve now, so a bad size or an unknown kind is rejected at
 		// admission with a did-you-mean, not after queuing.
-		if _, err := soc.ExpandTiles(sc); err != nil {
+		if _, err := soc.Resolve(sc, false); err != nil {
 			return s, fmt.Errorf("jobs: %w", err)
 		}
 	} else {
@@ -259,59 +256,25 @@ func (s Spec) SessionOptions(cache *sim.Cache) (sim.Options, error) {
 	if !opt.IsDefault() {
 		w = w.WithOpt(opt)
 	}
-	if sc, err := s.topology(); err != nil {
-		return sim.Options{}, err
-	} else if sc != nil {
-		if err := sc.Validate(); err != nil {
-			return sim.Options{}, err
-		}
-		refClock, err := soc.ReferenceClockMHz(sc)
-		if err != nil {
-			return sim.Options{}, err
-		}
-		// Slicing is inferred by the session from the topology's roles.
-		return sim.Options{
-			Workload:             w,
-			Scale:                s.scale(),
-			Config:               sc,
-			Accels:               workloads.DefaultAccelModels(refClock),
-			Limit:                s.Limit,
-			DisableCycleSkipping: s.NoSkip,
-			Replay:               s.Replay != nil && *s.Replay,
-			Cache:                cache,
-		}, nil
-	}
-	var core config.CoreConfig
-	switch s.Core {
-	case "inorder":
-		core = config.InOrderCore()
-	case "xeon":
-		core = config.XeonLikeCore()
-	default:
-		core = config.OutOfOrderCore()
-	}
-	mem := config.TableIIMem()
-	if s.Mem == "tab1" {
-		mem = config.TableIMem()
-	}
-	sc := &config.SystemConfig{
-		Name:  fmt.Sprintf("%s-%dx%s", w.Name, s.Tiles, s.Core),
-		Cores: []config.CoreSpec{{Core: core, Count: s.Tiles}},
-		Mem:   mem,
-	}
-	if err := sc.Validate(); err != nil {
+	sc, err := s.topology()
+	if err != nil {
 		return sim.Options{}, err
 	}
-	slicing := sim.SliceNone
-	if s.Slicing == "dae" {
-		slicing = sim.SliceDAE
+	if sc == nil {
+		if sc, err = config.Flat(w.Name, s.Core, s.Mem, s.Tiles); err != nil {
+			return sim.Options{}, err
+		}
+	}
+	// Only the flat form names a slicing; a topology's roles speak for it.
+	topo, err := soc.Resolve(sc, s.Slicing == "dae")
+	if err != nil {
+		return sim.Options{}, err
 	}
 	return sim.Options{
 		Workload:             w,
 		Scale:                s.scale(),
-		Config:               sc,
-		Slicing:              slicing,
-		Accels:               workloads.DefaultAccelModels(sc.Cores[0].Core.ClockMHz),
+		Topology:             topo,
+		Accels:               workloads.DefaultAccelModels(topo.RefClockMHz()),
 		Limit:                s.Limit,
 		DisableCycleSkipping: s.NoSkip,
 		Replay:               s.Replay != nil && *s.Replay,

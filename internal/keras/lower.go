@@ -162,12 +162,8 @@ func (m *Model) SimulateTrainingStep(ctx context.Context, batch int, useAccel bo
 	}
 	s, err := sim.NewSession(sim.Options{
 		Workload: w,
-		Config: &config.SystemConfig{
-			Name:  m.Name,
-			Cores: []config.CoreSpec{{Core: host, Count: 1}},
-			Mem:   config.TableIIMem(),
-		},
-		Accels: accels,
+		Config:   config.Homogeneous(m.Name, host, 1, config.TableIIMem()),
+		Accels:   accels,
 	})
 	if err != nil {
 		return soc.Result{}, err

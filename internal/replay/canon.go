@@ -7,10 +7,8 @@ package replay
 // capacities, cache geometry, the DRAM model — must hash differently (so
 // the leg provably misses and falls back to full simulation).
 //
-// The canonical form is computed over the RESOLVED topology (declarative
-// tile definitions carry raw-JSON overrides, so only the expanded per-tile
-// core configs compare meaningfully) with every classifiable knob
-// normalized away:
+// The canonical form is computed over the resolved topology with every
+// classifiable knob normalized away:
 //
 //   - names (never affect timing);
 //   - per-core MispredictPenalty, AtomicExtraLatency, and the mem-class
@@ -78,7 +76,6 @@ func canonCache(c config.CacheConfig) config.CacheConfig {
 }
 
 func canonMem(m config.MemConfig) config.MemConfig {
-	m = deepCopyMem(m)
 	m.L1 = canonCache(m.L1)
 	if m.L2 != nil {
 		c := canonCache(*m.L2)
@@ -115,38 +112,26 @@ func canonNoC(n *config.NoCConfig) *config.NoCConfig {
 	return &c
 }
 
-// canonicalize resolves and normalizes a system config.
-func canonicalize(sc *config.SystemConfig) (*canonForm, []soc.ResolvedTile, error) {
-	rts, err := soc.ExpandTiles(sc)
-	if err != nil {
-		return nil, nil, err
+// CanonJSON renders a topology's canonical form. A session marshals its own
+// topology once: the bytes hash into the schedule key (StructHash) and are
+// what Classify compares against a recorded schedule's.
+func CanonJSON(t *soc.Topology) ([]byte, error) {
+	cf := canonForm{Tiles: make([]canonTile, len(t.Tiles)), Mem: canonMem(t.Mem), NoC: canonNoC(t.NoC), FabricLat: t.FabricLat}
+	for i, rt := range t.Tiles {
+		cf.Tiles[i] = canonTile{Kind: rt.Kind, Role: rt.Role, MeshSlot: rt.MeshSlot, Core: canonCoreCfg(rt.Cfg)}
+		if t.SlicedRoles {
+			cf.Tiles[i].Role = "" // see soc.Topology.SlicedRoles
+		}
 	}
-	cf := &canonForm{Mem: canonMem(sc.Mem), NoC: canonNoC(sc.NoC), FabricLat: sc.EffectiveFabricLatency()}
-	for _, rt := range rts {
-		cf.Tiles = append(cf.Tiles, canonTile{
-			Kind:     rt.Kind,
-			Role:     rt.Role,
-			MeshSlot: rt.MeshSlot,
-			Core:     canonCoreCfg(rt.Cfg),
-		})
-	}
-	return cf, rts, nil
+	return json.Marshal(cf)
 }
 
-// StructHash returns the structural hash of a system config: equal for
-// configs whose differences the replay classifier can examine, different for
-// anything that could reorder a recorded schedule. It keys the schedule
-// layer of sim.Cache alongside the workload key.
-func StructHash(sc *config.SystemConfig) (uint64, error) {
-	cf, _, err := canonicalize(sc)
-	if err != nil {
-		return 0, err
-	}
-	b, err := json.Marshal(cf)
-	if err != nil {
-		return 0, err
-	}
+// StructHash hashes a canonical form: equal for configs whose differences the
+// replay classifier can examine, different for anything that could reorder a
+// recorded schedule. It keys the schedule layer of sim.Cache alongside the
+// workload key.
+func StructHash(canon []byte) uint64 {
 	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64(), nil
+	h.Write(canon)
+	return h.Sum64()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mosaicsim/internal/config"
+	"mosaicsim/internal/soc"
 )
 
 // fieldClass says how StructHash treats one config.SystemConfig field.
@@ -16,8 +17,8 @@ const (
 	structural fieldClass = iota
 	// normalisedAway: never affects timing, so a change must not move the hash.
 	normalisedAway
-	// expanded: a tile declaration; hashed through soc.ExpandTiles, so the
-	// two declaration forms of the same tiles hash equal.
+	// expanded: a tile declaration; hashed through soc.Resolve, so the two
+	// input spellings of the same tiles hash equal.
 	expanded
 )
 
@@ -51,11 +52,15 @@ func TestStructHashCoversEveryConfigField(t *testing.T) {
 	}
 	hash := func(sc *config.SystemConfig) uint64 {
 		t.Helper()
-		h, err := StructHash(sc)
+		topo, err := soc.Resolve(sc, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return h
+		canon, err := CanonJSON(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return StructHash(canon)
 	}
 	want := hash(base())
 

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -24,21 +23,17 @@ type Decision struct {
 	Reason string
 }
 
-// Classify decides whether a run of the new (config, accelerator models,
-// cycle limit) triple would be identical to the recorded one. It is the
-// explicit eligibility check the replay contract requires: every admitted
-// delta carries a proof checkable from recorded evidence, and everything
-// else falls back with a reason.
-func Classify(s *Schedule, cfg *config.SystemConfig, accels map[string]soc.AccelModel, limit int64) Decision {
+// Classify decides whether a run of the new (topology, accelerator models,
+// cycle limit) triple would be identical to the recorded one; canon is the
+// new topology's CanonJSON. It is the explicit eligibility check the replay
+// contract requires: every admitted delta carries a proof checkable from
+// recorded evidence, and everything else falls back with a reason.
+func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]soc.AccelModel, limit int64) Decision {
 	fb := func(format string, args ...any) Decision {
 		return Decision{Reason: fmt.Sprintf(format, args...)}
 	}
-	newRts, err := soc.ExpandTiles(cfg)
-	if err != nil {
-		return fb("config: %v", err)
-	}
-	if len(newRts) != len(s.Tiles) {
-		return fb("structural: %d tiles recorded, %d requested", len(s.Tiles), len(newRts))
+	if len(topo.Tiles) != len(s.Tiles) {
+		return fb("structural: %d tiles recorded, %d requested", len(s.Tiles), len(topo.Tiles))
 	}
 	if len(s.Result.CoreStats) != len(s.Tiles) {
 		return fb("schedule: core stats missing")
@@ -47,23 +42,19 @@ func Classify(s *Schedule, cfg *config.SystemConfig, accels map[string]soc.Accel
 	// cache already keys on StructHash, but Classify re-proves it so direct
 	// callers get the same guarantee (and hash collisions cannot admit a
 	// structurally different config).
-	oldCanon, err := canonJSON(s.Tiles, s.Mem, s.NoC, s.FabricLat)
+	oldCanon, err := CanonJSON(&s.Topology)
 	if err != nil {
 		return fb("schedule: %v", err)
 	}
-	newCanon, err := canonJSON(newRts, cfg.Mem, cfg.NoC, cfg.EffectiveFabricLatency())
-	if err != nil {
-		return fb("config: %v", err)
-	}
-	if !bytes.Equal(oldCanon, newCanon) {
+	if !bytes.Equal(oldCanon, canon) {
 		return fb("structural: configurations differ beyond replayable timing knobs")
 	}
 
 	fams := map[string]bool{}
 	// Per-core knobs: eligible only when the recorded run provably never
 	// read them (binding counts from the recorded Result are zero).
-	for i := range newRts {
-		o, n := s.Tiles[i].Cfg, newRts[i].Cfg
+	for i := range topo.Tiles {
+		o, n := s.Tiles[i].Cfg, topo.Tiles[i].Cfg
 		st := s.Result.CoreStats[i]
 		if o.MispredictPenalty != n.MispredictPenalty {
 			if st.Mispredict != 0 {
@@ -85,7 +76,7 @@ func Classify(s *Schedule, cfg *config.SystemConfig, accels map[string]soc.Accel
 	}
 
 	// Memory-hierarchy knobs.
-	om, nm := s.Mem, cfg.Mem
+	om, nm := s.Mem, topo.Mem
 	r := s.Result
 	cacheKnob := func(level string, o, n *config.CacheConfig, st mem.CacheStats) (Decision, bool) {
 		if o == nil || n == nil || o.LatencyCycles == n.LatencyCycles {
@@ -155,7 +146,7 @@ func Classify(s *Schedule, cfg *config.SystemConfig, accels map[string]soc.Accel
 		}
 		fams["inert-knob"] = true
 	}
-	if hopCycles(s.NoC) != hopCycles(cfg.NoC) {
+	if hopCycles(s.NoC) != hopCycles(topo.NoC) {
 		if s.HopsTotal != 0 {
 			return fb("bound knob: hop_cycles was read (%d hops)", s.HopsTotal)
 		}
@@ -241,18 +232,4 @@ func hopCycles(n *config.NoCConfig) int64 {
 		return 0
 	}
 	return n.HopCycles
-}
-
-// canonJSON renders the canonical form of an already-resolved topology.
-func canonJSON(rts []soc.ResolvedTile, m config.MemConfig, noc *config.NoCConfig, fabricLat int64) ([]byte, error) {
-	cf := &canonForm{Mem: canonMem(m), NoC: canonNoC(noc), FabricLat: fabricLat}
-	for _, rt := range rts {
-		cf.Tiles = append(cf.Tiles, canonTile{
-			Kind:     rt.Kind,
-			Role:     rt.Role,
-			MeshSlot: rt.MeshSlot,
-			Core:     canonCoreCfg(rt.Cfg),
-		})
-	}
-	return json.Marshal(cf)
 }

@@ -20,7 +20,7 @@ type fixedModel struct {
 func (m fixedModel) Invoke([]int64, int) (soc.AccelResult, error) { return m.res, m.err }
 
 // classifyConfig is the configuration the hand-built schedule "ran" under:
-// one out-of-order tile over Table II memory plus an LLC and a 1x1 mesh, so
+// one out-of-order tile over Table II memory plus an LLC and a 2x2 mesh, so
 // every classifiable knob exists.
 func classifyConfig() *config.SystemConfig {
 	m := config.TableIIMem()
@@ -31,7 +31,7 @@ func classifyConfig() *config.SystemConfig {
 		Name:  "classify",
 		Cores: []config.CoreSpec{{Core: config.OutOfOrderCore(), Count: 1}},
 		Mem:   m,
-		NoC:   &config.NoCConfig{MeshWidth: 1, HopCycles: 2},
+		NoC:   &config.NoCConfig{MeshWidth: 2, HopCycles: 2},
 	}
 }
 
@@ -40,19 +40,31 @@ func classifyConfig() *config.SystemConfig {
 // traffic. Rows add the evidence their rule reads.
 func scheduleFor(t *testing.T, cfg *config.SystemConfig) *Schedule {
 	t.Helper()
-	rts, err := soc.ExpandTiles(cfg)
+	topo, err := soc.Resolve(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &Schedule{
-		Tiles:     deepCopyTiles(rts),
-		Mem:       deepCopyMem(cfg.Mem),
-		NoC:       copyNoC(cfg.NoC),
-		Result:    soc.Result{Cycles: 1000, CoreStats: make([]core.Stats, len(rts))},
-		ClockMHz:  rts[0].Cfg.ClockMHz,
-		LineBytes: cfg.Mem.L1.LineBytes,
-		FabricLat: cfg.EffectiveFabricLatency(),
+		Topology:  *topo,
+		Result:    soc.Result{Cycles: 1000, CoreStats: make([]core.Stats, len(topo.Tiles))},
+		ClockMHz:  topo.RefClockMHz(),
+		LineBytes: topo.Mem.L1.LineBytes,
 	}
+}
+
+// classify resolves the offered config the way a session does and classifies
+// it against s.
+func classify(t *testing.T, s *Schedule, cfg *config.SystemConfig, models map[string]soc.AccelModel, limit int64) Decision {
+	t.Helper()
+	topo, err := soc.Resolve(cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := CanonJSON(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Classify(s, topo, canon, models, limit)
 }
 
 // TestClassifyRules walks every rule of Classify both ways over a hand-built
@@ -217,7 +229,7 @@ func TestClassifyRules(t *testing.T) {
 			if tc.delta != nil {
 				tc.delta(offered)
 			}
-			d := Classify(s, offered, tc.models, tc.limit)
+			d := classify(t, s, offered, tc.models, tc.limit)
 			if tc.family != "" {
 				if !d.Eligible || d.Reason != "" || !reflect.DeepEqual(d.Families, []string{tc.family}) {
 					t.Fatalf("want eligible on [%s], got eligible=%v families=%v reason=%q", tc.family, d.Eligible, d.Families, d.Reason)
@@ -245,7 +257,7 @@ func TestClassifyFamiliesCompose(t *testing.T) {
 	s.DRAMArrivals = []int64{10, 300}
 	cfg.Mem.DRAM.BandwidthGBs = 12
 	cfg.Mem.L1.LatencyCycles++
-	d := Classify(s, cfg, nil, 0)
+	d := classify(t, s, cfg, nil, 0)
 	if want := []string{"dram-refit", "inert-knob"}; !d.Eligible || !reflect.DeepEqual(d.Families, want) {
 		t.Fatalf("families = %v (eligible=%v, reason %q), want %v", d.Families, d.Eligible, d.Reason, want)
 	}

@@ -1,5 +1,5 @@
 // Package replay is memoisation with a proof. One full timing simulation
-// records a Schedule: the resolved configuration it ran under, its complete
+// records a Schedule: the topology it ran under, its complete
 // Result, every accelerator invocation with the answer the model gave, and
 // the SimpleDRAM arrival log. For a later run Classify proves the re-run
 // would be identical — no delta, inert knobs, or a DRAM budget refit — and
@@ -28,10 +28,6 @@
 package replay
 
 import (
-	"encoding/json"
-	"fmt"
-
-	"mosaicsim/internal/config"
 	"mosaicsim/internal/core"
 	"mosaicsim/internal/soc"
 )
@@ -48,12 +44,16 @@ type Invocation struct {
 }
 
 // Schedule is everything one recorded run keeps for Classify's proofs: the
-// resolved configuration it ran under, its full Result with the cycle
-// skipper's stepped/skipped split, and the recorded evidence.
+// topology it ran under, its full Result with the cycle skipper's
+// stepped/skipped split, and the recorded evidence.
 type Schedule struct {
-	Tiles []soc.ResolvedTile // resolved per-tile configs, tile-ID order
-	Mem   config.MemConfig
-	NoC   *config.NoCConfig
+	// Topology is embedded so a persisted schedule keeps spelling it as
+	// top-level Tiles, Mem, NoC and FabricLat. FabricLat is structural: a
+	// latency delta reorders message arrivals, so schedules recorded at
+	// different fabric latencies must never alias (schedules persisted before
+	// it was recorded decode as 0 and conservatively mismatch the default
+	// of 1).
+	soc.Topology
 
 	Result  soc.Result
 	Stepped int64
@@ -62,12 +62,6 @@ type Schedule struct {
 	ClockMHz  int // system (max tile) clock: DRAM budget math
 	LineBytes int // DRAM line size: DRAM budget math
 	HopsTotal int64
-	// FabricLat is the effective base fabric latency the run was recorded
-	// under. It is structural: a latency delta reorders message arrivals,
-	// so schedules recorded at different fabric latencies must never alias
-	// (old persisted schedules decode as 0 and conservatively mismatch the
-	// default of 1).
-	FabricLat int64
 
 	Invocations  []Invocation
 	DRAMArrivals []int64 // SimpleDRAM arrival cycles, arrival order
@@ -95,69 +89,25 @@ func (r *Recorder) RecordInvoke(name string, params []int64, concurrent int, res
 	})
 }
 
-// Build assembles the Schedule for a completed run: the resolved structural
-// config (deep-copied — callers may mutate their config between sweep legs),
-// the Result, and the recorded evidence read back from the system.
-func (r *Recorder) Build(cfg *config.SystemConfig, sys *soc.System, res soc.Result) (*Schedule, error) {
-	rts, err := soc.ExpandTiles(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
+// Build assembles the Schedule for a completed run: the topology it ran
+// under (shared, as topologies are immutable), the Result, and the recorded
+// evidence read back from the system.
+func (r *Recorder) Build(t *soc.Topology, sys *soc.System, res soc.Result) *Schedule {
 	maxClock := 0
-	for _, rt := range rts {
-		if rt.Cfg.ClockMHz > maxClock {
-			maxClock = rt.Cfg.ClockMHz
-		}
+	for _, rt := range t.Tiles {
+		maxClock = max(maxClock, rt.Cfg.ClockMHz)
 	}
-	s := &Schedule{
-		Tiles:        deepCopyTiles(rts),
-		Mem:          deepCopyMem(cfg.Mem),
-		NoC:          copyNoC(cfg.NoC),
+	return &Schedule{
+		Topology:     *t,
 		Result:       deepCopyResult(res),
 		Stepped:      sys.SteppedCycles,
 		Skipped:      sys.SkippedCycles,
 		ClockMHz:     maxClock,
-		LineBytes:    cfg.Mem.L1.LineBytes,
+		LineBytes:    t.Mem.L1.LineBytes,
 		HopsTotal:    sys.Fabric.HopsTotal(),
-		FabricLat:    cfg.EffectiveFabricLatency(),
 		Invocations:  r.invs,
 		DRAMArrivals: append([]int64(nil), sys.Hier.DRAMAccessLog()...),
 	}
-	return s, nil
-}
-
-// deepCopyTiles copies resolved tiles through JSON so no map (Latencies,
-// FunctionalUnits) is shared with the caller's live config.
-func deepCopyTiles(rts []soc.ResolvedTile) []soc.ResolvedTile {
-	b, err := json.Marshal(rts)
-	if err != nil {
-		return append([]soc.ResolvedTile(nil), rts...)
-	}
-	var out []soc.ResolvedTile
-	if json.Unmarshal(b, &out) != nil {
-		return append([]soc.ResolvedTile(nil), rts...)
-	}
-	return out
-}
-
-func deepCopyMem(m config.MemConfig) config.MemConfig {
-	if m.L2 != nil {
-		l2 := *m.L2
-		m.L2 = &l2
-	}
-	if m.LLC != nil {
-		llc := *m.LLC
-		m.LLC = &llc
-	}
-	return m
-}
-
-func copyNoC(n *config.NoCConfig) *config.NoCConfig {
-	if n == nil {
-		return nil
-	}
-	c := *n
-	return &c
 }
 
 // ResultCopy is what a replay hit returns: the recorded Result, sharing no

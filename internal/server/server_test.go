@@ -488,6 +488,15 @@ func TestAdmissionAndErrorMapping(t *testing.T) {
 		{`"tiles":[{"kind":"ooo"}],` + fmt.Sprintf(mem, 64, 1<<42), "size_kb"},
 		{`"tiles":[{"kind":"ooo","overrides":{"max_messages":1099511627776}}],` + fmt.Sprintf(mem, 64, 2048), "max_messages"},
 		{`"tiles":[{"kind":"ooo"}],` + fmt.Sprintf(mem, 48, 2048), "line_bytes"},
+		// A non-positive size in overrides was admitted: under "noskip" the
+		// run span for hours and held its slot until -job-timeout.
+		{`"tiles":[{"kind":"ooo","overrides":{"window_size":0}}],` + fmt.Sprintf(mem, 64, 2048), "window_size"},
+		{`"tiles":[{"kind":"ooo","overrides":{"window_size":-4}}],` + fmt.Sprintf(mem, 64, 2048), "window_size"},
+		{`"tiles":[{"kind":"ooo","overrides":{"issue_width":0}}],` + fmt.Sprintf(mem, 64, 2048), "issue_width"},
+		{`"tiles":[{"kind":"inorder","overrides":{"issue_width":-3}}],` + fmt.Sprintf(mem, 64, 2048), "issue_width"},
+		{`"tiles":[{"kind":"ooo","overrides":{"lsq_size":-1}}],` + fmt.Sprintf(mem, 64, 2048), "lsq_size"},
+		// Every knob within its bound, the system as a whole beyond any host.
+		{`"tiles":[{"kind":"ooo","count":4096}],` + fmt.Sprintf(mem, 64, 1<<20), "size_kb"},
 	} {
 		body := `{"workload":"sgemm","scale":"tiny","topology":{"name":"x",` + tc.topology + `}}`
 		resp4, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"sync"
 
-	"mosaicsim/internal/config"
 	"mosaicsim/internal/dae"
 	"mosaicsim/internal/ddg"
 	"mosaicsim/internal/ir"
@@ -33,61 +32,30 @@ type Key struct {
 	Topo uint64
 }
 
-// KeyOf builds the artifact cache key for a workload at a tile count, with
-// the role sequence the slicing mode implies (all-SPMD, or alternating
-// access/execute pairs for SliceDAE).
-func KeyOf(w *workloads.Workload, scale workloads.Scale, tiles int, mode SliceMode) Key {
-	return KeyFor(w, scale, tiles, mode, rolesOf(mode, tiles))
+// KeyFor builds the artifact cache key for a per-tile role sequence ("" is
+// SPMD), one entry per traced tile. SrcHash covers both the kernel source and
+// the canonical hash of the workload's optimization config, so the same
+// source compiled at different opt levels (or pass lists, or unroll factors)
+// yields distinct keys across every cache layer — compiled kernels, DDGs,
+// traces, and recorded replay schedules never alias across opt levels; a
+// replay lookup under a different opt level misses and falls back to a full
+// run with a declared reason.
+func KeyFor(w *workloads.Workload, scale workloads.Scale, mode SliceMode, roles []string) Key {
+	topo := fnv.New64a()
+	for _, r := range roles {
+		topo.Write([]byte(r))
+		topo.Write([]byte{0})
+	}
+	return Key{Kernel: w.Name, SrcHash: srcHash(w), Scale: scale, Tiles: len(roles), Mode: mode, Topo: topo.Sum64()}
 }
 
-// KeyFor builds the artifact cache key for an explicit per-tile role
-// sequence (empty-string roles are SPMD). SrcHash covers both the kernel
-// source and the canonical hash of the workload's optimization config, so
-// the same source compiled at different opt levels (or pass lists, or
-// unroll factors) yields distinct keys across every cache layer — compiled
-// kernels, DDGs, traces, and recorded replay schedules never alias across
-// opt levels; a replay lookup under a different opt level misses and falls
-// back to a full run with a declared reason.
-func KeyFor(w *workloads.Workload, scale workloads.Scale, tiles int, mode SliceMode, roles []string) Key {
+// srcHash hashes a workload's kernel source and optimization config.
+func srcHash(w *workloads.Workload) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(w.Src))
 	var opt [8]byte
 	binary.LittleEndian.PutUint64(opt[:], w.Opt.Hash())
 	h.Write(opt[:])
-	return Key{Kernel: w.Name, SrcHash: h.Sum64(), Scale: scale, Tiles: tiles, Mode: mode, Topo: topoHash(mode, tiles, roles)}
-}
-
-// rolesOf is the role sequence a slicing mode implies over tiles with no
-// declared roles.
-func rolesOf(mode SliceMode, tiles int) []string {
-	roles := make([]string, tiles)
-	if mode == SliceDAE {
-		for i := range roles {
-			roles[i] = config.RoleAccess
-			if i%2 == 1 {
-				roles[i] = config.RoleExecute
-			}
-		}
-	}
-	return roles
-}
-
-// topoHash hashes the effective role sequence. Topologies that declare no
-// roles hash identically to the sequence their slicing mode implies, so
-// legacy Cores configs and declarative Tiles configs describing the same
-// system share artifacts.
-func topoHash(mode SliceMode, tiles int, roles []string) uint64 {
-	eff := rolesOf(mode, tiles)
-	for i, r := range roles {
-		if i < len(eff) && r != "" && r != config.RoleSPMD {
-			eff[i] = r
-		}
-	}
-	h := fnv.New64a()
-	for _, r := range eff {
-		h.Write([]byte(r))
-		h.Write([]byte{0})
-	}
 	return h.Sum64()
 }
 

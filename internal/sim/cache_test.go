@@ -55,7 +55,7 @@ func TestCacheCounters(t *testing.T) {
 
 func TestHasArtifactIsAPeek(t *testing.T) {
 	c := NewCache()
-	key := KeyOf(spinWorkload("peek", 500), workloads.Tiny, 1, SliceNone)
+	key := KeyFor(spinWorkload("peek", 500), workloads.Tiny, SliceNone, []string{""})
 	if c.HasArtifact(key) {
 		t.Fatal("HasArtifact = true on an empty cache")
 	}
@@ -66,7 +66,7 @@ func TestHasArtifactIsAPeek(t *testing.T) {
 	}
 	built := buildArtifact(t, c, "peek")
 	if built != key {
-		t.Fatalf("KeyOf %+v != session key %+v", key, built)
+		t.Fatalf("KeyFor %+v != session key %+v", key, built)
 	}
 	if !c.HasArtifact(key) {
 		t.Error("HasArtifact = false after build")

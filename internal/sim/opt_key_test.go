@@ -20,11 +20,11 @@ func TestKeySeparatesOptLevels(t *testing.T) {
 	o2 := w.WithOpt(ir.OptConfig{Level: "O2"})
 	o2u8 := w.WithOpt(ir.OptConfig{Level: "O2", Unroll: 8})
 
-	kDefault := KeyFor(w, workloads.Small, 1, SliceNone, nil)
-	k0 := KeyFor(o0, workloads.Small, 1, SliceNone, nil)
-	k1 := KeyFor(o1, workloads.Small, 1, SliceNone, nil)
-	k2 := KeyFor(o2, workloads.Small, 1, SliceNone, nil)
-	k2u8 := KeyFor(o2u8, workloads.Small, 1, SliceNone, nil)
+	kDefault := KeyFor(w, workloads.Small, SliceNone, []string{""})
+	k0 := KeyFor(o0, workloads.Small, SliceNone, []string{""})
+	k1 := KeyFor(o1, workloads.Small, SliceNone, []string{""})
+	k2 := KeyFor(o2, workloads.Small, SliceNone, []string{""})
+	k2u8 := KeyFor(o2u8, workloads.Small, SliceNone, []string{""})
 
 	if kDefault != k0 {
 		t.Error("explicit O0 and the default config diverge; O0 is bit-identical and must share cache entries")

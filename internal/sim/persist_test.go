@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"mosaicsim/internal/config"
+	"mosaicsim/internal/soc"
 	"mosaicsim/internal/trace"
+	"mosaicsim/internal/workloads"
 )
 
 // TestExportImportRoundTrip is the artifact-index determinism contract: a
@@ -250,5 +254,77 @@ func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
 				t.Error("a corrupt blob was staged")
 			}
 		})
+	}
+}
+
+// TestScheduleSpellingOnDisk: a persisted schedule spells its topology with
+// the keys it always had, so the blobs of older builds import and hit. A run
+// that DAE slicing mapped onto role-less tiles adds one key, SlicedRoles, and
+// a blob from before roles were resolved (empty roles, no such key) still
+// answers it.
+func TestScheduleSpellingOnDisk(t *testing.T) {
+	w := workloads.ByName("projection")
+	cfg := func() *config.SystemConfig {
+		return &config.SystemConfig{
+			Name:  "sliced",
+			Cores: []config.CoreSpec{{Core: config.InOrderCore(), Count: 2}},
+			Mem:   config.TableIIMem(),
+		}
+	}
+	run := func(c *Cache) (soc.Result, ReplayOutcome) {
+		t.Helper()
+		s, err := NewSession(Options{Workload: w, Scale: workloads.Tiny, Config: cfg(), Slicing: SliceDAE, Replay: true, Cache: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, s.Replay()
+	}
+	c1 := NewCache()
+	want, out := run(c1)
+	if !out.Recorded {
+		t.Fatalf("recording run did not publish a schedule (reason: %q)", out.Reason)
+	}
+	asWritten, asOlderBuild := NewCache(), NewCache()
+	if err := c1.ExportArtifacts(func(name string, data []byte) error {
+		if err := asWritten.ImportArtifact(name, data); err != nil || !strings.HasPrefix(name, "sched-") {
+			return err
+		}
+		hdr, body, _ := bytes.Cut(data, []byte("\n"))
+		var sched map[string]json.RawMessage
+		if err := json.Unmarshal(body, &sched); err != nil {
+			return err
+		}
+		var keys []string
+		for k := range sched {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if want := []string{"ClockMHz", "DRAMArrivals", "FabricLat", "HopsTotal", "Invocations", "LineBytes", "Mem", "NoC",
+			"Result", "Skipped", "SlicedRoles", "Stepped", "Tiles"}; !reflect.DeepEqual(keys, want) {
+			t.Errorf("schedule blob keys = %v, want %v", keys, want)
+		}
+		var tiles []map[string]json.RawMessage
+		if err := json.Unmarshal(sched["Tiles"], &tiles); err != nil {
+			return err
+		}
+		for _, tile := range tiles {
+			tile["Role"] = json.RawMessage(`""`)
+		}
+		delete(sched, "SlicedRoles")
+		sched["Tiles"], _ = json.Marshal(tiles)
+		body, _ = json.Marshal(sched)
+		return asOlderBuild.ImportArtifact(name, append(append(append([]byte(nil), hdr...), '\n'), body...))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Cache{"as written": asWritten, "as an older build wrote it": asOlderBuild} {
+		got, out := run(c)
+		if !out.Replayed || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: replayed=%v (reason %q), result equal=%v", name, out.Replayed, out.Reason, reflect.DeepEqual(got, want))
+		}
 	}
 }

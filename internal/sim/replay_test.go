@@ -401,3 +401,32 @@ func TestReplayKnobFuzz(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionResolvesItsConfigOnce: everything a session does with its system
+// goes through the Topology NewSession resolved, so a tile kind's preset is
+// called once per tile definition for a recording run and once more for the
+// next session's replay hit, not once per consumer (key, structural hash,
+// classifier, builder, recorder).
+func TestSessionResolvesItsConfigOnce(t *testing.T) {
+	calls := 0
+	soc.RegisterTileKind("counted-ooo", func() config.CoreConfig {
+		calls++
+		c := config.OutOfOrderCore()
+		c.Branch = config.BranchPerfect
+		return c
+	})
+	sc := func() *config.SystemConfig {
+		return &config.SystemConfig{
+			Name:  "counted",
+			Tiles: []config.TileDef{{Kind: "counted-ooo", Overrides: json.RawMessage(`{"mispredict_penalty": 12}`)}},
+			Mem:   config.TableIIMem(),
+		}
+	}
+	cache, models := NewCache(), accelModelsAt(4, 24)
+	if _, out := runLeg(t, cache, sc(), models, true); !out.Recorded || calls != 1 {
+		t.Fatalf("recording run: recorded=%v (%q), preset called %d times, want once", out.Recorded, out.Reason, calls)
+	}
+	if _, out := runLeg(t, cache, sc(), models, true); !out.Replayed || calls != 2 {
+		t.Fatalf("replay hit: replayed=%v (%q), preset called %d times in all, want twice", out.Replayed, out.Reason, calls)
+	}
+}

@@ -86,15 +86,20 @@ type Options struct {
 	Workload *workloads.Workload
 	// Scale selects the workload's input size.
 	Scale workloads.Scale
-	// Tiles is the traced tile count. Zero derives it from Config's tile
-	// count (either declaration form). SliceDAE requires an even count
-	// (access/execute pairs).
+	// Tiles is the traced tile count. Zero derives it from the system's tile
+	// count. SliceDAE requires an even count (access/execute pairs).
 	Tiles int
-	// Slicing selects SPMD replication or DAE pair decomposition.
+	// Slicing selects SPMD replication or DAE pair decomposition. A system
+	// that declares access/execute roles selects SliceDAE by itself.
 	Slicing SliceMode
-	// Config describes the simulated system for BuildSystem/Run. Its total
-	// core count must match Tiles when both are set.
+	// Config describes the simulated system for BuildSystem/Run, in either
+	// input spelling; NewSession resolves it once, into the Topology the
+	// session works from. Its tile count must match Tiles when both are set.
 	Config *config.SystemConfig
+	// Topology is the system already resolved (soc.Resolve), for a driver
+	// that needed the resolved form before it had a session — the reference
+	// clock its accelerator models run at. It takes the place of Config.
+	Topology *soc.Topology
 	// Accels maps accelerator intrinsics to performance models.
 	Accels map[string]soc.AccelModel
 	// Limit bounds the run's simulated cycles (0 = soc.DefaultCycleLimit).
@@ -126,9 +131,10 @@ type Options struct {
 type Session struct {
 	opts  Options
 	cache *Cache
-	// roles is the per-tile role sequence resolved from the topology (nil
-	// when the config declares none: the slicing mode implies it).
-	roles []string
+	// topo is the resolved system (nil for a session that only traces) and
+	// key the session's content key, both fixed at creation.
+	topo *soc.Topology
+	key  Key
 
 	mu     sync.Mutex
 	sys    *soc.System // last-built (and possibly run) system
@@ -153,39 +159,44 @@ type ReplayOutcome struct {
 	Skipped   int64
 }
 
-// NewSession validates opts and binds a session to its cache. A declarative
-// topology (Config.Tiles) is resolved here: tile kinds are checked against
-// the registry and access/execute roles select DAE slicing, so a bad
-// topology fails at session creation, not mid-pipeline.
+// NewSession validates opts and binds a session to its cache. The system
+// config is resolved here, once: a bad topology fails at session creation,
+// not mid-pipeline, and every later stage works from the resolved form.
 func NewSession(opts Options) (*Session, error) {
 	if opts.Workload == nil {
 		return nil, fmt.Errorf("sim: Options.Workload is required")
 	}
-	var roles []string
-	if opts.Config != nil {
-		var err error
-		roles, err = soc.Roles(opts.Config)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if opts.Tiles == 0 {
-			opts.Tiles = len(roles)
-		}
-		if len(roles) != opts.Tiles {
-			return nil, fmt.Errorf("sim: config %q instantiates %d cores but the session traces %d tiles",
-				opts.Config.Name, len(roles), opts.Tiles)
-		}
-		for _, r := range roles {
-			if r == config.RoleAccess || r == config.RoleExecute {
-				// The topology declares DAE roles; the slicing mode
-				// follows from it.
-				opts.Slicing = SliceDAE
-				break
-			}
-		}
-	}
 	if opts.Tiles < 0 {
 		return nil, fmt.Errorf("sim: negative tile count %d", opts.Tiles)
+	}
+	topo := opts.Topology
+	if topo == nil && opts.Config != nil {
+		var err error
+		if topo, err = soc.Resolve(opts.Config, opts.Slicing == SliceDAE); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
+	if topo != nil {
+		if opts.Tiles != 0 && opts.Tiles != len(topo.Tiles) {
+			return nil, fmt.Errorf("sim: config %q instantiates %d cores but the session traces %d tiles",
+				topo.Name, len(topo.Tiles), opts.Tiles)
+		}
+		opts.Tiles = len(topo.Tiles)
+		opts.Slicing = SliceNone // a topology's roles say how it is sliced
+	}
+	// The key hashes the role of every traced tile: the topology's, or for a
+	// session that only traces the ones its slicing mode implies.
+	roles := make([]string, opts.Tiles)
+	for i := range roles {
+		switch {
+		case topo != nil:
+			roles[i] = topo.Tiles[i].Role
+		case opts.Slicing == SliceDAE:
+			roles[i] = config.DAERole(i)
+		}
+		if roles[i] != "" {
+			opts.Slicing = SliceDAE
+		}
 	}
 	if opts.Slicing == SliceDAE && opts.Tiles%2 != 0 {
 		return nil, fmt.Errorf("sim: DAE slicing needs an even tile count (access/execute pairs), got %d", opts.Tiles)
@@ -194,14 +205,16 @@ func NewSession(opts Options) (*Session, error) {
 	if c == nil {
 		c = DefaultCache
 	}
-	return &Session{opts: opts, cache: c, roles: roles}, nil
+	return &Session{opts: opts, cache: c, topo: topo, key: KeyFor(opts.Workload, opts.Scale, opts.Slicing, roles)}, nil
 }
 
 // Key returns the session's content key into the artifact cache, topology
 // hash included.
-func (s *Session) Key() Key {
-	return KeyFor(s.opts.Workload, s.opts.Scale, s.opts.Tiles, s.opts.Slicing, s.roles)
-}
+func (s *Session) Key() Key { return s.key }
+
+// Topology returns the resolved system the session simulates (nil for a
+// session created without one).
+func (s *Session) Topology() *soc.Topology { return s.topo }
 
 // fail wraps err in a StageError unless it already is one (an inner stage
 // failed first — keep its attribution).
@@ -217,7 +230,7 @@ func (s *Session) fail(st Stage, err error) error {
 func (s *Session) Compile(ctx context.Context) (*ir.Function, error) {
 	ctx = orBackground(ctx)
 	w := s.opts.Workload
-	k := kernelKey{Kernel: w.Name, SrcHash: KeyOf(w, 0, 0, SliceNone).SrcHash}
+	k := kernelKey{Kernel: w.Name, SrcHash: s.key.SrcHash}
 	f, err := single(ctx, s.cache, &s.cache.kernels, k, func() (*ir.Function, error) {
 		f, err := w.Kernel()
 		if err != nil {
@@ -244,7 +257,7 @@ func (s *Session) Graph(ctx context.Context) (*ddg.Graph, error) {
 		return nil, err
 	}
 	w := s.opts.Workload
-	k := kernelKey{Kernel: w.Name, SrcHash: KeyOf(w, 0, 0, SliceNone).SrcHash}
+	k := kernelKey{Kernel: w.Name, SrcHash: s.key.SrcHash}
 	g, err := single(ctx, s.cache, &s.cache.graphs, k, func() (*ddg.Graph, error) {
 		return ddg.Build(f), nil
 	})
@@ -261,7 +274,7 @@ func (s *Session) slicesOf(ctx context.Context) (*sliced, error) {
 		return nil, err
 	}
 	w := s.opts.Workload
-	k := kernelKey{Kernel: w.Name, SrcHash: KeyOf(w, 0, 0, SliceNone).SrcHash}
+	k := kernelKey{Kernel: w.Name, SrcHash: s.key.SrcHash}
 	sl, err := single(ctx, s.cache, &s.cache.slices, k, func() (*sliced, error) {
 		sls, err := dae.Slice(f)
 		if err != nil {
@@ -282,7 +295,7 @@ func (s *Session) Artifact(ctx context.Context) (*Artifact, error) {
 	if s.opts.Tiles <= 0 {
 		return nil, s.fail(StageTrace, fmt.Errorf("session has no tile count (set Options.Tiles or Options.Config)"))
 	}
-	art, err := single(ctx, s.cache, &s.cache.arts, s.Key(), func() (*Artifact, error) {
+	art, err := single(ctx, s.cache, &s.cache.arts, s.key, func() (*Artifact, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -296,7 +309,7 @@ func (s *Session) Artifact(ctx context.Context) (*Artifact, error) {
 			if err != nil {
 				return nil, err
 			}
-			tr := s.cache.importedTrace(s.Key())
+			tr := s.cache.importedTrace(s.key)
 			if tr == nil {
 				tr, err = s.opts.Workload.TracePairs(sl.slices.Access, sl.slices.Execute, s.opts.Tiles/2, s.opts.Scale)
 				if err != nil {
@@ -319,7 +332,7 @@ func (s *Session) Artifact(ctx context.Context) (*Artifact, error) {
 			// A trace imported from a store (a restart, or a fleet worker's
 			// warm start) satisfies the expensive step; the cheap compile
 			// and graph stages above rebuilt deterministically around it.
-			tr := s.cache.importedTrace(s.Key())
+			tr := s.cache.importedTrace(s.key)
 			if tr == nil {
 				tr, err = s.opts.Workload.TraceWith(f, s.opts.Tiles, s.opts.Scale)
 				if err != nil {
@@ -350,19 +363,18 @@ func (s *Session) Trace(ctx context.Context) (*trace.Trace, error) {
 // new system, since a run consumes it.
 func (s *Session) BuildSystem(ctx context.Context) (*soc.System, error) {
 	ctx = orBackground(ctx)
-	if s.opts.Config == nil {
+	if s.topo == nil {
 		return nil, s.fail(StageBuild, fmt.Errorf("session has no system config (set Options.Config)"))
 	}
 	art, err := s.Artifact(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := soc.Build(s.opts.Config, soc.Binding{
+	sys, err := soc.Build(s.topo, soc.Binding{
 		Graph:   art.Graph,
 		Access:  art.AccessGraph,
 		Execute: art.ExecuteGraph,
 		Trace:   art.Trace,
-		PairDAE: s.opts.Slicing == SliceDAE,
 	}, s.opts.Accels)
 	if err != nil {
 		return nil, s.fail(StageBuild, err)
@@ -383,21 +395,21 @@ func (s *Session) BuildSystem(ctx context.Context) (*soc.System, error) {
 // with the effective deadline and cycle limit in the message).
 func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 	ctx = orBackground(ctx)
-	replayOn := s.opts.Replay && s.opts.Config != nil && !s.opts.DisableCycleSkipping
+	replayOn := s.opts.Replay && s.topo != nil && !s.opts.DisableCycleSkipping
 	var structHash uint64
 	var out ReplayOutcome
 	if replayOn {
 		out.Attempted = true
-		h, err := replaypkg.StructHash(s.opts.Config)
+		canon, err := replaypkg.CanonJSON(s.topo)
 		if err != nil {
-			// An unresolvable config will fail BuildSystem with a better
-			// error; just disable replay and take the full path.
+			// A topology with no canonical form (a NaN area) still
+			// simulates: take the full path.
 			replayOn = false
 			out.Reason = err.Error()
 		} else {
-			structHash = h
-			if sched := s.cache.Schedule(s.Key(), h); sched != nil {
-				dec := replaypkg.Classify(sched, s.opts.Config, s.opts.Accels, s.opts.Limit)
+			structHash = replaypkg.StructHash(canon)
+			if sched := s.cache.Schedule(s.key, structHash); sched != nil {
+				dec := replaypkg.Classify(sched, s.topo, canon, s.opts.Accels, s.opts.Limit)
 				if dec.Eligible {
 					res := sched.ResultCopy()
 					s.cache.noteReplay(true)
@@ -434,9 +446,7 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 	}
 	res := sys.Result()
 	if rec != nil {
-		if sched, err := rec.Build(s.opts.Config, sys, res); err == nil {
-			out.Recorded = s.cache.PutSchedule(s.Key(), structHash, sched)
-		}
+		out.Recorded = s.cache.PutSchedule(s.key, structHash, rec.Build(s.topo, sys, res))
 	}
 	s.mu.Lock()
 	s.res = res

@@ -53,7 +53,7 @@ type TileSpec struct {
 type Fabric struct {
 	Capacity int
 	Latency  int64
-	// Tiles is the system's tile count (barrier membership).
+	// Tiles is the system's tile count.
 	Tiles int
 	// MeshWidth > 0 arranges tiles on a 2D mesh of that width; HopCycles is
 	// the per-hop link latency.
@@ -66,8 +66,7 @@ type Fabric struct {
 	queues map[[2]int]*msgQueue
 
 	arrivals []int64 // per-tile barrier arrival counts
-	// participants marks the tiles that execute barrier ops; nil means every
-	// tile in [0, Tiles) does (the legacy rule for hand-built fabrics).
+	// participants marks the tiles that execute barrier ops.
 	participants []bool
 
 	sends int64
@@ -281,8 +280,8 @@ func (f *Fabric) BarrierArrive(tile int) int64 {
 
 // SetBarrierParticipants registers which tiles take part in barriers.
 // System construction derives this from the traces: a tile whose trace
-// executes no barrier ops never arrives, and requiring it (as the legacy
-// all-tiles rule did) deadlocks the whole system until the cycle limit.
+// executes no barrier ops never arrives, and waiting on it would deadlock
+// the whole system until the cycle limit.
 func (f *Fabric) SetBarrierParticipants(parts []bool) {
 	f.participants = parts
 	f.arrivals = make([]int64, len(parts))
@@ -291,24 +290,8 @@ func (f *Fabric) SetBarrierParticipants(parts []bool) {
 // BarrierReleased implements core.Fabric: true once every participating tile
 // has arrived at barrier seq.
 func (f *Fabric) BarrierReleased(seq int64) bool {
-	if f.participants != nil {
-		for tile, in := range f.participants {
-			if in && (tile >= len(f.arrivals) || f.arrivals[tile] <= seq) {
-				return false
-			}
-		}
-		return true
-	}
-	// Legacy rule for hand-built fabrics: every tile in [0, Tiles)
-	// participates.
-	if f.Tiles <= 0 {
-		return true
-	}
-	if len(f.arrivals) < f.Tiles {
-		return false
-	}
-	for _, a := range f.arrivals {
-		if a <= seq {
+	for tile, in := range f.participants {
+		if in && f.arrivals[tile] <= seq {
 			return false
 		}
 	}
@@ -582,11 +565,14 @@ func barrierCounts(tiles []TileSpec, progs []*core.Program) []int64 {
 	return counts
 }
 
-// NewSPMD builds a homogeneous SPMD system: every core of cfg runs the same
-// kernel graph against its own tile trace. It is a thin wrapper over the
-// declarative topology builder (Build).
+// NewSPMD builds an SPMD system: every core of cfg runs the same kernel graph
+// against its own tile trace. It is Resolve and Build in one call.
 func NewSPMD(cfg *config.SystemConfig, g *ddg.Graph, tr *trace.Trace, accels map[string]AccelModel) (*System, error) {
-	return Build(cfg, Binding{Graph: g, Trace: tr}, accels)
+	t, err := Resolve(cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	return Build(t, Binding{Graph: g, Trace: tr}, accels)
 }
 
 // DefaultCycleLimit guards Run(ctx, 0) against runaway simulations.

@@ -750,8 +750,12 @@ func TestCycleSkippingAccounting(t *testing.T) {
 			t.Parallel()
 			sc := tc.cfg()
 			run := func(noskip bool) (*System, []byte) {
-				g, tr := traceSPMD(t, tc.src, sc.TileCount(), tc.setup, nil)
-				sys, err := NewSPMD(sc, g, tr, nil)
+				topo, err := Resolve(sc, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, tr := traceSPMD(t, tc.src, len(topo.Tiles), tc.setup, nil)
+				sys, err := Build(topo, Binding{Graph: g, Trace: tr}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,14 +1,16 @@
 package soc
 
-// Declarative topology construction: a tile-kind registry resolving preset
-// names to core configurations, expansion of config.SystemConfig tile lists
-// into concrete per-tile specs, and Build — the one topology builder every
-// composition path (SPMD, DAE, heterogeneous SoCs) goes through.
+// The resolved topology: a tile-kind registry mapping preset names to core
+// configurations, Resolve — which turns a config.SystemConfig, in either
+// input spelling, into the one Topology everything downstream holds — and
+// Build, the one system builder every composition path (SPMD, DAE,
+// heterogeneous SoCs) goes through.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 
 	"mosaicsim/internal/config"
@@ -48,246 +50,249 @@ func TileKinds() []string {
 	return out
 }
 
-// ResolveTileKind returns the preset configuration for a registered kind,
-// or an error with a did-you-mean suggestion.
-func ResolveTileKind(name string) (config.CoreConfig, error) {
-	if f, ok := tileKinds[name]; ok {
-		return f(), nil
-	}
-	kinds := TileKinds()
-	if s := stats.Closest(name, kinds); s != "" {
-		return config.CoreConfig{}, fmt.Errorf("soc: unknown tile kind %q (did you mean %q?)", name, s)
-	}
-	return config.CoreConfig{}, fmt.Errorf("soc: unknown tile kind %q (registered: %v)", name, kinds)
-}
-
-// ResolvedTile is one concrete tile a topology instantiates: its full core
-// configuration plus the declarative attributes the builder consumes.
+// ResolvedTile is one concrete tile of a topology: its full, validated core
+// configuration, the kind it is accounted under, the kernel artifact it
+// replays and its place on the mesh.
 type ResolvedTile struct {
 	Cfg      config.CoreConfig
 	Kind     string
-	Role     string // "" = SPMD
-	MeshSlot int    // -1 = default (row-major by tile ID)
+	Role     string // "" = SPMD, else config.RoleAccess / config.RoleExecute
+	MeshSlot int    // -1 = row-major by tile ID
 }
 
-// ExpandTiles resolves a system config's tile declarations — either legacy
-// Cores or declarative Tiles — into one ResolvedTile per tile: kinds are
-// looked up in the registry, overrides merged, clocks checked. The result
-// order is the tile-ID order the trace binds to.
-func ExpandTiles(sc *config.SystemConfig) ([]ResolvedTile, error) {
-	var out []ResolvedTile
-	for _, cs := range sc.Cores {
-		for i := 0; i < cs.Count; i++ {
-			out = append(out, ResolvedTile{Cfg: cs.Core, Kind: cs.Core.Name, MeshSlot: -1})
-		}
+// Topology is the resolved form of a system configuration, and the only
+// form the simulator works from: a session resolves its config once and
+// hands the Topology to the builder, the replay classifier and the cache
+// keys. It shares no memory with the config it came from and nobody writes
+// to it after Resolve, so sessions, recorded schedules and goroutines share
+// one freely. The exported fields are also what a persisted schedule spells
+// its configuration with.
+type Topology struct {
+	Name      string         `json:"-"`
+	Tiles     []ResolvedTile // tile-ID order, the order the trace binds to
+	Mem       config.MemConfig
+	NoC       *config.NoCConfig
+	FabricLat int64
+	// SlicedRoles marks roles that DAE slicing assigned to a config that
+	// declares none. Schedules and structural hashes recorded before roles
+	// were resolved spell such roles as empty; replay's canonical form keeps
+	// doing so, which is what keeps those stores addressable.
+	SlicedRoles bool `json:",omitempty"`
+}
+
+// RefClockMHz is the first tile's clock: the reference clock drivers hand to
+// accelerator models.
+func (t *Topology) RefClockMHz() int { return t.Tiles[0].Cfg.ClockMHz }
+
+// Resolve validates a system config and expands it, from either input
+// spelling, into its Topology: kinds looked up, overrides merged, each
+// resolved core validated, roles settled (daePairs gives a config that
+// declares no access/execute roles alternating ones, the way DAE slicing
+// maps a kernel onto role-less tiles), every tile placed on the mesh, and
+// the modelled cache capacity bounded.
+func Resolve(sc *config.SystemConfig, daePairs bool) (*Topology, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
 	}
-	for i, td := range sc.Tiles {
-		rt, n, err := resolveTileDef(sc, i, &td)
+	fail := func(format string, args ...any) (*Topology, error) {
+		return nil, fmt.Errorf("config %q: "+format, append([]any{sc.Name}, args...)...)
+	}
+	t := &Topology{Name: sc.Name, Mem: sc.Mem, FabricLat: sc.EffectiveFabricLatency()}
+	if sc.Mem.L2 != nil {
+		l2 := *sc.Mem.L2
+		t.Mem.L2 = &l2
+	}
+	if sc.Mem.LLC != nil {
+		llc := *sc.Mem.LLC
+		t.Mem.LLC = &llc
+	}
+	tds, _ := sc.TileDefs() // Validate has read them once already
+	declared := false
+	for i := range tds {
+		rt, err := resolveTile(&tds[i])
 		if err != nil {
-			return nil, err
+			return fail("tile %d: %w", i, err)
 		}
-		for k := 0; k < n; k++ {
-			out = append(out, rt)
+		declared = declared || rt.Role != ""
+		for k := 0; k < tds[i].Instances(); k++ {
+			t.Tiles = append(t.Tiles, rt)
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("soc: config %q declares no tiles", sc.Name)
+	if daePairs && !declared {
+		if len(t.Tiles)%2 != 0 {
+			return fail("DAE slicing needs an even tile count (access/execute pairs), got %d", len(t.Tiles))
+		}
+		for i := range t.Tiles {
+			t.Tiles[i].Role = config.DAERole(i)
+		}
+		t.SlicedRoles = true
 	}
-	return out, nil
+	if err := t.place(sc.NoC); err != nil {
+		return fail("%w", err)
+	}
+	cacheKB := t.Mem.L1.SizeKB
+	if t.Mem.L2 != nil {
+		cacheKB += t.Mem.L2.SizeKB
+	}
+	cacheKB *= len(t.Tiles)
+	if t.Mem.LLC != nil {
+		cacheKB += t.Mem.LLC.SizeKB
+	}
+	if cacheKB > config.MaxSystemCacheKB {
+		return fail("%w", &config.SizeError{Owner: "system", Field: "size_kb", Value: cacheKB,
+			Want: fmt.Sprintf("at most %d over all %d tiles' caches and the LLC", config.MaxSystemCacheKB, len(t.Tiles))})
+	}
+	return t, nil
 }
 
-// resolveTileDef resolves one declarative tile entry into its ResolvedTile
-// and instance count.
-func resolveTileDef(sc *config.SystemConfig, i int, td *config.TileDef) (ResolvedTile, int, error) {
-	fail := func(err error) (ResolvedTile, int, error) {
-		return ResolvedTile{}, 0, fmt.Errorf("soc: config %q: tile %d: %w", sc.Name, i, err)
-	}
-	var base config.CoreConfig
-	kind := td.Kind
-	switch {
+// resolveTile resolves one tile definition: the one place a kind is looked
+// up, overrides are decoded and a core configuration is validated.
+func resolveTile(td *config.TileDef) (ResolvedTile, error) {
+	rt := ResolvedTile{Kind: td.Kind, Role: td.Role, MeshSlot: -1}
+	switch preset, ok := tileKinds[td.Kind]; {
 	case td.Core != nil:
-		base = *td.Core
-		if kind == "" {
-			kind = base.Name
+		rt.Cfg = *td.Core
+		rt.Cfg.Latencies = maps.Clone(rt.Cfg.Latencies)
+		rt.Cfg.FunctionalUnits = maps.Clone(rt.Cfg.FunctionalUnits)
+		if rt.Kind == "" {
+			rt.Kind = rt.Cfg.Name
 		}
-	case kind != "":
-		var err error
-		base, err = ResolveTileKind(kind)
-		if err != nil {
-			return fail(err)
-		}
+	case ok:
+		rt.Cfg = preset()
 	default:
-		return fail(fmt.Errorf("needs a kind or an explicit core config"))
+		kinds := TileKinds()
+		if s := stats.Closest(td.Kind, kinds); s != "" {
+			return rt, fmt.Errorf("unknown tile kind %q (did you mean %q?)", td.Kind, s)
+		}
+		return rt, fmt.Errorf("unknown tile kind %q (registered: %v)", td.Kind, kinds)
 	}
 	if len(td.Overrides) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(td.Overrides))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&base); err != nil {
-			return fail(fmt.Errorf("bad overrides for kind %q: %w", kind, err))
+		if err := dec.Decode(&rt.Cfg); err != nil {
+			return rt, fmt.Errorf("bad overrides for kind %q: %w", rt.Kind, err)
 		}
 	}
 	if td.ClockMHz != 0 {
-		base.ClockMHz = td.ClockMHz
+		rt.Cfg.ClockMHz = td.ClockMHz
 	}
-	if base.ClockMHz <= 0 {
-		return fail(fmt.Errorf("kind %q: clock must be positive, got %d MHz", kind, base.ClockMHz))
+	if rt.Cfg.ClockMHz <= 0 {
+		return rt, fmt.Errorf("kind %q: clock must be positive, got %d MHz", rt.Kind, rt.Cfg.ClockMHz)
 	}
-	role := td.Role
-	if role == config.RoleSPMD {
-		role = ""
+	if err := rt.Cfg.Validate(); err != nil {
+		return rt, err
 	}
-	slot := -1
+	if rt.Role == config.RoleSPMD {
+		rt.Role = ""
+	}
 	if td.MeshSlot != nil {
-		slot = *td.MeshSlot
+		if rt.MeshSlot = *td.MeshSlot; rt.MeshSlot < 0 {
+			return rt, fmt.Errorf("mesh_slot %d outside the mesh", rt.MeshSlot)
+		}
 	}
-	n := td.Count
-	if n == 0 {
-		n = 1
+	return rt, nil
+}
+
+// place checks the NoC geometry against the resolved tiles and adopts it: a
+// mesh must hold every tile, and mesh slots are pinned by every tile or by
+// none, each inside the mesh and to itself. Before these checks an undersized
+// mesh silently computed off-grid coordinates and charged nonsense hop
+// counts.
+func (t *Topology) place(noc *config.NoCConfig) error {
+	pinned := 0
+	for _, rt := range t.Tiles {
+		if rt.MeshSlot != -1 {
+			pinned++
+		}
 	}
-	return ResolvedTile{Cfg: base, Kind: kind, Role: role, MeshSlot: slot}, n, nil
+	if noc == nil {
+		if pinned > 0 {
+			return fmt.Errorf("mesh_slot set but no NoC configured")
+		}
+		return nil
+	}
+	w, n := noc.MeshWidth, len(t.Tiles)
+	if w <= 0 {
+		return fmt.Errorf("NoC mesh width must be positive, got %d", w)
+	}
+	if noc.HopCycles < 0 {
+		return fmt.Errorf("NoC hop latency must be non-negative, got %d", noc.HopCycles)
+	}
+	if w*w < n {
+		return fmt.Errorf("a %dx%d mesh has %d slots but the system has %d tiles", w, w, w*w, n)
+	}
+	if pinned > 0 && pinned < n {
+		return fmt.Errorf("either every tile pins a mesh_slot or none does (%d pinned, %d not)", pinned, n-pinned)
+	}
+	if pinned > 0 { // then by every tile
+		taken := map[int]bool{}
+		for i, rt := range t.Tiles {
+			if rt.MeshSlot >= w*w {
+				return fmt.Errorf("tile %d (%s): mesh_slot %d outside the %dx%d mesh", i, rt.Kind, rt.MeshSlot, w, w)
+			}
+			if taken[rt.MeshSlot] {
+				return fmt.Errorf("mesh_slot %d pinned twice", rt.MeshSlot)
+			}
+			taken[rt.MeshSlot] = true
+		}
+	}
+	mesh := *noc
+	t.NoC = &mesh
+	return nil
 }
 
 // Binding carries the compiled kernel artifacts a topology's tiles replay:
 // the whole-kernel graph for SPMD-role tiles and the DAE slice graphs for
-// access/execute-role tiles, plus the per-tile dynamic traces. PairDAE
-// applies the legacy convention for topologies with no declared roles: even
-// tiles take the access slice, odd tiles the execute slice.
+// access/execute-role tiles, plus the per-tile dynamic traces.
 type Binding struct {
 	Graph   *ddg.Graph
 	Access  *ddg.Graph
 	Execute *ddg.Graph
 	Trace   *trace.Trace
-	PairDAE bool
 }
 
-// Build is the single topology builder: it expands the config's tile
-// declarations, binds each tile to its kernel graph by role, constructs the
-// system, and applies the NoC geometry (validated — an undersized mesh is a
-// construction error, never silent off-grid placement). Every composition
-// path — NewSPMD, sim.Session's BuildSystem, the examples — goes through
-// here.
-func Build(sc *config.SystemConfig, b Binding, accels map[string]AccelModel) (*System, error) {
-	rts, err := ExpandTiles(sc)
-	if err != nil {
-		return nil, err
-	}
+// Build is the single system builder: it binds each tile of a resolved
+// topology to its kernel graph by role and to its trace, constructs the
+// system, and applies the fabric latency and NoC placement. Every
+// composition path — NewSPMD, sim.Session's BuildSystem, the examples — goes
+// through here.
+func Build(t *Topology, b Binding, accels map[string]AccelModel) (*System, error) {
 	if b.Trace == nil {
-		return nil, fmt.Errorf("soc: config %q: no trace bound to the topology", sc.Name)
+		return nil, fmt.Errorf("soc: config %q: no trace bound to the topology", t.Name)
 	}
-	if len(rts) > len(b.Trace.Tiles) {
+	if len(t.Tiles) > len(b.Trace.Tiles) {
 		return nil, fmt.Errorf("soc: config wants more cores (%d+) than traced tiles (%d)", len(b.Trace.Tiles)+1, len(b.Trace.Tiles))
 	}
-	if len(rts) < len(b.Trace.Tiles) {
-		return nil, fmt.Errorf("soc: trace has %d tiles but config instantiates %d cores", len(b.Trace.Tiles), len(rts))
+	if len(t.Tiles) < len(b.Trace.Tiles) {
+		return nil, fmt.Errorf("soc: trace has %d tiles but config instantiates %d cores", len(b.Trace.Tiles), len(t.Tiles))
 	}
-	specs := make([]TileSpec, len(rts))
-	for i, rt := range rts {
-		role := rt.Role
-		if role == "" && b.PairDAE {
-			role = config.RoleAccess
-			if i%2 == 1 {
-				role = config.RoleExecute
-			}
-		}
-		var g *ddg.Graph
-		switch role {
-		case "":
-			g = b.Graph
-		case config.RoleAccess:
-			g = b.Access
-		case config.RoleExecute:
-			g = b.Execute
-		default:
-			return nil, fmt.Errorf("soc: config %q: tile %d: unknown role %q", sc.Name, i, role)
-		}
+	graphs := map[string]*ddg.Graph{"": b.Graph, config.RoleAccess: b.Access, config.RoleExecute: b.Execute}
+	specs := make([]TileSpec, len(t.Tiles))
+	for i, rt := range t.Tiles {
+		g := graphs[rt.Role]
 		if g == nil {
-			return nil, fmt.Errorf("soc: config %q: tile %d needs the %s kernel graph but the binding has none", sc.Name, i, roleName(role))
+			role := rt.Role
+			if role == "" {
+				role = "SPMD"
+			}
+			return nil, fmt.Errorf("soc: config %q: tile %d needs the %s kernel graph but the binding has none", t.Name, i, role)
 		}
 		specs[i] = TileSpec{Cfg: rt.Cfg, Kind: rt.Kind, Graph: g, TT: b.Trace.Tiles[i]}
 	}
-	sys, err := New(sc.Name, specs, sc.Mem, accels)
+	sys, err := New(t.Name, specs, t.Mem, accels)
 	if err != nil {
 		return nil, err
 	}
-	sys.Fabric.Latency = sc.EffectiveFabricLatency()
-	if sc.NoC != nil {
-		w := sc.NoC.MeshWidth
-		if w <= 0 || w*w < len(rts) {
-			return nil, fmt.Errorf("soc: config %q: a %dx%d mesh cannot place %d tiles", sc.Name, w, w, len(rts))
-		}
-		sys.Fabric.MeshWidth = w
-		sys.Fabric.HopCycles = sc.NoC.HopCycles
-		if slots, err := meshSlots(sc.Name, rts, w); err != nil {
-			return nil, err
-		} else if slots != nil {
-			sys.Fabric.Slots = slots
+	sys.Fabric.Latency = t.FabricLat
+	if t.NoC != nil {
+		sys.Fabric.MeshWidth = t.NoC.MeshWidth
+		sys.Fabric.HopCycles = t.NoC.HopCycles
+		if t.Tiles[0].MeshSlot != -1 {
+			sys.Fabric.Slots = make([]int, len(t.Tiles))
+			for i, rt := range t.Tiles {
+				sys.Fabric.Slots[i] = rt.MeshSlot
+			}
 		}
 	}
 	return sys, nil
-}
-
-// meshSlots collects pinned NoC placements (nil when no tile pins one; the
-// fabric then places tiles row-major by ID, the legacy layout).
-func meshSlots(name string, rts []ResolvedTile, width int) ([]int, error) {
-	pinned := 0
-	for _, rt := range rts {
-		if rt.MeshSlot >= 0 {
-			pinned++
-		}
-	}
-	if pinned == 0 {
-		return nil, nil
-	}
-	if pinned != len(rts) {
-		return nil, fmt.Errorf("soc: config %q: either every tile pins a mesh_slot or none does (%d of %d pinned)", name, pinned, len(rts))
-	}
-	slots := make([]int, len(rts))
-	seen := map[int]bool{}
-	for i, rt := range rts {
-		s := rt.MeshSlot
-		if s >= width*width {
-			return nil, fmt.Errorf("soc: config %q: tile %d: mesh_slot %d outside the %dx%d mesh", name, i, s, width, width)
-		}
-		if seen[s] {
-			return nil, fmt.Errorf("soc: config %q: mesh_slot %d pinned twice", name, s)
-		}
-		seen[s] = true
-		slots[i] = s
-	}
-	return slots, nil
-}
-
-// roleName renders a role for error messages.
-func roleName(role string) string {
-	if role == "" {
-		return "SPMD"
-	}
-	return role
-}
-
-// Roles returns the effective per-tile role sequence of a config — the
-// trace-relevant projection of the topology (what slice each tile replays),
-// independent of core kinds and clocks so artifact caching still shares
-// traces across microarchitectures.
-func Roles(sc *config.SystemConfig) ([]string, error) {
-	rts, err := ExpandTiles(sc)
-	if err != nil {
-		return nil, err
-	}
-	roles := make([]string, len(rts))
-	for i, rt := range rts {
-		roles[i] = rt.Role
-	}
-	return roles, nil
-}
-
-// ReferenceClockMHz is the topology's first tile clock — the system
-// reference clock drivers hand to accelerator models, matching the legacy
-// Cores[0] convention.
-func ReferenceClockMHz(sc *config.SystemConfig) (int, error) {
-	rts, err := ExpandTiles(sc)
-	if err != nil {
-		return 0, err
-	}
-	return rts[0].Cfg.ClockMHz, nil
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // TestConfigsDirectoryTopologies loads every example topology shipped under
-// configs/, validates it, resolves its tile kinds, and checks it stays in
-// sync with the preset of the same name. This is the CI gate for the
+// configs/, resolves it, and checks it stays in sync with the preset of the
+// same name. This is the CI gate for the
 // example files: an edit that breaks a file (or drifts from the preset)
 // fails here.
 func TestConfigsDirectoryTopologies(t *testing.T) {
@@ -31,31 +31,20 @@ func TestConfigsDirectoryTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sc.Validate(); err != nil {
-				t.Fatalf("%s does not validate: %v", path, err)
-			}
-			rts, err := ExpandTiles(sc)
+			got, err := Resolve(sc, false)
 			if err != nil {
-				t.Fatalf("%s does not expand: %v", path, err)
-			}
-			if len(rts) == 0 {
-				t.Fatalf("%s expands to no tiles", path)
+				t.Fatalf("%s does not resolve: %v", path, err)
 			}
 			preset, err := config.TopologyPreset(name)
 			if err != nil {
 				t.Fatalf("no preset backs %s: %v", path, err)
 			}
-			want, err := ExpandTiles(preset)
+			want, err := Resolve(preset, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(rts, want) {
-				t.Errorf("%s drifted from preset %q:\n file: %+v\npreset: %+v", path, name, rts, want)
-			}
-			fileMem, _ := json.Marshal(sc.Mem)
-			presetMem, _ := json.Marshal(preset.Mem)
-			if string(fileMem) != string(presetMem) {
-				t.Errorf("%s memory config drifted from preset %q", path, name)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s drifted from preset %q:\n file: %+v\npreset: %+v", path, name, got, want)
 			}
 		})
 	}
@@ -67,12 +56,9 @@ func TestUnknownTileKindDidYouMean(t *testing.T) {
 		Tiles: []config.TileDef{{Kind: "oo"}},
 		Mem:   config.TableIIMem(),
 	}
-	_, err := ExpandTiles(sc)
+	_, err := Resolve(sc, false)
 	if err == nil || !strings.Contains(err.Error(), `did you mean "ooo"`) {
 		t.Errorf("want did-you-mean for kind \"oo\", got %v", err)
-	}
-	if _, err := Roles(sc); err == nil {
-		t.Error("Roles accepted an unknown kind")
 	}
 }
 
@@ -83,7 +69,7 @@ func TestBadClockRejected(t *testing.T) {
 	}
 	for i, td := range cases {
 		sc := &config.SystemConfig{Name: "badclock", Tiles: []config.TileDef{td}, Mem: config.TableIIMem()}
-		if _, err := ExpandTiles(sc); err == nil || !strings.Contains(err.Error(), "clock must be positive") {
+		if _, err := Resolve(sc, false); err == nil || !strings.Contains(err.Error(), "clock must be positive") {
 			t.Errorf("case %d: want positive-clock error, got %v", i, err)
 		}
 	}
@@ -98,59 +84,78 @@ func TestOverridesAreStrict(t *testing.T) {
 		}},
 		Mem: config.TableIIMem(),
 	}
-	if _, err := ExpandTiles(sc); err == nil || !strings.Contains(err.Error(), "bad overrides") {
+	if _, err := Resolve(sc, false); err == nil || !strings.Contains(err.Error(), "bad overrides") {
 		t.Errorf("want strict-decode error for misspelled override, got %v", err)
 	}
 }
 
-// TestDeclarativeMatchesLegacy pins the refactor's core promise at the soc
-// layer: the same machine declared as a legacy Cores list and as a
-// declarative Tiles list produces the same system and identical results.
+// TestDeclarativeMatchesLegacy pins the two input spellings to one internal
+// form: each cores config and its tiles twin resolve to DeepEqual Topologies
+// and simulate to byte-equal Results.
 func TestDeclarativeMatchesLegacy(t *testing.T) {
 	g, tr := traceSPMD(t, spmdVecAdd, 2, vecSetup(512), nil)
-	run := func(sc *config.SystemConfig) Result {
-		t.Helper()
-		sys, err := Build(sc, Binding{Graph: g, Trace: tr}, nil)
-		if err != nil {
-			t.Fatal(err)
+	slow := config.InOrderCore()
+	slow.ClockMHz = 1000
+	slow.Latencies = map[string]int64{"fp_alu": 5}
+	lat := int64(3)
+	for name, pair := range map[string][2]*config.SystemConfig{
+		"kind": {
+			{Name: "m", Cores: []config.CoreSpec{{Core: config.OutOfOrderCore(), Count: 2}}, Mem: config.TableIIMem()},
+			{Name: "m", Tiles: []config.TileDef{{Kind: "ooo", Count: 2}}, Mem: config.TableIIMem()},
+		},
+		"explicit cores on a mesh": {
+			{Name: "m", Cores: []config.CoreSpec{{Core: config.XeonLikeCore(), Count: 1}, {Core: slow, Count: 1}},
+				Mem: config.TableIMem(), NoC: &config.NoCConfig{MeshWidth: 2, HopCycles: 3}, FabricLatency: &lat},
+			{Name: "m", Tiles: []config.TileDef{{Kind: "xeon"}, {Core: &slow}},
+				Mem: config.TableIMem(), NoC: &config.NoCConfig{MeshWidth: 2, HopCycles: 3}, FabricLatency: &lat},
+		},
+		"overrides": {
+			{Name: "m", Cores: []config.CoreSpec{{Core: slow, Count: 2}}, Mem: config.TableIIMem()},
+			{Name: "m", Tiles: []config.TileDef{{Kind: "inorder", Count: 2, ClockMHz: 1000,
+				Overrides: json.RawMessage(`{"latencies": {"fp_alu": 5}}`)}}, Mem: config.TableIIMem()},
+		},
+	} {
+		var topos [2]*Topology
+		var results [2][]byte
+		for i, sc := range pair {
+			topo, err := Resolve(sc, false)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sys, err := Build(topo, Binding{Graph: g, Trace: tr}, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := sys.Run(context.Background(), 200_000_000); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			topos[i] = topo
+			results[i], _ = json.Marshal(sys.Result())
 		}
-		if err := sys.Run(context.Background(), 200_000_000); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(topos[0], topos[1]) {
+			t.Errorf("%s: the spellings resolve differently:\n cores: %+v\n tiles: %+v", name, topos[0], topos[1])
 		}
-		return sys.Result()
-	}
-	legacy := run(&config.SystemConfig{
-		Name:  "m",
-		Cores: []config.CoreSpec{{Core: config.OutOfOrderCore(), Count: 2}},
-		Mem:   config.TableIIMem(),
-	})
-	declarative := run(&config.SystemConfig{
-		Name:  "m",
-		Tiles: []config.TileDef{{Kind: "ooo", Count: 2}},
-		Mem:   config.TableIIMem(),
-	})
-	lb, _ := json.Marshal(legacy)
-	db, _ := json.Marshal(declarative)
-	if string(lb) != string(db) {
-		t.Errorf("declarative result diverges from legacy:\n legacy: %s\n  tiles: %s", lb, db)
+		if string(results[0]) != string(results[1]) {
+			t.Errorf("%s: tiles result diverges from cores:\n cores: %s\n tiles: %s", name, results[0], results[1])
+		}
 	}
 }
 
-// TestMeshGeometryValidated covers the NoC construction checks: an
-// undersized mesh is rejected at Build (never silent off-grid placement),
-// and pinned slots must be all-or-none, in-grid, and unique.
+// TestMeshGeometryValidated covers the NoC placement checks: an undersized
+// mesh is rejected (never silent off-grid placement), and pinned slots must be
+// all-or-none, in-grid, and unique.
 func TestMeshGeometryValidated(t *testing.T) {
 	g, tr := traceSPMD(t, spmdVecAdd, 2, vecSetup(256), nil)
 	slot := func(s int) *int { return &s }
 	build := func(tiles []config.TileDef, noc *config.NoCConfig) error {
 		sc := &config.SystemConfig{Name: "mesh", Tiles: tiles, Mem: config.TableIIMem(), NoC: noc}
-		_, err := Build(sc, Binding{Graph: g, Trace: tr}, nil)
+		_, err := NewSPMD(sc, g, tr, nil)
 		return err
 	}
 	two := []config.TileDef{{Kind: "ooo"}, {Kind: "ooo"}}
 
 	if err := build(two, &config.NoCConfig{MeshWidth: 1, HopCycles: 4}); err == nil ||
-		!strings.Contains(err.Error(), "cannot place") {
+		!strings.Contains(err.Error(), "1 slots but the system has 2 tiles") {
 		t.Errorf("undersized mesh accepted: %v", err)
 	}
 	if err := build([]config.TileDef{{Kind: "ooo", MeshSlot: slot(0)}, {Kind: "ooo"}},
@@ -173,12 +178,12 @@ func TestMeshGeometryValidated(t *testing.T) {
 		t.Errorf("valid pinned placement rejected: %v", err)
 	}
 
-	// The same undersized geometry is already rejected by config.Validate,
-	// before any trace exists.
+	// The same undersized geometry is already rejected by Resolve, before
+	// any trace exists.
 	sc := &config.SystemConfig{Name: "mesh", Tiles: two, Mem: config.TableIIMem(),
 		NoC: &config.NoCConfig{MeshWidth: 1, HopCycles: 4}}
-	if err := sc.Validate(); err == nil {
-		t.Error("config.Validate accepted an undersized mesh")
+	if _, err := Resolve(sc, false); err == nil {
+		t.Error("Resolve accepted an undersized mesh")
 	}
 }
 
@@ -198,7 +203,7 @@ func TestPinnedMeshSlotsApplyToFabric(t *testing.T) {
 		Mem: config.TableIIMem(),
 		NoC: &config.NoCConfig{MeshWidth: 2, HopCycles: 4},
 	}
-	sys, err := Build(sc, Binding{Graph: g, Trace: tr}, nil)
+	sys, err := NewSPMD(sc, g, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +228,7 @@ func TestTileBreakdown(t *testing.T) {
 		},
 		Mem: config.TableIIMem(),
 	}
-	sys, err := Build(sc, Binding{Graph: g, Trace: tr}, nil)
+	sys, err := NewSPMD(sc, g, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,26 +255,36 @@ func TestTileBreakdown(t *testing.T) {
 }
 
 func TestReferenceClockAndRoles(t *testing.T) {
-	sc, err := config.TopologyPreset("core-accel")
-	if err != nil {
-		t.Fatal(err)
+	resolve := func(name string, daePairs bool) *Topology {
+		t.Helper()
+		sc, err := config.TopologyPreset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := Resolve(sc, daePairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
 	}
-	mhz, err := ReferenceClockMHz(sc)
-	if err != nil {
-		t.Fatal(err)
+	roles := func(topo *Topology) (out []string) {
+		for _, rt := range topo.Tiles {
+			out = append(out, rt.Role)
+		}
+		return out
 	}
-	if want := config.OutOfOrderCore().ClockMHz; mhz != want {
+	if mhz, want := resolve("core-accel", false).RefClockMHz(), config.OutOfOrderCore().ClockMHz; mhz != want {
 		t.Errorf("reference clock = %d, want first tile's %d", mhz, want)
 	}
-	dae, err := config.TopologyPreset("dae-pair")
-	if err != nil {
-		t.Fatal(err)
+	pair := []string{config.RoleAccess, config.RoleExecute}
+	if dae := resolve("dae-pair", false); !reflect.DeepEqual(roles(dae), pair) || dae.SlicedRoles {
+		t.Errorf("declared roles = %v (sliced %v), want %v as declared", roles(dae), dae.SlicedRoles, pair)
 	}
-	roles, err := Roles(dae)
-	if err != nil {
-		t.Fatal(err)
+	// DAE slicing gives a role-less topology the same pairs, marked as its own.
+	if sliced := resolve("core-accel", true); !reflect.DeepEqual(roles(sliced), pair) || !sliced.SlicedRoles {
+		t.Errorf("sliced roles = %v (sliced %v), want %v from slicing", roles(sliced), sliced.SlicedRoles, pair)
 	}
-	if want := []string{config.RoleAccess, config.RoleExecute}; !reflect.DeepEqual(roles, want) {
-		t.Errorf("roles = %v, want %v", roles, want)
+	if spmd := resolve("spmd-xeon", false); !reflect.DeepEqual(roles(spmd), make([]string, 4)) {
+		t.Errorf("spmd roles = %v, want four empty", roles(spmd))
 	}
 }

@@ -32,11 +32,11 @@ func presetCores(t *testing.T) []config.CoreConfig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rts, err := soc.ExpandTiles(sc)
+		topo, err := soc.Resolve(sc, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, rt := range rts {
+		for _, rt := range topo.Tiles {
 			cores = append(cores, rt.Cfg)
 		}
 	}

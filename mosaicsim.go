@@ -67,8 +67,12 @@ type (
 	Tile = soc.Tile
 	// TileSpec instantiates one tile of a heterogeneous system.
 	TileSpec = soc.TileSpec
-	// TileBinding carries the kernel graphs and traces a declarative
-	// topology's tiles replay.
+	// Topology is a SystemConfig resolved (ResolveTopology) into the one form
+	// the simulator works from: every tile with its full core configuration,
+	// role and mesh slot.
+	Topology = soc.Topology
+	// TileBinding carries the kernel graphs and traces a topology's tiles
+	// replay.
 	TileBinding = soc.Binding
 	// KindBreakdown aggregates cycle and stall totals over tiles of a kind.
 	KindBreakdown = soc.KindBreakdown
@@ -108,9 +112,12 @@ var (
 	RegisterTileKind = soc.RegisterTileKind
 	// TileKinds lists the registered declarative tile kinds.
 	TileKinds = soc.TileKinds
-	// BuildSystem is the single declarative topology builder: it expands a
-	// config's tile list, binds each tile to its kernel graph by role, and
-	// applies the (validated) NoC geometry.
+	// ResolveTopology validates a SystemConfig, in either input spelling, and
+	// expands it into its Topology.
+	ResolveTopology = soc.Resolve
+	// BuildSystem is the single system builder: it binds each tile of a
+	// resolved topology to its kernel graph by role and applies the NoC
+	// geometry.
 	BuildSystem = soc.Build
 )
 
