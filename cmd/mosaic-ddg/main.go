@@ -11,8 +11,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mosaicsim/internal/cc"
@@ -24,22 +26,40 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "", "built-in workload name")
-	src := flag.String("src", "", "mini-C source file")
-	fn := flag.String("fn", "kernel", "kernel function name (with -src)")
-	dot := flag.Bool("dot", false, "emit Graphviz DOT instead of statistics")
-	printIR := flag.Bool("ir", false, "print the kernel IR")
-	optLevel := flag.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
-	passes := flag.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
-	unroll := flag.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: 0 on success, 1 when the work fails (an
+// unreadable source file, a kernel that does not compile), 2 for a command
+// line it cannot act on.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mosaic-ddg", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "", "built-in workload name")
+	src := fs.String("src", "", "mini-C source file")
+	fn := fs.String("fn", "kernel", "kernel function name (with -src)")
+	dot := fs.Bool("dot", false, "emit Graphviz DOT instead of statistics")
+	printIR := fs.Bool("ir", false, "print the kernel IR")
+	optLevel := fs.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
+	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
+	unroll := fs.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // fs has already written the error and the usage to stderr
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "mosaic-ddg:", err)
+		return code
+	}
 
 	if *optLevel != "" && *passes != "" {
-		fatal(fmt.Errorf("-O and -passes are mutually exclusive"))
+		return fail(2, errors.New("-O and -passes are mutually exclusive"))
 	}
 	opt, err := ir.ParseOptConfig(*optLevel, *passes, *unroll)
 	if err != nil {
-		fatal(err)
+		return fail(2, err)
 	}
 
 	var f *ir.Function
@@ -50,49 +70,49 @@ func main() {
 		// DDG stages, sharing the process-wide artifact cache.
 		w, err := workloads.Resolve(*workload)
 		if err != nil {
-			fatal(err)
+			return fail(2, err)
 		}
 		if !opt.IsDefault() {
 			w = w.WithOpt(opt)
 		}
 		s, err := sim.NewSession(sim.Options{Workload: w})
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		ctx := context.Background()
 		if f, err = s.Compile(ctx); err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		if g, err = s.Graph(ctx); err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 	case *src != "":
 		data, err := os.ReadFile(*src)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		mod, err := cc.CompileWithOpt(string(data), *src, opt)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		f = mod.Func(*fn)
 		if f == nil {
-			fatal(fmt.Errorf("no function %q in %s", *fn, *src))
+			return fail(1, fmt.Errorf("no function %q in %s", *fn, *src))
 		}
 		g = ddg.Build(f)
 	default:
-		fmt.Fprintln(os.Stderr, "need -workload or -src; see -h")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need -workload or -src; see -h")
+		return 2
 	}
 
 	if *printIR {
-		fmt.Println(f.String())
+		fmt.Fprintln(stdout, f.String())
 	}
 	if *dot {
-		fmt.Print(g.DOT())
-		return
+		fmt.Fprint(stdout, g.DOT())
+		return 0
 	}
-	fmt.Printf("opt: %s\n", opt)
+	fmt.Fprintf(stdout, "opt: %s\n", opt)
 	s := g.Stats()
 	tbl := stats.NewTable("static DDG: @"+f.Ident, "metric", "value")
 	tbl.Row("basic blocks", s.Blocks)
@@ -101,7 +121,7 @@ func main() {
 	tbl.Row("cross-DBB data edges", s.CrossEdges)
 	tbl.Row("phi edges", s.PhiEdges)
 	tbl.Row("memory operations", s.MemOps)
-	fmt.Println(tbl.String())
+	fmt.Fprintln(stdout, tbl.String())
 
 	// Lightweight performance estimation straight from the graph (§II).
 	est := g.Estimate(ddg.UnitLatency)
@@ -109,12 +129,8 @@ func main() {
 	for _, b := range est.Blocks {
 		an.Row(b.Block.Ident, b.Nodes, b.CriticalPath, b.ILP, b.LoopCarried)
 	}
-	fmt.Println(an.String())
-	fmt.Printf("max per-block ILP %.2f; dataflow-minimum initiation interval %d cycles/iteration\n",
+	fmt.Fprintln(stdout, an.String())
+	fmt.Fprintf(stdout, "max per-block ILP %.2f; dataflow-minimum initiation interval %d cycles/iteration\n",
 		est.MaxILP, est.MinII)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mosaic-ddg:", err)
-	os.Exit(1)
+	return 0
 }

@@ -136,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, name := range strings.Split(*workload, ",") {
 		w, err := workloads.Resolve(strings.TrimSpace(name))
 		if err != nil {
-			fmt.Fprintln(stderr, "mosaicsim:", err)
+			fmt.Fprintf(stderr, "mosaicsim: %v; see -list\n", err)
 			return 2
 		}
 		ws = append(ws, w)

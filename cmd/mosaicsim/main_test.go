@@ -52,7 +52,7 @@ func TestFlagCombinations(t *testing.T) {
 		{"list", []string{"-list"}, 0, "sgemm", ""},
 		{"tiny run", []string{"-workload", "sgemm", "-scale", "tiny"}, 0, "simulation result", ""},
 		{"replay off", []string{"-workload", "sgemm", "-scale", "tiny", "-replay=false"}, 0, "cycles stepped", ""},
-		{"unknown workload", []string{"-workload", "sgem"}, 2, "", `did you mean "sgemm"?`},
+		{"unknown workload", []string{"-workload", "sgem"}, 2, "", `unknown workload "sgem" (did you mean "sgemm"?); see -list`},
 		// -branch is one more override on every tile, however the system is
 		// named (TestBranchOverrideReachesTheRun checks it changes the run).
 		{"branch with a tiles-form config", []string{"-workload", "sgemm", "-scale", "tiny", "-topology", tilesFormConfig, "-branch", "none"}, 0, "simulation result", ""},

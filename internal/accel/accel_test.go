@@ -259,66 +259,3 @@ func TestRegistryComplete(t *testing.T) {
 		t.Error("ByName invented an accelerator")
 	}
 }
-
-func TestEvaluateAndParetoFront(t *testing.T) {
-	points := append(PLMSweep(),
-		DesignPoint{PLMBytes: 4 << 10, Lanes: 64}, // fast but big
-		DesignPoint{PLMBytes: 64 << 10, Lanes: 4}, // slow and mid-size
-	)
-	eval, err := Evaluate(NewSGEMM, points, sgemmParams(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eval) != len(points) {
-		t.Fatalf("evaluated %d of %d points", len(eval), len(points))
-	}
-	front := ParetoFront(eval)
-	if len(front) == 0 || len(front) > len(eval) {
-		t.Fatalf("front size %d", len(front))
-	}
-	// Front must be sorted by area with strictly improving cycles.
-	for i := 1; i < len(front); i++ {
-		if front[i].AreaUM < front[i-1].AreaUM {
-			t.Error("front not sorted by area")
-		}
-		if front[i].Cycles >= front[i-1].Cycles {
-			t.Errorf("front point %d does not improve cycles (%d vs %d)", i, front[i].Cycles, front[i-1].Cycles)
-		}
-	}
-	// No front point may be dominated by any evaluated point.
-	for _, p := range front {
-		for _, q := range eval {
-			if q.AreaUM < p.AreaUM && q.Cycles < p.Cycles {
-				t.Errorf("front point (%g, %d) dominated by (%g, %d)", p.AreaUM, p.Cycles, q.AreaUM, q.Cycles)
-			}
-		}
-	}
-}
-
-func TestCheapestWithin(t *testing.T) {
-	eval, err := Evaluate(NewElementwise, PLMSweep(), []int64{0, 0, 0, 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chosen, ok := CheapestWithin(eval, 1.10)
-	if !ok {
-		t.Fatal("no design point selected")
-	}
-	var fastest int64 = 1 << 62
-	for _, p := range eval {
-		if p.Cycles < fastest {
-			fastest = p.Cycles
-		}
-	}
-	if float64(chosen.Cycles) > 1.10*float64(fastest) {
-		t.Errorf("chosen point %d cycles exceeds 10%% slack over %d", chosen.Cycles, fastest)
-	}
-	for _, p := range eval {
-		if float64(p.Cycles) <= 1.10*float64(fastest) && p.AreaUM < chosen.AreaUM {
-			t.Errorf("cheaper compliant point exists: %g < %g", p.AreaUM, chosen.AreaUM)
-		}
-	}
-	if _, ok := CheapestWithin(nil, 1.1); ok {
-		t.Error("empty evaluation should select nothing")
-	}
-}

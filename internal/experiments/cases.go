@@ -9,7 +9,6 @@ import (
 	"mosaicsim/internal/keras"
 	"mosaicsim/internal/soc"
 	"mosaicsim/internal/stats"
-	"mosaicsim/internal/trends"
 	"mosaicsim/internal/workloads"
 )
 
@@ -18,7 +17,7 @@ func Fig1() *Report {
 	tbl := stats.NewTable("Fig. 1 — 42 years of microprocessor trend data",
 		"year", "transistors (k)", "single-thread perf", "frequency (MHz)", "power (W)", "cores")
 	values := map[string]float64{}
-	for _, p := range trends.Data() {
+	for _, p := range trendData() {
 		tbl.Row(p.Year, p.TransistorsK, p.SingleThread, p.FrequencyMHz, p.PowerW, p.Cores)
 		values[fmt.Sprintf("cores%d", p.Year)] = p.Cores
 		values[fmt.Sprintf("freq%d", p.Year)] = p.FrequencyMHz

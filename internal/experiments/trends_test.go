@@ -1,9 +1,9 @@
-package trends
+package experiments
 
 import "testing"
 
 func TestDataOrderedAndComplete(t *testing.T) {
-	pts := Data()
+	pts := trendData()
 	if len(pts) < 10 {
 		t.Fatalf("only %d samples", len(pts))
 	}
@@ -23,22 +23,40 @@ func TestDataOrderedAndComplete(t *testing.T) {
 func TestFigureOneShape(t *testing.T) {
 	// Frequency plateaus after ~2003 while core counts climb — the figure's
 	// motivation for heterogeneous parallelism.
-	if !Plateaued(func(p Point) float64 { return p.FrequencyMHz }, 2003, 2017, 2) {
+	if !plateaued(func(p trendPoint) float64 { return p.FrequencyMHz }, 2003, 2017, 2) {
 		t.Error("frequency did not plateau post-2003")
 	}
-	if Plateaued(func(p Point) float64 { return p.Cores }, 2007, 2017, 2) {
+	if plateaued(func(p trendPoint) float64 { return p.Cores }, 2007, 2017, 2) {
 		t.Error("core counts should keep climbing post-2007")
 	}
-	if Plateaued(func(p Point) float64 { return p.TransistorsK }, 2003, 2017, 10) {
+	if plateaued(func(p trendPoint) float64 { return p.TransistorsK }, 2003, 2017, 10) {
 		t.Error("transistor counts should keep growing")
 	}
-	if !Plateaued(func(p Point) float64 { return p.PowerW }, 2007, 2017, 2) {
+	if !plateaued(func(p trendPoint) float64 { return p.PowerW }, 2007, 2017, 2) {
 		t.Error("typical power should flatten (Dennard scaling end)")
 	}
 }
 
 func TestPlateauedMissingYear(t *testing.T) {
-	if Plateaued(func(p Point) float64 { return p.PowerW }, 1900, 2017, 2) {
+	if plateaued(func(p trendPoint) float64 { return p.PowerW }, 1900, 2017, 2) {
 		t.Error("missing baseline year should report false")
 	}
+}
+
+// plateaued reports whether a series has effectively flattened between two
+// years: less than the given growth ratio.
+func plateaued(get func(trendPoint) float64, fromYear, toYear int, maxRatio float64) bool {
+	var from, to float64
+	for _, p := range trendData() {
+		if p.Year == fromYear {
+			from = get(p)
+		}
+		if p.Year == toYear {
+			to = get(p)
+		}
+	}
+	if from == 0 {
+		return false
+	}
+	return to/from < maxRatio
 }

@@ -12,7 +12,6 @@ import (
 
 	"mosaicsim/internal/accel"
 	"mosaicsim/internal/config"
-	"mosaicsim/internal/power"
 )
 
 // Shape is a tensor shape (trailing dims of one sample).
@@ -322,7 +321,7 @@ func (m *Model) EstimateOnSoC(p SoCParams, batch int) Estimate {
 func (m *Model) EDPImprovement(core CoreParams, socp SoCParams, batch int) float64 {
 	base := m.EstimateOnCore(core, batch)
 	opt := m.EstimateOnSoC(socp, batch)
-	b := power.Summary{Cycles: base.Cycles, ClockMHz: core.Cfg.ClockMHz, DynamicPJ: base.EnergyPJ, AreaMM2: core.Cfg.AreaMM2}
-	o := power.Summary{Cycles: opt.Cycles, ClockMHz: socp.ClockMHz, DynamicPJ: opt.EnergyPJ, AreaMM2: core.Cfg.AreaMM2}
-	return power.Improvement(b, o)
+	b := energySummary{Cycles: base.Cycles, ClockMHz: core.Cfg.ClockMHz, DynamicPJ: base.EnergyPJ, AreaMM2: core.Cfg.AreaMM2}
+	o := energySummary{Cycles: opt.Cycles, ClockMHz: socp.ClockMHz, DynamicPJ: opt.EnergyPJ, AreaMM2: core.Cfg.AreaMM2}
+	return improvement(b, o)
 }

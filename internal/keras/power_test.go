@@ -1,4 +1,4 @@
-package power
+package keras
 
 import (
 	"math"
@@ -7,11 +7,11 @@ import (
 )
 
 func TestSecondsAndEnergy(t *testing.T) {
-	s := Summary{Cycles: 2_000_000, ClockMHz: 2000, DynamicPJ: 1e9, AreaMM2: 1}
+	s := energySummary{Cycles: 2_000_000, ClockMHz: 2000, DynamicPJ: 1e9, AreaMM2: 1}
 	if got := s.Seconds(); got != 1e-3 {
 		t.Errorf("Seconds = %g, want 1e-3", got)
 	}
-	wantE := 1e9*1e-12 + LeakageWPerMM2*1*1e-3
+	wantE := 1e9*1e-12 + leakageWPerMM2*1*1e-3
 	if got := s.EnergyJ(); math.Abs(got-wantE) > 1e-12 {
 		t.Errorf("EnergyJ = %g, want %g", got, wantE)
 	}
@@ -21,20 +21,20 @@ func TestSecondsAndEnergy(t *testing.T) {
 }
 
 func TestZeroClock(t *testing.T) {
-	s := Summary{Cycles: 100, DynamicPJ: 5}
+	s := energySummary{Cycles: 100, DynamicPJ: 5}
 	if s.Seconds() != 0 {
 		t.Error("zero clock should yield zero time")
 	}
 }
 
 func TestImprovement(t *testing.T) {
-	base := Summary{Cycles: 8_000_000, ClockMHz: 2000, DynamicPJ: 8e9, AreaMM2: 8.44}
-	opt := Summary{Cycles: 1_000_000, ClockMHz: 2000, DynamicPJ: 1e9, AreaMM2: 8.44}
-	imp := Improvement(base, opt)
+	base := energySummary{Cycles: 8_000_000, ClockMHz: 2000, DynamicPJ: 8e9, AreaMM2: 8.44}
+	opt := energySummary{Cycles: 1_000_000, ClockMHz: 2000, DynamicPJ: 1e9, AreaMM2: 8.44}
+	imp := improvement(base, opt)
 	if imp <= 1 {
 		t.Errorf("faster+cheaper run must improve EDP, got %.2f", imp)
 	}
-	if Improvement(base, Summary{}) != 0 {
+	if improvement(base, energySummary{}) != 0 {
 		t.Error("zero-EDP opt should report 0")
 	}
 }
@@ -45,9 +45,9 @@ func TestImprovementScaling(t *testing.T) {
 	f := func(cyc uint32, pj uint32) bool {
 		c := int64(cyc%1_000_000) + 1000
 		e := float64(pj%1_000_000) + 1000
-		base := Summary{Cycles: 2 * c, ClockMHz: 1000, DynamicPJ: 2 * e}
-		opt := Summary{Cycles: c, ClockMHz: 1000, DynamicPJ: e}
-		imp := Improvement(base, opt)
+		base := energySummary{Cycles: 2 * c, ClockMHz: 1000, DynamicPJ: 2 * e}
+		opt := energySummary{Cycles: c, ClockMHz: 1000, DynamicPJ: e}
+		imp := improvement(base, opt)
 		return imp > 3.9 && imp < 4.1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -1,8 +1,8 @@
 // Package parallel is the bounded worker pool behind MosaicSim-Go's sweep
-// engine. Independent simulations (experiment legs, DSE points, Pareto
-// sweeps) fan out across a fixed number of workers while every result is
-// collected by index, so a sweep's output is byte-identical no matter how
-// many workers ran it or in which order they finished.
+// engine. Independent simulations (experiment legs, DSE points) fan out
+// across a fixed number of workers while every result is collected by index,
+// so a sweep's output is byte-identical no matter how many workers ran it or
+// in which order they finished.
 //
 // The pool budget is process-global: nested sweeps (an experiment fan-out
 // whose legs themselves fan out) share one token pool instead of

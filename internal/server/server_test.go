@@ -458,6 +458,9 @@ func TestAdmissionAndErrorMapping(t *testing.T) {
 	if !strings.Contains(string(b), `did you mean \"sgemm\"`) && !strings.Contains(string(b), "did you mean") {
 		t.Errorf("bad spec body missing did-you-mean: %s", b)
 	}
+	if strings.Contains(string(b), "-list") {
+		t.Errorf("bad spec body names a command-line flag: %s", b)
+	}
 
 	// Unknown field — a typo, or a knob retired since the client was
 	// written — at either level: 400 naming it (DisallowUnknownFields).

@@ -269,7 +269,3 @@ func (s *System) TileBreakdown() []KindBreakdown {
 	}
 	return out
 }
-
-// Tiles exposes the system's tile list (accelerator manager first, then
-// cores in tile-ID order) for inspection.
-func (s *System) Tiles() []Tile { return s.tiles }

@@ -989,7 +989,7 @@ func Resolve(name string) (*Workload, error) {
 		return w, nil
 	}
 	if s := stats.Closest(name, Names()); s != "" {
-		return nil, fmt.Errorf("unknown workload %q (did you mean %q? see -list)", name, s)
+		return nil, fmt.Errorf("unknown workload %q (did you mean %q?)", name, s)
 	}
-	return nil, fmt.Errorf("unknown workload %q (see -list)", name)
+	return nil, fmt.Errorf("unknown workload %q", name)
 }

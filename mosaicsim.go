@@ -61,33 +61,10 @@ type (
 	Result = soc.Result
 	// System is an instantiated SoC.
 	System = soc.System
-	// Tile is the first-class tile interface the Interleaver steps: anything
-	// implementing it (cores, accelerator managers, custom models) can be
-	// composed into a System.
-	Tile = soc.Tile
-	// TileSpec instantiates one tile of a heterogeneous system.
-	TileSpec = soc.TileSpec
-	// Topology is a SystemConfig resolved (ResolveTopology) into the one form
-	// the simulator works from: every tile with its full core configuration,
-	// role and mesh slot.
-	Topology = soc.Topology
-	// TileBinding carries the kernel graphs and traces a topology's tiles
-	// replay.
-	TileBinding = soc.Binding
-	// KindBreakdown aggregates cycle and stall totals over tiles of a kind.
-	KindBreakdown = soc.KindBreakdown
 	// AccelModel is a pluggable accelerator performance model.
 	AccelModel = soc.AccelModel
 	// AccFunc is a functional accelerator implementation for tracing.
 	AccFunc = interp.AccFunc
-)
-
-// Tile roles for declarative DAE topologies. Access/execute tiles alternate
-// (access first); role-less tiles replay the whole kernel SPMD.
-const (
-	RoleSPMD    = config.RoleSPMD
-	RoleAccess  = config.RoleAccess
-	RoleExecute = config.RoleExecute
 )
 
 // Configuration presets from the paper.
@@ -96,29 +73,8 @@ var (
 	OutOfOrderCore = config.OutOfOrderCore
 	// InOrderCore is the Table II in-order core.
 	InOrderCore = config.InOrderCore
-	// XeonSystem is the Table I evaluation system with n cores.
-	XeonSystem = config.XeonSystem
 	// TableIIMem is the Table II DAE-study memory hierarchy.
 	TableIIMem = config.TableIIMem
-	// TopologyPreset returns a fresh copy of a named declarative topology
-	// (spmd-xeon, dae-pair, core-accel), with did-you-mean on unknown names.
-	TopologyPreset = config.TopologyPreset
-	// TopologyPresets lists the named topology presets.
-	TopologyPresets = config.TopologyPresets
-	// LoadSystemConfig reads a system/topology configuration from JSON.
-	LoadSystemConfig = config.Load
-	// RegisterTileKind extends the declarative tile-kind registry with a
-	// custom core preset (call from init; see soc.RegisterTileKind).
-	RegisterTileKind = soc.RegisterTileKind
-	// TileKinds lists the registered declarative tile kinds.
-	TileKinds = soc.TileKinds
-	// ResolveTopology validates a SystemConfig, in either input spelling, and
-	// expands it into its Topology.
-	ResolveTopology = soc.Resolve
-	// BuildSystem is the single system builder: it binds each tile of a
-	// resolved topology to its kernel graph by role and applies the NoC
-	// geometry.
-	BuildSystem = soc.Build
 )
 
 // NewMemory allocates a simulated memory image.
@@ -136,15 +92,6 @@ type OptConfig = ir.OptConfig
 // ParseOptConfig validates and normalizes a level/pass-list/unroll triple
 // the way the CLI flags -O/-passes/-unroll do.
 var ParseOptConfig = ir.ParseOptConfig
-
-// CompileWithOpt compiles mini-C and runs the selected optimization
-// pipeline, verifying the module after every pass.
-func CompileWithOpt(src, moduleName string, opt OptConfig) (*Module, error) {
-	return cc.CompileWithOpt(src, moduleName, opt)
-}
-
-// ParseIR parses the textual IR format directly.
-func ParseIR(src string) (*Module, error) { return ir.Parse(src) }
 
 // Kernel bundles a kernel function with its static data-dependence graph.
 type Kernel struct {
@@ -176,26 +123,14 @@ func (k *Kernel) Trace(mem *Memory, args []uint64, tiles int, acc map[string]Acc
 // Simulate runs the timing simulation of a traced kernel on the configured
 // homogeneous system and returns the system-wide estimate.
 func Simulate(cfg *SystemConfig, k *Kernel, tr *Trace, accels map[string]AccelModel) (Result, error) {
-	return SimulateCtx(context.Background(), cfg, k, tr, accels)
-}
-
-// SimulateCtx is Simulate under a context: cancelling ctx aborts the run
-// mid-simulation with an error wrapping context.Canceled.
-func SimulateCtx(ctx context.Context, cfg *SystemConfig, k *Kernel, tr *Trace, accels map[string]AccelModel) (Result, error) {
 	sys, err := soc.NewSPMD(cfg, k.Graph, tr, accels)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := sys.Run(ctx, 0); err != nil {
+	if err := sys.Run(context.Background(), 0); err != nil {
 		return Result{}, err
 	}
 	return sys.Result(), nil
-}
-
-// NewSystem builds a heterogeneous system from per-tile specs for callers
-// that mix core kinds or kernels (e.g. DAE pairs).
-func NewSystem(name string, tiles []TileSpec, memCfg MemConfig, accels map[string]AccelModel) (*System, error) {
-	return soc.New(name, tiles, memCfg, accels)
 }
 
 // Decouple applies the DeSC-style Decoupled Access/Execute compiler pass
@@ -210,16 +145,6 @@ func Decouple(k *Kernel) (access, execute *Kernel, err error) {
 		&Kernel{Fn: s.Execute, Graph: ddg.Build(s.Execute)}, nil
 }
 
-// TraceTiles natively executes a possibly different kernel per tile (DAE
-// pairs) with shared arguments.
-func TraceTiles(fns []*Function, mem *Memory, args []uint64, acc map[string]AccFunc) (*Trace, error) {
-	res, err := interp.RunTiles(fns, mem, args, interp.Options{Acc: acc})
-	if err != nil {
-		return nil, err
-	}
-	return res.Trace, nil
-}
-
 // Session engine re-exports. The cancellable pipeline engine (internal/sim)
 // is the preferred library entry point: a Session owns the whole
 // Compile → DDG → Trace → BuildSystem → Run → Report pipeline for one
@@ -228,7 +153,9 @@ func TraceTiles(fns []*Function, mem *Memory, args []uint64, acc map[string]AccF
 //
 //	w, _ := mosaicsim.ResolveWorkload("sgemm")
 //	s, _ := mosaicsim.NewSession(mosaicsim.SessionOptions{
-//		Workload: w, Scale: mosaicsim.ScaleSmall, Config: mosaicsim.XeonSystem(4),
+//		Workload: w, Scale: mosaicsim.ScaleSmall, Config: &mosaicsim.SystemConfig{
+//			Tiles: []mosaicsim.TileDef{{Kind: "ooo", Count: 4}}, Mem: mosaicsim.TableIIMem(),
+//		},
 //	})
 //	res, err := s.Run(ctx)
 type (
@@ -236,12 +163,6 @@ type (
 	Session = sim.Session
 	// SessionOptions configures a Session.
 	SessionOptions = sim.Options
-	// StageError attributes a pipeline failure to its stage and kernel.
-	StageError = sim.StageError
-	// Stage names one pipeline stage.
-	Stage = sim.Stage
-	// SliceMode selects SPMD replication or DAE pair decomposition.
-	SliceMode = sim.SliceMode
 	// ArtifactCache shares compile/DDG/trace artifacts across sessions.
 	ArtifactCache = sim.Cache
 	// Workload is one benchmark (or an ad-hoc kernel with a Setup function).
@@ -253,13 +174,12 @@ type (
 	Scale = workloads.Scale
 )
 
-// Slicing modes and workload scales.
+// The DAE slicing mode (SessionOptions.Slicing; its zero value replicates the
+// kernel SPMD) and workload scales.
 const (
-	SliceNone  = sim.SliceNone
 	SliceDAE   = sim.SliceDAE
 	ScaleTiny  = workloads.Tiny
 	ScaleSmall = workloads.Small
-	ScaleLarge = workloads.Large
 )
 
 // Session engine constructors and workload lookups.
@@ -282,6 +202,4 @@ var (
 	ArgPtr = interp.ArgPtr
 	// ArgI64 encodes an integer argument.
 	ArgI64 = interp.ArgI64
-	// ArgF64 encodes a float argument.
-	ArgF64 = interp.ArgF64
 )

@@ -6,6 +6,11 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"mosaicsim/internal/config"
+	"mosaicsim/internal/interp"
+	"mosaicsim/internal/ir"
+	"mosaicsim/internal/soc"
 )
 
 const facadeSrc = `
@@ -57,7 +62,7 @@ func TestFacadePipeline(t *testing.T) {
 			t.Fatalf("B[%d] = %g, want %g", i, got, want)
 		}
 	}
-	res, err := Simulate(XeonSystem(4), k, tr, nil)
+	res, err := Simulate(config.XeonSystem(4), k, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +97,11 @@ func TestFacadeDecouple(t *testing.T) {
 	pa := mem.AllocF64(vals)
 	pb := mem.Alloc(int64(n)*8, 64)
 	args := []uint64{ArgPtr(pa), ArgPtr(pb), ArgI64(int64(n))}
-	tr, err := TraceTiles([]*Function{access.Fn, execute.Fn}, mem, args, nil)
+	traced, err := interp.RunTiles([]*Function{access.Fn, execute.Fn}, mem, args, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := traced.Trace
 	if len(tr.Tiles) != 2 {
 		t.Fatalf("tiles = %d", len(tr.Tiles))
 	}
@@ -108,7 +114,7 @@ func TestFacadeDecouple(t *testing.T) {
 	// Simulate the heterogeneous pair.
 	ino := InOrderCore()
 	ino.DecoupledSupply = true
-	sys, err := NewSystem("dae", []TileSpec{
+	sys, err := soc.New("dae", []soc.TileSpec{
 		{Cfg: ino, Graph: access.Graph, TT: tr.Tiles[0]},
 		{Cfg: ino, Graph: execute.Graph, TT: tr.Tiles[1]},
 	}, TableIIMem(), nil)
@@ -123,8 +129,10 @@ func TestFacadeDecouple(t *testing.T) {
 	}
 }
 
+// TestFacadeParseIR: KernelOf takes a module however it was built, here one
+// parsed from textual IR.
 func TestFacadeParseIR(t *testing.T) {
-	mod, err := ParseIR("func @f(%n: i64) {\nentry:\n  ret\n}\n")
+	mod, err := ir.Parse("func @f(%n: i64) {\nentry:\n  ret\n}\n")
 	if err != nil {
 		t.Fatal(err)
 	}
