@@ -409,6 +409,10 @@ type TileDef struct {
 // service; the largest shipped system has 65.
 const MaxTiles = 4096
 
+// MaxDirectoryTiles bounds a system with the coherence directory on: the
+// directory keeps one sharer bit per tile in a 64-bit mask.
+const MaxDirectoryTiles = 64
+
 // Limits on the knobs that size an allocation, for the same reason: beyond
 // them core.New, mem.NewCache or a fabric queue's first send dies in
 // makeslice (or takes the host's memory) and the whole process with it.
@@ -523,6 +527,11 @@ func (sc *SystemConfig) validateTiles(tds []TileDef) error {
 	}
 	if total > MaxTiles {
 		return fmt.Errorf("config %q: more than %d tiles", sc.Name, MaxTiles)
+	}
+	if sc.Mem.Directory {
+		if err := checkKnobs("directory", knob{"tiles", total, 0, MaxDirectoryTiles}); err != nil {
+			return fmt.Errorf("config %q: %w", sc.Name, err)
+		}
 	}
 	var roles []string
 	for i, td := range tds {

@@ -276,6 +276,10 @@ func TestValidateBoundsSizeKnobs(t *testing.T) {
 		"cache prefetch":     {mem(func(m *MemConfig) { m.L1.PrefetchDegree = 1 << 40 }), "prefetch_degree", "at most 65536"},
 		"48-byte line":       {mem(func(m *MemConfig) { m.L1.LineBytes = 48 }), "line_bytes", "a power of two"},
 		"dram banks":         {mem(func(m *MemConfig) { m.DRAM.Banks = 1 << 31 }), "banks", "at most 1024"},
+		// The directory's sharer mask has 64 bits: tile 64 used to drop out
+		// of it and keep a stale copy.
+		"directory 65 tiles": {&SystemConfig{Name: "dir", Tiles: []TileDef{{Kind: "ooo", Count: 65}},
+			Mem: MemConfig{L1: TableIIMem().L1, DRAM: TableIIMem().DRAM, Directory: true}}, "tiles", "at most 64"},
 		// Each knob within its bound, the system as a whole beyond the host.
 		"4096 tiles x 1 GiB": {&SystemConfig{Name: "big", Tiles: []TileDef{{Kind: "ooo", Count: MaxTiles}},
 			Mem: MemConfig{L1: CacheConfig{Name: "L1", SizeKB: MaxCacheKB, LineBytes: 64, Assoc: 8}, DRAM: TableIIMem().DRAM}},
@@ -303,6 +307,9 @@ func TestValidateBoundsSizeKnobs(t *testing.T) {
 		if err := validate(sc); err != nil {
 			t.Errorf("%s: shipped cache sizes rejected: %v", sc.Name, err)
 		}
+	}
+	if mesh64.Mem.Directory = true; validate(mesh64) != nil {
+		t.Errorf("64 tiles with the directory rejected: %v", validate(mesh64))
 	}
 }
 

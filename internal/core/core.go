@@ -951,11 +951,12 @@ func (c *Core) tryIssueMem(n *dynNode, now int64) bool {
 		return false
 	}
 	// Prune the completed prefix: complete() nils slots, so a nil entry is a
-	// finished access.
+	// finished access. Compacting once the dead prefix is half the slice keeps
+	// it within a small multiple of the live accesses.
 	for c.maoHead < len(c.mao) && c.mao[c.maoHead] == nil {
 		c.maoHead++
 	}
-	if c.maoHead > 4096 && c.maoHead*2 > len(c.mao) {
+	if c.maoHead > 64 && c.maoHead*2 > len(c.mao) {
 		k := copy(c.mao, c.mao[c.maoHead:])
 		for i := k; i < len(c.mao); i++ {
 			c.mao[i] = nil

@@ -499,6 +499,26 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestMAOStaysSmall: the MAO compacts at its live size, so over a whole run of
+// thousands of memory accesses its backing slice stays within a small multiple
+// of the LSQ. (Compacting only past 4,096 dead entries grew it past that on
+// every tile.)
+func TestMAOStaysSmall(t *testing.T) {
+	g, tt := traceKernel(t, indepSrc, setupTwoArrays(8192))
+	cfg := config.OutOfOrderCore()
+	c := New(0, cfg, Lower(g), tt, &fakeMem{lat: 200}, &fakeFabric{}, nil)
+	most := 0
+	for now := int64(0); c.Step(now); now++ {
+		most = max(most, cap(c.mao))
+	}
+	if ops := c.Stats.Loads + c.Stats.Stores; ops < 16*int64(cfg.LSQSize) {
+		t.Fatalf("%d memory accesses; the run must outlast many MAO compactions", ops)
+	}
+	if most > 4*cfg.LSQSize {
+		t.Errorf("cap(mao) reached %d, want <= 4 x LSQSize = %d", most, 4*cfg.LSQSize)
+	}
+}
+
 // TestDynNodeSize pins the ring slot's footprint: a core round-robins its
 // window through the host's caches every cycle, so a field added here is paid
 // on every launch, issue and completion of every tile. (The pooled node it

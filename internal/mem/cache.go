@@ -37,10 +37,25 @@ type cacheLine struct {
 	lastUse    int64
 }
 
-// mshr tracks one outstanding line fill and its coalesced waiters.
+// mshr tracks one outstanding line fill and its waiters, a FIFO chained
+// through Request.next.
 type mshr struct {
-	waiters []*Request
-	dirty   bool // a write is waiting: line fills dirty
+	line       uint64
+	head, tail *Request
+	dirty      bool // a write is waiting: line fills dirty
+}
+
+// wait queues a demand request on the pending fill.
+func (m *mshr) wait(req *Request) {
+	if m.head == nil {
+		m.head = req
+	} else {
+		m.tail.next = req
+	}
+	m.tail = req
+	if req.Kind == Write || req.Kind == Atomic {
+		m.dirty = true
+	}
 }
 
 // Cache is one timing cache (§V-A): write-back, write-allocate, LRU,
@@ -65,16 +80,17 @@ type Cache struct {
 	// latency, and its append/[1:] slicing made Tick O(n) under retries.)
 	inq   reqHeap
 	inseq int64
-	mshrs map[uint64]*mshr
+	// mshrs holds the live entries, unordered and searched linearly (shipped
+	// configs bound them at 8 to 32).
+	mshrs []mshr
 
-	// freeMshrs recycles MSHR entries (waiter slices keep their capacity).
-	freeMshrs []*mshr
-	// events counts observable state changes (see Level.Events) and due
+	// events counts observable state changes (see Hierarchy.Progress) and due
 	// mirrors the queue head's ready time (HorizonNone when empty). A cache
-	// built alone points both at its own fields; a Hierarchy re-points them
-	// at its shared counter and its dense due array.
+	// built alone points both at its own fields and has its own request list;
+	// a Hierarchy re-points all three at its shared ones.
 	events, due       *int64
 	ownEvents, ownDue int64
+	free              *reqList
 
 	// stream prefetcher state (§V-A): a small table of detected streams;
 	// consecutive same-stride line accesses on any tracked stream trigger
@@ -99,8 +115,8 @@ func NewCache(cfg config.CacheConfig, next Level) *Cache {
 		next:   next,
 		pages:  make([][]cacheLine, (nsets+pageSets-1)/pageSets),
 		nsets:  uint64(nsets),
-		mshrs:  map[uint64]*mshr{},
 		ownDue: HorizonNone,
+		free:   new(reqList),
 	}
 	c.events, c.due = &c.ownEvents, &c.ownDue
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
@@ -121,9 +137,6 @@ func (c *Cache) Access(req *Request, now int64) {
 	*c.events++
 	c.enqueue(req, now+c.cfg.LatencyCycles)
 }
-
-// Events implements Level.
-func (c *Cache) Events() int64 { return *c.events }
 
 // NextEvent implements Level: the head of the pending heap bounds the next
 // self-scheduled state change. (An MSHR-full retry is re-queued at now+1, so
@@ -178,12 +191,12 @@ func (c *Cache) process(req *Request, now int64) {
 		if cl := c.lookup(line); cl != nil {
 			cl.dirty = true
 			cl.lastUse = now
-			putRequest(req)
+			c.complete(req, now)
 		} else {
 			c.Stats.WritebackMisses++
 			c.next.Access(req, now)
+			c.inflight--
 		}
-		c.inflight--
 		return
 	}
 
@@ -196,41 +209,33 @@ func (c *Cache) process(req *Request, now int64) {
 		if req.Kind == Write || req.Kind == Atomic {
 			cl.dirty = true
 		}
-		if req.Kind == Prefetch {
-			c.inflight--
-			putRequest(req)
-			return
-		}
-		c.Stats.Hits++
-		if cl.prefetched {
-			c.Stats.PrefetchUseful++
-			cl.prefetched = false
+		if req.Kind != Prefetch {
+			c.Stats.Hits++
+			if cl.prefetched {
+				c.Stats.PrefetchUseful++
+				cl.prefetched = false
+			}
 		}
 		c.complete(req, now)
 		return
 	}
 
 	// Miss path.
-	if m, pending := c.mshrs[line]; pending {
+	if i := c.mshrOf(line); i >= 0 {
 		if req.Kind == Prefetch {
-			c.inflight--
-			putRequest(req)
+			c.complete(req, now)
 			return
 		}
 		// Secondary miss: coalesced onto the pending fill, counted apart
 		// from primary misses.
 		c.Stats.Coalesced++
 		// The waiter stays in flight until the pending fill completes it.
-		m.waiters = append(m.waiters, req)
-		if req.Kind == Write || req.Kind == Atomic {
-			m.dirty = true
-		}
+		c.mshrs[i].wait(req)
 		return
 	}
 	if c.cfg.MSHRs > 0 && len(c.mshrs) >= c.cfg.MSHRs {
 		if req.Kind == Prefetch {
-			c.inflight--
-			putRequest(req)
+			c.complete(req, now)
 			return
 		}
 		// All MSHRs busy: retry next cycle.
@@ -239,37 +244,34 @@ func (c *Cache) process(req *Request, now int64) {
 		return
 	}
 
-	m := c.allocMshr()
+	c.mshrs = append(c.mshrs, mshr{line: line})
 	wasPrefetch := req.Kind == Prefetch
 	if !wasPrefetch {
 		c.Stats.Misses++
-		m.waiters = append(m.waiters, req)
-		if req.Kind == Write || req.Kind == Atomic {
-			m.dirty = true
-		}
+		c.mshrs[len(c.mshrs)-1].wait(req)
 		c.maybePrefetch(line, now)
 	}
-	c.mshrs[line] = m
-	fill := getRequest()
+	fill := c.free.get()
 	fill.Addr = line << c.shift
 	fill.Size = c.cfg.LineBytes
 	fill.Kind = Read
-	fill.Done = func(t int64) { c.fill(line, wasPrefetch, t) }
+	fill.fill, fill.prefetched = c, wasPrefetch
 	c.next.Access(fill, now)
 	if wasPrefetch {
-		// The prefetch request dead-ends here; only the fill lives on.
-		putRequest(req)
+		// The prefetch request dead-ends here; only the fill lives on, and
+		// it keeps the prefetch in flight.
+		req.Finish(now)
 	}
 }
 
-// allocMshr pops a recycled MSHR entry or allocates a fresh one.
-func (c *Cache) allocMshr() *mshr {
-	if k := len(c.freeMshrs); k > 0 {
-		m := c.freeMshrs[k-1]
-		c.freeMshrs = c.freeMshrs[:k-1]
-		return m
+// mshrOf returns the index of line's pending entry, or -1.
+func (c *Cache) mshrOf(line uint64) int {
+	for i := range c.mshrs {
+		if c.mshrs[i].line == line {
+			return i
+		}
 	}
-	return &mshr{}
+	return -1
 }
 
 // ways returns the lines of one set, nil while its page is unallocated.
@@ -325,24 +327,25 @@ func (c *Cache) fill(line uint64, prefetched bool, now int64) {
 		c.Stats.Evictions++
 		if set[victim].dirty {
 			c.Stats.Writebacks++
-			wb := getRequest()
+			wb := c.free.get()
 			wb.Addr = (set[victim].tag*c.nsets + idx) << c.shift
 			wb.Size = c.cfg.LineBytes
 			wb.Kind = Writeback
 			c.next.Access(wb, now)
 		}
 	}
-	m := c.mshrs[line]
-	delete(c.mshrs, line)
-	set[victim] = cacheLine{tag: tag, valid: true, dirty: m != nil && m.dirty, prefetched: prefetched, lastUse: now}
-	if m != nil {
-		for i, w := range m.waiters {
-			c.complete(w, now)
-			m.waiters[i] = nil
-		}
-		m.waiters = m.waiters[:0]
-		m.dirty = false
-		c.freeMshrs = append(c.freeMshrs, m)
+	var m mshr
+	if i := c.mshrOf(line); i >= 0 {
+		m = c.mshrs[i]
+		c.mshrs[i] = c.mshrs[len(c.mshrs)-1]
+		c.mshrs = c.mshrs[:len(c.mshrs)-1]
+	}
+	set[victim] = cacheLine{tag: tag, valid: true, dirty: m.dirty, prefetched: prefetched, lastUse: now}
+	for w := m.head; w != nil; {
+		next := w.next
+		w.next = nil
+		c.complete(w, now)
+		w = next
 	}
 	if prefetched {
 		c.inflight-- // the prefetch request itself
@@ -351,10 +354,7 @@ func (c *Cache) fill(line uint64, prefetched bool, now int64) {
 
 func (c *Cache) complete(req *Request, now int64) {
 	c.inflight--
-	if req.Done != nil {
-		req.Done(now)
-	}
-	putRequest(req)
+	req.Finish(now)
 }
 
 const (
@@ -405,7 +405,7 @@ func (c *Cache) maybePrefetch(line uint64, now int64) {
 			}
 			c.Stats.PrefetchIssued++
 			c.inflight++
-			pr := getRequest()
+			pr := c.free.get()
 			pr.Addr = uint64(target) << c.shift
 			pr.Size = c.cfg.LineBytes
 			pr.Kind = Prefetch

@@ -11,7 +11,8 @@ type Directory struct {
 	InvCycles int64
 	Stats     DirStats
 
-	entries map[uint64]*dirEntry
+	entries map[uint64]dirEntry
+	inv     []int // Access's invalidation list, reused
 }
 
 // DirStats counts coherence events.
@@ -23,7 +24,7 @@ type DirStats struct {
 }
 
 type dirEntry struct {
-	sharers    uint64 // bitmask over cores (≤64)
+	sharers    uint64 // bitmask over cores, hence config.MaxDirectoryTiles
 	dirtyOwner int    // core holding the line modified, or -1
 }
 
@@ -32,18 +33,20 @@ func NewDirectory(invCycles int64) *Directory {
 	if invCycles <= 0 {
 		invCycles = 30
 	}
-	return &Directory{InvCycles: invCycles, entries: map[uint64]*dirEntry{}}
+	return &Directory{InvCycles: invCycles, entries: map[uint64]dirEntry{}}
 }
 
 // Access records one demand access and returns the coherence penalty in
-// cycles plus the cores whose private copies must be invalidated.
+// cycles plus the cores whose private copies must be invalidated. The list is
+// valid until the next Access.
 func (d *Directory) Access(core int, line uint64, kind Kind) (penalty int64, invalidate []int) {
 	d.Stats.Lookups++
-	e := d.entries[line]
-	if e == nil {
-		e = &dirEntry{dirtyOwner: -1}
-		d.entries[line] = e
+	old, ok := d.entries[line]
+	e := old
+	if !ok {
+		e.dirtyOwner = -1 // differs from old, so the entry is stored below
 	}
+	invalidate = d.inv[:0]
 	me := uint64(1) << uint(core)
 	switch kind {
 	case Read:
@@ -74,6 +77,10 @@ func (d *Directory) Access(core int, line uint64, kind Kind) (penalty int64, inv
 		e.sharers = me
 		e.dirtyOwner = core
 	}
+	if e != old {
+		d.entries[line] = e
+	}
+	d.inv = invalidate
 	return penalty, invalidate
 }
 

@@ -161,9 +161,6 @@ func (d *SimpleDRAM) Access(req *Request, now int64) {
 // Busy implements Level.
 func (d *SimpleDRAM) Busy() bool { return d.pq.Len() > 0 }
 
-// Events implements Level.
-func (d *SimpleDRAM) Events() int64 { return *d.events }
-
 // NextEvent implements Level. A throttled DRAM promises nothing before the
 // epoch boundary that resets the bandwidth budget — but it still reports the
 // head's due cycle when that comes first, because the per-cycle Throttled
@@ -207,10 +204,7 @@ func (d *SimpleDRAM) Tick(now int64) {
 		it := d.pq.pop()
 		d.used++
 		*d.events++
-		if it.req.Done != nil {
-			it.req.Done(now)
-		}
-		putRequest(it.req)
+		it.req.Finish(now)
 	}
 }
 
@@ -276,9 +270,6 @@ func (d *BankedDRAM) Access(req *Request, now int64) {
 // Busy implements Level.
 func (d *BankedDRAM) Busy() bool { return len(d.queue) > 0 || d.done.Len() > 0 }
 
-// Events implements Level.
-func (d *BankedDRAM) Events() int64 { return *d.events }
-
 // NextEvent implements Level: the earliest of the next completion and the
 // next bank becoming free for a queued request. A request whose bank is free
 // now may only be deferred by channel arbitration, i.e. by one cycle.
@@ -308,10 +299,7 @@ func (d *BankedDRAM) Tick(now int64) {
 	for d.done.Len() > 0 && d.done[0].ready <= now {
 		it := d.done.pop()
 		*d.events++
-		if it.req.Done != nil {
-			it.req.Done(now)
-		}
-		putRequest(it.req)
+		it.req.Finish(now)
 	}
 	channels := d.cfg.Channels
 	if channels <= 0 {

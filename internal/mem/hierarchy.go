@@ -1,6 +1,10 @@
 package mem
 
-import "mosaicsim/internal/config"
+import (
+	"fmt"
+
+	"mosaicsim/internal/config"
+)
 
 // Hierarchy wires per-core private caches to an optional shared LLC and a
 // DRAM model (§V): each core has a cache queue ordered with respect to the
@@ -16,16 +20,21 @@ type Hierarchy struct {
 
 	shared Level       // the first level below the private stacks
 	simple *SimpleDRAM // DRAM when it is the simple model, else nil
-	// private lists the L2s then the L1s, Tick's order; due[i] is private[i]'s
-	// queue-head ready time (Cache.due), so Tick and NextEvent read one dense
-	// array instead of asking every cache. events is every level's counter.
-	private []*Cache
-	due     []int64
-	events  int64
+	// caches lists the LLC, the L2s then the L1s, Tick's order; due[i] is
+	// caches[i]'s queue-head ready time (Cache.due), so Tick and NextEvent
+	// read one dense array instead of asking every cache. events is every
+	// level's counter and free every level's request list.
+	caches []*Cache
+	due    []int64
+	events int64
+	free   reqList
 }
 
 // NewHierarchy builds the hierarchy for numCores cores at the given clock.
 func NewHierarchy(cfg config.MemConfig, numCores, clockMHz int) *Hierarchy {
+	if cfg.Directory && numCores > config.MaxDirectoryTiles {
+		panic(fmt.Sprintf("mem: the directory tracks at most %d cores, got %d", config.MaxDirectoryTiles, numCores))
+	}
 	h := &Hierarchy{cfg: cfg}
 	h.DRAM = NewDRAM(cfg.DRAM, clockMHz, cfg.L1.LineBytes)
 	switch d := h.DRAM.(type) {
@@ -37,7 +46,7 @@ func NewHierarchy(cfg config.MemConfig, numCores, clockMHz int) *Hierarchy {
 	var shared Level = h.DRAM
 	if cfg.LLC != nil {
 		h.LLC = NewCache(*cfg.LLC, h.DRAM)
-		h.LLC.events = &h.events
+		h.caches = append(h.caches, h.LLC)
 		shared = h.LLC
 	}
 	h.shared = shared
@@ -53,23 +62,17 @@ func NewHierarchy(cfg config.MemConfig, numCores, clockMHz int) *Hierarchy {
 		}
 		h.L1s = append(h.L1s, NewCache(cfg.L1, per))
 	}
-	h.private = append(append(h.private, h.L2s...), h.L1s...)
-	h.due = make([]int64, len(h.private))
-	for i, c := range h.private {
+	h.caches = append(append(h.caches, h.L2s...), h.L1s...)
+	h.due = make([]int64, len(h.caches))
+	for i, c := range h.caches {
 		h.due[i] = HorizonNone
-		c.events, c.due = &h.events, &h.due[i]
+		c.events, c.due, c.free = &h.events, &h.due[i], &h.free
 	}
 	return h
 }
 
-// Access sends a demand request from a core into its private L1.
-func (h *Hierarchy) Access(core int, addr uint64, size int, kind Kind, done func(now int64)) {
-	req := getRequest()
-	req.Addr, req.Size, req.Kind, req.Done = addr, size, kind, done
-	h.L1s[core].Access(req, 0)
-}
-
-// AccessAt is Access with an explicit issue cycle. With the directory
+// AccessAt sends a demand request from a core into its private L1 at cycle
+// now; done is called once with the completion cycle. With the directory
 // enabled, coherence actions happen first: remote copies are recalled and
 // the request is delayed by the invalidation round trip.
 func (h *Hierarchy) AccessAt(core int, addr uint64, size int, kind Kind, now int64, done func(now int64)) {
@@ -85,7 +88,7 @@ func (h *Hierarchy) AccessAt(core int, addr uint64, size int, kind Kind, now int
 			}
 			if dirty {
 				// The recalled dirty copy flushes to the shared level.
-				wb := getRequest()
+				wb := h.free.get()
 				wb.Addr = line * uint64(h.cfg.L1.LineBytes)
 				wb.Size = h.cfg.L1.LineBytes
 				wb.Kind = Writeback
@@ -94,22 +97,23 @@ func (h *Hierarchy) AccessAt(core int, addr uint64, size int, kind Kind, now int
 		}
 		now += penalty
 	}
-	req := getRequest()
+	req := h.free.get()
 	req.Addr, req.Size, req.Kind, req.Done = addr, size, kind, done
 	h.L1s[core].Access(req, now)
 }
 
 // Tick advances every level one cycle, DRAM first so fills propagate upward
-// within the same cycle ordering each time. A private cache whose queue head
-// is not yet due is not called: its Tick would do nothing.
+// within the same cycle ordering each time. A cache or SimpleDRAM whose queue
+// head is not yet due is not called: its Tick would do nothing (SimpleDRAM
+// resets its epoch budget lazily and counts a throttled cycle only when its
+// head is due). BankedDRAM is ticked every cycle.
 func (h *Hierarchy) Tick(now int64) {
-	h.DRAM.Tick(now)
-	if h.LLC != nil {
-		h.LLC.Tick(now)
+	if d := h.simple; d == nil || len(d.pq) > 0 && d.pq[0].ready <= now {
+		h.DRAM.Tick(now)
 	}
 	for i := range h.due {
 		if h.due[i] <= now {
-			h.private[i].Tick(now)
+			h.caches[i].Tick(now)
 		}
 	}
 }
@@ -119,16 +123,8 @@ func (h *Hierarchy) Busy() bool {
 	if h.DRAM.Busy() {
 		return true
 	}
-	if h.LLC != nil && h.LLC.Busy() {
-		return true
-	}
-	for _, l2 := range h.L2s {
-		if l2.Busy() {
-			return true
-		}
-	}
-	for _, l1 := range h.L1s {
-		if l1.Busy() {
+	for _, c := range h.caches {
+		if c.Busy() {
 			return true
 		}
 	}
@@ -156,26 +152,23 @@ func (h *Hierarchy) DRAMAccessLog() []int64 {
 	return nil
 }
 
-// Progress is the event counter every level counts through; two equal
-// readings mean no level changed observable state in between.
+// Progress is the event counter every level counts through: a request
+// accepted, processed or completed anywhere. Two equal readings mean no level
+// changed observable state in between. Per-cycle stall accounting (bandwidth
+// throttling) is not an event: it is replayed arithmetically over skipped
+// cycles.
 func (h *Hierarchy) Progress() int64 { return h.events }
 
 // NextEvent returns the earliest self-scheduled event across all levels
 // (HorizonNone when the whole hierarchy is drained).
 func (h *Hierarchy) NextEvent(now int64) int64 {
-	hz := h.DRAM.NextEvent(now)
-	if h.LLC != nil {
-		if e := h.LLC.NextEvent(now); e < hz {
-			hz = e
-		}
-	}
-	// The private caches' horizon is their earliest due time, or the next
-	// cycle when one is already due (Cache.NextEvent).
+	// The caches' horizon is their earliest due time, or the next cycle when
+	// one is already due (Cache.NextEvent).
 	due := HorizonNone
 	for _, d := range h.due {
 		due = min(due, d)
 	}
-	return min(hz, max(due, now+1))
+	return min(h.DRAM.NextEvent(now), max(due, now+1))
 }
 
 // ThrottleStalls reads the DRAM bandwidth-throttle counter (SimpleDRAM

@@ -276,12 +276,9 @@ func (h *holdLevel) Access(r *Request, now int64) { h.pending = append(h.pending
 func (h *holdLevel) Tick(int64)                   {}
 func (h *holdLevel) Busy() bool                   { return len(h.pending) > 0 }
 func (h *holdLevel) NextEvent(int64) int64        { return HorizonNone }
-func (h *holdLevel) Events() int64                { return 0 }
 func (h *holdLevel) release(now int64) {
 	for _, r := range h.pending {
-		if r.Done != nil {
-			r.Done(now)
-		}
+		r.Finish(now)
 	}
 	h.pending = nil
 }
@@ -567,7 +564,7 @@ func TestCacheHitSteadyStateAllocs(t *testing.T) {
 	h := NewHierarchy(config.TableIIMem(), 1, 2000)
 	now := int64(0)
 	step := func() {
-		h.Access(0, 1<<16, 8, Read, nil)
+		h.AccessAt(0, 1<<16, 8, Read, now, nil)
 		for i := 0; i < 4; i++ {
 			h.Tick(now)
 			now++
@@ -586,4 +583,61 @@ func TestCacheHitSteadyStateAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("cache hit path allocates %.2f objects/access in steady state, want 0", avg)
 	}
+}
+
+// TestCacheMissSteadyStateAllocs pins the zero-alloc contract of the miss
+// path: once the pages, the queues and the hierarchy's request list are warm,
+// a streaming write that misses both levels, fills, evicts a dirty line and
+// writes it back to DRAM allocates nothing — no request, no fill callback, no
+// MSHR entry.
+func TestCacheMissSteadyStateAllocs(t *testing.T) {
+	l2 := testCacheCfg("L2", 16, 6, 0)
+	h := NewHierarchy(config.MemConfig{L1: testCacheCfg("L1", 4, 1, 2), L2: &l2,
+		DRAM: config.DRAMConfig{Model: config.DRAMSimple, MinLatency: 100, BandwidthGBs: 16, EpochCycles: 100}}, 1, 2000)
+	now, addr, finished := int64(0), uint64(0), false
+	done := func(int64) { finished = true }
+	step := func() {
+		finished = false
+		h.AccessAt(0, addr, 8, Write, now, done)
+		for !finished {
+			h.Tick(now)
+			now++
+		}
+		addr = (addr + 64) % (64 << 10) // four times the L2
+	}
+	for i := 0; i < 3*1024; i++ {
+		step()
+	}
+	before := DRAMStatsOf(h.DRAM)
+	avg := testing.AllocsPerRun(500, step)
+	if avg != 0 {
+		t.Errorf("cache miss path allocates %.2f objects/access in steady state, want 0", avg)
+	}
+	after, s := DRAMStatsOf(h.DRAM), TotalStats(h.L2s)
+	if after.Reads-before.Reads < 400 || after.Writebacks-before.Writebacks < 400 || s.Writebacks == 0 {
+		t.Errorf("measured window made %d DRAM reads and %d writebacks; every access must miss to DRAM and evict a dirty line",
+			after.Reads-before.Reads, after.Writebacks-before.Writebacks)
+	}
+}
+
+// TestDirectoryMaskBound: the sharer mask names every core up to
+// config.MaxDirectoryTiles, and a hierarchy past it is refused rather than
+// built with tiles the directory cannot see (tile 64 once kept a stale copy:
+// 1 << 64 is 0).
+func TestDirectoryMaskBound(t *testing.T) {
+	for _, sharer := range []int{1, 62, config.MaxDirectoryTiles - 1} {
+		d := NewDirectory(0)
+		d.Access(sharer, 7, Read)
+		if _, inv := d.Access(0, 7, Write); len(inv) != 1 || inv[0] != sharer {
+			t.Errorf("tile 0 writing a line tile %d reads invalidates %v, want [%d]", sharer, inv, sharer)
+		}
+	}
+	cfg := config.MemConfig{L1: testCacheCfg("L1", 4, 1, 0), DRAM: config.DRAMConfig{Model: config.DRAMSimple, MinLatency: 100, BandwidthGBs: 16}, Directory: true}
+	NewHierarchy(cfg, config.MaxDirectoryTiles, 2000)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a directory over %d cores was built", config.MaxDirectoryTiles+1)
+		}
+	}()
+	NewHierarchy(cfg, config.MaxDirectoryTiles+1, 2000)
 }

@@ -106,10 +106,11 @@ func TestPagedCacheLines(t *testing.T) {
 }
 
 // TestTickSkipsOnlyIdleCaches: Hierarchy.Tick consults its due array and calls
-// only the private caches whose queue head has matured. Driving the same
-// recorded access stream through a hierarchy ticked that way and through one
-// whose every cache is called every cycle gives the same completion cycles
-// and the same statistics at every level.
+// only the caches, the LLC included, and the SimpleDRAM whose queue head has
+// matured. Driving the same recorded access stream through a hierarchy ticked
+// that way and through one whose every level is called every cycle gives the
+// same completion cycles and the same statistics at every level, DRAM
+// throttling included.
 func TestTickSkipsOnlyIdleCaches(t *testing.T) {
 	for _, banked := range []bool{false, true} {
 		cfg := config.TableIMem()
@@ -117,6 +118,8 @@ func TestTickSkipsOnlyIdleCaches(t *testing.T) {
 		cfg.Directory = true
 		if banked {
 			cfg.DRAM = config.BankedDRAMDefaults(cfg.DRAM.BandwidthGBs)
+		} else {
+			cfg.DRAM.BandwidthGBs = 12 // throttles: the epoch budget resets between skipped ticks
 		}
 		const cores = 6
 		stream := recordedStream(7, 20000, cores, 48<<10)
@@ -160,7 +163,7 @@ func TestTickSkipsOnlyIdleCaches(t *testing.T) {
 			t.Errorf("banked=%v: event counts differ: %d vs %d", banked, byDue.Progress(), every.Progress())
 		}
 		l1 := TotalStats(byDue.L1s)
-		if l1.Misses == 0 || l1.Hits == 0 || l1.MSHRStalls == 0 || byDue.Dir.Stats.Invalidations == 0 {
+		if l1.Misses == 0 || l1.Hits == 0 || l1.MSHRStalls == 0 || byDue.Dir.Stats.Invalidations == 0 || !banked && DRAMStatsOf(byDue.DRAM).Throttled == 0 {
 			t.Errorf("banked=%v: the stream is too easy: L1 %+v, directory %+v", banked, l1, byDue.Dir.Stats)
 		}
 		for i, d := range byDue.due {

@@ -9,8 +9,6 @@
 // data in the caches; the address tags suffice").
 package mem
 
-import "sync"
-
 // Kind classifies a memory request.
 type Kind uint8
 
@@ -50,16 +48,61 @@ type Request struct {
 	Kind Kind
 	Done func(now int64)
 
-	// pooled marks requests drawn from the package pool; externally
-	// constructed requests are never recycled.
-	pooled bool
+	// fill is the cache a line-fill request installs its line (Addr >> its
+	// shift) into, nil for every other request; prefetched marks a fill a
+	// prefetch started.
+	fill       *Cache
+	prefetched bool
+	// next chains the waiters of one MSHR.
+	next *Request
+	// free is the list that made the request and takes it back once it
+	// finishes; nil for a request built outside the package, never recycled.
+	free *reqList
+}
+
+// Finish completes the request at cycle now: a line fill installs its line,
+// any other request calls Done. The request is then recycled, so the caller
+// must not touch it again.
+func (r *Request) Finish(now int64) {
+	if c := r.fill; c != nil {
+		c.fill(r.Addr>>c.shift, r.prefetched, now)
+	} else if r.Done != nil {
+		r.Done(now)
+	}
+	if l := r.free; l != nil {
+		*r = Request{free: l}
+		*l = append(*l, r)
+	}
+}
+
+// reqList recycles the requests a hierarchy creates (demand accesses, line
+// fills, writebacks, prefetches). Every level of one Hierarchy shares its list;
+// a Cache built alone has its own. A hierarchy is stepped by one goroutine, so
+// the list needs no lock.
+type reqList []*Request
+
+// get pops a finished request. An empty list is refilled with a slab of
+// requests it owns, one allocation for the lot.
+func (l *reqList) get() *Request {
+	if len(*l) == 0 {
+		slab := make([]Request, 32)
+		for i := range slab {
+			slab[i].free = l
+			*l = append(*l, &slab[i])
+		}
+	}
+	n := len(*l) - 1
+	r := (*l)[n]
+	*l = (*l)[:n]
+	return r
 }
 
 // HorizonNone is the NextEvent result meaning "no self-scheduled event":
 // the component's state cannot change until some other component acts on it.
 const HorizonNone = int64(1) << 62
 
-// Level is a stage of the hierarchy that accepts requests.
+// Level is a stage of the hierarchy that accepts requests. A level completes
+// a request only through (*Request).Finish, after which it no longer holds it.
 type Level interface {
 	// Access enqueues a request arriving at cycle now.
 	Access(req *Request, now int64)
@@ -72,32 +115,4 @@ type Level interface {
 	// or HorizonNone when it has no self-scheduled work. Changes triggered
 	// by other components (a new Access) are accounted by their initiator.
 	NextEvent(now int64) int64
-	// Events returns a monotone counter incremented on every observable
-	// state change (request accepted, processed, or completed). Per-cycle
-	// stall accounting (e.g. bandwidth throttling) is NOT an event: it is
-	// replayed arithmetically over skipped cycles. The levels of one
-	// Hierarchy share a counter, so each reports the hierarchy's total.
-	Events() int64
-}
-
-// reqPool recycles Requests created inside the hierarchy (demand accesses,
-// line fills, writebacks, prefetches). It is a sync.Pool because requests
-// cross level boundaries and concurrent simulations share the package.
-var reqPool = sync.Pool{New: func() any { return new(Request) }}
-
-// getRequest draws a recyclable request from the pool.
-func getRequest() *Request {
-	r := reqPool.Get().(*Request)
-	r.pooled = true
-	return r
-}
-
-// putRequest recycles a finished pool-drawn request; externally constructed
-// requests (tests, library callers) pass through untouched.
-func putRequest(r *Request) {
-	if !r.pooled {
-		return
-	}
-	*r = Request{}
-	reqPool.Put(r)
 }
