@@ -15,6 +15,13 @@
 // as metrics (internal/metrics) for scraping, and — when a store is attached
 // — as an append-only NDJSON log (internal/store) that survives restarts.
 //
+// A job's state is its event log. Appending an event is the one mutation:
+// Job.apply folds each appended event into the fields Status reports (state,
+// start and finish times, attempts, lease holder, error), and recovery folds
+// the persisted lines through the same apply, so a job reads the same live
+// and after a restart. Each transition checks its claim and appends its edge
+// under one hold of the job lock.
+//
 // The Executor (exec.go) runs: its lease loop asks a LeaseSource for work,
 // runs each lease on the session engine (internal/sim) through one shared
 // sim.Cache, and reports events and the outcome back. A lease is the only
@@ -124,7 +131,7 @@ type Job struct {
 	ID   string
 	Spec Spec // normalized
 
-	ctx    context.Context // live jobs only; ended by finish. An in-process run's abort signal
+	ctx    context.Context // live jobs only; ended by settle. An in-process run's abort signal
 	cancel context.CancelFunc
 
 	digest   string            // content address in the store ("" = not persisted)
@@ -132,17 +139,19 @@ type Job struct {
 	affinity uint64            // Spec.AffinityHash(), computed once at admission
 
 	mu          sync.Mutex
-	state       State
-	err         error
-	report      json.RawMessage
 	events      []Event
 	notify      chan struct{}
 	submitted   time.Time
-	started     time.Time
-	finished    time.Time
+	report      json.RawMessage // done jobs: stored just before the done edge
+	leaseExpiry time.Time       // lease deadline; past it the job is requeueable
+
+	// The fold of events: apply is their only writer.
+	state       State
+	started     time.Time // the last running edge's time
+	finished    time.Time // the terminal edge's time
 	attempts    int
-	leaseWorker string    // current (or last) lease holder; holds it exactly while running
-	leaseExpiry time.Time // lease deadline; past it the job is requeueable
+	leaseWorker string // current (or last) lease holder; holds it exactly while running
+	errMsg      string // the terminal edge's error
 }
 
 // State returns the job's current lifecycle state.
@@ -150,13 +159,6 @@ func (j *Job) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
-}
-
-// Err returns the job's terminal error (nil while live or done).
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }
 
 // Status snapshots the job.
@@ -168,6 +170,7 @@ func (j *Job) Status() Status {
 		State:     j.state,
 		Spec:      j.Spec,
 		Submitted: j.submitted,
+		Error:     j.errMsg,
 		Report:    j.report,
 		Attempts:  j.attempts,
 		Worker:    j.leaseWorker,
@@ -180,26 +183,39 @@ func (j *Job) Status() Status {
 		t := j.finished
 		st.Finished = &t
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
 	return st
 }
 
-// emit appends one event under the job lock.
-func (j *Job) emit(e Event) {
-	j.mu.Lock()
-	j.appendLocked(e)
-	j.mu.Unlock()
+// apply folds one event of j's log into its derived fields: lifecycle edges
+// move them, other events do not, and nothing moves a job past its terminal
+// edge. It runs for every live append and for every line recovery replays,
+// so a job and its reload from the store agree field for field.
+func (j *Job) apply(e Event) {
+	if e.Type != "state" || j.state.Terminal() {
+		return
+	}
+	j.state = e.State
+	switch {
+	case e.State == StateRunning:
+		j.started = e.Time
+		j.leaseWorker = e.Worker
+		// Logs written before leases numbered attempts carry none.
+		j.attempts = max(e.Attempt, j.attempts+1)
+	case e.State.Terminal():
+		j.finished = e.Time
+		j.errMsg = e.Error
+	}
 }
 
 // appendLocked appends one event (stamping its sequence number and time),
-// persists it if a store is attached, and wakes every waiting observer.
-// Persisting under the job lock keeps the on-disk log in exact append order.
+// folds it into the job, persists it if a store is attached, and wakes every
+// waiting observer. Persisting under the job lock keeps the on-disk log in
+// exact append order.
 func (j *Job) appendLocked(e Event) {
 	e.Seq = len(j.events)
 	e.Time = time.Now().UTC()
 	j.events = append(j.events, e)
+	j.apply(e)
 	close(j.notify)
 	j.notify = make(chan struct{})
 	if j.persist != nil {
@@ -210,9 +226,12 @@ func (j *Job) appendLocked(e Event) {
 }
 
 // EventsSince returns the events with sequence >= after, a channel closed
-// when the log next grows, and whether the stream is complete (the job is
-// terminal and every event has been returned). Observers loop: drain,
-// then wait on the channel (or their own context) unless done.
+// when the log next grows, and whether the stream is complete: the log holds
+// its terminal edge (state, the log's fold, turns terminal in that append)
+// and every event has been returned. Asking the fold rather than the last
+// event keeps finite the recovered logs older builds wrote with a line after
+// the terminal edge. Observers loop: drain, then wait on the channel (or
+// their own context) unless done.
 func (j *Job) EventsSince(after int) (evs []Event, more <-chan struct{}, done bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -409,12 +428,15 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		ID:        fmt.Sprintf("j%06d", m.nextID),
 		Spec:      spec,
 		affinity:  spec.AffinityHash(),
-		state:     StateQueued,
 		notify:    make(chan struct{}),
 		submitted: time.Now().UTC(),
 	}
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	m.bindStore(j)
+	// The queued edge opens the log (seq 0) before anything can see the job:
+	// m.mu is held until it is in the table and the queue. Unlocked, j is
+	// not shared yet.
+	j.appendLocked(Event{Type: "state", State: StateQueued})
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.evictRecordsLocked()
@@ -422,10 +444,6 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.mSubmitted.Inc()
 	m.mTenantJobs.With(tenantLabel(spec.Tenant)).Inc()
 	m.mStates[StateQueued].Inc()
-	// Emit the queued edge before the job becomes grantable, so event logs
-	// always open with it (seq 0) even if a parked lease request takes the
-	// job instantly.
-	j.emit(Event{Type: "state", State: StateQueued})
 	m.enqueueLocked(j, false)
 	m.mu.Unlock()
 	return j, nil
@@ -484,77 +502,65 @@ func (m *Manager) List() []*Job {
 // worker learns from the 409 on its next event or heartbeat — and frees its
 // executor slot when it has. Cancelling a terminal job is a no-op.
 func (m *Manager) Cancel(id string) (*Job, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	if j == nil {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	j, err := m.Get(id)
+	if err != nil {
+		return nil, err
 	}
-	queued := j.State() == StateQueued
-	if queued {
-		m.removeQueuedLocked(j)
-	}
-	m.mu.Unlock()
-	if queued {
-		m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
-	} else {
-		m.finish(j, nil, StateCancelled, context.Canceled, nil, "cancelled by client")
-	}
+	m.finish(j, nil, StateCancelled, nil, "cancelled by client: "+context.Canceled.Error())
 	return j, nil
 }
 
-// finish moves j to a terminal state: it claims the transition under the
-// job lock (checking the optional claim predicate there, so lease
-// completion and expiry cannot race each other), updates tenant and lease
-// accounting and metrics, persists the report (done jobs, before the
-// terminal edge so a crash between the two replays as still-running, never
-// as done-without-report), emits the terminal event, releases the store
-// appender, and ends the job's context — the abort signal of an in-process
-// run. It reports whether this call performed the transition.
-func (m *Manager) finish(j *Job, claim func(*Job) bool, final State, err error, report json.RawMessage, note string) bool {
+// finish appends j's terminal edge, in one hold of the job lock with the
+// check of the optional claim predicate (so lease completion, expiry and
+// cancellation resolve to exactly one outcome), and then settles the job.
+// A done job's report is stored first, so a crash between the two replays
+// as still-running, never as done without a report. A job cancelled while
+// queued ends "cancelled before start", whatever note says. It reports
+// whether this call performed the transition.
+func (m *Manager) finish(j *Job, claim func(*Job) bool, final State, report json.RawMessage, note string) bool {
 	j.mu.Lock()
 	if j.state.Terminal() || (claim != nil && !claim(j)) {
 		j.mu.Unlock()
 		return false
 	}
 	wasLeased := j.state == StateRunning
-	j.state = final
-	j.finished = time.Now().UTC()
-	j.err = err
+	if !wasLeased {
+		note = "cancelled before start"
+	}
 	if final == StateDone {
-		j.report = report
-	}
-	j.mu.Unlock()
-	m.mStates[final].Inc()
-	m.mu.Lock()
-	if m.tenantLive[j.Spec.Tenant]--; m.tenantLive[j.Spec.Tenant] <= 0 {
-		delete(m.tenantLive, j.Spec.Tenant)
-	}
-	m.mu.Unlock()
-	if st := m.opts.Store; st != nil && j.digest != "" && final == StateDone {
-		if perr := st.PutReport(j.digest, report); perr != nil {
+		if st := m.opts.Store; st != nil && j.digest != "" && st.PutReport(j.digest, report) != nil {
 			m.mStoreErrors.Inc()
 		}
+		j.report = report
 	}
-	ev := Event{Type: "state", State: final}
-	if note != "" {
-		ev.Error = note
-	} else if err != nil {
-		ev.Error = err.Error()
-	}
-	j.emit(ev)
+	j.appendLocked(Event{Type: "state", State: final, Error: note})
+	j.mu.Unlock()
+	m.settle(j, final, wasLeased)
+	return true
+}
+
+// settle accounts for j's terminal edge once the job lock is released: the
+// state counter, the store appender, the job's context (the abort signal of
+// an in-process run), the queue slot of a job cancelled while queued, the
+// tenant's live count, and the lease the job held — last, so a drain waiting
+// on that lease returns only once the job's log and report are on disk.
+func (m *Manager) settle(j *Job, final State, wasLeased bool) {
+	m.mStates[final].Inc()
 	if st := m.opts.Store; st != nil && j.digest != "" {
 		st.CloseJob(j.digest)
 	}
 	j.cancel()
-	if wasLeased {
-		// Last, so a drain waiting on this lease returns only once the job's
-		// log and report are on disk.
-		m.mu.Lock()
-		m.leaseEndedLocked()
-		m.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !wasLeased {
+		m.removeQueuedLocked(j)
 	}
-	return true
+	if m.tenantLive[j.Spec.Tenant]--; m.tenantLive[j.Spec.Tenant] <= 0 {
+		delete(m.tenantLive, j.Spec.Tenant)
+	}
+	if wasLeased {
+		m.leaseEndedLocked()
+	}
 }
 
 // leaseEndedLocked accounts for one lease finished or handed back, and
@@ -597,7 +603,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 	m.mu.Unlock()
 	for _, j := range queued {
-		m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
+		m.finish(j, nil, StateCancelled, nil, "")
 	}
 	var err error
 	select {
@@ -605,7 +611,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = fmt.Errorf("jobs: drain deadline hit, cancelling in-flight jobs: %w", ctx.Err())
 		for _, j := range m.List() {
-			m.finish(j, func(j *Job) bool { return j.state == StateRunning }, StateCancelled, context.Canceled, nil, "cancelled at shutdown")
+			m.finish(j, func(j *Job) bool { return j.state == StateRunning }, StateCancelled, nil, "cancelled at shutdown: "+context.Canceled.Error())
 		}
 		<-m.drained
 	}

@@ -70,7 +70,8 @@ func (m *Manager) lease(ctx context.Context, worker string, affinity []uint64, t
 }
 
 // grantLocked is the one place a job starts running: it claims the best
-// queued job for worker (nil when nothing is queued) and grants the lease.
+// queued job for worker (nil when nothing is queued) and grants the lease by
+// appending the running edge.
 func (m *Manager) grantLocked(worker string, affinity []uint64, ttl time.Duration) (*Lease, *Job) {
 	var (
 		j      *Job
@@ -87,11 +88,8 @@ func (m *Manager) grantLocked(worker string, affinity []uint64, ttl time.Duratio
 		}
 		j.mu.Unlock() // raced with a cancel: skip and keep popping
 	}
-	j.state = StateRunning
-	j.started = time.Now().UTC()
-	j.attempts++
-	j.leaseWorker = worker
 	j.leaseExpiry = time.Now().Add(ttl)
+	j.appendLocked(Event{Type: "state", State: StateRunning, Worker: worker, Attempt: j.attempts + 1})
 	lease := &Lease{
 		JobID:    j.ID,
 		Spec:     j.Spec,
@@ -109,7 +107,6 @@ func (m *Manager) grantLocked(worker string, affinity []uint64, ttl time.Duratio
 	} else if len(affinity) > 0 {
 		m.mSteals.Inc()
 	}
-	j.emit(Event{Type: "state", State: StateRunning, Worker: worker, Attempt: lease.Attempt})
 	return lease, j
 }
 
@@ -195,12 +192,12 @@ func (m *Manager) CompleteLease(id, worker string, report json.RawMessage, runEr
 	if err != nil {
 		return err
 	}
-	final := StateDone
+	final, note := StateDone, ""
 	if runErr != nil {
-		final, report = StateFailed, nil
+		final, report, note = StateFailed, nil, runErr.Error()
 	}
 	claim := func(j *Job) bool { return j.heldByLocked(worker) }
-	if !m.finish(j, claim, final, runErr, report, "") {
+	if !m.finish(j, claim, final, report, note) {
 		return fmt.Errorf("%w: job %s is not leased to %q", ErrLeaseLost, id, worker)
 	}
 	return nil
@@ -213,19 +210,26 @@ func (m *Manager) CompleteLease(id, worker string, report json.RawMessage, runEr
 func (m *Manager) ExpireLeases(now time.Time) {
 	for _, j := range m.List() {
 		j.mu.Lock()
-		if j.state != StateRunning || !now.After(j.leaseExpiry) {
-			j.mu.Unlock()
-			continue
-		}
-		m.mLeaseExpired.Inc()
-		if j.attempts < m.opts.MaxAttempts {
-			m.requeueLeasedLocked(j, "lease expired; requeued")
-			continue
-		}
 		worker, attempts := j.leaseWorker, j.attempts
+		due := j.state == StateRunning && now.After(j.leaseExpiry)
 		j.mu.Unlock()
-		m.finish(j, func(j *Job) bool { return j.heldByLocked(worker) }, StateFailed,
-			fmt.Errorf("jobs: lease expired on worker %q after %d attempts", worker, attempts), nil, "")
+		if !due {
+			continue
+		}
+		// The claim: the same lease, still lapsed when the edge is appended.
+		lapsed := func(j *Job) bool {
+			return j.heldByLocked(worker) && j.attempts == attempts && now.After(j.leaseExpiry)
+		}
+		var expired bool
+		if attempts < m.opts.MaxAttempts {
+			expired = m.requeue(j, lapsed, "lease expired; requeued")
+		} else {
+			expired = m.finish(j, lapsed, StateFailed, nil,
+				fmt.Sprintf("jobs: lease expired on worker %q after %d attempts", worker, attempts))
+		}
+		if expired {
+			m.mLeaseExpired.Inc()
+		}
 	}
 }
 
@@ -238,37 +242,39 @@ func (m *Manager) ReturnLease(id, worker string) bool {
 	if err != nil {
 		return false
 	}
-	j.mu.Lock()
-	if !j.heldByLocked(worker) {
-		j.mu.Unlock()
-		return false
-	}
-	m.requeueLeasedLocked(j, "lease undelivered; requeued")
-	return true
+	return m.requeue(j, func(j *Job) bool { return j.heldByLocked(worker) }, "lease undelivered; requeued")
 }
 
-// requeueLeasedLocked returns a leased, running job to the front of its
-// class queue (or cancels it when the manager is draining). The caller holds
-// j.mu and has checked its claim on the lease; the lock is released here.
-func (m *Manager) requeueLeasedLocked(j *Job, note string) {
-	worker, attempts := j.leaseWorker, j.attempts
-	j.state = StateQueued
-	j.mu.Unlock()
-	m.mRequeued.Inc()
-	m.mStates[StateQueued].Inc()
-	j.emit(Event{Type: "state", State: StateQueued, Worker: worker, Attempt: attempts, Error: note})
+// requeue returns a leased, running job to the front of its class queue, or
+// cancels it when the manager is draining: if claim holds, it appends the
+// queued edge (and then the cancelled one) under one hold of the job lock,
+// inside the manager lock the enqueue needs, so no other transition falls
+// between the edge and the queue. It reports whether claim held.
+func (m *Manager) requeue(j *Job, claim func(*Job) bool, note string) bool {
 	m.mu.Lock()
-	if !m.draining {
+	j.mu.Lock()
+	if !claim(j) {
+		j.mu.Unlock()
+		m.mu.Unlock()
+		return false
+	}
+	j.appendLocked(Event{Type: "state", State: StateQueued, Worker: j.leaseWorker, Attempt: j.attempts, Error: note})
+	draining := m.draining
+	if draining {
+		j.appendLocked(Event{Type: "state", State: StateCancelled, Error: "cancelled before start"})
+	}
+	j.mu.Unlock()
+	if !draining {
 		m.leaseEndedLocked()
 		m.enqueueLocked(j, true)
-		m.mu.Unlock()
-		return
 	}
 	m.mu.Unlock()
-	m.finish(j, nil, StateCancelled, nil, nil, "cancelled before start")
-	m.mu.Lock()
-	m.leaseEndedLocked()
-	m.mu.Unlock()
+	m.mRequeued.Inc()
+	m.mStates[StateQueued].Inc()
+	if draining {
+		m.settle(j, StateCancelled, true)
+	}
+	return true
 }
 
 // LocalWorker names the in-process executor on its jobs' lifecycle edges.
@@ -279,7 +285,8 @@ const localTTL = 100 * 365 * 24 * time.Hour
 
 // Local returns the manager as the in-process LeaseSource of a standalone
 // daemon: plain calls instead of HTTP, no heartbeat, and the job's own
-// context — which finish ends — as the run's abort signal.
+// context — which ends with the job's terminal edge — as the run's abort
+// signal.
 func (m *Manager) Local() LeaseSource { return localSource{m} }
 
 type localSource struct{ m *Manager }

@@ -3,7 +3,6 @@ package jobs
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"mosaicsim/internal/store"
@@ -11,13 +10,14 @@ import (
 
 // This file binds the manager to the disk store (internal/store). The
 // contract is write-through, read-at-startup: every admitted job lands a
-// record under its content address, every emitted event appends one NDJSON
+// record under its content address, every appended event appends one NDJSON
 // line (under the job lock, so the log order is the observed order), and a
-// restarted manager rebuilds its table from the store — terminal jobs replay
-// their event streams byte-identically (the lines were written verbatim and
-// Event round-trips exactly), live jobs re-queue and run again. Store
-// failures never fail a job: persistence degrades to in-memory operation
-// and counts mosaicd_store_errors_total.
+// restarted manager rebuilds its table from the store by folding each intact
+// line through Job.apply, exactly as the live appends were folded. Terminal
+// jobs replay their event streams byte-identically (the lines were written
+// verbatim and Event round-trips exactly) and report the same Status; live
+// jobs re-queue and run again. Store failures never fail a job: persistence
+// degrades to in-memory operation and counts mosaicd_store_errors_total.
 
 // bindStore computes j's content address, persists its admission record,
 // and wires its event appender. Called under m.mu so records land in
@@ -50,8 +50,8 @@ func (m *Manager) bindStore(j *Job) {
 	m.bindAppender(j)
 }
 
-// bindAppender wires j's per-event persistence hook (emit calls it under
-// the job lock with the marshalled line).
+// bindAppender wires j's per-event persistence hook (appendLocked calls it
+// under the job lock with the marshalled line).
 func (m *Manager) bindAppender(j *Job) {
 	st := m.opts.Store
 	j.persist = func(line []byte) {
@@ -65,9 +65,11 @@ func (m *Manager) bindAppender(j *Job) {
 // manager is handed to anyone, so it runs single-threaded). Terminal jobs are
 // reloaded as records whose event streams replay exactly as served before
 // the restart; live jobs (queued, or running when the process died) are
-// re-queued — a job mid-run at the kill gets a fresh queued edge appended
-// so its log explains the rerun. The ID counter resumes past the highest
-// recovered ID, so new admissions never collide with stored directories.
+// re-queued — a job whose log does not end queued (it was mid-run at the
+// kill) gets a fresh queued edge appended so its log explains the rerun, and
+// a terminal job gets nothing appended. The ID counter resumes past the
+// highest recovered ID, so new admissions never collide with stored
+// directories.
 func (m *Manager) recover() {
 	snaps, err := m.opts.Store.Jobs()
 	if err != nil {
@@ -87,34 +89,16 @@ func (m *Manager) recover() {
 			Spec:      spec,
 			affinity:  spec.AffinityHash(),
 			digest:    snap.Rec.Digest,
-			state:     StateQueued,
 			notify:    make(chan struct{}),
 			submitted: snap.Rec.Submitted,
 		}
-		last := StateQueued
-		lastErr := ""
 		for _, line := range snap.Events {
 			var e Event
 			if err := json.Unmarshal(line, &e); err != nil {
 				continue
 			}
 			j.events = append(j.events, e)
-			if e.Type != "state" {
-				continue
-			}
-			last = e.State
-			lastErr = e.Error
-			switch {
-			case e.State == StateRunning:
-				j.started = e.Time
-				if e.Attempt > j.attempts {
-					j.attempts = e.Attempt
-				} else {
-					j.attempts++
-				}
-			case e.State.Terminal():
-				j.finished = e.Time
-			}
+			j.apply(e)
 		}
 		var n int
 		if _, err := fmt.Sscanf(snap.Rec.ID, "j%d", &n); err == nil && n > m.nextID {
@@ -122,12 +106,9 @@ func (m *Manager) recover() {
 		}
 		m.jobs[j.ID] = j
 		m.order = append(m.order, j.ID)
-		if last.Terminal() {
-			j.state = last
-			if last == StateDone {
+		if j.state.Terminal() {
+			if j.state == StateDone {
 				j.report = snap.Report
-			} else if lastErr != "" {
-				j.err = errors.New(lastErr)
 			}
 			m.mRecovered.Inc()
 			continue
@@ -137,8 +118,8 @@ func (m *Manager) recover() {
 		j.ctx, j.cancel = context.WithCancel(context.Background())
 		m.bindAppender(j)
 		m.tenantLive[spec.Tenant]++
-		if last == StateRunning {
-			j.emit(Event{Type: "state", State: StateQueued, Error: "requeued after restart"})
+		if j.state != StateQueued {
+			j.appendLocked(Event{Type: "state", State: StateQueued, Error: "requeued after restart"})
 		}
 		m.enqueueLocked(j, false)
 		m.mResumed.Inc()
