@@ -173,7 +173,7 @@ func profileRun(stdout io.Writer, w *workloads.Workload, tiles int, ws workloads
 func summarize(stdout io.Writer, tr *trace.Trace) {
 	tbl := stats.NewTable("trace: "+tr.Kernel, "tile", "dyn. instrs", "BB path", "mem events", "acc calls", "comm events")
 	for _, tt := range tr.Tiles {
-		tbl.Row(tt.Tile, tt.DynInstrs, len(tt.BBPath), len(tt.Mem), len(tt.Acc), len(tt.Comm))
+		tbl.Row(tt.Tile, tt.DynInstrs, tt.BBPath.Len(), tt.Mem.Len(), len(tt.Acc), tt.Comm.Len())
 	}
 	fmt.Fprintln(stdout, tbl.String())
 	size, _ := tr.EncodedSize() // encoding into io.Discard cannot fail

@@ -59,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("dynamic trace: %d instructions, %d memory events, %d basic blocks\n",
-		tr.TotalDynInstrs(), tr.TotalMemEvents(), len(tr.Tiles[0].BBPath))
+		tr.TotalDynInstrs(), tr.TotalMemEvents(), tr.Tiles[0].BBPath.Len())
 
 	// The functional execution really computed the result.
 	fmt.Printf("C[10] = %.0f (want 30)\n\n", mem.ReadF64(pc+10*8))

@@ -74,7 +74,7 @@ void kernel(double* A, long n) {
 	pa := mem.AllocF64(make([]float64, n))
 	res := compileAndRun(t, src, mem, []uint64{pa, n}, interp.Options{})
 	// n loads + 1 store, nothing else.
-	if got := len(res.Trace.Tiles[0].Mem); got != n+1 {
+	if got := res.Trace.Tiles[0].Mem.Len(); got != n+1 {
 		t.Errorf("memory events = %d, want %d (locals must not hit memory)", got, n+1)
 	}
 	if got := mem.ReadF64(pa); got != float64(n) {

@@ -142,11 +142,13 @@ type Core struct {
 	fabric Fabric
 	accel  AccelInvoker
 
-	// trace cursors
-	bbCursor   int
-	memCursor  int
-	accCursor  int
-	commCursor int
+	// trace cursors; prevBlock is the block launched last (-1 before the
+	// first), whose phis the next launch resolves against.
+	path      trace.Cursor[int32]
+	mem       trace.Cursor[trace.MemEvent]
+	comm      trace.Cursor[trace.CommEvent]
+	accCursor int
+	prevBlock int
 
 	// The sliding instruction window (ROB) is [headSeq, seqCounter): seq s
 	// lives at nodes[s&mask], retiring is headSeq++. The ring is a power of
@@ -249,6 +251,7 @@ func New(id int, cfg config.CoreConfig, p *Program, tt *trace.TileTrace, memp Me
 		clockNum: 1,
 		clockDen: 1,
 	}
+	c.path, c.mem, c.comm, c.prevBlock = tt.BBPath.Cursor(), tt.Mem.Cursor(), tt.Comm.Cursor(), -1
 	for i := range c.lastDyn {
 		c.lastDyn[i] = -1
 	}
@@ -260,10 +263,11 @@ func New(id int, cfg config.CoreConfig, p *Program, tt *trace.TileTrace, memp Me
 	// count; a launch needs unretired < WindowSize, so the window never
 	// holds more than WindowSize plus the largest block.
 	total, maxBlock := 0, 0
-	for _, b := range tt.BBPath {
+	tt.BBPath.Values(func(b int32) bool {
 		total += p.Blocks[b].N
 		maxBlock = max(maxBlock, p.Blocks[b].N)
-	}
+		return true
+	})
 	size := 64
 	for size < min(total, max(cfg.WindowSize, 0)+maxBlock) {
 		size *= 2
@@ -394,7 +398,7 @@ func (c *Core) Step(now int64) bool {
 	c.launchDBBs(now)
 	c.issue(now)
 	c.retire()
-	if c.bbCursor >= len(c.tt.BBPath) && c.headSeq == c.seqCounter && c.completions.Len() == 0 && c.outstanding == 0 && len(c.pendingDrain) == 0 {
+	if _, more := c.path.Peek(); !more && c.headSeq == c.seqCounter && c.completions.Len() == 0 && c.outstanding == 0 && len(c.pendingDrain) == 0 {
 		c.finished = true
 		c.finishCycle = now
 		c.Stats.Cycles = now
@@ -555,8 +559,12 @@ func (c *Core) launchDBBs(now int64) {
 	if maxLaunch < 1 {
 		maxLaunch = 1
 	}
-	for launches < maxLaunch && c.bbCursor < len(c.tt.BBPath) {
-		bid := int(c.tt.BBPath[c.bbCursor])
+	for launches < maxLaunch {
+		next, ok := c.path.Peek()
+		if !ok {
+			return
+		}
+		bid := int(next)
 		if c.lastDBB != nil {
 			switch c.Cfg.Branch {
 			case config.BranchPerfect:
@@ -593,11 +601,9 @@ func (c *Core) launchDBBs(now int64) {
 // dynamic: the operand cursors and the phi predecessor.
 func (c *Core) launchOne(bid int) {
 	blk := &c.prog.Blocks[bid]
-	prevBlock := -1
-	if c.bbCursor > 0 {
-		prevBlock = int(c.tt.BBPath[c.bbCursor-1])
-	}
-	c.bbCursor++
+	prevBlock := c.prevBlock
+	c.prevBlock = bid
+	c.path.Next()
 
 	base := c.seqCounter
 	if base+int64(blk.N)-c.headSeq > int64(len(c.nodes)) {
@@ -623,14 +629,13 @@ func (c *Core) launchOne(bid int) {
 
 		switch sn.Kind {
 		case KindMem:
-			if c.memCursor >= len(c.tt.Mem) {
+			ev, ok := c.mem.Next()
+			if !ok {
 				panic(fmt.Sprintf("core: tile %d memory trace exhausted at instruction %d", c.ID, sn.Idx))
 			}
-			ev := c.tt.Mem[c.memCursor]
 			if ev.Instr != sn.Idx {
 				panic(fmt.Sprintf("core: tile %d memory trace out of sync: have instr %d, want %d", c.ID, ev.Instr, sn.Idx))
 			}
-			c.memCursor++
 			n.addr = ev.Addr
 			n.memSize = int32(ev.Size)
 			switch ev.Kind {
@@ -645,11 +650,11 @@ func (c *Core) launchOne(bid int) {
 			n.maoPos = c.maoTotal
 			c.mao = append(c.mao, n)
 		case KindSend, KindRecv:
-			if c.commCursor >= len(c.tt.Comm) {
+			ev, ok := c.comm.Next()
+			if !ok {
 				panic(fmt.Sprintf("core: tile %d comm trace exhausted", c.ID))
 			}
-			n.partner = c.tt.Comm[c.commCursor].Partner
-			c.commCursor++
+			n.partner = ev.Partner
 		case KindAcc:
 			if c.accCursor >= len(c.tt.Acc) {
 				panic(fmt.Sprintf("core: tile %d accelerator trace exhausted", c.ID))
@@ -672,8 +677,8 @@ func (c *Core) launchOne(bid int) {
 
 	// Branch prediction (§III-C): decide whether launching the *next* DBB
 	// must wait for this terminator plus the misprediction penalty.
-	if c.bbCursor < len(c.tt.BBPath) {
-		actual := int(c.tt.BBPath[c.bbCursor])
+	if next, ok := c.path.Peek(); ok {
+		actual := int(next)
 		switch c.Cfg.Branch {
 		case config.BranchStatic:
 			d.mispredict = blk.Predicted != actual

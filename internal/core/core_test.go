@@ -353,7 +353,15 @@ void kernel(long* A, long n) {
 func TestCorruptTracePanics(t *testing.T) {
 	g, tt := traceKernel(t, sumSrc, setupArray(8))
 	// Corrupt the memory trace instruction index.
-	tt.Mem[0].Instr += 99
+	var mem trace.Chunks[trace.MemEvent]
+	tt.Mem.Values(func(ev trace.MemEvent) bool {
+		if mem.Len() == 0 {
+			ev.Instr += 99
+		}
+		mem.Append(ev)
+		return true
+	})
+	tt.Mem = mem
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-sync memory trace must panic")
@@ -480,7 +488,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}
 	// The measured window must cover the whole life of a dynamic node —
 	// launch, issue, complete, retire, slot reuse — not just issue/complete.
-	launched, retired, head := c.bbCursor, c.Stats.Instrs, c.headSeq
+	launched, retired, head := c.seqCounter, c.Stats.Instrs, c.headSeq
 	avg := testing.AllocsPerRun(1000, func() {
 		c.Step(now)
 		now++
@@ -491,8 +499,8 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	if c.Done() {
 		t.Fatal("core finished inside the measured window; grow the workload")
 	}
-	if dl, dr := c.bbCursor-launched, c.Stats.Instrs-retired; dl < 100 || dr < 1000 {
-		t.Errorf("measured window launched %d DBBs and completed %d instructions; it must exercise launch and retire", dl, dr)
+	if dl, dr := c.seqCounter-launched, c.Stats.Instrs-retired; dl < 1000 || dr < 1000 {
+		t.Errorf("measured window launched %d and completed %d instructions; it must exercise launch and retire", dl, dr)
 	}
 	if turned := c.headSeq - head; turned <= int64(len(c.nodes)) {
 		t.Errorf("measured window retired %d instructions; it must reuse every one of the ring's %d slots", turned, len(c.nodes))

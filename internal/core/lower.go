@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 
 	"mosaicsim/internal/config"
 	"mosaicsim/internal/ddg"
 	"mosaicsim/internal/ir"
+	"mosaicsim/internal/trace"
 )
 
 // OpKind selects a static node's launch and issue path: which trace cursor
@@ -80,6 +82,47 @@ type Program struct {
 // Nodes returns block b's records.
 func (p *Program) Nodes(b int) []StaticNode {
 	return p.nodes[p.Blocks[b].First : p.Blocks[b].First+p.Blocks[b].N]
+}
+
+// Check walks tt's streams the way launching its blocks on p consumes them,
+// without timing, and reports the first event a core replaying it would
+// panic on: a block ID p does not have, a memory or comm event missing or
+// recorded for another instruction, a comm partner outside [0, tiles), or an
+// accelerator call missing, to another intrinsic, or with another arity. A
+// trace recorded from p's kernel always passes; one read from a damaged file
+// may not.
+func (p *Program) Check(tt *trace.TileTrace, tiles int) error {
+	mem, comm, acc := tt.Mem.Cursor(), tt.Comm.Cursor(), tt.Acc
+	var err error
+	tt.BBPath.Values(func(b int32) bool {
+		if b < 0 || int(b) >= len(p.Blocks) {
+			err = fmt.Errorf("block %d of a %d-block kernel", b, len(p.Blocks))
+			return false
+		}
+		for _, sn := range p.Nodes(int(b)) {
+			switch sn.Kind {
+			case KindMem:
+				if ev, ok := mem.Next(); !ok || ev.Instr != sn.Idx {
+					err = fmt.Errorf("memory trace out of sync at instruction %d", sn.Idx)
+				}
+			case KindSend, KindRecv:
+				if ev, ok := comm.Next(); !ok || ev.Instr != sn.Idx || ev.Partner < 0 || int(ev.Partner) >= tiles {
+					err = fmt.Errorf("comm trace out of sync at instruction %d", sn.Idx)
+				}
+			case KindAcc:
+				if len(acc) == 0 || acc[0].Name != sn.Instr.Callee || len(acc[0].Params) != len(sn.Instr.Args) {
+					err = fmt.Errorf("accelerator trace out of sync at instruction %d", sn.Idx)
+				} else {
+					acc = acc[1:]
+				}
+			}
+			if err != nil {
+				return false
+			}
+		}
+		return true
+	})
+	return err
 }
 
 // Lower resolves everything static about g into a Program.

@@ -22,7 +22,11 @@ func runKernel(t *testing.T, fns []*ir.Function, setup func(m *interp.Memory) ([
 	if _, err := interp.RunTiles(fns, m, args, interp.Options{}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return m.F64Slice(outAddr, outLen)
+	out := make([]float64, outLen)
+	for i := range out {
+		out[i] = m.ReadF64(outAddr + uint64(i)*8)
+	}
+	return out
 }
 
 // expand duplicates the kernel for p SPMD tiles; pair expands the slices for

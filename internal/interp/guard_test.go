@@ -140,7 +140,8 @@ exit:
 	}
 }
 
-// chunksFor mirrors trace.Chunks' growth: 256 elements, doubling to 64 Ki.
+// chunksFor is how many chunks trace.Chunks fills with n elements: the first
+// holds 256, each later one twice the last up to 64 Ki.
 func chunksFor(n int) int {
 	chunks := 0
 	for size := 256; n > 0; size = min(2*size, 64<<10) {
@@ -152,7 +153,9 @@ func chunksFor(n int) int {
 
 // TestTraceAllocation guards the recorder: tracing ten times as many loop
 // iterations may cost only the extra chunks (and what lists them), not an
-// allocation per block entry, and a run allocates at most 2.5x its trace.
+// allocation per block entry, and a run allocates at most 1.25x its trace —
+// the chunks are the trace, so that is their unfilled rest and the run's
+// fixed costs.
 func TestTraceAllocation(t *testing.T) {
 	f := ir.MustParse(vecAddSrc).Func("kernel")
 	const short, long = 10_000, 100_000
@@ -168,27 +171,25 @@ func TestTraceAllocation(t *testing.T) {
 		return res
 	}
 	allocs := func(n int) float64 { return testing.AllocsPerRun(5, func() { run(n) }) }
-	// Per stream: its chunks, the appends that list them, the final slice.
-	budget := float64(chunksFor(long+2) + chunksFor(3*long) + 24)
+	// Per stream: its chunks and the appends that list them.
+	budget := float64(chunksFor(long+2) + chunksFor(3*long) + 12)
 	if a, b := allocs(short), allocs(long); b-a > budget {
 		t.Errorf("10x the iterations cost %.0f more allocations (%.0f -> %.0f), budget %.0f", b-a, a, b, budget)
 	}
 
 	var before, after runtime.MemStats
-	runtime.GC() // empty the chunk pools: measure a cold run
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	tt := run(long).Trace.Tiles[0]
 	runtime.ReadMemStats(&after)
-	final := uint64(len(tt.Mem)*16 + len(tt.BBPath)*4)
-	if got := after.TotalAlloc - before.TotalAlloc; got*2 > final*5 {
-		t.Errorf("a run allocated %d bytes for a %d-byte trace (> 2.5x)", got, final)
+	final := uint64(tt.Mem.Len()*16 + tt.BBPath.Len()*4)
+	if got := after.TotalAlloc - before.TotalAlloc; got*4 > final*5 {
+		t.Errorf("a run allocated %d bytes for a %d-byte trace (> 1.25x)", got, final)
 	}
 }
 
 // TestConcurrentRunsAgree traces four kernels from eight goroutines at once;
-// what runs share (pooled images, recycled chunks) must leave every trace
-// byte-equal to the one a serial run records.
+// what runs share (pooled images) must leave every trace byte-equal to the one
+// a serial run records.
 func TestConcurrentRunsAgree(t *testing.T) {
 	kernels := []struct {
 		src  string
@@ -202,7 +203,7 @@ func TestConcurrentRunsAgree(t *testing.T) {
 	encode := func(k int) []byte {
 		mem := NewMemory(8 << 20)
 		defer mem.Release()
-		const n = 70_000 // past the first full-size chunk, so recycling is exercised
+		const n = 70_000 // past the first full-size chunk
 		a, b := mem.AllocF64(make([]float64, n)), mem.Alloc(n*8, 64)
 		args := [][]uint64{{a, a, b, n}, {a, n}, {a, n}, {a, b}}[k]
 		res, err := Run(ir.MustParse(kernels[k].src).Func("kernel"), mem, args, kernels[k].opts)

@@ -88,7 +88,7 @@ func RunTiles(fns []*ir.Function, mem *Memory, args []uint64, opts Options) (*Re
 	for _, t := range r.tiles {
 		tr.Tiles = append(tr.Tiles, &trace.TileTrace{
 			Tile: int32(t.id), DynInstrs: t.dyn,
-			BBPath: t.path.Slice(), Mem: t.mem.Slice(), Comm: t.comm.Slice(), Acc: t.acc,
+			BBPath: t.path, Mem: t.mem, Comm: t.comm, Acc: t.acc,
 		})
 		if opts.Profile {
 			res.Counts = append(res.Counts, t.prof)

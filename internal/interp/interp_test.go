@@ -3,6 +3,7 @@ package interp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,25 +126,27 @@ func TestVecAddComputesCorrectValues(t *testing.T) {
 	}
 }
 
+// events returns a trace stream's elements as a slice.
+func events[T any](c *trace.Chunks[T]) (out []T) {
+	c.Values(func(v T) bool { out = append(out, v); return true })
+	return out
+}
+
 func TestVecAddTraceShape(t *testing.T) {
 	_, res, _ := runVecAdd(t, 4)
 	tt := res.Trace.Tiles[0]
 	// Paper Fig. 3: BB path is entry, 4x loop, exit.
 	want := []int32{0, 1, 1, 1, 1, 2}
-	if len(tt.BBPath) != len(want) {
-		t.Fatalf("BBPath = %v, want %v", tt.BBPath, want)
-	}
-	for i := range want {
-		if tt.BBPath[i] != want[i] {
-			t.Fatalf("BBPath = %v, want %v", tt.BBPath, want)
-		}
+	if path := events(&tt.BBPath); !slices.Equal(path, want) {
+		t.Fatalf("BBPath = %v, want %v", path, want)
 	}
 	// 2 loads + 1 store per iteration.
-	if len(tt.Mem) != 12 {
-		t.Errorf("mem events = %d, want 12", len(tt.Mem))
+	mem := events(&tt.Mem)
+	if len(mem) != 12 {
+		t.Errorf("mem events = %d, want 12", len(mem))
 	}
 	loads, stores := 0, 0
-	for _, ev := range tt.Mem {
+	for _, ev := range mem {
 		switch ev.Kind {
 		case trace.KindLoad:
 			loads++
@@ -160,7 +163,7 @@ func TestVecAddTraceShape(t *testing.T) {
 	// Addresses of the store stream must be consecutive doubles.
 	var prev uint64
 	first := true
-	for _, ev := range tt.Mem {
+	for _, ev := range mem {
 		if ev.Kind != trace.KindStore {
 			continue
 		}
@@ -248,7 +251,7 @@ exit:
 	// Every tile must have its own control-flow path with n/tiles iterations.
 	for _, tt := range res.Trace.Tiles {
 		bodies := 0
-		for _, bb := range tt.BBPath {
+		for _, bb := range events(&tt.BBPath) {
 			if bb == 2 {
 				bodies++
 			}
@@ -273,7 +276,7 @@ func TestAtomicAdd(t *testing.T) {
 	}
 	for _, tt := range res.Trace.Tiles {
 		atomics := 0
-		for _, ev := range tt.Mem {
+		for _, ev := range events(&tt.Mem) {
 			if ev.Kind == trace.KindAtomic {
 				atomics++
 			}

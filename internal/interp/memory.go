@@ -140,40 +140,48 @@ func (m *Memory) StoreScalar(addr uint64, ty ir.Type, bits uint64) {
 }
 
 // Typed convenience accessors used by harnesses, workload generators, and
-// functional accelerator implementations.
+// functional accelerator implementations. Each checks its bytes once, like
+// LoadScalar and StoreScalar, without dispatching on a type: workloads
+// generate and check their inputs in place, element by element.
 
 // ReadF64 reads a float64 at addr.
 func (m *Memory) ReadF64(addr uint64) float64 {
-	return math.Float64frombits(m.LoadScalar(addr, ir.F64))
+	return math.Float64frombits(binary.LittleEndian.Uint64(m.window(addr, 8, false)))
 }
 
 // WriteF64 writes a float64 at addr.
 func (m *Memory) WriteF64(addr uint64, v float64) {
-	m.StoreScalar(addr, ir.F64, math.Float64bits(v))
+	binary.LittleEndian.PutUint64(m.window(addr, 8, true), math.Float64bits(v))
 }
 
 // ReadF32 reads a float32 at addr.
 func (m *Memory) ReadF32(addr uint64) float32 {
-	return math.Float32frombits(uint32(m.LoadScalar(addr, ir.F32)))
+	return math.Float32frombits(binary.LittleEndian.Uint32(m.window(addr, 4, false)))
 }
 
 // WriteF32 writes a float32 at addr.
 func (m *Memory) WriteF32(addr uint64, v float32) {
-	m.StoreScalar(addr, ir.F32, uint64(math.Float32bits(v)))
+	binary.LittleEndian.PutUint32(m.window(addr, 4, true), math.Float32bits(v))
 }
 
 // ReadI64 reads an int64 at addr.
-func (m *Memory) ReadI64(addr uint64) int64 { return int64(m.LoadScalar(addr, ir.I64)) }
+func (m *Memory) ReadI64(addr uint64) int64 {
+	return int64(binary.LittleEndian.Uint64(m.window(addr, 8, false)))
+}
 
 // WriteI64 writes an int64 at addr.
-func (m *Memory) WriteI64(addr uint64, v int64) { m.StoreScalar(addr, ir.I64, uint64(v)) }
+func (m *Memory) WriteI64(addr uint64, v int64) {
+	binary.LittleEndian.PutUint64(m.window(addr, 8, true), uint64(v))
+}
 
 // ReadI32 reads an int32 at addr.
-func (m *Memory) ReadI32(addr uint64) int32 { return int32(m.LoadScalar(addr, ir.I32)) }
+func (m *Memory) ReadI32(addr uint64) int32 {
+	return int32(binary.LittleEndian.Uint32(m.window(addr, 4, false)))
+}
 
 // WriteI32 writes an int32 at addr.
 func (m *Memory) WriteI32(addr uint64, v int32) {
-	m.StoreScalar(addr, ir.I32, uint64(uint32(v)))
+	binary.LittleEndian.PutUint32(m.window(addr, 4, true), uint32(v))
 }
 
 // ReadI8 reads a byte at addr.
@@ -220,44 +228,4 @@ func (m *Memory) AllocI32(vals []int32) uint64 {
 		binary.LittleEndian.PutUint32(w[4*i:], uint32(v))
 	}
 	return base
-}
-
-// F64Slice copies n float64 values starting at addr.
-func (m *Memory) F64Slice(addr uint64, n int) []float64 {
-	w := m.window(addr, int64(n)*8, false)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[8*i:]))
-	}
-	return out
-}
-
-// F32Slice copies n float32 values starting at addr.
-func (m *Memory) F32Slice(addr uint64, n int) []float32 {
-	w := m.window(addr, int64(n)*4, false)
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(w[4*i:]))
-	}
-	return out
-}
-
-// I64Slice copies n int64 values starting at addr.
-func (m *Memory) I64Slice(addr uint64, n int) []int64 {
-	w := m.window(addr, int64(n)*8, false)
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(w[8*i:]))
-	}
-	return out
-}
-
-// I32Slice copies n int32 values starting at addr.
-func (m *Memory) I32Slice(addr uint64, n int) []int32 {
-	w := m.window(addr, int64(n)*4, false)
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(w[4*i:]))
-	}
-	return out
 }

@@ -1,12 +1,12 @@
 package sim
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"mosaicsim/internal/replay"
 	"mosaicsim/internal/trace"
@@ -23,9 +23,9 @@ import (
 // and skipping only the expensive TraceWith/TracePairs step, so artifact
 // structure and singleflight semantics stay identical to a cold build.
 //
-// Blob format: one JSON header line (the artifact kind and its full cache
-// key) followed by the payload — the trace's own binary codec
-// (trace.WriteTo/trace.Read), or the schedule as JSON. Blob names are
+// Blob format: one JSON header line (the artifact kind, its full cache key and
+// the payload's checksum) followed by the payload — the trace's own binary
+// codec (trace.WriteTo/trace.Read), or the schedule as JSON. Blob names are
 // content addresses derived from the key, so a store can write-if-absent.
 
 // blobHeader is the first (newline-terminated) line of every exported blob.
@@ -34,11 +34,30 @@ type blobHeader struct {
 	Key  Key    `json:"key"`
 	// Struct is the schedule's structural config hash ("sched" blobs only).
 	Struct uint64 `json:"struct,omitempty"`
+	// Sum is payloadSum of the payload. Blobs of older builds have none; a
+	// blob that has one imports only if its payload still matches it.
+	Sum string `json:"sum,omitempty"`
 }
 
-// blobName derives the content-addressed blob name for a header: the kind
-// plus a hash of the canonical header JSON, so equal keys collide (by
-// design — the blob is already present) and distinct keys cannot.
+// payloadSum is the hex SHA-256 of a blob's payload, cut to 128 bits.
+func payloadSum(payload []byte) string {
+	sum := sha256.Sum256(payload)
+	return hex.EncodeToString(sum[:16])
+}
+
+// blob frames payload under hdr, stamped with the payload's checksum.
+func blob(hdr blobHeader, payload []byte) ([]byte, error) {
+	hdr.Sum = payloadSum(payload)
+	hb, err := json.Marshal(hdr)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(hb, '\n'), payload...), nil
+}
+
+// blobName derives the content-addressed blob name for a header without a
+// checksum: the kind plus a hash of the canonical header JSON, so equal keys
+// collide (by design — the blob is already present) and distinct keys cannot.
 func blobName(h blobHeader) string {
 	b, _ := json.Marshal(h)
 	sum := sha256.Sum256(b)
@@ -79,37 +98,28 @@ func (c *Cache) ExportArtifacts(fn func(name string, data []byte) error) error {
 		}
 	}
 	c.mu.Unlock()
-	for _, e := range traces {
-		hdr := blobHeader{Kind: "trace", Key: e.key}
-		var buf bytes.Buffer
-		hb, err := json.Marshal(hdr)
+	put := func(hdr blobHeader, payload []byte) error {
+		data, err := blob(hdr, payload)
 		if err != nil {
 			return fmt.Errorf("sim: export: %w", err)
 		}
-		buf.Write(hb)
-		buf.WriteByte('\n')
+		return fn(blobName(hdr), data)
+	}
+	for _, e := range traces {
+		var buf bytes.Buffer
 		if _, err := e.tr.WriteTo(&buf); err != nil {
 			return fmt.Errorf("sim: export trace %s: %w", e.key.Kernel, err)
 		}
-		if err := fn(blobName(hdr), buf.Bytes()); err != nil {
+		if err := put(blobHeader{Kind: "trace", Key: e.key}, buf.Bytes()); err != nil {
 			return err
 		}
 	}
 	for _, e := range scheds {
-		hdr := blobHeader{Kind: "sched", Key: e.key.Key, Struct: e.key.Struct}
-		var buf bytes.Buffer
-		hb, err := json.Marshal(hdr)
-		if err != nil {
-			return fmt.Errorf("sim: export: %w", err)
-		}
-		buf.Write(hb)
-		buf.WriteByte('\n')
 		sb, err := json.Marshal(e.s)
 		if err != nil {
 			return fmt.Errorf("sim: export schedule %s: %w", e.key.Kernel, err)
 		}
-		buf.Write(sb)
-		if err := fn(blobName(hdr), buf.Bytes()); err != nil {
+		if err := put(blobHeader{Kind: "sched", Key: e.key.Key, Struct: e.key.Struct}, sb); err != nil {
 			return err
 		}
 	}
@@ -119,19 +129,22 @@ func (c *Cache) ExportArtifacts(fn func(name string, data []byte) error) error {
 // ImportArtifact decodes one exported blob back into the cache: a trace is
 // staged for lazy adoption by the next Artifact build under its key, and a
 // schedule is installed directly (first writer wins; imports never count as
-// newly recorded). Unknown kinds and corrupt payloads are errors — a store
-// blob is content-addressed, so corruption means disk damage, not version
-// skew.
+// newly recorded). Unknown kinds, payloads that fail their checksum and
+// corrupt payloads are errors — a store blob is content-addressed, so
+// corruption means disk damage, not version skew.
 func (c *Cache) ImportArtifact(name string, data []byte) error {
-	r := bufio.NewReader(bytes.NewReader(data))
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return fmt.Errorf("sim: import %s: missing header: %w", name, err)
+	line, payload, ok := bytes.Cut(data, []byte("\n"))
+	if !ok {
+		return fmt.Errorf("sim: import %s: missing header: %w", name, io.ErrUnexpectedEOF)
 	}
 	var hdr blobHeader
 	if err := json.Unmarshal(line, &hdr); err != nil {
 		return fmt.Errorf("sim: import %s: bad header: %w", name, err)
 	}
+	if hdr.Sum != "" && hdr.Sum != payloadSum(payload) {
+		return fmt.Errorf("sim: import %s: payload does not match its checksum", name)
+	}
+	r := bytes.NewReader(payload)
 	switch hdr.Kind {
 	case "trace":
 		tr, err := trace.Read(r)
@@ -179,11 +192,19 @@ func (c *Cache) putImportedSchedule(key Key, structHash uint64, s *replay.Schedu
 
 // importedTrace returns the staged imported trace for key, or nil. The
 // entry stays staged (it is the durable copy an evicted artifact re-adopts)
-// — Session.Artifact wraps it in a fresh Artifact per build.
+// — Session.Artifact wraps it in a fresh Artifact per build, unless it fails
+// adoption and is dropped.
 func (c *Cache) importedTrace(key Key) *trace.Trace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.imported[key]
+}
+
+// dropImported unstages the trace imported for key.
+func (c *Cache) dropImported(key Key) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.imported, key)
 }
 
 // ImportedCount reports how many traces are staged for adoption (startup

@@ -102,6 +102,22 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// asOlderBuild frames body under the blob header hdr as builds before payload
+// checksums wrote it: without a sum.
+func asOlderBuild(t testing.TB, hdr, body []byte) []byte {
+	t.Helper()
+	var h blobHeader
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		t.Fatal(err)
+	}
+	h.Sum = ""
+	hb, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append(hb, '\n'), body...)
+}
+
 // TestImportScheduleFromOlderBuild: a schedule blob persisted by a build
 // that still recorded quiet-window certificates carries five invocation
 // fields this build no longer has (values below as the last such build wrote
@@ -144,7 +160,7 @@ func TestImportScheduleFromOlderBuild(t *testing.T) {
 			if body, err = json.Marshal(sched); err != nil {
 				return err
 			}
-			data = append(append(append([]byte(nil), hdr...), '\n'), body...)
+			data = asOlderBuild(t, hdr, body)
 		}
 		return c2.ImportArtifact(name, data)
 	}); err != nil {
@@ -229,7 +245,11 @@ func TestImportedTraceAdopted(t *testing.T) {
 func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
 	const traceHdr = `{"kind":"trace","key":{}}` + "\n"
 	var good bytes.Buffer
-	tr := &trace.Trace{Kernel: "k", Tiles: []*trace.TileTrace{{BBPath: []int32{0, 1, 1, 2}, DynInstrs: 9}}}
+	tt := &trace.TileTrace{DynInstrs: 9}
+	for _, b := range []int32{0, 1, 1, 2} {
+		tt.BBPath.Append(b)
+	}
+	tr := &trace.Trace{Kernel: "k", Tiles: []*trace.TileTrace{tt}}
 	if _, err := tr.WriteTo(&good); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +308,7 @@ func TestScheduleSpellingOnDisk(t *testing.T) {
 	if !out.Recorded {
 		t.Fatalf("recording run did not publish a schedule (reason: %q)", out.Reason)
 	}
-	asWritten, asOlderBuild := NewCache(), NewCache()
+	asWritten, olderBuild := NewCache(), NewCache()
 	if err := c1.ExportArtifacts(func(name string, data []byte) error {
 		if err := asWritten.ImportArtifact(name, data); err != nil || !strings.HasPrefix(name, "sched-") {
 			return err
@@ -317,14 +337,130 @@ func TestScheduleSpellingOnDisk(t *testing.T) {
 		delete(sched, "SlicedRoles")
 		sched["Tiles"], _ = json.Marshal(tiles)
 		body, _ = json.Marshal(sched)
-		return asOlderBuild.ImportArtifact(name, append(append(append([]byte(nil), hdr...), '\n'), body...))
+		return olderBuild.ImportArtifact(name, asOlderBuild(t, hdr, body))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]*Cache{"as written": asWritten, "as an older build wrote it": asOlderBuild} {
+	for name, c := range map[string]*Cache{"as written": asWritten, "as an older build wrote it": olderBuild} {
 		got, out := run(c)
 		if !out.Replayed || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: replayed=%v (reason %q), result equal=%v", name, out.Replayed, out.Reason, reflect.DeepEqual(got, want))
 		}
 	}
+}
+
+// runOn runs w on cfg over cache c.
+func runOn(c *Cache, w *workloads.Workload, cfg *config.SystemConfig) (soc.Result, error) {
+	s, err := NewSession(Options{Workload: w, Config: cfg, Cache: c})
+	if err != nil {
+		return soc.Result{}, err
+	}
+	return s.Run(context.Background())
+}
+
+// exportedTrace runs w on cfg in a fresh cache and returns its one exported
+// trace blob, split into header line and payload, and the run's Result.
+func exportedTrace(t testing.TB, w *workloads.Workload, cfg *config.SystemConfig) (hdr, payload []byte, res soc.Result) {
+	t.Helper()
+	c := NewCache()
+	res, err := runOn(c, w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ExportArtifacts(func(name string, data []byte) error {
+		hdr, payload, _ = bytes.Cut(data, []byte("\n"))
+		return nil
+	}); err != nil || payload == nil {
+		t.Fatalf("export: %v (payload %d bytes)", err, len(payload))
+	}
+	return hdr, payload, res
+}
+
+// TestDamagedImportedTraceIsRetraced: a staged trace that decodes but does
+// not replay on its kernel — a block the kernel lacks, a memory event of
+// another instruction — panicked the core (or the barrier count before it)
+// on every run of its key. Adoption now checks it, drops it and re-traces,
+// so the run gives the fresh trace's Result.
+func TestDamagedImportedTraceIsRetraced(t *testing.T) {
+	w, cfg := spinWorkload("persist-damaged", 200), oneTileConfig("persist-damaged-cfg")
+	hdr, payload, want := exportedTrace(t, w, cfg)
+	for name, damage := range map[string]func(tt *trace.TileTrace){
+		"block the kernel lacks": func(tt *trace.TileTrace) { tt.BBPath.Append(1 << 20) },
+		"memory event of another instruction": func(tt *trace.TileTrace) {
+			var mem trace.Chunks[trace.MemEvent]
+			tt.Mem.Values(func(ev trace.MemEvent) bool {
+				if mem.Len() == 3 {
+					ev.Instr++
+				}
+				mem.Append(ev)
+				return true
+			})
+			tt.Mem = mem
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr, err := trace.Read(bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage(tr.Tiles[0])
+			var buf bytes.Buffer
+			if _, err := tr.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			c := NewCache()
+			if err := c.ImportArtifact("damaged", asOlderBuild(t, hdr, buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			got, err := runOn(c, w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("run over the damaged import = %+v, want the fresh trace's %+v", got, want)
+			}
+			if c.ImportedCount() != 0 {
+				t.Error("the damaged trace is still staged")
+			}
+		})
+	}
+}
+
+// TestImportRefusesPayloadThatFailsItsChecksum: a blob whose payload changed
+// after export is refused by its checksum, before the payload is decoded.
+func TestImportRefusesPayloadThatFailsItsChecksum(t *testing.T) {
+	hdr, payload, _ := exportedTrace(t, spinWorkload("persist-sum", 200), oneTileConfig("persist-sum-cfg"))
+	data := append(append(append([]byte(nil), hdr...), '\n'), payload...)
+	data[len(data)-1] ^= 1
+	c := NewCache()
+	if err := c.ImportArtifact("x", data); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("ImportArtifact = %v, want a checksum error", err)
+	}
+	if c.ImportedCount() != 0 {
+		t.Error("a blob that fails its checksum was staged")
+	}
+}
+
+// FuzzImportArtifact: whatever bytes a store hands back, importing them and
+// running the session whose key a real export names never panics. A blob
+// that carries a checksum either fails or gives the Result of a run that
+// imported nothing. A blob without one (as builds before checksums wrote
+// them) may hold another valid trace, so only the first half binds it.
+func FuzzImportArtifact(f *testing.F) {
+	w, cfg := spinWorkload("fuzz-import", 50), oneTileConfig("fuzz-import-cfg")
+	hdr, payload, want := exportedTrace(f, w, cfg)
+	f.Add(append(append(append([]byte(nil), hdr...), '\n'), payload...))
+	f.Add(asOlderBuild(f, hdr, payload))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewCache()
+		if c.ImportArtifact("fuzz", data) != nil {
+			return
+		}
+		got, err := runOn(c, w, cfg)
+		line, _, _ := bytes.Cut(data, []byte("\n"))
+		var h blobHeader
+		if err == nil && json.Unmarshal(line, &h) == nil && h.Sum != "" && !reflect.DeepEqual(got, want) {
+			t.Errorf("a checksummed blob gave %+v, want the un-imported %+v", got, want)
+		}
+	})
 }

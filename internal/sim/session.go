@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"mosaicsim/internal/config"
+	"mosaicsim/internal/core"
 	"mosaicsim/internal/dae"
 	"mosaicsim/internal/ddg"
 	"mosaicsim/internal/ir"
@@ -309,7 +310,7 @@ func (s *Session) Artifact(ctx context.Context) (*Artifact, error) {
 			if err != nil {
 				return nil, err
 			}
-			tr := s.cache.importedTrace(s.key)
+			tr := s.adopt(sl.access, sl.execute)
 			if tr == nil {
 				tr, err = s.opts.Workload.TracePairs(sl.slices.Access, sl.slices.Execute, s.opts.Tiles/2, s.opts.Scale)
 				if err != nil {
@@ -332,7 +333,7 @@ func (s *Session) Artifact(ctx context.Context) (*Artifact, error) {
 			// A trace imported from a store (a restart, or a fleet worker's
 			// warm start) satisfies the expensive step; the cheap compile
 			// and graph stages above rebuilt deterministically around it.
-			tr := s.cache.importedTrace(s.key)
+			tr := s.adopt(g)
 			if tr == nil {
 				tr, err = s.opts.Workload.TraceWith(f, s.opts.Tiles, s.opts.Scale)
 				if err != nil {
@@ -346,6 +347,33 @@ func (s *Session) Artifact(ctx context.Context) (*Artifact, error) {
 		return nil, s.fail(StageTrace, err)
 	}
 	return art, nil
+}
+
+// adopt returns the trace an import staged under the session's key if it
+// replays on the kernel: the session's tile count, and every tile passing
+// core's Check against the graph it runs (graphs taken in turn: one for SPMD,
+// access then execute for DAE pairs). Otherwise it unstages the trace and
+// returns nil, so the caller re-traces: a damaged blob that still decodes
+// would panic the core replaying it, on every run of its key.
+func (s *Session) adopt(graphs ...*ddg.Graph) *trace.Trace {
+	tr := s.cache.importedTrace(s.key)
+	if tr == nil {
+		return nil
+	}
+	ok := len(tr.Tiles) == s.opts.Tiles
+	progs := make([]*core.Program, len(graphs))
+	for i := 0; ok && i < len(tr.Tiles); i++ {
+		k := i % len(graphs)
+		if progs[k] == nil {
+			progs[k] = core.Lower(graphs[k])
+		}
+		ok = progs[k].Check(tr.Tiles[i], len(tr.Tiles)) == nil
+	}
+	if !ok {
+		s.cache.dropImported(s.key)
+		return nil
+	}
+	return tr
 }
 
 // Trace runs the pipeline through the Trace stage and returns the dynamic

@@ -557,9 +557,10 @@ func barrierCounts(tiles []TileSpec, progs []*core.Program) []int64 {
 			perProg[progs[i]] = per
 		}
 		var total int64
-		for _, b := range t.TT.BBPath {
+		t.TT.BBPath.Values(func(b int32) bool {
 			total += per[b]
-		}
+			return true
+		})
 		counts[i] = total
 	}
 	return counts

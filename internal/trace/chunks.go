@@ -1,17 +1,12 @@
 package trace
 
-import (
-	"reflect"
-	"sync"
-)
-
 // Chunks is an append-only event stream stored as a list of chunks: the
 // first holds minChunk elements, each later one twice the last up to
-// maxChunk, and a filled chunk is never moved. Slice concatenates them once
-// into an exact-size slice, so recording n events writes each once, copies it
-// once and allocates about 2n — against the ~5n a single slice costs as
-// append regrows it. The trace generator records through it and Read decodes
-// through it; the zero value is ready to use.
+// maxChunk, and a filled chunk is never moved. Recording n events writes each
+// once and allocates n plus the unfilled rest of the last chunk, against the
+// ~5n a single slice costs as append regrows it. The chunks are the trace:
+// the generator records into them, Read decodes into them, and the timing
+// core reads them through a Cursor. The zero value is an empty stream.
 type Chunks[T any] struct {
 	full [][]T // filled chunks, oldest first
 	cur  []T   // the chunk being filled
@@ -36,46 +31,82 @@ func (c *Chunks[T]) grow() {
 		c.full = append(c.full, c.cur)
 		n = min(2*cap(c.cur), maxChunk)
 	}
-	if n == maxChunk {
-		if ch, _ := recycled[T]().Get().(*[]T); ch != nil {
-			c.cur = (*ch)[:0]
-			return
-		}
-	}
 	c.cur = make([]T, 0, n)
 }
 
-// pools recycles full-size chunks once they have been concatenated — across
-// streams, runs and goroutines: one sync.Pool of *[]T per element type T.
-var pools sync.Map
-
-func recycled[T any]() *sync.Pool {
-	key := reflect.TypeFor[T]()
-	if p, ok := pools.Load(key); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := pools.LoadOrStore(key, new(sync.Pool))
-	return p.(*sync.Pool)
-}
-
-// Slice returns the stream as one exact-size slice (nil when empty) and
-// empties c, which keeps its newest chunk for the next stream.
-func (c *Chunks[T]) Slice() []T {
+// Len returns the number of elements in the stream.
+func (c *Chunks[T]) Len() int {
 	n := len(c.cur)
 	for _, ch := range c.full {
 		n += len(ch)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, 0, n)
+	return n
+}
+
+// Values calls yield with the stream's elements in order until it returns
+// false. It has the signature of an iter.Seq, and it is small enough to
+// inline, so a loop over a stream compiles to loops over its chunks.
+func (c *Chunks[T]) Values(yield func(T) bool) {
 	for _, ch := range c.full {
-		out = append(out, ch...)
-		if cap(ch) == maxChunk {
-			recycled[T]().Put(&ch)
+		for _, v := range ch {
+			if !yield(v) {
+				return
+			}
 		}
 	}
-	out = append(out, c.cur...)
-	c.full, c.cur = nil, c.cur[:0]
-	return out
+	for _, v := range c.cur {
+		if !yield(v) {
+			return
+		}
+	}
+}
+
+// Cursor returns a sequential reader positioned at the stream's first
+// element. Appending to the stream while a cursor reads it is not supported.
+func (c *Chunks[T]) Cursor() Cursor[T] { return Cursor[T]{s: c} }
+
+// Cursor reads a stream front to back. It holds the current chunk as a plain
+// slice, so a read costs what indexing a slice does plus, once per chunk, the
+// switch to the next one.
+type Cursor[T any] struct {
+	rest []T // the unread part of the current chunk
+	s    *Chunks[T]
+	next int // the chunk after rest: an index into s.full, len(s.full) for s.cur
+}
+
+// Peek returns the next element without consuming it; ok is false at the end
+// of the stream.
+func (r *Cursor[T]) Peek() (v T, ok bool) {
+	if len(r.rest) == 0 && !r.advance() {
+		return v, false
+	}
+	return r.rest[0], true
+}
+
+// Next consumes and returns the next element; ok is false at the end of the
+// stream. It repeats Peek's test rather than calling it, which keeps it
+// under the inlining budget.
+func (r *Cursor[T]) Next() (v T, ok bool) {
+	if len(r.rest) == 0 && !r.advance() {
+		return v, false
+	}
+	v, r.rest = r.rest[0], r.rest[1:]
+	return v, true
+}
+
+// advance moves rest to the next non-empty chunk, reporting false when none
+// is left.
+func (r *Cursor[T]) advance() bool {
+	for len(r.rest) == 0 {
+		switch {
+		case r.next < len(r.s.full):
+			r.rest = r.s.full[r.next]
+		case r.next == len(r.s.full):
+			r.rest = r.s.cur
+		default:
+			return false
+		}
+		r.next++
+	}
+	return true
 }

@@ -52,11 +52,11 @@ type CommEvent struct {
 // TileTrace holds the dynamic trace of a single tile's kernel execution.
 type TileTrace struct {
 	Tile      int32
-	BBPath    []int32     // basic-block IDs in launch order
-	Mem       []MemEvent  // memory accesses in program order
-	Acc       []AccCall   // accelerator invocations in program order
-	Comm      []CommEvent // send/recv partners in program order
-	DynInstrs int64       // dynamic instruction count
+	BBPath    Chunks[int32]     // basic-block IDs in launch order
+	Mem       Chunks[MemEvent]  // memory accesses in program order
+	Acc       []AccCall         // accelerator invocations in program order
+	Comm      Chunks[CommEvent] // send/recv partners in program order
+	DynInstrs int64             // dynamic instruction count
 }
 
 // Trace is the complete dynamic trace of one kernel run across all tiles.
@@ -78,7 +78,7 @@ func (t *Trace) TotalDynInstrs() int64 {
 func (t *Trace) TotalMemEvents() int64 {
 	var n int64
 	for _, tt := range t.Tiles {
-		n += int64(len(tt.Mem))
+		n += int64(tt.Mem.Len())
 	}
 	return n
 }
@@ -93,101 +93,46 @@ const (
 // original traces stay "typically less than 1 GB" for the control path while
 // memory traces dominate (§VI-B).
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	buf := make([]byte, binary.MaxVarintLen64)
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf, v)
-		_, err := cw.Write(buf[:n])
-		return err
-	}
-	putI := func(v int64) error {
-		n := binary.PutVarint(buf, v)
-		_, err := cw.Write(buf[:n])
-		return err
-	}
-	putStr := func(s string) error {
-		if err := put(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := io.WriteString(cw, s)
-		return err
-	}
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw)
+	// A bufio.Writer's first error sticks: every later write and the final
+	// Flush return it, so only the Flush is checked.
+	var buf [binary.MaxVarintLen64]byte
+	put := func(v uint64) { bw.Write(binary.AppendUvarint(buf[:0], v)) }
+	putI := func(v int64) { bw.Write(binary.AppendVarint(buf[:0], v)) }
+	putStr := func(s string) { put(uint64(len(s))); bw.WriteString(s) }
 
-	if _, err := io.WriteString(cw, magic); err != nil {
-		return cw.n, err
-	}
-	if err := put(version); err != nil {
-		return cw.n, err
-	}
-	if err := putStr(t.Kernel); err != nil {
-		return cw.n, err
-	}
-	if err := put(uint64(len(t.Tiles))); err != nil {
-		return cw.n, err
-	}
+	bw.WriteString(magic)
+	put(version)
+	putStr(t.Kernel)
+	put(uint64(len(t.Tiles)))
 	for _, tt := range t.Tiles {
-		if err := put(uint64(tt.Tile)); err != nil {
-			return cw.n, err
-		}
-		if err := put(uint64(tt.DynInstrs)); err != nil {
-			return cw.n, err
-		}
-		if err := put(uint64(len(tt.BBPath))); err != nil {
-			return cw.n, err
-		}
-		for _, id := range tt.BBPath {
-			if err := put(uint64(id)); err != nil {
-				return cw.n, err
-			}
-		}
-		if err := put(uint64(len(tt.Mem))); err != nil {
-			return cw.n, err
-		}
+		put(uint64(tt.Tile))
+		put(uint64(tt.DynInstrs))
+		put(uint64(tt.BBPath.Len()))
+		tt.BBPath.Values(func(id int32) bool { put(uint64(id)); return true })
+		put(uint64(tt.Mem.Len()))
 		var prev uint64
-		for _, ev := range tt.Mem {
-			if err := put(uint64(ev.Instr)); err != nil {
-				return cw.n, err
-			}
-			if err := putI(int64(ev.Addr) - int64(prev)); err != nil {
-				return cw.n, err
-			}
+		tt.Mem.Values(func(ev MemEvent) bool {
+			put(uint64(ev.Instr))
+			putI(int64(ev.Addr) - int64(prev))
 			prev = ev.Addr
-			if _, err := cw.Write([]byte{ev.Size, ev.Kind}); err != nil {
-				return cw.n, err
-			}
-		}
-		if err := put(uint64(len(tt.Acc))); err != nil {
-			return cw.n, err
-		}
+			bw.Write(append(buf[:0], ev.Size, ev.Kind))
+			return true
+		})
+		put(uint64(len(tt.Acc)))
 		for _, ac := range tt.Acc {
-			if err := putStr(ac.Name); err != nil {
-				return cw.n, err
-			}
-			if err := put(uint64(len(ac.Params))); err != nil {
-				return cw.n, err
-			}
+			putStr(ac.Name)
+			put(uint64(len(ac.Params)))
 			for _, p := range ac.Params {
-				if err := putI(p); err != nil {
-					return cw.n, err
-				}
+				putI(p)
 			}
 		}
-		if err := put(uint64(len(tt.Comm))); err != nil {
-			return cw.n, err
-		}
-		for _, ce := range tt.Comm {
-			if err := put(uint64(ce.Instr)); err != nil {
-				return cw.n, err
-			}
-			if err := put(uint64(ce.Partner)); err != nil {
-				return cw.n, err
-			}
-		}
+		put(uint64(tt.Comm.Len()))
+		tt.Comm.Values(func(ce CommEvent) bool { put(uint64(ce.Instr)); put(uint64(ce.Partner)); return true })
 	}
-	if err := cw.w.(*bufio.Writer).Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	err := bw.Flush()
+	return cw.n, err
 }
 
 // EncodedSize returns the serialized size in bytes without retaining the
@@ -245,6 +190,17 @@ func (d *decoder) varint(field string) int64 {
 	return v
 }
 
+func (d *decoder) byte(field string) byte {
+	if d.err != nil {
+		return 0
+	}
+	b, err := d.br.ReadByte()
+	if err != nil {
+		d.fail(field, err)
+	}
+	return b
+}
+
 // bounded reads a uvarint that must fit below limit (an int32 index, an
 // int64 count, a string length).
 func (d *decoder) bounded(field string, limit uint64) uint64 {
@@ -271,7 +227,7 @@ func (d *decoder) str(field string) string {
 
 // Read deserializes a trace written by WriteTo. Malformed input is a
 // *DecodeError, never a panic, and peak allocation is linear in the bytes
-// consumed: the streams of all tiles are decoded through one set of Chunks.
+// consumed: each tile's streams are decoded into their own Chunks.
 func Read(r io.Reader) (*Trace, error) {
 	d := &decoder{br: bufio.NewReader(r)}
 	hdr := make([]byte, len(magic))
@@ -284,46 +240,30 @@ func Read(r io.Reader) (*Trace, error) {
 		d.fail("version", fmt.Errorf("unsupported version %d", ver))
 	}
 	t := &Trace{Kernel: d.str("kernel name")}
-	var (
-		path   Chunks[int32]
-		mem    Chunks[MemEvent]
-		acc    Chunks[AccCall]
-		comm   Chunks[CommEvent]
-		params Chunks[int64]
-	)
 	for i, ntiles := uint64(0), d.uvarint("tile count"); i < ntiles && d.err == nil; i++ {
 		tt := &TileTrace{Tile: d.index("tile id")}
 		tt.DynInstrs = int64(d.bounded("dynamic instruction count", math.MaxInt64))
 		for j, n := uint64(0), d.uvarint("BB path length"); j < n && d.err == nil; j++ {
-			path.Append(d.index("block id"))
+			tt.BBPath.Append(d.index("block id"))
 		}
-		tt.BBPath = path.Slice()
 		var prev uint64
 		for j, n := uint64(0), d.uvarint("memory event count"); j < n && d.err == nil; j++ {
 			ev := MemEvent{Instr: d.index("memory event instruction")}
 			prev = uint64(int64(prev) + d.varint("address delta"))
 			ev.Addr = prev
-			var sk [2]byte
-			if _, err := io.ReadFull(d.br, sk[:]); err != nil {
-				d.fail("access size and kind", err)
-			}
-			ev.Size, ev.Kind = sk[0], sk[1]
-			mem.Append(ev)
+			ev.Size, ev.Kind = d.byte("access size"), d.byte("access kind")
+			tt.Mem.Append(ev)
 		}
-		tt.Mem = mem.Slice()
 		for j, n := uint64(0), d.uvarint("accelerator call count"); j < n && d.err == nil; j++ {
 			ac := AccCall{Name: d.str("accelerator name")}
 			for k, np := uint64(0), d.uvarint("accelerator parameter count"); k < np && d.err == nil; k++ {
-				params.Append(d.varint("accelerator parameter"))
+				ac.Params = append(ac.Params, d.varint("accelerator parameter"))
 			}
-			ac.Params = params.Slice()
-			acc.Append(ac)
+			tt.Acc = append(tt.Acc, ac)
 		}
-		tt.Acc = acc.Slice()
 		for j, n := uint64(0), d.uvarint("comm event count"); j < n && d.err == nil; j++ {
-			comm.Append(CommEvent{Instr: d.index("comm event instruction"), Partner: d.index("comm partner")})
+			tt.Comm.Append(CommEvent{Instr: d.index("comm event instruction"), Partner: d.index("comm partner")})
 		}
-		tt.Comm = comm.Slice()
 		t.Tiles = append(t.Tiles, tt)
 	}
 	if d.err != nil {

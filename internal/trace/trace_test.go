@@ -15,21 +15,35 @@ import (
 	"unsafe"
 )
 
+// chunksOf returns the stream holding vs.
+func chunksOf[T any](vs ...T) (c Chunks[T]) {
+	for _, v := range vs {
+		c.Append(v)
+	}
+	return c
+}
+
+// collect returns the stream's elements as a slice (nil when empty).
+func collect[T any](c *Chunks[T]) (out []T) {
+	c.Values(func(v T) bool { out = append(out, v); return true })
+	return out
+}
+
 func sampleTrace() *Trace {
 	return &Trace{
 		Kernel: "vecadd",
 		Tiles: []*TileTrace{
 			{
 				Tile:      0,
-				BBPath:    []int32{0, 2, 2, 2, 1},
-				Mem:       []MemEvent{{Instr: 3, Addr: 4096, Size: 8, Kind: KindLoad}, {Instr: 7, Addr: 8192, Size: 8, Kind: KindStore}},
+				BBPath:    chunksOf[int32](0, 2, 2, 2, 1),
+				Mem:       chunksOf(MemEvent{Instr: 3, Addr: 4096, Size: 8, Kind: KindLoad}, MemEvent{Instr: 7, Addr: 8192, Size: 8, Kind: KindStore}),
 				Acc:       []AccCall{{Name: "acc_sgemm", Params: []int64{64, 64, 64}}},
 				DynInstrs: 46,
 			},
 			{
 				Tile:      1,
-				BBPath:    []int32{0, 1},
-				Mem:       []MemEvent{{Instr: 5, Addr: 100, Size: 4, Kind: KindAtomic}},
+				BBPath:    chunksOf[int32](0, 1),
+				Mem:       chunksOf(MemEvent{Instr: 5, Addr: 100, Size: 4, Kind: KindAtomic}),
 				DynInstrs: 9,
 			},
 		},
@@ -58,11 +72,11 @@ func TestRoundTrip(t *testing.T) {
 		if w.Tile != g.Tile || w.DynInstrs != g.DynInstrs {
 			t.Errorf("tile %d header mismatch", i)
 		}
-		if !reflect.DeepEqual(w.BBPath, g.BBPath) {
-			t.Errorf("tile %d bbpath mismatch: %v vs %v", i, w.BBPath, g.BBPath)
+		if w, g := collect(&w.BBPath), collect(&g.BBPath); !reflect.DeepEqual(w, g) {
+			t.Errorf("tile %d bbpath mismatch: %v vs %v", i, w, g)
 		}
-		if !reflect.DeepEqual(w.Mem, g.Mem) {
-			t.Errorf("tile %d mem mismatch: %v vs %v", i, w.Mem, g.Mem)
+		if w, g := collect(&w.Mem), collect(&g.Mem); !reflect.DeepEqual(w, g) {
+			t.Errorf("tile %d mem mismatch: %v vs %v", i, w, g)
 		}
 		if len(w.Acc) != len(g.Acc) {
 			t.Fatalf("tile %d acc count mismatch", i)
@@ -128,7 +142,7 @@ func TestDeltaEncodingProperty(t *testing.T) {
 			// Keep addresses in a plausible 48-bit space so the int64 delta
 			// arithmetic used by the format is exact.
 			a &= (1 << 47) - 1
-			tt.Mem = append(tt.Mem, MemEvent{
+			tt.Mem.Append(MemEvent{
 				Instr: int32(i % 1024),
 				Addr:  a,
 				Size:  uint8(1 << (rng.Intn(4))),
@@ -144,10 +158,7 @@ func TestDeltaEncodingProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(tt.Mem) == 0 {
-			return len(got.Tiles[0].Mem) == 0
-		}
-		return reflect.DeepEqual(got.Tiles[0].Mem, tt.Mem)
+		return reflect.DeepEqual(collect(&got.Tiles[0].Mem), collect(&tt.Mem))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -160,7 +171,7 @@ func TestBBPathProperty(t *testing.T) {
 		for i := range path {
 			path[i] &= math.MaxInt32 // block IDs are non-negative
 		}
-		tr := &Trace{Kernel: "p", Tiles: []*TileTrace{{BBPath: path}}}
+		tr := &Trace{Kernel: "p", Tiles: []*TileTrace{{BBPath: chunksOf(path...)}}}
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			return false
@@ -169,7 +180,7 @@ func TestBBPathProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g := got.Tiles[0].BBPath
+		g := collect(&got.Tiles[0].BBPath)
 		if len(path) == 0 {
 			return len(g) == 0
 		}
@@ -283,13 +294,13 @@ func TestHostileInputs(t *testing.T) {
 }
 
 // TestDecodeAllocationIsLinear bounds the price of not trusting counts: Read
-// allocates a small multiple of what it decodes, because chunks are reused
-// from tile to tile and each stream is copied once into its exact-size slice.
+// allocates little more than what it decodes, because each stream is decoded
+// into its own chunks and never copied.
 func TestDecodeAllocationIsLinear(t *testing.T) {
 	tt := &TileTrace{}
 	for i := 0; i < 300_000; i++ {
-		tt.BBPath = append(tt.BBPath, int32(i%7))
-		tt.Mem = append(tt.Mem, MemEvent{Addr: uint64(4096 + 8*i), Instr: int32(i % 50), Size: 8})
+		tt.BBPath.Append(int32(i % 7))
+		tt.Mem.Append(MemEvent{Addr: uint64(4096 + 8*i), Instr: int32(i % 50), Size: 8})
 	}
 	tr := &Trace{Kernel: "k", Tiles: []*TileTrace{tt, tt, tt}}
 	var buf bytes.Buffer
@@ -304,8 +315,8 @@ func TestDecodeAllocationIsLinear(t *testing.T) {
 		t.Fatalf("round trip failed: %v", err)
 	}
 	decoded := uint64(3 * 300_000 * (4 + 16))
-	// 1.5x measured; the race detector makes sync.Pool drop chunks at random.
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*decoded {
-		t.Errorf("decoding %d bytes of events allocated %d (> 3x)", decoded, alloc)
+	// 1.09x: the unfilled rest of each stream's last chunk, and bufio.
+	if alloc := after.TotalAlloc - before.TotalAlloc; 4*alloc > 5*decoded {
+		t.Errorf("decoding %d bytes of events allocated %d (> 1.25x)", decoded, alloc)
 	}
 }

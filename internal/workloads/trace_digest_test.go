@@ -59,9 +59,9 @@ func digestOf(tr *trace.Trace) traceDigest {
 	}
 	d := traceDigest{SHA256: hex.EncodeToString(h.Sum(nil)), DynInstrs: tr.TotalDynInstrs()}
 	for _, tt := range tr.Tiles {
-		d.Mem += len(tt.Mem)
-		d.BBPath += len(tt.BBPath)
-		d.Comm += len(tt.Comm)
+		d.Mem += tt.Mem.Len()
+		d.BBPath += tt.BBPath.Len()
+		d.Comm += tt.Comm.Len()
 		d.Acc += len(tt.Acc)
 	}
 	return d

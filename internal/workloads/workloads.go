@@ -204,7 +204,7 @@ func BFS() *Workload {
 			deg := 4
 			r := rng("bfs")
 			rowptr := make([]int64, n+1)
-			var cols []int64
+			cols := make([]int64, 0, n*deg)
 			for u := 0; u < n; u++ {
 				rowptr[u] = int64(len(cols))
 				// A ring edge keeps the graph connected; extra random edges
@@ -235,10 +235,9 @@ func BFS() *Workload {
 			return Instance{
 				Args: []uint64{pr, pc, pl, pv, uint64(n), uint64(depth + 1)},
 				Check: func(mem *interp.Memory, _ int) error {
-					got := mem.I64Slice(pl, n)
 					for i := range want {
-						if got[i] != want[i] {
-							return fmt.Errorf("levels[%d] = %d, want %d", i, got[i], want[i])
+						if got := mem.ReadI64(pl + uint64(i)*8); got != want[i] {
+							return fmt.Errorf("levels[%d] = %d, want %d", i, got, want[i])
 						}
 					}
 					return nil
@@ -360,14 +359,13 @@ func HISTO() *Workload {
 				// saturated bin holds 255 plus at most tiles-1, never more
 				// than the bin's raw count; unsaturated bins stay exact.
 				Check: func(mem *interp.Memory, tiles int) error {
-					got := mem.I32Slice(ph, bins)
 					for b := range want {
 						hi := want[b]
 						if raw[b] > 255 {
 							hi = min(raw[b], 255+int32(tiles)-1)
 						}
-						if got[b] < want[b] || got[b] > hi {
-							return fmt.Errorf("hist[%d] = %d, want %d..%d", b, got[b], want[b], hi)
+						if got := mem.ReadI32(ph + uint64(b)*4); got < want[b] || got > hi {
+							return fmt.Errorf("hist[%d] = %d, want %d..%d", b, got, want[b], hi)
 						}
 					}
 					return nil
@@ -453,10 +451,9 @@ func MRIGridding() *Workload {
 			return Instance{
 				Args: []uint64{px, py, pv, pg, uint64(n), uint64(g)},
 				Check: func(mem *interp.Memory, _ int) error {
-					got := mem.F64Slice(pg, g*g)
 					for i := range want {
-						if !approxEq(got[i], want[i]) {
-							return fmt.Errorf("grid[%d] = %g, want %g", i, got[i], want[i])
+						if got := mem.ReadF64(pg + uint64(i)*8); !approxEq(got, want[i]) {
+							return fmt.Errorf("grid[%d] = %g, want %g", i, got, want[i])
 						}
 					}
 					return nil
@@ -637,36 +634,30 @@ func SPMV() *Workload {
 			m := pick(s, 1<<15, 1<<22, 1<<22) // x-vector length
 			nnzPerRow := pick(s, 8, 12, 12)
 			r := rng("spmv")
-			rowptr := make([]int64, n+1)
-			var cols []int64
-			var vals []float64
-			for row := 0; row < n; row++ {
-				rowptr[row] = int64(len(cols))
-				for k := 0; k < nnzPerRow; k++ {
-					cols = append(cols, int64(r.Intn(m)))
-					vals = append(vals, r.Float64())
+			nnz := n * nnzPerRow
+			pr := mem.Alloc(int64(n+1)*8, 64)
+			pc := mem.Alloc(int64(nnz)*8, 64)
+			pv := mem.Alloc(int64(nnz)*8, 64)
+			px := mem.Alloc(int64(m)*8, 64)
+			py := mem.Alloc(int64(n)*8, 64)
+			for row := uint64(0); row <= uint64(n); row++ {
+				mem.WriteI64(pr+8*row, int64(row)*int64(nnzPerRow))
+			}
+			fillSparse(mem, r, pc, pv, nnz, m)
+			fillF64(mem, r, px, m)
+			rows := []int{0, n / 2, n - 1}
+			want := make([]float64, len(rows))
+			for k, row := range rows {
+				for e := uint64(row * nnzPerRow); e < uint64((row+1)*nnzPerRow); e++ {
+					want[k] += mem.ReadF64(pv+8*e) * mem.ReadF64(px+8*uint64(mem.ReadI64(pc+8*e)))
 				}
 			}
-			rowptr[n] = int64(len(cols))
-			x := make([]float64, m)
-			for i := range x {
-				x[i] = r.Float64()
-			}
-			pr := mem.AllocI64(rowptr)
-			pc := mem.AllocI64(cols)
-			pv := mem.AllocF64(vals)
-			px := mem.AllocF64(x)
-			py := mem.Alloc(int64(n)*8, 64)
 			return Instance{
 				Args: []uint64{pr, pc, pv, px, py, uint64(n)},
 				Check: func(mem *interp.Memory, _ int) error {
-					for _, row := range []int{0, n / 2, n - 1} {
-						want := 0.0
-						for e := rowptr[row]; e < rowptr[row+1]; e++ {
-							want += vals[e] * x[cols[e]]
-						}
-						if got := mem.ReadF64(py + uint64(row)*8); !approxEq(got, want) {
-							return fmt.Errorf("y[%d] = %g, want %g", row, got, want)
+					for k, row := range rows {
+						if got := mem.ReadF64(py + uint64(row)*8); !approxEq(got, want[k]) {
+							return fmt.Errorf("y[%d] = %g, want %g", row, got, want[k])
 						}
 					}
 					return nil
@@ -747,10 +738,9 @@ func TPACF() *Workload {
 			return Instance{
 				Args: []uint64{ppx, ppy, ppz, ph, uint64(n), uint64(bins)},
 				Check: func(mem *interp.Memory, _ int) error {
-					got := mem.I64Slice(ph, bins)
 					for b := range want {
-						if got[b] != want[b] {
-							return fmt.Errorf("hist[%d] = %d, want %d", b, got[b], want[b])
+						if got := mem.ReadI64(ph + uint64(b)*8); got != want[b] {
+							return fmt.Errorf("hist[%d] = %d, want %d", b, got, want[b])
 						}
 					}
 					return nil
@@ -774,8 +764,8 @@ func Projection() *Workload {
 			nP := pick(s, 768, 1024, 2048)
 			r := rng("projection")
 			rows := make([]int64, nA+1)
-			var cols []int64
-			var wts []float64
+			cols := make([]int64, 0, nA*deg)
+			wts := make([]float64, 0, nA*deg)
 			for a := 0; a < nA; a++ {
 				rows[a] = int64(len(cols))
 				for d := 0; d < deg; d++ {
@@ -802,10 +792,9 @@ func Projection() *Workload {
 			return Instance{
 				Args: []uint64{pr, pc, pw, pp, uint64(nA), uint64(nP)},
 				Check: func(mem *interp.Memory, _ int) error {
-					got := mem.F64Slice(pp, nP*nP)
 					for i := range want {
-						if !approxEq(got[i], want[i]) {
-							return fmt.Errorf("proj[%d] = %g, want %g", i, got[i], want[i])
+						if got := mem.ReadF64(pp + uint64(i)*8); !approxEq(got, want[i]) {
+							return fmt.Errorf("proj[%d] = %g, want %g", i, got, want[i])
 						}
 					}
 					return nil
@@ -827,31 +816,15 @@ func EWSD() *Workload {
 			nnz := pick(s, 600, 8000, 100000)
 			denseN := pick(s, 1<<19, 1<<20, 1<<22)
 			r := rng("ewsd")
-			pos := make([]int64, nnz)
-			vals := make([]float64, nnz)
-			for i := range pos {
-				pos[i] = int64(r.Intn(denseN))
-				vals[i] = r.Float64()
-			}
-			dense := make([]float64, denseN)
-			for i := range dense {
-				dense[i] = r.Float64()
-			}
-			pp := mem.AllocI64(pos)
-			pv := mem.AllocF64(vals)
-			pd := mem.AllocF64(dense)
+			pp := mem.Alloc(int64(nnz)*8, 64)
+			pv := mem.Alloc(int64(nnz)*8, 64)
+			pd := mem.Alloc(int64(denseN)*8, 64)
 			po := mem.Alloc(int64(nnz)*8, 64)
+			fillSparse(mem, r, pp, pv, nnz, denseN)
+			fillF64(mem, r, pd, denseN)
 			return Instance{
-				Args: []uint64{pp, pv, pd, po, uint64(nnz)},
-				Check: func(mem *interp.Memory, _ int) error {
-					for _, k := range []int{0, nnz / 2, nnz - 1} {
-						want := vals[k] * dense[pos[k]]
-						if got := mem.ReadF64(po + uint64(k)*8); !approxEq(got, want) {
-							return fmt.Errorf("out[%d] = %g, want %g", k, got, want)
-						}
-					}
-					return nil
-				},
+				Args:  []uint64{pp, pv, pd, po, uint64(nnz)},
+				Check: sparseCheck(mem, pp, pv, pd, po, []int{0, nnz / 2, nnz - 1}),
 			}
 		},
 	}
@@ -886,25 +859,18 @@ func Combined(name string, denseFrac float64) *Workload {
 				a[i] = r.Float32()
 				bm[i] = r.Float32()
 			}
-			pos := make([]int64, nnz)
-			vals := make([]float64, nnz)
-			for i := range pos {
-				pos[i] = int64(r.Intn(denseN))
-				vals[i] = r.Float64()
-			}
-			dvec := make([]float64, denseN)
-			for i := range dvec {
-				dvec[i] = r.Float64()
-			}
 			pa, pb := mem.AllocF32(a), mem.AllocF32(bm)
 			pc := mem.Alloc(int64(dim*dim)*4, 64)
-			pp := mem.AllocI64(pos)
-			pv := mem.AllocF64(vals)
-			pd := mem.AllocF64(dvec)
+			pp := mem.Alloc(int64(nnz)*8, 64)
+			pv := mem.Alloc(int64(nnz)*8, 64)
+			pd := mem.Alloc(int64(denseN)*8, 64)
 			po := mem.Alloc(int64(nnz)*8, 64)
+			fillSparse(mem, r, pp, pv, nnz, denseN)
+			fillF64(mem, r, pd, denseN)
+			sparse := sparseCheck(mem, pp, pv, pd, po, []int{0, nnz - 1})
 			return Instance{
 				Args: []uint64{pa, pb, pc, uint64(dim), pp, pv, pd, po, uint64(nnz), uint64(iters)},
-				Check: func(mem *interp.Memory, _ int) error {
+				Check: func(mem *interp.Memory, tiles int) error {
 					for _, idx := range []int{0, dim*dim - 1} {
 						i, j := idx/dim, idx%dim
 						var want float32
@@ -915,16 +881,48 @@ func Combined(name string, denseFrac float64) *Workload {
 							return fmt.Errorf("C[%d] = %g, want %g", idx, got, want)
 						}
 					}
-					for _, k := range []int{0, nnz - 1} {
-						want := vals[k] * dvec[pos[k]]
-						if got := mem.ReadF64(po + uint64(k)*8); !approxEq(got, want) {
-							return fmt.Errorf("out[%d] = %g, want %g", k, got, want)
-						}
-					}
-					return nil
+					return sparse(mem, tiles)
 				},
 			}
 		},
+	}
+}
+
+// The large inputs of spmv, ewsd and combined are generated in place: the
+// arrays are allocated in the image first and then filled in generator order,
+// so each input byte is written once, and reference values are read back from
+// the pristine image before the kernel runs.
+
+// fillSparse writes nnz (index, value) pairs, indices below denseN, to the
+// arrays at pp and pv, drawing each pair's index and then its value.
+func fillSparse(mem *interp.Memory, r *rand.Rand, pp, pv uint64, nnz, denseN int) {
+	for i := uint64(0); i < uint64(nnz); i++ {
+		mem.WriteI64(pp+8*i, int64(r.Intn(denseN)))
+		mem.WriteF64(pv+8*i, r.Float64())
+	}
+}
+
+// fillF64 writes n uniform float64s to the array at p.
+func fillF64(mem *interp.Memory, r *rand.Rand, p uint64, n int) {
+	for i := uint64(0); i < uint64(n); i++ {
+		mem.WriteF64(p+8*i, r.Float64())
+	}
+}
+
+// sparseCheck computes out[k] = vals[k] * dense[pos[k]] for each k from the
+// pristine inputs and returns the Check of those entries of out.
+func sparseCheck(mem *interp.Memory, pp, pv, pd, po uint64, ks []int) func(*interp.Memory, int) error {
+	want := make([]float64, len(ks))
+	for i, k := range ks {
+		want[i] = mem.ReadF64(pv+uint64(k)*8) * mem.ReadF64(pd+uint64(mem.ReadI64(pp+uint64(k)*8))*8)
+	}
+	return func(mem *interp.Memory, _ int) error {
+		for i, k := range ks {
+			if got := mem.ReadF64(po + uint64(k)*8); !approxEq(got, want[i]) {
+				return fmt.Errorf("out[%d] = %g, want %g", k, got, want[i])
+			}
+		}
+		return nil
 	}
 }
 

@@ -2,10 +2,12 @@ package workloads
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"mosaicsim/internal/config"
 	"mosaicsim/internal/core"
+	"mosaicsim/internal/interp"
 	"mosaicsim/internal/soc"
 )
 
@@ -81,11 +83,12 @@ func TestWorkloadsSimulate(t *testing.T) {
 		// Core energy is the per-class table summed over the trace: every
 		// entry is a small integer, so the float sums are exact in any order.
 		var energy float64
-		for _, b := range tr.Tiles[0].BBPath {
+		tr.Tiles[0].BBPath.Values(func(b int32) bool {
 			for _, n := range g.Blocks[b].Nodes {
 				energy += config.EnergyPerClassPJ[core.Classify(n.Instr)]
 			}
-		}
+			return true
+		})
 		if got := sys.Cores[0].Stats.EnergyPJ; got != energy {
 			t.Errorf("%s: core energy %v pJ, per-class table over the trace gives %v", w.Name, got, energy)
 		}
@@ -205,5 +208,34 @@ func TestCombinedKernelMixes(t *testing.T) {
 	ratioS := float64(trs.TotalMemEvents()) / float64(trs.TotalDynInstrs())
 	if ratioS <= ratioD {
 		t.Errorf("sparse-heavy mix should be more memory-intensive: %f vs %f", ratioS, ratioD)
+	}
+}
+
+// TestSetupAllocations pins the bytes each kernel's Setup allocates outside
+// the memory image at Small scale: its generator and the reference data its
+// Check keeps, never a copy of what the image holds. A Setup that takes on
+// more work edits its literal here, and that diff is what it costs.
+func TestSetupAllocations(t *testing.T) {
+	want := map[string]uint64{
+		"bfs": 5460880, "cutcp": 9760, "histo": 172432, "lbm": 185744, "mri-gridding": 284048,
+		"mri-q": 16992, "sad": 38352, "sgemm": 18848, "spmv": 5584, "stencil": 144784, "tpacf": 14096,
+		"sgemm-accel": 18848, "projection": 8438544, "ewsd": 5584, "combined-equal": 11824,
+	}
+	setup := func(w *Workload) uint64 {
+		mem := interp.NewMemory(w.memBytes())
+		defer mem.Release()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w.Setup(mem, Small)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, w := range All() {
+		// The first call may pay one-time costs, and what other goroutines
+		// allocate meanwhile only ever adds: the least of two later calls.
+		setup(w)
+		if got := min(setup(w), setup(w)); got != want[w.Name] {
+			t.Errorf("%s: Setup allocates %d bytes outside the image, want %d", w.Name, got, want[w.Name])
+		}
 	}
 }
