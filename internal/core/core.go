@@ -145,8 +145,8 @@ type Core struct {
 	// trace cursors; prevBlock is the block launched last (-1 before the
 	// first), whose phis the next launch resolves against.
 	path      trace.Cursor[int32]
-	mem       trace.Cursor[trace.MemEvent]
-	comm      trace.Cursor[trace.CommEvent]
+	mem       trace.Cursor[uint64]
+	comm      trace.Cursor[int32]
 	accCursor int
 	prevBlock int
 
@@ -629,32 +629,20 @@ func (c *Core) launchOne(bid int) {
 
 		switch sn.Kind {
 		case KindMem:
-			ev, ok := c.mem.Next()
+			addr, ok := c.mem.Next()
 			if !ok {
 				panic(fmt.Sprintf("core: tile %d memory trace exhausted at instruction %d", c.ID, sn.Idx))
 			}
-			if ev.Instr != sn.Idx {
-				panic(fmt.Sprintf("core: tile %d memory trace out of sync: have instr %d, want %d", c.ID, ev.Instr, sn.Idx))
-			}
-			n.addr = ev.Addr
-			n.memSize = int32(ev.Size)
-			switch ev.Kind {
-			case trace.KindLoad:
-				n.memKind = mem.Read
-			case trace.KindStore:
-				n.memKind = mem.Write
-			default:
-				n.memKind = mem.Atomic
-			}
+			n.addr, n.memSize, n.memKind = addr, int32(sn.MemSize), sn.MemKind
 			c.maoTotal++
 			n.maoPos = c.maoTotal
 			c.mao = append(c.mao, n)
 		case KindSend, KindRecv:
-			ev, ok := c.comm.Next()
+			partner, ok := c.comm.Next()
 			if !ok {
 				panic(fmt.Sprintf("core: tile %d comm trace exhausted", c.ID))
 			}
-			n.partner = ev.Partner
+			n.partner = partner
 		case KindAcc:
 			if c.accCursor >= len(c.tt.Acc) {
 				panic(fmt.Sprintf("core: tile %d accelerator trace exhausted", c.ID))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -350,24 +351,39 @@ void kernel(long* A, long n) {
 	}
 }
 
+// TestCorruptTracePanics: the address stream carries no instruction
+// indices, so its length is what keeps it in step with the path. Check
+// refuses one address missing or one inserted mid-stream, and a core
+// replaying the short one panics where it runs out.
 func TestCorruptTracePanics(t *testing.T) {
 	g, tt := traceKernel(t, sumSrc, setupArray(8))
-	// Corrupt the memory trace instruction index.
-	var mem trace.Chunks[trace.MemEvent]
-	tt.Mem.Values(func(ev trace.MemEvent) bool {
-		if mem.Len() == 0 {
-			ev.Instr += 99
+	p := Lower(g)
+	if err := p.Check(tt, 1); err != nil {
+		t.Fatalf("Check of the recorded trace: %v", err)
+	}
+	withAddrs := func(edit func([]uint64) []uint64) *trace.TileTrace {
+		var addrs []uint64
+		tt.Mem.Values(func(a uint64) bool { addrs = append(addrs, a); return true })
+		bad := *tt
+		bad.Mem = trace.Chunks[uint64]{}
+		for _, a := range edit(addrs) {
+			bad.Mem.Append(a)
 		}
-		mem.Append(ev)
-		return true
-	})
-	tt.Mem = mem
+		return &bad
+	}
+	short := withAddrs(func(a []uint64) []uint64 { return a[1:] })
+	long := withAddrs(func(a []uint64) []uint64 { return slices.Insert(a, 3, a[3]) })
+	for name, bad := range map[string]*trace.TileTrace{"one address missing": short, "one address inserted": long} {
+		if err := p.Check(bad, 1); err == nil {
+			t.Errorf("Check passed a trace with %s", name)
+		}
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("out-of-sync memory trace must panic")
+			t.Error("a memory trace one address short must panic")
 		}
 	}()
-	runCore(t, config.OutOfOrderCore(), g, tt, 2)
+	runCore(t, config.OutOfOrderCore(), g, short, 2)
 }
 
 func TestClockScaling(t *testing.T) {
@@ -534,6 +550,15 @@ func TestMAOStaysSmall(t *testing.T) {
 func TestDynNodeSize(t *testing.T) {
 	if size := unsafe.Sizeof(dynNode{}); size > 96 {
 		t.Errorf("dynNode is %d bytes, want <= 96", size)
+	}
+}
+
+// TestStaticNodeIs120Bytes pins the lowered record: an access's size and
+// kind sit in bytes that would otherwise be padding, so the trace can leave
+// them out at no cost here.
+func TestStaticNodeIs120Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(StaticNode{}); size != 120 {
+		t.Errorf("StaticNode is %d bytes, want 120", size)
 	}
 }
 

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"mosaicsim/internal/config"
 	"mosaicsim/internal/ddg"
 	"mosaicsim/internal/ir"
+	"mosaicsim/internal/mem"
 	"mosaicsim/internal/trace"
 )
 
@@ -17,14 +19,15 @@ type OpKind uint8
 // Op kinds. The zero value is every instruction not listed.
 const (
 	KindPlain   OpKind = iota // fixed class latency, nothing from the trace
-	KindMem                   // load/store/atomic: one memory-trace event
-	KindSend                  // one comm-trace event
-	KindRecv                  // one comm-trace event
+	KindMem                   // load/store/atomic: one traced address
+	KindSend                  // one traced partner
+	KindRecv                  // one traced partner
 	KindBarrier               // fabric barrier
 	KindAcc                   // accelerator invocation: one acc-trace event
 )
 
 var callKinds = map[string]OpKind{"send": KindSend, "recv": KindRecv, "barrier": KindBarrier}
+var memKinds = map[ir.Opcode]mem.Kind{ir.OpLoad: mem.Read, ir.OpStore: mem.Write, ir.OpAtomicAdd: mem.Atomic}
 
 func kindOf(in *ir.Instr) OpKind {
 	switch {
@@ -46,6 +49,9 @@ type StaticNode struct {
 	Class config.InstrClass
 	Kind  OpKind
 	Free  bool // fused idiom (Core.SetFreeInstrs)
+	// MemSize and MemKind (KindMem only) are the access's width in bytes and
+	// the request it makes: the trace holds only its address.
+	MemSize uint8
 	// Producers, in operand order: Intra by position within the same DBB,
 	// Cross by static index (bound to the latest dynamic instance).
 	Intra, Cross []int32
@@ -59,6 +65,7 @@ type StaticNode struct {
 	// feeds a store, which may leave the in-order pipe and drain later.
 	Fused    int32
 	Parkable bool
+	MemKind  mem.Kind
 	// Phi (phi nodes only) maps a predecessor block ID to the static index
 	// of the producer on that edge, -1 for a constant, parameter or global.
 	Phi []int32
@@ -85,14 +92,14 @@ func (p *Program) Nodes(b int) []StaticNode {
 }
 
 // Check walks tt's streams the way launching its blocks on p consumes them,
-// without timing, and reports the first event a core replaying it would
-// panic on: a block ID p does not have, a memory or comm event missing or
-// recorded for another instruction, a comm partner outside [0, tiles), or an
-// accelerator call missing, to another intrinsic, or with another arity. A
-// trace recorded from p's kernel always passes; one read from a damaged file
-// may not.
+// without timing, and reports the first way a replay would go wrong: a block
+// p lacks, a partner outside [0, tiles), an accelerator call to another
+// intrinsic or arity, or any stream element missing or left over. Streams
+// name no instructions, so only exact consumption keeps them in step: one
+// address inserted mid-stream shifts every later one and leaves one over. A
+// trace recorded from p's kernel always passes; a damaged file may not.
 func (p *Program) Check(tt *trace.TileTrace, tiles int) error {
-	mem, comm, acc := tt.Mem.Cursor(), tt.Comm.Cursor(), tt.Acc
+	addrs, comm, acc := tt.Mem.Len(), tt.Comm.Cursor(), tt.Acc
 	var err error
 	tt.BBPath.Values(func(b int32) bool {
 		if b < 0 || int(b) >= len(p.Blocks) {
@@ -102,11 +109,11 @@ func (p *Program) Check(tt *trace.TileTrace, tiles int) error {
 		for _, sn := range p.Nodes(int(b)) {
 			switch sn.Kind {
 			case KindMem:
-				if ev, ok := mem.Next(); !ok || ev.Instr != sn.Idx {
-					err = fmt.Errorf("memory trace out of sync at instruction %d", sn.Idx)
+				if addrs--; addrs < 0 {
+					err = fmt.Errorf("memory trace exhausted at instruction %d", sn.Idx)
 				}
 			case KindSend, KindRecv:
-				if ev, ok := comm.Next(); !ok || ev.Instr != sn.Idx || ev.Partner < 0 || int(ev.Partner) >= tiles {
+				if partner, ok := comm.Next(); !ok || partner < 0 || int(partner) >= tiles {
 					err = fmt.Errorf("comm trace out of sync at instruction %d", sn.Idx)
 				}
 			case KindAcc:
@@ -122,6 +129,9 @@ func (p *Program) Check(tt *trace.TileTrace, tiles int) error {
 		}
 		return true
 	})
+	if _, extra := comm.Next(); err == nil && (addrs > 0 || extra || len(acc) > 0) {
+		err = errors.New("trace longer than its path: an address, comm partner or accelerator call is left over")
+	}
 	return err
 }
 
@@ -149,6 +159,9 @@ func Lower(g *ddg.Graph) *Program {
 			dn := &bg.Nodes[pos]
 			sn := &p.nodes[first+pos]
 			*sn = StaticNode{Instr: dn.Instr, Idx: int32(dn.Instr.Idx), Class: Classify(dn.Instr), Kind: kindOf(dn.Instr)}
+			if sn.Kind == KindMem {
+				sn.MemSize, sn.MemKind = uint8(dn.Instr.AccessType().Size()), memKinds[dn.Instr.Op]
+			}
 			if dn.Instr.Op == ir.OpPhi {
 				sn.Phi = arena[len(arena) : len(arena)+nb : len(arena)+nb]
 				arena = arena[:len(arena)+nb]

@@ -181,7 +181,7 @@ func TestTraceAllocation(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	tt := run(long).Trace.Tiles[0]
 	runtime.ReadMemStats(&after)
-	final := uint64(tt.Mem.Len()*16 + tt.BBPath.Len()*4)
+	final := uint64(tt.Mem.Len()*8 + tt.BBPath.Len()*4)
 	if got := after.TotalAlloc - before.TotalAlloc; got*4 > final*5 {
 		t.Errorf("a run allocated %d bytes for a %d-byte trace (> 1.25x)", got, final)
 	}

@@ -133,8 +133,8 @@ type tileCtx struct {
 	atBarrier bool
 	barriers  int64 // barriers passed or arrived at
 	path      trace.Chunks[int32]
-	mem       trace.Chunks[trace.MemEvent]
-	comm      trace.Chunks[trace.CommEvent]
+	mem       trace.Chunks[uint64] // load, store and atomic addresses
+	comm      trace.Chunks[int32]  // send and recv partners
 	acc       []trace.AccCall
 	dyn       int64   // dynamic instruction count
 	prof      []int64 // per-static-instruction execution counts (optional)
@@ -275,7 +275,6 @@ func (t *tileCtx) enter(e *edge) int {
 var (
 	widthMask = [8]uint64{ir.I1: 1, ir.I8: 0xff, ir.I32: 0xffffffff, ir.Void: ^uint64(0), ir.I64: ^uint64(0), ir.F32: ^uint64(0), ir.F64: ^uint64(0), ir.Ptr: ^uint64(0)}
 	signShift = [8]uint8{ir.I8: 56, ir.I32: 32}
-	accessLen = [8]uint8{ir.I1: 1, ir.I8: 1, ir.I32: 4, ir.F32: 4, ir.I64: 8, ir.F64: 8, ir.Ptr: 8}
 )
 
 func signExt(bits uint64, ty ir.Type) int64 {
@@ -380,15 +379,15 @@ loop:
 			regs[in.dst] = uint64(int64(regs[in.a]) + signExt(regs[in.b], in.bty)*int64(regs[in.c]))
 		case ir.OpLoad:
 			addr := regs[in.a]
-			t.mem.Append(trace.MemEvent{Addr: addr, Instr: in.idx, Size: accessLen[in.ty&7], Kind: trace.KindLoad})
+			t.mem.Append(addr)
 			regs[in.dst] = mem.LoadScalar(addr, in.ty)
 		case ir.OpStore:
 			addr := regs[in.b]
-			t.mem.Append(trace.MemEvent{Addr: addr, Instr: in.idx, Size: accessLen[in.ty&7], Kind: trace.KindStore})
+			t.mem.Append(addr)
 			mem.StoreScalar(addr, in.ty, regs[in.a])
 		case ir.OpAtomicAdd:
 			addr := regs[in.a]
-			t.mem.Append(trace.MemEvent{Addr: addr, Instr: in.idx, Size: accessLen[in.ty&7], Kind: trace.KindAtomic})
+			t.mem.Append(addr)
 			old := mem.LoadScalar(addr, in.ty)
 			if in.ty.IsFloat() {
 				mem.StoreScalar(addr, in.ty, fromFloat(toFloat(old, in.ty)+toFloat(regs[in.b], in.ty), in.ty))
@@ -433,7 +432,7 @@ loop:
 				break loop
 			}
 			regs[in.dst] = t.r.queues[src*nt+t.id].pop()
-			t.comm.Append(trace.CommEvent{Instr: in.idx, Partner: int32(src)})
+			t.comm.Append(int32(src))
 		case opSend:
 			dst := int(int64(regs[in.a]))
 			if dst < 0 || dst >= nt {
@@ -441,7 +440,7 @@ loop:
 				break loop
 			}
 			t.r.queues[t.id*nt+dst].push(regs[in.b])
-			t.comm.Append(trace.CommEvent{Instr: in.idx, Partner: int32(dst)})
+			t.comm.Append(int32(dst))
 		case opTileID:
 			regs[in.dst] = uint64(t.id)
 		case opNumTiles:

@@ -132,6 +132,29 @@ func events[T any](c *trace.Chunks[T]) (out []T) {
 	return out
 }
 
+// access is one traced address beside the instruction that made it: the
+// trace leaves which one to the kernel.
+type access struct {
+	in   *ir.Instr
+	addr uint64
+}
+
+// accesses pairs tt's addresses with f's memory instructions along the block
+// path, the way the timing core does.
+func accesses(f *ir.Function, tt *trace.TileTrace) (out []access) {
+	addrs := tt.Mem.Cursor()
+	tt.BBPath.Values(func(b int32) bool {
+		for _, in := range f.Blocks[b].Instrs {
+			if in.IsMemory() {
+				addr, _ := addrs.Next()
+				out = append(out, access{in, addr})
+			}
+		}
+		return true
+	})
+	return out
+}
+
 func TestVecAddTraceShape(t *testing.T) {
 	_, res, _ := runVecAdd(t, 4)
 	tt := res.Trace.Tiles[0]
@@ -141,20 +164,20 @@ func TestVecAddTraceShape(t *testing.T) {
 		t.Fatalf("BBPath = %v, want %v", path, want)
 	}
 	// 2 loads + 1 store per iteration.
-	mem := events(&tt.Mem)
-	if len(mem) != 12 {
-		t.Errorf("mem events = %d, want 12", len(mem))
+	if n := tt.Mem.Len(); n != 12 {
+		t.Errorf("mem events = %d, want 12", n)
 	}
+	mem := accesses(ir.MustParse(vecAddSrc).Func("kernel"), tt)
 	loads, stores := 0, 0
 	for _, ev := range mem {
-		switch ev.Kind {
-		case trace.KindLoad:
+		switch ev.in.Op {
+		case ir.OpLoad:
 			loads++
-		case trace.KindStore:
+		case ir.OpStore:
 			stores++
 		}
-		if ev.Size != 8 {
-			t.Errorf("access size = %d, want 8", ev.Size)
+		if size := ev.in.AccessType().Size(); size != 8 {
+			t.Errorf("access size = %d, want 8", size)
 		}
 	}
 	if loads != 8 || stores != 4 {
@@ -164,13 +187,13 @@ func TestVecAddTraceShape(t *testing.T) {
 	var prev uint64
 	first := true
 	for _, ev := range mem {
-		if ev.Kind != trace.KindStore {
+		if ev.in.Op != ir.OpStore {
 			continue
 		}
-		if !first && ev.Addr != prev+8 {
-			t.Errorf("store stream not sequential: %d after %d", ev.Addr, prev)
+		if !first && ev.addr != prev+8 {
+			t.Errorf("store stream not sequential: %d after %d", ev.addr, prev)
 		}
-		prev = ev.Addr
+		prev = ev.addr
 		first = false
 	}
 	if tt.DynInstrs == 0 {
@@ -276,8 +299,8 @@ func TestAtomicAdd(t *testing.T) {
 	}
 	for _, tt := range res.Trace.Tiles {
 		atomics := 0
-		for _, ev := range events(&tt.Mem) {
-			if ev.Kind == trace.KindAtomic {
+		for _, ev := range accesses(m.Func("kernel"), tt) {
+			if ev.in.Op == ir.OpAtomicAdd {
 				atomics++
 			}
 		}

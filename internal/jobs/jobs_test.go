@@ -277,7 +277,7 @@ func TestPerJobTimeoutFails(t *testing.T) {
 func TestPanickingRunFailsOneJob(t *testing.T) {
 	runner := func(ctx context.Context, l *Lease, emit func(Event)) (json.RawMessage, error) {
 		if l.Spec.Workload == "spmv" {
-			panic("core: tile 0 memory trace out of sync")
+			panic("core: tile 0 memory trace exhausted at instruction 7")
 		}
 		return json.RawMessage(`{"ok":true}`), nil
 	}
@@ -293,7 +293,7 @@ func TestPanickingRunFailsOneJob(t *testing.T) {
 	if st := waitTerminal(t, bad, 5*time.Second); st != StateFailed {
 		t.Fatalf("panicking job state = %s, want failed", st)
 	}
-	if e := bad.Status().Error; !strings.Contains(e, "internal error: core: tile 0 memory trace out of sync") {
+	if e := bad.Status().Error; !strings.Contains(e, "internal error: core: tile 0 memory trace exhausted at instruction 7") {
 		t.Errorf("panicking job error = %q, want it to carry the panic as an internal error", e)
 	}
 	if st := waitTerminal(t, good, 5*time.Second); st != StateDone {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -377,26 +378,29 @@ func exportedTrace(t testing.TB, w *workloads.Workload, cfg *config.SystemConfig
 }
 
 // TestDamagedImportedTraceIsRetraced: a staged trace that decodes but does
-// not replay on its kernel — a block the kernel lacks, a memory event of
-// another instruction — panicked the core (or the barrier count before it)
-// on every run of its key. Adoption now checks it, drops it and re-traces,
-// so the run gives the fresh trace's Result.
+// not replay on its kernel — a block the kernel lacks, or streams one element
+// off the length its path consumes — panicked the core (or the barrier count
+// before it), or silently shifted every later address onto the wrong
+// instruction, on every run of its key. Adoption now checks it, drops it and
+// re-traces, so the run gives the fresh trace's Result.
 func TestDamagedImportedTraceIsRetraced(t *testing.T) {
 	w, cfg := spinWorkload("persist-damaged", 200), oneTileConfig("persist-damaged-cfg")
 	hdr, payload, want := exportedTrace(t, w, cfg)
+	editMem := func(edit func([]uint64) []uint64) func(tt *trace.TileTrace) {
+		return func(tt *trace.TileTrace) {
+			var addrs []uint64
+			tt.Mem.Values(func(a uint64) bool { addrs = append(addrs, a); return true })
+			tt.Mem = trace.Chunks[uint64]{}
+			for _, a := range edit(addrs) {
+				tt.Mem.Append(a)
+			}
+		}
+	}
 	for name, damage := range map[string]func(tt *trace.TileTrace){
-		"block the kernel lacks": func(tt *trace.TileTrace) { tt.BBPath.Append(1 << 20) },
-		"memory event of another instruction": func(tt *trace.TileTrace) {
-			var mem trace.Chunks[trace.MemEvent]
-			tt.Mem.Values(func(ev trace.MemEvent) bool {
-				if mem.Len() == 3 {
-					ev.Instr++
-				}
-				mem.Append(ev)
-				return true
-			})
-			tt.Mem = mem
-		},
+		"block the kernel lacks":          func(tt *trace.TileTrace) { tt.BBPath.Append(1 << 20) },
+		"one address missing":             editMem(func(a []uint64) []uint64 { return a[:len(a)-1] }),
+		"one address inserted mid-stream": editMem(func(a []uint64) []uint64 { return slices.Insert(a, len(a)/2, a[0]) }),
+		"one partner extra":               func(tt *trace.TileTrace) { tt.Comm.Append(0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr, err := trace.Read(bytes.NewReader(payload))

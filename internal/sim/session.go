@@ -354,7 +354,8 @@ func (s *Session) Artifact(ctx context.Context) (*Artifact, error) {
 // core's Check against the graph it runs (graphs taken in turn: one for SPMD,
 // access then execute for DAE pairs). Otherwise it unstages the trace and
 // returns nil, so the caller re-traces: a damaged blob that still decodes
-// would panic the core replaying it, on every run of its key.
+// would panic the core replaying it, or shift its addresses onto the wrong
+// instructions, on every run of its key.
 func (s *Session) adopt(graphs ...*ddg.Graph) *trace.Trace {
 	tr := s.cache.importedTrace(s.key)
 	if tr == nil {

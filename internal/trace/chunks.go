@@ -14,7 +14,7 @@ type Chunks[T any] struct {
 
 const (
 	minChunk = 256      // elements: 64 tile traces of a small kernel stay small
-	maxChunk = 64 << 10 // elements: 1 MB of MemEvents
+	maxChunk = 64 << 10 // elements: 512 KB of addresses
 )
 
 // Append adds v to the stream.

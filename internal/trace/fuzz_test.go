@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,8 +17,9 @@ import (
 // FuzzTraceDecode feeds Read arbitrary bytes: it must return an error that
 // says "trace:", or a trace that re-encodes to bytes which decode to an equal
 // trace — and never panic or take a second. The corpus starts from real
-// traces (SPMD with atomics, an accelerator call, DAE pairs with comm events)
-// and from the count lie that killed the old decoder.
+// traces in version 2 (SPMD with atomics, an accelerator call, DAE pairs with
+// comm events), from a version 1 file an older build wrote, and from the
+// count lie that killed the old decoder.
 func FuzzTraceDecode(f *testing.F) {
 	add := func(tr *trace.Trace, err error) {
 		if err != nil {
@@ -44,6 +46,11 @@ func FuzzTraceDecode(f *testing.F) {
 	}
 	add(w.TracePairs(sl.Access, sl.Execute, 1, workloads.Tiny))
 	f.Add(binary.AppendUvarint([]byte("MSTR\x01\x00\x01\x00\x00"), 1<<62))
+	v1, err := os.ReadFile("testdata/histo_tiny_2t_6188979.mstr")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		start := time.Now()

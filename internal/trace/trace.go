@@ -18,22 +18,6 @@ import (
 	"strings"
 )
 
-// Memory-access kinds.
-const (
-	KindLoad uint8 = iota
-	KindStore
-	KindAtomic
-)
-
-// MemEvent is one dynamic memory access. Field order keeps it at 16 bytes
-// (14 of payload); a trace holds one per executed load, store and atomic.
-type MemEvent struct {
-	Addr  uint64 // simulated byte address
-	Instr int32  // static instruction index within the kernel
-	Size  uint8  // access size in bytes
-	Kind  uint8  // KindLoad, KindStore, or KindAtomic
-}
-
 // AccCall records the parameters of one accelerator invocation, captured by
 // the DTG so the simulator can configure the accelerator model (§II-B).
 type AccCall struct {
@@ -41,22 +25,17 @@ type AccCall struct {
 	Params []int64
 }
 
-// CommEvent records the partner tile of one dynamic send or recv (§II-C).
-// The timing simulator replays these to match messages through the
-// Interleaver without evaluating operand values.
-type CommEvent struct {
-	Instr   int32 // static instruction index
-	Partner int32 // destination tile for send, source tile for recv
-}
-
-// TileTrace holds the dynamic trace of a single tile's kernel execution.
+// TileTrace holds the dynamic trace of a single tile's kernel execution:
+// only what the run decided. Which instruction each address or partner
+// belongs to, and an access's size and kind, are static: the timing core
+// takes them from the kernel as it walks BBPath.
 type TileTrace struct {
 	Tile      int32
-	BBPath    Chunks[int32]     // basic-block IDs in launch order
-	Mem       Chunks[MemEvent]  // memory accesses in program order
-	Acc       []AccCall         // accelerator invocations in program order
-	Comm      Chunks[CommEvent] // send/recv partners in program order
-	DynInstrs int64             // dynamic instruction count
+	BBPath    Chunks[int32]  // basic-block IDs in launch order
+	Mem       Chunks[uint64] // load, store and atomic addresses in program order
+	Acc       []AccCall      // accelerator invocations in program order
+	Comm      Chunks[int32]  // send destination / recv source tiles in program order (§II-C)
+	DynInstrs int64          // dynamic instruction count
 }
 
 // Trace is the complete dynamic trace of one kernel run across all tiles.
@@ -83,15 +62,17 @@ func (t *Trace) TotalMemEvents() int64 {
 	return n
 }
 
+// Version 1 also wrote, per memory event, its instruction index, size and
+// kind, and per comm event its instruction index: Read skips them.
 const (
 	magic   = "MSTR"
-	version = 1
+	version = 2
 )
 
-// WriteTo serializes the trace in the compact binary format. Control-flow IDs
-// are written as uvarints and addresses as zigzag deltas, mirroring how the
-// original traces stay "typically less than 1 GB" for the control path while
-// memory traces dominate (§VI-B).
+// WriteTo serializes the trace in the compact binary format, version 2.
+// Control-flow IDs and partners are written as uvarints and addresses as
+// zigzag deltas, mirroring how the original traces stay "typically less than
+// 1 GB" for the control path while memory traces dominate (§VI-B).
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
@@ -113,13 +94,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		tt.BBPath.Values(func(id int32) bool { put(uint64(id)); return true })
 		put(uint64(tt.Mem.Len()))
 		var prev uint64
-		tt.Mem.Values(func(ev MemEvent) bool {
-			put(uint64(ev.Instr))
-			putI(int64(ev.Addr) - int64(prev))
-			prev = ev.Addr
-			bw.Write(append(buf[:0], ev.Size, ev.Kind))
-			return true
-		})
+		tt.Mem.Values(func(addr uint64) bool { putI(int64(addr) - int64(prev)); prev = addr; return true })
 		put(uint64(len(tt.Acc)))
 		for _, ac := range tt.Acc {
 			putStr(ac.Name)
@@ -129,7 +104,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 		put(uint64(tt.Comm.Len()))
-		tt.Comm.Values(func(ce CommEvent) bool { put(uint64(ce.Instr)); put(uint64(ce.Partner)); return true })
+		tt.Comm.Values(func(partner int32) bool { put(uint64(partner)); return true })
 	}
 	err := bw.Flush()
 	return cw.n, err
@@ -225,9 +200,9 @@ func (d *decoder) str(field string) string {
 	return sb.String()
 }
 
-// Read deserializes a trace written by WriteTo. Malformed input is a
-// *DecodeError, never a panic, and peak allocation is linear in the bytes
-// consumed: each tile's streams are decoded into their own Chunks.
+// Read deserializes a trace written by WriteTo, of either version. Malformed
+// input is a *DecodeError, never a panic, and peak allocation is linear in
+// the bytes consumed: each tile's streams are decoded into their own Chunks.
 func Read(r io.Reader) (*Trace, error) {
 	d := &decoder{br: bufio.NewReader(r)}
 	hdr := make([]byte, len(magic))
@@ -236,9 +211,11 @@ func Read(r io.Reader) (*Trace, error) {
 	} else if string(hdr) != magic {
 		d.fail("magic", errors.New("bad magic"))
 	}
-	if ver := d.uvarint("version"); d.err == nil && ver != version {
+	ver := d.uvarint("version")
+	if d.err == nil && ver != 1 && ver != version {
 		d.fail("version", fmt.Errorf("unsupported version %d", ver))
 	}
+	v1 := ver == 1
 	t := &Trace{Kernel: d.str("kernel name")}
 	for i, ntiles := uint64(0), d.uvarint("tile count"); i < ntiles && d.err == nil; i++ {
 		tt := &TileTrace{Tile: d.index("tile id")}
@@ -248,11 +225,15 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 		var prev uint64
 		for j, n := uint64(0), d.uvarint("memory event count"); j < n && d.err == nil; j++ {
-			ev := MemEvent{Instr: d.index("memory event instruction")}
+			if v1 {
+				d.index("memory event instruction")
+			}
 			prev = uint64(int64(prev) + d.varint("address delta"))
-			ev.Addr = prev
-			ev.Size, ev.Kind = d.byte("access size"), d.byte("access kind")
-			tt.Mem.Append(ev)
+			if v1 {
+				d.byte("access size")
+				d.byte("access kind")
+			}
+			tt.Mem.Append(prev)
 		}
 		for j, n := uint64(0), d.uvarint("accelerator call count"); j < n && d.err == nil; j++ {
 			ac := AccCall{Name: d.str("accelerator name")}
@@ -262,7 +243,10 @@ func Read(r io.Reader) (*Trace, error) {
 			tt.Acc = append(tt.Acc, ac)
 		}
 		for j, n := uint64(0), d.uvarint("comm event count"); j < n && d.err == nil; j++ {
-			tt.Comm.Append(CommEvent{Instr: d.index("comm event instruction"), Partner: d.index("comm partner")})
+			if v1 {
+				d.index("comm event instruction")
+			}
+			tt.Comm.Append(d.index("comm partner"))
 		}
 		t.Tiles = append(t.Tiles, tt)
 	}

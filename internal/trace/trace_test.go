@@ -2,17 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
-	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 // chunksOf returns the stream holding vs.
@@ -36,14 +36,15 @@ func sampleTrace() *Trace {
 			{
 				Tile:      0,
 				BBPath:    chunksOf[int32](0, 2, 2, 2, 1),
-				Mem:       chunksOf(MemEvent{Instr: 3, Addr: 4096, Size: 8, Kind: KindLoad}, MemEvent{Instr: 7, Addr: 8192, Size: 8, Kind: KindStore}),
+				Mem:       chunksOf[uint64](4096, 8192),
 				Acc:       []AccCall{{Name: "acc_sgemm", Params: []int64{64, 64, 64}}},
+				Comm:      chunksOf[int32](1, 0, 1),
 				DynInstrs: 46,
 			},
 			{
 				Tile:      1,
 				BBPath:    chunksOf[int32](0, 1),
-				Mem:       chunksOf(MemEvent{Instr: 5, Addr: 100, Size: 4, Kind: KindAtomic}),
+				Mem:       chunksOf[uint64](100),
 				DynInstrs: 9,
 			},
 		},
@@ -77,6 +78,9 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if w, g := collect(&w.Mem), collect(&g.Mem); !reflect.DeepEqual(w, g) {
 			t.Errorf("tile %d mem mismatch: %v vs %v", i, w, g)
+		}
+		if w, g := collect(&w.Comm), collect(&g.Comm); !reflect.DeepEqual(w, g) {
+			t.Errorf("tile %d comm mismatch: %v vs %v", i, w, g)
 		}
 		if len(w.Acc) != len(g.Acc) {
 			t.Fatalf("tile %d acc count mismatch", i)
@@ -135,19 +139,12 @@ func TestBadInputs(t *testing.T) {
 // TestDeltaEncodingProperty checks round-tripping of arbitrary address
 // streams, including address deltas that go backwards and wrap widely.
 func TestDeltaEncodingProperty(t *testing.T) {
-	f := func(addrs []uint64, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+	f := func(addrs []uint64) bool {
 		tt := &TileTrace{Tile: 0}
-		for i, a := range addrs {
+		for _, a := range addrs {
 			// Keep addresses in a plausible 48-bit space so the int64 delta
 			// arithmetic used by the format is exact.
-			a &= (1 << 47) - 1
-			tt.Mem.Append(MemEvent{
-				Instr: int32(i % 1024),
-				Addr:  a,
-				Size:  uint8(1 << (rng.Intn(4))),
-				Kind:  uint8(rng.Intn(3)),
-			})
+			tt.Mem.Append(a & (1<<47 - 1))
 		}
 		tr := &Trace{Kernel: "p", Tiles: []*TileTrace{tt}}
 		var buf bytes.Buffer
@@ -191,25 +188,17 @@ func TestBBPathProperty(t *testing.T) {
 	}
 }
 
-// TestMemEventIs16Bytes pins the event layout: a trace holds one MemEvent per
-// executed memory access, cached and replayed traces included, so a field
-// reordered back to 24 bytes costs a third more memory everywhere.
-func TestMemEventIs16Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(MemEvent{}); got != 16 {
-		t.Errorf("sizeof(MemEvent) = %d, want 16", got)
-	}
-}
-
 // TestReadsTraceOfOlderBuild pins the file format: testdata holds histo at
 // tiny scale on two tiles as written by `mosaic-trace -o` of commit 6188979
-// (24-byte events, the unchecked decoder). This build must read it and write
-// the same bytes back, version 1.
+// (version 1: each event also names its instruction, size and kind). This
+// build must read it, and write it back as version 2 in at most 0.65x the
+// bytes, pinned by their hash, which decode to the same streams.
 func TestReadsTraceOfOlderBuild(t *testing.T) {
-	want, err := os.ReadFile("testdata/histo_tiny_2t_6188979.mstr")
+	v1, err := os.ReadFile("testdata/histo_tiny_2t_6188979.mstr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Read(bytes.NewReader(want))
+	tr, err := Read(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,15 +206,29 @@ func TestReadsTraceOfOlderBuild(t *testing.T) {
 		t.Errorf("decoded %d tiles, %d instrs, %d mem events; want 2, 44030, 6000",
 			len(tr.Tiles), tr.TotalDynInstrs(), tr.TotalMemEvents())
 	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	var v2 bytes.Buffer
+	if _, err := tr.WriteTo(&v2); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("re-encoded trace differs from the file (%d vs %d bytes)", buf.Len(), len(want))
+	if v1[len(magic)] != 1 || v2.Bytes()[len(magic)] != 2 {
+		t.Errorf("format versions: file %d, re-encoded %d; want 1, 2", v1[len(magic)], v2.Bytes()[len(magic)])
 	}
-	if want[len(magic)] != version || version != 1 {
-		t.Errorf("format version = %d, file says %d, want 1", version, want[len(magic)])
+	if 100*v2.Len() > 65*len(v1) {
+		t.Errorf("version 2 takes %d bytes for the file's %d (> 0.65x)", v2.Len(), len(v1))
+	}
+	const wantSum = "be6aa0794220cc3a5fcbd56bad22bb21f50bf5ff081a13b54ce69a1ee7f2a763"
+	if sum := sha256.Sum256(v2.Bytes()); hex.EncodeToString(sum[:]) != wantSum {
+		t.Errorf("version 2 bytes hash to %x, want %s", sum, wantSum)
+	}
+	again, err := Read(&v2)
+	if err != nil || !reflect.DeepEqual(again, tr) {
+		t.Errorf("version 2 does not decode to the file's streams (%v)", err)
+	}
+
+	// A version 1 comm event is an instruction index, then the partner.
+	comm, err := Read(bytes.NewReader([]byte("MSTR\x01\x00\x01\x00\x00\x00\x00\x00\x01\x07\x03")))
+	if err != nil || !reflect.DeepEqual(collect(&comm.Tiles[0].Comm), []int32{3}) {
+		t.Errorf("version 1 comm event decoded to %v, %v; want partner 3", comm, err)
 	}
 }
 
@@ -243,7 +246,8 @@ func TestHostileInputs(t *testing.T) {
 		}
 		return b
 	}
-	const hdr = "MSTR\x01\x00" // magic, version 1, empty kernel name
+	const hdr = "MSTR\x01\x00"  // magic, version 1, empty kernel name
+	const hdr2 = "MSTR\x02\x00" // version 2
 	var good bytes.Buffer
 	if _, err := sampleTrace().WriteTo(&good); err != nil {
 		t.Fatal(err)
@@ -267,7 +271,10 @@ func TestHostileInputs(t *testing.T) {
 		{"comm partner 2^31", uv(hdr, 1, 0, 0, 0, 0, 0, 1, 0, 1<<31), "comm partner"},
 		{"dynamic instruction count 2^63", uv(hdr, 1, 0, 1<<63), "dynamic instruction count"},
 		{"overlong varint", []byte(hdr + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), "tile count"},
-		{"future version", []byte("MSTR\x02"), "unsupported version 2"},
+		{"v2 memory event count 2^40", uv(hdr2, 1, 0, 0, 0, 1<<40), "address delta"},
+		{"v2 comm event count 2^40", uv(hdr2, 1, 0, 0, 0, 0, 0, 1<<40), "comm partner"},
+		{"v2 comm partner 2^31", uv(hdr2, 1, 0, 0, 0, 0, 0, 1, 1<<31), "comm partner: 2147483648 overflows"},
+		{"future version", []byte("MSTR\x03"), "unsupported version 3"},
 		{"bad magic", []byte("NOPE...."), "bad magic"},
 		{"empty", nil, "magic"},
 		{"truncated", good.Bytes()[:good.Len()/2], "unexpected EOF"},
@@ -300,7 +307,7 @@ func TestDecodeAllocationIsLinear(t *testing.T) {
 	tt := &TileTrace{}
 	for i := 0; i < 300_000; i++ {
 		tt.BBPath.Append(int32(i % 7))
-		tt.Mem.Append(MemEvent{Addr: uint64(4096 + 8*i), Instr: int32(i % 50), Size: 8})
+		tt.Mem.Append(uint64(4096 + 8*i))
 	}
 	tr := &Trace{Kernel: "k", Tiles: []*TileTrace{tt, tt, tt}}
 	var buf bytes.Buffer
@@ -314,7 +321,7 @@ func TestDecodeAllocationIsLinear(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, tr) {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	decoded := uint64(3 * 300_000 * (4 + 16))
+	decoded := uint64(3 * 300_000 * (4 + 8))
 	// 1.09x: the unfilled rest of each stream's last chunk, and bufio.
 	if alloc := after.TotalAlloc - before.TotalAlloc; 4*alloc > 5*decoded {
 		t.Errorf("decoding %d bytes of events allocated %d (> 1.25x)", decoded, alloc)

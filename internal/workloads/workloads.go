@@ -8,9 +8,11 @@
 package workloads
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"mosaicsim/internal/accel"
@@ -203,41 +205,31 @@ func BFS() *Workload {
 			n := pick(s, 200, 60000, 400000)
 			deg := 4
 			r := rng("bfs")
-			rowptr := make([]int64, n+1)
-			cols := make([]int64, 0, n*deg)
-			for u := 0; u < n; u++ {
-				rowptr[u] = int64(len(cols))
+			pr := mem.Alloc(int64(n+1)*8, 64)
+			pc := mem.Alloc(int64(n*deg)*8, 64)
+			pl := mem.Alloc(int64(n)*8, 64)
+			pv := mem.Alloc(8, 64)
+			for u := uint64(0); u < uint64(n); u++ {
+				e := u * uint64(deg)
+				mem.WriteI64(pr+8*u, int64(e))
 				// A ring edge keeps the graph connected; extra random edges
 				// make the frontier irregular.
-				cols = append(cols, int64((u+1)%n))
-				for d := 1; d < deg; d++ {
-					cols = append(cols, int64(r.Intn(n)))
+				mem.WriteI64(pc+8*e, int64((u+1)%uint64(n)))
+				for d := uint64(1); d < uint64(deg); d++ {
+					mem.WriteI64(pc+8*(e+d), int64(r.Intn(n)))
 				}
+				mem.WriteI64(pl+8*u, -1)
 			}
-			rowptr[n] = int64(len(cols))
-			levels := make([]int64, n)
-			for i := range levels {
-				levels[i] = -1
-			}
-			levels[0] = 0
-			// Reference BFS and its depth.
-			want := goBFS(rowptr, cols, n)
-			depth := int64(0)
-			for _, l := range want {
-				if l > depth {
-					depth = l
-				}
-			}
-			pr := mem.AllocI64(rowptr)
-			pc := mem.AllocI64(cols)
-			pl := mem.AllocI64(levels)
-			pv := mem.AllocI64([]int64{0})
+			mem.WriteI64(pr+8*uint64(n), int64(n*deg))
+			mem.WriteI64(pl, 0)
+			mem.WriteI64(pv, 0)
+			want, depth := bfsLevels(mem, pr, pc, n)
 			return Instance{
 				Args: []uint64{pr, pc, pl, pv, uint64(n), uint64(depth + 1)},
 				Check: func(mem *interp.Memory, _ int) error {
-					for i := range want {
-						if got := mem.ReadI64(pl + uint64(i)*8); got != want[i] {
-							return fmt.Errorf("levels[%d] = %d, want %d", i, got, want[i])
+					for i, l := range want {
+						if got := mem.ReadI64(pl + uint64(i)*8); got != int64(l) {
+							return fmt.Errorf("levels[%d] = %d, want %d", i, got, l)
 						}
 					}
 					return nil
@@ -247,27 +239,33 @@ func BFS() *Workload {
 	}
 }
 
-func goBFS(rowptr, cols []int64, n int) []int64 {
-	levels := make([]int64, n)
+// bfsLevels returns the BFS level of every vertex of the CSR graph at pr/pc
+// in the image from vertex 0 (-1 when unreachable), and the deepest level.
+// It expands one level per sweep over the vertices, so its only scratch is
+// the int32 levels themselves.
+func bfsLevels(mem *interp.Memory, pr, pc uint64, n int) (levels []int32, depth int32) {
+	levels = make([]int32, n)
 	for i := range levels {
 		levels[i] = -1
 	}
 	levels[0] = 0
-	frontier := []int64{0}
-	for lvl := int64(0); len(frontier) > 0; lvl++ {
-		var next []int64
-		for _, u := range frontier {
-			for e := rowptr[u]; e < rowptr[u+1]; e++ {
-				v := cols[e]
-				if levels[v] < 0 {
-					levels[v] = lvl + 1
-					next = append(next, v)
+	for grew := true; grew; {
+		grew = false
+		for u := range levels {
+			if levels[u] != depth {
+				continue
+			}
+			for e := mem.ReadI64(pr + 8*uint64(u)); e < mem.ReadI64(pr+8*uint64(u+1)); e++ {
+				if v := mem.ReadI64(pc + 8*uint64(e)); levels[v] < 0 {
+					levels[v], grew = depth+1, true
 				}
 			}
 		}
-		frontier = next
+		if grew {
+			depth++
+		}
 	}
-	return levels
+	return levels, depth
 }
 
 // CUTCP builds the cutoff-Coulombic-potential workload.
@@ -763,45 +761,59 @@ func Projection() *Workload {
 			deg := 6
 			nP := pick(s, 768, 1024, 2048)
 			r := rng("projection")
-			rows := make([]int64, nA+1)
-			cols := make([]int64, 0, nA*deg)
-			wts := make([]float64, 0, nA*deg)
-			for a := 0; a < nA; a++ {
-				rows[a] = int64(len(cols))
-				for d := 0; d < deg; d++ {
-					cols = append(cols, int64(r.Intn(nP)))
-					wts = append(wts, r.Float64())
-				}
-			}
-			rows[nA] = int64(len(cols))
-			want := make([]float64, nP*nP)
-			for a := 0; a < nA; a++ {
-				for e1 := rows[a]; e1 < rows[a+1]; e1++ {
-					for e2 := rows[a]; e2 < rows[a+1]; e2++ {
-						u, v := cols[e1], cols[e2]
-						if u != v {
-							want[u*int64(nP)+v] += wts[e1] * wts[e2]
-						}
-					}
-				}
-			}
-			pr := mem.AllocI64(rows)
-			pc := mem.AllocI64(cols)
-			pw := mem.AllocF64(wts)
+			pr := mem.Alloc(int64(nA+1)*8, 64)
+			pc := mem.Alloc(int64(nA*deg)*8, 64)
+			pw := mem.Alloc(int64(nA*deg)*8, 64)
 			pp := mem.Alloc(int64(nP*nP)*8, 64)
+			for a := uint64(0); a <= uint64(nA); a++ {
+				mem.WriteI64(pr+8*a, int64(a)*int64(deg))
+			}
+			for e := uint64(0); e < uint64(nA*deg); e++ {
+				mem.WriteI64(pc+8*e, int64(r.Intn(nP)))
+				mem.WriteF64(pw+8*e, r.Float64())
+			}
 			return Instance{
 				Args: []uint64{pr, pc, pw, pp, uint64(nA), uint64(nP)},
 				Check: func(mem *interp.Memory, _ int) error {
-					for i := range want {
-						if got := mem.ReadF64(pp + uint64(i)*8); !approxEq(got, want[i]) {
-							return fmt.Errorf("proj[%d] = %g, want %g", i, got, want[i])
-						}
-					}
-					return nil
+					return checkProjection(mem, pr, pc, pw, pp, nA, deg, nP)
 				},
 			}
 		},
 	}
+}
+
+// checkProjection rebuilds the projection from the image's graph, which the
+// kernel only reads: each pair of a left vertex's edges to u != v adds the
+// product of their weights to cell u·nP+v. The at most nA·deg² terms are
+// sorted by cell, stably so each cell sums in the kernel's order, and every
+// cell no term names must still read 0.
+func checkProjection(mem *interp.Memory, pr, pc, pw, pp uint64, nA, deg, nP int) error {
+	type term struct {
+		cell int64
+		w    float64
+	}
+	terms := make([]term, 0, nA*deg*deg)
+	for a := uint64(0); a < uint64(nA); a++ {
+		lo, hi := mem.ReadI64(pr+8*a), mem.ReadI64(pr+8*(a+1))
+		for e1 := lo; e1 < hi; e1++ {
+			for e2 := lo; e2 < hi; e2++ {
+				if u, v := mem.ReadI64(pc+8*uint64(e1)), mem.ReadI64(pc+8*uint64(e2)); u != v {
+					terms = append(terms, term{u*int64(nP) + v, mem.ReadF64(pw+8*uint64(e1)) * mem.ReadF64(pw+8*uint64(e2))})
+				}
+			}
+		}
+	}
+	slices.SortStableFunc(terms, func(x, y term) int { return cmp.Compare(x.cell, y.cell) })
+	for cell := int64(0); cell < int64(nP)*int64(nP); cell++ {
+		want := 0.0
+		for ; len(terms) > 0 && terms[0].cell == cell; terms = terms[1:] {
+			want += terms[0].w
+		}
+		if got := mem.ReadF64(pp + uint64(cell)*8); !approxEq(got, want) {
+			return fmt.Errorf("proj[%d] = %g, want %g", cell, got, want)
+		}
+	}
+	return nil
 }
 
 // EWSD builds the element-wise sparse⊙dense workload (§VII-B).

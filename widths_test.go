@@ -1,0 +1,100 @@
+package mosaicsim
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math"
+	"math/bits"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"mosaicsim/internal/config"
+	"mosaicsim/internal/workloads"
+)
+
+// TestWidthsHoldTheirBounds lists every integer of 32 bits or fewer that
+// core, mem, soc and trace store (a field, its element or type argument, or a
+// named type), and the 64-bit ones whose range is not their type's, beside
+// the bound that keeps it in range: a config.Validate limit, the trace
+// decoder's, or a shipped kernel's size. A narrow width without a row fails.
+func TestWidthsHoldTheirBounds(t *testing.T) {
+	maxInstrs, maxArgs := 0, 0 // over the shipped kernels
+	for _, w := range workloads.All() {
+		f, err := w.Kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxInstrs = max(maxInstrs, f.NumInstrs())
+		for _, in := range f.Instrs() {
+			maxArgs = max(maxArgs, len(in.Args))
+		}
+	}
+	ring := int64(1) << bits.Len(uint(config.MaxEntries+maxInstrs))
+	edges, kernel, tiles := ring*int64(maxArgs+1), int64(maxInstrs), int64(config.MaxTiles)
+	const i32, u8, i64 = math.MaxInt32, math.MaxUint8, math.MaxInt64
+	rows := map[string]struct{ max, bound int64 }{
+		// Enumerations; access sizes, at most the widest IR type's 8 bytes.
+		"core.nodeState": {u8, 3}, "core.OpKind": {u8, 5}, "mem.Kind": {u8, 4},
+		"core.StaticNode.MemSize": {u8, 8}, "core.dynNode.memSize": {i32, 8},
+		// Static indices, positions in a block and block IDs: below the
+		// kernel's instruction count (and Read refuses a block ID past int32).
+		"core.StaticNode.Idx": {i32, kernel}, "core.StaticNode.Cross": {i32, kernel}, "core.StaticNode.Phi": {i32, kernel},
+		"core.StaticNode.Intra": {i32, kernel}, "core.StaticNode.Wake": {i32, kernel}, "core.StaticNode.Fused": {i32, kernel + 1},
+		"core.Core.path": {i32, kernel}, "trace.TileTrace.BBPath": {i32, kernel},
+		// A node's producers (operands and a phi edge), a slot of the ring that
+		// holds the window (MaxEntries) and a block, and its edge pool indices.
+		"core.dynNode.parentsLeft": {i32, int64(maxArgs + 1)}, "core.edge.dep": {i32, ring},
+		"core.dynNode.depHead": {i32, edges}, "core.edge.next": {i32, edges}, "core.Core.edgeFree": {i32, edges},
+		// Tile IDs (MaxTiles); Check refuses a partner outside [0, tiles).
+		"trace.TileTrace.Tile": {i32, tiles}, "trace.TileTrace.Comm": {i32, tiles},
+		"core.dynNode.partner": {i32, tiles}, "core.Core.comm": {i32, tiles},
+		// gshare's 12 history bits and 2-bit counters; one sharer bit per tile.
+		"core.Core.bpHistory": {math.MaxUint32, 1<<12 - 1}, "core.Core.bpCounters": {u8, 3},
+		"mem.dirEntry.sharers": {64, config.MaxDirectoryTiles},
+		// One seq per dynamic instruction, a count Read bounds to int64.
+		"core.dynNode.seq": {i64, i64}, "trace.TileTrace.DynInstrs": {i64, i64},
+	}
+	found := map[string]bool{} // every named type and struct field of the four packages
+	check := func(key string, ty ast.Expr) {
+		found[key] = true
+		switch e := ty.(type) {
+		case *ast.ArrayType:
+			ty = e.Elt
+		case *ast.IndexExpr: // Chunks[int32], Cursor[int32]
+			ty = e.Index
+		}
+		id, ok := ty.(*ast.Ident)
+		if _, listed := rows[key]; ok && !listed && strings.Contains(" int8 int16 int32 uint8 byte uint16 uint32 ", " "+id.Name+" ") {
+			t.Errorf("%s is a %s with no row: add it beside the bound that keeps it in range", key, id.Name)
+		}
+	}
+	for _, pkg := range []string{"core", "mem", "soc", "trace"} {
+		files, _ := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		for _, path := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil || strings.HasSuffix(path, "_test.go") { // the build has parsed every file
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					check(pkg+"."+ts.Name.Name, ts.Type)
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						for _, fld := range st.Fields.List {
+							for _, name := range fld.Names {
+								check(pkg+"."+ts.Name.Name+"."+name.Name, fld.Type)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key, r := range rows {
+		if !found[key] || r.bound > r.max {
+			t.Errorf("row %s: found %t; its width holds %d, its bound lets it reach %d", key, found[key], r.max, r.bound)
+		}
+	}
+}
