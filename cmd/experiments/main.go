@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -33,34 +35,42 @@ import (
 	"mosaicsim/internal/workloads"
 )
 
-// main delegates to realMain so deferred cleanups (the pprof profile
-// writers) run on every exit path.
 func main() {
-	os.Exit(realMain())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain() int {
-	scale := flag.String("scale", "small", "workload scale: tiny, small, or large")
-	run := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-	jobs := flag.Int("jobs", 0, "max concurrent simulations (0 = all CPU cores)")
-	replay := flag.Bool("replay", true, "answer timing-only sweep legs from recorded schedules (bit-identical results)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole regeneration (0 = none)")
-	optLevel := flag.String("O", "", "compiler optimization level applied to every workload leg: O0, O1, O2 (default O0)")
-	passes := flag.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
-	unroll := flag.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+// run is the command: it parses args, writes the reports to stdout and
+// timings and errors to stderr, and returns the exit status once deferred
+// cleanups (the pprof profile writers) have run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.String("scale", "small", "workload scale: tiny, small, or large")
+	runIDs := fs.String("run", "all", "comma-separated experiment ids, or 'all'")
+	jobs := fs.Int("jobs", 0, "max concurrent simulations (0 = all CPU cores)")
+	replay := fs.Bool("replay", true, "answer timing-only sweep legs from recorded schedules (bit-identical results)")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole regeneration (0 = none)")
+	optLevel := fs.String("O", "", "compiler optimization level applied to every workload leg: O0, O1, O2 (default O0)")
+	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
+	unroll := fs.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -69,13 +79,13 @@ func realMain() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize the final live set
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 	}
@@ -89,13 +99,13 @@ func realMain() int {
 	case "large":
 		s = workloads.Large
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+		fmt.Fprintf(stderr, "unknown scale %q\n", *scale)
 		return 2
 	}
 
 	ids := experiments.IDs()
-	if *run != "all" {
-		ids = strings.Split(*run, ",")
+	if *runIDs != "all" {
+		ids = strings.Split(*runIDs, ",")
 	}
 	// Validate every requested id up front: an unknown id fails immediately
 	// (with a did-you-mean suggestion) instead of after earlier experiments
@@ -103,7 +113,7 @@ func realMain() int {
 	for i := range ids {
 		ids[i] = strings.TrimSpace(ids[i])
 		if err := experiments.Resolve(ids[i]); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 	}
@@ -121,12 +131,12 @@ func realMain() int {
 		defer cancel()
 	}
 	if *optLevel != "" && *passes != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -O and -passes are mutually exclusive")
+		fmt.Fprintln(stderr, "experiments: -O and -passes are mutually exclusive")
 		return 2
 	}
 	opt, err := ir.ParseOptConfig(*optLevel, *passes, *unroll)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		fmt.Fprintln(stderr, "experiments:", err)
 		return 2
 	}
 	r := experiments.NewRunner(s)
@@ -147,15 +157,15 @@ func realMain() int {
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	for i := range ids {
-		fmt.Println(outs[i])
-		fmt.Fprintf(os.Stderr, "(%s regenerated in %v)\n", ids[i], took[i].Round(time.Millisecond))
+		fmt.Fprintln(stdout, outs[i])
+		fmt.Fprintf(stderr, "(%s regenerated in %v)\n", ids[i], took[i].Round(time.Millisecond))
 	}
 	if rc := r.ReplayCounters(); rc.Hits+rc.Fallbacks+rc.Recorded > 0 {
-		fmt.Fprintf(os.Stderr, "(replay: %d legs replayed, %d fell back, %d schedules recorded)\n",
+		fmt.Fprintf(stderr, "(replay: %d legs replayed, %d fell back, %d schedules recorded)\n",
 			rc.Hits, rc.Fallbacks, rc.Recorded)
 	}
 	return 0

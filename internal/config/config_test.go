@@ -272,6 +272,8 @@ func TestValidateBoundsSizeKnobs(t *testing.T) {
 		"legacy lsq 0":       {legacy(func(c *CoreConfig) { c.LSQSize = 0 }), "lsq_size", "at least 1"},
 		"cache size":         {mem(func(m *MemConfig) { m.L2.SizeKB = 1 << 42 }), "size_kb", "at most 1048576"},
 		"cache assoc":        {mem(func(m *MemConfig) { m.LLC.Assoc = 1 << 20 }), "assoc", "at most 65536"},
+		"cache size max+1":   {mem(func(m *MemConfig) { m.L1.SizeKB = MaxCacheKB + 1 }), "size_kb", "at most 1048576"},
+		"cache assoc max+1":  {mem(func(m *MemConfig) { m.L1.Assoc = MaxEntries + 1 }), "assoc", "at most 65536"},
 		"cache mshrs":        {mem(func(m *MemConfig) { m.L1.MSHRs = 1 << 31 }), "mshrs", "at most 65536"},
 		"cache prefetch":     {mem(func(m *MemConfig) { m.L1.PrefetchDegree = 1 << 40 }), "prefetch_degree", "at most 65536"},
 		"48-byte line":       {mem(func(m *MemConfig) { m.L1.LineBytes = 48 }), "line_bytes", "a power of two"},

@@ -11,9 +11,9 @@ import (
 )
 
 // MemPort is the tile's view of the memory hierarchy (its private cache
-// queue, §V).
+// queue, §V): w is told, with tag, when core's access completes.
 type MemPort interface {
-	Access(addr uint64, size int, kind mem.Kind, now int64, done func(int64))
+	AccessAt(core int, addr uint64, size int, kind mem.Kind, now int64, w mem.Waiter, tag int64)
 }
 
 // Fabric is the tile's view of the Interleaver's inter-tile message transport
@@ -38,9 +38,9 @@ type Fabric interface {
 }
 
 // AccelInvoker dispatches accelerator invocations to their performance
-// models (§IV-A): done is called at the invocation's completion cycle.
+// models (§IV-A) and returns the invocation's completion cycle.
 type AccelInvoker interface {
-	Invoke(name string, params []int64, now int64, done func(int64)) error
+	Invoke(name string, params []int64, now int64) (int64, error)
 }
 
 // Stats aggregates one tile's simulation results.
@@ -96,10 +96,6 @@ type dynNode struct {
 	// a memory op); complete uses it to clear the node's MAO slot so reused
 	// slots are never scanned through stale pointers.
 	maoPos int64
-	// doneCB is the slot's completion callback for the memory hierarchy and
-	// accelerators, allocated once per ring slot (it captures only the stable
-	// slot and core pointers).
-	doneCB func(int64)
 
 	parentsLeft int32
 	depHead     int32 // cross-DBB consumers: head of the list in Core.edges, -1 = none
@@ -527,20 +523,15 @@ func (c *Core) matureFused(load, now int64) {
 	c.fused = c.fused[:k]
 }
 
-// memDone is the callback given to the memory hierarchy and accelerators. The
-// closure is allocated once per ring slot: it captures only the stable slot
-// and core pointers and reads what varies per incarnation at fire time (an
-// atomic's read-modify-write surcharge).
-func (c *Core) memDone(n *dynNode) func(int64) {
-	if n.doneCB == nil {
-		n.doneCB = func(at int64) {
-			if n.kind == KindMem && n.memKind == mem.Atomic {
-				at += c.Cfg.AtomicExtraLatency
-			}
-			c.completions.push(event{at, n})
-		}
+// MemDone implements mem.Waiter: the access of the node with seq completed at
+// cycle at, plus an atomic's read-modify-write surcharge. An issued node is
+// not retired, so its ring slot still holds it.
+func (c *Core) MemDone(seq, at int64) {
+	n := &c.nodes[seq&c.mask]
+	if n.memKind == mem.Atomic {
+		at += c.Cfg.AtomicExtraLatency
 	}
-	return n.doneCB
+	c.completions.push(event{at, n})
 }
 
 // retire slides the instruction window (ROB) forward over completed nodes
@@ -912,9 +903,11 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 		}
 		c.markIssued(n)
 		c.Stats.AccCalls++
-		if err := c.accel.Invoke(call.Name, call.Params, now, c.memDone(n)); err != nil {
+		at, err := c.accel.Invoke(call.Name, call.Params, now)
+		if err != nil {
 			panic(fmt.Sprintf("core: tile %d: %v", c.ID, err))
 		}
+		c.completions.push(event{at, n})
 		return true
 	default:
 		c.issueFixed(n, now, c.lat[n.class])
@@ -970,9 +963,9 @@ func (c *Core) tryIssueMem(n *dynNode, now int64) bool {
 	case mem.Write:
 		c.Stats.Stores++
 	default:
-		c.Stats.Atomics++ // doneCB adds the read-modify-write surcharge
+		c.Stats.Atomics++ // MemDone adds the read-modify-write surcharge
 	}
-	c.memp.Access(n.addr, int(n.memSize), n.memKind, now, c.memDone(n))
+	c.memp.AccessAt(c.ID, n.addr, int(n.memSize), n.memKind, now, c, n.seq)
 	return true
 }
 

@@ -20,9 +20,9 @@ type fakeMem struct {
 	accesses int64
 }
 
-func (f *fakeMem) Access(addr uint64, size int, kind mem.Kind, now int64, done func(int64)) {
+func (f *fakeMem) AccessAt(core int, addr uint64, size int, kind mem.Kind, now int64, w mem.Waiter, tag int64) {
 	f.accesses++
-	done(now + f.lat)
+	w.MemDone(tag, now+f.lat)
 }
 
 // fakeFabric never blocks.
@@ -306,10 +306,9 @@ type stubAccel struct {
 	calls  int
 }
 
-func (a *stubAccel) Invoke(name string, params []int64, now int64, done func(int64)) error {
+func (a *stubAccel) Invoke(name string, params []int64, now int64) (int64, error) {
 	a.calls++
-	done(now + a.cycles)
-	return nil
+	return now + a.cycles, nil
 }
 
 func TestAcceleratorInvocationBlocksCompletion(t *testing.T) {
@@ -488,10 +487,9 @@ func TestGsharePredictsUnconditional(t *testing.T) {
 }
 
 // TestStepSteadyStateAllocs pins the zero-alloc contract of the simulation
-// hot path: once the ring's completion callbacks, the DBB and edge pools and
-// the backing arrays are warm, stepping the core must not allocate at all. A
-// regression here silently multiplies GC pressure by the dynamic instruction
-// count.
+// hot path: once the DBB and edge pools and the backing arrays are warm,
+// stepping the core must not allocate at all. A regression here silently
+// multiplies GC pressure by the dynamic instruction count.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	g, tt := traceKernel(t, indepSrc, setupTwoArrays(4096))
 	c := New(0, config.OutOfOrderCore(), Lower(g), tt, &fakeMem{lat: 8}, &fakeFabric{}, nil)
@@ -543,13 +541,14 @@ func TestMAOStaysSmall(t *testing.T) {
 	}
 }
 
-// TestDynNodeSize pins the ring slot's footprint: a core round-robins its
-// window through the host's caches every cycle, so a field added here is paid
-// on every launch, issue and completion of every tile. (The pooled node it
-// replaced was 200 bytes.)
+// TestDynNodeSize pins the ring slot's footprint at one 64-byte host cache
+// line: a core round-robins its window through the host's caches every cycle,
+// so a field added here is paid on every launch, issue and completion of every
+// tile. (The pooled node it replaced was 200 bytes; a per-slot completion
+// closure made it 72.)
 func TestDynNodeSize(t *testing.T) {
-	if size := unsafe.Sizeof(dynNode{}); size > 96 {
-		t.Errorf("dynNode is %d bytes, want <= 96", size)
+	if size := unsafe.Sizeof(dynNode{}); size != 64 {
+		t.Errorf("dynNode is %d bytes, want 64", size)
 	}
 }
 

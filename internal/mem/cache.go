@@ -29,12 +29,42 @@ func (s *CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(d)
 }
 
+// cacheLine is one way of a set. word packs the cycle of the line's last use,
+// shifted past lineFlagBits, with its valid, dirty and prefetched bits; a
+// run's cycles stay below soc.MaxCycleLimit, so the shift loses none.
 type cacheLine struct {
-	tag        uint64
-	valid      bool
-	dirty      bool
-	prefetched bool
-	lastUse    int64
+	tag  uint64
+	word uint64
+}
+
+const (
+	lineValid uint64 = 1 << iota
+	lineDirty
+	linePrefetched
+	lineFlagBits = iota
+	lineFlags    = 1<<lineFlagBits - 1
+)
+
+// lineArena carves the ways of grown sets out of shared chunks, so a cache
+// allocates per chunk, not per set. Every cache of one Hierarchy shares its
+// arena; a Cache built alone has its own.
+type lineArena struct {
+	free  []cacheLine // the uncarved rest of the newest chunk
+	chunk int         // the newest chunk's length
+}
+
+// Chunk lengths start at arenaFirst lines and double up to arenaLast.
+const arenaFirst, arenaLast = 256, 4096
+
+// carve returns n fresh lines with capacity n.
+func (a *lineArena) carve(n int) []cacheLine {
+	if len(a.free) < n {
+		a.chunk = max(arenaFirst, min(2*a.chunk, arenaLast))
+		a.free = make([]cacheLine, max(a.chunk, n))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }
 
 // mshr tracks one outstanding line fill and its waiters, a FIFO chained
@@ -65,10 +95,12 @@ type Cache struct {
 	Name string
 	cfg  config.CacheConfig
 	next Level
-	// pages holds the lines, a page of pageSets consecutive sets at a time,
-	// allocated when one of its sets first holds a line: a nil page reads as
-	// all-invalid, so a run pays only for the sets it touches.
-	pages [][]cacheLine
+	// pages holds the sets, a page of pageSets consecutive sets at a time,
+	// allocated when one of its sets first holds a line. A set holds only the
+	// ways filled so far: a nil page or set reads as all-invalid, so a run
+	// pays for the lines it holds. Ways come from arena.
+	pages [][][]cacheLine
+	arena *lineArena
 	nsets uint64
 	shift uint
 	Stats CacheStats
@@ -86,8 +118,8 @@ type Cache struct {
 
 	// events counts observable state changes (see Hierarchy.Progress) and due
 	// mirrors the queue head's ready time (HorizonNone when empty). A cache
-	// built alone points both at its own fields and has its own request list;
-	// a Hierarchy re-points all three at its shared ones.
+	// built alone points both at its own fields and has its own request list
+	// and arena; a Hierarchy re-points all four at its shared ones.
 	events, due       *int64
 	ownEvents, ownDue int64
 	free              *reqList
@@ -113,7 +145,8 @@ func NewCache(cfg config.CacheConfig, next Level) *Cache {
 		Name:   cfg.Name,
 		cfg:    cfg,
 		next:   next,
-		pages:  make([][]cacheLine, (nsets+pageSets-1)/pageSets),
+		pages:  make([][][]cacheLine, (nsets+pageSets-1)/pageSets),
+		arena:  new(lineArena),
 		nsets:  uint64(nsets),
 		ownDue: HorizonNone,
 		free:   new(reqList),
@@ -189,8 +222,7 @@ func (c *Cache) process(req *Request, now int64) {
 		// Inclusive write-back from an upper level: update the copy if
 		// present, otherwise pass through.
 		if cl := c.lookup(line); cl != nil {
-			cl.dirty = true
-			cl.lastUse = now
+			cl.word = uint64(now)<<lineFlagBits | cl.word&lineFlags | lineDirty
 			c.complete(req, now)
 		} else {
 			c.Stats.WritebackMisses++
@@ -205,15 +237,15 @@ func (c *Cache) process(req *Request, now int64) {
 	}
 	if cl := c.lookup(line); cl != nil {
 		// Hit.
-		cl.lastUse = now
+		cl.word = uint64(now)<<lineFlagBits | cl.word&lineFlags
 		if req.Kind == Write || req.Kind == Atomic {
-			cl.dirty = true
+			cl.word |= lineDirty
 		}
 		if req.Kind != Prefetch {
 			c.Stats.Hits++
-			if cl.prefetched {
+			if cl.word&linePrefetched != 0 {
 				c.Stats.PrefetchUseful++
-				cl.prefetched = false
+				cl.word &^= linePrefetched
 			}
 		}
 		c.complete(req, now)
@@ -274,14 +306,12 @@ func (c *Cache) mshrOf(line uint64) int {
 	return -1
 }
 
-// ways returns the lines of one set, nil while its page is unallocated.
+// ways returns the filled ways of one set, nil while its page is unallocated.
 func (c *Cache) ways(set uint64) []cacheLine {
-	pg := c.pages[set/pageSets]
-	if pg == nil {
-		return nil
+	if pg := c.pages[set/pageSets]; pg != nil {
+		return pg[set%pageSets]
 	}
-	i := int(set%pageSets) * c.cfg.Assoc
-	return pg[i : i+c.cfg.Assoc]
+	return nil
 }
 
 // lookup returns the resident line or nil.
@@ -289,43 +319,56 @@ func (c *Cache) lookup(line uint64) *cacheLine {
 	set := c.ways(c.setOf(line))
 	tag := line / c.nsets
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag && set[i].word&lineValid != 0 {
 			return &set[i]
 		}
 	}
 	return nil
 }
 
-// fill installs a line returned by the next level and wakes its waiters.
+// fill installs a line returned by the next level and wakes its waiters. The
+// victim is the first invalid way, else a new way while the set holds fewer
+// than Assoc, else the least recently used: the order a set of Assoc ways,
+// all invalid at first, would choose.
 func (c *Cache) fill(line uint64, prefetched bool, now int64) {
 	*c.events++
 	idx := c.setOf(line)
-	set := c.ways(idx)
-	if set == nil {
+	pg := c.pages[idx/pageSets]
+	if pg == nil {
 		// First line into this page: the last page may be short.
 		first := idx / pageSets * pageSets
-		c.pages[idx/pageSets] = make([]cacheLine, int(min(pageSets, c.nsets-first))*c.cfg.Assoc)
-		set = c.ways(idx)
+		pg = make([][]cacheLine, min(pageSets, c.nsets-first))
+		c.pages[idx/pageSets] = pg
 	}
+	set := pg[idx%pageSets]
 	tag := line / c.nsets
 	victim := -1
 	for i := range set {
-		if !set[i].valid {
+		if set[i].word&lineValid == 0 {
 			victim = i
 			break
 		}
 	}
+	if victim < 0 && len(set) < c.cfg.Assoc {
+		if len(set) == cap(set) {
+			// Grow 1, 4, 16, ... ways, at most Assoc.
+			set = append(c.arena.carve(min(max(4*len(set), 1), c.cfg.Assoc))[:0], set...)
+		}
+		victim = len(set)
+		set = set[:victim+1]
+		pg[idx%pageSets] = set
+	}
 	if victim < 0 {
-		oldest := set[0].lastUse
+		oldest := set[0].word >> lineFlagBits
 		victim = 0
 		for i := range set {
-			if set[i].lastUse < oldest {
-				oldest = set[i].lastUse
+			if u := set[i].word >> lineFlagBits; u < oldest {
+				oldest = u
 				victim = i
 			}
 		}
 		c.Stats.Evictions++
-		if set[victim].dirty {
+		if set[victim].word&lineDirty != 0 {
 			c.Stats.Writebacks++
 			wb := c.free.get()
 			wb.Addr = (set[victim].tag*c.nsets + idx) << c.shift
@@ -340,7 +383,14 @@ func (c *Cache) fill(line uint64, prefetched bool, now int64) {
 		c.mshrs[i] = c.mshrs[len(c.mshrs)-1]
 		c.mshrs = c.mshrs[:len(c.mshrs)-1]
 	}
-	set[victim] = cacheLine{tag: tag, valid: true, dirty: m.dirty, prefetched: prefetched, lastUse: now}
+	flags := lineValid
+	if m.dirty {
+		flags |= lineDirty
+	}
+	if prefetched {
+		flags |= linePrefetched
+	}
+	set[victim] = cacheLine{tag: tag, word: uint64(now)<<lineFlagBits | flags}
 	for w := m.head; w != nil; {
 		next := w.next
 		w.next = nil

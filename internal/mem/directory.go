@@ -84,15 +84,16 @@ func (d *Directory) Access(core int, line uint64, kind Kind) (penalty int64, inv
 	return penalty, invalidate
 }
 
-// Invalidate removes a resident line from the cache (a directory recall),
-// reporting whether the dropped copy was dirty.
-func (c *Cache) Invalidate(line uint64) bool {
-	cl := c.lookup(line)
-	if cl == nil {
-		return false
+// Invalidate removes every resident line overlapping the size bytes at addr
+// from the cache (a directory recall, in the directory's line size, which
+// need not be this cache's), reporting whether a dropped copy was dirty.
+func (c *Cache) Invalidate(addr uint64, size int) bool {
+	dirty := false
+	for line := addr >> c.shift; line<<c.shift < addr+uint64(size); line++ {
+		if cl := c.lookup(line); cl != nil {
+			dirty = dirty || cl.word&lineDirty != 0
+			cl.word &^= lineValid | lineDirty
+		}
 	}
-	cl.valid = false
-	dirty := cl.dirty
-	cl.dirty = false
 	return dirty
 }

@@ -23,11 +23,13 @@ type Hierarchy struct {
 	// caches lists the LLC, the L2s then the L1s, Tick's order; due[i] is
 	// caches[i]'s queue-head ready time (Cache.due), so Tick and NextEvent
 	// read one dense array instead of asking every cache. events is every
-	// level's counter and free every level's request list.
+	// level's counter, free every level's request list and lines every
+	// cache's line arena.
 	caches []*Cache
 	due    []int64
 	events int64
 	free   reqList
+	lines  lineArena
 }
 
 // NewHierarchy builds the hierarchy for numCores cores at the given clock.
@@ -66,31 +68,32 @@ func NewHierarchy(cfg config.MemConfig, numCores, clockMHz int) *Hierarchy {
 	h.due = make([]int64, len(h.caches))
 	for i, c := range h.caches {
 		h.due[i] = HorizonNone
-		c.events, c.due, c.free = &h.events, &h.due[i], &h.free
+		c.events, c.due, c.free, c.arena = &h.events, &h.due[i], &h.free, &h.lines
 	}
 	return h
 }
 
 // AccessAt sends a demand request from a core into its private L1 at cycle
-// now; done is called once with the completion cycle. With the directory
-// enabled, coherence actions happen first: remote copies are recalled and
-// the request is delayed by the invalidation round trip.
-func (h *Hierarchy) AccessAt(core int, addr uint64, size int, kind Kind, now int64, done func(now int64)) {
+// now; w (if non-nil) is told once, with tag, the completion cycle. With the
+// directory enabled, coherence actions happen first: remote copies are
+// recalled and the request is delayed by the invalidation round trip.
+func (h *Hierarchy) AccessAt(core int, addr uint64, size int, kind Kind, now int64, w Waiter, tag int64) {
 	if h.Dir != nil {
-		line := addr / uint64(h.cfg.L1.LineBytes)
+		lb := h.cfg.L1.LineBytes
+		line := addr / uint64(lb)
 		penalty, invalidate := h.Dir.Access(core, line, kind)
 		for _, victim := range invalidate {
-			dirty := h.L1s[victim].Invalidate(line)
-			if victim < len(h.L2s) {
-				if h.L2s[victim].Invalidate(line) {
-					dirty = true
-				}
+			// The directory tracks L1 lines; each private level drops every
+			// line of its own size that overlaps the recalled one.
+			dirty := h.L1s[victim].Invalidate(line*uint64(lb), lb)
+			if victim < len(h.L2s) && h.L2s[victim].Invalidate(line*uint64(lb), lb) {
+				dirty = true
 			}
 			if dirty {
 				// The recalled dirty copy flushes to the shared level.
 				wb := h.free.get()
-				wb.Addr = line * uint64(h.cfg.L1.LineBytes)
-				wb.Size = h.cfg.L1.LineBytes
+				wb.Addr = line * uint64(lb)
+				wb.Size = lb
 				wb.Kind = Writeback
 				h.shared.Access(wb, now)
 			}
@@ -98,7 +101,7 @@ func (h *Hierarchy) AccessAt(core int, addr uint64, size int, kind Kind, now int
 		now += penalty
 	}
 	req := h.free.get()
-	req.Addr, req.Size, req.Kind, req.Done = addr, size, kind, done
+	req.Addr, req.Size, req.Kind, req.Waiter, req.Tag = addr, size, kind, w, tag
 	h.L1s[core].Access(req, now)
 }
 
@@ -130,9 +133,6 @@ func (h *Hierarchy) Busy() bool {
 	}
 	return false
 }
-
-// LineBytes returns the L1 line size.
-func (h *Hierarchy) LineBytes() int { return h.cfg.L1.LineBytes }
 
 // EnableDRAMAccessLog turns on arrival-time logging on the SimpleDRAM model
 // (a no-op for other models), so a schedule recorder can later re-verify the

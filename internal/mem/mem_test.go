@@ -8,6 +8,11 @@ import (
 	"mosaicsim/internal/config"
 )
 
+// doneFunc is a Waiter that ignores the tag.
+type doneFunc func(at int64)
+
+func (f doneFunc) MemDone(_, at int64) { f(at) }
+
 func testCacheCfg(name string, sizeKB int, latency int64, prefetch int) config.CacheConfig {
 	return config.CacheConfig{
 		Name: name, SizeKB: sizeKB, LineBytes: 64, Assoc: 4,
@@ -40,7 +45,7 @@ func run(h *Hierarchy, limit int64, pred func() bool) int64 {
 func TestColdMissThenHit(t *testing.T) {
 	h := simpleHier(0)
 	var missDone, hitDone int64 = -1, -1
-	h.AccessAt(0, 0x10000, 8, Read, 0, func(now int64) { missDone = now })
+	h.AccessAt(0, 0x10000, 8, Read, 0, doneFunc(func(now int64) { missDone = now }), 0)
 	end := run(h, 10000, func() bool { return missDone >= 0 })
 	if end < 0 {
 		t.Fatal("miss never completed")
@@ -49,7 +54,7 @@ func TestColdMissThenHit(t *testing.T) {
 		t.Errorf("cold miss completed at %d, must include DRAM latency (>=100)", missDone)
 	}
 	start := missDone + 1
-	h.AccessAt(0, 0x10008, 8, Read, start, func(now int64) { hitDone = now })
+	h.AccessAt(0, 0x10008, 8, Read, start, doneFunc(func(now int64) { hitDone = now }), 0)
 	for now := start; now < start+100; now++ {
 		h.Tick(now)
 	}
@@ -69,7 +74,7 @@ func TestMSHRCoalescing(t *testing.T) {
 	h := simpleHier(0)
 	doneCount := 0
 	for i := 0; i < 4; i++ {
-		h.AccessAt(0, 0x20000+uint64(i*8), 8, Read, 0, func(now int64) { doneCount++ })
+		h.AccessAt(0, 0x20000+uint64(i*8), 8, Read, 0, doneFunc(func(now int64) { doneCount++ }), 0)
 	}
 	if end := run(h, 10000, func() bool { return doneCount == 4 }); end < 0 {
 		t.Fatal("requests never completed")
@@ -92,7 +97,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	total := 0
 	setStride := uint64(16 * 64)
 	for i := 0; i < 8; i++ {
-		h.AccessAt(0, 0x40000+uint64(i)*setStride, 8, Write, int64(i), func(now int64) { done++ })
+		h.AccessAt(0, 0x40000+uint64(i)*setStride, 8, Write, int64(i), doneFunc(func(now int64) { done++ }), 0)
 		total++
 	}
 	if end := run(h, 100000, func() bool { return done == total && !h.Busy() }); end < 0 {
@@ -116,7 +121,7 @@ func TestAtomicDirtiesLine(t *testing.T) {
 	done := 0
 	setStride := uint64(16 * 64)
 	for i := 0; i < 5; i++ {
-		h.AccessAt(0, 0x40000+uint64(i)*setStride, 8, Atomic, int64(i), func(now int64) { done++ })
+		h.AccessAt(0, 0x40000+uint64(i)*setStride, 8, Atomic, int64(i), doneFunc(func(now int64) { done++ }), 0)
 	}
 	if end := run(h, 100000, func() bool { return done == 5 && !h.Busy() }); end < 0 {
 		t.Fatal("atomics never completed")
@@ -135,7 +140,7 @@ func TestPrefetcherDetectsStream(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			done := int64(-1)
 			issue := now
-			h.AccessAt(0, 0x80000+uint64(i*64), 8, Read, issue, func(t int64) { done = t })
+			h.AccessAt(0, 0x80000+uint64(i*64), 8, Read, issue, doneFunc(func(t int64) { done = t }), 0)
 			for done < 0 {
 				h.Tick(now)
 				now++
@@ -161,7 +166,7 @@ func TestPrefetcherDetectsStream(t *testing.T) {
 func TestSimpleDRAMMinLatency(t *testing.T) {
 	d := NewSimpleDRAM(config.DRAMConfig{Model: config.DRAMSimple, MinLatency: 150, BandwidthGBs: 100, EpochCycles: 100}, 2000, 64)
 	var done int64 = -1
-	d.Access(&Request{Addr: 64, Size: 64, Kind: Read, Done: func(now int64) { done = now }}, 10)
+	d.Access(&Request{Addr: 64, Size: 64, Kind: Read, Waiter: doneFunc(func(now int64) { done = now })}, 10)
 	for now := int64(0); now < 1000 && done < 0; now++ {
 		d.Tick(now)
 	}
@@ -175,7 +180,7 @@ func TestSimpleDRAMBandwidthThrottling(t *testing.T) {
 		d := NewSimpleDRAM(config.DRAMConfig{Model: config.DRAMSimple, MinLatency: 10, BandwidthGBs: bwGBs, EpochCycles: 100}, 2000, 64)
 		remaining := 200
 		for i := 0; i < 200; i++ {
-			d.Access(&Request{Addr: uint64(i * 64), Size: 64, Kind: Read, Done: func(now int64) { remaining-- }}, 0)
+			d.Access(&Request{Addr: uint64(i * 64), Size: 64, Kind: Read, Waiter: doneFunc(func(now int64) { remaining-- })}, 0)
 		}
 		for now := int64(0); now < 1_000_000; now++ {
 			d.Tick(now)
@@ -209,7 +214,7 @@ func TestBankedDRAMRowLocality(t *testing.T) {
 		d := NewBankedDRAM(cfg)
 		remaining := len(addrs)
 		for _, a := range addrs {
-			d.Access(&Request{Addr: a, Size: 64, Kind: Read, Done: func(now int64) { remaining-- }}, 0)
+			d.Access(&Request{Addr: a, Size: 64, Kind: Read, Waiter: doneFunc(func(now int64) { remaining-- })}, 0)
 		}
 		for now := int64(0); now < 1_000_000; now++ {
 			d.Tick(now)
@@ -256,7 +261,7 @@ func TestMSHRStallRetries(t *testing.T) {
 	h := NewHierarchy(cfg, 1, 2000)
 	done := 0
 	for i := 0; i < 8; i++ {
-		h.AccessAt(0, uint64(0x10000+i*4096), 8, Read, 0, func(now int64) { done++ })
+		h.AccessAt(0, uint64(0x10000+i*4096), 8, Read, 0, doneFunc(func(now int64) { done++ }), 0)
 	}
 	if end := run(h, 100000, func() bool { return done == 8 }); end < 0 {
 		t.Fatal("requests starved behind full MSHRs")
@@ -295,9 +300,9 @@ func TestMSHRRetryNotBlockedByLaterEntries(t *testing.T) {
 	// B (due t=40) stalls on the full MSHR and retries from t=41.
 	// C (due t=60) is a later long-latency entry queued behind B's retries.
 	var doneB int64 = -1
-	c.Access(&Request{Addr: 0x00000, Size: 8, Kind: Read, Done: func(int64) {}}, 0)
-	c.Access(&Request{Addr: 0x10000, Size: 8, Kind: Read, Done: func(at int64) { doneB = at }}, 20)
-	c.Access(&Request{Addr: 0x20000, Size: 8, Kind: Read, Done: func(int64) {}}, 40)
+	c.Access(&Request{Addr: 0x00000, Size: 8, Kind: Read, Waiter: doneFunc(func(int64) {})}, 0)
+	c.Access(&Request{Addr: 0x10000, Size: 8, Kind: Read, Waiter: doneFunc(func(at int64) { doneB = at })}, 20)
+	c.Access(&Request{Addr: 0x20000, Size: 8, Kind: Read, Waiter: doneFunc(func(int64) {})}, 40)
 	for now := int64(0); now <= 100; now++ {
 		c.Tick(now)
 		if now >= 45 {
@@ -329,12 +334,12 @@ func TestThreeLevelHierarchy(t *testing.T) {
 	// Core 0 warms a line; its hit path stays private. Core 1 misses L1/L2
 	// but hits the shared LLC.
 	var d0, d1 int64 = -1, -1
-	h.AccessAt(0, 0x50000, 8, Read, 0, func(now int64) { d0 = now })
+	h.AccessAt(0, 0x50000, 8, Read, 0, doneFunc(func(now int64) { d0 = now }), 0)
 	if run(h, 10000, func() bool { return d0 >= 0 }) < 0 {
 		t.Fatal("core 0 access never completed")
 	}
 	start := d0 + 1
-	h.AccessAt(1, 0x50000, 8, Read, start, func(now int64) { d1 = now })
+	h.AccessAt(1, 0x50000, 8, Read, start, doneFunc(func(now int64) { d1 = now }), 0)
 	for now := start; now < start+1000 && d1 < 0; now++ {
 		h.Tick(now)
 	}
@@ -366,7 +371,7 @@ func TestEveryRequestCompletesOnce(t *testing.T) {
 				i := issued
 				kind := []Kind{Read, Write, Atomic}[rng.Intn(3)]
 				addr := uint64(rng.Intn(1 << 18))
-				h.AccessAt(0, addr, 8, kind, now, func(int64) { completions[i]++ })
+				h.AccessAt(0, addr, 8, kind, now, doneFunc(func(int64) { completions[i]++ }), 0)
 				issued++
 			}
 			h.Tick(now)
@@ -426,7 +431,7 @@ func pingPong(h *Hierarchy, rounds int) int64 {
 	for r := 0; r < rounds; r++ {
 		core := r % 2
 		done := int64(-1)
-		h.AccessAt(core, 0x30000, 8, Write, now, func(t int64) { done = t })
+		h.AccessAt(core, 0x30000, 8, Write, now, doneFunc(func(t int64) { done = t }), 0)
 		for done < 0 {
 			h.Tick(now)
 			now++
@@ -466,7 +471,7 @@ func TestDirectoryReadSharingIsCheap(t *testing.T) {
 	// Both cores read the same line repeatedly: after warm-up, all hits.
 	for r := 0; r < 20; r++ {
 		done := int64(-1)
-		h.AccessAt(r%2, 0x40000, 8, Read, now, func(t int64) { done = t })
+		h.AccessAt(r%2, 0x40000, 8, Read, now, doneFunc(func(t int64) { done = t }), 0)
 		for done < 0 {
 			h.Tick(now)
 			now++
@@ -483,7 +488,7 @@ func TestDirectoryDirtyFetch(t *testing.T) {
 	now := int64(0)
 	run := func(core int, kind Kind) {
 		done := int64(-1)
-		h.AccessAt(core, 0x50000, 8, kind, now, func(t int64) { done = t })
+		h.AccessAt(core, 0x50000, 8, kind, now, doneFunc(func(t int64) { done = t }), 0)
 		for done < 0 {
 			h.Tick(now)
 			now++
@@ -501,6 +506,36 @@ func TestDirectoryDirtyFetch(t *testing.T) {
 	}
 }
 
+// TestDirectoryRecallsEveryPrivateLineSize: a recall drops the victim's copy
+// at every private level, whatever that level's line size. Core 0 reads a
+// line, core 1 writes it, and core 0's next read misses its L2 as well as its
+// L1 (an L2 of 128-byte lines once kept the copy: the recall named an L1 line
+// index, which the L2 read in its own units).
+func TestDirectoryRecallsEveryPrivateLineSize(t *testing.T) {
+	for _, l2Line := range []int{32, 64, 128} {
+		cfg := config.TableIIMem()
+		cfg.Directory = true
+		cfg.L2.LineBytes = l2Line
+		h := NewHierarchy(cfg, 2, 2000)
+		now := int64(0)
+		access := func(core int, kind Kind) {
+			done := int64(-1)
+			h.AccessAt(core, 0x40000, 8, kind, now, doneFunc(func(at int64) { done = at }), 0)
+			for ; done < 0; now++ {
+				h.Tick(now)
+			}
+		}
+		access(0, Read)
+		access(1, Write)
+		before := h.L2s[0].Stats
+		access(0, Read)
+		if s := h.L2s[0].Stats; s.Hits != before.Hits || s.Misses != before.Misses+1 {
+			t.Errorf("%d-byte L2 lines: core 0's read after the recall made %d L2 hits and %d misses, want 0 and 1",
+				l2Line, s.Hits-before.Hits, s.Misses-before.Misses)
+		}
+	}
+}
+
 func TestDirectoryDisjointLinesUnaffected(t *testing.T) {
 	coherent := coherentHier(true)
 	now := int64(0)
@@ -508,7 +543,7 @@ func TestDirectoryDisjointLinesUnaffected(t *testing.T) {
 		core := r % 2
 		done := int64(-1)
 		addr := uint64(0x60000 + core*4096)
-		coherent.AccessAt(core, addr, 8, Write, now, func(t int64) { done = t })
+		coherent.AccessAt(core, addr, 8, Write, now, doneFunc(func(t int64) { done = t }), 0)
 		for done < 0 {
 			coherent.Tick(now)
 			now++
@@ -535,7 +570,7 @@ func TestLRUWithinAssociativity(t *testing.T) {
 		now := int64(0)
 		touch := func(addr uint64) {
 			done := int64(-1)
-			h.AccessAt(0, addr, 8, Read, now, func(t int64) { done = t })
+			h.AccessAt(0, addr, 8, Read, now, doneFunc(func(t int64) { done = t }), 0)
 			for done < 0 {
 				h.Tick(now)
 				now++
@@ -564,7 +599,7 @@ func TestCacheHitSteadyStateAllocs(t *testing.T) {
 	h := NewHierarchy(config.TableIIMem(), 1, 2000)
 	now := int64(0)
 	step := func() {
-		h.AccessAt(0, 1<<16, 8, Read, now, nil)
+		h.AccessAt(0, 1<<16, 8, Read, now, nil, 0)
 		for i := 0; i < 4; i++ {
 			h.Tick(now)
 			now++
@@ -598,7 +633,7 @@ func TestCacheMissSteadyStateAllocs(t *testing.T) {
 	done := func(int64) { finished = true }
 	step := func() {
 		finished = false
-		h.AccessAt(0, addr, 8, Write, now, done)
+		h.AccessAt(0, addr, 8, Write, now, doneFunc(done), 0)
 		for !finished {
 			h.Tick(now)
 			now++

@@ -37,22 +37,26 @@ func (k Kind) String() string {
 	return "kind?"
 }
 
-// isDemand reports whether the request has a consumer waiting on it.
-func (k Kind) isDemand() bool { return k == Read || k == Write || k == Atomic }
+// Waiter is told when a demand request completes: MemDone gets the request's
+// Tag and the completion cycle.
+type Waiter interface {
+	MemDone(tag, at int64)
+}
 
-// Request is one memory access flowing through the hierarchy. Done (if
-// non-nil) is invoked exactly once with the completion cycle.
+// Request is one memory access flowing through the hierarchy. Its Waiter (if
+// non-nil) is called exactly once, with Tag and the completion cycle.
 type Request struct {
-	Addr uint64
-	Size int
-	Kind Kind
-	Done func(now int64)
+	Addr   uint64
+	Size   int
+	Waiter Waiter
+	Tag    int64
+	Kind   Kind
 
 	// fill is the cache a line-fill request installs its line (Addr >> its
 	// shift) into, nil for every other request; prefetched marks a fill a
 	// prefetch started.
-	fill       *Cache
 	prefetched bool
+	fill       *Cache
 	// next chains the waiters of one MSHR.
 	next *Request
 	// free is the list that made the request and takes it back once it
@@ -61,13 +65,13 @@ type Request struct {
 }
 
 // Finish completes the request at cycle now: a line fill installs its line,
-// any other request calls Done. The request is then recycled, so the caller
-// must not touch it again.
+// any other request tells its Waiter. The request is then recycled, so the
+// caller must not touch it again.
 func (r *Request) Finish(now int64) {
 	if c := r.fill; c != nil {
 		c.fill(r.Addr>>c.shift, r.prefetched, now)
-	} else if r.Done != nil {
-		r.Done(now)
+	} else if r.Waiter != nil {
+		r.Waiter.MemDone(r.Tag, now)
 	}
 	if l := r.free; l != nil {
 		*r = Request{free: l}

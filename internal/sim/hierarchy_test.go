@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mosaicsim/internal/config"
+	"mosaicsim/internal/soc"
 	"mosaicsim/internal/workloads"
 )
 
@@ -50,6 +51,91 @@ func TestRunAllocatesPerLineNotPerMiss(t *testing.T) {
 	}
 	if allocs*10 >= uint64(misses) {
 		t.Errorf("the run allocated %d objects for %d L1 misses, want fewer than %d", allocs, misses, misses/10)
+	}
+}
+
+// sgemmSession is a session of sgemm at tiny scale on sc.
+func sgemmSession(t *testing.T, sc *config.SystemConfig) *Session {
+	t.Helper()
+	w, err := workloads.Resolve("sgemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(Options{Workload: w, Scale: workloads.Tiny, Cache: NewCache(), Config: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// buildAndRun traces s, then builds and runs its system and returns it with
+// the bytes and objects BuildSystem and Run allocate.
+func buildAndRun(t *testing.T, s *Session) (sys *soc.System, bytes, objects uint64) {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := s.Trace(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys, err := s.BuildSystem(ctx)
+	if err == nil {
+		err = sys.Run(ctx, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestRunBytesFollowLinesHeld pins what building and running sgemm at tiny
+// scale on a 16-tile 4x4 mesh with the directory on allocates, 5 % above the
+// counts it reads. A set holds the ways filled into it, carved from its
+// hierarchy's line arena, and a ring slot holds no completion closure; when
+// the first fill into a set took its page's 64 sets of every way, and each
+// slot a closure, the same run allocated 843,720 bytes in 3,055 objects.
+func TestRunBytesFollowLinesHeld(t *testing.T) {
+	mem := config.TableIIMem()
+	mem.Directory = true
+	sys, bytes, objects := buildAndRun(t, sgemmSession(t, &config.SystemConfig{
+		Name: "sgemm-16xooo", Cores: []config.CoreSpec{{Core: config.OutOfOrderCore(), Count: 16}}, Mem: mem,
+		NoC: &config.NoCConfig{MeshWidth: 4, HopCycles: 4},
+	}))
+	if inv, misses := sys.Hier.Dir.Stats.Invalidations, sys.Result().L2.Misses; inv == 0 || misses < 100 {
+		t.Fatalf("the run recalls %d lines and misses its L2s %d times: too small to tell", inv, misses)
+	}
+	const wantBytes, wantObjects = 551_976, 1_001
+	if bytes > wantBytes*105/100 || objects > wantObjects*105/100 {
+		t.Errorf("building and running allocated %d bytes in %d objects, want at most %d in %d (+5 %%)", bytes, objects, wantBytes, wantObjects)
+	}
+}
+
+// TestMaxGeometryCacheCostsWhatItHolds: an L1 at the largest size and
+// associativity Validate accepts, 256 sets of 65,536 ways, allocates for the
+// lines sgemm fills into it (the first fill into a set once took 96 MB), and
+// its run equals the one on an 8-way L1 of the same size, which never evicts
+// either.
+func TestMaxGeometryCacheCostsWhatItHolds(t *testing.T) {
+	run := func(assoc int) (soc.Result, uint64) {
+		mem := config.TableIIMem()
+		mem.L1.SizeKB, mem.L1.Assoc = config.MaxCacheKB, assoc
+		sc := &config.SystemConfig{Name: "sgemm-1xooo", Cores: []config.CoreSpec{{Core: config.OutOfOrderCore(), Count: 1}}, Mem: mem}
+		if err := sc.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sys, bytes, _ := buildAndRun(t, sgemmSession(t, sc))
+		return sys.Result(), bytes
+	}
+	widest, bytes := run(config.MaxEntries)
+	eight, _ := run(8)
+	if bytes > 1<<20 {
+		t.Errorf("a run on a %d-way L1 allocated %d bytes, want at most 1 MiB", config.MaxEntries, bytes)
+	}
+	a, _ := json.Marshal(widest)
+	b, _ := json.Marshal(eight)
+	if string(a) != string(b) {
+		t.Errorf("the %d-way L1's run differs from the 8-way one's:\n%s\n%s", config.MaxEntries, a, b)
 	}
 }
 

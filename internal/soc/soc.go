@@ -439,31 +439,6 @@ func (s *System) AccelBytes() int64 { return s.accel.Bytes }
 // AccelCalls is the total number of accelerator invocations.
 func (s *System) AccelCalls() int64 { return s.accel.Calls }
 
-type memPort struct {
-	h    *mem.Hierarchy
-	core int
-}
-
-func (p memPort) Access(addr uint64, size int, kind mem.Kind, now int64, done func(int64)) {
-	p.h.AccessAt(p.core, addr, size, kind, now, done)
-}
-
-type accelPort struct {
-	t *AccelTile
-}
-
-// Invoke implements core.AccelInvoker: it queries the accelerator tile for
-// latency and resource usage (§IV-A) and schedules the completion, which is
-// delivered through the invoking core's completion queue via done.
-func (p accelPort) Invoke(name string, params []int64, now int64, done func(int64)) error {
-	at, err := p.t.invoke(name, params, now)
-	if err != nil {
-		return err
-	}
-	done(at)
-	return nil
-}
-
 // New builds a system from per-tile specs, a memory configuration, and
 // accelerator models (may be nil).
 func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[string]AccelModel) (*System, error) {
@@ -524,7 +499,7 @@ func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[stri
 	s.tiles = append(s.tiles, s.accel)
 	s.tilePos = make([]int, len(tiles))
 	for i, t := range tiles {
-		c := core.New(i, t.Cfg, progs[i], t.TT, memPort{h: s.Hier, core: i}, s.Fabric, accelPort{t: s.accel})
+		c := core.New(i, t.Cfg, progs[i], t.TT, s.Hier, s.Fabric, s.accel)
 		c.SetClockScale(int64(maxClock), int64(t.Cfg.ClockMHz))
 		s.Cores = append(s.Cores, c)
 		kind := t.Kind
@@ -579,6 +554,10 @@ func NewSPMD(cfg *config.SystemConfig, g *ddg.Graph, tr *trace.Trace, accels map
 // DefaultCycleLimit guards Run(ctx, 0) against runaway simulations.
 const DefaultCycleLimit = int64(1) << 40
 
+// MaxCycleLimit caps every run's limit: a cycle stays below mem.HorizonNone
+// (2^62), and a cache line packs its last use into 61 bits.
+const MaxCycleLimit = int64(1) << 60
+
 // ctxCheckInterval is how many Interleaver iterations pass between context
 // polls. Iterations are sub-microsecond even on wide systems — and stay
 // around 100µs under the race detector's instrumentation — so a cancel is
@@ -602,10 +581,10 @@ func (s *System) cancelErr(ctx context.Context, cause error, cycle, effLimit int
 
 // Run advances the system until every tile retires its trace and the memory
 // hierarchy drains, or the cycle limit is hit (limit <= 0 selects
-// DefaultCycleLimit). Run honors ctx: cancellation is polled at
-// horizon-jump and interleave boundaries, so a cancel or deadline returns
-// promptly even mid-simulation with an error wrapping the context's, and a
-// nil ctx is treated as context.Background().
+// DefaultCycleLimit; a limit past MaxCycleLimit is capped there). Run honors
+// ctx: cancellation is polled at horizon-jump and interleave boundaries, so a
+// cancel or deadline returns promptly even mid-simulation with an error
+// wrapping the context's, and a nil ctx is treated as context.Background().
 //
 // The Interleaver normally busy-ticks every tile and the hierarchy each
 // cycle. When an iteration makes zero forward progress and every live tile
@@ -620,7 +599,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 	if err := s.Fabric.Validate(); err != nil {
 		return err
 	}
-	effLimit := limit
+	effLimit := min(limit, MaxCycleLimit)
 	if effLimit <= 0 {
 		effLimit = DefaultCycleLimit
 	}

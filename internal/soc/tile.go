@@ -204,10 +204,11 @@ func (t *AccelTile) Stats() TileStats {
 	return TileStats{Instrs: t.Calls, ActiveCycles: t.BusyCycles}
 }
 
-// invoke runs one accelerator invocation: it queries the model with the
-// current concurrency (§IV-A), charges energy and traffic, and schedules the
-// outstanding-count decrement at the completion cycle.
-func (t *AccelTile) invoke(name string, params []int64, now int64) (int64, error) {
+// Invoke implements core.AccelInvoker: it runs one accelerator invocation,
+// querying the model with the current concurrency (§IV-A), charges energy and
+// traffic, schedules the outstanding-count decrement at the completion cycle
+// and returns that cycle.
+func (t *AccelTile) Invoke(name string, params []int64, now int64) (int64, error) {
 	m, ok := t.models[name]
 	if !ok {
 		return 0, fmt.Errorf("soc: no accelerator model registered for %q", name)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mosaicsim/internal/config"
+	"mosaicsim/internal/soc"
 	"mosaicsim/internal/workloads"
 )
 
@@ -55,6 +56,9 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 		"mem.dirEntry.sharers": {64, config.MaxDirectoryTiles},
 		// One seq per dynamic instruction, a count Read bounds to int64.
 		"core.dynNode.seq": {i64, i64}, "trace.TileTrace.DynInstrs": {i64, i64},
+		// A line's last use, a cycle of the run (Run ticks up to one past its
+		// limit), shifted past the three flag bits.
+		"mem.cacheLine.word": {1<<61 - 1, soc.MaxCycleLimit + 1},
 	}
 	found := map[string]bool{} // every named type and struct field of the four packages
 	check := func(key string, ty ast.Expr) {
