@@ -132,9 +132,9 @@ type tileCtx struct {
 	// current barrier and is waiting for the others.
 	atBarrier bool
 	barriers  int64 // barriers passed or arrived at
-	path      trace.Chunks[int32]
-	mem       trace.Chunks[uint64] // load, store and atomic addresses
-	comm      trace.Chunks[int32]  // send and recv partners
+	path      trace.Stream
+	mem       trace.Stream // load, store and atomic addresses
+	comm      trace.Stream // send and recv partners
 	acc       []trace.AccCall
 	dyn       int64   // dynamic instruction count
 	prof      []int64 // per-static-instruction execution counts (optional)
@@ -243,7 +243,7 @@ func (q *ring) pop() uint64 {
 // returns the pc of its first non-phi instruction. Phis count as dynamic
 // instructions (and in the profile) but not against the caller's timeslice.
 func (t *tileCtx) enter(e *edge) int {
-	t.path.Append(e.block)
+	t.path.Append(uint64(e.block))
 	if n := len(e.copies); n > 0 {
 		regs := t.regs
 		if e.parallel {
@@ -379,15 +379,15 @@ loop:
 			regs[in.dst] = uint64(int64(regs[in.a]) + signExt(regs[in.b], in.bty)*int64(regs[in.c]))
 		case ir.OpLoad:
 			addr := regs[in.a]
-			t.mem.Append(addr)
+			t.mem.AppendAddr(addr)
 			regs[in.dst] = mem.LoadScalar(addr, in.ty)
 		case ir.OpStore:
 			addr := regs[in.b]
-			t.mem.Append(addr)
+			t.mem.AppendAddr(addr)
 			mem.StoreScalar(addr, in.ty, regs[in.a])
 		case ir.OpAtomicAdd:
 			addr := regs[in.a]
-			t.mem.Append(addr)
+			t.mem.AppendAddr(addr)
 			old := mem.LoadScalar(addr, in.ty)
 			if in.ty.IsFloat() {
 				mem.StoreScalar(addr, in.ty, fromFloat(toFloat(old, in.ty)+toFloat(regs[in.b], in.ty), in.ty))
@@ -432,7 +432,7 @@ loop:
 				break loop
 			}
 			regs[in.dst] = t.r.queues[src*nt+t.id].pop()
-			t.comm.Append(int32(src))
+			t.comm.Append(uint64(src))
 		case opSend:
 			dst := int(int64(regs[in.a]))
 			if dst < 0 || dst >= nt {
@@ -440,7 +440,7 @@ loop:
 				break loop
 			}
 			t.r.queues[t.id*nt+dst].push(regs[in.b])
-			t.comm.Append(int32(dst))
+			t.comm.Append(uint64(dst))
 		case opTileID:
 			regs[in.dst] = uint64(t.id)
 		case opNumTiles:

@@ -16,7 +16,8 @@ import (
 
 // FuzzTraceDecode feeds Read arbitrary bytes: it must return an error that
 // says "trace:", or a trace that re-encodes to bytes which decode to an equal
-// trace — and never panic or take a second. The corpus starts from real
+// trace — and never panic or take a second. A version 2 input re-encodes to
+// exactly the bytes Read consumed: every value has one encoding. The corpus starts from real
 // traces in version 2 (SPMD with atomics, an accelerator call, DAE pairs with
 // comm events), from a version 1 file an older build wrote, and from the
 // count lie that killed the old decoder.
@@ -67,6 +68,9 @@ func FuzzTraceDecode(f *testing.F) {
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			t.Fatal(err)
+		}
+		if data[4] == 2 && !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatal("a version 2 trace re-encodes to other bytes than it was read from")
 		}
 		again, err := trace.Read(&buf)
 		if err != nil {

@@ -83,7 +83,7 @@ func TestWorkloadsSimulate(t *testing.T) {
 		// Core energy is the per-class table summed over the trace: every
 		// entry is a small integer, so the float sums are exact in any order.
 		var energy float64
-		tr.Tiles[0].BBPath.Values(func(b int32) bool {
+		tr.Tiles[0].BBPath.Values(func(b uint64) bool {
 			for _, n := range g.Blocks[b].Nodes {
 				energy += config.EnergyPerClassPJ[core.Classify(n.Instr)]
 			}

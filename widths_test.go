@@ -39,18 +39,19 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 		// Enumerations; access sizes, at most the widest IR type's 8 bytes.
 		"core.nodeState": {u8, 3}, "core.OpKind": {u8, 5}, "mem.Kind": {u8, 4},
 		"core.StaticNode.MemSize": {u8, 8}, "core.dynNode.memSize": {i32, 8},
-		// Static indices, positions in a block and block IDs: below the
-		// kernel's instruction count (and Read refuses a block ID past int32).
+		// Static indices and positions in a block: below the kernel's
+		// instruction count.
 		"core.StaticNode.Idx": {i32, kernel}, "core.StaticNode.Cross": {i32, kernel}, "core.StaticNode.Phi": {i32, kernel},
 		"core.StaticNode.Intra": {i32, kernel}, "core.StaticNode.Wake": {i32, kernel}, "core.StaticNode.Fused": {i32, kernel + 1},
-		"core.Core.path": {i32, kernel}, "trace.TileTrace.BBPath": {i32, kernel},
 		// A node's producers (operands and a phi edge), a slot of the ring that
 		// holds the window (MaxEntries) and a block, and its edge pool indices.
 		"core.dynNode.parentsLeft": {i32, int64(maxArgs + 1)}, "core.edge.dep": {i32, ring},
 		"core.dynNode.depHead": {i32, edges}, "core.edge.next": {i32, edges}, "core.Core.edgeFree": {i32, edges},
 		// Tile IDs (MaxTiles); Check refuses a partner outside [0, tiles).
-		"trace.TileTrace.Tile": {i32, tiles}, "trace.TileTrace.Comm": {i32, tiles},
-		"core.dynNode.partner": {i32, tiles}, "core.Core.comm": {i32, tiles},
+		"trace.TileTrace.Tile": {i32, tiles}, "core.dynNode.partner": {i32, tiles},
+		// A stream's encoded bytes: any byte. Its values are uint64, and Read
+		// refuses a block ID or partner past int32.
+		"trace.Stream.cur": {u8, u8}, "trace.Cursor.rest": {u8, u8},
 		// gshare's 12 history bits and 2-bit counters; one sharer bit per tile.
 		"core.Core.bpHistory": {math.MaxUint32, 1<<12 - 1}, "core.Core.bpCounters": {u8, 3},
 		"mem.dirEntry.sharers": {64, config.MaxDirectoryTiles},
@@ -66,8 +67,6 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 		switch e := ty.(type) {
 		case *ast.ArrayType:
 			ty = e.Elt
-		case *ast.IndexExpr: // Chunks[int32], Cursor[int32]
-			ty = e.Index
 		}
 		id, ok := ty.(*ast.Ident)
 		if _, listed := rows[key]; ok && !listed && strings.Contains(" int8 int16 int32 uint8 byte uint16 uint32 ", " "+id.Name+" ") {
