@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -172,5 +173,48 @@ func TestConcurrentHierarchies(t *testing.T) {
 		if string(got) != string(serial) {
 			t.Errorf("concurrent run %d differs from the serial run:\n%s\n%s", i, got, serial)
 		}
+	}
+}
+
+// TestCoreAndDRAMKnobsAtTheirEdge: every core and DRAM size knob that
+// config.Validate bounds, written out by hand so that drift in the bound is
+// caught. At its maximum, sgemm at tiny scale on one tile runs every
+// instruction in no more cycles than the default takes (each knob only
+// widens a resource); one past it, the session is refused with a
+// *config.SizeError that names the knob.
+func TestCoreAndDRAMKnobsAtTheirEdge(t *testing.T) {
+	system := func(set func(c *config.CoreConfig, d *config.DRAMConfig, v int), v int) *config.SystemConfig {
+		core, mem := config.OutOfOrderCore(), config.TableIIMem()
+		mem.DRAM = config.BankedDRAMDefaults(mem.DRAM.BandwidthGBs)
+		if set != nil {
+			set(&core, &mem.DRAM, v)
+		}
+		return &config.SystemConfig{Name: "sgemm-edge", Cores: []config.CoreSpec{{Core: core, Count: 1}}, Mem: mem}
+	}
+	base, _, _ := buildAndRun(t, sgemmSession(t, system(nil, 0)))
+	want := base.Result()
+	for _, row := range []struct {
+		field string
+		max   int
+		set   func(c *config.CoreConfig, d *config.DRAMConfig, v int)
+	}{
+		{"issue_width", config.MaxEntries, func(c *config.CoreConfig, _ *config.DRAMConfig, v int) { c.IssueWidth = v }},
+		{"window_size", config.MaxEntries, func(c *config.CoreConfig, _ *config.DRAMConfig, v int) { c.WindowSize = v }},
+		{"lsq_size", config.MaxEntries, func(c *config.CoreConfig, _ *config.DRAMConfig, v int) { c.LSQSize = v }},
+		{"max_messages", config.MaxEntries, func(c *config.CoreConfig, _ *config.DRAMConfig, v int) { c.MaxMessages = v }},
+		{"channels", config.MaxDRAMBanks, func(_ *config.CoreConfig, d *config.DRAMConfig, v int) { d.Channels = v }},
+		{"banks", config.MaxDRAMBanks, func(_ *config.CoreConfig, d *config.DRAMConfig, v int) { d.Banks = v }},
+	} {
+		t.Run(row.field, func(t *testing.T) {
+			sys, _, _ := buildAndRun(t, sgemmSession(t, system(row.set, row.max)))
+			if got := sys.Result(); got.Instrs != want.Instrs || got.Cycles <= 0 || got.Cycles > want.Cycles {
+				t.Errorf("at %d: %d instructions in %d cycles; want %d in at most %d", row.max, got.Instrs, got.Cycles, want.Instrs, want.Cycles)
+			}
+			_, err := NewSession(Options{Workload: workloads.ByName("sgemm"), Scale: workloads.Tiny, Cache: NewCache(), Config: system(row.set, row.max+1)})
+			var se *config.SizeError
+			if !errors.As(err, &se) || se.Field != row.field {
+				t.Errorf("at %d: NewSession = %v, want a *config.SizeError on %s", row.max+1, err, row.field)
+			}
+		})
 	}
 }
