@@ -19,11 +19,6 @@ func (t CType) String() string {
 	return t.Kind.String()
 }
 
-// IsNumeric reports whether values of the type participate in arithmetic.
-func (t CType) IsNumeric() bool {
-	return !t.Ptr && (t.Kind.IsInt() || t.Kind.IsFloat())
-}
-
 func scalar(k ir.Type) CType  { return CType{Kind: k} }
 func pointer(k ir.Type) CType { return CType{Kind: k, Ptr: true} }
 

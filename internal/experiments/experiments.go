@@ -14,7 +14,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"mosaicsim/internal/config"
 	"mosaicsim/internal/ir"
@@ -232,14 +231,4 @@ func (r *Runner) runID(ctx context.Context, id string) (*Report, error) {
 	default:
 		return nil, Resolve(id)
 	}
-}
-
-// sortedKeys returns map keys sorted for deterministic rendering.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

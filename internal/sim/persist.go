@@ -206,11 +206,3 @@ func (c *Cache) dropImported(key Key) {
 	defer c.mu.Unlock()
 	delete(c.imported, key)
 }
-
-// ImportedCount reports how many traces are staged for adoption (startup
-// logging).
-func (c *Cache) ImportedCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.imported)
-}

@@ -77,6 +77,15 @@ func runSPMD(t *testing.T, src string, cores int, coreCfg config.CoreConfig, set
 	return sys.Result()
 }
 
+// Pending reports messages still buffered anywhere.
+func (f *Fabric) Pending() int {
+	n := 0
+	for _, q := range f.queues {
+		n += q.n
+	}
+	return n
+}
+
 func TestSingleCoreEndToEnd(t *testing.T) {
 	r := runSPMD(t, spmdVecAdd, 1, config.OutOfOrderCore(), vecSetup(512))
 	if r.Cycles <= 0 || r.Instrs <= 0 {
