@@ -242,14 +242,6 @@ func (c *Cache) Counters() CacheCounters {
 	return CacheCounters{Hits: c.hits, Misses: c.misses, Evictions: c.evicted}
 }
 
-// Entries returns the total live entries across all layers (in-flight
-// included).
-func (c *Cache) Entries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.kernels.m) + len(c.graphs.m) + len(c.slices.m) + len(c.arts.m) + len(c.scheds.m)
-}
-
 // ReplayCounters is a point-in-time snapshot of the cache's schedule-replay
 // activity: Hits counts runs answered with a copy of a recorded schedule's Result,
 // Fallbacks counts runs that found a schedule but whose config delta the

@@ -7,6 +7,14 @@ import (
 	"mosaicsim/internal/workloads"
 )
 
+// Entries returns the total live entries across all layers (in-flight
+// included).
+func (c *Cache) Entries() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.kernels.m) + len(c.graphs.m) + len(c.slices.m) + len(c.arts.m) + len(c.scheds.m)
+}
+
 // buildArtifact traces one tiny ad-hoc workload through the given cache and
 // returns its key.
 func buildArtifact(t *testing.T, c *Cache, name string) Key {
