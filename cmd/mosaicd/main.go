@@ -267,7 +267,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Print("drain deadline hit waiting for running jobs")
 	}
 	// Persist warm artifacts so the next process starts with today's traces
-	// and schedules instead of recomputing them.
+	// and schedules instead of recomputing them. A stored blob this process
+	// could not import is replaced by the one it rebuilt.
 	if st != nil {
 		exported := 0
 		if err := cache.ExportArtifacts(func(name string, data []byte) error {
@@ -282,7 +283,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}); err != nil {
 			logger.Printf("artifact export: %v", err)
 		} else if exported > 0 {
-			logger.Printf("exported %d new artifact blobs to %s", exported, c.dataDir)
+			logger.Printf("exported %d new or replaced artifact blobs to %s", exported, c.dataDir)
 		}
 	}
 	stopStreams() // ends live event streams so Shutdown's handler wait returns

@@ -91,23 +91,24 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// TestBootsOverDamagedArtifact: a -data-dir holding a trace blob whose BB
-// path count lies (2^62 entries in 18 bytes — it used to kill recovery in
-// makeslice) boots, logs the blob as skipped, serves a job and drains.
+// TestBootsOverDamagedArtifact: a -data-dir holding a trace blob whose path
+// counts lie (2^62 blocks and bits in 27 bytes — a count like it used to kill
+// recovery in makeslice) boots, logs the blob as skipped, serves a job and
+// drains.
 func TestBootsOverDamagedArtifact(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := `{"kind":"trace","key":{}}` + "\nMSTR\x01\x00\x01\x00\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+	blob := `{"kind":"trace","key":{}}` + "\nMSTR\x03\x00\x01\x00\x00" + strings.Repeat("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 2)
 	if _, err := st.PutArtifact("trace-damaged", []byte(blob)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
 
 	d := boot(t, dir)
-	if log := d.stderr.String(); !strings.Contains(log, "artifact trace-damaged: sim: import trace-damaged: trace: decoding block id: unexpected EOF (skipped)") {
+	if log := d.stderr.String(); !strings.Contains(log, "artifact trace-damaged: sim: import trace-damaged: trace: decoding path bits: unexpected EOF (skipped)") {
 		t.Errorf("the damaged blob was not logged as skipped:\n%s", log)
 	}
 	d.serveOne(t)

@@ -140,7 +140,7 @@ type Core struct {
 
 	// trace cursors; prevBlock is the block launched last (-1 before the
 	// first), whose phis the next launch resolves against.
-	path      trace.Cursor
+	path      trace.Walk
 	mem       trace.Cursor
 	comm      trace.Cursor
 	accCursor int
@@ -248,7 +248,7 @@ func New(id int, cfg config.CoreConfig, p *Program, tt *trace.TileTrace, memp Me
 		clockNum: 1,
 		clockDen: 1,
 	}
-	c.path, c.mem, c.comm, c.prevBlock = tt.BBPath.Cursor(), tt.Mem.Cursor(), tt.Comm.Cursor(), -1
+	c.path, c.mem, c.comm, c.prevBlock = tt.BBPath.Walk(p.CFG), tt.Mem.Cursor(), tt.Comm.Cursor(), -1
 	for i := range c.lastDyn {
 		c.lastDyn[i] = -1
 	}
@@ -260,7 +260,7 @@ func New(id int, cfg config.CoreConfig, p *Program, tt *trace.TileTrace, memp Me
 	// count; a launch needs unretired < WindowSize, so the window never
 	// holds more than WindowSize plus the largest block. The path's block
 	// histogram is counted in liveDBB, which is zeroed again before use.
-	tt.BBPath.Count(c.liveDBB)
+	tt.BBPath.Count(p.CFG, c.liveDBB)
 	total, maxBlock := 0, 0
 	for b, k := range c.liveDBB {
 		if k > 0 {
@@ -560,11 +560,10 @@ func (c *Core) launchDBBs(now int64) {
 		maxLaunch = 1
 	}
 	for launches < maxLaunch {
-		next, ok := c.path.Peek()
+		bid, ok := c.path.Peek()
 		if !ok {
 			return
 		}
-		bid := int(next)
 		if c.lastDBB != nil {
 			switch c.Cfg.Branch {
 			case config.BranchPerfect:
@@ -665,11 +664,10 @@ func (c *Core) launchOne(bid int) {
 
 	// Branch prediction (§III-C): decide whether launching the *next* DBB
 	// must wait for this terminator plus the misprediction penalty.
-	if next, ok := c.path.Peek(); ok {
-		actual := int(next)
+	if actual, ok := c.path.Peek(); ok {
 		switch c.Cfg.Branch {
 		case config.BranchStatic:
-			d.mispredict = blk.Predicted != actual
+			d.mispredict = staticPrediction(c.prog.CFG[bid], bid) != actual
 		case config.BranchDynamic:
 			d.mispredict = !c.gsharePredict(recs[blk.TermPos].Instr, actual)
 		}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -375,18 +378,28 @@ func TestCorruptTracePanics(t *testing.T) {
 	long := withAddrs(func(a []uint64) []uint64 { return slices.Insert(a, 3, a[3]) })
 	// The path without its final ret, the block's instructions and addresses
 	// taken off the counts too: only the path's last block gives it away.
-	var path []uint64
-	tt.BBPath.Values(func(b uint64) bool { path = append(path, b); return true })
-	last, mems := int(path[len(path)-1]), 0
+	var path []int
+	for w := tt.BBPath.Walk(p.CFG); ; {
+		b, ok := w.Next()
+		if !ok {
+			break
+		}
+		path = append(path, b)
+	}
+	last, mems := path[len(path)-1], 0
 	for _, sn := range p.Nodes(last) {
 		if sn.Kind == KindMem {
 			mems++
 		}
 	}
 	noRet := withAddrs(func(a []uint64) []uint64 { return a[:len(a)-mems] })
-	noRet.BBPath, noRet.DynInstrs = trace.Stream{}, tt.DynInstrs-int64(p.Blocks[last].N)
-	for _, b := range path[:len(path)-1] {
-		noRet.BBPath.Append(b)
+	noRet.BBPath, noRet.DynInstrs = trace.Path{}, tt.DynInstrs-int64(p.Blocks[last].N)
+	for i, b := range path[:len(path)-1] {
+		s := [2]int32{0, -1} // the entry
+		if i > 0 {
+			s = p.CFG[path[i-1]]
+		}
+		noRet.BBPath.Step(s, int32(b))
 	}
 	for name, bad := range map[string]*trace.TileTrace{"one address missing": short, "one address inserted": long, "no final ret": noRet} {
 		if err := p.Check(bad, 1); err == nil {
@@ -399,6 +412,23 @@ func TestCorruptTracePanics(t *testing.T) {
 		}
 	}()
 	runCore(t, config.OutOfOrderCore(), g, short, 2)
+}
+
+// TestCheckEndsOnACycleOfBrs: a path over a kernel whose brs loop can run
+// as long as its counts claim without reading a bit; Check stops it at the
+// first block the walk enters twice without a decision.
+func TestCheckEndsOnACycleOfBrs(t *testing.T) {
+	p := Lower(ddg.Build(ir.MustParse("func @kernel() {\nentry:\n  br %spin\nspin:\n  br %spin\n}\n").Func("kernel")))
+	v3 := []byte("MSTR\x03\x00\x01\x00")
+	v3 = binary.AppendUvarint(v3, 1<<62) // instructions
+	v3 = binary.AppendUvarint(v3, 1<<62) // blocks
+	tr, err := trace.Read(bytes.NewReader(append(v3, 0, 0, 0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Check(tr.Tiles[0], 1); err == nil || !strings.Contains(err.Error(), "path loops through block 1 without a decision") {
+		t.Errorf("Check = %v, want the loop named", err)
+	}
 }
 
 func TestClockScaling(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"mosaicsim/internal/config"
@@ -75,16 +74,14 @@ type StaticNode struct {
 // Block is one basic block: nodes [First, First+N) of its Program.
 type Block struct {
 	First, N, TermPos int
-	// Predicted is the static predictor's successor block (§III-C), -1 when
-	// the terminator has none.
-	Predicted int
-	Barriers  int // barrier ops in the block
+	Barriers          int // barrier ops in the block
 }
 
 // Program is a kernel's DDG lowered into flat records, built once per graph
 // per system and shared read-only by every core replaying that kernel.
 type Program struct {
 	Blocks []Block      // by block ID
+	CFG    trace.CFG    // each block's successors, by block ID: what a path walks
 	nodes  []StaticNode // by static index
 }
 
@@ -94,28 +91,35 @@ func (p *Program) Nodes(b int) []StaticNode {
 }
 
 // Check walks tt's streams the way launching its blocks on p consumes them,
-// without timing, and reports the first way a replay would go wrong: a path
-// p's kernel cannot take (it starts at block 0, steps only to a successor of
-// the last block's terminator and ends in ret), an instruction count other
-// than DynInstrs, a partner outside [0, tiles), an accelerator call to
-// another intrinsic or arity, or any stream element missing or left over.
-// Streams name no instructions, so only exact consumption keeps them in step:
-// one address inserted mid-stream shifts every later one and leaves one over.
-// A trace recorded from p's kernel always passes; a damaged file may not.
+// without timing, and reports the first way a replay would go wrong: path
+// bits p's kernel does not consume exactly (a condbr with no bit left, or
+// bits left after the ret), a block or instruction count other than the
+// trace's, a partner outside [0, tiles), an accelerator call to another
+// intrinsic or arity, or any stream element missing or left over. Streams
+// name no instructions, so only exact consumption keeps them in step: one
+// address inserted mid-stream shifts every later one and leaves one over.
+// The walk stops past DynInstrs instructions, and at more blocks in a row
+// without a decision than the kernel has (a cycle of brs), so no path makes
+// it hang. A trace recorded from p's kernel always passes; a damaged file
+// may not.
 func (p *Program) Check(tt *trace.TileTrace, tiles int) error {
 	addrs, comm, acc := tt.Mem.Len(), tt.Comm.Cursor(), tt.Acc
-	instrs, prev := int64(0), -1
-	for path := tt.BBPath.Cursor(); ; {
-		v, ok := path.Next()
+	instrs, blocks, bits, run := int64(0), 0, 0, 0
+	for path := tt.BBPath.Walk(p.CFG); ; {
+		b, ok := path.Next()
 		if !ok {
 			break
 		}
-		if !p.steps(prev, v) {
-			return fmt.Errorf("path steps from block %d to %d, which the kernel cannot take", prev, v)
+		blocks++
+		if p.CFG[b][1] >= 0 { // the walk ends here when no bit is left
+			bits, run = bits+1, 0
+		} else if run++; run > len(p.Blocks) {
+			return fmt.Errorf("path loops through block %d without a decision", b)
 		}
-		prev = int(v)
-		instrs += int64(p.Blocks[prev].N)
-		for _, sn := range p.Nodes(prev) {
+		if instrs += int64(p.Blocks[b].N); instrs > tt.DynInstrs {
+			return fmt.Errorf("path runs more than the trace's %d instructions", tt.DynInstrs)
+		}
+		for _, sn := range p.Nodes(b) {
 			switch sn.Kind {
 			case KindMem:
 				if addrs--; addrs < 0 {
@@ -134,26 +138,18 @@ func (p *Program) Check(tt *trace.TileTrace, tiles int) error {
 		}
 	}
 	switch _, extra := comm.Next(); {
-	case prev < 0 || p.term(prev).Op != ir.OpRet:
-		return fmt.Errorf("path ends in block %d, not in a ret", prev)
+	case blocks == 0:
+		return errors.New("empty path")
+	case bits != tt.BBPath.Bits():
+		return fmt.Errorf("path runs %d condbrs, the trace holds %d bits", bits, tt.BBPath.Bits())
+	case blocks != tt.BBPath.Len():
+		return fmt.Errorf("path runs %d blocks, the trace counts %d", blocks, tt.BBPath.Len())
 	case instrs != tt.DynInstrs:
 		return fmt.Errorf("path runs %d instructions, the trace counts %d", instrs, tt.DynInstrs)
 	case addrs > 0 || extra || len(acc) > 0:
 		return errors.New("trace longer than its path: an address, comm partner or accelerator call is left over")
 	}
 	return nil
-}
-
-// term returns block b's terminator.
-func (p *Program) term(b int) *ir.Instr { return p.nodes[p.Blocks[b].First+p.Blocks[b].TermPos].Instr }
-
-// steps reports whether a path may go from block from (-1 before the first)
-// to block to: the entry block first, then a successor of from's terminator.
-func (p *Program) steps(from int, to uint64) bool {
-	if from < 0 {
-		return to == 0 && len(p.Blocks) > 0
-	}
-	return slices.ContainsFunc(p.term(from).Targets, func(t *ir.Block) bool { return uint64(t.ID) == to })
 }
 
 // Lower resolves everything static about g into a Program.
@@ -170,12 +166,15 @@ func Lower(g *ddg.Graph) *Program {
 	}
 	// One backing array for every dependence list of the program.
 	arena := make([]int32, 0, edges)
-	p := &Program{Blocks: make([]Block, nb), nodes: make([]StaticNode, g.Fn.NumInstrs())}
+	p := &Program{Blocks: make([]Block, nb), CFG: make(trace.CFG, nb), nodes: make([]StaticNode, g.Fn.NumInstrs())}
 	for b, bg := range g.Blocks {
+		p.CFG[b] = [2]int32{-1, -1}
+		for i, t := range bg.Nodes[bg.TermPos].Instr.Targets {
+			p.CFG[b][i] = int32(t.ID)
+		}
 		first := bg.Nodes[0].Instr.Idx
 		blk := &p.Blocks[b]
-		*blk = Block{First: first, N: len(bg.Nodes), TermPos: bg.TermPos,
-			Predicted: staticPrediction(bg.Nodes[bg.TermPos].Instr, b)}
+		*blk = Block{First: first, N: len(bg.Nodes), TermPos: bg.TermPos}
 		for pos := range bg.Nodes {
 			dn := &bg.Nodes[pos]
 			sn := &p.nodes[first+pos]
@@ -251,7 +250,7 @@ func (p *Program) linkWake() {
 // and a store/atomic whose value comes from a recv (store value buffer) lets
 // the recv drain without stalling the core.
 func (p *Program) withDeSC() *Program {
-	q := &Program{Blocks: p.Blocks, nodes: append([]StaticNode(nil), p.nodes...)}
+	q := &Program{Blocks: p.Blocks, CFG: p.CFG, nodes: append([]StaticNode(nil), p.nodes...)}
 	for b := range q.Blocks {
 		recs := q.Nodes(b)
 		for pos := range recs {
@@ -277,34 +276,20 @@ func (p *Program) withDeSC() *Program {
 // withFree returns a copy of p whose nodes carry mask (by static index) as
 // their Free bits; blocks and dependence lists stay shared.
 func (p *Program) withFree(mask []bool) *Program {
-	q := &Program{Blocks: p.Blocks, nodes: append([]StaticNode(nil), p.nodes...)}
+	q := &Program{Blocks: p.Blocks, CFG: p.CFG, nodes: append([]StaticNode(nil), p.nodes...)}
 	for i := range q.nodes {
 		q.nodes[i].Free = i < len(mask) && mask[i]
 	}
 	return q
 }
 
-// staticPrediction implements the static predictor (§III-C): backward
-// branches (loops) predicted taken toward the lower-numbered block, forward
-// branches predicted fall-through (the lexically next block).
-func staticPrediction(term *ir.Instr, curBlock int) int {
-	if term.Op != ir.OpCondBr {
-		if len(term.Targets) == 1 {
-			return term.Targets[0].ID
-		}
-		return -1 // ret: no successor
-	}
-	t0, t1 := term.Targets[0].ID, term.Targets[1].ID
-	// Predict a backward target (loop) if one exists.
-	if t0 <= curBlock {
-		return t0
-	}
-	if t1 <= curBlock {
+// staticPrediction implements the static predictor (§III-C) for block b with
+// successors s: backward branches (loops) predicted taken toward the
+// lower-numbered block, forward branches predicted fall-through (the nearer,
+// lexically next block). A br predicts its target, a ret -1.
+func staticPrediction(s [2]int32, b int) int {
+	if t0, t1 := int(s[0]), int(s[1]); t1 >= 0 && t0 > b && (t1 <= b || t1 < t0) {
 		return t1
 	}
-	// Otherwise predict the nearer (fall-through-like) target.
-	if t0 < t1 {
-		return t0
-	}
-	return t1
+	return int(s[0])
 }

@@ -141,7 +141,7 @@ exit:
 	}
 }
 
-// chunksFor bounds how many chunks a trace.Stream fills with n bytes: the
+// chunksFor bounds how many chunks a trace stream fills with n bytes: the
 // first holds 256, each later one twice the last up to 64 Ki, less the at
 // most 9 bytes a chunk leaves unused.
 func chunksFor(n int) int {
@@ -177,15 +177,20 @@ func TestTraceAllocation(t *testing.T) {
 	tt := run(long).Trace.Tiles[0]
 	runtime.ReadMemStats(&after)
 	// A stream's bytes, and a few of header, as a tile holding it alone encodes.
-	size := func(s trace.Stream) int {
-		n, _ := (&trace.Trace{Tiles: []*trace.TileTrace{{BBPath: s}}}).EncodedSize()
+	size := func(tt trace.TileTrace) int {
+		n, _ := (&trace.Trace{Tiles: []*trace.TileTrace{&tt}}).EncodedSize()
 		return int(n)
 	}
-	final := uint64(size(tt.BBPath) + size(tt.Mem))
+	path, addrs := size(trace.TileTrace{BBPath: tt.BBPath}), size(trace.TileTrace{Mem: tt.Mem})
+	final := uint64(path + addrs)
+	// The path is a bit per condbr, one per iteration.
+	if bits := tt.BBPath.Bits(); bits != long || path > bits/8+32 {
+		t.Errorf("the path of %d iterations holds %d bits in %d bytes, want %d in %d + its header", long, bits, path, long, long/8)
+	}
 
 	allocs := func(n int) float64 { return testing.AllocsPerRun(5, func() { run(n) }) }
 	// Per stream: its chunks and the appends that list them.
-	budget := float64(chunksFor(size(tt.BBPath)) + chunksFor(size(tt.Mem)) + 12)
+	budget := float64(chunksFor(path) + chunksFor(addrs) + 12)
 	if a, b := allocs(short), allocs(long); b-a > budget {
 		t.Errorf("10x the iterations cost %.0f more allocations (%.0f -> %.0f), budget %.0f", b-a, a, b, budget)
 	}

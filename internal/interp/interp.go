@@ -131,8 +131,8 @@ type tileCtx struct {
 	// atBarrier marks that the tile has registered its arrival at the
 	// current barrier and is waiting for the others.
 	atBarrier bool
-	barriers  int64 // barriers passed or arrived at
-	path      trace.Stream
+	barriers  int64        // barriers passed or arrived at
+	path      trace.Path   // condbr outcomes
 	mem       trace.Stream // load, store and atomic addresses
 	comm      trace.Stream // send and recv partners
 	acc       []trace.AccCall
@@ -238,12 +238,12 @@ func (q *ring) pop() uint64 {
 	return v
 }
 
-// enter takes control-flow edge e: it records the target block in the
-// control-flow trace, performs the target's phis as one parallel copy, and
-// returns the pc of its first non-phi instruction. Phis count as dynamic
-// instructions (and in the profile) but not against the caller's timeslice.
+// enter takes control-flow edge e: it counts the target block on the path,
+// performs the target's phis as one parallel copy, and returns the pc of its
+// first non-phi instruction. Phis count as dynamic instructions (and in the
+// profile) but not against the caller's timeslice.
 func (t *tileCtx) enter(e *edge) int {
-	t.path.Append(uint64(e.block))
+	t.path.Enter()
 	if n := len(e.copies); n > 0 {
 		regs := t.regs
 		if e.parallel {
@@ -400,10 +400,11 @@ loop:
 			executed++
 			continue
 		case ir.OpCondBr: // b, c: the taken and not-taken edges
-			e := in.c
+			e, bit := in.c, uint(1) // the path records the index of the target taken
 			if regs[in.a]&1 != 0 {
-				e = in.b
+				e, bit = in.b, 0
 			}
+			t.path.Branch(bit)
 			pc = t.enter(&p.edges[e])
 			executed++
 			continue

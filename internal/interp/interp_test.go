@@ -127,9 +127,22 @@ func TestVecAddComputesCorrectValues(t *testing.T) {
 }
 
 // events returns a trace stream's elements as a slice.
-func events(s *trace.Stream) (out []uint64) {
-	s.Values(func(v uint64) bool { out = append(out, v); return true })
-	return out
+// blocks returns tt's path walked over f's CFG.
+func blocks(f *ir.Function, tt *trace.TileTrace) (out []int) {
+	cfg := make(trace.CFG, len(f.Blocks))
+	for i, b := range f.Blocks {
+		cfg[i] = [2]int32{-1, -1}
+		for j, s := range b.Succs() {
+			cfg[i][j] = int32(s.ID)
+		}
+	}
+	for w := tt.BBPath.Walk(cfg); ; {
+		b, ok := w.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, b)
+	}
 }
 
 // access is one traced address beside the instruction that made it: the
@@ -143,15 +156,14 @@ type access struct {
 // path, the way the timing core does.
 func accesses(f *ir.Function, tt *trace.TileTrace) (out []access) {
 	addrs := tt.Mem.Cursor()
-	tt.BBPath.Values(func(b uint64) bool {
+	for _, b := range blocks(f, tt) {
 		for _, in := range f.Blocks[b].Instrs {
 			if in.IsMemory() {
 				addr, _ := addrs.Next()
 				out = append(out, access{in, addr})
 			}
 		}
-		return true
-	})
+	}
 	return out
 }
 
@@ -159,15 +171,16 @@ func TestVecAddTraceShape(t *testing.T) {
 	_, res, _ := runVecAdd(t, 4)
 	tt := res.Trace.Tiles[0]
 	// Paper Fig. 3: BB path is entry, 4x loop, exit.
-	want := []uint64{0, 1, 1, 1, 1, 2}
-	if path := events(&tt.BBPath); !slices.Equal(path, want) {
-		t.Fatalf("BBPath = %v, want %v", path, want)
+	want := []int{0, 1, 1, 1, 1, 2}
+	f := ir.MustParse(vecAddSrc).Func("kernel")
+	if path := blocks(f, tt); !slices.Equal(path, want) || tt.BBPath.Len() != 6 || tt.BBPath.Bits() != 4 {
+		t.Fatalf("BBPath = %v (%d blocks, %d bits), want %v: a bit per condbr", path, tt.BBPath.Len(), tt.BBPath.Bits(), want)
 	}
 	// 2 loads + 1 store per iteration.
 	if n := tt.Mem.Len(); n != 12 {
 		t.Errorf("mem events = %d, want 12", n)
 	}
-	mem := accesses(ir.MustParse(vecAddSrc).Func("kernel"), tt)
+	mem := accesses(f, tt)
 	loads, stores := 0, 0
 	for _, ev := range mem {
 		switch ev.in.Op {
@@ -274,7 +287,7 @@ exit:
 	// Every tile must have its own control-flow path with n/tiles iterations.
 	for _, tt := range res.Trace.Tiles {
 		bodies := 0
-		for _, bb := range events(&tt.BBPath) {
+		for _, bb := range blocks(f, tt) {
 			if bb == 2 {
 				bodies++
 			}

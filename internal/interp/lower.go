@@ -34,7 +34,6 @@ type inst struct {
 
 // edge is one control-flow edge into a block.
 type edge struct {
-	block    int32     // the target's block ID, as traced
 	pc       int32     // the target's first non-phi instruction
 	phi0     int32     // static index of the target's first phi
 	copies   []phiCopy // one per phi of the target
@@ -155,7 +154,7 @@ func lower(f *ir.Function, globals map[*ir.Global]uint64) *program {
 	// to. A phi with no value for the edge makes the edge lead to an opErr
 	// appended after the kernel's code instead.
 	edgeTo := func(from, to *ir.Block) int32 {
-		e := edge{block: int32(to.ID), pc: start[to.ID]}
+		e := edge{pc: start[to.ID]}
 		for i, phi := range to.Instrs[:nphi[to.ID]] {
 			if i == 0 {
 				e.phi0 = int32(phi.Idx)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -11,7 +13,10 @@ import (
 	"testing"
 
 	"mosaicsim/internal/config"
+	"mosaicsim/internal/core"
+	"mosaicsim/internal/ddg"
 	"mosaicsim/internal/soc"
+	"mosaicsim/internal/store"
 	"mosaicsim/internal/trace"
 	"mosaicsim/internal/workloads"
 )
@@ -247,6 +252,61 @@ func TestImportedTraceAdopted(t *testing.T) {
 	}
 }
 
+// TestDamagedStoredBlobIsReplaced runs three daemon lifetimes on one store,
+// each importing every blob (logging and skipping what fails), running a job
+// and exporting: a stored trace blob damaged on disk is refused and re-traced
+// once, the drain replaces it, and the next lifetime imports it with no error
+// and adopts it without re-tracing.
+func TestDamagedStoredBlobIsReplaced(t *testing.T) {
+	w, cfg := spinWorkload("persist-replaced", 200), oneTileConfig("persist-replaced-cfg")
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	lifetime := func() (c *Cache, refused int, adopted bool) {
+		c = NewCache()
+		if err := st.Artifacts(func(name string, data []byte) error {
+			if c.ImportArtifact(name, data) != nil {
+				refused++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(Options{Workload: w, Config: cfg, Cache: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := s.Artifact(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ExportArtifacts(func(name string, data []byte) error {
+			_, err := st.PutArtifact(name, data)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return c, refused, art.Trace == c.importedTrace(s.Key())
+	}
+	lifetime()
+	var path string
+	if err := st.Artifacts(func(name string, data []byte) error {
+		path = filepath.Join(st.Dir(), "artifacts", name)
+		data[len(data)-1] ^= 1
+		return os.WriteFile(path, data, 0o644)
+	}); err != nil || path == "" {
+		t.Fatalf("damaging the stored blob: %v", err)
+	}
+	if _, refused, _ := lifetime(); refused != 1 {
+		t.Fatalf("the damaged blob: %d refused, want 1", refused)
+	}
+	if c, refused, adopted := lifetime(); refused != 0 || c.ImportedCount() != 1 || !adopted {
+		t.Errorf("after the drain: %d refused, %d staged, adopted %v; want 0, 1, true", refused, c.ImportedCount(), adopted)
+	}
+}
+
 // TestImportArtifactRejectsCorruptBlobs: corrupt payloads are "sim: import"
 // errors instead of silently installed garbage — or, for a trace whose counts
 // lie, a makeslice panic that takes the daemon down at recovery.
@@ -254,8 +314,9 @@ func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
 	const traceHdr = `{"kind":"trace","key":{}}` + "\n"
 	var good bytes.Buffer
 	tt := &trace.TileTrace{DynInstrs: 9}
-	for _, b := range []uint64{0, 1, 1, 2} {
-		tt.BBPath.Append(b)
+	for i := 0; i < 4; i++ {
+		tt.BBPath.Enter()
+		tt.BBPath.Branch(uint(i & 1))
 	}
 	tr := &trace.Trace{Kernel: "k", Tiles: []*trace.TileTrace{tt}}
 	if _, err := tr.WriteTo(&good); err != nil {
@@ -268,8 +329,9 @@ func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
 		{"unknown kind", `{"kind":"bogus","key":{}}` + "\n", "unknown artifact kind"},
 		{"garbage trace payload", traceHdr + "garbage", "trace: decoding magic"},
 		{"truncated trace", traceHdr + good.String()[:good.Len()/2], "trace: decoding"},
-		// A header, one tile, and a BB path that claims 2^62 entries.
-		{"trace whose BB path count lies", traceHdr + "MSTR\x01\x00\x01\x00\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40", "trace: decoding block id: unexpected EOF"},
+		// A header, one tile, and a path that claims 2^62 blocks and bits.
+		{"trace whose BB path count lies", traceHdr + "MSTR\x03\x00\x01\x00\x00" + strings.Repeat("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 2), "trace: decoding path bits: unexpected EOF"},
+		{"trace an older build wrote", traceHdr + "MSTR\x02\x00\x01\x00\x01\x01\x00\x00\x00\x00", trace.ErrNoCFG.Error()},
 		{"garbage schedule payload", `{"kind":"sched","key":{}}` + "\n{", "unexpected EOF"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -384,13 +446,18 @@ func exportedTrace(t testing.TB, w *workloads.Workload, cfg *config.SystemConfig
 	return hdr, payload, res
 }
 
-// damagedTraces re-encodes payload's trace once per way to damage it so that
-// it still decodes but does not replay on its kernel: a block the kernel
-// lacks, a path that misses its entry or its final ret, a step the kernel
-// cannot take, an instruction count the path does not run, or streams one
+// damagedTraces re-encodes payload's trace of w once per way to damage it so
+// that it still decodes but does not replay on its kernel: a path with one
+// bit too few or too many, its first decision flipped or its final ret
+// missing, an instruction count the path does not run, or streams one
 // element off the length the path consumes.
-func damagedTraces(t testing.TB, payload []byte) map[string][]byte {
+func damagedTraces(t testing.TB, w *workloads.Workload, payload []byte) map[string][]byte {
 	t.Helper()
+	f, err := w.Kernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Lower(ddg.Build(f)).CFG
 	edit := func(s *trace.Stream, addrs bool, edit func([]uint64) []uint64) {
 		var vs []uint64
 		s.Values(func(v uint64) bool { vs = append(vs, v); return true })
@@ -403,25 +470,41 @@ func damagedTraces(t testing.TB, payload []byte) map[string][]byte {
 			add(v)
 		}
 	}
-	path := func(e func([]uint64) []uint64) func(*trace.TileTrace) {
-		return func(tt *trace.TileTrace) { edit(&tt.BBPath, false, e) }
+	// path rebuilds the path from its block count and decisions, edited.
+	path := func(e func(n int, bits []uint) (int, []uint)) func(*trace.TileTrace) {
+		return func(tt *trace.TileTrace) {
+			var bits []uint
+			for w := tt.BBPath.Walk(cfg); ; {
+				b, ok := w.Next()
+				next, more := w.Peek()
+				if !ok || !more {
+					break
+				}
+				if s := cfg[b]; s[1] == int32(next) && s[0] != int32(next) {
+					bits = append(bits, 1)
+				} else if s[1] >= 0 {
+					bits = append(bits, 0)
+				}
+			}
+			n, bits := e(tt.BBPath.Len(), bits)
+			tt.BBPath = trace.Path{}
+			for range n {
+				tt.BBPath.Enter()
+			}
+			for _, b := range bits {
+				tt.BBPath.Branch(b)
+			}
+		}
 	}
 	mem := func(e func([]uint64) []uint64) func(*trace.TileTrace) {
 		return func(tt *trace.TileTrace) { edit(&tt.Mem, true, e) }
 	}
 	out := map[string][]byte{}
 	for name, damage := range map[string]func(tt *trace.TileTrace){
-		"block the kernel lacks": func(tt *trace.TileTrace) { tt.BBPath.Append(1 << 20) },
-		"entry block missing":    path(func(p []uint64) []uint64 { return p[1:] }),
-		"final ret missing":      path(func(p []uint64) []uint64 { return p[:len(p)-1] }),
-		"a step to a non-successor": path(func(p []uint64) []uint64 {
-			i := 1 // swap the first two distinct inner blocks: counts stay right
-			for p[i] == p[i+1] {
-				i++
-			}
-			p[i], p[i+1] = p[i+1], p[i]
-			return p
-		}),
+		"one bit missing":                 path(func(n int, b []uint) (int, []uint) { return n, b[:len(b)-1] }),
+		"one bit extra":                   path(func(n int, b []uint) (int, []uint) { return n, append(b, 0) }),
+		"first bit flipped":               path(func(n int, b []uint) (int, []uint) { b[0] ^= 1; return n, b }),
+		"final ret missing":               path(func(n int, b []uint) (int, []uint) { return n - 1, b }),
 		"no instructions counted":         func(tt *trace.TileTrace) { tt.DynInstrs = 0 },
 		"one instruction too many":        func(tt *trace.TileTrace) { tt.DynInstrs++ },
 		"one address missing":             mem(func(a []uint64) []uint64 { return a[:len(a)-1] }),
@@ -451,7 +534,7 @@ func damagedTraces(t testing.TB, payload []byte) map[string][]byte {
 func TestDamagedImportedTraceIsRetraced(t *testing.T) {
 	w, cfg := spinWorkload("persist-damaged", 200), oneTileConfig("persist-damaged-cfg")
 	hdr, payload, want := exportedTrace(t, w, cfg)
-	for name, body := range damagedTraces(t, payload) {
+	for name, body := range damagedTraces(t, w, payload) {
 		t.Run(name, func(t *testing.T) {
 			c := NewCache()
 			if err := c.ImportArtifact("damaged", asOlderBuild(t, hdr, body)); err != nil {
@@ -496,7 +579,7 @@ func FuzzImportArtifact(f *testing.F) {
 	hdr, payload, want := exportedTrace(f, w, cfg)
 	f.Add(append(append(append([]byte(nil), hdr...), '\n'), payload...))
 	f.Add(asOlderBuild(f, hdr, payload))
-	for _, body := range damagedTraces(f, payload) {
+	for _, body := range damagedTraces(f, w, payload) {
 		f.Add(asOlderBuild(f, hdr, body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

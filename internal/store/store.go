@@ -28,6 +28,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -279,10 +280,11 @@ func sanitizeBlobName(name string) error {
 	return nil
 }
 
-// PutArtifact lands an opaque blob under name, atomically, if absent.
-// Artifact names are content addresses (they encode the sim cache key), so
-// an existing blob is already the right bytes and the write is skipped.
-// It reports whether the blob was newly written.
+// PutArtifact lands an opaque blob under name, atomically, unless the blob
+// stored there already holds data. A name encodes only the sim cache key, so
+// a stored blob with other bytes is damaged or from another build (one the
+// import refused, which the export then re-created): it is replaced. It
+// reports whether it wrote.
 func (s *Store) PutArtifact(name string, data []byte) (bool, error) {
 	if err := sanitizeBlobName(name); err != nil {
 		return false, err
@@ -291,7 +293,7 @@ func (s *Store) PutArtifact(name string, data []byte) (bool, error) {
 		return false, fmt.Errorf("store: closed")
 	}
 	path := filepath.Join(s.dir, "artifacts", name)
-	if _, err := os.Stat(path); err == nil {
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
 		return false, nil
 	}
 	if err := writeFileAtomic(path, data); err != nil {

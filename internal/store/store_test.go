@@ -162,10 +162,17 @@ func TestArtifactBlobs(t *testing.T) {
 	if err != nil || !wrote {
 		t.Fatalf("first put: wrote=%v err=%v", wrote, err)
 	}
-	// Content-addressed: a second put of the same name is a no-op.
-	wrote, err = s.PutArtifact("trace-abc123", []byte("different"))
+	// The same bytes again are not rewritten.
+	wrote, err = s.PutArtifact("trace-abc123", []byte("payload"))
 	if err != nil || wrote {
 		t.Fatalf("second put: wrote=%v err=%v", wrote, err)
+	}
+	// Other bytes under the name replace a damaged blob, or an older build's.
+	if wrote, err = s.PutArtifact("trace-abc123", []byte("p\x00yload")); err != nil || !wrote {
+		t.Fatalf("damaged blob not replaced: wrote=%v err=%v", wrote, err)
+	}
+	if wrote, err = s.PutArtifact("trace-abc123", []byte("payload")); err != nil || !wrote {
+		t.Fatalf("put after damage: wrote=%v err=%v", wrote, err)
 	}
 	if _, err := s.PutArtifact("../escape", []byte("x")); err == nil {
 		t.Error("path-escaping artifact name accepted")

@@ -2,27 +2,56 @@ package trace
 
 import "encoding/binary"
 
-// Stream is an append-only event stream held in its file form: each element
-// is a uvarint (block IDs, partners) or the zigzag varint of its delta from
-// the previous element (addresses), in a list of byte chunks. The first chunk
-// holds minChunk bytes, each later one twice the last up to maxChunk, and a
-// filled chunk is never moved. An element never straddles two chunks: one
-// starts when fewer than MaxVarintLen64 bytes are left, so where chunks end
-// depends only on the bytes. The generator records into the chunks, Read
-// decodes into them, WriteTo copies them out and the timing core reads them
-// in place through a Cursor. The zero value is an empty stream.
-type Stream struct {
-	full  [][]byte // filled chunks, oldest first
-	cur   []byte   // the chunk being filled
-	n     int      // elements
-	last  uint64   // the element AppendAddr encoded last
-	addrs bool     // AppendAddr wrote it: its elements are address deltas
+// chunks holds a stream's bytes: the first chunk holds minChunk bytes, each
+// later one twice the last up to maxChunk, and a filled chunk is never moved.
+type chunks struct {
+	full [][]byte // filled chunks, oldest first
+	cur  []byte   // the chunk being filled
 }
 
 const (
 	minChunk = 256      // bytes: 64 tile traces of a small kernel stay small
 	maxChunk = 64 << 10 // bytes
 )
+
+// chunk returns chunk i, the one being filled for i == len(c.full).
+func (c *chunks) chunk(i int) []byte {
+	if i < len(c.full) {
+		return c.full[i]
+	}
+	return c.cur
+}
+
+func (c *chunks) grow() {
+	n := minChunk
+	if c.cur != nil {
+		c.full = append(c.full, c.cur)
+		n = min(2*cap(c.cur), maxChunk)
+	}
+	c.cur = make([]byte, 0, n)
+}
+
+// appendByte adds x to a list whose chunks are filled to capacity.
+func (c *chunks) appendByte(x byte) {
+	if len(c.cur) == cap(c.cur) {
+		c.grow()
+	}
+	c.cur = append(c.cur, x)
+}
+
+// Stream is an append-only event stream held in its file form: each element
+// is a uvarint (partners) or the zigzag varint of its delta from the previous
+// element (addresses), in chunks. An element never straddles two chunks: one
+// starts when fewer than MaxVarintLen64 bytes are left, so where chunks end
+// depends only on the bytes. The generator records into the chunks, Read
+// decodes into them, WriteTo copies them out and the timing core reads them
+// in place through a Cursor. The zero value is an empty stream.
+type Stream struct {
+	chunks
+	n     int    // elements
+	last  uint64 // the element AppendAddr encoded last
+	addrs bool   // AppendAddr wrote it: its elements are address deltas
+}
 
 // Append adds v to the stream as a uvarint. It encodes into a local slice,
 // which keeps it inlinable and its loop free of stores to s.
@@ -48,15 +77,6 @@ func (s *Stream) AppendAddr(a uint64) {
 	s.Append(uint64(d<<1 ^ d>>63))
 }
 
-func (s *Stream) grow() {
-	n := minChunk
-	if s.cur != nil {
-		s.full = append(s.full, s.cur)
-		n = min(2*cap(s.cur), maxChunk)
-	}
-	s.cur = make([]byte, 0, n)
-}
-
 // Len returns the number of elements in the stream.
 func (s *Stream) Len() int { return s.n }
 
@@ -66,25 +86,6 @@ func (s *Stream) Values(yield func(uint64) bool) {
 	for r := s.Cursor(); ; {
 		if v, ok := r.Next(); !ok || !yield(v) {
 			return
-		}
-	}
-}
-
-// Count adds one to counts[v] for each element v of a stream of uvarints,
-// such as a block path, in one pass with no call per element.
-func (s *Stream) Count(counts []int) {
-	for i := 0; i <= len(s.full); i++ {
-		b := s.cur
-		if i < len(s.full) {
-			b = s.full[i]
-		}
-		for len(b) > 0 {
-			u, k := uint64(b[0]), 1
-			if u >= 0x80 {
-				u, k = binary.Uvarint(b)
-			}
-			counts[u]++
-			b = b[k:]
 		}
 	}
 }
@@ -100,7 +101,7 @@ func (s *Stream) Cursor() Cursor {
 
 // Cursor reads a stream front to back, decoding in place one element ahead,
 // so Peek is a field read. Next decodes 1- and 2-byte varints inline, which
-// are most block IDs, partners and address deltas.
+// are most partners and address deltas.
 type Cursor struct {
 	v    uint64  // the next element, decoded
 	rest []byte  // the undecoded part of the current chunk
@@ -121,10 +122,7 @@ func (r *Cursor) Next() (v uint64, ok bool) {
 			r.s = nil
 			return v, ok
 		}
-		r.rest = r.s.cur
-		if r.next < len(r.s.full) {
-			r.rest = r.s.full[r.next]
-		}
+		r.rest = r.s.chunk(r.next)
 		r.next++
 	}
 	var u uint64

@@ -1,6 +1,7 @@
 // Package trace defines MosaicSim-Go's dynamic trace artifacts: the
-// control-flow path (sequence of basic-block IDs), the memory-address stream
-// of every load/store/atomic, and recorded accelerator-invocation parameters.
+// control-flow path (one bit per executed conditional branch), the
+// memory-address stream of every load/store/atomic, and recorded
+// accelerator-invocation parameters.
 //
 // These are the two trace files the paper's Dynamic Trace Generator writes
 // after the instrumented native run (§II-A), plus the accelerator-parameter
@@ -27,12 +28,12 @@ type AccCall struct {
 }
 
 // TileTrace holds the dynamic trace of a single tile's kernel execution:
-// only what the run decided. Which instruction each address or partner
-// belongs to, and an access's size and kind, are static: the timing core
-// takes them from the kernel as it walks BBPath.
+// only what the run decided. The successor of every br, which instruction
+// each address or partner belongs to, and an access's size and kind, are
+// static: the timing core takes them from the kernel as it walks BBPath.
 type TileTrace struct {
 	Tile      int32
-	BBPath    Stream    // basic-block IDs in launch order
+	BBPath    Path      // the blocks in launch order, as condbr outcomes
 	Mem       Stream    // load, store and atomic addresses in program order (AppendAddr)
 	Acc       []AccCall // accelerator invocations in program order
 	Comm      Stream    // send destination / recv source tiles in program order (§II-C)
@@ -63,18 +64,25 @@ func (t *Trace) TotalMemEvents() int64 {
 	return n
 }
 
-// Version 1 also wrote, per memory event, its instruction index, size and
-// kind, and per comm event its instruction index: Read skips them.
+// Versions 1 and 2 wrote the path as block IDs, which Read turns into bits
+// against the kernel's CFG. Version 1 also wrote, per memory event, its
+// instruction index, size and kind, and per comm event its instruction
+// index: Read skips them.
 const (
 	magic   = "MSTR"
-	version = 2
+	version = 3
 )
 
-// WriteTo serializes the trace in the compact binary format, version 2.
-// Control-flow IDs and partners are written as uvarints and addresses as
-// zigzag deltas, mirroring how the original traces stay "typically less than
-// 1 GB" for the control path while memory traces dominate (§VI-B). Streams
-// are held in that form, so each is its count and then its chunks' bytes.
+// ErrNoCFG is the error a version 1 or 2 path is read with when Read has no
+// CFG for its tile.
+var ErrNoCFG = errors.New("a version 1 or 2 path is block IDs: read it against its kernel's CFG")
+
+// WriteTo serializes the trace in the compact binary format, version 3. The
+// path is its block count, its bit count and its bits' bytes; partners are
+// uvarints and addresses zigzag deltas, mirroring how the original traces
+// stay "typically less than 1 GB" for the control path while memory traces
+// dominate (§VI-B). Streams are held in that form, so each is its count and
+// then its chunks' bytes.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
@@ -83,12 +91,12 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	var buf [binary.MaxVarintLen64]byte
 	put := func(v uint64) { bw.Write(binary.AppendUvarint(buf[:0], v)) }
 	putStr := func(s string) { put(uint64(len(s))); bw.WriteString(s) }
-	putStream := func(s *Stream) {
-		put(uint64(s.n))
-		for _, ch := range s.full {
+	putChunks := func(n int, c *chunks) {
+		put(uint64(n))
+		for _, ch := range c.full {
 			bw.Write(ch)
 		}
-		bw.Write(s.cur)
+		bw.Write(c.cur)
 	}
 
 	bw.WriteString(magic)
@@ -98,8 +106,9 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	for _, tt := range t.Tiles {
 		put(uint64(tt.Tile))
 		put(uint64(tt.DynInstrs))
-		putStream(&tt.BBPath)
-		putStream(&tt.Mem)
+		put(uint64(tt.BBPath.n))
+		putChunks(tt.BBPath.bits, &tt.BBPath.chunks)
+		putChunks(tt.Mem.n, &tt.Mem.chunks)
 		put(uint64(len(tt.Acc)))
 		for _, ac := range tt.Acc {
 			putStr(ac.Name)
@@ -108,7 +117,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 				bw.Write(binary.AppendVarint(buf[:0], p))
 			}
 		}
-		putStream(&tt.Comm)
+		putChunks(tt.Comm.n, &tt.Comm.chunks)
 	}
 	err := bw.Flush()
 	return cw.n, err
@@ -145,7 +154,7 @@ func (d *decoder) ReadByte() (byte, error) {
 }
 
 func (d *decoder) fail(field string, err error) {
-	if d.err == nil {
+	if d.err == nil && err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -207,11 +216,13 @@ func (d *decoder) str(field string) string {
 	return sb.String()
 }
 
-// Read deserializes a trace written by WriteTo, of either version. Malformed
-// input is a *DecodeError, never a panic, and peak allocation is linear in
-// the bytes consumed: each value is checked and appended to its tile's
-// Stream, which for version 2 re-encodes to the bytes consumed.
-func Read(r io.Reader) (*Trace, error) {
+// Read deserializes a trace written by WriteTo, of any version. Tile i of a
+// version 1 or 2 file takes its path's bits from cfgs[i%len(cfgs)]: a step
+// that CFG cannot take, and a path with no CFG, are errors. Malformed input
+// is a *DecodeError, never a panic, and peak allocation is linear in the
+// bytes consumed: each value is checked and appended to its tile's streams,
+// which for version 3 re-encode to the bytes consumed.
+func Read(r io.Reader, cfgs ...CFG) (*Trace, error) {
 	d := &decoder{br: bufio.NewReader(r)}
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(d.br, hdr); err != nil {
@@ -220,7 +231,7 @@ func Read(r io.Reader) (*Trace, error) {
 		d.fail("magic", errors.New("bad magic"))
 	}
 	ver := d.uvarint("version")
-	if d.err == nil && ver != 1 && ver != version {
+	if d.err == nil && (ver < 1 || ver > version) {
 		d.fail("version", fmt.Errorf("unsupported version %d", ver))
 	}
 	v1 := ver == 1
@@ -228,8 +239,10 @@ func Read(r io.Reader) (*Trace, error) {
 	for i, ntiles := uint64(0), d.uvarint("tile count"); i < ntiles && d.err == nil; i++ {
 		tt := &TileTrace{Tile: d.index("tile id")}
 		tt.DynInstrs = int64(d.bounded("dynamic instruction count", math.MaxInt64))
-		for j, n := uint64(0), d.uvarint("BB path length"); j < n && d.err == nil; j++ {
-			tt.BBPath.Append(uint64(d.index("block id")))
+		if ver == version {
+			d.path(&tt.BBPath)
+		} else {
+			d.blockIDs(&tt.BBPath, cfgs, int(i))
 		}
 		for j, n := uint64(0), d.uvarint("memory event count"); j < n && d.err == nil; j++ {
 			if v1 {
@@ -259,6 +272,43 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, d.err
 	}
 	return t, nil
+}
+
+// path reads a version 3 path: block count, bit count and the bits' bytes,
+// the last one's unused high bits zero.
+func (d *decoder) path(p *Path) {
+	p.n = int(d.bounded("path block count", math.MaxInt64))
+	bits := d.bounded("path bit count", math.MaxInt64)
+	for j := uint64(0); j < (bits+7)/8 && d.err == nil; j++ {
+		x, err := d.ReadByte()
+		d.fail("path bits", err)
+		p.appendByte(x)
+	}
+	if p.bits = int(bits); d.err == nil && bits&7 != 0 && p.cur[len(p.cur)-1]>>(bits&7) != 0 {
+		d.fail("path bits", errors.New("nonzero padding"))
+	}
+}
+
+// blockIDs reads a version 1 or 2 path, uvarint block IDs, into bits over
+// tile i's CFG: from block 0, each a successor of the one before, to a ret.
+func (d *decoder) blockIDs(p *Path, cfgs []CFG, i int) {
+	n, next := d.uvarint("BB path length"), [2]int32{0, -1} // where the path may go
+	if n > 0 && len(cfgs) == 0 {
+		d.fail("BB path", ErrNoCFG)
+	}
+	for j := uint64(0); j < n && d.err == nil; j++ {
+		switch cfg, id := cfgs[i%len(cfgs)], d.index("block id"); {
+		case d.err != nil:
+		case int(id) >= len(cfg) || id != next[0] && id != next[1]:
+			d.fail("block id", fmt.Errorf("the kernel cannot step to block %d", id))
+		default:
+			p.Step(next, id)
+			next = cfg[id]
+		}
+	}
+	if d.err == nil && n > 0 && next[0] >= 0 {
+		d.fail("BB path", errors.New("the path does not end in a ret"))
+	}
 }
 
 type countingWriter struct {

@@ -2,12 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
-	"math"
-	"os"
 	"reflect"
 	"runtime"
 	"slices"
@@ -32,11 +28,37 @@ func addrsOf(as ...uint64) (s Stream) {
 	return s
 }
 
+// pathOf returns the path of n blocks holding bits.
+func pathOf(n int, bits ...uint) (p Path) {
+	for range n {
+		p.Enter()
+	}
+	for _, b := range bits {
+		p.Branch(b)
+	}
+	return p
+}
+
 // collect returns what an iteration over a stream yields (nil when empty).
 func collect(seq func(func(uint64) bool)) (out []uint64) {
 	seq(func(v uint64) bool { out = append(out, v); return true })
 	return out
 }
+
+// blocks returns p walked over cfg (nil when empty).
+func blocks(p *Path, cfg CFG) (out []int) {
+	for w := p.Walk(cfg); ; {
+		b, ok := w.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, b)
+	}
+}
+
+// loop is a kernel's CFG: the entry branches to a loop (block 1) whose condbr
+// takes it round again (Targets[0]) or out to the ret (block 2).
+var loop = CFG{{1, -1}, {1, 2}, {-1, -1}}
 
 func sampleTrace() *Trace {
 	return &Trace{
@@ -44,7 +66,7 @@ func sampleTrace() *Trace {
 		Tiles: []*TileTrace{
 			{
 				Tile:      0,
-				BBPath:    streamOf(0, 2, 2, 2, 1),
+				BBPath:    pathOf(5, 0, 0, 1),
 				Mem:       addrsOf(4096, 8192),
 				Acc:       []AccCall{{Name: "acc_sgemm", Params: []int64{64, 64, 64}}},
 				Comm:      streamOf(1, 0, 1),
@@ -52,7 +74,7 @@ func sampleTrace() *Trace {
 			},
 			{
 				Tile:      1,
-				BBPath:    streamOf(0, 1),
+				BBPath:    pathOf(3, 1),
 				Mem:       addrsOf(100),
 				DynInstrs: 9,
 			},
@@ -146,73 +168,103 @@ func TestDeltaEncodingProperty(t *testing.T) {
 	}
 }
 
-// TestBBPathProperty checks arbitrary control-flow paths survive round trips.
+// TestBBPathProperty checks arbitrary paths survive round trips.
 func TestBBPathProperty(t *testing.T) {
-	f := func(path []uint64) bool {
-		for i := range path {
-			path[i] &= math.MaxInt32 // what Read takes as a block ID
+	f := func(n uint16, bits []bool) bool {
+		var p Path
+		for _, b := range bits {
+			p.Branch(map[bool]uint{true: 1}[b])
 		}
-		tr := &Trace{Kernel: "p", Tiles: []*TileTrace{{BBPath: streamOf(path...)}}}
+		for range n {
+			p.Enter()
+		}
+		tr := &Trace{Kernel: "p", Tiles: []*TileTrace{{BBPath: p}}}
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			return false
 		}
 		got, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		g := collect(got.Tiles[0].BBPath.Values)
-		if len(path) == 0 {
-			return len(g) == 0
-		}
-		return reflect.DeepEqual(g, path)
+		return err == nil && reflect.DeepEqual(got, tr)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestReadsTraceOfOlderBuild pins the file format: testdata holds histo at
-// tiny scale on two tiles as written by `mosaic-trace -o` of commit 6188979
-// (version 1: each event also names its instruction, size and kind). This
-// build must read it, and write it back as version 2 in at most 0.65x the
-// bytes, pinned by their hash, which decode to the same streams.
-func TestReadsTraceOfOlderBuild(t *testing.T) {
-	v1, err := os.ReadFile("testdata/histo_tiny_2t_6188979.mstr")
-	if err != nil {
-		t.Fatal(err)
+// TestWalkFollowsTheKernel: a path is walked over its kernel's CFG, a bit
+// read at each condbr, and Walk and Count agree: to the ret, or to a condbr
+// with no bit left.
+func TestWalkFollowsTheKernel(t *testing.T) {
+	for _, tc := range []struct {
+		p    Path
+		want []int
+	}{
+		{pathOf(5, 0, 0, 1), []int{0, 1, 1, 1, 2}},
+		{pathOf(3, 1), []int{0, 1, 2}},
+		{pathOf(2), []int{0, 1}},          // no decision left at the condbr
+		{pathOf(3, 1, 1), []int{0, 1, 2}}, // a bit left after the ret
+		{Path{}, nil},
+	} {
+		if got := blocks(&tc.p, loop); !slices.Equal(got, tc.want) {
+			t.Errorf("path of %d blocks and %d bits walks %v, want %v", tc.p.Len(), tc.p.Bits(), got, tc.want)
+		}
+		counts := make([]int, len(loop))
+		tc.p.Count(loop, counts)
+		want := make([]int, len(loop))
+		for _, b := range tc.want {
+			want[b]++
+		}
+		if !slices.Equal(counts, want) {
+			t.Errorf("path %v counts %v, want %v", tc.want, counts, want)
+		}
 	}
-	tr, err := Read(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
+	// Past a chunk: 2,000 decisions fill the 256-byte first chunk.
+	p := pathOf(2002)
+	for i := 0; i < 2000; i++ {
+		p.Branch(uint(i / 1999))
 	}
-	if len(tr.Tiles) != 2 || tr.TotalDynInstrs() != 44030 || tr.TotalMemEvents() != 6000 {
-		t.Errorf("decoded %d tiles, %d instrs, %d mem events; want 2, 44030, 6000",
-			len(tr.Tiles), tr.TotalDynInstrs(), tr.TotalMemEvents())
+	counts := make([]int, len(loop))
+	p.Count(loop, counts)
+	if got := blocks(&p, loop); len(got) != 2002 || got[2001] != 2 || !slices.Equal(counts, []int{1, 2000, 1}) {
+		t.Errorf("a 2,000-decision path walks %d blocks ending in %d and counts %v", len(got), got[len(got)-1], counts)
 	}
-	var v2 bytes.Buffer
-	if _, err := tr.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v1[len(magic)] != 1 || v2.Bytes()[len(magic)] != 2 {
-		t.Errorf("format versions: file %d, re-encoded %d; want 1, 2", v1[len(magic)], v2.Bytes()[len(magic)])
-	}
-	if 100*v2.Len() > 65*len(v1) {
-		t.Errorf("version 2 takes %d bytes for the file's %d (> 0.65x)", v2.Len(), len(v1))
-	}
-	const wantSum = "be6aa0794220cc3a5fcbd56bad22bb21f50bf5ff081a13b54ce69a1ee7f2a763"
-	if sum := sha256.Sum256(v2.Bytes()); hex.EncodeToString(sum[:]) != wantSum {
-		t.Errorf("version 2 bytes hash to %x, want %s", sum, wantSum)
-	}
-	again, err := Read(&v2)
-	if err != nil || !reflect.DeepEqual(again, tr) {
-		t.Errorf("version 2 does not decode to the file's streams (%v)", err)
-	}
+}
 
-	// A version 1 comm event is an instruction index, then the partner.
-	comm, err := Read(bytes.NewReader([]byte("MSTR\x01\x00\x01\x00\x00\x00\x00\x00\x01\x07\x03")))
-	if err != nil || !reflect.DeepEqual(collect(comm.Tiles[0].Comm.Values), []uint64{3}) {
-		t.Errorf("version 1 comm event decoded to %v, %v; want partner 3", comm, err)
+// v2 encodes one tile of DynInstrs 1 whose path is blocks, in version 2.
+func v2(blocks ...uint64) []byte {
+	b := binary.AppendUvarint([]byte("MSTR\x02\x00\x01\x00\x01"), uint64(len(blocks)))
+	for _, id := range blocks {
+		b = binary.AppendUvarint(b, id)
+	}
+	return append(b, 0, 0, 0)
+}
+
+// TestReadTurnsBlockIDsIntoBits: a version 1 or 2 path becomes bits against
+// the CFG its tile is read with, and a path that CFG cannot take, or one
+// read with none, is refused.
+func TestReadTurnsBlockIDsIntoBits(t *testing.T) {
+	tr, err := Read(bytes.NewReader(v2(0, 1, 1, 1, 2)), loop)
+	if err != nil || !reflect.DeepEqual(tr.Tiles[0].BBPath, pathOf(5, 0, 0, 1)) {
+		t.Fatalf("Read = %v, %v; want the path of 5 blocks and bits 0 0 1", tr, err)
+	}
+	for name, tc := range map[string]struct {
+		in   []byte
+		cfgs []CFG
+		want string
+	}{
+		"block the kernel lacks":    {v2(0, 1, 7, 2), []CFG{loop}, "block id: the kernel cannot step to block 7"},
+		"entry block missing":       {v2(1, 1, 2), []CFG{loop}, "block id: the kernel cannot step to block 1"},
+		"a step to a non-successor": {v2(0, 2), []CFG{loop}, "block id: the kernel cannot step to block 2"},
+		"final ret missing":         {v2(0, 1, 1), []CFG{loop}, "the path does not end in a ret"},
+		"no CFG":                    {v2(0, 1, 2), nil, ErrNoCFG.Error()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr, err := Read(bytes.NewReader(tc.in), tc.cfgs...)
+			var de *DecodeError
+			if tr != nil || !errors.As(err, &de) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Read = %v, %v; want a *DecodeError that says %q", tr, err, tc.want)
+			}
+		})
 	}
 }
 
@@ -232,10 +284,12 @@ func TestHostileInputs(t *testing.T) {
 	}
 	const hdr = "MSTR\x01\x00"  // magic, version 1, empty kernel name
 	const hdr2 = "MSTR\x02\x00" // version 2
+	const hdr3 = "MSTR\x03\x00" // version 3
 	var good bytes.Buffer
 	if _, err := sampleTrace().WriteTo(&good); err != nil {
 		t.Fatal(err)
 	}
+	const noCFG = "v2 path without a CFG" // the one row read with none
 	for _, tc := range []struct {
 		name string
 		in   []byte
@@ -261,7 +315,11 @@ func TestHostileInputs(t *testing.T) {
 		{"overlong block id", append(uv(hdr2, 1, 0, 0, 1), 0x81, 0x00), "block id: overlong varint"},
 		{"overlong address delta", append(uv(hdr2, 1, 0, 0, 0, 1), 0x80, 0x80, 0x00), "address delta: overlong varint"},
 		{"overlong tile count", []byte(hdr2 + "\x81\x80\x00"), "tile count: overlong varint"},
-		{"future version", []byte("MSTR\x03"), "unsupported version 3"},
+		{"v3 path bit count 2^40", uv(hdr3, 1, 0, 0, 1<<41, 1<<40), "path bits: unexpected EOF"},
+		{"v3 path block count 2^63", uv(hdr3, 1, 0, 0, 1<<63), "path block count"},
+		{"v3 nonzero padding", uv(hdr3, 1, 0, 0, 2, 1, 3), "path bits: nonzero padding"},
+		{noCFG, uv(hdr2, 1, 0, 0, 1, 0), "BB path: " + ErrNoCFG.Error()},
+		{"future version", []byte("MSTR\x04"), "unsupported version 4"},
 		{"bad magic", []byte("NOPE...."), "bad magic"},
 		{"empty", nil, "magic"},
 		{"truncated", good.Bytes()[:good.Len()/2], "unexpected EOF"},
@@ -270,7 +328,11 @@ func TestHostileInputs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			tr, err := Read(bytes.NewReader(tc.in))
+			var cfgs []CFG
+			if tc.name != noCFG {
+				cfgs = append(cfgs, loop)
+			}
+			tr, err := Read(bytes.NewReader(tc.in), cfgs...)
 			runtime.ReadMemStats(&after)
 			var de *DecodeError
 			if tr != nil || !errors.As(err, &de) || !strings.HasPrefix(err.Error(), "trace: ") {
@@ -289,11 +351,12 @@ func TestHostileInputs(t *testing.T) {
 
 // TestDecodeAllocationIsLinear bounds the price of not trusting counts: Read
 // allocates little more than what it decodes, because each stream is decoded
-// into its own chunks and never copied.
+// into its own chunks and never copied. The path takes a bit per decision.
 func TestDecodeAllocationIsLinear(t *testing.T) {
 	tt := &TileTrace{}
 	for i := 0; i < 300_000; i++ {
-		tt.BBPath.Append(uint64(i % 7))
+		tt.BBPath.Enter()
+		tt.BBPath.Branch(uint(i % 7 / 6))
 		tt.Mem.AppendAddr(uint64(4096 + 8*i))
 	}
 	tr := &Trace{Kernel: "k", Tiles: []*TileTrace{tt, tt, tt}}
@@ -309,8 +372,15 @@ func TestDecodeAllocationIsLinear(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, tr) {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	// 1.10x: the unfilled rest of each stream's last chunk, and bufio.
+	// 1.25x: the unfilled rest of each stream's last chunk, and bufio.
 	if alloc := after.TotalAlloc - before.TotalAlloc; 4*alloc > 5*decoded {
 		t.Errorf("decoding %d bytes of events allocated %d (> 1.25x)", decoded, alloc)
+	}
+	// The path is its counts and its bytes of bits: 300,000 bits in 37,500.
+	noPath := *tt
+	noPath.BBPath = Path{}
+	rest, err := (&Trace{Kernel: "k", Tiles: []*TileTrace{&noPath, &noPath, &noPath}}).EncodedSize()
+	if path := int64(decoded) - rest; err != nil || path != 3*(2*3-2+300_000/8) {
+		t.Errorf("three 300,000-decision paths take %d bytes, want 3 x (37,500 + their counts' 4 more)", path)
 	}
 }

@@ -26,7 +26,9 @@ import (
 	"reflect"
 	"testing"
 
+	"mosaicsim/internal/core"
 	"mosaicsim/internal/dae"
+	"mosaicsim/internal/ddg"
 	"mosaicsim/internal/interp"
 	"mosaicsim/internal/ir"
 	"mosaicsim/internal/testgen"
@@ -53,9 +55,10 @@ type traceDigest struct {
 }
 
 // digestOf hashes what the run decided, decoded, so that a change of encoding
-// moves no hash: per tile its ID and instruction count, then its path,
+// moves no hash: per tile its ID and instruction count, then its path (the
+// block IDs its bits walk to over the tile's kernel, fns[i%len(fns)]),
 // addresses, partners and accelerator calls, each list behind its length.
-func digestOf(tr *trace.Trace) traceDigest {
+func digestOf(tr *trace.Trace, fns ...*ir.Function) traceDigest {
 	h := sha256.New()
 	var buf []byte
 	put := func(v uint64) bool {
@@ -66,13 +69,20 @@ func digestOf(tr *trace.Trace) traceDigest {
 		return true
 	}
 	d := traceDigest{DynInstrs: tr.TotalDynInstrs()}
-	for _, tt := range tr.Tiles {
+	for i, tt := range tr.Tiles {
 		put(uint64(tt.Tile))
 		put(uint64(tt.DynInstrs))
+		path := func(yield func(uint64) bool) {
+			for w := tt.BBPath.Walk(core.Lower(ddg.Build(fns[i%len(fns)])).CFG); ; {
+				if b, ok := w.Next(); !ok || !yield(uint64(b)) {
+					return
+				}
+			}
+		}
 		for _, s := range []struct {
 			n    int
 			each func(func(uint64) bool)
-		}{{tt.BBPath.Len(), tt.BBPath.Values}, {tt.Mem.Len(), tt.Mem.Values}, {tt.Comm.Len(), tt.Comm.Values}} {
+		}{{tt.BBPath.Len(), path}, {tt.Mem.Len(), tt.Mem.Values}, {tt.Comm.Len(), tt.Comm.Values}} {
 			put(uint64(s.n))
 			s.each(put)
 		}
@@ -131,7 +141,7 @@ func rawRun(w *Workload, fns func(*ir.Function) ([]*ir.Function, error), opts in
 	if err := inst.Check(mem, len(tiles)); err != nil {
 		return traceDigest{}, err
 	}
-	d := digestOf(res.Trace)
+	d := digestOf(res.Trace, tiles...)
 	if opts.Profile {
 		d.Profile = hashWords(res.Counts...)
 	}
@@ -185,7 +195,7 @@ func traceDigestCases() []digestCase {
 					if err != nil {
 						return traceDigest{}, err
 					}
-					return digestOf(tr), nil
+					return digestOf(tr, f), nil
 				})
 			}
 		}
@@ -205,7 +215,7 @@ func traceDigestCases() []digestCase {
 					if err != nil {
 						return traceDigest{}, err
 					}
-					return digestOf(tr), nil
+					return digestOf(tr, sl.Access, sl.Execute), nil
 				})
 			}
 		}
@@ -231,11 +241,11 @@ func traceDigestCases() []digestCase {
 	})
 	for seed := int64(1); seed <= 200; seed++ {
 		add(fmt.Sprintf("testgen/seed%03d@O0", seed), func() (traceDigest, error) {
-			image, _, tr, err := testgen.Run(testgen.Source(seed), ir.OptConfig{Level: "O0"})
+			image, f, tr, err := testgen.Run(testgen.Source(seed), ir.OptConfig{Level: "O0"})
 			if err != nil {
 				return traceDigest{}, err
 			}
-			d := digestOf(tr)
+			d := digestOf(tr, f)
 			d.Image = hashWords(image)
 			return d, nil
 		})

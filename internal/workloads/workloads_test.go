@@ -83,12 +83,15 @@ func TestWorkloadsSimulate(t *testing.T) {
 		// Core energy is the per-class table summed over the trace: every
 		// entry is a small integer, so the float sums are exact in any order.
 		var energy float64
-		tr.Tiles[0].BBPath.Values(func(b uint64) bool {
+		for w := tr.Tiles[0].BBPath.Walk(core.Lower(g).CFG); ; {
+			b, ok := w.Next()
+			if !ok {
+				break
+			}
 			for _, n := range g.Blocks[b].Nodes {
 				energy += config.EnergyPerClassPJ[core.Classify(n.Instr)]
 			}
-			return true
-		})
+		}
 		if got := sys.Cores[0].Stats.EnergyPJ; got != energy {
 			t.Errorf("%s: core energy %v pJ, per-class table over the trace gives %v", w.Name, got, energy)
 		}

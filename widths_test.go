@@ -51,7 +51,12 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 		"trace.TileTrace.Tile": {i32, tiles}, "core.dynNode.partner": {i32, tiles},
 		// A stream's encoded bytes: any byte. Its values are uint64, and Read
 		// refuses a block ID or partner past int32.
-		"trace.Stream.cur": {u8, u8}, "trace.Cursor.rest": {u8, u8},
+		"trace.chunks.cur": {u8, u8}, "trace.Cursor.rest": {u8, u8}, "trace.Walk.b": {u8, u8},
+		// Block IDs, below the kernel's instruction count. A walk's place in a
+		// path: a chunk holds at most 64 KiB, and past the first eight every
+		// chunk is that size, in an address space of 2^47 bytes.
+		"trace.CFG": {i32, kernel}, "trace.Walk.next": {i32, kernel},
+		"trace.Walk.off": {i32, 64 << 10}, "trace.Walk.ci": {math.MaxUint32, 1<<47/(64<<10) + 8},
 		// gshare's 12 history bits and 2-bit counters; one sharer bit per tile.
 		"core.Core.bpHistory": {math.MaxUint32, 1<<12 - 1}, "core.Core.bpCounters": {u8, 3},
 		"mem.dirEntry.sharers": {64, config.MaxDirectoryTiles},
