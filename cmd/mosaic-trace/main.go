@@ -7,7 +7,6 @@
 //	mosaic-trace -workload bfs -tiles 4
 //	mosaic-trace -workload sgemm -o sgemm.mstr
 //	mosaic-trace -read sgemm.mstr
-//	mosaic-trace -read old.mstr -workload histo   (a version 1 or 2 file)
 package main
 
 import (
@@ -19,8 +18,6 @@ import (
 	"os"
 	"sort"
 
-	"mosaicsim/internal/core"
-	"mosaicsim/internal/ddg"
 	"mosaicsim/internal/interp"
 	"mosaicsim/internal/ir"
 	"mosaicsim/internal/sim"
@@ -43,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tiles := fs.Int("tiles", 1, "SPMD tile count")
 	scale := fs.String("scale", "small", "workload scale: tiny, small, large")
 	out := fs.String("o", "", "write the binary trace to this file")
-	read := fs.String("read", "", "read and summarize a previously written trace (version 1 or 2: against -workload's kernel)")
+	read := fs.String("read", "", "read and summarize a previously written trace")
 	hot := fs.Int("hot", 0, "profile the run and print the N hottest static instructions")
 	optLevel := fs.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
 	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
@@ -78,22 +75,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		w = w.WithOpt(opt)
 	}
 	if *read != "" {
-		var cfgs []trace.CFG
-		if w != nil {
-			f, err := w.Kernel()
-			if err != nil {
-				return fail(1, err)
-			}
-			cfgs = append(cfgs, core.Lower(ddg.Build(f)).CFG)
-		}
 		fh, err := os.Open(*read)
 		if err != nil {
 			return fail(1, err)
 		}
 		defer fh.Close()
-		tr, err := trace.Read(fh, cfgs...)
-		if errors.Is(err, trace.ErrNoCFG) {
-			err = fmt.Errorf("%w: pass -workload naming it, and the -O it was traced at", err)
+		tr, err := trace.Read(fh)
+		if errors.Is(err, trace.ErrOlderVersion) {
+			err = fmt.Errorf("%w with mosaic-trace -workload W -o %s", err, *read)
 		}
 		if err != nil {
 			return fail(1, err)

@@ -101,7 +101,7 @@ func TestBootsOverDamagedArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := `{"kind":"trace","key":{}}` + "\nMSTR\x03\x00\x01\x00\x00" + strings.Repeat("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 2)
+	blob := `{"kind":"trace","key":{}}` + "\nMSTR\x04\x00\x01\x00\x00" + strings.Repeat("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 2)
 	if _, err := st.PutArtifact("trace-damaged", []byte(blob)); err != nil {
 		t.Fatal(err)
 	}

@@ -138,13 +138,13 @@ type Core struct {
 	fabric Fabric
 	accel  AccelInvoker
 
-	// trace cursors; prevBlock is the block launched last (-1 before the
-	// first), whose phis the next launch resolves against.
+	// trace cursors; memLast holds, per MemSlot, the address the slot's
+	// instruction accessed last, which its next one is a delta from.
 	path      trace.Walk
 	mem       trace.Cursor
 	comm      trace.Cursor
+	memLast   []uint64
 	accCursor int
-	prevBlock int
 	barriers  int64 // barrier ops on the path
 
 	// The sliding instruction window (ROB) is [headSeq, seqCounter): seq s
@@ -160,8 +160,10 @@ type Core struct {
 	lastDyn []int64
 	// edges pools the cross-DBB and phi dependences of in-flight producers
 	// (dynNode.depHead); edgeFree heads its free list.
-	edges    []edge
-	edgeFree int32
+	edges     []edge
+	edgeFree  int32
+	bpHistory uint16 // gshare's 12 history bits (config.BranchDynamic)
+	finished  bool   // these three share one word
 
 	liveDBB  []int   // static block ID -> live DBB count
 	lastDBB  *dynDBB // most recently launched DBB
@@ -197,7 +199,6 @@ type Core struct {
 	fuLim [config.NumClasses]int
 
 	completions eventHeap // in-flight nodes by completion cycle
-	finished    bool
 	finishCycle int64
 
 	// clock scaling: fixed latencies in core cycles are converted to global
@@ -212,9 +213,7 @@ type Core struct {
 
 	freeDBBs []*dynDBB // DBBs are recycled once every node completed
 
-	// gshare dynamic-predictor state (config.BranchDynamic).
-	bpHistory  uint32
-	bpCounters []uint8
+	bpCounters []uint8 // gshare's 2-bit counters
 }
 
 type fusedSend struct {
@@ -248,7 +247,7 @@ func New(id int, cfg config.CoreConfig, p *Program, tt *trace.TileTrace, memp Me
 		clockNum: 1,
 		clockDen: 1,
 	}
-	c.path, c.mem, c.comm, c.prevBlock = tt.BBPath.Walk(p.CFG), tt.Mem.Cursor(), tt.Comm.Cursor(), -1
+	c.path, c.mem, c.comm = tt.BBPath.Walk(p.CFG), tt.Mem.Cursor(), tt.Comm.Cursor()
 	for i := range c.lastDyn {
 		c.lastDyn[i] = -1
 	}
@@ -275,7 +274,8 @@ func New(id int, cfg config.CoreConfig, p *Program, tt *trace.TileTrace, memp Me
 		size *= 2
 	}
 	c.nodes, c.mask = make([]dynNode, size), int64(size-1)
-	c.ready = make([]uint64, size/64)
+	words := make([]uint64, size/64+p.memSlots) // the ready bits, then memLast
+	c.ready, c.memLast = words[:size/64:size/64], words[size/64:]
 	c.completions = make(eventHeap, 0, min(total, cfg.WindowSize+8))
 	c.mao = make([]*dynNode, 0, min(total, 2*cfg.LSQSize+64))
 	return c
@@ -600,8 +600,10 @@ func (c *Core) launchDBBs(now int64) {
 // dynamic: the operand cursors and the phi predecessor.
 func (c *Core) launchOne(bid int) {
 	blk := &c.prog.Blocks[bid]
-	prevBlock := c.prevBlock
-	c.prevBlock = bid
+	prevBlock := -1 // the block launched last, whose phis this launch resolves against
+	if c.lastDBB != nil {
+		prevBlock = c.lastDBB.blockID
+	}
 	c.path.Next()
 
 	base := c.seqCounter
@@ -628,7 +630,7 @@ func (c *Core) launchOne(bid int) {
 
 		switch sn.Kind {
 		case KindMem:
-			addr, ok := c.mem.Next()
+			addr, ok := c.mem.NextAddr(&c.memLast[sn.MemSlot])
 			if !ok {
 				panic(fmt.Sprintf("core: tile %d memory trace exhausted at instruction %d", c.ID, sn.Idx))
 			}
@@ -723,7 +725,7 @@ func (c *Core) gsharePredict(term *ir.Instr, actualNext int) bool {
 		}
 	}
 	taken := term.Targets[0].ID == actualNext
-	idx := (uint32(term.Idx)*2654435761 ^ c.bpHistory) & gshareMask
+	idx := (uint32(term.Idx)*2654435761 ^ uint32(c.bpHistory)) & gshareMask
 	predictTaken := c.bpCounters[idx] >= 2
 	if taken {
 		if c.bpCounters[idx] < 3 {

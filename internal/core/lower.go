@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"mosaicsim/internal/config"
@@ -66,6 +67,9 @@ type StaticNode struct {
 	Fused    int32
 	Parkable bool
 	MemKind  mem.Kind
+	// MemSlot (KindMem only) numbers the kernel's memory instructions densely:
+	// a core decodes the access's address against its slot's last one.
+	MemSlot uint16
 	// Phi (phi nodes only) maps a predecessor block ID to the static index
 	// of the producer on that edge, -1 for a constant, parameter or global.
 	Phi []int32
@@ -80,9 +84,10 @@ type Block struct {
 // Program is a kernel's DDG lowered into flat records, built once per graph
 // per system and shared read-only by every core replaying that kernel.
 type Program struct {
-	Blocks []Block      // by block ID
-	CFG    trace.CFG    // each block's successors, by block ID: what a path walks
-	nodes  []StaticNode // by static index
+	Blocks   []Block      // by block ID
+	CFG      trace.CFG    // each block's successors, by block ID: what a path walks
+	nodes    []StaticNode // by static index
+	memSlots int          // memory instructions: the MemSlots handed out
 }
 
 // Nodes returns block b's records.
@@ -183,7 +188,11 @@ func Lower(g *ddg.Graph) *Program {
 				blk.Barriers++
 			}
 			if sn.Kind == KindMem {
-				sn.MemSize, sn.MemKind = uint8(dn.Instr.AccessType().Size()), memKinds[dn.Instr.Op]
+				if p.memSlots > math.MaxUint16 {
+					panic(fmt.Sprintf("core: kernel @%s has more than %d memory instructions", g.Fn.Ident, math.MaxUint16+1))
+				}
+				sn.MemSize, sn.MemKind, sn.MemSlot = uint8(dn.Instr.AccessType().Size()), memKinds[dn.Instr.Op], uint16(p.memSlots)
+				p.memSlots++
 			}
 			if dn.Instr.Op == ir.OpPhi {
 				sn.Phi = arena[len(arena) : len(arena)+nb : len(arena)+nb]
@@ -250,7 +259,7 @@ func (p *Program) linkWake() {
 // and a store/atomic whose value comes from a recv (store value buffer) lets
 // the recv drain without stalling the core.
 func (p *Program) withDeSC() *Program {
-	q := &Program{Blocks: p.Blocks, CFG: p.CFG, nodes: append([]StaticNode(nil), p.nodes...)}
+	q := &Program{Blocks: p.Blocks, CFG: p.CFG, nodes: append([]StaticNode(nil), p.nodes...), memSlots: p.memSlots}
 	for b := range q.Blocks {
 		recs := q.Nodes(b)
 		for pos := range recs {
@@ -276,7 +285,7 @@ func (p *Program) withDeSC() *Program {
 // withFree returns a copy of p whose nodes carry mask (by static index) as
 // their Free bits; blocks and dependence lists stay shared.
 func (p *Program) withFree(mask []bool) *Program {
-	q := &Program{Blocks: p.Blocks, CFG: p.CFG, nodes: append([]StaticNode(nil), p.nodes...)}
+	q := &Program{Blocks: p.Blocks, CFG: p.CFG, nodes: append([]StaticNode(nil), p.nodes...), memSlots: p.memSlots}
 	for i := range q.nodes {
 		q.nodes[i].Free = i < len(mask) && mask[i]
 	}

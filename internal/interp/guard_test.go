@@ -153,11 +153,11 @@ func chunksFor(n int) int {
 	return chunks
 }
 
-// TestTraceAllocation guards the recorder: tracing ten times as many loop
-// iterations may cost only the extra chunks (and what lists them), not an
-// allocation per block entry, and a run allocates at most 1.25x its trace —
-// the chunks are the trace, so that is their unfilled rest and the run's
-// fixed costs.
+// TestTraceAllocation guards the recorder: a unit-stride loop records a bit
+// per iteration and a byte per address, tracing ten times as many iterations
+// may cost only the extra chunks (and what lists them), not an allocation per
+// block entry, and a run allocates at most 1.25x its trace — the chunks are
+// the trace, so that is their unfilled rest and the run's fixed costs.
 func TestTraceAllocation(t *testing.T) {
 	f := ir.MustParse(vecAddSrc).Func("kernel")
 	const short, long = 10_000, 100_000
@@ -186,6 +186,12 @@ func TestTraceAllocation(t *testing.T) {
 	// The path is a bit per condbr, one per iteration.
 	if bits := tt.BBPath.Bits(); bits != long || path > bits/8+32 {
 		t.Errorf("the path of %d iterations holds %d bits in %d bytes, want %d in %d + its header", long, bits, path, long, long/8)
+	}
+	// Each of the loop's two loads and store strides 8 bytes through its own
+	// array: past their first addresses, a byte an address. (Against the
+	// access before, which is in another array, it took three.)
+	if n := tt.Mem.Len(); n != 3*long || addrs > n+32 {
+		t.Errorf("%d iterations record %d addresses in %d bytes, want %d in %d + their header", long, n, addrs, 3*long, 3*long)
 	}
 
 	allocs := func(n int) float64 { return testing.AllocsPerRun(5, func() { run(n) }) }

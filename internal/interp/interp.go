@@ -134,6 +134,7 @@ type tileCtx struct {
 	barriers  int64        // barriers passed or arrived at
 	path      trace.Path   // condbr outcomes
 	mem       trace.Stream // load, store and atomic addresses
+	lastAddr  []uint64     // per static instruction, the address it recorded last
 	comm      trace.Stream // send and recv partners
 	acc       []trace.AccCall
 	dyn       int64   // dynamic instruction count
@@ -169,7 +170,7 @@ func newRunner(fns []*ir.Function, mem *Memory, args []uint64, opts Options) (*r
 				r.queues = make([]ring, len(fns)*len(fns))
 			}
 		}
-		t := &tileCtx{id: i, p: p, r: r, regs: make([]uint64, f.NumValues()+len(p.consts)+1), tmp: make([]uint64, p.maxPhis)}
+		t := &tileCtx{id: i, p: p, r: r, regs: make([]uint64, f.NumValues()+len(p.consts)+1), tmp: make([]uint64, p.maxPhis), lastAddr: make([]uint64, f.NumInstrs())}
 		copy(t.regs, args)
 		copy(t.regs[f.NumValues():], p.consts)
 		if opts.Profile {
@@ -301,7 +302,7 @@ func fromFloat(v float64, ty ir.Type) uint64 {
 // how many ran. It stops early when the tile finishes or blocks on a barrier
 // or an empty recv queue.
 func (t *tileCtx) step(limit int) (int, error) {
-	p, regs, mem, prof := t.p, t.regs, t.r.mem, t.prof
+	p, regs, mem, prof, lastAddr := t.p, t.regs, t.r.mem, t.prof, t.lastAddr
 	pc, executed, nt := t.pc, 0, t.r.opts.NumTiles
 	var err error
 loop:
@@ -379,15 +380,15 @@ loop:
 			regs[in.dst] = uint64(int64(regs[in.a]) + signExt(regs[in.b], in.bty)*int64(regs[in.c]))
 		case ir.OpLoad:
 			addr := regs[in.a]
-			t.mem.AppendAddr(addr)
+			t.mem.AppendAddr(&lastAddr[in.idx], addr)
 			regs[in.dst] = mem.LoadScalar(addr, in.ty)
 		case ir.OpStore:
 			addr := regs[in.b]
-			t.mem.AppendAddr(addr)
+			t.mem.AppendAddr(&lastAddr[in.idx], addr)
 			mem.StoreScalar(addr, in.ty, regs[in.a])
 		case ir.OpAtomicAdd:
 			addr := regs[in.a]
-			t.mem.AppendAddr(addr)
+			t.mem.AppendAddr(&lastAddr[in.idx], addr)
 			old := mem.LoadScalar(addr, in.ty)
 			if in.ty.IsFloat() {
 				mem.StoreScalar(addr, in.ty, fromFloat(toFloat(old, in.ty)+toFloat(regs[in.b], in.ty), in.ty))

@@ -153,13 +153,14 @@ type access struct {
 }
 
 // accesses pairs tt's addresses with f's memory instructions along the block
-// path, the way the timing core does.
+// path, the way the timing core does: each is a delta from the address its
+// instruction accessed last.
 func accesses(f *ir.Function, tt *trace.TileTrace) (out []access) {
-	addrs := tt.Mem.Cursor()
+	addrs, last := tt.Mem.Cursor(), make([]uint64, f.NumInstrs())
 	for _, b := range blocks(f, tt) {
 		for _, in := range f.Blocks[b].Instrs {
 			if in.IsMemory() {
-				addr, _ := addrs.Next()
+				addr, _ := addrs.NextAddr(&last[in.Idx])
 				out = append(out, access{in, addr})
 			}
 		}

@@ -129,9 +129,9 @@ func (c *Cache) ExportArtifacts(fn func(name string, data []byte) error) error {
 // ImportArtifact decodes one exported blob back into the cache: a trace is
 // staged for lazy adoption by the next Artifact build under its key, and a
 // schedule is installed directly (first writer wins; imports never count as
-// newly recorded). Unknown kinds, payloads that fail their checksum and
-// corrupt payloads are errors — a store blob is content-addressed, so
-// corruption means disk damage, not version skew.
+// newly recorded). Unknown kinds, payloads that fail their checksum, corrupt
+// payloads and traces of an older format (trace.ErrOlderVersion) are errors:
+// the kernel is then traced again, and the next export rewrites the blob.
 func (c *Cache) ImportArtifact(name string, data []byte) error {
 	line, payload, ok := bytes.Cut(data, []byte("\n"))
 	if !ok {

@@ -254,56 +254,68 @@ func TestImportedTraceAdopted(t *testing.T) {
 
 // TestDamagedStoredBlobIsReplaced runs three daemon lifetimes on one store,
 // each importing every blob (logging and skipping what fails), running a job
-// and exporting: a stored trace blob damaged on disk is refused and re-traced
-// once, the drain replaces it, and the next lifetime imports it with no error
-// and adopts it without re-tracing.
+// and exporting: a stored trace blob damaged on disk, or written by a build
+// whose format this one refuses, is refused and re-traced once, the drain
+// replaces it, and the next lifetime imports it with no error and adopts it
+// without re-tracing.
 func TestDamagedStoredBlobIsReplaced(t *testing.T) {
-	w, cfg := spinWorkload("persist-replaced", 200), oneTileConfig("persist-replaced-cfg")
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	lifetime := func() (c *Cache, refused int, adopted bool) {
-		c = NewCache()
-		if err := st.Artifacts(func(name string, data []byte) error {
-			if c.ImportArtifact(name, data) != nil {
-				refused++
+	for name, damage := range map[string]func(data []byte) []byte{
+		"a bit flipped on disk": func(data []byte) []byte { data[len(data)-1] ^= 1; return data },
+		// Unsummed, as builds before checksums wrote blobs, and version 3.
+		"written by a version 3 build": func(data []byte) []byte {
+			hdr, payload, _ := bytes.Cut(data, []byte("\n"))
+			payload[4] = 3
+			return asOlderBuild(t, hdr, payload)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w, cfg := spinWorkload("persist-replaced", 200), oneTileConfig("persist-replaced-cfg")
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewSession(Options{Workload: w, Config: cfg, Cache: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		art, err := s.Artifact(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ExportArtifacts(func(name string, data []byte) error {
-			_, err := st.PutArtifact(name, data)
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return c, refused, art.Trace == c.importedTrace(s.Key())
-	}
-	lifetime()
-	var path string
-	if err := st.Artifacts(func(name string, data []byte) error {
-		path = filepath.Join(st.Dir(), "artifacts", name)
-		data[len(data)-1] ^= 1
-		return os.WriteFile(path, data, 0o644)
-	}); err != nil || path == "" {
-		t.Fatalf("damaging the stored blob: %v", err)
-	}
-	if _, refused, _ := lifetime(); refused != 1 {
-		t.Fatalf("the damaged blob: %d refused, want 1", refused)
-	}
-	if c, refused, adopted := lifetime(); refused != 0 || c.ImportedCount() != 1 || !adopted {
-		t.Errorf("after the drain: %d refused, %d staged, adopted %v; want 0, 1, true", refused, c.ImportedCount(), adopted)
+			defer st.Close()
+			lifetime := func() (c *Cache, refused int, adopted bool) {
+				c = NewCache()
+				if err := st.Artifacts(func(name string, data []byte) error {
+					if c.ImportArtifact(name, data) != nil {
+						refused++
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewSession(Options{Workload: w, Config: cfg, Cache: c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				art, err := s.Artifact(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.ExportArtifacts(func(name string, data []byte) error {
+					_, err := st.PutArtifact(name, data)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return c, refused, art.Trace == c.importedTrace(s.Key())
+			}
+			lifetime()
+			var path string
+			if err := st.Artifacts(func(name string, data []byte) error {
+				path = filepath.Join(st.Dir(), "artifacts", name)
+				return os.WriteFile(path, damage(data), 0o644)
+			}); err != nil || path == "" {
+				t.Fatalf("damaging the stored blob: %v", err)
+			}
+			if _, refused, _ := lifetime(); refused != 1 {
+				t.Fatalf("the damaged blob: %d refused, want 1", refused)
+			}
+			if c, refused, adopted := lifetime(); refused != 0 || c.ImportedCount() != 1 || !adopted {
+				t.Errorf("after the drain: %d refused, %d staged, adopted %v; want 0, 1, true", refused, c.ImportedCount(), adopted)
+			}
+		})
 	}
 }
 
@@ -330,8 +342,8 @@ func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
 		{"garbage trace payload", traceHdr + "garbage", "trace: decoding magic"},
 		{"truncated trace", traceHdr + good.String()[:good.Len()/2], "trace: decoding"},
 		// A header, one tile, and a path that claims 2^62 blocks and bits.
-		{"trace whose BB path count lies", traceHdr + "MSTR\x03\x00\x01\x00\x00" + strings.Repeat("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 2), "trace: decoding path bits: unexpected EOF"},
-		{"trace an older build wrote", traceHdr + "MSTR\x02\x00\x01\x00\x01\x01\x00\x00\x00\x00", trace.ErrNoCFG.Error()},
+		{"trace whose BB path count lies", traceHdr + "MSTR\x04\x00\x01\x00\x00" + strings.Repeat("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 2), "trace: decoding path bits: unexpected EOF"},
+		{"trace an older build wrote", traceHdr + "MSTR\x03\x00\x01\x00\x01\x01\x00\x00\x00\x00\x00", "version 3: " + trace.ErrOlderVersion.Error()},
 		{"garbage schedule payload", `{"kind":"sched","key":{}}` + "\n{", "unexpected EOF"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -458,16 +470,13 @@ func damagedTraces(t testing.TB, w *workloads.Workload, payload []byte) map[stri
 		t.Fatal(err)
 	}
 	cfg := core.Lower(ddg.Build(f)).CFG
-	edit := func(s *trace.Stream, addrs bool, edit func([]uint64) []uint64) {
+	// edit rewrites a stream's elements (for addresses, their deltas).
+	edit := func(s *trace.Stream, edit func([]uint64) []uint64) {
 		var vs []uint64
 		s.Values(func(v uint64) bool { vs = append(vs, v); return true })
 		*s = trace.Stream{}
-		add := s.Append
-		if addrs {
-			add = s.AppendAddr
-		}
 		for _, v := range edit(vs) {
-			add(v)
+			s.Append(v)
 		}
 	}
 	// path rebuilds the path from its block count and decisions, edited.
@@ -497,7 +506,7 @@ func damagedTraces(t testing.TB, w *workloads.Workload, payload []byte) map[stri
 		}
 	}
 	mem := func(e func([]uint64) []uint64) func(*trace.TileTrace) {
-		return func(tt *trace.TileTrace) { edit(&tt.Mem, true, e) }
+		return func(tt *trace.TileTrace) { edit(&tt.Mem, e) }
 	}
 	out := map[string][]byte{}
 	for name, damage := range map[string]func(tt *trace.TileTrace){

@@ -26,19 +26,6 @@ func (p *Path) Branch(bit uint) {
 	p.bits++
 }
 
-// Step records entering block to from a block whose successors are s: the
-// bit that picks it when s holds two, and the block.
-func (p *Path) Step(s [2]int32, to int32) {
-	switch {
-	case s[1] < 0:
-	case to == s[0]:
-		p.Branch(0)
-	default:
-		p.Branch(1)
-	}
-	p.n++
-}
-
 // Len returns the number of blocks on the path.
 func (p *Path) Len() int { return p.n }
 

@@ -40,21 +40,18 @@ func (c *chunks) appendByte(x byte) {
 }
 
 // Stream is an append-only event stream held in its file form: each element
-// is a uvarint (partners) or the zigzag varint of its delta from the previous
-// element (addresses), in chunks. An element never straddles two chunks: one
-// starts when fewer than MaxVarintLen64 bytes are left, so where chunks end
-// depends only on the bytes. The generator records into the chunks, Read
-// decodes into them, WriteTo copies them out and the timing core reads them
-// in place through a Cursor. The zero value is an empty stream.
+// a uvarint, in chunks. An element never straddles two chunks: one starts
+// when fewer than MaxVarintLen64 bytes are left, so where chunks end depends
+// only on the bytes. The generator records into the chunks, Read decodes into
+// them, WriteTo copies them out and the timing core reads them in place
+// through a Cursor. The zero value is an empty stream.
 type Stream struct {
 	chunks
-	n     int    // elements
-	last  uint64 // the element AppendAddr encoded last
-	addrs bool   // AppendAddr wrote it: its elements are address deltas
+	n int // elements
 }
 
 // Append adds v to the stream as a uvarint. It encodes into a local slice,
-// which keeps it inlinable and its loop free of stores to s.
+// which keeps its loop free of stores to s.
 func (s *Stream) Append(v uint64) {
 	b := s.cur
 	if cap(b)-len(b) < binary.MaxVarintLen64 {
@@ -68,12 +65,13 @@ func (s *Stream) Append(v uint64) {
 	s.n++
 }
 
-// AppendAddr adds a to the stream as the zigzag varint of its delta from the
-// address appended before it (from 0 for the first). A stream holds either
-// addresses or uvarints, never both.
-func (s *Stream) AppendAddr(a uint64) {
-	d := int64(a - s.last)
-	s.last, s.addrs = a, true
+// AppendAddr adds address a as the zigzag uvarint of its delta from *last,
+// then sets *last to a. The caller keeps *last per static instruction, 0
+// before its first access, so a unit-stride access costs one byte whatever
+// ran between; Cursor.NextAddr, given the same slot, reads a back.
+func (s *Stream) AppendAddr(last *uint64, a uint64) {
+	d := int64(a - *last)
+	*last = a
 	s.Append(uint64(d<<1 ^ d>>63))
 }
 
@@ -90,9 +88,8 @@ func (s *Stream) Values(yield func(uint64) bool) {
 	}
 }
 
-// Cursor returns a sequential reader of the stream's elements: the addresses
-// AppendAddr wrote, or the uvarints Append did. Appending to the stream while
-// a cursor reads it is not supported.
+// Cursor returns a sequential reader of the stream's elements. Appending to
+// the stream while a cursor reads it is not supported.
 func (s *Stream) Cursor() Cursor {
 	r := Cursor{s: s}
 	r.Next()
@@ -125,21 +122,25 @@ func (r *Cursor) Next() (v uint64, ok bool) {
 		r.rest = r.s.chunk(r.next)
 		r.next++
 	}
-	var u uint64
 	switch b := r.rest; {
 	case b[0] < 0x80:
-		u, r.rest = uint64(b[0]), b[1:]
+		r.v, r.rest = uint64(b[0]), b[1:]
 	case b[1] < 0x80: // an element never ends a chunk unfinished
-		u, r.rest = uint64(b[0]&0x7f)|uint64(b[1])<<7, b[2:]
+		r.v, r.rest = uint64(b[0]&0x7f)|uint64(b[1])<<7, b[2:]
 	default:
 		var k int
-		u, k = binary.Uvarint(b)
+		r.v, k = binary.Uvarint(b)
 		r.rest = b[k:]
 	}
-	if r.s.addrs {
-		r.v += uint64(int64(u>>1) ^ -int64(u&1))
-	} else {
-		r.v = u
-	}
 	return v, ok
+}
+
+// NextAddr consumes the next element as an address AppendAddr wrote against
+// the slot last, which it updates; ok is false at the end of the stream. (a
+// holds the zigzag delta first, which keeps NextAddr inlinable.)
+func (r *Cursor) NextAddr(last *uint64) (a uint64, ok bool) {
+	if a, ok = r.Next(); ok {
+		*last += a>>1 ^ -(a & 1)
+	}
+	return *last, ok
 }

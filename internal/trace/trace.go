@@ -34,7 +34,7 @@ type AccCall struct {
 type TileTrace struct {
 	Tile      int32
 	BBPath    Path      // the blocks in launch order, as condbr outcomes
-	Mem       Stream    // load, store and atomic addresses in program order (AppendAddr)
+	Mem       Stream    // load, store and atomic addresses in program order, each against its instruction's last (AppendAddr)
 	Acc       []AccCall // accelerator invocations in program order
 	Comm      Stream    // send destination / recv source tiles in program order (§II-C)
 	DynInstrs int64     // dynamic instruction count
@@ -64,25 +64,23 @@ func (t *Trace) TotalMemEvents() int64 {
 	return n
 }
 
-// Versions 1 and 2 wrote the path as block IDs, which Read turns into bits
-// against the kernel's CFG. Version 1 also wrote, per memory event, its
-// instruction index, size and kind, and per comm event its instruction
-// index: Read skips them.
 const (
 	magic   = "MSTR"
-	version = 3
+	version = 4
 )
 
-// ErrNoCFG is the error a version 1 or 2 path is read with when Read has no
-// CFG for its tile.
-var ErrNoCFG = errors.New("a version 1 or 2 path is block IDs: read it against its kernel's CFG")
+// ErrOlderVersion is what Read refuses a file of versions 1 to 3 with: each
+// of their addresses is a delta from the access before it, whichever
+// instruction made that one. A trace is a function of kernel, scale and
+// tiles, so the cure is to trace again.
+var ErrOlderVersion = errors.New("an older build's format: regenerate the trace")
 
-// WriteTo serializes the trace in the compact binary format, version 3. The
+// WriteTo serializes the trace in the compact binary format, version 4. The
 // path is its block count, its bit count and its bits' bytes; partners are
-// uvarints and addresses zigzag deltas, mirroring how the original traces
-// stay "typically less than 1 GB" for the control path while memory traces
-// dominate (§VI-B). Streams are held in that form, so each is its count and
-// then its chunks' bytes.
+// uvarints and addresses zigzag deltas from their instruction's previous
+// address, mirroring how the original traces stay "typically less than 1 GB"
+// for the control path while memory traces dominate (§VI-B). Streams are held
+// in that form, so each is its count and then its chunks' bytes.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
@@ -185,13 +183,6 @@ func (d *decoder) varint(field string) int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// skip discards n bytes.
-func (d *decoder) skip(field string, n int) {
-	if _, err := d.br.Discard(n); err != nil {
-		d.fail(field, err)
-	}
-}
-
 // bounded reads a uvarint that must fit below limit (an int32 index, an
 // int64 count, a string length).
 func (d *decoder) bounded(field string, limit uint64) uint64 {
@@ -216,13 +207,12 @@ func (d *decoder) str(field string) string {
 	return sb.String()
 }
 
-// Read deserializes a trace written by WriteTo, of any version. Tile i of a
-// version 1 or 2 file takes its path's bits from cfgs[i%len(cfgs)]: a step
-// that CFG cannot take, and a path with no CFG, are errors. Malformed input
+// Read deserializes a trace written by WriteTo. Only version 4 is read: an
+// older version is a *DecodeError wrapping ErrOlderVersion. Malformed input
 // is a *DecodeError, never a panic, and peak allocation is linear in the
 // bytes consumed: each value is checked and appended to its tile's streams,
-// which for version 3 re-encode to the bytes consumed.
-func Read(r io.Reader, cfgs ...CFG) (*Trace, error) {
+// which re-encode to the bytes consumed.
+func Read(r io.Reader) (*Trace, error) {
 	d := &decoder{br: bufio.NewReader(r)}
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(d.br, hdr); err != nil {
@@ -231,27 +221,20 @@ func Read(r io.Reader, cfgs ...CFG) (*Trace, error) {
 		d.fail("magic", errors.New("bad magic"))
 	}
 	ver := d.uvarint("version")
-	if d.err == nil && (ver < 1 || ver > version) {
+	switch {
+	case d.err != nil || ver == version:
+	case ver >= 1 && ver < version:
+		d.fail("version", fmt.Errorf("version %d: %w", ver, ErrOlderVersion))
+	default:
 		d.fail("version", fmt.Errorf("unsupported version %d", ver))
 	}
-	v1 := ver == 1
 	t := &Trace{Kernel: d.str("kernel name")}
 	for i, ntiles := uint64(0), d.uvarint("tile count"); i < ntiles && d.err == nil; i++ {
 		tt := &TileTrace{Tile: d.index("tile id")}
 		tt.DynInstrs = int64(d.bounded("dynamic instruction count", math.MaxInt64))
-		if ver == version {
-			d.path(&tt.BBPath)
-		} else {
-			d.blockIDs(&tt.BBPath, cfgs, int(i))
-		}
+		d.path(&tt.BBPath)
 		for j, n := uint64(0), d.uvarint("memory event count"); j < n && d.err == nil; j++ {
-			if v1 {
-				d.index("memory event instruction")
-			}
-			tt.Mem.AppendAddr(tt.Mem.last + uint64(d.varint("address delta")))
-			if v1 {
-				d.skip("access size and kind", 2)
-			}
+			tt.Mem.Append(d.uvarint("address delta"))
 		}
 		for j, n := uint64(0), d.uvarint("accelerator call count"); j < n && d.err == nil; j++ {
 			ac := AccCall{Name: d.str("accelerator name")}
@@ -261,9 +244,6 @@ func Read(r io.Reader, cfgs ...CFG) (*Trace, error) {
 			tt.Acc = append(tt.Acc, ac)
 		}
 		for j, n := uint64(0), d.uvarint("comm event count"); j < n && d.err == nil; j++ {
-			if v1 {
-				d.index("comm event instruction")
-			}
 			tt.Comm.Append(uint64(d.index("comm partner")))
 		}
 		t.Tiles = append(t.Tiles, tt)
@@ -274,7 +254,7 @@ func Read(r io.Reader, cfgs ...CFG) (*Trace, error) {
 	return t, nil
 }
 
-// path reads a version 3 path: block count, bit count and the bits' bytes,
+// path reads a path: block count, bit count and the bits' bytes,
 // the last one's unused high bits zero.
 func (d *decoder) path(p *Path) {
 	p.n = int(d.bounded("path block count", math.MaxInt64))
@@ -286,28 +266,6 @@ func (d *decoder) path(p *Path) {
 	}
 	if p.bits = int(bits); d.err == nil && bits&7 != 0 && p.cur[len(p.cur)-1]>>(bits&7) != 0 {
 		d.fail("path bits", errors.New("nonzero padding"))
-	}
-}
-
-// blockIDs reads a version 1 or 2 path, uvarint block IDs, into bits over
-// tile i's CFG: from block 0, each a successor of the one before, to a ret.
-func (d *decoder) blockIDs(p *Path, cfgs []CFG, i int) {
-	n, next := d.uvarint("BB path length"), [2]int32{0, -1} // where the path may go
-	if n > 0 && len(cfgs) == 0 {
-		d.fail("BB path", ErrNoCFG)
-	}
-	for j := uint64(0); j < n && d.err == nil; j++ {
-		switch cfg, id := cfgs[i%len(cfgs)], d.index("block id"); {
-		case d.err != nil:
-		case int(id) >= len(cfg) || id != next[0] && id != next[1]:
-			d.fail("block id", fmt.Errorf("the kernel cannot step to block %d", id))
-		default:
-			p.Step(next, id)
-			next = cfg[id]
-		}
-	}
-	if d.err == nil && n > 0 && next[0] >= 0 {
-		d.fail("BB path", errors.New("the path does not end in a ret"))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -20,12 +21,33 @@ func streamOf(vs ...uint64) (s Stream) {
 	return s
 }
 
-// addrsOf returns the address stream holding as.
+// addrsOf returns the address stream of one instruction accessing as.
 func addrsOf(as ...uint64) (s Stream) {
+	var last uint64
 	for _, a := range as {
-		s.AppendAddr(a)
+		s.AppendAddr(&last, a)
 	}
 	return s
+}
+
+// addrs reads s back as one instruction's addresses (nil when empty).
+func addrs(s *Stream) (out []uint64) {
+	var last uint64
+	for r := s.Cursor(); ; {
+		a, ok := r.NextAddr(&last)
+		if !ok {
+			return out
+		}
+		out = append(out, a)
+	}
+}
+
+// size returns the bytes s holds.
+func size(s *Stream) (n int) {
+	for _, ch := range s.full {
+		n += len(ch)
+	}
+	return n + len(s.cur)
 }
 
 // pathOf returns the path of n blocks holding bits.
@@ -99,8 +121,11 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, tr) {
 		t.Errorf("read back %+v, want the recorded %+v", got, tr)
 	}
-	if w, g := []uint64{4096, 8192}, collect(got.Tiles[0].Mem.Values); !reflect.DeepEqual(w, g) {
+	if w, g := []uint64{4096, 8192}, addrs(&got.Tiles[0].Mem); !reflect.DeepEqual(w, g) {
 		t.Errorf("addresses read back as %v, want %v", g, w)
+	}
+	if w, g := []uint64{1, 0, 1}, collect(got.Tiles[0].Comm.Values); !reflect.DeepEqual(w, g) {
+		t.Errorf("partners read back as %v, want %v", g, w)
 	}
 }
 
@@ -150,8 +175,8 @@ func TestBadInputs(t *testing.T) {
 // TestDeltaEncodingProperty checks round-tripping of arbitrary address
 // streams, including address deltas that go backwards and wrap widely.
 func TestDeltaEncodingProperty(t *testing.T) {
-	f := func(addrs []uint64) bool {
-		tt := &TileTrace{Tile: 0, Mem: addrsOf(addrs...)}
+	f := func(as []uint64) bool {
+		tt := &TileTrace{Tile: 0, Mem: addrsOf(as...)}
 		tr := &Trace{Kernel: "p", Tiles: []*TileTrace{tt}}
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
@@ -161,7 +186,7 @@ func TestDeltaEncodingProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(got.Tiles[0], tt) && slices.Equal(collect(tt.Mem.Values), addrs)
+		return reflect.DeepEqual(got.Tiles[0], tt) && slices.Equal(addrs(&got.Tiles[0].Mem), as)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -230,47 +255,53 @@ func TestWalkFollowsTheKernel(t *testing.T) {
 	}
 }
 
-// v2 encodes one tile of DynInstrs 1 whose path is blocks, in version 2.
-func v2(blocks ...uint64) []byte {
-	b := binary.AppendUvarint([]byte("MSTR\x02\x00\x01\x00\x01"), uint64(len(blocks)))
-	for _, id := range blocks {
-		b = binary.AppendUvarint(b, id)
-	}
-	return append(b, 0, 0, 0)
-}
-
-// TestReadTurnsBlockIDsIntoBits: a version 1 or 2 path becomes bits against
-// the CFG its tile is read with, and a path that CFG cannot take, or one
-// read with none, is refused.
-func TestReadTurnsBlockIDsIntoBits(t *testing.T) {
-	tr, err := Read(bytes.NewReader(v2(0, 1, 1, 1, 2)), loop)
-	if err != nil || !reflect.DeepEqual(tr.Tiles[0].BBPath, pathOf(5, 0, 0, 1)) {
-		t.Fatalf("Read = %v, %v; want the path of 5 blocks and bits 0 0 1", tr, err)
-	}
-	for name, tc := range map[string]struct {
-		in   []byte
-		cfgs []CFG
-		want string
-	}{
-		"block the kernel lacks":    {v2(0, 1, 7, 2), []CFG{loop}, "block id: the kernel cannot step to block 7"},
-		"entry block missing":       {v2(1, 1, 2), []CFG{loop}, "block id: the kernel cannot step to block 1"},
-		"a step to a non-successor": {v2(0, 2), []CFG{loop}, "block id: the kernel cannot step to block 2"},
-		"final ret missing":         {v2(0, 1, 1), []CFG{loop}, "the path does not end in a ret"},
-		"no CFG":                    {v2(0, 1, 2), nil, ErrNoCFG.Error()},
-	} {
-		t.Run(name, func(t *testing.T) {
-			tr, err := Read(bytes.NewReader(tc.in), tc.cfgs...)
-			var de *DecodeError
-			if tr != nil || !errors.As(err, &de) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Read = %v, %v; want a *DecodeError that says %q", tr, err, tc.want)
+// TestAddressesAreDeltasPerInstruction: on each of two tiles, two
+// instructions take turns streaming through their own arrays. Each address is
+// recorded against its instruction's last, so past each one's first access
+// an address takes one byte (against the access before it, four), and read
+// back with a table per tile over the same instruction order, the file gives
+// the addresses back.
+func TestAddressesAreDeltasPerInstruction(t *testing.T) {
+	const n = 1000
+	addr := func(tile, i, in int) uint64 { return uint64(1<<20*(2*tile+in+1) + 8*i) }
+	tr := &Trace{Kernel: "k"}
+	for tile := range 2 {
+		tt := &TileTrace{Tile: int32(tile)}
+		var last [2]uint64 // by instruction
+		for i := range n {
+			for in := range last {
+				tt.Mem.AppendAddr(&last[in], addr(tile, i, in))
 			}
-		})
+		}
+		tr.Tiles = append(tr.Tiles, tt)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil || !reflect.DeepEqual(got, tr) {
+		t.Fatalf("round trip failed: %v", err)
+	}
+	for tile, tt := range got.Tiles {
+		// Two 4-byte first addresses (1 to 4 MiB), then a byte each.
+		if b := size(&tt.Mem); b != 2*n-2+2*4 {
+			t.Errorf("tile %d: %d addresses take %d bytes, want %d", tile, 2*n, b, 2*n+6)
+		}
+		var last [2]uint64
+		r := tt.Mem.Cursor()
+		for i := range n {
+			for in := range last {
+				if a, ok := r.NextAddr(&last[in]); !ok || a != addr(tile, i, in) {
+					t.Fatalf("tile %d: access %d of instruction %d read back as %#x, %v; want %#x", tile, i, in, a, ok, addr(tile, i, in))
+				}
+			}
+		}
+		if _, ok := r.NextAddr(&last[0]); ok {
+			t.Errorf("tile %d: an address is left over", tile)
+		}
 	}
 }
-
-// crasher is a well-formed header, one tile, and a BB path that claims 2^62
-// entries: the input that killed the count-trusting decoder in makeslice.
-var crasher = binary.AppendUvarint([]byte("MSTR\x01\x00\x01\x00\x00"), 1<<62)
 
 // TestHostileInputs: every lie a trace file can tell is a *DecodeError that
 // says "trace:", never a panic, and costs memory in proportion to the input.
@@ -282,44 +313,49 @@ func TestHostileInputs(t *testing.T) {
 		}
 		return b
 	}
-	const hdr = "MSTR\x01\x00"  // magic, version 1, empty kernel name
-	const hdr2 = "MSTR\x02\x00" // version 2
-	const hdr3 = "MSTR\x03\x00" // version 3
+	const hdr = "MSTR\x04\x00"  // magic, version 4, empty kernel name
+	const hdr1 = "MSTR\x01\x00" // version 1: each event named its instruction
+	const hdr2 = "MSTR\x02\x00" // version 2: the path was block IDs
+	const hdr3 = "MSTR\x03\x00" // version 3: addresses were deltas from the access before
+	older := func(v int) string { return fmt.Sprintf("version: version %d: %s", v, ErrOlderVersion) }
 	var good bytes.Buffer
 	if _, err := sampleTrace().WriteTo(&good); err != nil {
 		t.Fatal(err)
 	}
-	const noCFG = "v2 path without a CFG" // the one row read with none
 	for _, tc := range []struct {
 		name string
 		in   []byte
 		want string // substring of the error
 	}{
-		{"BB path count 2^62", crasher, "block id"},
+		{"BB path count 2^62", uv(hdr, 1, 0, 0, 1<<62, 1<<62), "path bits: unexpected EOF"},
 		{"tile count 2^63", uv(hdr, 1<<63), "tile id"},
-		{"memory event count 2^40", uv(hdr, 1, 0, 0, 0, 1<<40), "memory event instruction"},
-		{"accelerator call count 2^40", uv(hdr, 1, 0, 0, 0, 0, 1<<40), "accelerator name"},
-		{"accelerator parameter count 2^40", uv(hdr, 1, 0, 0, 0, 0, 1, 0, 1<<40), "accelerator parameter"},
-		{"comm event count 2^40", uv(hdr, 1, 0, 0, 0, 0, 0, 1<<40), "comm event instruction"},
-		{"kernel name length 2^30", uv("MSTR\x01", 1<<30), "kernel name"},
-		{"kernel name length 2^40", uv("MSTR\x01", 1<<40), "overflows its field"},
+		{"memory event count 2^40", uv(hdr, 1, 0, 0, 0, 0, 1<<40), "address delta"},
+		{"accelerator call count 2^40", uv(hdr, 1, 0, 0, 0, 0, 0, 1<<40), "accelerator name"},
+		{"accelerator parameter count 2^40", uv(hdr, 1, 0, 0, 0, 0, 0, 1, 0, 1<<40), "accelerator parameter"},
+		{"comm event count 2^40", uv(hdr, 1, 0, 0, 0, 0, 0, 0, 1<<40), "comm partner"},
+		{"kernel name length 2^30", uv("MSTR\x04", 1<<30), "kernel name"},
+		{"kernel name length 2^40", uv("MSTR\x04", 1<<40), "overflows its field"},
 		{"tile id 2^31", uv(hdr, 1, 1<<31), "tile id: 2147483648 overflows its field"},
-		{"block id 2^32", uv(hdr, 1, 0, 0, 1, 1<<32), "block id: 4294967296 overflows"},
-		{"instruction index 2^31", uv(hdr, 1, 0, 0, 0, 1, 1<<31), "memory event instruction"},
-		{"comm partner 2^31", uv(hdr, 1, 0, 0, 0, 0, 0, 1, 0, 1<<31), "comm partner"},
+		{"comm partner 2^31", uv(hdr, 1, 0, 0, 0, 0, 0, 0, 1, 1<<31), "comm partner: 2147483648 overflows"},
 		{"dynamic instruction count 2^63", uv(hdr, 1, 0, 1<<63), "dynamic instruction count"},
 		{"overlong varint", []byte(hdr + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), "tile count"},
-		{"v2 memory event count 2^40", uv(hdr2, 1, 0, 0, 0, 1<<40), "address delta"},
-		{"v2 comm event count 2^40", uv(hdr2, 1, 0, 0, 0, 0, 0, 1<<40), "comm partner"},
-		{"v2 comm partner 2^31", uv(hdr2, 1, 0, 0, 0, 0, 0, 1, 1<<31), "comm partner: 2147483648 overflows"},
-		{"overlong block id", append(uv(hdr2, 1, 0, 0, 1), 0x81, 0x00), "block id: overlong varint"},
-		{"overlong address delta", append(uv(hdr2, 1, 0, 0, 0, 1), 0x80, 0x80, 0x00), "address delta: overlong varint"},
-		{"overlong tile count", []byte(hdr2 + "\x81\x80\x00"), "tile count: overlong varint"},
-		{"v3 path bit count 2^40", uv(hdr3, 1, 0, 0, 1<<41, 1<<40), "path bits: unexpected EOF"},
-		{"v3 path block count 2^63", uv(hdr3, 1, 0, 0, 1<<63), "path block count"},
-		{"v3 nonzero padding", uv(hdr3, 1, 0, 0, 2, 1, 3), "path bits: nonzero padding"},
-		{noCFG, uv(hdr2, 1, 0, 0, 1, 0), "BB path: " + ErrNoCFG.Error()},
-		{"future version", []byte("MSTR\x04"), "unsupported version 4"},
+		{"overlong address delta", append(uv(hdr, 1, 0, 0, 0, 0, 1), 0x80, 0x80, 0x00), "address delta: overlong varint"},
+		{"overlong tile count", []byte(hdr + "\x81\x80\x00"), "tile count: overlong varint"},
+		{"path bit count 2^40", uv(hdr, 1, 0, 0, 1<<41, 1<<40), "path bits: unexpected EOF"},
+		{"path block count 2^63", uv(hdr, 1, 0, 0, 1<<63), "path block count"},
+		{"nonzero padding", uv(hdr, 1, 0, 0, 2, 1, 3), "path bits: nonzero padding"},
+		// An older version is refused at its header, whatever follows.
+		{"block id 2^32", uv(hdr1, 1, 0, 0, 1, 1<<32), older(1)},
+		{"instruction index 2^31", uv(hdr1, 1, 0, 0, 0, 1, 1<<31), older(1)},
+		{"v2 memory event count 2^40", uv(hdr2, 1, 0, 0, 0, 1<<40), older(2)},
+		{"v2 comm event count 2^40", uv(hdr2, 1, 0, 0, 0, 0, 0, 1<<40), older(2)},
+		{"v2 comm partner 2^31", uv(hdr2, 1, 0, 0, 0, 0, 0, 1, 1<<31), older(2)},
+		{"v2 path without a CFG", uv(hdr2, 1, 0, 0, 1, 0), older(2)},
+		{"overlong block id", append(uv(hdr2, 1, 0, 0, 1), 0x81, 0x00), older(2)},
+		{"v3 path bit count 2^40", uv(hdr3, 1, 0, 0, 1<<41, 1<<40), older(3)},
+		{"v3 path block count 2^63", uv(hdr3, 1, 0, 0, 1<<63), older(3)},
+		{"v3 nonzero padding", uv(hdr3, 1, 0, 0, 2, 1, 3), older(3)},
+		{"future version", []byte("MSTR\x05"), "unsupported version 5"},
 		{"bad magic", []byte("NOPE...."), "bad magic"},
 		{"empty", nil, "magic"},
 		{"truncated", good.Bytes()[:good.Len()/2], "unexpected EOF"},
@@ -328,11 +364,7 @@ func TestHostileInputs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			var cfgs []CFG
-			if tc.name != noCFG {
-				cfgs = append(cfgs, loop)
-			}
-			tr, err := Read(bytes.NewReader(tc.in), cfgs...)
+			tr, err := Read(bytes.NewReader(tc.in))
 			runtime.ReadMemStats(&after)
 			var de *DecodeError
 			if tr != nil || !errors.As(err, &de) || !strings.HasPrefix(err.Error(), "trace: ") {
@@ -351,13 +383,15 @@ func TestHostileInputs(t *testing.T) {
 
 // TestDecodeAllocationIsLinear bounds the price of not trusting counts: Read
 // allocates little more than what it decodes, because each stream is decoded
-// into its own chunks and never copied. The path takes a bit per decision.
+// into its own chunks and never copied. The path takes a bit per decision,
+// and an address a byte per step of its instruction's stride.
 func TestDecodeAllocationIsLinear(t *testing.T) {
 	tt := &TileTrace{}
+	var last [2]uint64 // a load's and a store's, on arrays 1 MiB apart
 	for i := 0; i < 300_000; i++ {
 		tt.BBPath.Enter()
 		tt.BBPath.Branch(uint(i % 7 / 6))
-		tt.Mem.AppendAddr(uint64(4096 + 8*i))
+		tt.Mem.AppendAddr(&last[i&1], uint64(4096+1<<20*(i&1)+16*(i>>1)))
 	}
 	tr := &Trace{Kernel: "k", Tiles: []*TileTrace{tt, tt, tt}}
 	var buf bytes.Buffer
@@ -382,5 +416,10 @@ func TestDecodeAllocationIsLinear(t *testing.T) {
 	rest, err := (&Trace{Kernel: "k", Tiles: []*TileTrace{&noPath, &noPath, &noPath}}).EncodedSize()
 	if path := int64(decoded) - rest; err != nil || path != 3*(2*3-2+300_000/8) {
 		t.Errorf("three 300,000-decision paths take %d bytes, want 3 x (37,500 + their counts' 4 more)", path)
+	}
+	// Past each instruction's first address (2 and 4 bytes), every one is its
+	// stride of 16 bytes, in a byte; against the access before, 3 bytes.
+	if b := size(&got.Tiles[0].Mem); b != 2+4+299_998 {
+		t.Errorf("300,000 addresses take %d bytes, want 300,004", b)
 	}
 }

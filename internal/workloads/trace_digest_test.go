@@ -57,7 +57,8 @@ type traceDigest struct {
 // digestOf hashes what the run decided, decoded, so that a change of encoding
 // moves no hash: per tile its ID and instruction count, then its path (the
 // block IDs its bits walk to over the tile's kernel, fns[i%len(fns)]),
-// addresses, partners and accelerator calls, each list behind its length.
+// addresses (each read against its instruction's last, in the order that walk
+// runs them), partners and accelerator calls, each list behind its length.
 func digestOf(tr *trace.Trace, fns ...*ir.Function) traceDigest {
 	h := sha256.New()
 	var buf []byte
@@ -72,17 +73,36 @@ func digestOf(tr *trace.Trace, fns ...*ir.Function) traceDigest {
 	for i, tt := range tr.Tiles {
 		put(uint64(tt.Tile))
 		put(uint64(tt.DynInstrs))
+		f := fns[i%len(fns)]
+		p := core.Lower(ddg.Build(f))
+		var blocks []int
+		for w := tt.BBPath.Walk(p.CFG); ; {
+			b, ok := w.Next()
+			if !ok {
+				break
+			}
+			blocks = append(blocks, b)
+		}
 		path := func(yield func(uint64) bool) {
-			for w := tt.BBPath.Walk(core.Lower(ddg.Build(fns[i%len(fns)])).CFG); ; {
-				if b, ok := w.Next(); !ok || !yield(uint64(b)) {
-					return
+			for _, b := range blocks {
+				yield(uint64(b))
+			}
+		}
+		addrs := func(yield func(uint64) bool) {
+			r, last := tt.Mem.Cursor(), make([]uint64, f.NumInstrs()) // by MemSlot
+			for _, b := range blocks {
+				for _, sn := range p.Nodes(b) {
+					if sn.Kind == core.KindMem {
+						a, _ := r.NextAddr(&last[sn.MemSlot])
+						yield(a)
+					}
 				}
 			}
 		}
 		for _, s := range []struct {
 			n    int
 			each func(func(uint64) bool)
-		}{{tt.BBPath.Len(), path}, {tt.Mem.Len(), tt.Mem.Values}, {tt.Comm.Len(), tt.Comm.Values}} {
+		}{{tt.BBPath.Len(), path}, {tt.Mem.Len(), addrs}, {tt.Comm.Len(), tt.Comm.Values}} {
 			put(uint64(s.n))
 			s.each(put)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mosaicsim/internal/config"
+	"mosaicsim/internal/ir"
 	"mosaicsim/internal/soc"
 	"mosaicsim/internal/workloads"
 )
@@ -21,7 +22,7 @@ import (
 // the bound that keeps it in range: a config.Validate limit, the trace
 // decoder's, or a shipped kernel's size. A narrow width without a row fails.
 func TestWidthsHoldTheirBounds(t *testing.T) {
-	maxInstrs, maxArgs := 0, 0 // over the shipped kernels
+	maxInstrs, maxArgs, maxMem := 0, 0, 0 // over the shipped kernels
 	for _, w := range workloads.All() {
 		f, err := w.Kernel()
 		if err != nil {
@@ -30,6 +31,20 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 		maxInstrs = max(maxInstrs, f.NumInstrs())
 		for _, in := range f.Instrs() {
 			maxArgs = max(maxArgs, len(in.Args))
+		}
+		// Memory instructions at O2 too, unrolled as far as a spec may ask.
+		o2, err := w.WithOpt(ir.OptConfig{Level: "O2", Unroll: ir.MaxUnroll}).Kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []*ir.Function{f, o2} {
+			mems := 0
+			for _, in := range f.Instrs() {
+				if in.IsMemory() {
+					mems++
+				}
+			}
+			maxMem = max(maxMem, mems)
 		}
 	}
 	ring := int64(1) << bits.Len(uint(config.MaxEntries+maxInstrs))
@@ -43,6 +58,9 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 		// instruction count.
 		"core.StaticNode.Idx": {i32, kernel}, "core.StaticNode.Cross": {i32, kernel}, "core.StaticNode.Phi": {i32, kernel},
 		"core.StaticNode.Intra": {i32, kernel}, "core.StaticNode.Wake": {i32, kernel}, "core.StaticNode.Fused": {i32, kernel + 1},
+		// A kernel's memory instructions, numbered densely (Lower panics on a
+		// kernel with more than the field holds).
+		"core.StaticNode.MemSlot": {math.MaxUint16, int64(maxMem)},
 		// A node's producers (operands and a phi edge), a slot of the ring that
 		// holds the window (MaxEntries) and a block, and its edge pool indices.
 		"core.dynNode.parentsLeft": {i32, int64(maxArgs + 1)}, "core.edge.dep": {i32, ring},
@@ -50,7 +68,7 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 		// Tile IDs (MaxTiles); Check refuses a partner outside [0, tiles).
 		"trace.TileTrace.Tile": {i32, tiles}, "core.dynNode.partner": {i32, tiles},
 		// A stream's encoded bytes: any byte. Its values are uint64, and Read
-		// refuses a block ID or partner past int32.
+		// refuses a partner past int32.
 		"trace.chunks.cur": {u8, u8}, "trace.Cursor.rest": {u8, u8}, "trace.Walk.b": {u8, u8},
 		// Block IDs, below the kernel's instruction count. A walk's place in a
 		// path: a chunk holds at most 64 KiB, and past the first eight every
@@ -58,7 +76,7 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 		"trace.CFG": {i32, kernel}, "trace.Walk.next": {i32, kernel},
 		"trace.Walk.off": {i32, 64 << 10}, "trace.Walk.ci": {math.MaxUint32, 1<<47/(64<<10) + 8},
 		// gshare's 12 history bits and 2-bit counters; one sharer bit per tile.
-		"core.Core.bpHistory": {math.MaxUint32, 1<<12 - 1}, "core.Core.bpCounters": {u8, 3},
+		"core.Core.bpHistory": {math.MaxUint16, 1<<12 - 1}, "core.Core.bpCounters": {u8, 3},
 		"mem.dirEntry.sharers": {64, config.MaxDirectoryTiles},
 		// One seq per dynamic instruction, a count Read bounds to int64.
 		"core.dynNode.seq": {i64, i64}, "trace.TileTrace.DynInstrs": {i64, i64},
