@@ -165,8 +165,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "(%s regenerated in %v)\n", ids[i], took[i].Round(time.Millisecond))
 	}
 	if rc := r.ReplayCounters(); rc.Hits+rc.Fallbacks+rc.Recorded > 0 {
-		fmt.Fprintf(stderr, "(replay: %d legs replayed, %d fell back, %d schedules recorded)\n",
-			rc.Hits, rc.Fallbacks, rc.Recorded)
+		fmt.Fprintf(stderr, "(replay: %d legs replayed [identical %d, inert-knob %d, dram-refit %d], %d fell back, %d schedules recorded)\n",
+			rc.Hits, rc.Identical, rc.InertKnob, rc.DRAMRefit, rc.Fallbacks, rc.Recorded)
 	}
 	return 0
 }

@@ -2,7 +2,10 @@ package replay
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"mosaicsim/internal/config"
@@ -42,9 +45,12 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 	// cache already keys on StructHash, but Classify re-proves it so direct
 	// callers get the same guarantee (and hash collisions cannot admit a
 	// structurally different config).
-	oldCanon, err := CanonJSON(&s.Topology)
-	if err != nil {
-		return fb("schedule: %v", err)
+	oldCanon := s.canon
+	if oldCanon == nil {
+		var err error
+		if oldCanon, err = CanonJSON(&s.Topology); err != nil {
+			return fb("schedule: %v", err)
+		}
 	}
 	if !bytes.Equal(oldCanon, canon) {
 		return fb("structural: configurations differ beyond replayable timing knobs")
@@ -69,33 +75,25 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 			fams["inert-knob"] = true
 		}
 		if o.Latency(config.ClassMem) != n.Latency(config.ClassMem) {
-			// Never consulted: memory ops take their timing from the
-			// hierarchy, not the per-class latency table.
-			fams["inert-knob"] = true
+			fams["inert-knob"] = true // never read: memory ops time in the hierarchy
 		}
 	}
 
 	// Memory-hierarchy knobs.
 	om, nm := s.Mem, topo.Mem
 	r := s.Result
-	cacheKnob := func(level string, o, n *config.CacheConfig, st mem.CacheStats) (Decision, bool) {
-		if o == nil || n == nil || o.LatencyCycles == n.LatencyCycles {
-			return Decision{}, true
+	for _, c := range []struct {
+		level string
+		o, n  *config.CacheConfig
+		st    mem.CacheStats
+	}{{"l1", &om.L1, &nm.L1, r.L1}, {"l2", om.L2, nm.L2, r.L2}, {"llc", om.LLC, nm.LLC, r.LLC}} {
+		if c.o == nil || c.n == nil || c.o.LatencyCycles == c.n.LatencyCycles {
+			continue
 		}
-		if st.Accesses != 0 || st.PrefetchIssued != 0 {
-			return fb("bound knob: %s latency_cycles was read (%d accesses)", level, st.Accesses+st.PrefetchIssued), false
+		if c.st.Accesses != 0 || c.st.PrefetchIssued != 0 {
+			return fb("bound knob: %s latency_cycles was read (%d accesses)", c.level, c.st.Accesses+c.st.PrefetchIssued)
 		}
 		fams["inert-knob"] = true
-		return Decision{}, true
-	}
-	if d, ok := cacheKnob("l1", &om.L1, &nm.L1, r.L1); !ok {
-		return d
-	}
-	if d, ok := cacheKnob("l2", om.L2, nm.L2, r.L2); !ok {
-		return d
-	}
-	if d, ok := cacheKnob("llc", om.LLC, nm.LLC, r.LLC); !ok {
-		return d
 	}
 	dramTraffic := r.DRAM.Reads + r.DRAM.Writebacks
 	banked := om.DRAM.Model == config.DRAMBanked
@@ -107,7 +105,6 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 		}
 		fams["inert-knob"] = true
 	}
-	refitBudget := false
 	if banked {
 		if om.DRAM.TCAS != nm.DRAM.TCAS || om.DRAM.TRCD != nm.DRAM.TRCD ||
 			om.DRAM.TRP != nm.DRAM.TRP || om.DRAM.TBurst != nm.DRAM.TBurst {
@@ -129,13 +126,9 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 		if om.DRAM.BandwidthGBs != nm.DRAM.BandwidthGBs || om.DRAM.EpochCycles != nm.DRAM.EpochCycles {
 			eo, mo := mem.SimpleDRAMBudget(om.DRAM, s.ClockMHz, s.LineBytes)
 			en, mn := mem.SimpleDRAMBudget(nm.DRAM, s.ClockMHz, s.LineBytes)
-			switch {
-			case eo == en && mo == mn:
-				fams["inert-knob"] = true // quantized budget unchanged
-			case dramTraffic == 0:
-				fams["inert-knob"] = true
-			default:
-				refitBudget = true
+			if (eo == en && mo == mn) || dramTraffic == 0 {
+				fams["inert-knob"] = true // quantized budget unchanged, or never read
+			} else {
 				fams["dram-refit"] = true
 			}
 		}
@@ -175,7 +168,7 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 	// SimpleDRAM refit soundness: changing the per-epoch budget is only
 	// inert if the recorded run never throttled and the re-bucketed arrival
 	// log stays within the new budget.
-	if refitBudget {
+	if fams["dram-refit"] {
 		if r.DRAM.Throttled != 0 {
 			return fb("dram: recorded run was bandwidth-throttled (%d stalls)", r.DRAM.Throttled)
 		}
@@ -209,22 +202,48 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 	return Decision{Eligible: true, Families: names}
 }
 
-// refits re-buckets the recorded arrival log onto the new epoch grid and
-// checks every bucket stays within the budget. Bucketing by completion
-// (arrival + MinLatency) matches the model: with no throttling, each request
-// is served exactly at its ready tick, so bucket(e) <= budget for all e
-// implies — inductively over ready order — that the new run never throttles
-// either.
+// refits re-buckets the recorded arrival log onto the new epoch grid (epoch
+// >= 1) and checks every bucket stays within the budget. Bucketing by
+// completion (arrival + MinLatency) matches the model: with no throttling,
+// each request is served exactly at its ready tick, so bucket(e) <= budget
+// for all e implies — inductively over ready order — that the new run never
+// throttles either.
+//
+// The log is in arrival order, so one pass counts each bucket as a run and
+// divides once per run. A run over budget stays over budget in any order;
+// at an arrival out of order the pass restarts on a sorted copy, exact for
+// any input.
 func refits(arrivals []int64, minLat, epoch, budget int64) bool {
-	counts := map[int64]int64{}
-	for _, a := range arrivals {
-		e := (a + minLat) / epoch
-		counts[e]++
-		if counts[e] > budget {
+	var n, last int64
+	for i, a := range arrivals {
+		c := a + minLat
+		if i > 0 && c < arrivals[i-1]+minLat {
+			sorted := slices.Clone(arrivals)
+			slices.SortFunc(sorted, func(x, y int64) int { return cmp.Compare(x+minLat, y+minLat) })
+			return refits(sorted, minLat, epoch, budget)
+		}
+		if i == 0 || c > last {
+			n, last = 0, bucketLast(c, epoch)
+		}
+		if n++; n > budget {
 			return false
 		}
 	}
 	return true
+}
+
+// bucketLast is the last cycle of c's bucket c/epoch: Go's division
+// truncates, so bucket 0 spans (-epoch, epoch) and a negative bucket e ends
+// at e*epoch.
+func bucketLast(c, epoch int64) int64 {
+	first := c / epoch * epoch
+	if first < 0 {
+		return first
+	}
+	if first > math.MaxInt64-(epoch-1) {
+		return math.MaxInt64
+	}
+	return first + epoch - 1
 }
 
 func hopCycles(n *config.NoCConfig) int64 {

@@ -1,8 +1,12 @@
 package replay
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -261,4 +265,100 @@ func TestClassifyFamiliesCompose(t *testing.T) {
 	if want := []string{"dram-refit", "inert-knob"}; !d.Eligible || !reflect.DeepEqual(d.Families, want) {
 		t.Fatalf("families = %v (eligible=%v, reason %q), want %v", d.Families, d.Eligible, d.Reason, want)
 	}
+}
+
+// refitsByMap is the reference definition of the dram-refit proof: count
+// every arrival's completion bucket in a map and fail once one passes the
+// budget. refits must give the same verdict on every input.
+func refitsByMap(arrivals []int64, minLat, epoch, budget int64) bool {
+	counts := map[int64]int64{}
+	for _, a := range arrivals {
+		e := (a + minLat) / epoch
+		counts[e]++
+		if counts[e] > budget {
+			return false
+		}
+	}
+	return true
+}
+
+// refitCase draws one refit input: arrivals clustered on bucket edges (the
+// cycle before, on and after a boundary, less minLat) or anywhere, with
+// duplicates, in order or shuffled; epoch 1 and budget 1 drawn often, minLat
+// 0 or past an epoch.
+func refitCase(r *rand.Rand) (arrivals []int64, minLat, epoch, budget int64) {
+	epoch = []int64{1, 2, 3, 7, 100, 1 + r.Int63n(1000)}[r.Intn(6)]
+	minLat = []int64{0, epoch + r.Int63n(3*epoch), r.Int63n(200)}[r.Intn(3)]
+	budget = []int64{1, 2, 1 + r.Int63n(8)}[r.Intn(3)]
+	n := r.Intn(40)
+	if r.Intn(10) == 0 {
+		n = 0
+	}
+	for i := 0; i < n; i++ {
+		var a int64
+		switch r.Intn(3) {
+		case 0: // a bucket edge
+			a = r.Int63n(20)*epoch + r.Int63n(3) - 1 - minLat
+		case 1: // a duplicate
+			if i > 0 {
+				a = arrivals[r.Intn(i)]
+				break
+			}
+			fallthrough
+		default:
+			a = r.Int63n(20 * epoch)
+		}
+		arrivals = append(arrivals, max(a, 0))
+	}
+	if r.Intn(2) == 0 {
+		slices.Sort(arrivals)
+	}
+	return arrivals, minLat, epoch, budget
+}
+
+// TestRefitsMatchesReference: the one-pass refit agrees with the map-based
+// definition on generated logs, sorted or not, over both verdicts.
+func TestRefitsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	var verdicts [2]int
+	for i := 0; i < 20000; i++ {
+		arrivals, minLat, epoch, budget := refitCase(r)
+		want := refitsByMap(arrivals, minLat, epoch, budget)
+		if got := refits(arrivals, minLat, epoch, budget); got != want {
+			t.Fatalf("refits(%v, minLat %d, epoch %d, budget %d) = %v, reference %v", arrivals, minLat, epoch, budget, got, want)
+		}
+		if want {
+			verdicts[1]++
+		} else {
+			verdicts[0]++
+		}
+	}
+	if verdicts[0] < 2000 || verdicts[1] < 2000 {
+		t.Fatalf("generator is lopsided: %d over budget, %d within", verdicts[0], verdicts[1])
+	}
+}
+
+// FuzzRefits: on any arrival log (varints, negative and wrapping sums
+// included), minLat, epoch >= 1 and budget >= 1, refits equals the
+// reference.
+func FuzzRefits(f *testing.F) {
+	f.Add([]byte{20, 22, 24, 200, 1}, int64(0), int64(100), uint8(1))
+	f.Add([]byte{0, 0, 2, 1, 3}, int64(99), int64(1), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, minLat, epoch int64, b uint8) {
+		var arrivals []int64
+		for len(data) > 0 {
+			a, n := binary.Varint(data)
+			if n <= 0 {
+				break
+			}
+			arrivals, data = append(arrivals, a), data[n:]
+		}
+		if epoch &= math.MaxInt64; epoch == 0 {
+			epoch = 1
+		}
+		budget := int64(b%16) + 1
+		if got, want := refits(arrivals, minLat, epoch, budget), refitsByMap(arrivals, minLat, epoch, budget); got != want {
+			t.Fatalf("refits(%v, minLat %d, epoch %d, budget %d) = %v, reference %v", arrivals, minLat, epoch, budget, got, want)
+		}
+	})
 }

@@ -65,6 +65,10 @@ type Schedule struct {
 
 	Invocations  []Invocation
 	DRAMArrivals []int64 // SimpleDRAM arrival cycles, arrival order
+
+	// canon is the recorded topology's CanonJSON, kept so Classify does not
+	// re-marshal it per hit. Never persisted; when nil, Classify computes it.
+	canon []byte
 }
 
 // Recorder accumulates accelerator invocations during a run, and Build
@@ -90,9 +94,9 @@ func (r *Recorder) RecordInvoke(name string, params []int64, concurrent int, res
 }
 
 // Build assembles the Schedule for a completed run: the topology it ran
-// under (shared, as topologies are immutable), the Result, and the recorded
-// evidence read back from the system.
-func (r *Recorder) Build(t *soc.Topology, sys *soc.System, res soc.Result) *Schedule {
+// under (shared, as topologies are immutable) with its CanonJSON, the
+// Result, and the recorded evidence read back from the system.
+func (r *Recorder) Build(t *soc.Topology, canon []byte, sys *soc.System, res soc.Result) *Schedule {
 	maxClock := 0
 	for _, rt := range t.Tiles {
 		maxClock = max(maxClock, rt.Cfg.ClockMHz)
@@ -107,7 +111,14 @@ func (r *Recorder) Build(t *soc.Topology, sys *soc.System, res soc.Result) *Sche
 		HopsTotal:    sys.Fabric.HopsTotal(),
 		Invocations:  r.invs,
 		DRAMArrivals: append([]int64(nil), sys.Hier.DRAMAccessLog()...),
+		canon:        canon,
 	}
+}
+
+// KeepCanon computes canon for a schedule not built by Build (an imported
+// one), before it is shared. On an error none is kept; Classify reports it.
+func (s *Schedule) KeepCanon() {
+	s.canon, _ = CanonJSON(&s.Topology)
 }
 
 // ResultCopy is what a replay hit returns: the recorded Result, sharing no

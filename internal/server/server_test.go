@@ -362,11 +362,14 @@ func TestCancelReturnsBeforeStatusSettles(t *testing.T) {
 		<-unwound // simulate mid-run unwinding
 		return nil, ctx.Err()
 	}
-	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 1}, jobs.ExecOptions{Runner: runner}, 1)
+	ts, m := newTestServer(t, jobs.Options{QueueDepth: 1}, jobs.ExecOptions{Runner: runner}, 1)
 	st, _ := postJob(t, ts, jobs.Spec{Workload: "sgemm", Scale: "tiny"})
 	<-started
 	ctx := <-runCtx
 	next, _ := postJob(t, ts, jobs.Spec{Workload: "spmv", Scale: "tiny"})
+	// Release the next job's run, which blocks until cancelled, so the
+	// teardown's drain does not wait out its deadline on it.
+	t.Cleanup(func() { m.Cancel(next.ID) })
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -416,18 +419,27 @@ func TestAdmissionAndErrorMapping(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	ts, _ := newTestServer(t, jobs.Options{QueueDepth: 1}, jobs.ExecOptions{Runner: runner}, 1)
+	ts, m := newTestServer(t, jobs.Options{QueueDepth: 1}, jobs.ExecOptions{Runner: runner}, 1)
 
 	// Fill the worker and the queue.
-	if _, resp := postJob(t, ts, jobs.Spec{Workload: "sgemm", Scale: "tiny"}); resp.StatusCode != 201 {
+	first, resp := postJob(t, ts, jobs.Spec{Workload: "sgemm", Scale: "tiny"})
+	if resp.StatusCode != 201 {
 		t.Fatalf("first submit: %s", resp.Status)
 	}
 	<-started
-	if _, resp := postJob(t, ts, jobs.Spec{Workload: "spmv", Scale: "tiny"}); resp.StatusCode != 201 {
+	second, resp := postJob(t, ts, jobs.Spec{Workload: "spmv", Scale: "tiny"})
+	if resp.StatusCode != 201 {
 		t.Fatalf("second submit: %s", resp.Status)
 	}
+	// Release both, queued one first so it never takes the freed slot: the
+	// runs block until cancelled, and the teardown's drain would otherwise
+	// wait out its deadline on them.
+	t.Cleanup(func() {
+		m.Cancel(second.ID)
+		m.Cancel(first.ID)
+	})
 	// Shed: 429 with Retry-After.
-	_, resp := postJob(t, ts, jobs.Spec{Workload: "bfs", Scale: "tiny"})
+	_, resp = postJob(t, ts, jobs.Spec{Workload: "bfs", Scale: "tiny"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed submit status = %s, want 429", resp.Status)
 	}

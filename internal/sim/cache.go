@@ -191,9 +191,7 @@ type Cache struct {
 	misses  int64
 	evicted int64
 
-	replayHits      int64
-	replayFallbacks int64
-	replayRecorded  int64
+	replay ReplayCounters
 
 	kernels layer[kernelKey, *ir.Function]
 	graphs  layer[kernelKey, *ddg.Graph]
@@ -247,29 +245,44 @@ func (c *Cache) Counters() CacheCounters {
 // Fallbacks counts runs that found a schedule but whose config delta the
 // classifier declared ineligible (full simulation ran instead), and Recorded
 // counts schedules captured and published. Cold runs with no schedule under
-// their key count in none of the three.
+// their key count in none of the three. Identical, InertKnob and DRAMRefit
+// count hits by proof family, a hit once under each family it rests on.
 type ReplayCounters struct {
 	Hits      int64
 	Fallbacks int64
 	Recorded  int64
+
+	Identical int64
+	InertKnob int64
+	DRAMRefit int64
 }
 
 // ReplayCounters returns a snapshot of the schedule-replay counters.
 func (c *Cache) ReplayCounters() ReplayCounters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return ReplayCounters{Hits: c.replayHits, Fallbacks: c.replayFallbacks, Recorded: c.replayRecorded}
+	return c.replay
 }
 
 // noteReplay records the outcome of one replay attempt that found a
-// schedule: a hit (replayed) or a fallback (classifier declined).
-func (c *Cache) noteReplay(hit bool) {
+// schedule: a hit on the decision's families, or a fallback.
+func (c *Cache) noteReplay(dec replay.Decision) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if hit {
-		c.replayHits++
-	} else {
-		c.replayFallbacks++
+	if !dec.Eligible {
+		c.replay.Fallbacks++
+		return
+	}
+	c.replay.Hits++
+	for _, f := range dec.Families {
+		switch f {
+		case "identical":
+			c.replay.Identical++
+		case "inert-knob":
+			c.replay.InertKnob++
+		case "dram-refit":
+			c.replay.DRAMRefit++
+		}
 	}
 }
 
@@ -295,9 +308,13 @@ func (c *Cache) Schedule(key Key, structHash uint64) *replay.Schedule {
 // replayed against, so a second publish is dropped. Reports whether the
 // schedule was stored.
 func (c *Cache) PutSchedule(key Key, structHash uint64, s *replay.Schedule) bool {
-	if s == nil {
-		return false
-	}
+	return s != nil && c.putSchedule(key, structHash, s, true)
+}
+
+// putSchedule installs s unless a schedule is resident under (key,
+// structHash). Only a recorded one counts in Recorded: an import restores
+// prior work, it does not capture new work.
+func (c *Cache) putSchedule(key Key, structHash uint64, s *replay.Schedule, recorded bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sk := schedKey{Key: key, Struct: structHash}
@@ -308,7 +325,9 @@ func (c *Cache) PutSchedule(key Key, structHash uint64, s *replay.Schedule) bool
 	close(done)
 	c.scheds.m[sk] = &flight[*replay.Schedule]{done: done, val: s, completed: true}
 	c.scheds.touch(sk)
-	c.replayRecorded++
+	if recorded {
+		c.replay.Recorded++
+	}
 	c.scheds.evictOver(c.max, &c.evicted)
 	return true
 }

@@ -166,28 +166,12 @@ func (c *Cache) ImportArtifact(name string, data []byte) error {
 		if err := dec.Decode(&s); err != nil {
 			return fmt.Errorf("sim: import %s: %w", name, err)
 		}
-		c.putImportedSchedule(hdr.Key, hdr.Struct, &s)
+		s.KeepCanon() // once per schedule, as Recorder.Build does
+		c.putSchedule(hdr.Key, hdr.Struct, &s, false)
 		return nil
 	default:
 		return fmt.Errorf("sim: import %s: unknown artifact kind %q", name, hdr.Kind)
 	}
-}
-
-// putImportedSchedule installs a schedule like PutSchedule but without
-// bumping the recorded counter: an import restores prior work, it does not
-// capture new work.
-func (c *Cache) putImportedSchedule(key Key, structHash uint64, s *replay.Schedule) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sk := schedKey{Key: key, Struct: structHash}
-	if _, ok := c.scheds.m[sk]; ok {
-		return
-	}
-	done := make(chan struct{})
-	close(done)
-	c.scheds.m[sk] = &flight[*replay.Schedule]{done: done, val: s, completed: true}
-	c.scheds.touch(sk)
-	c.scheds.evictOver(c.max, &c.evicted)
 }
 
 // importedTrace returns the staged imported trace for key, or nil. The

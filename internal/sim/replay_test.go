@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"mosaicsim/internal/accel"
 	"mosaicsim/internal/config"
+	"mosaicsim/internal/mem"
 	"mosaicsim/internal/soc"
 	"mosaicsim/internal/workloads"
 )
@@ -428,5 +430,58 @@ func TestSessionResolvesItsConfigOnce(t *testing.T) {
 	}
 	if _, out := runLeg(t, cache, sc(), models, true); !out.Replayed || calls != 2 {
 		t.Fatalf("replay hit: replayed=%v (%q), preset called %d times in all, want twice", out.Replayed, out.Reason, calls)
+	}
+}
+
+// TestReplayHitAllocsDoNotGrowWithTraffic: a dram-refit hit's proof walks the
+// recorded arrival log without allocating, so a hit on a schedule whose log
+// is ten times longer allocates exactly what a hit on the short one does.
+func TestReplayHitAllocsDoNotGrowWithTraffic(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts do not repeat under -race")
+	}
+	models := accelModelsAt(4, 24)
+	refit := replayBaseConfig()
+	refit.Mem.DRAM.BandwidthGBs = 48
+	hitAllocs := func(copies int) float64 {
+		cache := NewCache()
+		if _, out := runLeg(t, cache, replayBaseConfig(), models, true); !out.Recorded {
+			t.Fatalf("recording run did not publish a schedule (reason: %q)", out.Reason)
+		}
+		// Lengthen the recorded log by whole copies of itself, each shifted
+		// past the last on the epoch grid: every bucket keeps its count, so
+		// the refit verdict is unchanged and only the log's length grows.
+		for _, f := range cache.scheds.m {
+			s := f.val
+			epoch, _ := mem.SimpleDRAMBudget(s.Mem.DRAM, s.ClockMHz, s.LineBytes)
+			log := s.DRAMArrivals
+			shift := (slices.Max(log) + s.Mem.DRAM.MinLatency + 1) * epoch
+			for k := 1; k < copies; k++ {
+				for _, a := range log {
+					s.DRAMArrivals = append(s.DRAMArrivals, a+int64(k)*shift)
+				}
+			}
+			s.Result.DRAM.Reads += int64(len(s.DRAMArrivals) - len(log))
+		}
+		s, err := NewSession(Options{Workload: replayW, Scale: workloads.Tiny, Config: refit, Accels: models, Cache: cache, Replay: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := s.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if out := s.Replay(); !out.Replayed || !slices.Contains(out.Families, "dram-refit") {
+			t.Fatalf("%dx log: want a dram-refit hit, got replayed=%v families=%v reason=%q", copies, out.Replayed, out.Families, out.Reason)
+		}
+		if rc := cache.ReplayCounters(); rc.Hits == 0 || rc.DRAMRefit != rc.Hits || rc.Identical != 0 {
+			t.Fatalf("%dx log: family census %+v, want every hit under dram-refit and none identical", copies, rc)
+		}
+		return allocs
+	}
+	short, long := hitAllocs(1), hitAllocs(10)
+	if long != short {
+		t.Fatalf("a dram-refit hit allocates %v objects on a 10x longer arrival log, %v on the recorded one", long, short)
 	}
 }

@@ -426,11 +426,12 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 	ctx = orBackground(ctx)
 	replayOn := s.opts.Replay && s.topo != nil && !s.opts.DisableCycleSkipping
 	var structHash uint64
+	var canon []byte
 	var out ReplayOutcome
 	if replayOn {
 		out.Attempted = true
-		canon, err := replaypkg.CanonJSON(s.topo)
-		if err != nil {
+		var err error
+		if canon, err = replaypkg.CanonJSON(s.topo); err != nil {
 			// A topology with no canonical form (a NaN area) still
 			// simulates: take the full path.
 			replayOn = false
@@ -439,9 +440,9 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 			structHash = replaypkg.StructHash(canon)
 			if sched := s.cache.Schedule(s.key, structHash); sched != nil {
 				dec := replaypkg.Classify(sched, s.topo, canon, s.opts.Accels, s.opts.Limit)
+				s.cache.noteReplay(dec)
 				if dec.Eligible {
 					res := sched.ResultCopy()
-					s.cache.noteReplay(true)
 					out.Replayed = true
 					out.Families = dec.Families
 					out.Stepped = sched.Stepped
@@ -454,7 +455,6 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 					s.mu.Unlock()
 					return res, nil
 				}
-				s.cache.noteReplay(false)
 				out.Reason = dec.Reason
 			} else {
 				out.Reason = "no recorded schedule"
@@ -475,7 +475,7 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 	}
 	res := sys.Result()
 	if rec != nil {
-		out.Recorded = s.cache.PutSchedule(s.key, structHash, rec.Build(s.topo, sys, res))
+		out.Recorded = s.cache.PutSchedule(s.key, structHash, rec.Build(s.topo, canon, sys, res))
 	}
 	s.mu.Lock()
 	s.res = res
