@@ -54,11 +54,12 @@ type Stats struct {
 	Recvs      int64
 	AccCalls   int64
 	Mispredict int64
-	// Stall counters (cycle-grained causes sampled at issue).
-	MAOStalls    int64 // memory ops delayed by MAO ordering or capacity
-	FUStalls     int64 // issue attempts blocked on functional units
-	WindowStalls int64 // issue attempts blocked outside the window
-	CommStalls   int64 // send/recv retries
+	// Stall cycles, in system cycles like Cycles: the cycles after a step
+	// that issued nothing, charged to the first hazard that step met.
+	MAOStalls    int64 // a memory op held by MAO ordering or LSQ capacity
+	FUStalls     int64 // a node held by a busy functional unit
+	WindowStalls int64 // the window full, at launch or at issue
+	CommStalls   int64 // a send, recv or barrier not yet possible
 	EnergyPJ     float64
 }
 
@@ -69,6 +70,20 @@ func (s *Stats) IPC() float64 {
 	}
 	return float64(s.Instrs) / float64(s.Cycles)
 }
+
+// stallCause is why a step issued nothing: the first hazard it met. The next
+// Step charges the cycles since to it. A frozen step meets the same hazard, so
+// the cycles a horizon jump elides land where the naive loop puts them.
+type stallCause uint8
+
+const (
+	stallNone stallCause = iota
+	stallMAO
+	stallFU
+	stallWindow
+	stallComm
+	stallIssued // the step issued: its cycles are no stall
+)
 
 type nodeState uint8
 
@@ -163,7 +178,8 @@ type Core struct {
 	edges     []edge
 	edgeFree  int32
 	bpHistory uint16 // gshare's 12 history bits (config.BranchDynamic)
-	finished  bool   // these three share one word
+	finished  bool   // these four share one word
+	stall     stallCause
 
 	liveDBB  []int   // static block ID -> live DBB count
 	lastDBB  *dynDBB // most recently launched DBB
@@ -393,6 +409,7 @@ func (c *Core) Step(now int64) bool {
 	if c.finished {
 		return false
 	}
+	c.chargeStall(now)
 	c.processCompletions(now)
 	// Drain the store-value buffer: consume matured messages for recvs that
 	// already left the pipeline.
@@ -412,6 +429,29 @@ func (c *Core) Step(now int64) bool {
 	}
 	c.Stats.Cycles = now
 	return true
+}
+
+// chargeStall charges the cycles since the previous step to its stall cause.
+func (c *Core) chargeStall(now int64) {
+	d := now - c.Stats.Cycles
+	switch c.stall {
+	case stallMAO:
+		c.Stats.MAOStalls += d
+	case stallFU:
+		c.Stats.FUStalls += d
+	case stallWindow:
+		c.Stats.WindowStalls += d
+	case stallComm:
+		c.Stats.CommStalls += d
+	}
+	c.stall = stallNone
+}
+
+// hazard records cause unless this step already issued or met a hazard.
+func (c *Core) hazard(cause stallCause) {
+	if c.stall == stallNone {
+		c.stall = cause
+	}
 }
 
 // processCompletions retires timing events due at or before now.
@@ -585,7 +625,7 @@ func (c *Core) launchDBBs(now int64) {
 			return
 		}
 		if u := c.seqCounter - c.headSeq; u >= int64(c.Cfg.WindowSize) && u > 0 {
-			c.Stats.WindowStalls++
+			c.hazard(stallWindow)
 			return
 		}
 		c.launchOne(bid)
@@ -769,7 +809,7 @@ func (c *Core) issue(now int64) {
 		}
 		if s >= windowLimit {
 			// Oldest ready node is outside the window; all others are too.
-			c.Stats.WindowStalls++
+			c.hazard(stallWindow)
 			break
 		}
 		if c.tryIssue(n, now) {
@@ -825,6 +865,7 @@ func (c *Core) issueInOrder(now int64) {
 		if n.kind == KindMem && n.memKind != mem.Read &&
 			c.maoInUse+c.readyCount < c.Cfg.LSQSize && c.maoOrderBlocked(n) {
 			c.setReady(n.seq)
+			c.stall = stallIssued
 			c.issueSeq++
 			issued++
 			continue
@@ -854,7 +895,7 @@ func (c *Core) issueInOrder(now int64) {
 // MAO, communication) and the node retries next cycle.
 func (c *Core) tryIssue(n *dynNode, now int64) bool {
 	if lim := c.fuLim[n.class]; lim > 0 && c.fuBusy[n.class] >= lim {
-		c.Stats.FUStalls++
+		c.hazard(stallFU)
 		return false
 	}
 	switch n.kind {
@@ -868,7 +909,7 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 			// matures when the load's data returns.
 			set, ok := c.fabric.TrySendFuture(c.ID, int(n.partner))
 			if !ok {
-				c.Stats.CommStalls++
+				c.hazard(stallComm)
 				return false
 			}
 			c.fused = append(c.fused, fusedSend{load, set})
@@ -877,7 +918,7 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 			return true
 		}
 		if !c.fabric.TrySend(c.ID, int(n.partner), now) {
-			c.Stats.CommStalls++
+			c.hazard(stallComm)
 			return false
 		}
 		c.Stats.Sends++
@@ -892,14 +933,14 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 			c.progress++
 		}
 		if !c.fabric.BarrierReleased(int64(n.addr)) {
-			c.Stats.CommStalls++
+			c.hazard(stallComm)
 			return false
 		}
 		c.issueFixed(n, now, c.lat[config.ClassSpecial])
 		return true
 	case KindRecv:
 		if !c.fabric.TryRecv(c.ID, int(n.partner), now) {
-			c.Stats.CommStalls++
+			c.hazard(stallComm)
 			return false
 		}
 		c.Stats.Recvs++
@@ -925,6 +966,7 @@ func (c *Core) tryIssue(n *dynNode, now int64) bool {
 }
 
 func (c *Core) markIssued(n *dynNode) {
+	c.stall = stallIssued
 	n.state = stateIssued
 	c.outstanding++
 	c.progress++
@@ -942,7 +984,7 @@ func (c *Core) issueFixed(n *dynNode, now, latency int64) {
 // capacity (§III-A), then dispatches to the memory hierarchy.
 func (c *Core) tryIssueMem(n *dynNode, now int64) bool {
 	if c.maoInUse >= c.Cfg.LSQSize {
-		c.Stats.MAOStalls++
+		c.hazard(stallMAO)
 		return false
 	}
 	// Prune the completed prefix: complete() nils slots, so a nil entry is a
@@ -961,7 +1003,7 @@ func (c *Core) tryIssueMem(n *dynNode, now int64) bool {
 		c.maoHead = 0
 	}
 	if c.maoOrderBlocked(n) {
-		c.Stats.MAOStalls++
+		c.hazard(stallMAO)
 		return false
 	}
 	c.markIssued(n)
@@ -1018,8 +1060,8 @@ func overlaps(a, b *dynNode) bool {
 
 // Progress returns a monotone counter of state-changing events (launches,
 // issues, completions, drains, barrier arrivals). Two equal readings around a
-// Step mean the step observably did nothing except advance per-cycle stall
-// counters.
+// Step mean the step observably did nothing but charge the previous step's
+// stall and record the same cause again.
 func (c *Core) Progress() uint64 { return c.progress }
 
 // NextEvent returns a lower bound on the next global cycle at which this
@@ -1039,30 +1081,4 @@ func (c *Core) NextEvent(now int64) int64 {
 		h = c.launchAt
 	}
 	return h
-}
-
-// StallSnapshot captures the stall counters that advance every stalled cycle
-// even when the tile's architectural state is frozen. The Interleaver
-// brackets a tile's Step with snapshots and replays the constant per-step
-// delta over skipped cycles so results stay bit-identical to the naive loop.
-type StallSnapshot struct {
-	MAO, FU, Window, Comm int64
-}
-
-// StallCounters reads the current per-cycle stall counters.
-func (c *Core) StallCounters() StallSnapshot {
-	return StallSnapshot{c.Stats.MAOStalls, c.Stats.FUStalls, c.Stats.WindowStalls, c.Stats.CommStalls}
-}
-
-// AddStallCycles replays the per-step stall delta d for k elided steps.
-func (c *Core) AddStallCycles(d StallSnapshot, k int64) {
-	c.Stats.MAOStalls += d.MAO * k
-	c.Stats.FUStalls += d.FU * k
-	c.Stats.WindowStalls += d.Window * k
-	c.Stats.CommStalls += d.Comm * k
-}
-
-// Sub returns the element-wise difference a - b.
-func (a StallSnapshot) Sub(b StallSnapshot) StallSnapshot {
-	return StallSnapshot{a.MAO - b.MAO, a.FU - b.FU, a.Window - b.Window, a.Comm - b.Comm}
 }

@@ -2,6 +2,8 @@ package dae
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"mosaicsim/internal/interp"
 	"mosaicsim/internal/ir"
 	"mosaicsim/internal/soc"
+	"mosaicsim/internal/testgen"
 )
 
 // runOriginal executes the undecoupled kernel on P tiles and returns the
@@ -153,6 +156,35 @@ func TestSliceEquivalenceSinglePair(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("C[%d]: original %g, DAE %g", i, want[i], got[i])
 		}
+	}
+}
+
+// TestSlicePreservesGeneratedKernels: a generated kernel's access and execute
+// slices, run as one pair, leave the memory image the kernel leaves, at
+// every opt level.
+func TestSlicePreservesGeneratedKernels(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			src := testgen.Source(seed)
+			for _, opt := range testgen.Levels() {
+				want, f, _, err := testgen.Run(src, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := Slice(f)
+				if err != nil {
+					t.Fatalf("at %s: %v", opt, err)
+				}
+				got, _, err := testgen.RunTiles([]*ir.Function{s.Access, s.Execute})
+				if err != nil {
+					t.Fatalf("sliced at %s: %v", opt, err)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("at %s: the slices leave another memory image than the kernel\n%s", opt, src)
+				}
+			}
+		})
 	}
 }
 

@@ -90,6 +90,8 @@ type SimpleDRAM struct {
 	seq      int64
 	curEpoch int64
 	used     int64
+	// throttledAt is the cycle of the latest tick, if it throttled, else -1.
+	throttledAt int64
 	// events counts observable state changes: the model's own counter, or
 	// its Hierarchy's shared one.
 	events    *int64
@@ -126,6 +128,7 @@ func NewSimpleDRAM(cfg config.DRAMConfig, clockMHz int, lineBytes int) *SimpleDR
 		maxPerEpoch: maxLines,
 		lineBytes:   int64(lineBytes),
 		curEpoch:    -1,
+		throttledAt: -1,
 	}
 	d.events = &d.ownEvents
 	return d
@@ -163,9 +166,8 @@ func (d *SimpleDRAM) Busy() bool { return d.pq.Len() > 0 }
 
 // NextEvent implements Level. A throttled DRAM promises nothing before the
 // epoch boundary that resets the bandwidth budget — but it still reports the
-// head's due cycle when that comes first, because the per-cycle Throttled
-// stall accrual starts there and the Interleaver re-samples its stall deltas
-// at every horizon.
+// head's due cycle when that comes first: Throttled accrues from there, and
+// only a real tick there starts the run that the next tick charges.
 func (d *SimpleDRAM) NextEvent(now int64) int64 {
 	if d.pq.Len() == 0 {
 		return HorizonNone
@@ -184,13 +186,15 @@ func (d *SimpleDRAM) NextEvent(now int64) int64 {
 	return ready
 }
 
-// AddThrottleStalls replays the per-cycle throttle accounting for n elided
-// ticks of a frozen (due-but-over-budget) state.
-func (d *SimpleDRAM) AddThrottleStalls(n int64) { d.Stats.Throttled += n }
-
 // Tick implements Level: returns as many minimum-latency-served requests as
-// the epoch's bandwidth budget allows.
+// the epoch's bandwidth budget allows. Every cycle a horizon jump elided after
+// a throttled tick was throttled too (a jump never passes the epoch boundary
+// that lifts it), so the tick that follows charges them.
 func (d *SimpleDRAM) Tick(now int64) {
+	if d.throttledAt >= 0 {
+		d.Stats.Throttled += now - d.throttledAt - 1
+		d.throttledAt = -1
+	}
 	epoch := now / d.epochCycles
 	if epoch != d.curEpoch {
 		d.curEpoch = epoch
@@ -199,6 +203,7 @@ func (d *SimpleDRAM) Tick(now int64) {
 	for d.pq.Len() > 0 && d.pq[0].ready <= now {
 		if d.used >= d.maxPerEpoch {
 			d.Stats.Throttled++
+			d.throttledAt = now
 			return
 		}
 		it := d.pq.pop()

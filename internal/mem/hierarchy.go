@@ -154,9 +154,8 @@ func (h *Hierarchy) DRAMAccessLog() []int64 {
 
 // Progress is the event counter every level counts through: a request
 // accepted, processed or completed anywhere. Two equal readings mean no level
-// changed observable state in between. Per-cycle stall accounting (bandwidth
-// throttling) is not an event: it is replayed arithmetically over skipped
-// cycles.
+// changed observable state in between. Bandwidth throttling is not an event:
+// the DRAM charges the throttled cycles a jump elides at its next tick.
 func (h *Hierarchy) Progress() int64 { return h.events }
 
 // NextEvent returns the earliest self-scheduled event across all levels
@@ -169,23 +168,6 @@ func (h *Hierarchy) NextEvent(now int64) int64 {
 		due = min(due, d)
 	}
 	return min(h.DRAM.NextEvent(now), max(due, now+1))
-}
-
-// ThrottleStalls reads the DRAM bandwidth-throttle counter (SimpleDRAM
-// only), which advances every stalled cycle and is therefore replayed — not
-// skipped — over elided cycles.
-func (h *Hierarchy) ThrottleStalls() int64 {
-	if h.simple != nil {
-		return h.simple.Stats.Throttled
-	}
-	return 0
-}
-
-// AddThrottleStalls replays n elided cycles of throttle accounting.
-func (h *Hierarchy) AddThrottleStalls(n int64) {
-	if h.simple != nil {
-		h.simple.AddThrottleStalls(n)
-	}
 }
 
 // TotalStats sums cache stats across a level slice.

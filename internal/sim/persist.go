@@ -33,11 +33,17 @@ type blobHeader struct {
 	Kind string `json:"kind"` // "trace" or "sched"
 	Key  Key    `json:"key"`
 	// Struct is the schedule's structural config hash ("sched" blobs only).
-	Struct uint64 `json:"struct,omitempty"`
+	Struct     uint64 `json:"struct,omitempty"`
+	Accounting int    `json:"accounting,omitempty"` // "sched" blobs: schedAccounting
 	// Sum is payloadSum of the payload. Blobs of older builds have none; a
 	// blob that has one imports only if its payload still matches it.
 	Sum string `json:"sum,omitempty"`
 }
+
+// schedAccounting is the stall accounting this build records: stall cycles
+// charged at the next step (1). A replay hit serves the recorded Result
+// verbatim, so a schedule counted any other way is refused and re-recorded.
+const schedAccounting = 1
 
 // payloadSum is the hex SHA-256 of a blob's payload, cut to 128 bits.
 func payloadSum(payload []byte) string {
@@ -58,7 +64,9 @@ func blob(hdr blobHeader, payload []byte) ([]byte, error) {
 // blobName derives the content-addressed blob name for a header without a
 // checksum: the kind plus a hash of the canonical header JSON, so equal keys
 // collide (by design — the blob is already present) and distinct keys cannot.
+// The stamp is left out, so a re-recorded schedule replaces its refused blob.
 func blobName(h blobHeader) string {
+	h.Accounting = 0
 	b, _ := json.Marshal(h)
 	sum := sha256.Sum256(b)
 	return h.Kind + "-" + hex.EncodeToString(sum[:16])
@@ -119,7 +127,7 @@ func (c *Cache) ExportArtifacts(fn func(name string, data []byte) error) error {
 		if err != nil {
 			return fmt.Errorf("sim: export schedule %s: %w", e.key.Kernel, err)
 		}
-		if err := put(blobHeader{Kind: "sched", Key: e.key.Key, Struct: e.key.Struct}, sb); err != nil {
+		if err := put(blobHeader{Kind: "sched", Key: e.key.Key, Struct: e.key.Struct, Accounting: schedAccounting}, sb); err != nil {
 			return err
 		}
 	}
@@ -130,8 +138,9 @@ func (c *Cache) ExportArtifacts(fn func(name string, data []byte) error) error {
 // staged for lazy adoption by the next Artifact build under its key, and a
 // schedule is installed directly (first writer wins; imports never count as
 // newly recorded). Unknown kinds, payloads that fail their checksum, corrupt
-// payloads and traces of an older format (trace.ErrOlderVersion) are errors:
-// the kernel is then traced again, and the next export rewrites the blob.
+// payloads, traces of an older format (trace.ErrOlderVersion) and schedules
+// of another stall accounting are errors: the kernel is then traced or the
+// leg run again, and the next export rewrites the blob.
 func (c *Cache) ImportArtifact(name string, data []byte) error {
 	line, payload, ok := bytes.Cut(data, []byte("\n"))
 	if !ok {
@@ -161,6 +170,9 @@ func (c *Cache) ImportArtifact(name string, data []byte) error {
 		c.mu.Unlock()
 		return nil
 	case "sched":
+		if hdr.Accounting != schedAccounting {
+			return fmt.Errorf("sim: import %s: schedule recorded under stall accounting %d, this build counts %d", name, hdr.Accounting, schedAccounting)
+		}
 		var s replay.Schedule
 		dec := json.NewDecoder(r)
 		if err := dec.Decode(&s); err != nil {

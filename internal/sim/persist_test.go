@@ -135,7 +135,8 @@ func asOlderBuild(t testing.TB, hdr, body []byte) []byte {
 // that still recorded quiet-window certificates carries five invocation
 // fields this build no longer has (values below as the last such build wrote
 // them for this workload). The decoder ignores them, and the blob still
-// answers an identical leg.
+// answers an identical leg. (The header keeps this build's accounting stamp:
+// a blob that build wrote has none and is re-recorded.)
 func TestImportScheduleFromOlderBuild(t *testing.T) {
 	cfg := replayBaseConfig()
 	models := accelModelsAt(4, 24)
@@ -189,6 +190,77 @@ func TestImportScheduleFromOlderBuild(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("replay from the old blob differs from the recorded run:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// olderAccountingSchedule records w on cfg with replay on and returns the
+// run's Result and its schedule blob, named and framed as builds before the
+// stall-accounting stamp wrote it: the same header, with no stamp.
+func olderAccountingSchedule(t testing.TB, w *workloads.Workload, cfg *config.SystemConfig) (res soc.Result, name string, data []byte) {
+	t.Helper()
+	c := NewCache()
+	s, err := NewSession(Options{Workload: w, Config: cfg, Replay: true, Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ExportArtifacts(func(n string, blob []byte) error {
+		if !strings.HasPrefix(n, "sched-") {
+			return nil
+		}
+		line, payload, _ := bytes.Cut(blob, []byte("\n"))
+		var h blobHeader
+		if err := json.Unmarshal(line, &h); err != nil {
+			return err
+		}
+		h.Accounting = 0
+		hb, err := json.Marshal(h)
+		name, data = n, append(append(hb, '\n'), payload...)
+		return err
+	}); err != nil || data == nil {
+		t.Fatalf("export: %v (schedule blob found: %v)", err, data != nil)
+	}
+	return res, name, data
+}
+
+// TestScheduleOfOlderAccountingIsRerecorded: a replay hit serves the recorded
+// Result verbatim, stall counters included, so a schedule blob without this
+// build's accounting stamp is refused. The leg then runs in full, and the
+// next export writes the same name with new bytes, which replace the blob.
+func TestScheduleOfOlderAccountingIsRerecorded(t *testing.T) {
+	w, cfg := spinWorkload("persist-accounting", 2_000), oneTileConfig("persist-accounting-cfg")
+	want, name, old := olderAccountingSchedule(t, w, cfg)
+	c := NewCache()
+	if err := c.ImportArtifact(name, old); err == nil || !strings.Contains(err.Error(), "stall accounting 0") {
+		t.Fatalf("ImportArtifact = %v, want a stall accounting error", err)
+	}
+	s, err := NewSession(Options{Workload: w, Config: cfg, Replay: true, Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := s.Replay(); out.Replayed || !out.Recorded || !reflect.DeepEqual(got, want) {
+		t.Errorf("leg after the refusal: replayed=%v recorded=%v (reason %q), result equal=%v", out.Replayed, out.Recorded, out.Reason, reflect.DeepEqual(got, want))
+	}
+	var again []byte
+	if err := c.ExportArtifacts(func(n string, data []byte) error {
+		if n == name {
+			again = data
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if again == nil || bytes.Equal(again, old) {
+		t.Errorf("re-export under %s: found %v, bytes unchanged %v; want new bytes under the old name", name, again != nil, bytes.Equal(again, old))
+	}
+	if err := NewCache().ImportArtifact(name, again); err != nil {
+		t.Errorf("the re-recorded blob is refused: %v", err)
 	}
 }
 
@@ -344,7 +416,7 @@ func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
 		// A header, one tile, and a path that claims 2^62 blocks and bits.
 		{"trace whose BB path count lies", traceHdr + "MSTR\x04\x00\x01\x00\x00" + strings.Repeat("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 2), "trace: decoding path bits: unexpected EOF"},
 		{"trace an older build wrote", traceHdr + "MSTR\x03\x00\x01\x00\x01\x01\x00\x00\x00\x00\x00", "version 3: " + trace.ErrOlderVersion.Error()},
-		{"garbage schedule payload", `{"kind":"sched","key":{}}` + "\n{", "unexpected EOF"},
+		{"garbage schedule payload", `{"kind":"sched","key":{},"accounting":1}` + "\n{", "unexpected EOF"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCache()
@@ -360,7 +432,7 @@ func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
 }
 
 // TestScheduleSpellingOnDisk: a persisted schedule spells its topology with
-// the keys it always had, so the blobs of older builds import and hit. A run
+// the keys it always had, so older payloads under a current header hit. A run
 // that DAE slicing mapped onto role-less tiles adds one key, SlicedRoles, and
 // a blob from before roles were resolved (empty roles, no such key) still
 // answers it.
@@ -591,6 +663,8 @@ func FuzzImportArtifact(f *testing.F) {
 	for _, body := range damagedTraces(f, w, payload) {
 		f.Add(asOlderBuild(f, hdr, body))
 	}
+	_, _, sched := olderAccountingSchedule(f, w, cfg)
+	f.Add(sched)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCache()
 		if c.ImportArtifact("fuzz", data) != nil {

@@ -24,9 +24,8 @@ func TestTransferCostPure(t *testing.T) {
 	if lat, hops := f.transferCost(0, 3); lat != 9 || hops != 2 {
 		t.Fatalf("transferCost(0,3) = (%d, %d), want (9, 2)", lat, hops)
 	}
-	if f.HopsTotal() != 0 || f.Sends() != 0 || f.FullStall() != 0 {
-		t.Fatalf("latency query mutated counters: hops=%d sends=%d stalls=%d",
-			f.HopsTotal(), f.Sends(), f.FullStall())
+	if f.HopsTotal() != 0 || f.Sends() != 0 {
+		t.Fatalf("latency query mutated counters: hops=%d sends=%d", f.HopsTotal(), f.Sends())
 	}
 	if !f.TrySend(0, 3, 0) {
 		t.Fatal("send within capacity failed")
@@ -40,9 +39,6 @@ func TestTransferCostPure(t *testing.T) {
 	if f.HopsTotal() != 2 {
 		t.Errorf("rejected send charged hops: %d, want 2", f.HopsTotal())
 	}
-	if f.FullStall() != 1 {
-		t.Errorf("FullStall = %d, want 1", f.FullStall())
-	}
 	// Horizon probes walk the queue fronts; they must not mutate anything.
 	f.frontArrivals(func(int, int64) {})
 	if f.HopsTotal() != 2 || f.Sends() != 1 || f.Recvs() != 0 {
@@ -53,8 +49,8 @@ func TestTransferCostPure(t *testing.T) {
 	if _, ok := f.TrySendFuture(0, 3); ok {
 		t.Fatal("future send beyond capacity succeeded")
 	}
-	if f.HopsTotal() != 2 || f.FullStall() != 2 {
-		t.Errorf("rejected future send: hops=%d stalls=%d, want 2/2", f.HopsTotal(), f.FullStall())
+	if f.HopsTotal() != 2 {
+		t.Errorf("rejected future send charged hops: %d, want 2", f.HopsTotal())
 	}
 }
 

@@ -72,9 +72,6 @@ type Fabric struct {
 	sends int64
 	recvs int64
 	hops  int64
-	// fullStall is kept per sending tile: the skipper brackets each tile's
-	// step with its own slice of the counter to replay frozen send retries.
-	fullStall []int64
 }
 
 // transferCost returns the fabric latency from src to dst — including NoC
@@ -180,34 +177,6 @@ func (f *Fabric) Recvs() int64 { return f.recvs }
 // HopsTotal counts NoC hops traversed by accepted sends.
 func (f *Fabric) HopsTotal() int64 { return f.hops }
 
-// FullStall counts send attempts rejected by a full buffer.
-func (f *Fabric) FullStall() int64 {
-	var t int64
-	for _, v := range f.fullStall {
-		t += v
-	}
-	return t
-}
-
-// fullStallOf reads tile i's slice of the full-buffer stall counter — the
-// only slice of FullStall a step by tile i can advance, which makes it the
-// right bracketing sample for frozen-step replay.
-func (f *Fabric) fullStallOf(i int) int64 {
-	if i < len(f.fullStall) {
-		return f.fullStall[i]
-	}
-	return 0
-}
-
-// addFullStall charges tile i with d rejected sends: one per failed attempt,
-// k at once when the skipper replays k frozen steps.
-func (f *Fabric) addFullStall(i int, d int64) {
-	for len(f.fullStall) <= i {
-		f.fullStall = append(f.fullStall, 0)
-	}
-	f.fullStall[i] += d
-}
-
 // queue returns the FIFO for one (src,dst) pair, allocating on first send.
 func (f *Fabric) queue(src, dst int) *msgQueue {
 	key := [2]int{src, dst}
@@ -223,7 +192,6 @@ func (f *Fabric) queue(src, dst int) *msgQueue {
 func (f *Fabric) TrySend(src, dst int, now int64) bool {
 	q := f.queue(src, dst)
 	if q.n >= f.Capacity {
-		f.addFullStall(src, 1)
 		return false
 	}
 	lat, hops := f.transferCost(src, dst)
@@ -244,7 +212,6 @@ const futureArrival = int64(1<<62 - 1)
 func (f *Fabric) TrySendFuture(src, dst int) (func(int64), bool) {
 	q := f.queue(src, dst)
 	if q.n >= f.Capacity {
-		f.addFullStall(src, 1)
 		return nil, false
 	}
 	slot := q.push(futureArrival)
@@ -453,7 +420,6 @@ func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[stri
 	cap := tiles[0].Cfg.MaxMessages
 	s.Fabric = NewFabric(cap, 1)
 	s.Fabric.Tiles = len(tiles)
-	s.Fabric.fullStall = make([]int64, len(tiles))
 	// The accelerator manager steps first each cycle: due invocations must
 	// retire before any core observes outstanding[] (a core invoking at the
 	// cycle a prior invocation completes must see it released).
@@ -473,7 +439,7 @@ func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[stri
 			kind = t.Cfg.Name
 		}
 		s.tilePos[i] = len(s.tiles)
-		s.tiles = append(s.tiles, &CoreTile{C: c, fabric: s.Fabric, kind: kind})
+		s.tiles = append(s.tiles, &CoreTile{C: c, kind: kind})
 	}
 	// Register barrier participants from the traces: a tile whose trace
 	// executes no barrier ops must not be waited on, and participating
@@ -548,8 +514,9 @@ func (s *System) cancelErr(ctx context.Context, cause error, cycle, effLimit int
 // cycle. When an iteration makes zero forward progress and every live tile
 // has confirmed a frozen step, the loop instead jumps to the minimum
 // next-event horizon across all components (event-horizon cycle skipping),
-// advancing the per-tile clock accumulators arithmetically and replaying the
-// per-cycle stall counters so results are bit-identical to the naive loop.
+// advancing the per-tile clock accumulators arithmetically. Stall time is
+// charged at each component's next real step, so results are bit-identical
+// to the naive loop.
 func (s *System) Run(ctx context.Context, limit int64) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -573,8 +540,8 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 	accum := make([]int64, nt)
 	// Event-horizon bookkeeping: idleOK[i] records that tile i stepped
 	// without making progress since the last progress event anywhere (its
-	// stall increments then repeat verbatim until something, somewhere,
-	// makes progress). prog[i] is tile i's progress counter as of its latest
+	// steps then change nothing until something, somewhere, makes
+	// progress). prog[i] is tile i's progress counter as of its latest
 	// step and tileProg the running sum over all tiles: a counter only moves
 	// inside the tile's own Step, so one reading per step keeps both exact.
 	idleOK := make([]bool, nt)
@@ -618,9 +585,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 				anyActive = true
 			}
 		}
-		thr0 := s.Hier.ThrottleStalls()
 		s.Hier.Tick(cycle)
-		thrTick := s.Hier.ThrottleStalls() - thr0
 		s.Cycles = cycle
 		s.SteppedCycles++
 		if !anyActive && !s.Hier.Busy() {
@@ -667,18 +632,11 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			continue
 		}
 		delta := target - 1 - cycle // whole iterations elided
-		for i, t := range s.tiles {
-			// Advance the clock-ratio accumulator arithmetically: k is the
-			// number of (frozen) steps tile i would have taken.
-			base := accum[i] / maxClock
-			adv := accum[i] + delta*strides[i]
-			k := adv/maxClock - base
-			accum[i] = adv - k*maxClock
-			if k > 0 && !t.Done() {
-				t.ReplayStalls(k)
-			}
+		for i := range accum {
+			// Advance the clock-ratio accumulator arithmetically over the
+			// (frozen) steps tile i would have taken.
+			accum[i] = (accum[i] + delta*strides[i]) % maxClock
 		}
-		s.Hier.AddThrottleStalls(thrTick * delta)
 		s.SkippedCycles += delta
 		s.Cycles = target - 1
 		cycle = target - 1 // the loop increment lands on target

@@ -14,10 +14,10 @@ import (
 //
 //   - Step(now) advances the tile by one of its own clock cycles and reports
 //     whether it is actively working. Step must be deterministic in the
-//     system state: a tile whose Progress() is unchanged by a step (a
-//     "frozen" step) must repeat exactly the same externally visible side
-//     effects — the same stall-counter increments, no state changes — every
-//     cycle until some component's Progress() moves.
+//     system state: a step that leaves the tile's Progress() unchanged (a
+//     "frozen" step) changes nothing, and the next one would repeat it, until
+//     some component's Progress() moves. Stall time is charged at the next
+//     real step, so the steps a jump elides need no accounting of their own.
 //   - Progress() is a monotone counter that changes iff the tile's
 //     architectural state changed, and only inside the tile's own Step (the
 //     loop compares each post-step reading with the previous one and keeps
@@ -27,15 +27,7 @@ import (
 //     may be conservative (early) but never late: skipping jumps to the
 //     minimum horizon across tiles, so a late answer would elide a cycle in
 //     which the tile had work.
-//   - ReplayStalls(k) lets the skipper replay a frozen step's stall
-//     accounting arithmetically. The tile brackets its own Step: it samples
-//     its stall counters on entry, so the increments its latest Step made
-//     are known — and the loop only asks for a replay at a horizon jump,
-//     when that step is known to have been frozen. ReplayStalls(k) must
-//     leave the tile exactly as k more repetitions of that step would have
-//     (a second jump before the next Step replays the same increments).
-//   - Done() tiles are excluded from freeze confirmation, horizons, and
-//     replay.
+//   - Done() tiles are excluded from freeze confirmation and horizons.
 type Tile interface {
 	// Kind labels the tile's model family ("ooo", "inorder", "accel", ...)
 	// for per-kind breakdowns.
@@ -47,23 +39,8 @@ type Tile interface {
 	Done() bool
 	Progress() uint64
 	NextEvent(now int64) int64
-	ReplayStalls(k int64)
 	// Stats reports the tile's contribution to per-kind breakdowns.
 	Stats() TileStats
-}
-
-// stallSample captures every stall counter a frozen step can touch: the
-// tile-local counters plus the tile's slice of the fabric back-pressure
-// counter (a frozen send retry bumps the sender's FullStall slice, which
-// lives outside the tile).
-type stallSample struct {
-	Core   core.StallSnapshot
-	Fabric int64
-}
-
-// sub returns the per-cycle delta between two samples.
-func (a stallSample) sub(b stallSample) stallSample {
-	return stallSample{Core: a.Core.Sub(b.Core), Fabric: a.Fabric - b.Fabric}
 }
 
 // TileStats is one tile's contribution to a per-kind breakdown: instructions
@@ -75,14 +52,10 @@ type TileStats struct {
 	StallCycles  int64
 }
 
-// CoreTile adapts a core.Core to the Tile interface. The fabric reference is
-// for stall accounting only: a frozen core retrying a send increments its
-// FullStall slice, so the sample must include it for replay.
+// CoreTile adapts a core.Core to the Tile interface.
 type CoreTile struct {
-	C      *core.Core
-	fabric *Fabric
-	kind   string
-	pre    stallSample // stall counters on entry to the latest Step
+	C    *core.Core
+	kind string
 }
 
 // Kind returns the core preset name ("ooo", "inorder", ...).
@@ -91,15 +64,8 @@ func (t *CoreTile) Kind() string { return t.kind }
 // ClockMHz implements Tile.
 func (t *CoreTile) ClockMHz() int { return t.C.Cfg.ClockMHz }
 
-// Step implements Tile. A finished tile is never asked to replay, so it
-// skips the stall sample too.
-func (t *CoreTile) Step(now int64) bool {
-	if t.C.Done() {
-		return false
-	}
-	t.pre = t.stalls()
-	return t.C.Step(now)
-}
+// Step implements Tile.
+func (t *CoreTile) Step(now int64) bool { return t.C.Step(now) }
 
 // Done implements Tile.
 func (t *CoreTile) Done() bool { return t.C.Done() }
@@ -109,20 +75,6 @@ func (t *CoreTile) Progress() uint64 { return t.C.Progress() }
 
 // NextEvent implements Tile.
 func (t *CoreTile) NextEvent(now int64) int64 { return t.C.NextEvent(now) }
-
-// stalls samples every stall counter a step of this tile can advance.
-func (t *CoreTile) stalls() stallSample {
-	return stallSample{Core: t.C.StallCounters(), Fabric: t.fabric.fullStallOf(t.C.ID)}
-}
-
-// ReplayStalls implements Tile. The entry sample moves with the counters, so
-// a second jump before the tile's next Step replays the same increments.
-func (t *CoreTile) ReplayStalls(k int64) {
-	delta := t.stalls().sub(t.pre) // the latest (frozen) step's increments
-	t.C.AddStallCycles(delta.Core, k)
-	t.fabric.addFullStall(t.C.ID, delta.Fabric*k)
-	t.pre = t.stalls().sub(delta)
-}
 
 // Stats implements Tile.
 func (t *CoreTile) Stats() TileStats {
@@ -193,10 +145,6 @@ func (t *AccelTile) Progress() uint64 { return 0 }
 // NextEvent implements Tile: completion delivery is owned by the invoking
 // core's horizon, so the manager itself never bounds a jump.
 func (t *AccelTile) NextEvent(now int64) int64 { return mem.HorizonNone }
-
-// ReplayStalls implements Tile; nothing to replay. (Done tiles are skipped
-// by the replay loop anyway.)
-func (t *AccelTile) ReplayStalls(k int64) {}
 
 // Stats implements Tile: invocations as "instructions", summed invocation
 // latency as active cycles.

@@ -337,6 +337,16 @@ func Run(src string, opt ir.OptConfig) ([]uint64, *ir.Function, *trace.Trace, er
 	if f == nil {
 		return nil, nil, nil, errors.New("testgen: generated module has no kernel function")
 	}
+	image, tr, err := RunTiles([]*ir.Function{f})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("testgen: interp at %s: %w", opt, err)
+	}
+	return image, f, tr, nil
+}
+
+// RunTiles runs fns, one per tile, on Run's input image and returns the
+// arrays' bit patterns afterwards and the run's trace.
+func RunTiles(fns []*ir.Function) ([]uint64, *trace.Trace, error) {
 	mem := interp.NewMemory(1 << 20)
 	defer mem.Release()
 
@@ -355,9 +365,9 @@ func Run(src string, opt ir.OptConfig) ([]uint64, *ir.Function, *trace.Trace, er
 	pb := mem.AllocI64(b)
 	pf := mem.AllocF64(fl)
 	args := []uint64{interp.ArgPtr(pa), interp.ArgPtr(pb), interp.ArgPtr(pf), interp.ArgI64(N)}
-	res, err := interp.Run(f, mem, args, interp.Options{MaxSteps: 1 << 26})
+	res, err := interp.RunTiles(fns, mem, args, interp.Options{MaxSteps: 1 << 26})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("testgen: interp at %s: %w", opt, err)
+		return nil, nil, err
 	}
 
 	out := make([]uint64, 0, 3*N)
@@ -370,5 +380,5 @@ func Run(src string, opt ir.OptConfig) ([]uint64, *ir.Function, *trace.Trace, er
 	for i := 0; i < N; i++ {
 		out = append(out, mem.LoadScalar(pf+uint64(8*i), ir.F64))
 	}
-	return out, f, res.Trace, nil
+	return out, res.Trace, nil
 }

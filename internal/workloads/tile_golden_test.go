@@ -160,13 +160,19 @@ func tileGoldenCases(t *testing.T, wrap func(*Workload) *Workload) []goldenCase 
 }
 
 // runGolden builds and runs one case with the chosen skipping mode and
-// returns its compact Result JSON.
+// returns its compact Result JSON. No core may stall for more cycles than
+// it ran.
 func runGolden(t *testing.T, gc goldenCase, noskip bool) []byte {
 	t.Helper()
 	sys := gc.build(t)
 	sys.DisableCycleSkipping = noskip
 	if err := sys.Run(context.Background(), 0); err != nil {
 		t.Fatalf("run %s (noskip=%v): %v", gc.key, noskip, err)
+	}
+	for i, cs := range sys.Result().CoreStats {
+		if sum := cs.MAOStalls + cs.FUStalls + cs.WindowStalls + cs.CommStalls; sum > cs.Cycles {
+			t.Errorf("%s (noskip=%v) core %d: %d stall cycles in %d cycles", gc.key, noskip, i, sum, cs.Cycles)
+		}
 	}
 	data, err := json.Marshal(sys.Result())
 	if err != nil {

@@ -52,7 +52,7 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 	const i32, u8, i64 = math.MaxInt32, math.MaxUint8, math.MaxInt64
 	rows := map[string]struct{ max, bound int64 }{
 		// Enumerations; access sizes, at most the widest IR type's 8 bytes.
-		"core.nodeState": {u8, 3}, "core.OpKind": {u8, 5}, "mem.Kind": {u8, 4},
+		"core.nodeState": {u8, 3}, "core.OpKind": {u8, 5}, "mem.Kind": {u8, 4}, "core.stallCause": {u8, 5},
 		"core.StaticNode.MemSize": {u8, 8}, "core.dynNode.memSize": {i32, 8},
 		// Static indices and positions in a block: below the kernel's
 		// instruction count.
