@@ -358,23 +358,17 @@ func printResult(out io.Writer, r soc.Result, sys *soc.System, rp sim.ReplayOutc
 	}
 	fmt.Fprintln(out, tbl.String())
 
-	if sys == nil {
-		// Replayed run: per-tile rollup from the result's core stats.
-		per := stats.NewTable("per-tile", "tile", "instrs", "IPC", "loads", "stores", "sends", "recvs", "MAO stalls", "comm stalls")
-		for i := range r.CoreStats {
-			s := &r.CoreStats[i]
-			per.Row(i, s.Instrs, s.IPC(), s.Loads, s.Stores, s.Sends, s.Recvs, s.MAOStalls, s.CommStalls)
-		}
-		fmt.Fprintln(out, per.String())
-		return
-	}
-
-	per := stats.NewTable("per-tile", "tile", "instrs", "IPC", "loads", "stores", "sends", "recvs", "MAO stalls", "comm stalls")
-	for i, c := range sys.Cores {
-		s := c.Stats
-		per.Row(i, s.Instrs, s.IPC(), s.Loads, s.Stores, s.Sends, s.Recvs, s.MAOStalls, s.CommStalls)
+	// Result.CoreStats is the cores' stats, live or replayed alike.
+	per := stats.NewTable("per-tile", "tile", "instrs", "IPC", "loads", "stores", "sends", "recvs",
+		"MAO stalls", "FU stalls", "window stalls", "comm stalls")
+	for i := range r.CoreStats {
+		s := &r.CoreStats[i]
+		per.Row(i, s.Instrs, s.IPC(), s.Loads, s.Stores, s.Sends, s.Recvs, s.MAOStalls, s.FUStalls, s.WindowStalls, s.CommStalls)
 	}
 	fmt.Fprintln(out, per.String())
+	if sys == nil {
+		return // a replayed run has no live system to break down by kind
+	}
 
 	// Heterogeneous systems get a per-kind rollup so core vs accelerator
 	// time is visible at a glance.

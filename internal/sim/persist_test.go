@@ -116,14 +116,15 @@ func TestExportImportRoundTrip(t *testing.T) {
 }
 
 // asOlderBuild frames body under the blob header hdr as builds before payload
-// checksums wrote it: without a sum.
+// checksums wrote it: without a sum, and without the stall-accounting stamp,
+// which came later still.
 func asOlderBuild(t testing.TB, hdr, body []byte) []byte {
 	t.Helper()
 	var h blobHeader
 	if err := json.Unmarshal(hdr, &h); err != nil {
 		t.Fatal(err)
 	}
-	h.Sum = ""
+	h.Sum, h.Accounting = "", 0
 	hb, err := json.Marshal(h)
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +135,10 @@ func asOlderBuild(t testing.TB, hdr, body []byte) []byte {
 // TestImportScheduleFromOlderBuild: a schedule blob persisted by a build
 // that still recorded quiet-window certificates carries five invocation
 // fields this build no longer has (values below as the last such build wrote
-// them for this workload). The decoder ignores them, and the blob still
-// answers an identical leg. (The header keeps this build's accounting stamp:
-// a blob that build wrote has none and is re-recorded.)
+// them for this workload). Under this build's header the decoder ignores
+// them, and the payload still answers an identical leg. Framed as that build
+// framed it, without the accounting stamp, the blob is refused and the leg
+// re-recorded.
 func TestImportScheduleFromOlderBuild(t *testing.T) {
 	cfg := replayBaseConfig()
 	models := accelModelsAt(4, 24)
@@ -146,10 +148,11 @@ func TestImportScheduleFromOlderBuild(t *testing.T) {
 		t.Fatalf("recording run did not publish a schedule (reason: %q)", out.Reason)
 	}
 
-	c2 := NewCache()
 	rewritten := 0
-	if err := c1.ExportArtifacts(func(name string, data []byte) error {
-		if strings.HasPrefix(name, "sched-") {
+	var name string
+	var current, older []byte
+	if err := c1.ExportArtifacts(func(n string, data []byte) error {
+		if strings.HasPrefix(n, "sched-") {
 			hdr, body, _ := bytes.Cut(data, []byte("\n"))
 			var sched map[string]json.RawMessage
 			var invs []map[string]json.RawMessage
@@ -174,9 +177,15 @@ func TestImportScheduleFromOlderBuild(t *testing.T) {
 			if body, err = json.Marshal(sched); err != nil {
 				return err
 			}
-			data = asOlderBuild(t, hdr, body)
+			var h blobHeader
+			if err := json.Unmarshal(hdr, &h); err != nil {
+				return err
+			}
+			name, older = n, asOlderBuild(t, hdr, body)
+			current, err = blob(h, body)
+			return err
 		}
-		return c2.ImportArtifact(name, data)
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +193,10 @@ func TestImportScheduleFromOlderBuild(t *testing.T) {
 		t.Fatal("exported schedule holds no invocation to carry the old fields")
 	}
 
+	c2 := NewCache()
+	if err := c2.ImportArtifact(name, current); err != nil {
+		t.Fatal(err)
+	}
 	got, out := runLeg(t, c2, cloneSys(t, cfg), models, true)
 	if !out.Replayed || !reflect.DeepEqual(out.Families, []string{"identical"}) {
 		t.Fatalf("identical leg over the old blob: replayed=%v families=%v reason=%q", out.Replayed, out.Families, out.Reason)
@@ -191,6 +204,9 @@ func TestImportScheduleFromOlderBuild(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("replay from the old blob differs from the recorded run:\n got %+v\nwant %+v", got, want)
 	}
+	rerecordsOlderSchedule(t, name, older, want, func(c *Cache) (soc.Result, ReplayOutcome) {
+		return runLeg(t, c, cloneSys(t, cfg), models, true)
+	})
 }
 
 // olderAccountingSchedule records w on cfg with replay on and returns the
@@ -227,24 +243,36 @@ func olderAccountingSchedule(t testing.TB, w *workloads.Workload, cfg *config.Sy
 
 // TestScheduleOfOlderAccountingIsRerecorded: a replay hit serves the recorded
 // Result verbatim, stall counters included, so a schedule blob without this
-// build's accounting stamp is refused. The leg then runs in full, and the
-// next export writes the same name with new bytes, which replace the blob.
+// build's accounting stamp is refused and re-recorded.
 func TestScheduleOfOlderAccountingIsRerecorded(t *testing.T) {
 	w, cfg := spinWorkload("persist-accounting", 2_000), oneTileConfig("persist-accounting-cfg")
 	want, name, old := olderAccountingSchedule(t, w, cfg)
+	rerecordsOlderSchedule(t, name, old, want, func(c *Cache) (soc.Result, ReplayOutcome) {
+		s, err := NewSession(Options{Workload: w, Config: cfg, Replay: true, Cache: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, s.Replay()
+	})
+}
+
+// rerecordsOlderSchedule checks what this build does with old, a schedule
+// blob named name as a build before the stall-accounting stamp framed it.
+// ImportArtifact refuses it, naming the accounting. The leg (run over the
+// refusing cache) then runs in full, gives want and records. The next export
+// writes new bytes under the same name, which replace the blob and import.
+func rerecordsOlderSchedule(t *testing.T, name string, old []byte, want soc.Result, run func(*Cache) (soc.Result, ReplayOutcome)) {
+	t.Helper()
 	c := NewCache()
 	if err := c.ImportArtifact(name, old); err == nil || !strings.Contains(err.Error(), "stall accounting 0") {
 		t.Fatalf("ImportArtifact = %v, want a stall accounting error", err)
 	}
-	s, err := NewSession(Options{Workload: w, Config: cfg, Replay: true, Cache: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := s.Replay(); out.Replayed || !out.Recorded || !reflect.DeepEqual(got, want) {
+	got, out := run(c)
+	if out.Replayed || !out.Recorded || !reflect.DeepEqual(got, want) {
 		t.Errorf("leg after the refusal: replayed=%v recorded=%v (reason %q), result equal=%v", out.Replayed, out.Recorded, out.Reason, reflect.DeepEqual(got, want))
 	}
 	var again []byte
@@ -434,8 +462,9 @@ func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
 // TestScheduleSpellingOnDisk: a persisted schedule spells its topology with
 // the keys it always had, so older payloads under a current header hit. A run
 // that DAE slicing mapped onto role-less tiles adds one key, SlicedRoles, and
-// a blob from before roles were resolved (empty roles, no such key) still
-// answers it.
+// a payload from before roles were resolved (empty roles, no such key) still
+// answers it. Framed as that build framed it, without the accounting stamp,
+// the blob is refused and the leg re-recorded.
 func TestScheduleSpellingOnDisk(t *testing.T) {
 	w := workloads.ByName("projection")
 	cfg := func() *config.SystemConfig {
@@ -462,7 +491,9 @@ func TestScheduleSpellingOnDisk(t *testing.T) {
 	if !out.Recorded {
 		t.Fatalf("recording run did not publish a schedule (reason: %q)", out.Reason)
 	}
-	asWritten, olderBuild := NewCache(), NewCache()
+	asWritten, olderPayload := NewCache(), NewCache()
+	var schedName string
+	var older []byte
 	if err := c1.ExportArtifacts(func(name string, data []byte) error {
 		if err := asWritten.ImportArtifact(name, data); err != nil || !strings.HasPrefix(name, "sched-") {
 			return err
@@ -491,16 +522,26 @@ func TestScheduleSpellingOnDisk(t *testing.T) {
 		delete(sched, "SlicedRoles")
 		sched["Tiles"], _ = json.Marshal(tiles)
 		body, _ = json.Marshal(sched)
-		return olderBuild.ImportArtifact(name, asOlderBuild(t, hdr, body))
+		var h blobHeader
+		if err := json.Unmarshal(hdr, &h); err != nil {
+			return err
+		}
+		current, err := blob(h, body)
+		if err != nil {
+			return err
+		}
+		schedName, older = name, asOlderBuild(t, hdr, body)
+		return olderPayload.ImportArtifact(name, current)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]*Cache{"as written": asWritten, "as an older build wrote it": olderBuild} {
+	for name, c := range map[string]*Cache{"as written": asWritten, "an older build's payload under this build's header": olderPayload} {
 		got, out := run(c)
 		if !out.Replayed || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: replayed=%v (reason %q), result equal=%v", name, out.Replayed, out.Reason, reflect.DeepEqual(got, want))
 		}
 	}
+	rerecordsOlderSchedule(t, schedName, older, want, run)
 }
 
 // runOn runs w on cfg over cache c.

@@ -1,5 +1,6 @@
-// Package soc implements MosaicSim-Go's Interleaver (§II): it composes tile
-// models (cores and accelerators), advances them cycle by cycle with
+// Package soc implements MosaicSim-Go's Interleaver (§II): it composes tiles
+// (cores, with the pre-RTL accelerator tile among their presets) and the
+// accelerator models they invoke, advances the cores cycle by cycle with
 // per-tile clock ratios, carries inter-tile messages through bounded
 // communication buffers, and drives the shared memory hierarchy —
 // "combining module behaviors into system-wide performance estimates".
@@ -26,7 +27,7 @@ type AccelResult struct {
 	EnergyPJ float64
 }
 
-// AccelModel is a pluggable accelerator tile model. Invoke receives the
+// AccelModel is a pluggable accelerator performance model. Invoke receives the
 // traced invocation parameters and the number of already-outstanding
 // invocations of the same accelerator, so models can scale execution under
 // memory-bandwidth sharing (§IV-B).
@@ -281,21 +282,17 @@ func (f *Fabric) frontArrivals(fn func(dst int, at int64)) {
 	}
 }
 
-// System is a complete simulated SoC: a tile list the Interleaver steps
-// generically plus the shared memory hierarchy and message fabric.
+// System is a complete simulated SoC: the cores the Interleaver steps in
+// tile-ID order, the accelerator models they invoke, and the shared memory
+// hierarchy and message fabric.
 type System struct {
 	Name   string
 	Cores  []*core.Core
 	Hier   *mem.Hierarchy
 	Fabric *Fabric
 
-	// tiles is the Interleaver's step order: the accelerator manager first
-	// (due invocations must retire before any core can re-invoke on the
-	// same cycle), then cores in tile-ID order. tilePos maps a core/tile ID
-	// to its index in tiles, for horizon bookkeeping.
-	tiles   []Tile
-	tilePos []int
-	accel   *AccelTile
+	kinds []string // each core's kind, for TileBreakdown
+	accel *accelManager
 
 	Cycles int64
 
@@ -336,58 +333,6 @@ func (s *System) finalProgress(cycle int64) {
 	}
 }
 
-// accelEvent schedules the release of one outstanding accelerator
-// invocation at its simulated completion cycle.
-type accelEvent struct {
-	at   int64
-	name string
-}
-
-type accelEventHeap []accelEvent
-
-func (h accelEventHeap) Len() int { return len(h) }
-
-// push and pop follow container/heap's exact sift sequence (equal-time events
-// keep the same pop order) without boxing an accelEvent per operation.
-func (h *accelEventHeap) push(v accelEvent) {
-	a := append(*h, v)
-	*h = a
-	j := len(a) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if a[j].at >= a[i].at {
-			break
-		}
-		a[i], a[j] = a[j], a[i]
-		j = i
-	}
-}
-
-func (h *accelEventHeap) pop() accelEvent {
-	a := *h
-	n := len(a) - 1
-	a[0], a[n] = a[n], a[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && a[j2].at < a[j].at {
-			j = j2
-		}
-		if a[j].at >= a[i].at {
-			break
-		}
-		a[i], a[j] = a[j], a[i]
-		i = j
-	}
-	v := a[n]
-	a[n] = accelEvent{}
-	*h = a[:n]
-	return v
-}
-
 // AccelEnergy is the total accelerator dynamic energy in pJ.
 func (s *System) AccelEnergy() float64 { return s.accel.EnergyPJ }
 
@@ -415,16 +360,11 @@ func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[stri
 	s := &System{
 		Name:  name,
 		Hier:  mem.NewHierarchy(memCfg, len(tiles), maxClock),
-		accel: newAccelTile(accels, maxClock),
+		accel: &accelManager{models: accels, due: map[string]*accelDue{}},
 	}
 	cap := tiles[0].Cfg.MaxMessages
 	s.Fabric = NewFabric(cap, 1)
 	s.Fabric.Tiles = len(tiles)
-	// The accelerator manager steps first each cycle: due invocations must
-	// retire before any core observes outstanding[] (a core invoking at the
-	// cycle a prior invocation completes must see it released).
-	s.tiles = append(s.tiles, s.accel)
-	s.tilePos = make([]int, len(tiles))
 	// Each distinct kernel graph is lowered once; its cores share the program.
 	lowered := map[*ddg.Graph]*core.Program{}
 	for i, t := range tiles {
@@ -438,8 +378,7 @@ func New(name string, tiles []TileSpec, memCfg config.MemConfig, accels map[stri
 		if kind == "" {
 			kind = t.Cfg.Name
 		}
-		s.tilePos[i] = len(s.tiles)
-		s.tiles = append(s.tiles, &CoreTile{C: c, kind: kind})
+		s.kinds = append(s.kinds, kind)
 	}
 	// Register barrier participants from the traces: a tile whose trace
 	// executes no barrier ops must not be waited on, and participating
@@ -510,13 +449,15 @@ func (s *System) cancelErr(ctx context.Context, cause error, cycle, effLimit int
 // cancel or deadline returns promptly even mid-simulation with an error
 // wrapping the context's, and a nil ctx is treated as context.Background().
 //
-// The Interleaver normally busy-ticks every tile and the hierarchy each
-// cycle. When an iteration makes zero forward progress and every live tile
-// has confirmed a frozen step, the loop instead jumps to the minimum
-// next-event horizon across all components (event-horizon cycle skipping),
-// advancing the per-tile clock accumulators arithmetically. Stall time is
-// charged at each component's next real step, so results are bit-identical
-// to the naive loop.
+// The Interleaver normally busy-ticks every core on its clock edges and the
+// hierarchy each cycle. When an iteration makes zero forward progress and
+// every live core has confirmed a frozen step, the loop instead jumps to the
+// minimum next-event horizon across all components (event-horizon cycle
+// skipping), advancing the per-core clock accumulators arithmetically. The
+// cores' stepping contract (DESIGN §5d) makes this exact: a frozen step
+// changes nothing, Progress moves only inside Step, NextEvent is never late,
+// and stall time is charged at each component's next real step, so results
+// are bit-identical to the naive loop.
 func (s *System) Run(ctx context.Context, limit int64) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -529,28 +470,26 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		effLimit = DefaultCycleLimit
 	}
 	ctxCountdown := int64(ctxCheckInterval)
-	nt := len(s.tiles)
+	nt := len(s.Cores)
 	var maxClock int64
-	for _, t := range s.tiles {
-		if m := int64(t.ClockMHz()); m > maxClock {
-			maxClock = m
-		}
+	for _, c := range s.Cores {
+		maxClock = max(maxClock, int64(c.Cfg.ClockMHz))
 	}
 	strides := make([]int64, nt)
 	accum := make([]int64, nt)
-	// Event-horizon bookkeeping: idleOK[i] records that tile i stepped
+	// Event-horizon bookkeeping: idleOK[i] records that core i stepped
 	// without making progress since the last progress event anywhere (its
 	// steps then change nothing until something, somewhere, makes
-	// progress). prog[i] is tile i's progress counter as of its latest
-	// step and tileProg the running sum over all tiles: a counter only moves
-	// inside the tile's own Step, so one reading per step keeps both exact.
+	// progress). prog[i] is core i's progress counter as of its latest
+	// step and tileProg the running sum over all cores: a counter only moves
+	// inside the core's own Step, so one reading per step keeps both exact.
 	idleOK := make([]bool, nt)
 	prog := make([]uint64, nt)
 	var tileProg uint64
-	for i, t := range s.tiles {
-		strides[i] = int64(t.ClockMHz())
-		accum[i] = maxClock // step every tile on cycle 0
-		prog[i] = t.Progress()
+	for i, c := range s.Cores {
+		strides[i] = int64(c.Cfg.ClockMHz)
+		accum[i] = maxClock // step every core on cycle 0
+		prog[i] = c.Progress()
 		tileProg += prog[i]
 	}
 	last := tileProg + uint64(s.Hier.Progress())
@@ -568,20 +507,20 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			}
 		}
 		anyActive := false
-		for i, t := range s.tiles {
+		for i, c := range s.Cores {
 			accum[i] += strides[i]
 			if accum[i] >= maxClock {
 				accum[i] -= maxClock
-				if t.Step(cycle) {
+				if c.Step(cycle) {
 					anyActive = true
 				}
-				if np := t.Progress(); np != prog[i] {
+				if np := c.Progress(); np != prog[i] {
 					tileProg += np - prog[i]
 					prog[i] = np
 				} else {
 					idleOK[i] = true // frozen step
 				}
-			} else if !t.Done() {
+			} else if !c.Done() {
 				anyActive = true
 			}
 		}
@@ -596,7 +535,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			continue
 		}
 		if cur := tileProg + uint64(s.Hier.Progress()); cur != last {
-			// Progress invalidates every frozen-step confirmation: a tile
+			// Progress invalidates every frozen-step confirmation: a core
 			// that idled against the old state may act on the new one.
 			last = cur
 			for i := range idleOK {
@@ -605,8 +544,8 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			continue
 		}
 		confirmed := true
-		for i, t := range s.tiles {
-			if !t.Done() && !idleOK[i] {
+		for i, c := range s.Cores {
+			if !c.Done() && !idleOK[i] {
 				confirmed = false
 				break
 			}
@@ -634,7 +573,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		delta := target - 1 - cycle // whole iterations elided
 		for i := range accum {
 			// Advance the clock-ratio accumulator arithmetically over the
-			// (frozen) steps tile i would have taken.
+			// (frozen) steps core i would have taken.
 			accum[i] = (accum[i] + delta*strides[i]) % maxClock
 		}
 		s.SkippedCycles += delta
@@ -651,7 +590,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 // horizon returns the earliest global cycle > now at which any component can
 // change state, given that every component is frozen at now. Core-local
 // events (completions, the mispredict launch release) and inbound fabric
-// messages only take effect when the owning tile's clock edge arrives, so
+// messages only take effect when the owning core's clock edge arrives, so
 // they are mapped through nextEdgeCycle.
 func (s *System) horizon(now int64, accum, strides []int64, maxClock, effLimit int64) int64 {
 	target := mem.HorizonNone
@@ -667,11 +606,10 @@ func (s *System) horizon(now int64, accum, strides []int64, maxClock, effLimit i
 			target = u
 		}
 	}
-	for i, t := range s.tiles {
-		if t.Done() {
-			continue
+	for i, c := range s.Cores {
+		if !c.Done() {
+			consider(i, c.NextEvent(now))
 		}
-		consider(i, t.NextEvent(now))
 	}
 	if e := s.Hier.NextEvent(now); e < mem.HorizonNone {
 		if e <= now {
@@ -685,14 +623,9 @@ func (s *System) horizon(now int64, accum, strides []int64, maxClock, effLimit i
 		// A message already mature (at <= now) is part of the frozen state:
 		// the destination observed and ignored it, so it cannot trigger a
 		// future change.
-		if at <= now || dst < 0 || dst >= len(s.tilePos) {
-			return
+		if at > now && dst >= 0 && dst < len(s.Cores) && !s.Cores[dst].Done() {
+			consider(dst, at)
 		}
-		i := s.tilePos[dst]
-		if s.tiles[i].Done() {
-			return
-		}
-		consider(i, at)
 	})
 	return target
 }

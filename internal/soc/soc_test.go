@@ -335,6 +335,88 @@ void kernel(double* A, long n) {
 	}
 }
 
+// seqAccel answers every invocation with a fixed latency and records the
+// concurrency each invocation was handed, in invocation order.
+type seqAccel struct {
+	cycles int64
+	seen   []int
+}
+
+func (a *seqAccel) Invoke(params []int64, concurrent int) (AccelResult, error) {
+	a.seen = append(a.seen, concurrent)
+	return AccelResult{Cycles: a.cycles, Bytes: 64, EnergyPJ: 1}, nil
+}
+
+// TestAccelReleaseAtCycleBoundary pins which invocations an accelerator
+// counts as outstanding. A completion due at cycle c is released for the
+// first invocation at or after c. An invocation issued earlier in the same
+// cycle stays outstanding, even with a latency of 0. Latency 0 separates
+// releasing on every invocation from releasing once per cycle. Latency 2, the
+// spacing of back-to-back calls on one tile, separates releasing the
+// completions due at now from releasing only earlier ones.
+func TestAccelReleaseAtCycleBoundary(t *testing.T) {
+	const backToBack = `
+void kernel(double* A, long n) {
+  for (long i = 0; i < n; i++) {
+    acc_x(A, i);
+  }
+}
+`
+	const onePerTile = `
+void kernel(double* A, long n) {
+  acc_x(A, n);
+  A[tile_id()] = 1.0;
+}
+`
+	cases := []struct {
+		name    string
+		src     string
+		clocks  []int
+		latency int64
+		want    []int
+	}{
+		{"one tile lat 0", backToBack, []int{2000}, 0, []int{0, 0, 0, 0, 0, 0}},
+		{"one tile lat 1", backToBack, []int{2000}, 1, []int{0, 0, 0, 0, 0, 0}},
+		{"one tile lat 2", backToBack, []int{2000}, 2, []int{0, 0, 0, 0, 0, 0}},
+		{"one tile lat 300", backToBack, []int{2000}, 300, []int{0, 1, 2, 3, 4, 5}},
+		{"one per tile equal clocks lat 0", onePerTile, []int{2000, 2000}, 0, []int{0, 1}},
+		{"one per tile equal clocks lat 1", onePerTile, []int{2000, 2000}, 1, []int{0, 1}},
+		{"one per tile equal clocks lat 300", onePerTile, []int{2000, 2000}, 300, []int{0, 1}},
+		{"one per tile mixed clocks lat 0", onePerTile, []int{2000, 1000}, 0, []int{0, 1}},
+		{"one per tile mixed clocks lat 1", onePerTile, []int{2000, 1000}, 1, []int{0, 1}},
+		{"one per tile mixed clocks lat 300", onePerTile, []int{2000, 1000}, 300, []int{0, 1}},
+		{"back-to-back mixed clocks lat 0", backToBack, []int{2000, 1000}, 0, []int{0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0}},
+		{"back-to-back mixed clocks lat 1", backToBack, []int{2000, 1000}, 1, []int{0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0}},
+		{"back-to-back mixed clocks lat 2", backToBack, []int{2000, 1000}, 2, []int{0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0}},
+		{"back-to-back mixed clocks lat 300", backToBack, []int{2000, 1000}, 300, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+	}
+	for _, tc := range cases {
+		g, tr := traceSPMD(t, tc.src, len(tc.clocks), func(m *interp.Memory) []uint64 {
+			return []uint64{m.AllocF64(make([]float64, 16)), 6}
+		}, map[string]interp.AccFunc{"acc_x": func(m *interp.Memory, p []int64) {}})
+		for _, noskip := range []bool{false, true} {
+			specs := make([]TileSpec, len(tc.clocks))
+			for i, mhz := range tc.clocks {
+				cfg := config.OutOfOrderCore()
+				cfg.ClockMHz = mhz
+				specs[i] = TileSpec{Cfg: cfg, Graph: g, TT: tr.Tiles[i]}
+			}
+			a := &seqAccel{cycles: tc.latency}
+			sys, err := New("release", specs, config.TableIIMem(), map[string]AccelModel{"acc_x": a})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.DisableCycleSkipping = noskip
+			if err := sys.Run(context.Background(), 10_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a.seen, tc.want) {
+				t.Errorf("%s (noskip %v): concurrent %#v, want %#v", tc.name, noskip, a.seen, tc.want)
+			}
+		}
+	}
+}
+
 // TestBarrierWithNonParticipantTile: a heterogeneous (DAE-style) system where
 // one tile's trace has barrier ops and the other's has none must complete.
 // The legacy all-tiles barrier rule waited on the barrier-free tile forever

@@ -29,7 +29,7 @@ var tileKinds = map[string]func() config.CoreConfig{
 	// The pre-RTL accelerator core tile of §III-A: wide, deep, with
 	// replicated loop bodies. (Fixed-function accelerator *models* are not
 	// tiles of this kind — they are AccelModels invoked through intrinsics
-	// and accounted by the system's AccelTile.)
+	// and accounted by the system's accelerator manager.)
 	"accel-tile": func() config.CoreConfig { return config.AcceleratorTileCore(8) },
 }
 
