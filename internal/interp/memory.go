@@ -184,12 +184,6 @@ func (m *Memory) WriteI32(addr uint64, v int32) {
 	binary.LittleEndian.PutUint32(m.window(addr, 4, true), uint32(v))
 }
 
-// ReadI8 reads a byte at addr.
-func (m *Memory) ReadI8(addr uint64) int8 { return int8(m.LoadScalar(addr, ir.I8)) }
-
-// WriteI8 writes a byte at addr.
-func (m *Memory) WriteI8(addr uint64, v int8) { m.StoreScalar(addr, ir.I8, uint64(uint8(v))) }
-
 // AllocF64 allocates and fills a float64 array, returning its base address.
 func (m *Memory) AllocF64(vals []float64) uint64 {
 	base := m.Alloc(int64(len(vals))*8, 64)

@@ -74,12 +74,6 @@ func (b *Builder) FAdd(lhs, rhs Value) *Instr { return b.Bin(OpFAdd, lhs, rhs) }
 // FSub emits a floating subtract.
 func (b *Builder) FSub(lhs, rhs Value) *Instr { return b.Bin(OpFSub, lhs, rhs) }
 
-// FMul emits a floating multiply.
-func (b *Builder) FMul(lhs, rhs Value) *Instr { return b.Bin(OpFMul, lhs, rhs) }
-
-// FDiv emits a floating divide.
-func (b *Builder) FDiv(lhs, rhs Value) *Instr { return b.Bin(OpFDiv, lhs, rhs) }
-
 // ICmp emits an integer comparison with result type I1.
 func (b *Builder) ICmp(pred CmpPred, lhs, rhs Value) *Instr {
 	return b.emit(&Instr{Op: OpICmp, Ty: I1, Pred: pred, Args: []Value{lhs, rhs}})

@@ -96,9 +96,6 @@ type SimpleDRAM struct {
 	// its Hierarchy's shared one.
 	events    *int64
 	ownEvents int64
-
-	logOn     bool
-	accessLog []int64 // arrival cycles, recorded when logOn
 }
 
 // SimpleDRAMBudget returns the epoch length and per-epoch line budget the
@@ -137,14 +134,6 @@ func NewSimpleDRAM(cfg config.DRAMConfig, clockMHz int, lineBytes int) *SimpleDR
 // MaxLinesPerEpoch exposes the computed bandwidth budget (for tests).
 func (d *SimpleDRAM) MaxLinesPerEpoch() int64 { return d.maxPerEpoch }
 
-// EnableAccessLog starts recording the arrival cycle of every subsequent
-// access. The schedule recorder uses the log to re-verify the epoch budget
-// when replaying the schedule under shifted timings or a new bandwidth.
-func (d *SimpleDRAM) EnableAccessLog() { d.logOn = true }
-
-// AccessLog returns the recorded arrival cycles, in arrival order.
-func (d *SimpleDRAM) AccessLog() []int64 { return d.accessLog }
-
 // Access implements Level.
 func (d *SimpleDRAM) Access(req *Request, now int64) {
 	if req.Kind == Writeback {
@@ -153,9 +142,6 @@ func (d *SimpleDRAM) Access(req *Request, now int64) {
 		d.Stats.Reads++
 	}
 	d.Stats.Bytes += int64(req.Size)
-	if d.logOn {
-		d.accessLog = append(d.accessLog, now)
-	}
 	d.seq++
 	*d.events++
 	d.pq.push(reqItem{ready: now + d.minLat, seq: d.seq, req: req})

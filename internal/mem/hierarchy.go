@@ -134,24 +134,6 @@ func (h *Hierarchy) Busy() bool {
 	return false
 }
 
-// EnableDRAMAccessLog turns on arrival-time logging on the SimpleDRAM model
-// (a no-op for other models), so a schedule recorder can later re-verify the
-// bandwidth budget against shifted request timings.
-func (h *Hierarchy) EnableDRAMAccessLog() {
-	if h.simple != nil {
-		h.simple.EnableAccessLog()
-	}
-}
-
-// DRAMAccessLog returns the SimpleDRAM arrival log (nil for other models or
-// when logging was never enabled).
-func (h *Hierarchy) DRAMAccessLog() []int64 {
-	if h.simple != nil {
-		return h.simple.AccessLog()
-	}
-	return nil
-}
-
 // Progress is the event counter every level counts through: a request
 // accepted, processed or completed anywhere. Two equal readings mean no level
 // changed observable state in between. Bandwidth throttling is not an event:

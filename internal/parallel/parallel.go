@@ -27,19 +27,8 @@ import (
 var (
 	mu     sync.Mutex
 	limit  int           // 0 = GOMAXPROCS
-	tokens chan struct{} // capacity Limit()-1; admits helper goroutines
+	tokens chan struct{} // capacity budget-1; admits helper goroutines
 )
-
-// Limit returns the global worker budget: the value set by SetLimit, or
-// GOMAXPROCS when unset.
-func Limit() int {
-	mu.Lock()
-	defer mu.Unlock()
-	if limit > 0 {
-		return limit
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // SetLimit sets the global worker budget shared by every For call that does
 // not request an explicit width (n <= 0 restores the GOMAXPROCS default).

@@ -20,7 +20,7 @@ package replay
 //   - the DRAM knobs the selected model never reads (the banked model
 //     ignores MinLatency/Bandwidth/Epoch; the simple model ignores the
 //     banked timing set), plus SimpleDRAM bandwidth/epoch, which classify
-//     via the recorded arrival log.
+//     by comparing the recorded and new per-epoch budgets.
 
 import (
 	"encoding/json"

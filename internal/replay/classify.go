@@ -2,10 +2,7 @@ package replay
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 
 	"mosaicsim/internal/config"
@@ -126,9 +123,19 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 		if om.DRAM.BandwidthGBs != nm.DRAM.BandwidthGBs || om.DRAM.EpochCycles != nm.DRAM.EpochCycles {
 			eo, mo := mem.SimpleDRAMBudget(om.DRAM, s.ClockMHz, s.LineBytes)
 			en, mn := mem.SimpleDRAMBudget(nm.DRAM, s.ClockMHz, s.LineBytes)
-			if (eo == en && mo == mn) || dramTraffic == 0 {
+			// A changed budget refits when the recorded run never throttled
+			// and the new budget dominates the old one on the same epoch
+			// grid: every recorded epoch served at most the old budget, so
+			// none reaches the new one, and inductively over ready order
+			// every request still completes at arrival + MinLatency.
+			switch {
+			case (eo == en && mo == mn) || dramTraffic == 0:
 				fams["inert-knob"] = true // quantized budget unchanged, or never read
-			} else {
+			case r.DRAM.Throttled != 0:
+				return fb("dram: recorded run was bandwidth-throttled (%d stalls)", r.DRAM.Throttled)
+			case en != eo || mn < mo:
+				return fb("dram: budget of %d lines per %d cycles does not cover the recorded %d lines per %d cycles", mn, en, mo, eo)
+			default:
 				fams["dram-refit"] = true
 			}
 		}
@@ -165,22 +172,6 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 		}
 	}
 
-	// SimpleDRAM refit soundness: changing the per-epoch budget is only
-	// inert if the recorded run never throttled and the re-bucketed arrival
-	// log stays within the new budget.
-	if fams["dram-refit"] {
-		if r.DRAM.Throttled != 0 {
-			return fb("dram: recorded run was bandwidth-throttled (%d stalls)", r.DRAM.Throttled)
-		}
-		if int64(len(s.DRAMArrivals)) != dramTraffic {
-			return fb("dram: arrival log incomplete (%d logged, %d requests)", len(s.DRAMArrivals), dramTraffic)
-		}
-		en, mn := mem.SimpleDRAMBudget(nm.DRAM, s.ClockMHz, s.LineBytes)
-		if !refits(s.DRAMArrivals, om.DRAM.MinLatency, en, mn) {
-			return fb("dram: recorded traffic would exceed the new bandwidth budget")
-		}
-	}
-
 	// The recorded run must also fit the new cycle limit; a full simulation
 	// would otherwise error out instead of producing it.
 	newEff := limit
@@ -200,50 +191,6 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 	}
 	sort.Strings(names)
 	return Decision{Eligible: true, Families: names}
-}
-
-// refits re-buckets the recorded arrival log onto the new epoch grid (epoch
-// >= 1) and checks every bucket stays within the budget. Bucketing by
-// completion (arrival + MinLatency) matches the model: with no throttling,
-// each request is served exactly at its ready tick, so bucket(e) <= budget
-// for all e implies — inductively over ready order — that the new run never
-// throttles either.
-//
-// The log is in arrival order, so one pass counts each bucket as a run and
-// divides once per run. A run over budget stays over budget in any order;
-// at an arrival out of order the pass restarts on a sorted copy, exact for
-// any input.
-func refits(arrivals []int64, minLat, epoch, budget int64) bool {
-	var n, last int64
-	for i, a := range arrivals {
-		c := a + minLat
-		if i > 0 && c < arrivals[i-1]+minLat {
-			sorted := slices.Clone(arrivals)
-			slices.SortFunc(sorted, func(x, y int64) int { return cmp.Compare(x+minLat, y+minLat) })
-			return refits(sorted, minLat, epoch, budget)
-		}
-		if i == 0 || c > last {
-			n, last = 0, bucketLast(c, epoch)
-		}
-		if n++; n > budget {
-			return false
-		}
-	}
-	return true
-}
-
-// bucketLast is the last cycle of c's bucket c/epoch: Go's division
-// truncates, so bucket 0 spans (-epoch, epoch) and a negative bucket e ends
-// at e*epoch.
-func bucketLast(c, epoch int64) int64 {
-	first := c / epoch * epoch
-	if first < 0 {
-		return first
-	}
-	if first > math.MaxInt64-(epoch-1) {
-		return math.MaxInt64
-	}
-	return first + epoch - 1
 }
 
 func hopCycles(n *config.NoCConfig) int64 {

@@ -1,12 +1,8 @@
 package replay
 
 import (
-	"encoding/binary"
 	"errors"
-	"math"
-	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -79,12 +75,10 @@ func TestClassifyRules(t *testing.T) {
 	inv := Invocation{Name: "acc_x", Params: []int64{8, 8}, Cycles: 40, Bytes: 512, EnergyPJ: 1.5}
 	same := map[string]soc.AccelModel{"acc_x": fixedModel{res: soc.AccelResult{Cycles: 40, Bytes: 512, EnergyPJ: 1.5}}}
 	withInv := func(s *Schedule) { s.Invocations = []Invocation{inv} }
-	// Five requests ready inside one epoch (budget 18 lines at 24 GB/s, 9 at
-	// 12 GB/s, 1 at 2 GB/s; the tile clock is 2 GHz, lines are 64 B).
-	withTraffic := func(s *Schedule) {
-		s.Result.DRAM.Reads = 5
-		s.DRAMArrivals = []int64{10, 11, 12, 13, 14}
-	}
+	// Five DRAM requests under a budget of 18 lines per 100 cycles at 24 GB/s
+	// (37 at 48 GB/s, 9 at 12 GB/s, 18 per 50 cycles at 48 GB/s and epoch
+	// 50; the tile clock is 2 GHz, lines are 64 B).
+	withTraffic := func(s *Schedule) { s.Result.DRAM.Reads = 5 }
 	banked := func(c *config.SystemConfig) { c.Mem.DRAM = config.BankedDRAMDefaults(24) }
 	directory := func(c *config.SystemConfig) { c.Mem.Directory = true }
 
@@ -158,19 +152,16 @@ func TestClassifyRules(t *testing.T) {
 			delta: func(c *config.SystemConfig) { c.Mem.DRAM.BandwidthGBs = 24.3 }},
 		{name: "dram-refit/within-budget", family: "dram-refit",
 			sched: withTraffic,
+			delta: func(c *config.SystemConfig) { c.Mem.DRAM.BandwidthGBs = 48 }},
+		{name: "dram-refit/other-epoch", reason: []string{"dram:", "18 lines per 50 cycles", "recorded 18 lines per 100 cycles"},
+			sched: withTraffic,
+			delta: func(c *config.SystemConfig) { c.Mem.DRAM.BandwidthGBs, c.Mem.DRAM.EpochCycles = 48, 50 }},
+		{name: "dram-refit/over-budget", reason: []string{"dram:", "9 lines per 100 cycles", "recorded 18 lines per 100 cycles"},
+			sched: withTraffic,
 			delta: func(c *config.SystemConfig) { c.Mem.DRAM.BandwidthGBs = 12 }},
-		{name: "dram-refit/epoch-within-budget", family: "dram-refit",
-			sched: withTraffic,
-			delta: func(c *config.SystemConfig) { c.Mem.DRAM.EpochCycles = 50 }},
-		{name: "dram-refit/over-budget", reason: []string{"dram:", "exceed the new bandwidth budget"},
-			sched: withTraffic,
-			delta: func(c *config.SystemConfig) { c.Mem.DRAM.BandwidthGBs = 2 }},
 		{name: "dram-refit/throttled", reason: []string{"bandwidth-throttled", "3 stalls"},
 			sched: func(s *Schedule) { withTraffic(s); s.Result.DRAM.Throttled = 3 },
-			delta: func(c *config.SystemConfig) { c.Mem.DRAM.BandwidthGBs = 12 }},
-		{name: "dram-refit/incomplete-log", reason: []string{"arrival log incomplete", "4 logged, 5 requests"},
-			sched: func(s *Schedule) { withTraffic(s); s.DRAMArrivals = s.DRAMArrivals[:4] },
-			delta: func(c *config.SystemConfig) { c.Mem.DRAM.BandwidthGBs = 12 }},
+			delta: func(c *config.SystemConfig) { c.Mem.DRAM.BandwidthGBs = 48 }},
 
 		{name: "dir-inv-cycles/no-directory", family: "inert-knob",
 			delta: func(c *config.SystemConfig) { c.Mem.DirInvCycles += 2 }},
@@ -258,107 +249,10 @@ func TestClassifyFamiliesCompose(t *testing.T) {
 	cfg := classifyConfig()
 	s := scheduleFor(t, cfg)
 	s.Result.DRAM.Reads = 2
-	s.DRAMArrivals = []int64{10, 300}
-	cfg.Mem.DRAM.BandwidthGBs = 12
+	cfg.Mem.DRAM.BandwidthGBs = 48
 	cfg.Mem.L1.LatencyCycles++
 	d := classify(t, s, cfg, nil, 0)
 	if want := []string{"dram-refit", "inert-knob"}; !d.Eligible || !reflect.DeepEqual(d.Families, want) {
 		t.Fatalf("families = %v (eligible=%v, reason %q), want %v", d.Families, d.Eligible, d.Reason, want)
 	}
-}
-
-// refitsByMap is the reference definition of the dram-refit proof: count
-// every arrival's completion bucket in a map and fail once one passes the
-// budget. refits must give the same verdict on every input.
-func refitsByMap(arrivals []int64, minLat, epoch, budget int64) bool {
-	counts := map[int64]int64{}
-	for _, a := range arrivals {
-		e := (a + minLat) / epoch
-		counts[e]++
-		if counts[e] > budget {
-			return false
-		}
-	}
-	return true
-}
-
-// refitCase draws one refit input: arrivals clustered on bucket edges (the
-// cycle before, on and after a boundary, less minLat) or anywhere, with
-// duplicates, in order or shuffled; epoch 1 and budget 1 drawn often, minLat
-// 0 or past an epoch.
-func refitCase(r *rand.Rand) (arrivals []int64, minLat, epoch, budget int64) {
-	epoch = []int64{1, 2, 3, 7, 100, 1 + r.Int63n(1000)}[r.Intn(6)]
-	minLat = []int64{0, epoch + r.Int63n(3*epoch), r.Int63n(200)}[r.Intn(3)]
-	budget = []int64{1, 2, 1 + r.Int63n(8)}[r.Intn(3)]
-	n := r.Intn(40)
-	if r.Intn(10) == 0 {
-		n = 0
-	}
-	for i := 0; i < n; i++ {
-		var a int64
-		switch r.Intn(3) {
-		case 0: // a bucket edge
-			a = r.Int63n(20)*epoch + r.Int63n(3) - 1 - minLat
-		case 1: // a duplicate
-			if i > 0 {
-				a = arrivals[r.Intn(i)]
-				break
-			}
-			fallthrough
-		default:
-			a = r.Int63n(20 * epoch)
-		}
-		arrivals = append(arrivals, max(a, 0))
-	}
-	if r.Intn(2) == 0 {
-		slices.Sort(arrivals)
-	}
-	return arrivals, minLat, epoch, budget
-}
-
-// TestRefitsMatchesReference: the one-pass refit agrees with the map-based
-// definition on generated logs, sorted or not, over both verdicts.
-func TestRefitsMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	var verdicts [2]int
-	for i := 0; i < 20000; i++ {
-		arrivals, minLat, epoch, budget := refitCase(r)
-		want := refitsByMap(arrivals, minLat, epoch, budget)
-		if got := refits(arrivals, minLat, epoch, budget); got != want {
-			t.Fatalf("refits(%v, minLat %d, epoch %d, budget %d) = %v, reference %v", arrivals, minLat, epoch, budget, got, want)
-		}
-		if want {
-			verdicts[1]++
-		} else {
-			verdicts[0]++
-		}
-	}
-	if verdicts[0] < 2000 || verdicts[1] < 2000 {
-		t.Fatalf("generator is lopsided: %d over budget, %d within", verdicts[0], verdicts[1])
-	}
-}
-
-// FuzzRefits: on any arrival log (varints, negative and wrapping sums
-// included), minLat, epoch >= 1 and budget >= 1, refits equals the
-// reference.
-func FuzzRefits(f *testing.F) {
-	f.Add([]byte{20, 22, 24, 200, 1}, int64(0), int64(100), uint8(1))
-	f.Add([]byte{0, 0, 2, 1, 3}, int64(99), int64(1), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, minLat, epoch int64, b uint8) {
-		var arrivals []int64
-		for len(data) > 0 {
-			a, n := binary.Varint(data)
-			if n <= 0 {
-				break
-			}
-			arrivals, data = append(arrivals, a), data[n:]
-		}
-		if epoch &= math.MaxInt64; epoch == 0 {
-			epoch = 1
-		}
-		budget := int64(b%16) + 1
-		if got, want := refits(arrivals, minLat, epoch, budget), refitsByMap(arrivals, minLat, epoch, budget); got != want {
-			t.Fatalf("refits(%v, minLat %d, epoch %d, budget %d) = %v, reference %v", arrivals, minLat, epoch, budget, got, want)
-		}
-	})
 }

@@ -1,10 +1,9 @@
 // Package replay is memoisation with a proof. One full timing simulation
 // records a Schedule: the topology it ran under, its complete
-// Result, every accelerator invocation with the answer the model gave, and
-// the SimpleDRAM arrival log. For a later run Classify proves the re-run
-// would be identical — no delta, inert knobs, or a DRAM budget refit — and
-// the hit is a copy of the recorded Result; anything else is a declared
-// fallback to full simulation.
+// Result and every accelerator invocation with the answer the model gave.
+// For a later run Classify proves the re-run would be identical — no delta,
+// inert knobs, or a DRAM budget refit — and the hit is a copy of the
+// recorded Result; anything else is a declared fallback to full simulation.
 //
 // The two proof families, each checkable from recorded evidence alone:
 //
@@ -14,10 +13,11 @@
 //     accesses, the never-consulted mem-class latency). By determinism and
 //     first-divergence induction the re-run is identical.
 //   - dram-refit: SimpleDRAM bandwidth/epoch changes with recorded traffic.
-//     The recorded run never throttled, and re-bucketing the recorded
-//     arrival log under the new epoch budget shows the new run would not
-//     throttle either — so every request still completes at arrival +
-//     MinLatency and timing is unchanged.
+//     The recorded run never throttled, and the new per-epoch line budget
+//     dominates the recorded one on the same epoch length: no recorded epoch
+//     served more than the old budget, so none reaches the new one, the new
+//     run never throttles either, and every request still completes at
+//     arrival + MinLatency.
 //
 // Accelerator models are a precondition, not a family: each recorded
 // invocation is re-invoked against the offered model with the recorded
@@ -63,8 +63,7 @@ type Schedule struct {
 	LineBytes int // DRAM line size: DRAM budget math
 	HopsTotal int64
 
-	Invocations  []Invocation
-	DRAMArrivals []int64 // SimpleDRAM arrival cycles, arrival order
+	Invocations []Invocation
 
 	// canon is the recorded topology's CanonJSON, kept so Classify does not
 	// re-marshal it per hit. Never persisted; when nil, Classify computes it.
@@ -102,16 +101,15 @@ func (r *Recorder) Build(t *soc.Topology, canon []byte, sys *soc.System, res soc
 		maxClock = max(maxClock, rt.Cfg.ClockMHz)
 	}
 	return &Schedule{
-		Topology:     *t,
-		Result:       deepCopyResult(res),
-		Stepped:      sys.SteppedCycles,
-		Skipped:      sys.SkippedCycles,
-		ClockMHz:     maxClock,
-		LineBytes:    t.Mem.L1.LineBytes,
-		HopsTotal:    sys.Fabric.HopsTotal(),
-		Invocations:  r.invs,
-		DRAMArrivals: append([]int64(nil), sys.Hier.DRAMAccessLog()...),
-		canon:        canon,
+		Topology:    *t,
+		Result:      deepCopyResult(res),
+		Stepped:     sys.SteppedCycles,
+		Skipped:     sys.SkippedCycles,
+		ClockMHz:    maxClock,
+		LineBytes:   t.Mem.L1.LineBytes,
+		HopsTotal:   sys.Fabric.HopsTotal(),
+		Invocations: r.invs,
+		canon:       canon,
 	}
 }
 

@@ -286,50 +286,81 @@ func (c *Cache) noteReplay(dec replay.Decision) {
 	}
 }
 
-// Schedule returns the recorded schedule for (key, structHash), or nil if
-// none is resident. Unlike the singleflight layers there is no build slot:
-// recording rides along a full simulation, so lookups are pure peeks (they
-// do refresh the entry's LRU position).
-func (c *Cache) Schedule(key Key, structHash uint64) *replay.Schedule {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// awaitSchedule returns the schedule recorded under (key, structHash),
+// waiting while another leg records it; a waiter whose ctx ends returns its
+// error at once. With none resident or in flight it claims the slot instead
+// and returns publish: the caller runs in full, then publishes its schedule,
+// or nil to release the slot when the run failed, so that one waiter records
+// in its place. Only publish's first call counts. Recording rides along a
+// full simulation, so unlike single the slot holds no build function.
+func (c *Cache) awaitSchedule(ctx context.Context, key Key, structHash uint64) (*replay.Schedule, func(*replay.Schedule), error) {
 	sk := schedKey{Key: key, Struct: structHash}
-	f, ok := c.scheds.m[sk]
-	if !ok || !f.completed || f.err != nil {
-		return nil
+	for {
+		c.mu.Lock()
+		f, ok := c.scheds.m[sk]
+		if !ok {
+			f = &flight[*replay.Schedule]{done: make(chan struct{})}
+			c.scheds.m[sk] = f
+			c.scheds.touch(sk)
+			c.mu.Unlock()
+			settled := false
+			return nil, func(s *replay.Schedule) {
+				if !settled {
+					settled = true
+					c.settleSchedule(sk, f, s)
+				}
+			}, nil
+		}
+		c.scheds.touch(sk)
+		completed := f.completed
+		c.mu.Unlock()
+		if completed {
+			return f.val, nil, nil
+		}
+		select {
+		case <-f.done:
+			if f.val != nil {
+				return f.val, nil, nil
+			}
+			// Released: the recording leg failed. Claim or join anew.
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
 	}
-	c.scheds.touch(sk)
-	return f.val
 }
 
-// PutSchedule publishes a recorded schedule under (key, structHash).
-// First writer wins: concurrent sweep legs may each record the same
-// schedule, and the one already resident is the one later legs already
-// replayed against, so a second publish is dropped. Reports whether the
-// schedule was stored.
-func (c *Cache) PutSchedule(key Key, structHash uint64, s *replay.Schedule) bool {
-	return s != nil && c.putSchedule(key, structHash, s, true)
+// settleSchedule completes the claimed slot f with s, counted as Recorded,
+// or with s nil removes it, and wakes its waiters.
+func (c *Cache) settleSchedule(sk schedKey, f *flight[*replay.Schedule], s *replay.Schedule) {
+	c.mu.Lock()
+	if s == nil {
+		// Remove before closing done: a waiter that wakes and retries must
+		// not find this dead slot still in the map.
+		c.scheds.remove(sk)
+	} else {
+		f.val, f.completed = s, true
+		c.replay.Recorded++
+		c.scheds.evictOver(c.max, &c.evicted)
+	}
+	c.mu.Unlock()
+	close(f.done)
 }
 
-// putSchedule installs s unless a schedule is resident under (key,
-// structHash). Only a recorded one counts in Recorded: an import restores
-// prior work, it does not capture new work.
-func (c *Cache) putSchedule(key Key, structHash uint64, s *replay.Schedule, recorded bool) bool {
+// putSchedule installs an imported schedule unless one is resident or in
+// flight under (key, structHash). It does not count in Recorded: an import
+// restores prior work, it does not capture new work.
+func (c *Cache) putSchedule(key Key, structHash uint64, s *replay.Schedule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sk := schedKey{Key: key, Struct: structHash}
 	if _, ok := c.scheds.m[sk]; ok {
-		return false
+		return
 	}
 	done := make(chan struct{})
 	close(done)
 	c.scheds.m[sk] = &flight[*replay.Schedule]{done: done, val: s, completed: true}
 	c.scheds.touch(sk)
-	if recorded {
-		c.replay.Recorded++
-	}
 	c.scheds.evictOver(c.max, &c.evicted)
-	return true
 }
 
 // HasArtifact reports whether the traced artifact for key is resident and

@@ -179,7 +179,7 @@ func (c *Cache) ImportArtifact(name string, data []byte) error {
 			return fmt.Errorf("sim: import %s: %w", name, err)
 		}
 		s.KeepCanon() // once per schedule, as Recorder.Build does
-		c.putSchedule(hdr.Key, hdr.Struct, &s, false)
+		c.putSchedule(hdr.Key, hdr.Struct, &s)
 		return nil
 	default:
 		return fmt.Errorf("sim: import %s: unknown artifact kind %q", name, hdr.Kind)

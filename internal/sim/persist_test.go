@@ -463,8 +463,10 @@ func TestImportArtifactRejectsCorruptBlobs(t *testing.T) {
 // the keys it always had, so older payloads under a current header hit. A run
 // that DAE slicing mapped onto role-less tiles adds one key, SlicedRoles, and
 // a payload from before roles were resolved (empty roles, no such key) still
-// answers it. Framed as that build framed it, without the accounting stamp,
-// the blob is refused and the leg re-recorded.
+// answers it. A payload that still carries the DRAM arrival log older builds
+// kept decodes without it and proves a bandwidth refit. Framed as that build
+// framed it, without the accounting stamp, the blob is refused and the leg
+// re-recorded.
 func TestScheduleSpellingOnDisk(t *testing.T) {
 	w := workloads.ByName("projection")
 	cfg := func() *config.SystemConfig {
@@ -474,9 +476,9 @@ func TestScheduleSpellingOnDisk(t *testing.T) {
 			Mem:   config.TableIIMem(),
 		}
 	}
-	run := func(c *Cache) (soc.Result, ReplayOutcome) {
+	runCfg := func(c *Cache, sc *config.SystemConfig) (soc.Result, ReplayOutcome) {
 		t.Helper()
-		s, err := NewSession(Options{Workload: w, Scale: workloads.Tiny, Config: cfg(), Slicing: SliceDAE, Replay: true, Cache: c})
+		s, err := NewSession(Options{Workload: w, Scale: workloads.Tiny, Config: sc, Slicing: SliceDAE, Replay: true, Cache: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,6 +488,7 @@ func TestScheduleSpellingOnDisk(t *testing.T) {
 		}
 		return res, s.Replay()
 	}
+	run := func(c *Cache) (soc.Result, ReplayOutcome) { return runCfg(c, cfg()) }
 	c1 := NewCache()
 	want, out := run(c1)
 	if !out.Recorded {
@@ -508,7 +511,7 @@ func TestScheduleSpellingOnDisk(t *testing.T) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		if want := []string{"ClockMHz", "DRAMArrivals", "FabricLat", "HopsTotal", "Invocations", "LineBytes", "Mem", "NoC",
+		if want := []string{"ClockMHz", "FabricLat", "HopsTotal", "Invocations", "LineBytes", "Mem", "NoC",
 			"Result", "Skipped", "SlicedRoles", "Stepped", "Tiles"}; !reflect.DeepEqual(keys, want) {
 			t.Errorf("schedule blob keys = %v, want %v", keys, want)
 		}
@@ -520,6 +523,7 @@ func TestScheduleSpellingOnDisk(t *testing.T) {
 			tile["Role"] = json.RawMessage(`""`)
 		}
 		delete(sched, "SlicedRoles")
+		sched["DRAMArrivals"] = json.RawMessage(`[40,41,300]`)
 		sched["Tiles"], _ = json.Marshal(tiles)
 		body, _ = json.Marshal(sched)
 		var h blobHeader
@@ -540,6 +544,13 @@ func TestScheduleSpellingOnDisk(t *testing.T) {
 		if !out.Replayed || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: replayed=%v (reason %q), result equal=%v", name, out.Replayed, out.Reason, reflect.DeepEqual(got, want))
 		}
+	}
+	raised := cfg()
+	raised.Mem.DRAM.BandwidthGBs += 24
+	full, _ := runCfg(NewCache(), raised)
+	if got, out := runCfg(olderPayload, raised); !slices.Contains(out.Families, "dram-refit") || !reflect.DeepEqual(got, full) {
+		t.Errorf("older payload, raised bandwidth: replayed=%v families=%v (reason %q), result equal=%v",
+			out.Replayed, out.Families, out.Reason, reflect.DeepEqual(got, full))
 	}
 	rerecordsOlderSchedule(t, schedName, older, want, run)
 }

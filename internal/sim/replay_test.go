@@ -3,15 +3,16 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mosaicsim/internal/accel"
 	"mosaicsim/internal/config"
-	"mosaicsim/internal/mem"
 	"mosaicsim/internal/soc"
 	"mosaicsim/internal/workloads"
 )
@@ -165,9 +166,34 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "dram-bandwidth-up", eligible: true,
+			name: "dram-bandwidth-up", eligible: true, family: "dram-refit",
 			mutate: func(sc *config.SystemConfig) {
-				sc.Mem.DRAM.BandwidthGBs = 48
+				sc.Mem.DRAM.BandwidthGBs += 24
+			},
+		},
+		{
+			// One more line per epoch: the smallest budget that dominates.
+			name: "dram-bandwidth-up-1", eligible: true, family: "dram-refit",
+			mutate: func(sc *config.SystemConfig) {
+				sc.Mem.DRAM.BandwidthGBs++
+			},
+		},
+		{
+			name: "dram-bandwidth-up-72", eligible: true, family: "dram-refit",
+			mutate: func(sc *config.SystemConfig) {
+				sc.Mem.DRAM.BandwidthGBs += 72
+			},
+		},
+		{
+			name: "dram-bandwidth-down", eligible: false, reason: "recorded 18 lines per 100 cycles",
+			mutate: func(sc *config.SystemConfig) {
+				sc.Mem.DRAM.BandwidthGBs -= 8
+			},
+		},
+		{
+			name: "dram-epoch", eligible: false, reason: "lines per 50 cycles",
+			mutate: func(sc *config.SystemConfig) {
+				sc.Mem.DRAM.EpochCycles = 50
 			},
 		},
 		{
@@ -433,9 +459,10 @@ func TestSessionResolvesItsConfigOnce(t *testing.T) {
 	}
 }
 
-// TestReplayHitAllocsDoNotGrowWithTraffic: a dram-refit hit's proof walks the
-// recorded arrival log without allocating, so a hit on a schedule whose log
-// is ten times longer allocates exactly what a hit on the short one does.
+// TestReplayHitAllocsDoNotGrowWithTraffic: a dram-refit hit's proof reads
+// the recorded DRAM counts, never the traffic itself, so a hit on a schedule
+// that recorded ten times the DRAM reads allocates exactly what a hit on the
+// recorded one does.
 func TestReplayHitAllocsDoNotGrowWithTraffic(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts do not repeat under -race")
@@ -443,25 +470,13 @@ func TestReplayHitAllocsDoNotGrowWithTraffic(t *testing.T) {
 	models := accelModelsAt(4, 24)
 	refit := replayBaseConfig()
 	refit.Mem.DRAM.BandwidthGBs = 48
-	hitAllocs := func(copies int) float64 {
+	hitAllocs := func(scale int64) float64 {
 		cache := NewCache()
 		if _, out := runLeg(t, cache, replayBaseConfig(), models, true); !out.Recorded {
 			t.Fatalf("recording run did not publish a schedule (reason: %q)", out.Reason)
 		}
-		// Lengthen the recorded log by whole copies of itself, each shifted
-		// past the last on the epoch grid: every bucket keeps its count, so
-		// the refit verdict is unchanged and only the log's length grows.
 		for _, f := range cache.scheds.m {
-			s := f.val
-			epoch, _ := mem.SimpleDRAMBudget(s.Mem.DRAM, s.ClockMHz, s.LineBytes)
-			log := s.DRAMArrivals
-			shift := (slices.Max(log) + s.Mem.DRAM.MinLatency + 1) * epoch
-			for k := 1; k < copies; k++ {
-				for _, a := range log {
-					s.DRAMArrivals = append(s.DRAMArrivals, a+int64(k)*shift)
-				}
-			}
-			s.Result.DRAM.Reads += int64(len(s.DRAMArrivals) - len(log))
+			f.val.Result.DRAM.Reads *= scale
 		}
 		s, err := NewSession(Options{Workload: replayW, Scale: workloads.Tiny, Config: refit, Accels: models, Cache: cache, Replay: true})
 		if err != nil {
@@ -473,15 +488,144 @@ func TestReplayHitAllocsDoNotGrowWithTraffic(t *testing.T) {
 			}
 		})
 		if out := s.Replay(); !out.Replayed || !slices.Contains(out.Families, "dram-refit") {
-			t.Fatalf("%dx log: want a dram-refit hit, got replayed=%v families=%v reason=%q", copies, out.Replayed, out.Families, out.Reason)
+			t.Fatalf("%dx reads: want a dram-refit hit, got replayed=%v families=%v reason=%q", scale, out.Replayed, out.Families, out.Reason)
 		}
 		if rc := cache.ReplayCounters(); rc.Hits == 0 || rc.DRAMRefit != rc.Hits || rc.Identical != 0 {
-			t.Fatalf("%dx log: family census %+v, want every hit under dram-refit and none identical", copies, rc)
+			t.Fatalf("%dx reads: family census %+v, want every hit under dram-refit and none identical", scale, rc)
 		}
 		return allocs
 	}
 	short, long := hitAllocs(1), hitAllocs(10)
 	if long != short {
-		t.Fatalf("a dram-refit hit allocates %v objects on a 10x longer arrival log, %v on the recorded one", long, short)
+		t.Fatalf("a dram-refit hit allocates %v objects on 10x the recorded DRAM reads, %v on the recorded ones", long, short)
 	}
+}
+
+// leg is one replay-on run of the matrix's workload, for legs run off the
+// test goroutine.
+type leg struct {
+	res soc.Result
+	out ReplayOutcome
+	err error
+}
+
+// runLegCtx runs cfg on cache under ctx with the baseline models; tweak, when
+// non-nil, adjusts the session's options.
+func runLegCtx(ctx context.Context, cache *Cache, cfg *config.SystemConfig, tweak func(*Options)) leg {
+	opts := Options{Workload: replayW, Scale: workloads.Tiny, Config: cfg, Accels: accelModelsAt(4, 24), Cache: cache, Replay: true}
+	if tweak != nil {
+		tweak(&opts)
+	}
+	s, err := NewSession(opts)
+	if err != nil {
+		return leg{err: err}
+	}
+	res, err := s.Run(ctx)
+	return leg{res, s.Replay(), err}
+}
+
+// TestConcurrentLegsRecordOnce: legs that ask for one schedule at once share
+// one recording. One runs in full and records; every other waits for it and
+// hits on "identical", with the same Result.
+func TestConcurrentLegsRecordOnce(t *testing.T) {
+	const n = 4
+	cache := NewCache()
+	legs := make(chan leg, n)
+	for range n {
+		go func() { legs <- runLegCtx(context.Background(), cache, replayBaseConfig(), nil) }()
+	}
+	want, _ := runLeg(t, NewCache(), replayBaseConfig(), accelModelsAt(4, 24), false)
+	recorded := 0
+	for range n {
+		l := <-legs
+		if l.err != nil {
+			t.Fatal(l.err)
+		}
+		if !reflect.DeepEqual(l.res, want) {
+			t.Errorf("a leg's result differs from a full run:\nleg:  %+v\nfull: %+v", l.res, want)
+		}
+		switch {
+		case l.out.Recorded:
+			recorded++
+		case !l.out.Replayed || !reflect.DeepEqual(l.out.Families, []string{"identical"}):
+			t.Errorf("a leg neither recorded nor hit on identical: %+v", l.out)
+		}
+	}
+	if rc := cache.ReplayCounters(); recorded != 1 || rc != (ReplayCounters{Hits: n - 1, Recorded: 1, Identical: n - 1}) {
+		t.Fatalf("%d legs recorded, counters %+v; want one recording and %d identical hits", recorded, rc, n-1)
+	}
+}
+
+// waitingCtx closes waiting at its first Done call: a leg asks for Done only
+// when it blocks on a schedule another leg is recording.
+type waitingCtx struct {
+	context.Context
+	waiting chan struct{}
+	once    sync.Once
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestScheduleSlotReleasesWaiters: a recording leg that fails or is
+// cancelled releases the leg waiting on its schedule, which then records in
+// its place; a waiter whose own context ends returns at once.
+func TestScheduleSlotReleasesWaiters(t *testing.T) {
+	want, _ := runLeg(t, NewCache(), replayBaseConfig(), accelModelsAt(4, 24), false)
+	for _, tc := range []struct {
+		name  string
+		limit int64 // the recording leg's cycle limit
+	}{
+		{"recorder-fails", 1},
+		{"recorder-cancelled", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := NewCache()
+			wctx := &waitingCtx{Context: context.Background(), waiting: make(chan struct{})}
+			waiter := make(chan leg, 1)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			started := false
+			// The recording leg's first progress update starts the waiter
+			// and returns once it blocks on the slot, then ends the leg: at
+			// its cycle limit, or by cancelling it.
+			rec := runLegCtx(ctx, cache, replayBaseConfig(), func(o *Options) {
+				o.Limit = tc.limit
+				o.Progress = func(u soc.ProgressUpdate) {
+					if started || u.Final != (tc.limit != 0) {
+						return
+					}
+					started = true
+					go func() { waiter <- runLegCtx(wctx, cache, replayBaseConfig(), nil) }()
+					<-wctx.waiting
+					cancel()
+				}
+			})
+			if !started {
+				t.Fatal("the recording leg never reported progress")
+			}
+			if rec.err == nil || errors.Is(rec.err, context.Canceled) != (tc.limit == 0) {
+				t.Fatalf("recording leg: err = %v", rec.err)
+			}
+			w := <-waiter
+			if w.err != nil || !w.out.Recorded || !reflect.DeepEqual(w.res, want) {
+				t.Fatalf("waiter: err %v, outcome %+v, result equal %v; want it to record the full run", w.err, w.out, reflect.DeepEqual(w.res, want))
+			}
+			if rc := cache.ReplayCounters(); rc != (ReplayCounters{Recorded: 1}) {
+				t.Fatalf("counters %+v, want one recording", rc)
+			}
+		})
+	}
+	t.Run("waiter-cancelled", func(t *testing.T) {
+		c := NewCache()
+		_, publish, _ := c.awaitSchedule(context.Background(), Key{Kernel: "k"}, 1)
+		defer publish(nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if s, pub, err := c.awaitSchedule(ctx, Key{Kernel: "k"}, 1); s != nil || pub != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter under a cancelled context: schedule %v, publish %v, err %v; want context.Canceled alone", s, pub != nil, err)
+		}
+	})
 }

@@ -425,8 +425,8 @@ func (s *Session) BuildSystem(ctx context.Context) (*soc.System, error) {
 func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 	ctx = orBackground(ctx)
 	replayOn := s.opts.Replay && s.topo != nil && !s.opts.DisableCycleSkipping
-	var structHash uint64
 	var canon []byte
+	var publish func(*replaypkg.Schedule)
 	var out ReplayOutcome
 	if replayOn {
 		out.Attempted = true
@@ -434,11 +434,18 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 		if canon, err = replaypkg.CanonJSON(s.topo); err != nil {
 			// A topology with no canonical form (a NaN area) still
 			// simulates: take the full path.
-			replayOn = false
 			out.Reason = err.Error()
 		} else {
-			structHash = replaypkg.StructHash(canon)
-			if sched := s.cache.Schedule(s.key, structHash); sched != nil {
+			// A leg whose schedule another leg is recording waits for it;
+			// a leg that finds none records it.
+			sched, pub, err := s.cache.awaitSchedule(ctx, s.key, replaypkg.StructHash(canon))
+			if err != nil {
+				return soc.Result{}, s.fail(StageRun, err)
+			}
+			if publish = pub; publish != nil {
+				defer publish(nil) // releases the slot unless the run published
+			}
+			if sched != nil {
 				dec := replaypkg.Classify(sched, s.topo, canon, s.opts.Accels, s.opts.Limit)
 				s.cache.noteReplay(dec)
 				if dec.Eligible {
@@ -466,7 +473,7 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 		return soc.Result{}, err
 	}
 	var rec *replaypkg.Recorder
-	if replayOn {
+	if publish != nil {
 		rec = replaypkg.NewRecorder()
 		sys.RecordSchedule(rec.RecordInvoke)
 	}
@@ -475,7 +482,8 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 	}
 	res := sys.Result()
 	if rec != nil {
-		out.Recorded = s.cache.PutSchedule(s.key, structHash, rec.Build(s.topo, canon, sys, res))
+		publish(rec.Build(s.topo, canon, sys, res))
+		out.Recorded = true
 	}
 	s.mu.Lock()
 	s.res = res

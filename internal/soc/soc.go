@@ -422,11 +422,11 @@ const DefaultCycleLimit = int64(1) << 40
 const MaxCycleLimit = int64(1) << 60
 
 // ctxCheckInterval is how many Interleaver iterations pass between context
-// polls. Iterations are sub-microsecond even on wide systems — and stay
-// around 100µs under the race detector's instrumentation — so a cancel is
-// observed well inside the engine's 100ms promptness contract without paying
-// a context read per simulated cycle (one ctx.Err() per 128 cycles is noise
-// against the cost of stepping the cores and the hierarchy).
+// polls. An iteration steps one cycle or jumps a frozen stretch of any
+// length, and either is sub-microsecond even on wide systems — around 100µs
+// under the race detector's instrumentation — so a cancel is observed well
+// inside the engine's 100ms promptness contract without paying a context
+// read (a mutex, for a cancelable context) per iteration.
 const ctxCheckInterval = 128
 
 // cancelErr wraps a context error with where the simulation stood, reporting
@@ -445,9 +445,10 @@ func (s *System) cancelErr(ctx context.Context, cause error, cycle, effLimit int
 // Run advances the system until every tile retires its trace and the memory
 // hierarchy drains, or the cycle limit is hit (limit <= 0 selects
 // DefaultCycleLimit; a limit past MaxCycleLimit is capped there). Run honors
-// ctx: cancellation is polled at horizon-jump and interleave boundaries, so a
-// cancel or deadline returns promptly even mid-simulation with an error
-// wrapping the context's, and a nil ctx is treated as context.Background().
+// ctx: cancellation is polled every ctxCheckInterval loop iterations, a
+// horizon jump counting as one, so a cancel or deadline returns promptly even
+// mid-simulation with an error wrapping the context's, and a nil ctx is
+// treated as context.Background().
 //
 // The Interleaver normally busy-ticks every core on its clock edges and the
 // hierarchy each cycle. When an iteration makes zero forward progress and
@@ -556,13 +557,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		// Every component is provably frozen: jump to the earliest cycle at
 		// which any of them can act. A horizon past the limit (including a
 		// true deadlock, HorizonNone everywhere) exits through the timeout
-		// path immediately instead of burning the remaining cycles. The
-		// horizon jump is also a cancellation boundary: a long frozen
-		// stretch must not outlive its context.
-		if err := ctx.Err(); err != nil {
-			s.finalProgress(cycle)
-			return s.cancelErr(ctx, err, cycle, effLimit)
-		}
+		// path immediately instead of burning the remaining cycles.
 		target := s.horizon(cycle, accum, strides, maxClock, effLimit)
 		if target > effLimit+1 {
 			target = effLimit + 1
