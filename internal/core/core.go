@@ -222,9 +222,10 @@ type Core struct {
 	// different clock speeds").
 	clockNum, clockDen int64
 
-	// progress counts state-changing events (launches, issues, completions,
-	// drains, barrier arrivals). The Interleaver compares successive readings
-	// to detect frozen tiles and engage event-horizon cycle skipping.
+	// progress counts state-changing events (launches, issues, parked
+	// stores, completions, drains, barrier arrivals). The Interleaver
+	// compares successive readings to detect frozen tiles and engage
+	// event-horizon cycle skipping.
 	progress uint64
 
 	freeDBBs []*dynDBB // DBBs are recycled once every node completed
@@ -866,6 +867,7 @@ func (c *Core) issueInOrder(now int64) {
 			c.maoInUse+c.readyCount < c.Cfg.LSQSize && c.maoOrderBlocked(n) {
 			c.setReady(n.seq)
 			c.stall = stallIssued
+			c.progress++
 			c.issueSeq++
 			issued++
 			continue
@@ -1059,9 +1061,9 @@ func overlaps(a, b *dynNode) bool {
 }
 
 // Progress returns a monotone counter of state-changing events (launches,
-// issues, completions, drains, barrier arrivals). Two equal readings around a
-// Step mean the step observably did nothing but charge the previous step's
-// stall and record the same cause again.
+// issues, parked stores, completions, drains, barrier arrivals). Two equal
+// readings around a Step mean the step observably did nothing but charge the
+// previous step's stall and record the same cause again.
 func (c *Core) Progress() uint64 { return c.progress }
 
 // NextEvent returns a lower bound on the next global cycle at which this

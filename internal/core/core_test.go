@@ -668,3 +668,38 @@ func TestSetFreeInstrsAfterNew(t *testing.T) {
 		t.Errorf("fusing %d static idioms saved nothing: %d cycles vs %d", free, fs.Cycles, ps.Cycles)
 	}
 }
+
+// TestParkingAStoreIsProgress: a store that parks behind an older access to
+// its address has left the issue stage, so Progress moves even on a step of
+// a width-1 in-order core that did nothing else — an unchanged reading would
+// call the step frozen although it changed the core.
+func TestParkingAStoreIsProgress(t *testing.T) {
+	const src = `
+void kernel(long* A, long* B) {
+  long x = *A;
+  *A = 5;
+  B[0] = x;
+}
+`
+	g, tt := traceKernel(t, src, func(m *interp.Memory) []uint64 {
+		return []uint64{m.Alloc(64, 64), m.Alloc(64, 64)}
+	})
+	cfg := config.InOrderCore()
+	c := New(0, cfg, Lower(g), tt, &fakeMem{lat: 100}, &fakeFabric{}, nil)
+	parks := 0
+	for now := int64(0); ; now++ {
+		before, ready := c.Progress(), c.readyCount
+		if !c.Step(now) {
+			break
+		}
+		if c.readyCount > ready {
+			parks++
+			if c.Progress() == before {
+				t.Fatalf("cycle %d parked a store, but Progress stayed at %d", now, before)
+			}
+		}
+	}
+	if parks == 0 {
+		t.Fatal("no store parked: the kernel no longer exercises parking")
+	}
+}

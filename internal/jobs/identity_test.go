@@ -73,7 +73,7 @@ func TestIdentityTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		canon, err := replay.CanonJSON(s.Topology())
+		canon, err := replay.CanonJSON(nil, s.Topology())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

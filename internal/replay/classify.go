@@ -3,7 +3,6 @@ package replay
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"mosaicsim/internal/config"
 	"mosaicsim/internal/mem"
@@ -45,7 +44,7 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 	oldCanon := s.canon
 	if oldCanon == nil {
 		var err error
-		if oldCanon, err = CanonJSON(&s.Topology); err != nil {
+		if oldCanon, err = CanonJSON(nil, &s.Topology); err != nil {
 			return fb("schedule: %v", err)
 		}
 	}
@@ -53,7 +52,8 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 		return fb("structural: configurations differ beyond replayable timing knobs")
 	}
 
-	fams := map[string]bool{}
+	// The families an eligible decision rests on; neither means "identical".
+	var inert, refit bool
 	// Per-core knobs: eligible only when the recorded run provably never
 	// read them (binding counts from the recorded Result are zero).
 	for i := range topo.Tiles {
@@ -63,34 +63,34 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 			if st.Mispredict != 0 {
 				return fb("bound knob: tile %d mispredict_penalty was read (%d mispredicts)", i, st.Mispredict)
 			}
-			fams["inert-knob"] = true
+			inert = true
 		}
 		if o.AtomicExtraLatency != n.AtomicExtraLatency {
 			if st.Atomics != 0 {
 				return fb("bound knob: tile %d atomic_extra_latency was read (%d atomics)", i, st.Atomics)
 			}
-			fams["inert-knob"] = true
+			inert = true
 		}
 		if o.Latency(config.ClassMem) != n.Latency(config.ClassMem) {
-			fams["inert-knob"] = true // never read: memory ops time in the hierarchy
+			inert = true // never read: memory ops time in the hierarchy
 		}
 	}
 
 	// Memory-hierarchy knobs.
-	om, nm := s.Mem, topo.Mem
-	r := s.Result
-	for _, c := range []struct {
+	om, nm := &s.Mem, &topo.Mem
+	r := &s.Result
+	for _, c := range [...]struct {
 		level string
 		o, n  *config.CacheConfig
-		st    mem.CacheStats
-	}{{"l1", &om.L1, &nm.L1, r.L1}, {"l2", om.L2, nm.L2, r.L2}, {"llc", om.LLC, nm.LLC, r.LLC}} {
+		st    *mem.CacheStats
+	}{{"l1", &om.L1, &nm.L1, &r.L1}, {"l2", om.L2, nm.L2, &r.L2}, {"llc", om.LLC, nm.LLC, &r.LLC}} {
 		if c.o == nil || c.n == nil || c.o.LatencyCycles == c.n.LatencyCycles {
 			continue
 		}
 		if c.st.Accesses != 0 || c.st.PrefetchIssued != 0 {
 			return fb("bound knob: %s latency_cycles was read (%d accesses)", c.level, c.st.Accesses+c.st.PrefetchIssued)
 		}
-		fams["inert-knob"] = true
+		inert = true
 	}
 	dramTraffic := r.DRAM.Reads + r.DRAM.Writebacks
 	banked := om.DRAM.Model == config.DRAMBanked
@@ -100,7 +100,7 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 		if !banked && dramTraffic != 0 {
 			return fb("bound knob: dram min_latency was read (%d requests)", dramTraffic)
 		}
-		fams["inert-knob"] = true
+		inert = true
 	}
 	if banked {
 		if om.DRAM.TCAS != nm.DRAM.TCAS || om.DRAM.TRCD != nm.DRAM.TRCD ||
@@ -108,17 +108,17 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 			if dramTraffic != 0 {
 				return fb("bound knob: banked DRAM timing was read (%d requests)", dramTraffic)
 			}
-			fams["inert-knob"] = true
+			inert = true
 		}
 		if om.DRAM.BandwidthGBs != nm.DRAM.BandwidthGBs || om.DRAM.EpochCycles != nm.DRAM.EpochCycles {
-			fams["inert-knob"] = true // banked model ignores the bandwidth cap
+			inert = true // banked model ignores the bandwidth cap
 		}
 	} else {
 		if om.DRAM.TCAS != nm.DRAM.TCAS || om.DRAM.TRCD != nm.DRAM.TRCD ||
 			om.DRAM.TRP != nm.DRAM.TRP || om.DRAM.TBurst != nm.DRAM.TBurst ||
 			om.DRAM.Channels != nm.DRAM.Channels || om.DRAM.Banks != nm.DRAM.Banks ||
 			om.DRAM.RowBytes != nm.DRAM.RowBytes {
-			fams["inert-knob"] = true // simple model ignores the banked set
+			inert = true // simple model ignores the banked set
 		}
 		if om.DRAM.BandwidthGBs != nm.DRAM.BandwidthGBs || om.DRAM.EpochCycles != nm.DRAM.EpochCycles {
 			eo, mo := mem.SimpleDRAMBudget(om.DRAM, s.ClockMHz, s.LineBytes)
@@ -130,13 +130,13 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 			// every request still completes at arrival + MinLatency.
 			switch {
 			case (eo == en && mo == mn) || dramTraffic == 0:
-				fams["inert-knob"] = true // quantized budget unchanged, or never read
+				inert = true // quantized budget unchanged, or never read
 			case r.DRAM.Throttled != 0:
 				return fb("dram: recorded run was bandwidth-throttled (%d stalls)", r.DRAM.Throttled)
 			case en != eo || mn < mo:
 				return fb("dram: budget of %d lines per %d cycles does not cover the recorded %d lines per %d cycles", mn, en, mo, eo)
 			default:
-				fams["dram-refit"] = true
+				refit = true
 			}
 		}
 	}
@@ -144,13 +144,13 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 		if om.Directory {
 			return fb("bound knob: dir_inv_cycles under directory coherence")
 		}
-		fams["inert-knob"] = true
+		inert = true
 	}
 	if hopCycles(s.NoC) != hopCycles(topo.NoC) {
 		if s.HopsTotal != 0 {
 			return fb("bound knob: hop_cycles was read (%d hops)", s.HopsTotal)
 		}
-		fams["inert-knob"] = true
+		inert = true
 	}
 
 	// Accelerator models: re-invoke the offered model per recorded
@@ -182,15 +182,18 @@ func Classify(s *Schedule, topo *soc.Topology, canon []byte, accels map[string]s
 		return fb("limit: recorded run needs %d cycles, limit is %d", r.Cycles, newEff)
 	}
 
-	if len(fams) == 0 {
-		fams["identical"] = true
+	var fams []string
+	switch {
+	case refit && inert:
+		fams = []string{"dram-refit", "inert-knob"}
+	case refit:
+		fams = []string{"dram-refit"}
+	case inert:
+		fams = []string{"inert-knob"}
+	default:
+		fams = []string{"identical"}
 	}
-	names := make([]string, 0, len(fams))
-	for f := range fams {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	return Decision{Eligible: true, Families: names}
+	return Decision{Eligible: true, Families: fams}
 }
 
 func hopCycles(n *config.NoCConfig) int64 {

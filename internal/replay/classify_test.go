@@ -60,7 +60,7 @@ func classify(t *testing.T, s *Schedule, cfg *config.SystemConfig, models map[st
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, err := CanonJSON(topo)
+	canon, err := CanonJSON(nil, topo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,13 @@
 // naming the accelerator and the invocation. Nothing is ever adjusted: a
 // change that could move a single event re-simulates — never a silently
 // wrong number.
+//
+// A run finds its schedule by the hash of its topology's canonical form
+// (CanonJSON, StructHash), and Classify first compares the two forms byte
+// for byte. The form is JSON written by hand, without encoding/json or
+// reflection, into a buffer the caller reuses: a hit pays for it on every
+// attempt, and its bytes must stay those encoding/json produced, which the
+// package's tests check against encoding/json as the oracle.
 package replay
 
 import (
@@ -116,7 +123,7 @@ func (r *Recorder) Build(t *soc.Topology, canon []byte, sys *soc.System, res soc
 // KeepCanon computes canon for a schedule not built by Build (an imported
 // one), before it is shared. On an error none is kept; Classify reports it.
 func (s *Schedule) KeepCanon() {
-	s.canon, _ = CanonJSON(&s.Topology)
+	s.canon, _ = CanonJSON(nil, &s.Topology)
 }
 
 // ResultCopy is what a replay hit returns: the recorded Result, sharing no

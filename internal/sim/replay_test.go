@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -498,6 +500,88 @@ func TestReplayHitAllocsDoNotGrowWithTraffic(t *testing.T) {
 	short, long := hitAllocs(1), hitAllocs(10)
 	if long != short {
 		t.Fatalf("a dram-refit hit allocates %v objects on 10x the recorded DRAM reads, %v on the recorded ones", long, short)
+	}
+}
+
+// sweepLegOptions runs sgemm at tiny scale on a sweep_grid system: one
+// out-of-order tile over Table II memory, with the mem-class latency and the
+// DRAM bandwidth a sweep leg draws.
+func sweepLegOptions(cache *Cache, memLat int64, gbs float64, replay bool) Options {
+	core := config.OutOfOrderCore()
+	core.Latencies = map[string]int64{"mem": memLat}
+	sc := config.Homogeneous("hit", core, 1, config.TableIIMem())
+	sc.Mem.DRAM.BandwidthGBs = gbs
+	return Options{Workload: workloads.ByName("sgemm"), Scale: workloads.Tiny, Config: sc, Cache: cache, Replay: replay}
+}
+
+// TestOlderScheduleBlobHits imports a schedule blob that an older build,
+// which marshalled the canonical form with encoding/json, exported from the
+// sweepLegOptions(1, 24) run. It must import under its own name and answer a
+// timing-only leg with the Result a full run computes: the hand-written form
+// hashes and compares as the marshalled one did.
+func TestOlderScheduleBlobHits(t *testing.T) {
+	const name = "sched-1df7faf11e2ed3a32030c53fb61ddb01"
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache()
+	if err := cache.ImportArtifact(name, data); err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts Options) (soc.Result, ReplayOutcome) {
+		t.Helper()
+		s, err := NewSession(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, s.Replay()
+	}
+	got, out := run(sweepLegOptions(cache, 40, 60, true))
+	if !out.Replayed || !reflect.DeepEqual(out.Families, []string{"dram-refit", "inert-knob"}) {
+		t.Fatalf("want a dram-refit and inert-knob hit on the imported schedule, got %+v", out)
+	}
+	if full, _ := run(sweepLegOptions(NewCache(), 40, 60, false)); !reflect.DeepEqual(got, full) {
+		t.Fatalf("hit on the imported schedule differs from a full run:\n got %+v\nwant %+v", got, full)
+	}
+}
+
+// TestReplayHitAllocs pins what a sweep_grid-style hit allocates: a one-tile
+// sgemm leg whose mem-class latency and DRAM bandwidth moved (inert-knob and
+// dram-refit) costs the decision's family list and the Result copy. The
+// canonical form is written into a recycled buffer, and the replay package
+// needs no encoding/json for it (TestCanonNeedsNoEncodingJSON); marshalling
+// it cost four allocations more.
+func TestReplayHitAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts do not repeat under -race")
+	}
+	cache := NewCache()
+	rec, err := NewSession(sweepLegOptions(cache, 1, 24, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Run(context.Background()); err != nil || !rec.Replay().Recorded {
+		t.Fatalf("recording run: err %v, outcome %+v", err, rec.Replay())
+	}
+	s, err := NewSession(sweepLegOptions(cache, 40, 60, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if out := s.Replay(); !out.Replayed || !reflect.DeepEqual(out.Families, []string{"dram-refit", "inert-knob"}) {
+		t.Fatalf("want a dram-refit and inert-knob hit, got %+v", out)
+	}
+	if allocs > 2 {
+		t.Fatalf("a replay hit allocates %v objects, want at most 2", allocs)
 	}
 }
 

@@ -16,6 +16,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -417,6 +418,10 @@ func (s *Session) BuildSystem(ctx context.Context) (*soc.System, error) {
 	return sys, nil
 }
 
+// canonBufs recycles the buffers Run writes a topology's canonical form
+// into: a replay hit reads the bytes and drops them.
+var canonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Run drives the full pipeline: it builds a fresh system over the cached
 // artifact, simulates it under ctx (and the session's cycle limit), and
 // returns the system-wide report. Cancelling ctx mid-simulation returns
@@ -430,12 +435,15 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 	var out ReplayOutcome
 	if replayOn {
 		out.Attempted = true
+		buf := canonBufs.Get().(*[]byte)
+		defer canonBufs.Put(buf)
 		var err error
-		if canon, err = replaypkg.CanonJSON(s.topo); err != nil {
+		if canon, err = replaypkg.CanonJSON((*buf)[:0], s.topo); err != nil {
 			// A topology with no canonical form (a NaN area) still
 			// simulates: take the full path.
 			out.Reason = err.Error()
 		} else {
+			*buf = canon // keep the grown buffer
 			// A leg whose schedule another leg is recording waits for it;
 			// a leg that finds none records it.
 			sched, pub, err := s.cache.awaitSchedule(ctx, s.key, replaypkg.StructHash(canon))
@@ -482,7 +490,7 @@ func (s *Session) Run(ctx context.Context) (soc.Result, error) {
 	}
 	res := sys.Result()
 	if rec != nil {
-		publish(rec.Build(s.topo, canon, sys, res))
+		publish(rec.Build(s.topo, bytes.Clone(canon), sys, res)) // canon's buffer is reused
 		out.Recorded = true
 	}
 	s.mu.Lock()

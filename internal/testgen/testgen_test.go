@@ -2,9 +2,11 @@ package testgen
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mosaicsim/internal/ir"
+	"mosaicsim/internal/soc"
 )
 
 // TestGeneratedKernelEquivalence is the tentpole differential test: 200
@@ -84,4 +86,29 @@ func FuzzPassPipeline(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		checkSeed(t, seed)
 	})
+}
+
+// TestTopologyDrawsValidSystems checks Topology's contract over seeds
+// 1..1000: every draw resolves (Validate included) and is a function of its
+// seed, and every knob reaches both ends of its range somewhere.
+func TestTopologyDrawsValidSystems(t *testing.T) {
+	lo, hi := map[string]bool{}, map[string]bool{}
+	for seed := int64(1); seed <= 1000; seed++ {
+		sc := topology(seed, func(knob string, v int) {
+			r := topoKnobs[knob]
+			lo[knob] = lo[knob] || v == r[0]
+			hi[knob] = hi[knob] || v == r[1]
+		})
+		if _, err := soc.Resolve(sc, false); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(sc, Topology(seed)) {
+			t.Fatalf("seed %d: two draws differ", seed)
+		}
+	}
+	for knob, r := range topoKnobs {
+		if !lo[knob] || !hi[knob] {
+			t.Errorf("knob %s never drew its minimum %d (%v) or its maximum %d (%v)", knob, r[0], lo[knob], r[1], hi[knob])
+		}
+	}
 }
