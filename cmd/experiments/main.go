@@ -50,8 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 0, "max concurrent simulations (0 = all CPU cores)")
 	replay := fs.Bool("replay", true, "answer timing-only sweep legs from recorded schedules (bit-identical results)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole regeneration (0 = none)")
-	optLevel := fs.String("O", "", "compiler optimization level applied to every workload leg: O0, O1, O2 (default O0)")
-	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
+	optLevel := fs.String("O", "", "compiler optimization level applied to every workload leg: O0, O2 (default O0)")
+	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): cse,strength,unroll")
 	unroll := fs.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")

@@ -40,8 +40,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fn := fs.String("fn", "kernel", "kernel function name (with -src)")
 	dot := fs.Bool("dot", false, "emit Graphviz DOT instead of statistics")
 	printIR := fs.Bool("ir", false, "print the kernel IR")
-	optLevel := fs.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
-	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
+	optLevel := fs.String("O", "", "compiler optimization level: O0, O2 (default O0)")
+	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): cse,strength,unroll")
 	unroll := fs.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

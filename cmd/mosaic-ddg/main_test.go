@@ -19,7 +19,7 @@ func TestFlagTable(t *testing.T) {
 	}{
 		{name: "neither -workload nor -src", code: 2, stderr: "need -workload or -src; see -h"},
 		{name: "unknown workload", args: []string{"-workload", "sgem"}, code: 2, stderr: "unknown workload \"sgem\" (did you mean \"sgemm\"?)\n"},
-		{name: "-O with -passes", args: []string{"-workload", "sgemm", "-O", "O2", "-passes", "dce"}, code: 2, stderr: "-O and -passes are mutually exclusive"},
+		{name: "-O with -passes", args: []string{"-workload", "sgemm", "-O", "O2", "-passes", "cse"}, code: 2, stderr: "-O and -passes are mutually exclusive"},
 		{name: "unknown opt level", args: []string{"-workload", "sgemm", "-O", "7"}, code: 2, stderr: "7"},
 		{name: "statistics", args: []string{"-workload", "sgemm"}, prefix: "opt: O0\n", stdout: "nodes (static instructions)  48"},
 		{name: "-dot", args: []string{"-workload", "sgemm", "-dot"}, prefix: "digraph"},

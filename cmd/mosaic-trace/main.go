@@ -42,8 +42,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("o", "", "write the binary trace to this file")
 	read := fs.String("read", "", "read and summarize a previously written trace")
 	hot := fs.Int("hot", 0, "profile the run and print the N hottest static instructions")
-	optLevel := fs.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
-	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
+	optLevel := fs.String("O", "", "compiler optimization level: O0, O2 (default O0)")
+	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): cse,strength,unroll")
 	unroll := fs.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

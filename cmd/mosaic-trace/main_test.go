@@ -53,7 +53,7 @@ func TestFlagTable(t *testing.T) {
 		stderr string // substring
 	}{
 		{name: "neither -workload nor -read", code: 2, stderr: "need -workload or -read; see -h"},
-		{name: "-O with -passes", args: []string{"-workload", "sgemm", "-O", "O2", "-passes", "dce"}, code: 2, stderr: "-O and -passes are mutually exclusive"},
+		{name: "-O with -passes", args: []string{"-workload", "sgemm", "-O", "O2", "-passes", "cse"}, code: 2, stderr: "-O and -passes are mutually exclusive"},
 		{name: "unknown opt level", args: []string{"-workload", "sgemm", "-O", "O9"}, code: 2, stderr: "O9"},
 		{name: "unknown workload", args: []string{"-workload", "sgem"}, code: 2, stderr: "unknown workload \"sgem\" (did you mean \"sgemm\"?)\n"},
 		{name: "unknown flag", args: []string{"-step-workers", "4"}, code: 2, stderr: "flag provided but not defined: -step-workers"},

@@ -76,8 +76,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole sweep (0 = none)")
 	noskip := fs.Bool("noskip", false, "disable event-horizon cycle skipping (naive cycle-by-cycle loop)")
 	replay := fs.Bool("replay", true, "answer timing-only re-simulations from recorded schedules (bit-identical results)")
-	optLevel := fs.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
-	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
+	optLevel := fs.String("O", "", "compiler optimization level: O0, O2 (default O0)")
+	passes := fs.String("passes", "", "explicit comma-separated pass list (overrides -O): cse,strength,unroll")
 	unroll := fs.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")

@@ -63,7 +63,7 @@ func TestFlagCombinations(t *testing.T) {
 		// -config was a second spelling of -topology <file> and is gone.
 		{"topology with config", []string{"-workload", "sgemm", "-topology", "spmd-xeon", "-config", tilesFormConfig}, 2, "", "flag provided but not defined: -config"},
 		{"no tiles", []string{"-workload", "sgemm", "-tiles", "0"}, 1, "", "tile count must be positive"},
-		{"O with passes", []string{"-workload", "sgemm", "-O", "O2", "-passes", "dce"}, 2, "", "mutually exclusive"},
+		{"O with passes", []string{"-workload", "sgemm", "-O", "O2", "-passes", "cse"}, 2, "", "mutually exclusive"},
 		// -noreplay was a second spelling of -replay=false and is gone.
 		{"noreplay", []string{"-workload", "sgemm", "-noreplay"}, 2, "", "flag provided but not defined: -noreplay"},
 	} {

@@ -438,25 +438,35 @@ func (td *TileDef) Instances() int {
 	return td.Count
 }
 
-// Load reads a SystemConfig from a JSON file, in the tiles spelling whichever
-// way the file spells it. Unknown fields are errors, so a misspelled or
+// Parse decodes a SystemConfig from JSON, in the tiles spelling whichever
+// way the input spells it. Unknown fields are errors, so a misspelled or
 // retired knob is named instead of silently ignored.
+func Parse(data []byte) (*SystemConfig, error) {
+	var sc SystemConfig
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
+	tiles, err := sc.TileDefs()
+	if err != nil {
+		return nil, err
+	}
+	sc.Tiles, sc.Cores = tiles, nil
+	return &sc, nil
+}
+
+// Load reads a SystemConfig from a JSON file through Parse.
 func Load(path string) (*SystemConfig, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var sc SystemConfig
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		return nil, fmt.Errorf("config %s: %w", path, err)
+	sc, err := Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if sc.Tiles, err = sc.TileDefs(); err != nil {
-		return nil, err
-	}
-	sc.Cores = nil
-	return &sc, nil
+	return sc, nil
 }
 
 // Save writes a SystemConfig as indented JSON.

@@ -2,7 +2,6 @@ package config_test
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -56,11 +55,7 @@ func TestLoadNamesUnknownFields(t *testing.T) {
 		{`{"name":"x","tiles":[{"kind":"ooo","cout":2}]}`, "cout"},
 		{`{"name":"x","tiles":[{"kind":"ooo"}],"mem":{"l1":{"size_kbb":32}}}`, "size_kbb"},
 	} {
-		path := filepath.Join(t.TempDir(), "in.json")
-		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+		if _, err := Parse([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
 			t.Errorf("%s: want an error naming %q, got %v", tc.body, tc.field, err)
 		}
 	}
@@ -145,7 +140,7 @@ func TestLegacyMeshStillValidated(t *testing.T) {
 	}
 }
 
-// FuzzTopologyLoad drives the topology loader with arbitrary JSON: Load and
+// FuzzTopologyLoad drives the topology loader with arbitrary JSON: Parse and
 // Resolve must never panic, anything that loads and validates must survive a
 // Save → Load → marshal round trip unchanged, and anything that resolves must
 // build against a trace of as many tiles: resolution leaves no topology or
@@ -178,17 +173,12 @@ func FuzzTopologyLoad(f *testing.F) {
 	kernel := mod.Func("kernel")
 	g := ddg.Build(kernel)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "in.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Skip()
-		}
-		sc, err := Load(path)
+		sc, err := Parse(data)
 		if err != nil {
 			return // malformed input is allowed to fail, not to panic
 		}
 		if sc.Validate() == nil {
-			out := filepath.Join(dir, "out.json")
+			out := filepath.Join(t.TempDir(), "out.json")
 			if err := sc.Save(out); err != nil {
 				t.Fatalf("valid config failed to save: %v", err)
 			}

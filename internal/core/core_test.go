@@ -420,7 +420,17 @@ func TestCorruptTracePanics(t *testing.T) {
 // as long as its counts claim without reading a bit; Check stops it at the
 // first block the walk enters twice without a decision.
 func TestCheckEndsOnACycleOfBrs(t *testing.T) {
-	p := Lower(ddg.Build(ir.MustParse("func @kernel() {\nentry:\n  br %spin\nspin:\n  br %spin\n}\n").Func("kernel")))
+	// entry: br %spin; spin: br %spin
+	bld := ir.NewBuilder(ir.NewModule("m"))
+	f := bld.NewFunc("kernel")
+	spin := bld.Block("spin")
+	bld.Br(spin)
+	bld.SetBlock(f.Entry())
+	bld.Br(spin)
+	if err := bld.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	p := Lower(ddg.Build(f))
 	v4 := []byte("MSTR\x04\x00\x01\x00")
 	v4 = binary.AppendUvarint(v4, 1<<62) // instructions
 	v4 = binary.AppendUvarint(v4, 1<<62) // blocks

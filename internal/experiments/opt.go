@@ -11,7 +11,7 @@ import (
 )
 
 // FigOpt sweeps the compiler optimization level against system topology:
-// the same kernel at O0/O1/O2 on a single OoO core, four OoO cores, and
+// the same kernel at O0 and O2 on a single OoO core, four OoO cores, and
 // four in-order cores. The software axis (what the pass pipeline does to
 // the dynamic instruction stream) and the hardware axis (how much ILP/TLP
 // the system can exploit) interact — an optimization that shrinks the
@@ -22,7 +22,7 @@ func (r *Runner) FigOpt(ctx context.Context) (*Report, error) {
 	if w == nil {
 		return nil, fmt.Errorf("no workload sgemm")
 	}
-	levels := []string{"O0", "O1", "O2"}
+	levels := []string{"O0", "O2"}
 	type topo struct {
 		name  string
 		core  config.CoreConfig

@@ -16,40 +16,57 @@ import (
 // still reported when — and only when — the offending instruction executes,
 // with the message the tree-walking interpreter gave.
 func TestErrorPaths(t *testing.T) {
-	deadPhi := ir.MustParse("func @kernel() {\nentry:\n  br %b\nb:\n  %x = phi i64 [1, %entry]\n  ret\n}\n")
-	deadPhi.Func("kernel").Blocks[1].Instrs[0].Incoming[0] = deadPhi.Func("kernel").Blocks[1] // no value for entry->b
-	badCast := ir.MustParse("func @kernel(%a: i64) {\nentry:\n  %c = cast trunc i32, %a\n  ret\n}\n")
-	badCast.Func("kernel").Blocks[0].Instrs[0].Cast = ir.CastNone
-	badOp := ir.MustParse("func @kernel(%a: i64) {\nentry:\n  %c = add %a, 1\n  ret\n}\n")
-	badOp.Func("kernel").Blocks[0].Instrs[0].Op = ir.OpInvalid
-	parse := func(body string) *ir.Module {
-		return ir.MustParse("func @kernel(%p: ptr, %a: i64, %b: i64) {\nentry:\n" + body + "  ret\n}\n")
+	i64 := func(v int64) ir.Value { return ir.ConstInt(ir.I64, v) }
+	named := func(in *ir.Instr, name string) { in.Ident = name }
+	deadPhi := build(func(b *ir.Builder, _ []ir.Value) {
+		entry := b.Cur
+		next := b.Block("b")
+		b.SetBlock(entry)
+		b.Br(next)
+		b.SetBlock(next)
+		x := b.Phi(ir.I64)
+		named(x, "x")
+		ir.AddIncoming(x, i64(1), entry)
+	})
+	deadPhi.Blocks[1].Instrs[0].Incoming[0] = deadPhi.Blocks[1] // no value for entry->b
+	badCast := build(func(b *ir.Builder, a []ir.Value) { named(b.CastTo(ir.CastTrunc, ir.I32, a[0]), "c") }, ir.NewParam("a", ir.I64))
+	badCast.Blocks[0].Instrs[0].Cast = ir.CastNone
+	badOp := build(func(b *ir.Builder, a []ir.Value) { named(b.Add(a[0], i64(1)), "c") }, ir.NewParam("a", ir.I64))
+	badOp.Blocks[0].Instrs[0].Op = ir.OpInvalid
+	// pab is @kernel(%p: ptr, %a: i64, %b: i64) running body before its ret.
+	pab := func(body func(b *ir.Builder, p, a, bv ir.Value)) *ir.Function {
+		return build(func(b *ir.Builder, v []ir.Value) { body(b, v[0], v[1], v[2]) },
+			ir.NewParam("p", ir.Ptr), ir.NewParam("a", ir.I64), ir.NewParam("b", ir.I64))
 	}
+	call := func(callee string, ty ir.Type, args ...ir.Value) *ir.Function {
+		return pab(func(b *ir.Builder, _, _, _ ir.Value) { b.Call(callee, ty, args...) })
+	}
+	i32div := build(func(b *ir.Builder, v []ir.Value) { b.Bin(ir.OpSDiv, v[0], v[1]) }, ir.NewParam("a", ir.I32), ir.NewParam("b", ir.I32))
 	for _, tc := range []struct {
 		name  string
-		mod   *ir.Module
+		fn    *ir.Function
 		args  []uint64
 		opts  Options
 		want  string
 		panic bool // Memory.check faults by panicking, as it does for harness accesses
 	}{
-		{name: "division by zero", mod: parse("  %q = sdiv %a, %b\n"), args: []uint64{0, 4, 0}, want: "interp: division by zero in %q"},
-		{name: "remainder by zero", mod: parse("  %q = srem %a, %b\n"), args: []uint64{0, 4, 0}, want: "interp: remainder by zero in %q"},
-		{name: "i32 divisor with only high bits set", mod: ir.MustParse("func @kernel(%a: i32, %b: i32) {\nentry:\n  %q = sdiv %a, %b\n  ret\n}\n"), args: []uint64{7, 1 << 32}, want: "division by zero"},
-		{name: "null-page load", mod: parse("  %v = load i64, %p\n"), args: []uint64{8, 0, 0}, want: "out of bounds: addr=0x8 size=8", panic: true},
-		{name: "store past the image", mod: parse("  store %b, %p\n"), args: []uint64{8190, 0, 0}, want: "out of bounds: addr=0x1ffe size=8", panic: true},
-		{name: "atomic past the image", mod: parse("  %o = atomicadd %p, 1\n"), args: []uint64{1 << 40, 0, 0}, want: "out of bounds", panic: true},
-		{name: "send to an invalid tile", mod: parse("  call void send(%a, %b)\n"), args: []uint64{0, 5, 0}, opts: Options{NumTiles: 2}, want: "interp: send to invalid tile 5"},
-		{name: "send to a negative tile", mod: parse("  call void send(-1, %b)\n"), args: []uint64{0, 0, 0}, want: "interp: send to invalid tile -1"},
-		{name: "unknown intrinsic", mod: parse("  call void frobnicate(%a)\n"), args: []uint64{0, 0, 0}, want: `interp: unknown intrinsic "frobnicate"`},
-		{name: "unregistered accelerator", mod: parse("  call void acc_missing(%a)\n"), args: []uint64{0, 0, 0}, want: `no functional implementation registered for accelerator "acc_missing"`},
-		{name: "recv deadlock", mod: parse("  %v = call i64 recv(1)\n"), args: []uint64{0, 0, 0}, opts: Options{NumTiles: 2}, want: "deadlock"},
-		{name: "recv from no tile", mod: parse("  %v = call i64 recv(-3)\n"), args: []uint64{0, 0, 0}, want: "deadlock"},
-		{name: "MaxSteps", mod: ir.MustParse("func @kernel() {\nentry:\n  br %entry\n}\n"), opts: Options{MaxSteps: 10000}, want: "interp: kernel @kernel exceeded 10000 dynamic instructions"},
-		{name: "wrong argument count", mod: parse(""), args: []uint64{1}, want: "interp: kernel @kernel takes 3 args, got 1"},
-		{name: "phi without an incoming edge", mod: deadPhi, want: "interp: phi %x has no incoming edge from entry"},
-		{name: "bad cast kind", mod: badCast, args: []uint64{1}, want: "interp: bad cast kind in %c"},
-		{name: "unhandled opcode", mod: badOp, args: []uint64{1}, want: "interp: unhandled opcode invalid"},
+		{name: "division by zero", fn: pab(func(b *ir.Builder, _, a, bv ir.Value) { named(b.Bin(ir.OpSDiv, a, bv), "q") }), args: []uint64{0, 4, 0}, want: "interp: division by zero in %q"},
+		{name: "remainder by zero", fn: pab(func(b *ir.Builder, _, a, bv ir.Value) { named(b.Bin(ir.OpSRem, a, bv), "q") }), args: []uint64{0, 4, 0}, want: "interp: remainder by zero in %q"},
+		{name: "i32 divisor with only high bits set", fn: i32div, args: []uint64{7, 1 << 32}, want: "division by zero"},
+		{name: "null-page load", fn: pab(func(b *ir.Builder, p, _, _ ir.Value) { b.Load(ir.I64, p) }), args: []uint64{8, 0, 0}, want: "out of bounds: addr=0x8 size=8", panic: true},
+		{name: "store past the image", fn: pab(func(b *ir.Builder, p, _, bv ir.Value) { b.Store(bv, p) }), args: []uint64{8190, 0, 0}, want: "out of bounds: addr=0x1ffe size=8", panic: true},
+		{name: "atomic past the image", fn: pab(func(b *ir.Builder, p, _, _ ir.Value) { b.AtomicAdd(p, i64(1)) }), args: []uint64{1 << 40, 0, 0}, want: "out of bounds", panic: true},
+		{name: "send to an invalid tile", fn: pab(func(b *ir.Builder, _, a, bv ir.Value) { b.Call("send", ir.Void, a, bv) }), args: []uint64{0, 5, 0}, opts: Options{NumTiles: 2}, want: "interp: send to invalid tile 5"},
+		{name: "send to a negative tile", fn: call("send", ir.Void, i64(-1), i64(0)), args: []uint64{0, 0, 0}, want: "interp: send to invalid tile -1"},
+		{name: "unknown intrinsic", fn: call("frobnicate", ir.Void, i64(0)), args: []uint64{0, 0, 0}, want: `interp: unknown intrinsic "frobnicate"`},
+		{name: "unregistered accelerator", fn: call("acc_missing", ir.Void, i64(0)), args: []uint64{0, 0, 0}, want: `no functional implementation registered for accelerator "acc_missing"`},
+		{name: "recv deadlock", fn: call("recv", ir.I64, i64(1)), args: []uint64{0, 0, 0}, opts: Options{NumTiles: 2}, want: "deadlock"},
+		{name: "recv from no tile", fn: call("recv", ir.I64, i64(-3)), args: []uint64{0, 0, 0}, want: "deadlock"},
+		{name: "MaxSteps", fn: build(func(b *ir.Builder, _ []ir.Value) { b.Br(b.Cur) }), opts: Options{MaxSteps: 10000}, want: "interp: kernel @kernel exceeded 10000 dynamic instructions"},
+		{name: "wrong argument count", fn: pab(func(*ir.Builder, ir.Value, ir.Value, ir.Value) {}), args: []uint64{1}, want: "interp: kernel @kernel takes 3 args, got 1"},
+		{name: "phi without an incoming edge", fn: deadPhi, want: "interp: phi %x has no incoming edge from entry"},
+		{name: "bad cast kind", fn: badCast, args: []uint64{1}, want: "interp: bad cast kind in %c"},
+		{name: "unhandled opcode", fn: badOp, args: []uint64{1}, want: "interp: unhandled opcode invalid"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -59,7 +76,7 @@ func TestErrorPaths(t *testing.T) {
 					panic(r)
 				}
 			}()
-			_, err := Run(tc.mod.Func("kernel"), NewMemory(8192), tc.args, tc.opts)
+			_, err := Run(tc.fn, NewMemory(8192), tc.args, tc.opts)
 			if tc.panic {
 				t.Fatalf("Run returned (%v), want a memory fault", err)
 			}
@@ -74,24 +91,22 @@ func TestErrorPaths(t *testing.T) {
 // that reports itself only when reached, so it is harmless on a path the run
 // never takes — as it was when calls were resolved at execution time.
 func TestDeadCodeNeverFails(t *testing.T) {
-	m := ir.MustParse(`
-func @kernel(%out: ptr) {
-entry:
-  %never = icmp eq 0, 1
-  condbr %never, %dead, %live
-dead:
-  call void frobnicate()
-  call void acc_missing()
-  %z = sdiv 1, 0
-  br %live
-live:
-  store i64 7, %out
-  ret
-}
-`)
+	f := build(func(b *ir.Builder, out []ir.Value) {
+		entry := b.Cur
+		dead, live := b.Block("dead"), b.Block("live")
+		b.Store(ir.ConstInt(ir.I64, 7), out[0])
+		b.SetBlock(entry)
+		b.CondBr(b.ICmp(ir.PredEQ, ir.ConstInt(ir.I64, 0), ir.ConstInt(ir.I64, 1)), dead, live)
+		b.SetBlock(dead)
+		b.Call("frobnicate", ir.Void)
+		b.Call("acc_missing", ir.Void)
+		b.Bin(ir.OpSDiv, ir.ConstInt(ir.I64, 1), ir.ConstInt(ir.I64, 0))
+		b.Br(live)
+		b.SetBlock(live)
+	}, ir.NewParam("out", ir.Ptr))
 	mem := NewMemory(1 << 16)
 	out := mem.Alloc(8, 8)
-	if _, err := Run(m.Func("kernel"), mem, []uint64{out}, Options{}); err != nil {
+	if _, err := Run(f, mem, []uint64{out}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.ReadI64(out); got != 7 {
@@ -102,27 +117,29 @@ live:
 // TestParallelPhiCopy: phis of one block read their inputs before any of them
 // is written, including when an edge's copies form a cycle.
 func TestParallelPhiCopy(t *testing.T) {
-	m := ir.MustParse(`
-func @kernel(%out: ptr, %n: i64) {
-entry:
-  br %loop
-loop:
-  %a = phi i64 [1, %entry], [%b, %loop]
-  %b = phi i64 [2, %entry], [%a, %loop]
-  %i = phi i64 [0, %entry], [%i.next, %loop]
-  %i.next = add %i, 1
-  %done = icmp eq %i.next, %n
-  condbr %done, %exit, %loop
-exit:
-  store %a, %out
-  %p = gep %out, 1, 8
-  store %b, %p
-  ret
-}
-`)
+	f := build(func(b *ir.Builder, v []ir.Value) {
+		out, n := v[0], v[1]
+		entry := b.Cur
+		loop, exit := b.Block("loop"), b.Block("exit")
+		b.SetBlock(entry)
+		b.Br(loop)
+		b.SetBlock(loop)
+		pa, pb, i := b.Phi(ir.I64), b.Phi(ir.I64), b.Phi(ir.I64)
+		next := b.Add(i, ir.ConstInt(ir.I64, 1))
+		b.CondBr(b.ICmp(ir.PredEQ, next, n), exit, loop)
+		ir.AddIncoming(pa, ir.ConstInt(ir.I64, 1), entry)
+		ir.AddIncoming(pa, pb, loop)
+		ir.AddIncoming(pb, ir.ConstInt(ir.I64, 2), entry)
+		ir.AddIncoming(pb, pa, loop)
+		ir.AddIncoming(i, ir.ConstInt(ir.I64, 0), entry)
+		ir.AddIncoming(i, next, loop)
+		b.SetBlock(exit)
+		b.Store(pa, out)
+		b.Store(pb, b.GEP(out, ir.ConstInt(ir.I64, 1), 8))
+	}, ir.NewParam("out", ir.Ptr), ir.NewParam("n", ir.I64))
 	mem := NewMemory(1 << 16)
 	out := mem.Alloc(16, 8)
-	res, err := Run(m.Func("kernel"), mem, []uint64{out, 4}, Options{Profile: true})
+	res, err := Run(f, mem, []uint64{out, 4}, Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +151,7 @@ exit:
 	if got := res.Trace.Tiles[0].DynInstrs; got != 1+4*6+4 {
 		t.Errorf("DynInstrs = %d, want 29", got)
 	}
-	for _, in := range m.Func("kernel").BlockByName("loop").Instrs {
+	for _, in := range f.BlockByName("loop").Instrs {
 		if res.Counts[0][in.Idx] != 4 {
 			t.Errorf("%%%s counted %d times, want 4", in.Ident, res.Counts[0][in.Idx])
 		}
@@ -159,7 +176,7 @@ func chunksFor(n int) int {
 // block entry, and a run allocates at most 1.25x its trace — the chunks are
 // the trace, so that is their unfilled rest and the run's fixed costs.
 func TestTraceAllocation(t *testing.T) {
-	f := ir.MustParse(vecAddSrc).Func("kernel")
+	f := vecAdd()
 	const short, long = 10_000, 100_000
 	mem := NewMemory(1 << 22)
 	defer mem.Release()
@@ -210,13 +227,13 @@ func TestTraceAllocation(t *testing.T) {
 // a serial run records.
 func TestConcurrentRunsAgree(t *testing.T) {
 	kernels := []struct {
-		src  string
+		fn   func() *ir.Function
 		opts Options
 	}{
-		{vecAddSrc, Options{}},
-		{atomicSrc, Options{NumTiles: 4, Timeslice: 3}},
-		{pipelineSrc, Options{NumTiles: 2, Timeslice: 7}},
-		{barrierSrc, Options{NumTiles: 6, Timeslice: 2}},
+		{vecAdd, Options{}},
+		{func() *ir.Function { return kernel(atomicSrc) }, Options{NumTiles: 4, Timeslice: 3}},
+		{func() *ir.Function { return kernel(pipelineSrc) }, Options{NumTiles: 2, Timeslice: 7}},
+		{func() *ir.Function { return kernel(barrierSrc) }, Options{NumTiles: 6, Timeslice: 2}},
 	}
 	encode := func(k int) []byte {
 		mem := NewMemory(8 << 20)
@@ -224,7 +241,7 @@ func TestConcurrentRunsAgree(t *testing.T) {
 		const n = 70_000 // past the first full-size chunk
 		a, b := mem.AllocF64(make([]float64, n)), mem.Alloc(n*8, 64)
 		args := [][]uint64{{a, a, b, n}, {a, n}, {a, n}, {a, b}}[k]
-		res, err := Run(ir.MustParse(kernels[k].src).Func("kernel"), mem, args, kernels[k].opts)
+		res, err := Run(kernels[k].fn(), mem, args, kernels[k].opts)
 		if err != nil {
 			t.Error(err)
 			return nil

@@ -8,97 +8,93 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mosaicsim/internal/cc"
 	"mosaicsim/internal/ir"
 	"mosaicsim/internal/trace"
 )
 
-const vecAddSrc = `
-func @kernel(%A: ptr, %B: ptr, %C: ptr, %n: i64) {
-entry:
-  br %loop
-loop:
-  %i = phi i64 [0, %entry], [%i.next, %loop]
-  %pa = gep %A, %i, 8
-  %a = load f64, %pa
-  %pb = gep %B, %i, 8
-  %b = load f64, %pb
-  %sum = fadd %a, %b
-  %pc = gep %C, %i, 8
-  store %sum, %pc
-  %i.next = add %i, 1
-  %done = icmp eq %i.next, %n
-  condbr %done, %exit, %loop
-exit:
-  ret
+// vecAdd builds C[i] = A[i] + B[i] as one self-looping block, the shape of
+// paper Fig. 3: entry, loop (a condbr per iteration), exit.
+func vecAdd() *ir.Function {
+	A, B, C, n := ir.NewParam("A", ir.Ptr), ir.NewParam("B", ir.Ptr), ir.NewParam("C", ir.Ptr), ir.NewParam("n", ir.I64)
+	return build(func(b *ir.Builder, _ []ir.Value) {
+		entry := b.Cur
+		loop, exit := b.Block("loop"), b.Block("exit")
+		b.Ret(nil)
+		b.SetBlock(entry)
+		b.Br(loop)
+		b.SetBlock(loop)
+		i := b.Phi(ir.I64)
+		sum := b.FAdd(b.Load(ir.F64, b.GEP(A, i, 8)), b.Load(ir.F64, b.GEP(B, i, 8)))
+		b.Store(sum, b.GEP(C, i, 8))
+		next := b.Add(i, ir.ConstInt(ir.I64, 1))
+		b.CondBr(b.ICmp(ir.PredEQ, next, n), exit, loop)
+		ir.AddIncoming(i, ir.ConstInt(ir.I64, 0), entry)
+		ir.AddIncoming(i, next, loop)
+	}, A, B, C, n)
 }
-`
+
+// build returns @kernel over params, its blocks what body emits from the
+// entry block on (args are the params as values); a current block left
+// without a terminator ends in ret.
+func build(body func(b *ir.Builder, args []ir.Value), params ...*ir.Param) *ir.Function {
+	b := ir.NewBuilder(ir.NewModule("m"))
+	f := b.NewFunc("kernel", params...)
+	args := make([]ir.Value, len(params))
+	for i, p := range params {
+		args[i] = p
+	}
+	body(b, args)
+	if b.Cur.Terminator() == nil {
+		b.Ret(nil)
+	}
+	if err := b.Finish(); err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// kernel compiles mini-C src and returns its @kernel.
+func kernel(src string) *ir.Function { return cc.MustCompile(src, "interp").Func("kernel") }
 
 const atomicSrc = `
-func @kernel(%ctr: ptr, %iters: i64) {
-entry:
-  br %head
-head:
-  %i = phi i64 [0, %entry], [%i.next, %head]
-  %old = atomicadd %ctr, 1
-  %i.next = add %i, 1
-  %c = icmp lt %i.next, %iters
-  condbr %c, %head, %exit
-exit:
-  ret
+void kernel(long* ctr, long iters) {
+  for (long i = 0; i < iters; i++) {
+    atomic_add(ctr, 1);
+  }
 }
 `
 
 const pipelineSrc = `
-func @kernel(%out: ptr, %n: i64) {
-entry:
-  %tid = call i64 tile_id()
-  %isProd = icmp eq %tid, 0
-  condbr %isProd, %prod.head, %cons.head
-prod.head:
-  %i = phi i64 [0, %entry], [%i.next, %prod.head]
-  %sq = mul %i, %i
-  call void send(1, %sq)
-  %i.next = add %i, 1
-  %pc = icmp lt %i.next, %n
-  condbr %pc, %prod.head, %exit
-cons.head:
-  %j = phi i64 [0, %entry], [%j.next, %cons.head]
-  %acc = phi i64 [0, %entry], [%acc.next, %cons.head]
-  %v = call i64 recv(0)
-  %acc.next = add %acc, %v
-  %j.next = add %j, 1
-  %cc = icmp lt %j.next, %n
-  condbr %cc, %cons.head, %cons.done
-cons.done:
-  store %acc.next, %out
-  br %exit
-exit:
-  ret
+void kernel(long* out, long n) {
+  if (tile_id() == 0) {
+    for (long i = 0; i < n; i++) {
+      send(1, i * i);
+    }
+  } else {
+    long acc = 0;
+    for (long j = 0; j < n; j++) {
+      acc += recv_long(0);
+    }
+    out[0] = acc;
+  }
 }
 `
 
 const barrierSrc = `
-func @kernel(%flag: ptr, %out: ptr) {
-entry:
-  %tid = call i64 tile_id()
-  %isz = icmp eq %tid, 0
-  condbr %isz, %setter, %join
-setter:
-  store i64 99, %flag
-  br %join
-join:
-  call void barrier()
-  %v = load i64, %flag
-  %p = gep %out, %tid, 8
-  store %v, %p
-  ret
+void kernel(long* flag, long* out) {
+  long tid = tile_id();
+  if (tid == 0) {
+    flag[0] = 99;
+  }
+  barrier();
+  out[tid] = flag[0];
 }
 `
 
 func runVecAdd(t *testing.T, n int) (*Memory, *Result, uint64) {
 	t.Helper()
-	m := ir.MustParse(vecAddSrc)
-	f := m.Func("kernel")
+	f := vecAdd()
 	mem := NewMemory(1 << 20)
 	a := make([]float64, n)
 	b := make([]float64, n)
@@ -173,7 +169,7 @@ func TestVecAddTraceShape(t *testing.T) {
 	tt := res.Trace.Tiles[0]
 	// Paper Fig. 3: BB path is entry, 4x loop, exit.
 	want := []int{0, 1, 1, 1, 1, 2}
-	f := ir.MustParse(vecAddSrc).Func("kernel")
+	f := vecAdd()
 	if path := blocks(f, tt); !slices.Equal(path, want) || tt.BBPath.Len() != 6 || tt.BBPath.Bits() != 4 {
 		t.Fatalf("BBPath = %v (%d blocks, %d bits), want %v: a bit per condbr", path, tt.BBPath.Len(), tt.BBPath.Bits(), want)
 	}
@@ -218,8 +214,7 @@ func TestVecAddTraceShape(t *testing.T) {
 // TestVecAddProperty cross-checks interpreted results against Go arithmetic
 // for random inputs and lengths.
 func TestVecAddProperty(t *testing.T) {
-	m := ir.MustParse(vecAddSrc)
-	f := m.Func("kernel")
+	f := vecAdd()
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(64)
@@ -249,27 +244,15 @@ func TestVecAddProperty(t *testing.T) {
 
 func TestSPMDTilePartitioning(t *testing.T) {
 	// Each tile writes its tile ID over its strided partition of A.
-	src := `
-func @kernel(%A: ptr, %n: i64) {
-entry:
-  %tid = call i64 tile_id()
-  %nt = call i64 num_tiles()
-  br %head
-head:
-  %i = phi i64 [%tid, %entry], [%i.next, %body]
-  %in = icmp lt %i, %n
-  condbr %in, %body, %exit
-body:
-  %p = gep %A, %i, 8
-  store %tid, %p
-  %i.next = add %i, %nt
-  br %head
-exit:
-  ret
+	f := kernel(`
+void kernel(long* A, long n) {
+  long tid = tile_id();
+  long nt = num_tiles();
+  for (long i = tid; i < n; i += nt) {
+    A[i] = tid;
+  }
 }
-`
-	m := ir.MustParse(src)
-	f := m.Func("kernel")
+`)
 	mem := NewMemory(1 << 20)
 	const n, tiles = 64, 4
 	pa := mem.Alloc(n*8, 64)
@@ -286,6 +269,7 @@ exit:
 		}
 	}
 	// Every tile must have its own control-flow path with n/tiles iterations.
+	// cc lays the loop out as head, body, latch: the body is block 2.
 	for _, tt := range res.Trace.Tiles {
 		bodies := 0
 		for _, bb := range blocks(f, tt) {
@@ -300,11 +284,11 @@ exit:
 }
 
 func TestAtomicAdd(t *testing.T) {
-	m := ir.MustParse(atomicSrc)
+	f := kernel(atomicSrc)
 	mem := NewMemory(1 << 20)
 	ctr := mem.Alloc(8, 8)
 	const tiles, iters = 4, 100
-	res, err := Run(m.Func("kernel"), mem, []uint64{ctr, iters}, Options{NumTiles: tiles})
+	res, err := Run(f, mem, []uint64{ctr, iters}, Options{NumTiles: tiles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +297,7 @@ func TestAtomicAdd(t *testing.T) {
 	}
 	for _, tt := range res.Trace.Tiles {
 		atomics := 0
-		for _, ev := range accesses(m.Func("kernel"), tt) {
+		for _, ev := range accesses(f, tt) {
 			if ev.in.Op == ir.OpAtomicAdd {
 				atomics++
 			}
@@ -327,11 +311,10 @@ func TestAtomicAdd(t *testing.T) {
 func TestSendRecvPipeline(t *testing.T) {
 	// Tile 0 produces squares, tile 1 consumes and accumulates: the shape of
 	// a decoupled access/execute pair (§VII-A).
-	m := ir.MustParse(pipelineSrc)
 	mem := NewMemory(1 << 20)
 	out := mem.Alloc(8, 8)
 	const n = 1000
-	if _, err := Run(m.Func("kernel"), mem, []uint64{out, n}, Options{NumTiles: 2, Timeslice: 7}); err != nil {
+	if _, err := Run(kernel(pipelineSrc), mem, []uint64{out, n}, Options{NumTiles: 2, Timeslice: 7}); err != nil {
 		t.Fatal(err)
 	}
 	want := int64(0)
@@ -344,44 +327,28 @@ func TestSendRecvPipeline(t *testing.T) {
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	src := `
-func @kernel() {
-entry:
-  %v = call i64 recv(0)
-  ret
-}
-`
-	m := ir.MustParse(src)
-	_, err := Run(m.Func("kernel"), NewMemory(0), nil, Options{NumTiles: 1})
+	f := kernel("void kernel() { long v = recv_long(0); }")
+	_, err := Run(f, NewMemory(0), nil, Options{NumTiles: 1})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("want deadlock error, got %v", err)
 	}
 }
 
 func TestMathIntrinsics(t *testing.T) {
-	src := `
-func @kernel(%out: ptr, %x: f64, %y: f64) {
-entry:
-  %s = call f64 sqrt(%x)
-  %e = call f64 exp(%y)
-  %mx = call f64 fmax(%s, %e)
-  %p = call f64 pow(%x, 2.0)
-  %t0 = gep %out, 0, 8
-  store %s, %t0
-  %t1 = gep %out, 1, 8
-  store %e, %t1
-  %t2 = gep %out, 2, 8
-  store %mx, %t2
-  %t3 = gep %out, 3, 8
-  store %p, %t3
-  ret
+	f := kernel(`
+void kernel(double* out, double x, double y) {
+  double s = sqrt(x);
+  double e = exp(y);
+  out[0] = s;
+  out[1] = e;
+  out[2] = fmax(s, e);
+  out[3] = pow(x, 2.0);
 }
-`
-	m := ir.MustParse(src)
+`)
 	mem := NewMemory(1 << 20)
 	out := mem.Alloc(32, 8)
 	x, y := 9.0, 1.5
-	if _, err := Run(m.Func("kernel"), mem, []uint64{out, ArgF64(x), ArgF64(y)}, Options{}); err != nil {
+	if _, err := Run(f, mem, []uint64{out, ArgF64(x), ArgF64(y)}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	checks := []float64{math.Sqrt(x), math.Exp(y), math.Max(math.Sqrt(x), math.Exp(y)), math.Pow(x, 2)}
@@ -393,14 +360,7 @@ entry:
 }
 
 func TestAcceleratorCallRecordedAndExecuted(t *testing.T) {
-	src := `
-func @kernel(%A: ptr, %n: i64) {
-entry:
-  call void acc_double(%A, %n)
-  ret
-}
-`
-	m := ir.MustParse(src)
+	f := kernel("void kernel(double* A, long n) { acc_double(A, n); }")
 	mem := NewMemory(1 << 20)
 	pa := mem.AllocF64([]float64{1, 2, 3})
 	opts := Options{Acc: map[string]AccFunc{
@@ -412,7 +372,7 @@ entry:
 			}
 		},
 	}}
-	res, err := Run(m.Func("kernel"), mem, []uint64{pa, 3}, opts)
+	res, err := Run(f, mem, []uint64{pa, 3}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,41 +388,33 @@ entry:
 }
 
 func TestUnknownAcceleratorErrors(t *testing.T) {
-	src := "func @kernel() {\nentry:\n  call void acc_missing()\n  ret\n}\n"
-	m := ir.MustParse(src)
-	_, err := Run(m.Func("kernel"), NewMemory(0), nil, Options{})
+	_, err := Run(kernel("void kernel() { acc_missing(); }"), NewMemory(0), nil, Options{})
 	if err == nil || !strings.Contains(err.Error(), "acc_missing") {
 		t.Errorf("want unknown-accelerator error, got %v", err)
 	}
 }
 
 func TestDivisionByZero(t *testing.T) {
-	src := "func @kernel(%a: i64, %b: i64) {\nentry:\n  %q = sdiv %a, %b\n  ret\n}\n"
-	m := ir.MustParse(src)
-	_, err := Run(m.Func("kernel"), NewMemory(0), []uint64{4, 0}, Options{})
+	f := kernel("void kernel(long a, long b) { long q = a / b; }")
+	_, err := Run(f, NewMemory(0), []uint64{4, 0}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Errorf("want division-by-zero error, got %v", err)
 	}
 }
 
 func TestIntegerWidthSemantics(t *testing.T) {
-	src := `
-func @kernel(%out: ptr) {
-entry:
-  %big = add i32 2147483647, 1
-  %w = cast sext i64, %big
-  store %w, %out
-  %sh = ashr i32 -8, 1
-  %sh64 = cast sext i64, %sh
-  %p1 = gep %out, 1, 8
-  store %sh64, %p1
-  ret
+	f := kernel(`
+void kernel(long* out) {
+  int big = 2147483647;
+  big = big + 1;
+  out[0] = (long)big;
+  int m = -8;
+  out[1] = (long)(m >> 1);
 }
-`
-	m := ir.MustParse(src)
+`)
 	mem := NewMemory(1 << 20)
 	out := mem.Alloc(16, 8)
-	if _, err := Run(m.Func("kernel"), mem, []uint64{out}, Options{}); err != nil {
+	if _, err := Run(f, mem, []uint64{out}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.ReadI64(out); got != math.MinInt32 {
@@ -474,23 +426,16 @@ entry:
 }
 
 func TestGlobalsPlacedAndUsable(t *testing.T) {
-	src := `
-module g
-global @tbl i64 8
-
-func @kernel(%out: ptr) {
-entry:
-  %p = gep @tbl, 3, 8
-  store i64 77, %p
-  %v = load i64, %p
-  store %v, %out
-  ret
+	f := kernel(`
+global long tbl[8];
+void kernel(long* out) {
+  tbl[3] = 77;
+  out[0] = tbl[3];
 }
-`
-	m := ir.MustParse(src)
+`)
 	mem := NewMemory(1 << 20)
 	out := mem.Alloc(8, 8)
-	if _, err := Run(m.Func("kernel"), mem, []uint64{out}, Options{}); err != nil {
+	if _, err := Run(f, mem, []uint64{out}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.ReadI64(out); got != 77 {
@@ -499,13 +444,8 @@ entry:
 }
 
 func TestMaxStepsGuard(t *testing.T) {
-	src := "func @kernel() {\nentry:\n  br %entry\n}\n"
-	// A single self-loop block: valid IR, infinite dynamically.
-	m, err := ir.Parse(src)
-	if err != nil {
-		t.Skipf("self-loop rejected by verifier: %v", err)
-	}
-	_, err = Run(m.Func("kernel"), NewMemory(0), nil, Options{MaxSteps: 10000})
+	// A loop that never exits: valid IR, infinite dynamically.
+	_, err := Run(kernel("void kernel() { while (1) { } }"), NewMemory(0), nil, Options{MaxSteps: 10000})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Errorf("want step-limit error, got %v", err)
 	}
@@ -536,13 +476,12 @@ func TestMemoryAllocAlignment(t *testing.T) {
 func TestBarrierSynchronizesTiles(t *testing.T) {
 	// Tile 0 writes a flag before the barrier; every tile must observe it
 	// after the barrier regardless of scheduling.
-	m := ir.MustParse(barrierSrc)
 	mem := NewMemory(1 << 20)
 	flag := mem.Alloc(8, 8)
 	out := mem.Alloc(8*8, 8)
 	const tiles = 6
 	// Tiny timeslice forces many context switches across the barrier.
-	if _, err := Run(m.Func("kernel"), mem, []uint64{flag, out}, Options{NumTiles: tiles, Timeslice: 2}); err != nil {
+	if _, err := Run(kernel(barrierSrc), mem, []uint64{flag, out}, Options{NumTiles: tiles, Timeslice: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < tiles; i++ {
@@ -555,29 +494,21 @@ func TestBarrierSynchronizesTiles(t *testing.T) {
 func TestMismatchedBarriersDeadlock(t *testing.T) {
 	// Tile 0 hits a barrier no one else reaches: the runner must detect the
 	// deadlock rather than hang.
-	src := `
-func @kernel() {
-entry:
-  %tid = call i64 tile_id()
-  %isz = icmp eq %tid, 0
-  condbr %isz, %waiter, %exit
-waiter:
-  call void barrier()
-  br %exit
-exit:
-  ret
+	f := kernel(`
+void kernel() {
+  if (tile_id() == 0) {
+    barrier();
+  }
 }
-`
-	m := ir.MustParse(src)
-	_, err := Run(m.Func("kernel"), NewMemory(0), nil, Options{NumTiles: 2})
+`)
+	_, err := Run(f, NewMemory(0), nil, Options{NumTiles: 2})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("want deadlock error, got %v", err)
 	}
 }
 
 func TestProfileCounts(t *testing.T) {
-	m := ir.MustParse(vecAddSrc)
-	f := m.Func("kernel")
+	f := vecAdd()
 	mem := NewMemory(1 << 20)
 	const n = 10
 	pa := mem.AllocF64(make([]float64, n))

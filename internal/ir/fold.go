@@ -1,12 +1,7 @@
 package ir
 
-import "math"
-
-// This file mirrors internal/interp's scalar semantics exactly (signExt,
-// truncTo, toFloat, fromFloat and the per-opcode arithmetic), so that
-// compile-time folding is bit-identical to running the instruction in the
-// interpreter. internal/testgen pins the equivalence over generated kernels;
-// any divergence between these helpers and interp is a bug here.
+// foldSignExt and foldTrunc mirror internal/interp's signExt and truncTo, so
+// that a pass reading a constant sees the value the interpreter would.
 
 func foldSignExt(bits uint64, ty Type) int64 {
 	switch ty {
@@ -32,160 +27,4 @@ func foldTrunc(v uint64, ty Type) uint64 {
 	default:
 		return v
 	}
-}
-
-func foldToFloat(bits uint64, ty Type) float64 {
-	if ty == F32 {
-		return float64(math.Float32frombits(uint32(bits)))
-	}
-	return math.Float64frombits(bits)
-}
-
-func foldFromFloat(v float64, ty Type) uint64 {
-	if ty == F32 {
-		return uint64(math.Float32bits(float32(v)))
-	}
-	return math.Float64bits(v)
-}
-
-func foldCmpInt(p CmpPred, a, b int64) bool {
-	switch p {
-	case PredEQ:
-		return a == b
-	case PredNE:
-		return a != b
-	case PredLT:
-		return a < b
-	case PredLE:
-		return a <= b
-	case PredGT:
-		return a > b
-	case PredGE:
-		return a >= b
-	}
-	return false
-}
-
-func foldCmpFloat(p CmpPred, a, b float64) bool {
-	switch p {
-	case PredEQ:
-		return a == b
-	case PredNE:
-		return a != b
-	case PredLT:
-		return a < b
-	case PredLE:
-		return a <= b
-	case PredGT:
-		return a > b
-	case PredGE:
-		return a >= b
-	}
-	return false
-}
-
-func foldBoolBits(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// foldInstr evaluates in when every operand is a constant, returning the
-// result constant or nil when the instruction cannot (or must not) be folded.
-// sdiv/srem with a zero divisor are never folded: the interpreter reports a
-// runtime error there, and folding would erase it.
-func foldInstr(in *Instr) *Const {
-	for _, a := range in.Args {
-		if _, ok := a.(*Const); !ok {
-			return nil
-		}
-	}
-	arg := func(i int) uint64 { return in.Args[i].(*Const).Bits }
-	ty := in.Ty
-	switch in.Op {
-	case OpAdd, OpSub, OpMul, OpSDiv, OpSRem, OpAnd, OpOr, OpXor, OpShl, OpLShr, OpAShr:
-		a, b := arg(0), arg(1)
-		var res uint64
-		switch in.Op {
-		case OpAdd:
-			res = a + b
-		case OpSub:
-			res = a - b
-		case OpMul:
-			res = a * b
-		case OpSDiv:
-			sb := foldSignExt(b, ty)
-			if sb == 0 {
-				return nil
-			}
-			res = uint64(foldSignExt(a, ty) / sb)
-		case OpSRem:
-			sb := foldSignExt(b, ty)
-			if sb == 0 {
-				return nil
-			}
-			res = uint64(foldSignExt(a, ty) % sb)
-		case OpAnd:
-			res = a & b
-		case OpOr:
-			res = a | b
-		case OpXor:
-			res = a ^ b
-		case OpShl:
-			res = a << (b & 63)
-		case OpLShr:
-			res = foldTrunc(a, ty) >> (b & 63)
-		case OpAShr:
-			res = uint64(foldSignExt(a, ty) >> (b & 63))
-		}
-		return &Const{Ty: ty, Bits: foldTrunc(res, ty)}
-	case OpFAdd, OpFSub, OpFMul, OpFDiv:
-		a := foldToFloat(arg(0), in.Args[0].Type())
-		b := foldToFloat(arg(1), in.Args[1].Type())
-		var res float64
-		switch in.Op {
-		case OpFAdd:
-			res = a + b
-		case OpFSub:
-			res = a - b
-		case OpFMul:
-			res = a * b
-		case OpFDiv:
-			res = a / b
-		}
-		return &Const{Ty: ty, Bits: foldFromFloat(res, ty)}
-	case OpICmp:
-		a := foldSignExt(arg(0), in.Args[0].Type())
-		b := foldSignExt(arg(1), in.Args[1].Type())
-		return &Const{Ty: I1, Bits: foldBoolBits(foldCmpInt(in.Pred, a, b))}
-	case OpFCmp:
-		a := foldToFloat(arg(0), in.Args[0].Type())
-		b := foldToFloat(arg(1), in.Args[1].Type())
-		return &Const{Ty: I1, Bits: foldBoolBits(foldCmpFloat(in.Pred, a, b))}
-	case OpCast:
-		src := arg(0)
-		srcTy := in.Args[0].Type()
-		var res uint64
-		switch in.Cast {
-		case CastTrunc:
-			res = foldTrunc(src, in.Ty)
-		case CastZExt:
-			res = foldTrunc(src, srcTy)
-		case CastSExt:
-			res = foldTrunc(uint64(foldSignExt(src, srcTy)), in.Ty)
-		case CastSIToFP:
-			res = foldFromFloat(float64(foldSignExt(src, srcTy)), in.Ty)
-		case CastFPToSI:
-			res = foldTrunc(uint64(int64(foldToFloat(src, srcTy))), in.Ty)
-		case CastFPExt, CastFPTrunc:
-			res = foldFromFloat(foldToFloat(src, srcTy), in.Ty)
-		case CastBitcast:
-			res = src
-		default:
-			return nil
-		}
-		return &Const{Ty: ty, Bits: res}
-	}
-	return nil
 }

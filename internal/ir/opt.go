@@ -10,7 +10,7 @@ import (
 // The zero value is O0: no passes, bit-identical to the unoptimized build.
 //
 // A config is resolved to a concrete pass list either from a named level
-// (O0/O1/O2) or from an explicit Passes list, which overrides the level. The
+// (O0/O2) or from an explicit Passes list, which overrides the level. The
 // resolved list — not the raw fields — is the canonical identity of the
 // config: Hash is computed over it, so `Level:"O0"`, `Level:""`, and an empty
 // explicit list all alias, while any two configs that would run a different
@@ -19,8 +19,8 @@ import (
 // cache entries and recorded replay schedules for different opt levels
 // distinct structures.
 type OptConfig struct {
-	// Level is a named optimization level: "O0" (or "", the default),
-	// "O1", or "O2".
+	// Level is a named optimization level: "O0" (or "", the default) or
+	// "O2".
 	Level string
 	// Passes is an explicit ordered pass list (names from PassNames).
 	// When non-empty it overrides Level.
@@ -38,19 +38,17 @@ const DefaultUnroll = 4
 const MaxUnroll = 16
 
 // PassNames lists the implemented pass names in canonical order.
-var PassNames = []string{"constfold", "dce", "cse", "strength", "unroll"}
+var PassNames = []string{"cse", "strength", "unroll"}
 
 // levelPasses maps each named level to its deterministic pass ordering.
-// O2 re-runs constfold and cse after unrolling so the cloned iterations are
-// cleaned up, and finishes with dce so identities rewritten by strength
-// reduction leave no dead residue.
+// O2 re-runs cse after unrolling so the cloned iterations share what they
+// compute alike.
 var levelPasses = map[string][]string{
 	"O0": nil,
-	"O1": {"constfold", "dce"},
-	"O2": {"constfold", "strength", "cse", "unroll", "constfold", "cse", "dce"},
+	"O2": {"strength", "cse", "unroll", "cse"},
 }
 
-// ParseOptConfig builds an OptConfig from CLI-style inputs: level is "0", "1",
+// ParseOptConfig builds an OptConfig from CLI-style inputs: level is "0" or
 // "2" (with or without the "O" prefix; empty means O0), passes is an optional
 // comma-separated explicit pass list overriding the level, and unroll is the
 // loop-unrolling factor (0 = default). The returned config is validated.
@@ -59,12 +57,10 @@ func ParseOptConfig(level, passes string, unroll int) (OptConfig, error) {
 	switch l := strings.ToUpper(strings.TrimSpace(level)); l {
 	case "", "0", "O0":
 		cfg.Level = "O0"
-	case "1", "O1":
-		cfg.Level = "O1"
 	case "2", "O2":
 		cfg.Level = "O2"
 	default:
-		return OptConfig{}, fmt.Errorf("ir: unknown opt level %q (have O0, O1, O2)", level)
+		return OptConfig{}, fmt.Errorf("ir: unknown opt level %q (have O0, O2)", level)
 	}
 	if s := strings.TrimSpace(passes); s != "" {
 		for _, name := range strings.Split(s, ",") {
@@ -97,7 +93,7 @@ func (c OptConfig) PassList() ([]string, error) {
 	}
 	passes, ok := levelPasses[level]
 	if !ok {
-		return nil, fmt.Errorf("ir: unknown opt level %q (have O0, O1, O2)", c.Level)
+		return nil, fmt.Errorf("ir: unknown opt level %q (have O0, O2)", c.Level)
 	}
 	return passes, nil
 }
@@ -150,7 +146,7 @@ func (c OptConfig) Hash() uint64 {
 
 // String renders the config for CLI headers: the level name (or "custom" for
 // an explicit pass list) followed by the resolved pass sequence, e.g.
-// "O2 [constfold strength cse unroll:4 constfold cse dce]".
+// "O2 [strength cse unroll:4 cse]".
 func (c OptConfig) String() string {
 	passes, err := c.PassList()
 	if err != nil {

@@ -6,9 +6,9 @@ import "fmt"
 // needs no trip-count analysis because every copy keeps its exit check: the
 // original header's conditional branch is cloned into each copy, so the loop
 // can still exit after any iteration. What unrolling buys is a longer
-// straight-line region for the later constfold/cse pipeline stages and a
-// different dynamic-basic-block shape for the timing model — exactly the
-// software axis an opt-level sweep explores.
+// straight-line region for the cse pass that follows it in O2 and a different
+// dynamic-basic-block shape for the timing model — exactly the software axis
+// an opt-level sweep explores.
 //
 // Only loops with a simple, provably safe shape are unrolled:
 //

@@ -56,10 +56,6 @@ func NewPipeline(cfg OptConfig) (*Pipeline, error) {
 // passByName instantiates one pass from its registry name.
 func passByName(name string, unroll int) (Pass, error) {
 	switch name {
-	case "constfold":
-		return constFold{}, nil
-	case "dce":
-		return deadCodeElim{}, nil
 	case "cse":
 		return commonSubexprElim{}, nil
 	case "strength":
@@ -114,60 +110,4 @@ func replaceUses(f *Function, old, new Value) {
 // removeInstr deletes in from its parent block, preserving order.
 func removeInstr(b *Block, idx int) {
 	b.Instrs = append(b.Instrs[:idx], b.Instrs[idx+1:]...)
-}
-
-// removeUnreachable deletes blocks unreachable from the entry and drops phi
-// incoming entries that referenced them. Phis in surviving blocks that are
-// left with a single incoming value are forwarded to that value (the lone
-// predecessor dominates the block, so the replacement is always legal).
-// Reports whether anything changed.
-func removeUnreachable(f *Function) bool {
-	if len(f.Blocks) == 0 {
-		return false
-	}
-	reach := make(map[*Block]bool, len(f.Blocks))
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		reach[b] = true
-		for _, s := range b.Succs() {
-			if !reach[s] {
-				dfs(s)
-			}
-		}
-	}
-	dfs(f.Blocks[0])
-	if len(reach) == len(f.Blocks) {
-		return false
-	}
-	live := f.Blocks[:0]
-	for _, b := range f.Blocks {
-		if reach[b] {
-			live = append(live, b)
-		}
-	}
-	f.Blocks = live
-	for _, b := range f.Blocks {
-		for i := 0; i < len(b.Instrs); {
-			in := b.Instrs[i]
-			if in.Op != OpPhi {
-				break // phis lead their block
-			}
-			args := in.Args[:0]
-			incs := in.Incoming[:0]
-			for j, from := range in.Incoming {
-				if reach[from] {
-					args = append(args, in.Args[j])
-					incs = append(incs, from)
-				}
-			}
-			in.Args, in.Incoming = args, incs
-			if len(in.Args) == 1 {
-				replaceUses(f, in, in.Args[0])
-				removeInstr(b, i)
-				continue
-			}
-			i++
-		}
-	}
-	return true
 }

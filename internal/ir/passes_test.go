@@ -29,99 +29,6 @@ func countOps(f *Function, op Opcode) int {
 	return n
 }
 
-func TestConstFoldArithChain(t *testing.T) {
-	m := runPasses(t, `
-module m
-func @kernel(%P: ptr) {
-entry:
-  %a = add 2, 3
-  %b = mul %a, 4
-  %p = gep %P, %b, 8
-  store %b, %p
-  ret
-}
-`, "constfold")
-	f := m.Func("kernel")
-	if got := countOps(f, OpAdd) + countOps(f, OpMul); got != 0 {
-		t.Fatalf("constant arithmetic not folded, %d ops remain:\n%s", got, f)
-	}
-	st := f.Instrs()[1]
-	c, ok := st.Args[0].(*Const)
-	if st.Op != OpStore || !ok || c.Bits != 20 {
-		t.Fatalf("store operand not folded to 20:\n%s", f)
-	}
-}
-
-func TestConstFoldBranchAndPhi(t *testing.T) {
-	m := runPasses(t, `
-module m
-func @kernel(%P: ptr) {
-entry:
-  %c = icmp lt 1, 2
-  condbr %c, %then, %else
-then:
-  br %join
-else:
-  br %join
-join:
-  %x = phi i64 [7, %then], [9, %else]
-  %p = gep %P, %x, 8
-  store %x, %p
-  ret
-}
-`, "constfold")
-	f := m.Func("kernel")
-	if len(f.Blocks) != 3 {
-		t.Fatalf("dead branch arm not pruned, %d blocks remain:\n%s", len(f.Blocks), f)
-	}
-	if got := countOps(f, OpPhi); got != 0 {
-		t.Fatalf("single-incoming phi not forwarded:\n%s", f)
-	}
-	st := f.BlockByName("join").Instrs[1]
-	if c, ok := st.Args[0].(*Const); !ok || c.Bits != 7 {
-		t.Fatalf("store did not receive the taken-arm constant:\n%s", f)
-	}
-}
-
-func TestConstFoldKeepsDivByZero(t *testing.T) {
-	m := runPasses(t, `
-module m
-func @kernel(%P: ptr) {
-entry:
-  %d = sdiv 1, 0
-  store %d, %P
-  ret
-}
-`, "constfold")
-	if got := countOps(m.Func("kernel"), OpSDiv); got != 1 {
-		t.Fatalf("sdiv by zero must not fold (interp traps at runtime):\n%s", m.Func("kernel"))
-	}
-}
-
-func TestDCERemovesPureKeepsMemory(t *testing.T) {
-	m := runPasses(t, `
-module m
-func @kernel(%P: ptr, %a: i64, %b: i64) {
-entry:
-  %dead = add %a, %b
-  %chain = mul %dead, 3
-  %l = load i64, %P
-  %z = sdiv %a, 0
-  ret
-}
-`, "dce")
-	f := m.Func("kernel")
-	if got := countOps(f, OpAdd) + countOps(f, OpMul); got != 0 {
-		t.Fatalf("dead pure chain not removed:\n%s", f)
-	}
-	if countOps(f, OpLoad) != 1 {
-		t.Fatalf("dead load must be kept (observable in the memory trace):\n%s", f)
-	}
-	if countOps(f, OpSDiv) != 1 {
-		t.Fatalf("dead sdiv with zero divisor must be kept (interp traps):\n%s", f)
-	}
-}
-
 func TestCSEDeduplicatesDominatedComputations(t *testing.T) {
 	m := runPasses(t, `
 module m
@@ -332,8 +239,8 @@ func TestPipelineO2EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Passes) < 5 {
-		t.Fatalf("O2 should run at least 5 passes, got %d", len(p.Passes))
+	if len(p.Passes) != 4 {
+		t.Fatalf("O2 should run 4 passes (strength cse unroll cse), got %d", len(p.Passes))
 	}
 	m := MustParse(unrollLoopSrc)
 	if err := p.Run(m); err != nil {
@@ -365,16 +272,16 @@ func TestPipelineDeterministic(t *testing.T) {
 func TestOptConfigHash(t *testing.T) {
 	var zero OptConfig
 	o0 := OptConfig{Level: "O0"}
-	o1 := OptConfig{Level: "O1"}
+	cse := OptConfig{Passes: []string{"cse"}}
 	o2 := OptConfig{Level: "O2"}
 	if zero.Hash() != o0.Hash() {
 		t.Fatal("zero config must hash as O0")
 	}
-	if o0.Hash() == o2.Hash() || o1.Hash() == o2.Hash() || o0.Hash() == o1.Hash() {
-		t.Fatal("distinct levels must hash distinctly")
+	if o0.Hash() == o2.Hash() || cse.Hash() == o2.Hash() || o0.Hash() == cse.Hash() {
+		t.Fatal("distinct pass lists must hash distinctly")
 	}
 	// The unroll factor only matters when the unroll pass actually runs.
-	if (OptConfig{Level: "O1", Unroll: 8}).Hash() != o1.Hash() {
+	if (OptConfig{Passes: []string{"cse"}, Unroll: 8}).Hash() != cse.Hash() {
 		t.Fatal("unroll factor must not perturb a pipeline without unroll")
 	}
 	if (OptConfig{Level: "O2", Unroll: 8}).Hash() == o2.Hash() {
@@ -401,15 +308,20 @@ func TestParseOptConfig(t *testing.T) {
 	if err != nil || cfg.Level != "O2" {
 		t.Fatalf("ParseOptConfig(2) = %+v, %v", cfg, err)
 	}
-	cfg, err = ParseOptConfig("", "constfold, dce", 0)
+	cfg, err = ParseOptConfig("", "cse, strength", 0)
 	if err != nil || len(cfg.Passes) != 2 {
 		t.Fatalf("explicit pass list: %+v, %v", cfg, err)
 	}
-	if _, err := ParseOptConfig("3", "", 0); err == nil {
-		t.Fatal("unknown level must error")
+	// A level or pass that does not exist is refused with the ones that do.
+	for _, lvl := range []string{"1", "O1", "3"} {
+		if _, err := ParseOptConfig(lvl, "", 0); err == nil || !strings.Contains(err.Error(), "(have O0, O2)") {
+			t.Fatalf("ParseOptConfig(%q) = %v, want an unknown-level error naming O0 and O2", lvl, err)
+		}
 	}
-	if _, err := ParseOptConfig("", "constfolded", 0); err == nil {
-		t.Fatal("unknown pass must error")
+	for _, passes := range []string{"constfold", "dce", "cse,dce", "constfolded"} {
+		if _, err := ParseOptConfig("", passes, 0); err == nil || !strings.Contains(err.Error(), "(have cse, strength, unroll)") {
+			t.Fatalf("ParseOptConfig(passes %q) = %v, want an unknown-pass error naming the passes", passes, err)
+		}
 	}
 	if _, err := ParseOptConfig("2", "", MaxUnroll+1); err == nil {
 		t.Fatal("out-of-range unroll must error")

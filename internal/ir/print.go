@@ -5,7 +5,8 @@ import (
 	"strings"
 )
 
-// String renders the module in the textual IR format accepted by Parse.
+// String renders the module in the textual IR format (which ir's tests read
+// back to build fixtures).
 func (m *Module) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "module %s\n", m.Ident)

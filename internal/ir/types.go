@@ -71,29 +71,6 @@ func (t Type) String() string {
 	}
 }
 
-// TypeFromName parses a type name as used in the textual IR format.
-func TypeFromName(s string) (Type, bool) {
-	switch s {
-	case "void":
-		return Void, true
-	case "i1":
-		return I1, true
-	case "i8":
-		return I8, true
-	case "i32":
-		return I32, true
-	case "i64":
-		return I64, true
-	case "f32":
-		return F32, true
-	case "f64":
-		return F64, true
-	case "ptr":
-		return Ptr, true
-	}
-	return Void, false
-}
-
 // Opcode identifies an IR instruction kind.
 type Opcode uint8
 
@@ -172,16 +149,6 @@ func (op Opcode) String() string {
 	return fmt.Sprintf("opcode(%d)", uint8(op))
 }
 
-// OpcodeFromName parses an opcode mnemonic used by the textual IR format.
-func OpcodeFromName(s string) (Opcode, bool) {
-	for op := Opcode(1); op < numOpcodes; op++ {
-		if opcodeNames[op] == s {
-			return op, true
-		}
-	}
-	return OpInvalid, false
-}
-
 // IsTerminator reports whether the opcode terminates a basic block. In
 // MosaicSim's terminology these are the "terminator nodes" whose completion
 // (or speculation past) launches the next dynamic basic block.
@@ -227,16 +194,6 @@ func (p CmpPred) String() string {
 	return fmt.Sprintf("pred(%d)", uint8(p))
 }
 
-// PredFromName parses a predicate mnemonic.
-func PredFromName(s string) (CmpPred, bool) {
-	for i, n := range predNames {
-		if n == s {
-			return CmpPred(i), true
-		}
-	}
-	return PredEQ, false
-}
-
 // CastKind distinguishes the conversion performed by an OpCast instruction.
 type CastKind uint8
 
@@ -264,14 +221,4 @@ func (k CastKind) String() string {
 		return castNames[k]
 	}
 	return fmt.Sprintf("cast(%d)", uint8(k))
-}
-
-// CastFromName parses a cast-kind mnemonic.
-func CastFromName(s string) (CastKind, bool) {
-	for i, n := range castNames {
-		if n == s {
-			return CastKind(i), true
-		}
-	}
-	return CastNone, false
 }

@@ -378,3 +378,114 @@ func TestParentBuildStoreRecovers(t *testing.T) {
 		t.Fatalf("post-recovery submission = %v, %v; want j000006", j6, err)
 	}
 }
+
+// TestRemovedOptSpellings: the O1 level and the constfold and dce passes are
+// gone. A submission that names one is refused with the levels and passes
+// that exist. A store an older build wrote with such a job queued recovers
+// with that job failed for the same reason, through the runner's own
+// Normalize, while every other job stays as it was and the manager serves on.
+func TestRemovedOptSpellings(t *testing.T) {
+	removed := []struct {
+		key, value, want string
+	}{
+		{"opt", "O1", "(have O0, O2)"},
+		{"passes", "constfold,dce", "(have cse, strength, unroll)"},
+	}
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan string, 4)
+	release := make(chan struct{}, 4)
+	m := standalone(t, Options{QueueDepth: 8, Store: st}, ExecOptions{Runner: blockingRunner(started, release)}, 1)
+	for _, r := range removed {
+		var spec Spec
+		if err := json.Unmarshal([]byte(`{"workload":"sgemm","`+r.key+`":"`+r.value+`"}`), &spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Submit(spec); err == nil || !strings.Contains(err.Error(), r.want) {
+			t.Errorf("submitting %s %q: %v, want a refusal naming %s", r.key, r.value, err, r.want)
+		}
+	}
+
+	done, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	release <- struct{}{}
+	if s := waitTerminal(t, done, 5*time.Second); s != StateDone {
+		t.Fatalf("job finished %s", s)
+	}
+	evs, _, _ := done.EventsSince(0)
+	wantLog, wantReport := marshalEvents(t, evs), string(done.Status().Report)
+	running, err := m.Submit(Spec{Workload: "spmv", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	// Queued behind it: two jobs an older build admitted, and one this build
+	// still runs.
+	var old []*Job
+	for range removed {
+		j, err := m.Submit(Spec{Workload: "sgemm", Scale: "tiny", Opt: "O2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, j)
+	}
+	queued, err := m.Submit(Spec{Workload: "bfs", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil { // the crash
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_ = m.Shutdown(ctx)
+	cancel()
+	for i, r := range removed {
+		editPersistedSpec(t, filepath.Join(dir, "jobs", old[i].digest, "job.json"), func(spec map[string]json.RawMessage) {
+			delete(spec, "opt")
+			spec[r.key], _ = json.Marshal(r.value)
+		})
+	}
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	m2 := standalone(t, Options{QueueDepth: 8, Store: st2}, ExecOptions{}, 1)
+	defer shutdown(t, m2) // before the store closes
+	get := func(id string) *Job {
+		j, err := m2.Get(id)
+		if err != nil {
+			t.Fatalf("job %s lost across the restart: %v", id, err)
+		}
+		return j
+	}
+	for i, r := range removed {
+		j := get(old[i].ID)
+		if s := waitTerminal(t, j, 30*time.Second); s != StateFailed || !strings.Contains(j.Status().Error, r.want) {
+			t.Errorf("queued job with %s %q ended %s (%q), want failed naming %s", r.key, r.value, s, j.Status().Error, r.want)
+		}
+	}
+	r := get(done.ID)
+	if revs, _, _ := r.EventsSince(0); r.State() != StateDone || string(r.Status().Report) != wantReport || marshalEvents(t, revs) != wantLog {
+		t.Errorf("the done job changed across the restart: %s", r.Status().Error)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if j := get(id); waitTerminal(t, j, 30*time.Second) != StateDone {
+			t.Errorf("job %s ended %s: %s", id, j.State(), j.Status().Error)
+		}
+	}
+	after, err := m2.Submit(Spec{Workload: "sgemm", Scale: "tiny", Opt: "O2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := waitTerminal(t, after, 30*time.Second); s != StateDone {
+		t.Fatalf("a submission after the restart ended %s: %s", s, after.Status().Error)
+	}
+}

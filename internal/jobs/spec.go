@@ -40,12 +40,12 @@ type Spec struct {
 	// spmd-xeon, dae-pair, core-accel. Mutually exclusive with Topology.
 	Preset string `json:"preset,omitempty"`
 	// Opt names the compiler optimization level for the workload build:
-	// O0, O1, or O2 (default O0). Different levels never share cached
+	// O0 or O2 (default O0). Different levels never share cached
 	// artifacts or recorded schedules — the cache key carries the
 	// pass-config hash.
 	Opt string `json:"opt,omitempty"`
 	// Passes overrides Opt with an explicit comma-separated pass list
-	// (e.g. "constfold,dce"). Mutually exclusive with Opt.
+	// (e.g. "strength,cse"). Mutually exclusive with Opt.
 	Passes string `json:"passes,omitempty"`
 	// Unroll sets the loop-unroll factor when the unroll pass runs
 	// (0 = the pipeline default).

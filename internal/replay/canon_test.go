@@ -403,11 +403,7 @@ func FuzzCanonJSON(f *testing.F) {
 		f.Add(b, false)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, daePairs bool) {
-		path := filepath.Join(t.TempDir(), "in.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Skip()
-		}
-		sc, err := config.Load(path)
+		sc, err := config.Parse(data)
 		if err != nil {
 			return
 		}

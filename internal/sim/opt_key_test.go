@@ -16,22 +16,22 @@ import (
 func TestKeySeparatesOptLevels(t *testing.T) {
 	w := workloads.ByName("sgemm")
 	o0 := w.WithOpt(ir.OptConfig{Level: "O0"})
-	o1 := w.WithOpt(ir.OptConfig{Level: "O1"})
+	cse := w.WithOpt(ir.OptConfig{Passes: []string{"cse"}})
 	o2 := w.WithOpt(ir.OptConfig{Level: "O2"})
 	o2u8 := w.WithOpt(ir.OptConfig{Level: "O2", Unroll: 8})
 
 	kDefault := KeyFor(w, workloads.Small, SliceNone, []string{""})
 	k0 := KeyFor(o0, workloads.Small, SliceNone, []string{""})
-	k1 := KeyFor(o1, workloads.Small, SliceNone, []string{""})
+	kCSE := KeyFor(cse, workloads.Small, SliceNone, []string{""})
 	k2 := KeyFor(o2, workloads.Small, SliceNone, []string{""})
 	k2u8 := KeyFor(o2u8, workloads.Small, SliceNone, []string{""})
 
 	if kDefault != k0 {
 		t.Error("explicit O0 and the default config diverge; O0 is bit-identical and must share cache entries")
 	}
-	distinct := map[Key]string{k0: "O0", k1: "O1", k2: "O2", k2u8: "O2u8"}
+	distinct := map[Key]string{k0: "O0", kCSE: "cse", k2: "O2", k2u8: "O2u8"}
 	if len(distinct) != 4 {
-		t.Fatalf("opt-level keys collide: O0=%v O1=%v O2=%v O2u8=%v", k0, k1, k2, k2u8)
+		t.Fatalf("opt-level keys collide: O0=%v cse=%v O2=%v O2u8=%v", k0, kCSE, k2, k2u8)
 	}
 }
 

@@ -39,7 +39,6 @@ const N = 64
 func Levels() []ir.OptConfig {
 	return []ir.OptConfig{
 		{Level: "O0"},
-		{Level: "O1"},
 		{Level: "O2"},
 		{Level: "O2", Unroll: 2},
 	}
@@ -77,7 +76,7 @@ func (g *gen) kernel() string {
 	for g.budget > 0 {
 		g.stmt()
 	}
-	// Make every top-level local observable: without these stores, DCE could
+	// Make every top-level local observable: without these stores, a pass could
 	// legally delete a miscompiled computation before it ever disagrees.
 	for i, v := range g.ints {
 		g.linef("A[%d] = %s;", (40+i)&(N-1), v)

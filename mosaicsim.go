@@ -85,7 +85,7 @@ func NewMemory(bytes int64) *Memory { return interp.NewMemory(bytes) }
 func Compile(src, moduleName string) (*Module, error) { return cc.Compile(src, moduleName) }
 
 // OptConfig selects the IR optimization pipeline (DESIGN.md §5g): a level
-// (O0/O1/O2), or an explicit pass list, plus the unroll factor. The zero
+// (O0/O2), or an explicit pass list, plus the unroll factor. The zero
 // value is O0 — the empty pipeline.
 type OptConfig = ir.OptConfig
 

@@ -129,11 +129,14 @@ func TestFacadeDecouple(t *testing.T) {
 	}
 }
 
-// TestFacadeParseIR: KernelOf takes a module however it was built, here one
-// parsed from textual IR.
-func TestFacadeParseIR(t *testing.T) {
-	mod, err := ir.Parse("func @f(%n: i64) {\nentry:\n  ret\n}\n")
-	if err != nil {
+// TestFacadeBuiltIR: KernelOf takes a module however it was built, here one
+// written with ir.Builder.
+func TestFacadeBuiltIR(t *testing.T) {
+	mod := ir.NewModule("m")
+	b := ir.NewBuilder(mod)
+	b.NewFunc("f", ir.NewParam("n", ir.I64))
+	b.Ret(nil)
+	if err := b.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := KernelOf(mod, "f"); err != nil {
