@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mosaicsim/internal/config"
 )
@@ -45,26 +46,56 @@ const (
 	lineFlags    = 1<<lineFlagBits - 1
 )
 
+// setPage indexes pageSets consecutive sets. A set's setRef names its n
+// filled ways: the first n lines of block, a block of its cache's line arena
+// named by chunk index << chunkBits | start.
+type setPage [pageSets]setRef
+type setRef struct{ block, n uint32 }
+
 // lineArena carves the ways of grown sets out of shared chunks, so a cache
-// allocates per chunk, not per set. Every cache of one Hierarchy shares its
-// arena; a Cache built alone has its own.
+// allocates per chunk, not per set. free[k] is the name+1 (0: none) of the
+// first 4^k-line block a set outgrew, each linked through its first line's
+// tag; carve reuses one before it cuts a chunk. Every cache of one Hierarchy
+// shares its arena; a Cache built alone has its own.
 type lineArena struct {
-	free  []cacheLine // the uncarved rest of the newest chunk
-	chunk int         // the newest chunk's length
+	chunks      [][]cacheLine
+	chunk, used int       // the newest chunk's length and lines carved from it
+	free        [9]uint64 // 4^8 = config.MaxEntries
 }
 
-// Chunk lengths start at arenaFirst lines and double up to arenaLast.
-const arenaFirst, arenaLast = 256, 4096
+// Chunk lengths start at arenaFirst lines and double up to arenaLast, the most
+// a block's start can address; a longer block gets a chunk of its own.
+const arenaFirst, chunkBits, arenaLast = 256, 12, 1 << 12
 
-// carve returns n fresh lines with capacity n.
-func (a *lineArena) carve(n int) []cacheLine {
-	if len(a.free) < n {
-		a.chunk = max(arenaFirst, min(2*a.chunk, arenaLast))
-		a.free = make([]cacheLine, max(a.chunk, n))
+// carve returns the name of an n-line block, an outgrown one when it can.
+func (a *lineArena) carve(n int) uint32 {
+	if k := bits.TrailingZeros(uint(n)) / 2; n == 1<<(2*k) && a.free[k] != 0 {
+		b := uint32(a.free[k] - 1)
+		a.free[k] = a.lines(b, 1)[0].tag
+		return b
 	}
-	s := a.free[:n:n]
-	a.free = a.free[n:]
-	return s
+	if a.used+n > a.chunk {
+		if len(a.chunks) == 1<<(32-chunkBits) {
+			panic("mem: line arena holds 2^20 chunks, the most a block name addresses")
+		}
+		a.chunk, a.used = max(arenaFirst, min(2*a.chunk, arenaLast), n), 0
+		a.chunks = append(a.chunks, make([]cacheLine, a.chunk))
+	}
+	a.used += n
+	return uint32(len(a.chunks)-1)<<chunkBits | uint32(a.used-n)
+}
+
+// release puts block b, outgrown at its n = 4^k lines, on its free list.
+func (a *lineArena) release(b uint32, n int) {
+	k := bits.TrailingZeros(uint(n)) / 2
+	a.lines(b, 1)[0].tag = a.free[k]
+	a.free[k] = uint64(b) + 1
+}
+
+// lines returns the first n lines of block b.
+func (a *lineArena) lines(b uint32, n int) []cacheLine {
+	start := int(b & (arenaLast - 1))
+	return a.chunks[b>>chunkBits][start : start+n]
 }
 
 // mshr tracks one outstanding line fill and its waiters, a FIFO chained
@@ -95,15 +126,17 @@ type Cache struct {
 	Name string
 	cfg  config.CacheConfig
 	next Level
-	// pages holds the sets, a page of pageSets consecutive sets at a time,
-	// allocated when one of its sets first holds a line. A set holds only the
-	// ways filled so far: a nil page or set reads as all-invalid, so a run
-	// pays for the lines it holds. Ways come from arena.
-	pages [][][]cacheLine
+	// pages indexes the sets, pageSets consecutive sets a page, allocated
+	// when one of its sets first holds a line. A set holds only the ways
+	// filled so far, carved from arena: a nil page or an empty set reads as
+	// all-invalid, so a run pays for the lines it holds.
+	pages []*setPage
 	arena *lineArena
 	nsets uint64
 	shift uint
-	Stats CacheStats
+	// setBits is log2(nsets) when nsets is a power of two.
+	setBits uint
+	Stats   CacheStats
 
 	// inq orders pending requests by (ready, arrival seq) in a min-heap, so
 	// an MSHR-stall retry due at now+1 is processed before entries with
@@ -124,11 +157,11 @@ type Cache struct {
 	ownEvents, ownDue int64
 	free              *reqList
 
-	// stream prefetcher state (§V-A): a small table of detected streams;
-	// consecutive same-stride line accesses on any tracked stream trigger
-	// prefetches of subsequent lines. Multiple entries let interleaved
-	// streams (stencil rows, multi-plane lattices) all be detected.
-	streams [prefetchStreams]streamEntry
+	// stream prefetcher state (§V-A), nil unless PrefetchDegree > 0: a small
+	// table of detected streams; consecutive same-stride line accesses on any
+	// tracked stream trigger prefetches of subsequent lines. Multiple entries
+	// let interleaved streams (stencil rows, multi-plane lattices) be seen.
+	streams *[prefetchStreams]streamEntry
 	clock   int64
 
 	inflight int // requests accepted but not yet completed/forwarded
@@ -142,16 +175,20 @@ func NewCache(cfg config.CacheConfig, next Level) *Cache {
 		panic(fmt.Sprintf("mem: cache %q geometry invalid (%d lines, %d ways)", cfg.Name, lines, cfg.Assoc))
 	}
 	c := &Cache{
-		Name:   cfg.Name,
-		cfg:    cfg,
-		next:   next,
-		pages:  make([][][]cacheLine, (nsets+pageSets-1)/pageSets),
-		arena:  new(lineArena),
-		nsets:  uint64(nsets),
-		ownDue: HorizonNone,
-		free:   new(reqList),
+		Name:    cfg.Name,
+		cfg:     cfg,
+		next:    next,
+		pages:   make([]*setPage, (nsets+pageSets-1)/pageSets),
+		arena:   new(lineArena),
+		nsets:   uint64(nsets),
+		setBits: uint(bits.TrailingZeros(uint(nsets))),
+		ownDue:  HorizonNone,
+		free:    new(reqList),
 	}
 	c.events, c.due = &c.ownEvents, &c.ownDue
+	if cfg.PrefetchDegree > 0 {
+		c.streams = new([prefetchStreams]streamEntry)
+	}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.shift++
 	}
@@ -162,24 +199,21 @@ func NewCache(cfg config.CacheConfig, next Level) *Cache {
 const pageSets = 64
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.shift }
-func (c *Cache) setOf(line uint64) uint64    { return line % c.nsets }
+
+// split returns line's set and tag, without a division when the set count
+// is a power of two.
+func (c *Cache) split(line uint64) (set, tag uint64) {
+	if b := c.setBits; c.nsets == 1<<b {
+		return line & (c.nsets - 1), line >> b
+	}
+	return line % c.nsets, line / c.nsets
+}
 
 // Access implements Level.
 func (c *Cache) Access(req *Request, now int64) {
 	c.inflight++
 	*c.events++
 	c.enqueue(req, now+c.cfg.LatencyCycles)
-}
-
-// NextEvent implements Level: the head of the pending heap bounds the next
-// self-scheduled state change. (An MSHR-full retry is re-queued at now+1, so
-// a stalled cache deliberately reports an adjacent horizon: the retry itself
-// mutates the queue every cycle and must be simulated, not skipped.)
-func (c *Cache) NextEvent(now int64) int64 {
-	if r := *c.due; r > now {
-		return r
-	}
-	return now + 1
 }
 
 // enqueue adds a request to the pending heap at its ready time.
@@ -218,10 +252,11 @@ func (c *Cache) Tick(now int64) {
 func (c *Cache) process(req *Request, now int64) {
 	*c.events++
 	line := c.lineAddr(req.Addr)
+	cl := c.lookup(line)
 	if req.Kind == Writeback {
 		// Inclusive write-back from an upper level: update the copy if
 		// present, otherwise pass through.
-		if cl := c.lookup(line); cl != nil {
+		if cl != nil {
 			cl.word = uint64(now)<<lineFlagBits | cl.word&lineFlags | lineDirty
 			c.complete(req, now)
 		} else {
@@ -235,7 +270,7 @@ func (c *Cache) process(req *Request, now int64) {
 	if req.Kind != Prefetch {
 		c.Stats.Accesses++
 	}
-	if cl := c.lookup(line); cl != nil {
+	if cl != nil {
 		// Hit.
 		cl.word = uint64(now)<<lineFlagBits | cl.word&lineFlags
 		if req.Kind == Write || req.Kind == Atomic {
@@ -306,18 +341,19 @@ func (c *Cache) mshrOf(line uint64) int {
 	return -1
 }
 
-// ways returns the filled ways of one set, nil while its page is unallocated.
+// ways returns the filled ways of one set. A page exists only once a set of
+// it filled, so the arena holds a chunk for an empty set's zero name.
 func (c *Cache) ways(set uint64) []cacheLine {
 	if pg := c.pages[set/pageSets]; pg != nil {
-		return pg[set%pageSets]
+		return c.arena.lines(pg[set%pageSets].block, int(pg[set%pageSets].n))
 	}
 	return nil
 }
 
 // lookup returns the resident line or nil.
 func (c *Cache) lookup(line uint64) *cacheLine {
-	set := c.ways(c.setOf(line))
-	tag := line / c.nsets
+	idx, tag := c.split(line)
+	set := c.ways(idx)
 	for i := range set {
 		if set[i].tag == tag && set[i].word&lineValid != 0 {
 			return &set[i]
@@ -332,16 +368,12 @@ func (c *Cache) lookup(line uint64) *cacheLine {
 // all invalid at first, would choose.
 func (c *Cache) fill(line uint64, prefetched bool, now int64) {
 	*c.events++
-	idx := c.setOf(line)
-	pg := c.pages[idx/pageSets]
-	if pg == nil {
-		// First line into this page: the last page may be short.
-		first := idx / pageSets * pageSets
-		pg = make([][]cacheLine, min(pageSets, c.nsets-first))
-		c.pages[idx/pageSets] = pg
+	idx, tag := c.split(line)
+	set := c.ways(idx)
+	if c.pages[idx/pageSets] == nil {
+		c.pages[idx/pageSets] = new(setPage) // its first set carves below
 	}
-	set := pg[idx%pageSets]
-	tag := line / c.nsets
+	ref := &c.pages[idx/pageSets][idx%pageSets]
 	victim := -1
 	for i := range set {
 		if set[i].word&lineValid == 0 {
@@ -349,14 +381,20 @@ func (c *Cache) fill(line uint64, prefetched bool, now int64) {
 			break
 		}
 	}
-	if victim < 0 && len(set) < c.cfg.Assoc {
-		if len(set) == cap(set) {
-			// Grow 1, 4, 16, ... ways, at most Assoc.
-			set = append(c.arena.carve(min(max(4*len(set), 1), c.cfg.Assoc))[:0], set...)
+	if n := int(ref.n); victim < 0 && n < c.cfg.Assoc {
+		if n&(n-1) == 0 && bits.TrailingZeros(uint(n))%2 == 0 {
+			// A full block (none, or 1, 4, 16, ... ways): grow ×4, at most
+			// Assoc, and free the outgrown block.
+			b := c.arena.carve(min(max(4*n, 1), c.cfg.Assoc))
+			if n > 0 {
+				copy(c.arena.lines(b, n), set)
+				c.arena.release(ref.block, n)
+			}
+			ref.block = b
 		}
-		victim = len(set)
-		set = set[:victim+1]
-		pg[idx%pageSets] = set
+		victim = n
+		ref.n++
+		set = c.arena.lines(ref.block, n+1)
 	}
 	if victim < 0 {
 		oldest := set[0].word >> lineFlagBits

@@ -150,7 +150,7 @@ func (d *SimpleDRAM) Access(req *Request, now int64) {
 // Busy implements Level.
 func (d *SimpleDRAM) Busy() bool { return d.pq.Len() > 0 }
 
-// NextEvent implements Level. A throttled DRAM promises nothing before the
+// NextEvent implements DRAM. A throttled DRAM promises nothing before the
 // epoch boundary that resets the bandwidth budget — but it still reports the
 // head's due cycle when that comes first: Throttled accrues from there, and
 // only a real tick there starts the run that the next tick charges.
@@ -261,7 +261,7 @@ func (d *BankedDRAM) Access(req *Request, now int64) {
 // Busy implements Level.
 func (d *BankedDRAM) Busy() bool { return len(d.queue) > 0 || d.done.Len() > 0 }
 
-// NextEvent implements Level: the earliest of the next completion and the
+// NextEvent implements DRAM: the earliest of the next completion and the
 // next bank becoming free for a queued request. A request whose bank is free
 // now may only be deferred by channel arbitration, i.e. by one cycle.
 func (d *BankedDRAM) NextEvent(now int64) int64 {
@@ -347,7 +347,7 @@ func (d *BankedDRAM) pick(now int64, ch, channels int) int {
 }
 
 // NewDRAM constructs the configured DRAM model.
-func NewDRAM(cfg config.DRAMConfig, clockMHz, lineBytes int) Level {
+func NewDRAM(cfg config.DRAMConfig, clockMHz, lineBytes int) DRAM {
 	switch cfg.Model {
 	case config.DRAMBanked:
 		return NewBankedDRAM(cfg)

@@ -42,29 +42,95 @@ type completions []int64
 
 func (c completions) MemDone(tag, at int64) { c[tag] = at }
 
+// fixedWays pre-grows every set of c to Assoc invalid ways through the set
+// index: the layout of a cache of fixed ways, the oracle of TestGrownCacheSets.
+func fixedWays(c *Cache) {
+	for set := range int(c.nsets) {
+		if c.pages[set/pageSets] == nil {
+			c.pages[set/pageSets] = new(setPage)
+		}
+		c.pages[set/pageSets][set%pageSets] = setRef{block: c.arena.carve(c.cfg.Assoc), n: uint32(c.cfg.Assoc)}
+	}
+}
+
+// checkBlocks fails unless every set of caches holds at most Assoc ways, and
+// the blocks the sets hold and the blocks on a's free lists each lie inside
+// their chunk and overlap nowhere. It returns the free blocks' names.
+func checkBlocks(t *testing.T, a *lineArena, caches ...*Cache) map[uint32]bool {
+	t.Helper()
+	held := make([][]bool, len(a.chunks))
+	for i, ch := range a.chunks {
+		held[i] = make([]bool, len(ch))
+	}
+	claim := func(b uint32, n int) {
+		ch, start := int(b>>chunkBits), int(b&(arenaLast-1))
+		if ch >= len(held) || start+n > len(held[ch]) {
+			t.Fatalf("block %#x of %d lines lies outside the arena's chunks", b, n)
+		}
+		for i := start; i < start+n; i++ {
+			if held[ch][i] {
+				t.Fatalf("block %#x of %d lines overlaps another block", b, n)
+			}
+			held[ch][i] = true
+		}
+	}
+	free := map[uint32]bool{}
+	for k, b := range a.free {
+		for ; b != 0; b = a.lines(uint32(b-1), 1)[0].tag {
+			free[uint32(b-1)] = true
+			claim(uint32(b-1), 1<<(2*k))
+		}
+	}
+	for _, c := range caches {
+		for _, pg := range c.pages {
+			if pg == nil {
+				continue
+			}
+			for _, r := range pg {
+				if int(r.n) > c.cfg.Assoc {
+					t.Fatalf("%s: a set holds %d ways, more than its %d", c.Name, r.n, c.cfg.Assoc)
+				}
+				if size := 1; r.n > 0 {
+					for size < int(r.n) {
+						size = min(4*size, c.cfg.Assoc)
+					}
+					claim(r.block, size)
+				}
+			}
+		}
+	}
+	return free
+}
+
 // TestGrownCacheSets: a set holds only the ways filled into it, grown 1, 4,
-// 16, ... up to Assoc from its hierarchy's line arena, and a page of sets is
-// allocated on the first fill into it. An untouched set reads as all invalid
-// — lookups miss, Invalidate finds nothing, neither allocates — and a cache
-// whose every set is pre-grown to Assoc invalid ways (the fixed-way layout)
-// behaves identically under the same accesses and directory recalls, the
-// recalls landing on sets mid-growth.
+// 16, ... up to Assoc from its hierarchy's line arena, and a page of the set
+// index is allocated on the first fill into it. An untouched set reads as all
+// invalid — lookups miss, Invalidate finds nothing, neither allocates — and a
+// cache whose every set is pre-grown to Assoc invalid ways (the fixed-way
+// layout) behaves identically under the same accesses and directory recalls,
+// the recalls landing on sets mid-growth. At config.MaxEntries ways a set
+// outgrows the arena's largest chunk into one of its own; in a hierarchy, one
+// cache carves the blocks another outgrew.
 func TestGrownCacheSets(t *testing.T) {
-	for _, tc := range []struct{ nsets, sizeKB, assoc int }{
-		{96, 6, 1}, {100, 50, 8}, {3, 3, 16}, {65, 65, 16}, {12, 15, 20}, {80, 100, 20}, {4096, 512, 2},
+	for _, tc := range []struct {
+		nsets, sizeKB, assoc int
+		// n accesses over span bytes (0: four times the size, at most 256
+		// KiB), a recall every recall cycles, mshrs MSHRs. The widest set
+		// grows past 4,096 lines through few recalls and no MSHR stalls,
+		// because every miss and retry scans 65,536 fixed ways.
+		n, span, recall, mshrs int
+	}{
+		{96, 6, 1, 4000, 0, 20, 4}, {100, 50, 8, 4000, 0, 20, 4}, {3, 3, 16, 4000, 0, 20, 4}, {65, 65, 16, 4000, 0, 20, 4},
+		{12, 15, 20, 4000, 0, 20, 4}, {80, 100, 20, 4000, 0, 20, 4}, {4096, 512, 2, 4000, 0, 20, 4},
+		{1, 4096, config.MaxEntries, 7000, 512 << 10, 1000, 64},
 	} {
-		cfg := config.CacheConfig{Name: "c", SizeKB: tc.sizeKB, LineBytes: 64, Assoc: tc.assoc, LatencyCycles: 2, MSHRs: 4, PortsPerCycle: 2, PrefetchDegree: 2}
+		cfg := config.CacheConfig{Name: "c", SizeKB: tc.sizeKB, LineBytes: 64, Assoc: tc.assoc, LatencyCycles: 2, MSHRs: tc.mshrs, PortsPerCycle: 2, PrefetchDegree: 2}
 		dram := config.DRAMConfig{Model: config.DRAMSimple, MinLatency: 30, BandwidthGBs: 16, EpochCycles: 100}
 		grown, full := NewCache(cfg, NewSimpleDRAM(dram, 2000, 64)), NewCache(cfg, NewSimpleDRAM(dram, 2000, 64))
 		if got := int(grown.nsets); got != tc.nsets {
 			t.Fatalf("geometry gives %d sets, want %d", got, tc.nsets)
 		}
-		for p := range full.pages {
-			full.pages[p] = make([][]cacheLine, min(pageSets, tc.nsets-p*pageSets))
-			for s := range full.pages[p] {
-				full.pages[p][s] = make([]cacheLine, tc.assoc)
-			}
-		}
+		fixedWays(full)
 		for line := uint64(0); line < 3*uint64(tc.nsets); line += 7 {
 			if grown.lookup(line) != nil || grown.Invalidate(line<<6, 64) {
 				t.Fatalf("%d sets: untouched line %d is resident", tc.nsets, line)
@@ -80,8 +146,11 @@ func TestGrownCacheSets(t *testing.T) {
 		// recall outcomes and statistics. A recall names a line accessed
 		// before, so most find a copy. The span covers half the sets of the
 		// largest geometry, so half its pages stay nil.
-		span := min(uint64(tc.sizeKB)*1024*4, 256<<10)
-		stream := recordedStream(int64(tc.nsets), 4000, 1, span)
+		span := uint64(tc.span)
+		if span == 0 {
+			span = min(uint64(tc.sizeKB)*1024*4, 256<<10)
+		}
+		stream := recordedStream(int64(tc.nsets), tc.n, 1, span)
 		drive := func(c *Cache) (completions, []bool) {
 			done, recalls := make(completions, len(stream)), []bool(nil)
 			rng := rand.New(rand.NewSource(1))
@@ -90,7 +159,7 @@ func TestGrownCacheSets(t *testing.T) {
 				for ; i < len(stream) && stream[i].at <= now; i++ {
 					c.Access(&Request{Addr: stream[i].addr, Size: 8, Kind: stream[i].kind, Waiter: done, Tag: int64(i)}, now)
 				}
-				if now%20 == 0 && i > 0 {
+				if now%int64(tc.recall) == 0 && i > 0 {
 					recalls = append(recalls, c.Invalidate(stream[rng.Intn(i)].addr&^63, 64))
 				}
 				c.next.Tick(now)
@@ -103,22 +172,24 @@ func TestGrownCacheSets(t *testing.T) {
 		if !reflect.DeepEqual(grownDone, fullDone) || !reflect.DeepEqual(grownRecalls, fullRecalls) {
 			t.Errorf("%d sets: completions or recall outcomes differ between grown and full sets", tc.nsets)
 		}
-		if grown.Stats != full.Stats || grown.Stats.Evictions == 0 && tc.nsets < 4096 || grown.Stats.Hits == 0 {
+		if grown.Stats != full.Stats || grown.Stats.Evictions == 0 && span > uint64(tc.sizeKB)<<10 || grown.Stats.Hits == 0 {
 			t.Errorf("%d sets: stats differ or the stream is too easy:\ngrown %+v\nfull  %+v", tc.nsets, grown.Stats, full.Stats)
 		}
-		allocated, dirtyRecalls := 0, 0
+		checkBlocks(t, grown.arena, grown)
+		allocated, widest, dirtyRecalls := 0, uint32(0), 0
 		for _, pg := range grown.pages {
 			if pg != nil {
 				allocated++
-			}
-			for _, set := range pg {
-				if len(set) > tc.assoc || cap(set) > tc.assoc || cap(set) >= 4*len(set) && cap(set) > 1 {
-					t.Errorf("%d sets: a set holds %d lines in %d ways, want at most %d and under 4 ways a line", tc.nsets, len(set), cap(set), tc.assoc)
+				for _, r := range pg {
+					widest = max(widest, r.n)
 				}
 			}
 		}
 		if want := min(len(grown.pages), int(span/64+pageSets-1)/pageSets+1); allocated == 0 || allocated > want {
 			t.Errorf("%d sets: %d of %d pages allocated for a %d-byte span, want 1..%d", tc.nsets, allocated, len(grown.pages), span, want)
+		}
+		if tc.assoc > arenaLast && widest <= arenaLast {
+			t.Errorf("%d ways: the widest set holds %d lines, never past a %d-line chunk", tc.assoc, widest, arenaLast)
 		}
 		for _, r := range grownRecalls {
 			if r {
@@ -128,6 +199,62 @@ func TestGrownCacheSets(t *testing.T) {
 		if dirtyRecalls == 0 {
 			t.Errorf("%d sets: no recall dropped a dirty copy", tc.nsets)
 		}
+	}
+
+	// Two cores over private L1s and L2s with the directory, one at a time:
+	// core 1's sets, still growing after its 400 accesses, hold blocks core
+	// 0's sets outgrew, and the run equals one on fixed ways, recalls
+	// included.
+	l2 := config.CacheConfig{Name: "L2", SizeKB: 64, LineBytes: 64, Assoc: 8, LatencyCycles: 4, MSHRs: 8, PortsPerCycle: 1}
+	cfg := config.MemConfig{L1: config.CacheConfig{Name: "L1", SizeKB: 15, LineBytes: 64, Assoc: 20, LatencyCycles: 1, MSHRs: 4, PortsPerCycle: 2},
+		L2: &l2, DRAM: config.DRAMConfig{Model: config.DRAMSimple, MinLatency: 40, BandwidthGBs: 16, EpochCycles: 100}, Directory: true}
+	stream := recordedStream(3, 8000, 1, 256<<10)
+	drive := func(h *Hierarchy) (completions, map[uint32]bool) {
+		done, outgrown := make(completions, len(stream)), map[uint32]bool(nil)
+		i, now := 0, int64(0)
+		for core, end := range []int{len(stream) - 400, len(stream)} {
+			for ; i < end || h.Busy(); now++ {
+				for ; i < end && stream[i].at <= now; i++ {
+					h.AccessAt(core, stream[i].addr, 8, stream[i].kind, now, done, int64(i))
+				}
+				h.Tick(now)
+			}
+			if core == 0 {
+				outgrown = checkBlocks(t, &h.lines, h.caches...)
+			}
+		}
+		return done, outgrown
+	}
+	grown, full := NewHierarchy(cfg, 2, 2000), NewHierarchy(cfg, 2, 2000)
+	for _, c := range full.caches {
+		fixedWays(c)
+	}
+	grownDone, outgrown := drive(grown)
+	fullDone, _ := drive(full)
+	if !reflect.DeepEqual(grownDone, fullDone) || grown.Dir.Stats != full.Dir.Stats || grown.Dir.Stats.Invalidations == 0 {
+		t.Errorf("hierarchy: completions or directory stats differ between grown and full sets, or nothing was recalled: %+v", grown.Dir.Stats)
+	}
+	for i, c := range grown.caches {
+		if c.Stats != full.caches[i].Stats {
+			t.Errorf("hierarchy: %s %d stats differ:\ngrown %+v\nfull  %+v", c.Name, i, c.Stats, full.caches[i].Stats)
+		}
+	}
+	checkBlocks(t, &grown.lines, grown.caches...)
+	reused := 0
+	for _, c := range []*Cache{grown.L1s[1], grown.L2s[1]} {
+		for _, pg := range c.pages {
+			if pg == nil {
+				continue
+			}
+			for _, r := range pg {
+				if r.n > 0 && outgrown[r.block] {
+					reused++
+				}
+			}
+		}
+	}
+	if len(outgrown) == 0 || reused == 0 {
+		t.Errorf("hierarchy: core 0's caches outgrew %d blocks and core 1's hold %d of them, want some of each", len(outgrown), reused)
 	}
 }
 

@@ -14,7 +14,7 @@ type Hierarchy struct {
 	L1s  []*Cache
 	L2s  []*Cache // nil when not configured
 	LLC  *Cache   // nil when not configured
-	DRAM Level
+	DRAM DRAM
 	// Dir is the optional coherence directory over the private stacks.
 	Dir *Directory
 
@@ -143,8 +143,8 @@ func (h *Hierarchy) Progress() int64 { return h.events }
 // NextEvent returns the earliest self-scheduled event across all levels
 // (HorizonNone when the whole hierarchy is drained).
 func (h *Hierarchy) NextEvent(now int64) int64 {
-	// The caches' horizon is their earliest due time, or the next cycle when
-	// one is already due (Cache.NextEvent).
+	// The caches' horizon is their earliest due time, at least the next
+	// cycle: an MSHR-full retry re-queued at now+1 is simulated, not skipped.
 	due := HorizonNone
 	for _, d := range h.due {
 		due = min(due, d)

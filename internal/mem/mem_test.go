@@ -280,7 +280,6 @@ type holdLevel struct {
 func (h *holdLevel) Access(r *Request, now int64) { h.pending = append(h.pending, r) }
 func (h *holdLevel) Tick(int64)                   {}
 func (h *holdLevel) Busy() bool                   { return len(h.pending) > 0 }
-func (h *holdLevel) NextEvent(int64) int64        { return HorizonNone }
 func (h *holdLevel) release(now int64) {
 	for _, r := range h.pending {
 		r.Finish(now)

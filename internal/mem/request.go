@@ -57,7 +57,7 @@ type Request struct {
 	// prefetch started.
 	prefetched bool
 	fill       *Cache
-	// next chains the waiters of one MSHR.
+	// next chains the waiters of one MSHR, or the finished requests of a list.
 	next *Request
 	// free is the list that made the request and takes it back once it
 	// finishes; nil for a request built outside the package, never recycled.
@@ -74,30 +74,29 @@ func (r *Request) Finish(now int64) {
 		r.Waiter.MemDone(r.Tag, now)
 	}
 	if l := r.free; l != nil {
-		*r = Request{free: l}
-		*l = append(*l, r)
+		*r = Request{free: l, next: l.head}
+		l.head = r
 	}
 }
 
 // reqList recycles the requests a hierarchy creates (demand accesses, line
-// fills, writebacks, prefetches). Every level of one Hierarchy shares its list;
-// a Cache built alone has its own. A hierarchy is stepped by one goroutine, so
-// the list needs no lock.
-type reqList []*Request
+// fills, writebacks, prefetches), chained through their next fields. Every
+// level of one Hierarchy shares its list; a Cache built alone has its own. A
+// hierarchy is stepped by one goroutine, so the list needs no lock.
+type reqList struct{ head *Request }
 
 // get pops a finished request. An empty list is refilled with a slab of
 // requests it owns, one allocation for the lot.
 func (l *reqList) get() *Request {
-	if len(*l) == 0 {
+	if l.head == nil {
 		slab := make([]Request, 32)
 		for i := range slab {
-			slab[i].free = l
-			*l = append(*l, &slab[i])
+			slab[i] = Request{free: l, next: l.head}
+			l.head = &slab[i]
 		}
 	}
-	n := len(*l) - 1
-	r := (*l)[n]
-	*l = (*l)[:n]
+	r := l.head
+	l.head, r.next = r.next, nil
 	return r
 }
 
@@ -114,7 +113,13 @@ type Level interface {
 	Tick(now int64)
 	// Busy reports whether any request is still in flight at this level.
 	Busy() bool
-	// NextEvent returns a lower bound on the next cycle at which this level
+}
+
+// DRAM is the level below the caches. A cache's horizon is its due slot in
+// its Hierarchy; a DRAM model computes its own.
+type DRAM interface {
+	Level
+	// NextEvent returns a lower bound on the next cycle at which the model
 	// can change observable state on its own (queued work becoming due),
 	// or HorizonNone when it has no self-scheduled work. Changes triggered
 	// by other components (a new Access) are accounted by their initiator.

@@ -78,6 +78,10 @@ func TestWidthsHoldTheirBounds(t *testing.T) {
 		// gshare's 12 history bits and 2-bit counters; one sharer bit per tile.
 		"core.Core.bpHistory": {math.MaxUint16, 1<<12 - 1}, "core.Core.bpCounters": {u8, 3},
 		"mem.dirEntry.sharers": {64, config.MaxDirectoryTiles},
+		// A set's filled ways, at most its associativity; its block's name, a
+		// chunk index below the 2^20 the line arena refuses to pass, shifted
+		// over a start below the 4,096 lines of a shared chunk.
+		"mem.setRef.n": {math.MaxUint32, config.MaxEntries}, "mem.setRef.block": {math.MaxUint32, (1<<20-1)<<12 | (1<<12 - 1)},
 		// One seq per dynamic instruction, a count Read bounds to int64.
 		"core.dynNode.seq": {i64, i64}, "trace.TileTrace.DynInstrs": {i64, i64},
 		// A line's last use, a cycle of the run (Run ticks up to one past its
